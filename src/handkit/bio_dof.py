@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kinematics as kin
+from .errors import InputError, NumericError, ShapeError
 from .hand_model import HandModel, rest_joints
 
 _FINGER_DOFS = ("mcp_flex", "mcp_abd", "pip_flex", "dip_flex")
@@ -70,9 +71,9 @@ class BioPose:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
         if self.values.shape != (DOF_COUNT,):
-            raise ValueError(f"BioPose needs {DOF_COUNT} values")
+            raise ShapeError(f"BioPose needs {DOF_COUNT} values")
         if not np.isfinite(self.values).all():
-            raise ValueError("BioPose values must be finite")
+            raise InputError("BioPose values must be finite")
 
     def __getitem__(self, name: str) -> float:
         return float(self.values[DOF_NAMES.index(name)])
@@ -93,12 +94,15 @@ class DofLimits:
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float).reshape(-1)
-        self.upper = np.asarray(self.upper, dtype=float).reshape(-1)
+        # + 0.0 turns -0.0 into 0.0, which uniform sampling would reject
+        self.lower = np.asarray(self.lower, dtype=float).reshape(-1) + 0.0
+        self.upper = np.asarray(self.upper, dtype=float).reshape(-1) + 0.0
         if self.lower.shape != (DOF_COUNT,) or self.upper.shape != (DOF_COUNT,):
-            raise ValueError(f"limits need {DOF_COUNT} intervals")
+            raise ShapeError(f"limits need {DOF_COUNT} intervals")
         if (self.lower > 0).any() or (self.upper < 0).any():
-            raise ValueError("every interval must contain 0 (rest pose feasible)")
+            raise InputError("every interval must contain 0 (rest pose feasible)")
+        if (self.lower < -np.pi).any() or (self.upper > np.pi).any():
+            raise InputError("joint limits must lie within [-pi, pi]")
 
     @classmethod
     def default(cls) -> "DofLimits":
@@ -117,22 +121,23 @@ class DofLimits:
 
     @classmethod
     def load(cls, path) -> "DofLimits":
-        lower = np.full(DOF_COUNT, np.nan)
-        upper = np.full(DOF_COUNT, np.nan)
-        for raw in Path(path).read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            name, _, rest = line.partition("=")
-            parts = rest.split()
+        bounds = {}
+        for raw in Path(path).read_text(errors="replace").splitlines():
+            name, _, rest = raw.split("#", 1)[0].partition("=")
             name = name.strip()
-            if name not in DOF_NAMES or len(parts) != 2:
-                raise ValueError(f"bad limits line: {raw!r}")
-            i = DOF_NAMES.index(name)
-            lower[i], upper[i] = float(parts[0]), float(parts[1])
-        if np.isnan(lower).any():
-            missing = [DOF_NAMES[i] for i in np.flatnonzero(np.isnan(lower))]
-            raise ValueError(f"limits file missing entries: {missing}")
+            if not (name or rest.strip()):
+                continue
+            try:
+                lo, hi = (float(v) for v in rest.split())
+            except ValueError as exc:
+                raise InputError(f"{path}: bad limits line: {raw!r}") from exc
+            if name not in DOF_NAMES or not np.isfinite([lo, hi]).all():
+                raise InputError(f"{path}: bad limits line: {raw!r}")
+            bounds[name] = lo, hi
+        missing = [name for name in DOF_NAMES if name not in bounds]
+        if missing:
+            raise InputError(f"{path}: limits file missing entries: {missing}")
+        lower, upper = np.array([bounds[name] for name in DOF_NAMES]).T
         return cls(lower, upper)
 
 
@@ -151,7 +156,7 @@ class AxisTable:
     def __post_init__(self):
         for arr in (self.flex, self.abd, self.twist):
             if np.asarray(arr).shape != (15, 3):
-                raise ValueError("axis tables need shape (15, 3)")
+                raise ShapeError("axis tables need shape (15, 3)")
         self.flex = np.asarray(self.flex, dtype=float)
         self.abd = np.asarray(self.abd, dtype=float)
         self.twist = np.asarray(self.twist, dtype=float)
@@ -161,11 +166,11 @@ class AxisTable:
         for a, b in (("flex", "abd"), ("flex", "twist"), ("abd", "twist")):
             dots = np.abs(np.einsum("ic,ic->i", getattr(self, a), getattr(self, b)))
             if dots.max() > tol:
-                raise ValueError(f"{a} and {b} axes are not orthogonal")
+                raise NumericError(f"{a} and {b} axes are not orthogonal")
         for name in ("flex", "abd", "twist"):
             norms = np.linalg.norm(getattr(self, name), axis=1)
             if np.abs(norms - 1.0).max() > tol:
-                raise ValueError(f"{name} axes are not unit length")
+                raise NumericError(f"{name} axes are not unit length")
 
     def axis(self, slot: int, kind: str) -> np.ndarray:
         return {"flex": self.flex, "abd": self.abd, "twist": self.twist}[kind][slot]
@@ -180,8 +185,7 @@ class AxisTable:
         return self._expansion
 
 
-class DegenerateBoneError(ValueError):
-    """Raised when a rest-pose bone has (near) zero length."""
+DegenerateBoneError = NumericError
 
 
 def derive_axes(model: HandModel) -> AxisTable:

@@ -3,11 +3,14 @@ metric evaluation, architecture profiling, and synthetic-data generation.
 
 All commands are deterministic given their inputs and --seed, and all text
 artifacts use fixed 9-significant-digit formatting, so re-runs produce
-byte-identical outputs.  Exit codes: 0 success, 2 parse/file failure,
-3 shape or consistency mismatch, 4 numerical failure.
-
-The default model path can come from the HANDKIT_MODEL environment variable
-when --model is omitted.
+byte-identical outputs.  Exit codes are mapped once, in ``main``: 0 success,
+2 ``InputError`` (malformed file or argument) or any ``OSError``, 3
+``ShapeError`` (shape or consistency mismatch), 4 ``NumericError``
+(degenerate geometry or divergence).  The older error names, ``CliError``
+among them, are aliases of these (see ``handkit.errors``); any other
+exception is a bug.  ``ik-train`` decays the rate at epochs 30 and 35 unless
+--decay-epoch is given, so --epochs 35 or fewer needs explicit values.  The
+model path defaults to the HANDKIT_MODEL environment variable.
 """
 
 from __future__ import annotations
@@ -23,23 +26,17 @@ import numpy as np
 
 from . import (bio_dof, ik_net, ik_optim, kinematics as kin, lixel, metrics,
                profiler, synth)
-from .containers import ContainerError
-from .hand_model import (FullPose, HandModel, ModelError, ShapeParams,
-                         forward, load_model, make_desk_hand,
-                         make_desk_hand_small, save_model, write_obj)
+from .errors import (EXIT_NUMERIC, EXIT_PARSE, EXIT_SHAPE,  # noqa: F401
+                     HandkitError, InputError, ShapeError)
+from .hand_model import (FullPose, HandModel, ShapeParams, forward, load_model,
+                         make_desk_hand, make_desk_hand_small, save_model,
+                         write_obj)
 
 MODEL_ENV_VAR = "HANDKIT_MODEL"
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_SHAPE = 3
-EXIT_NUMERIC = 4
 
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+CliError = InputError
 
 
 def _fmt(value: float) -> str:
@@ -48,6 +45,11 @@ def _fmt(value: float) -> str:
 
 def _fmt_row(values) -> str:
     return " ".join(_fmt(v) for v in values)
+
+
+def _numbered(stem: str, i: int, count: int) -> str:
+    """Output name for record i of count: 'stem.txt' alone, else numbered."""
+    return f"{stem}.txt" if count == 1 else f"{stem}_{i:05d}.txt"
 
 
 # ---------------------------------------------------------------------------
@@ -63,132 +65,108 @@ class AnnotationRecord:
     intrinsics: np.ndarray | None = None
 
 
-def _record_from_obj(obj, scale: float) -> AnnotationRecord:
-    if isinstance(obj, dict):
-        joints = np.asarray(obj["joints"], dtype=float) * scale
-        vertices = obj.get("vertices")
-        if vertices is not None:
-            vertices = np.asarray(vertices, dtype=float) * scale
-        intrinsics = obj.get("intrinsics")
-        if intrinsics is not None:
-            intrinsics = np.asarray(intrinsics, dtype=float)
-            if intrinsics.shape != (3, 3):
-                raise CliError(EXIT_SHAPE, "intrinsics must be 3x3")
-    else:
-        joints = np.asarray(obj, dtype=float) * scale
-        vertices = intrinsics = None
-    if joints.shape != (kin.JOINT_COUNT, 3):
-        raise CliError(EXIT_SHAPE,
-                       f"joints must be {kin.JOINT_COUNT}x3, got {joints.shape}")
-    if vertices is not None and (vertices.ndim != 2 or vertices.shape[1] != 3):
-        raise CliError(EXIT_SHAPE, "vertices must be (V, 3)")
-    return AnnotationRecord(joints=joints, vertices=vertices,
-                            intrinsics=intrinsics)
+def _floats(value, where: str, key: str, scale: float = 1.0) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float) * scale
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: {key} is not numeric ({exc})") from exc
+    if not np.isfinite(arr).all():
+        raise InputError(f"{where}: {key} holds non-finite values")
+    return arr
+
+
+def _record_from_obj(obj, scale: float, where: str) -> AnnotationRecord:
+    if not isinstance(obj, dict):
+        obj = {"joints": obj}  # bare-list layout: one joints array per record
+    if obj.get("joints") is None:
+        raise InputError(f"{where}: no joints")
+    record = AnnotationRecord(**{
+        key: _floats(obj[key], where, key, 1.0 if key == "intrinsics" else scale)
+        for key in ("joints", "vertices", "intrinsics") if obj.get(key) is not None})
+    if record.joints.shape != (kin.JOINT_COUNT, 3):
+        raise ShapeError(f"{where}: joints must be {kin.JOINT_COUNT}x3, "
+                         f"got {record.joints.shape}")
+    if record.vertices is not None and (record.vertices.ndim != 2
+                                        or record.vertices.shape[1] != 3):
+        raise ShapeError(f"{where}: vertices must be (V, 3)")
+    if record.intrinsics is not None and record.intrinsics.shape != (3, 3):
+        raise ShapeError(f"{where}: intrinsics must be 3x3")
+    return record
 
 
 def load_annotation_records(path) -> list[AnnotationRecord]:
     """JSON annotations: native {'unit', 'records': [...]} or a single record
     {'unit', 'joints', ...}; a bare list-of-arrays follows the public
-    FreiHAND layout and is interpreted in meters."""
+    FreiHAND layout and is interpreted in meters.  Non-finite values are
+    rejected."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_PARSE, f"missing annotation file: {path}") from exc
+        payload = json.loads(Path(path).read_text(errors="replace"))
     except json.JSONDecodeError as exc:
-        raise CliError(EXIT_PARSE, f"{path}: invalid JSON ({exc})") from exc
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if isinstance(payload, dict):
         unit = payload.get("unit")
         if unit not in ("mm", "m"):
-            raise CliError(EXIT_PARSE, f"{path}: unit must be 'mm' or 'm'")
+            raise InputError(f"{path}: unit must be 'mm' or 'm'")
         scale = 1000.0 if unit == "m" else 1.0
-        if "records" in payload:
-            items = payload["records"]
-        else:
-            items = [payload]
+        items = payload["records"] if "records" in payload else [payload]
     elif isinstance(payload, list):
         scale = 1000.0  # FreiHAND-layout bare lists are in meters
         items = payload
     else:
-        raise CliError(EXIT_PARSE, f"{path}: unrecognized annotation layout")
-    try:
-        return [_record_from_obj(item, scale) for item in items]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"{path}: bad record ({exc})") from exc
+        raise InputError(f"{path}: unrecognized annotation layout")
+    if not isinstance(items, list) or not items:
+        raise InputError(f"{path}: records must be a nonempty list")
+    return [_record_from_obj(item, scale, f"{path}: record {i}")
+            for i, item in enumerate(items)]
 
 
 def load_pose_file(path) -> tuple[FullPose, ShapeParams]:
     """Plain-text pose: 'key: values' lines for global_rot, articulation,
     and optionally translation and beta."""
     fields: dict[str, np.ndarray] = {}
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_PARSE, f"missing pose file: {path}") from exc
-    for raw in text.splitlines():
+    for raw in Path(path).read_text(errors="replace").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, rest = line.partition(":")
         if not sep:
-            raise CliError(EXIT_PARSE, f"{path}: bad pose line {raw!r}")
+            raise InputError(f"{path}: bad pose line {raw!r}")
         try:
             fields[key.strip()] = np.array([float(v) for v in rest.split()])
         except ValueError as exc:
-            raise CliError(EXIT_PARSE, f"{path}: bad numbers in {raw!r}") from exc
-    try:
-        pose = FullPose(
-            global_rot=fields.get("global_rot", np.zeros(3)),
-            articulation=fields.get("articulation", np.zeros(45)),
-            translation=fields.get("translation"))
-        beta = ShapeParams(fields.get("beta", np.zeros(10)))
-    except ValueError as exc:
-        raise CliError(EXIT_SHAPE, f"{path}: {exc}") from exc
-    return pose, beta
+            raise InputError(f"{path}: bad numbers in {raw!r}") from exc
+    pose = FullPose(global_rot=fields.get("global_rot", np.zeros(3)),
+                    articulation=fields.get("articulation", np.zeros(45)),
+                    translation=fields.get("translation"))
+    return pose, ShapeParams(fields.get("beta", np.zeros(10)))
 
 
 def write_params_file(path, bio: bio_dof.BioPose, beta: ShapeParams,
                       global_rot, translation) -> None:
-    lines = []
-    for name, value in zip(bio_dof.DOF_NAMES, bio.values):
-        lines.append(f"bio {name} {_fmt(value)}")
-    for i, value in enumerate(beta.beta):
-        lines.append(f"beta {i} {_fmt(value)}")
-    lines.append("global_rot " + _fmt_row(global_rot))
-    lines.append("translation " + _fmt_row(translation))
+    lines = ik_optim.params_lines(bio, beta, global_rot, translation)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_params_file(path):
     """Inverse of write_params_file (fit reports parse too)."""
-    bio = np.zeros(bio_dof.DOF_COUNT)
-    beta = np.zeros(10)
-    rot = np.zeros(3)
-    trans = np.zeros(3)
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_PARSE, f"missing params file: {path}") from exc
-    try:
-        for raw in text.splitlines():
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "bio" and len(parts) == 3:
+    bio, beta, rot, trans = (np.zeros(n) for n in (bio_dof.DOF_COUNT, 10, 3, 3))
+    for raw in Path(path).read_text(errors="replace").splitlines():
+        parts = raw.split()
+        key = parts[0] if parts else ""
+        try:
+            if key == "bio" and len(parts) == 3:
                 bio[bio_dof.DOF_NAMES.index(parts[1])] = float(parts[2])
-            elif parts[0] == "beta" and len(parts) == 3:
+            elif key == "beta" and len(parts) == 3:
                 beta[int(parts[1])] = float(parts[2])
-            elif parts[0] == "global_rot" and len(parts) == 4:
+            elif key == "global_rot" and len(parts) == 4:
                 rot = np.array([float(v) for v in parts[1:]])
-            elif parts[0] == "translation" and len(parts) == 4:
+            elif key == "translation" and len(parts) == 4:
                 trans = np.array([float(v) for v in parts[1:]])
-    except (ValueError, IndexError) as exc:
-        raise CliError(EXIT_PARSE, f"{path}: bad params line ({exc})") from exc
+        except (ValueError, IndexError) as exc:
+            raise InputError(f"{path}: bad params line {raw!r} ({exc})") from exc
+    if not np.isfinite(np.concatenate([bio, beta, rot, trans])).all():
+        raise InputError(f"{path}: non-finite parameter values")
     return bio_dof.BioPose(bio), ShapeParams(beta), rot, trans
-
-
-def write_skeleton_file(path, joints: np.ndarray) -> None:
-    lines = [_fmt_row(row) for row in joints]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -198,34 +176,26 @@ def write_skeleton_file(path, joints: np.ndarray) -> None:
 def _resolve_model(args) -> HandModel:
     path = getattr(args, "model", None) or os.environ.get(MODEL_ENV_VAR)
     if not path:
-        raise CliError(EXIT_PARSE,
-                       f"--model is required (or set {MODEL_ENV_VAR})")
-    try:
-        return load_model(path)
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_PARSE, f"missing model file: {path}") from exc
-    except ContainerError as exc:
-        raise CliError(EXIT_PARSE, str(exc)) from exc
-    except ModelError as exc:
-        raise CliError(EXIT_SHAPE, str(exc)) from exc
+        raise InputError(f"--model is required (or set {MODEL_ENV_VAR})")
+    return load_model(path)
 
 
 def _resolve_limits(args) -> bio_dof.DofLimits:
     path = getattr(args, "limits", None)
-    if not path:
-        return bio_dof.DofLimits.default()
-    try:
-        return bio_dof.DofLimits.load(path)
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_PARSE, f"missing limits file: {path}") from exc
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, str(exc)) from exc
+    return bio_dof.DofLimits.load(path) if path else bio_dof.DofLimits.default()
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _seed(text: str) -> int:
+    """argparse type for --seed: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer: {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -242,74 +212,59 @@ def cmd_model_desk(args) -> int:
 def cmd_fk(args) -> int:
     model = _resolve_model(args)
     pose, beta = load_pose_file(args.pose)
-    try:
-        mesh, skeleton = forward(model, pose, beta)
-    except ValueError as exc:
-        raise CliError(EXIT_SHAPE, str(exc)) from exc
+    mesh, skeleton = forward(model, pose, beta)
     out = _out_dir(args)
     write_obj(mesh, out / "mesh.obj")
-    write_skeleton_file(out / "skeleton.txt", skeleton.joints)
+    (out / "skeleton.txt").write_text(
+        "\n".join(_fmt_row(row) for row in skeleton.joints) + "\n")
     print(f"wrote {out / 'mesh.obj'} and {out / 'skeleton.txt'}")
     return EXIT_OK
 
 
 def cmd_ik_fit(args) -> int:
+    """Fit every target record in turn; several records give numbered files."""
     model = _resolve_model(args)
     limits = _resolve_limits(args)
-    record = load_annotation_records(args.target)[0]
-    if record.vertices is not None and record.vertices.shape[0] != model.vertex_count:
-        raise CliError(EXIT_SHAPE, "target vertex count does not match the model")
-    target = ik_optim.FitTarget(joints=record.joints, vertices=record.vertices)
-
-    if args.from_ik_net:
-        try:
-            net = ik_net.load_checkpoint(args.from_ik_net)
-        except FileNotFoundError as exc:
-            raise CliError(EXIT_PARSE,
-                           f"missing checkpoint: {args.from_ik_net}") from exc
-        except (ContainerError, ValueError, KeyError) as exc:
-            raise CliError(EXIT_PARSE, str(exc)) from exc
-        feats = ik_net.featurize(record.joints)
-        init_bio, init_beta = ik_net.predict(net, feats, limits)
-        init_rot = np.zeros(3)
-        init_trans = np.zeros(3)
-    elif args.init:
-        init_bio, init_beta, init_rot, init_trans = load_params_file(args.init)
-    else:
-        raise CliError(EXIT_PARSE, "ik-fit needs --init or --from-ik-net")
-
+    records = load_annotation_records(args.target)
     config = ik_optim.FitConfig(
         iterations=args.iterations, step_size=args.step_size,
         bend_weight=args.bend_weight, freeze_shape=args.freeze_shape)
-    try:
-        result = ik_optim.fit(model, target, init_bio=init_bio,
-                              init_beta=init_beta, init_rot=init_rot,
-                              init_trans=init_trans, config=config,
-                              limits=limits)
-    except (ik_optim.FitDivergedError, FloatingPointError) as exc:
-        raise CliError(EXIT_NUMERIC, str(exc)) from exc
+    if args.from_ik_net:
+        net = ik_net.load_checkpoint(args.from_ik_net)
+    elif args.init:
+        init = load_params_file(args.init)
+    else:
+        raise InputError("ik-fit needs --init or --from-ik-net")
+
+    results = []
+    for record in records:
+        if args.from_ik_net:
+            feats = ik_net.featurize(record.joints)
+            init = (*ik_net.predict(net, feats, limits), np.zeros(3), np.zeros(3))
+        target = ik_optim.FitTarget(joints=record.joints, vertices=record.vertices)
+        results.append(ik_optim.fit(model, target, *init, config=config,
+                                    limits=limits))
     out = _out_dir(args)
-    ik_optim.write_fit_report(result, out / "fit_report.txt")
-    write_params_file(out / "fit_params.txt", result.bio, result.beta,
-                      result.global_rot, result.translation)
-    print(f"wrote {out / 'fit_report.txt'} (final loss "
-          f"{_fmt(min(result.loss_trace))})")
+    for i, result in enumerate(results):
+        ik_optim.write_fit_report(
+            result, out / _numbered("fit_report", i, len(results)))
+        write_params_file(out / _numbered("fit_params", i, len(results)),
+                          result.bio, result.beta, result.global_rot,
+                          result.translation)
+    print(f"wrote {len(results)} fit report(s) to {out} (final loss "
+          f"{_fmt_row(min(r.loss_trace) for r in results)})")
     return EXIT_OK
 
 
 def cmd_ik_train(args) -> int:
     model = _resolve_model(args)
     limits = _resolve_limits(args)
-    data = ik_net.generate_pairs(model, args.pairs, limits, seed=args.seed)
-    net = ik_net.MlpIk(seed=args.seed)
     config = ik_net.TrainConfig(epochs=args.epochs,
-                                decay_epochs=tuple(args.decay_epoch),
+                                decay_epochs=tuple(args.decay_epoch or (30, 35)),
                                 batch_size=args.batch_size,
                                 learning_rate=args.rate, seed=args.seed)
-    try:
-        net, curve = ik_net.train(net, data, config)
-    except FloatingPointError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc)) from exc
+    data = ik_net.generate_pairs(model, args.pairs, limits, seed=args.seed)
+    net, curve = ik_net.train(ik_net.MlpIk(seed=args.seed), data, config)
     out = _out_dir(args)
     ik_net.save_checkpoint(net, out / "ik_net.hkc")
     lines = ["epoch,total,theta,beta,pose"]
@@ -324,31 +279,19 @@ def cmd_ik_train(args) -> int:
 
 def cmd_ik_predict(args) -> int:
     limits = _resolve_limits(args)
-    try:
-        net = ik_net.load_checkpoint(args.ckpt)
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_PARSE, f"missing checkpoint: {args.ckpt}") from exc
-    except (ContainerError, ValueError, KeyError) as exc:
-        raise CliError(EXIT_PARSE, str(exc)) from exc
+    net = ik_net.load_checkpoint(args.ckpt)
     records = load_annotation_records(args.target)
     out = _out_dir(args)
     for i, record in enumerate(records):
-        try:
-            feats = ik_net.featurize(record.joints)
-            bio, beta = ik_net.predict(net, feats, limits)
-        except (ik_net.DegenerateSkeletonError, FloatingPointError) as exc:
-            raise CliError(EXIT_NUMERIC, f"record {i}: {exc}") from exc
-        name = "params.txt" if len(records) == 1 else f"params_{i:05d}.txt"
-        write_params_file(out / name, bio, beta, np.zeros(3), np.zeros(3))
+        bio, beta = ik_net.predict(net, ik_net.featurize(record.joints), limits)
+        write_params_file(out / _numbered("params", i, len(records)), bio, beta,
+                          np.zeros(3), np.zeros(3))
     print(f"wrote {len(records)} parameter file(s) to {out}")
     return EXIT_OK
 
 
 def cmd_lixel(args) -> int:
-    try:
-        heatmap = lixel.encode(args.coord, args.length, args.sigma)
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, str(exc)) from exc
+    heatmap = lixel.encode(args.coord, args.length, args.sigma)
     Path(args.out).write_text(lixel.dump_text(heatmap))
     decoded = lixel.decode(heatmap)
     print(f"wrote {args.length}-lixel heatmap to {args.out} "
@@ -360,20 +303,14 @@ def cmd_eval(args) -> int:
     pred = load_annotation_records(args.pred)
     gt = load_annotation_records(args.gt)
     if len(pred) != len(gt):
-        raise CliError(EXIT_SHAPE,
-                       f"record counts differ: {len(pred)} vs {len(gt)}")
+        raise ShapeError(f"record counts differ: {len(pred)} vs {len(gt)}")
     have_verts = all(r.vertices is not None for r in pred + gt)
-    try:
-        report = metrics.evaluate(
-            [r.joints for r in pred], [r.joints for r in gt],
-            [r.vertices for r in pred] if have_verts else None,
-            [r.vertices for r in gt] if have_verts else None,
-            thresholds=args.threshold or metrics.DEFAULT_F_THRESHOLDS,
-            root_center=args.root_center)
-    except metrics.DegenerateConfigurationError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc)) from exc
-    except ValueError as exc:
-        raise CliError(EXIT_SHAPE, str(exc)) from exc
+    report = metrics.evaluate(
+        [r.joints for r in pred], [r.joints for r in gt],
+        [r.vertices for r in pred] if have_verts else None,
+        [r.vertices for r in gt] if have_verts else None,
+        thresholds=args.threshold or metrics.DEFAULT_F_THRESHOLDS,
+        root_center=args.root_center)
     report.save(args.out)
     sys.stdout.write(report.to_text())
     return EXIT_OK
@@ -382,21 +319,13 @@ def cmd_eval(args) -> int:
 def cmd_profile(args) -> int:
     if args.graph in profiler.CATALOG:
         graph = profiler.CATALOG[args.graph]()
+    elif Path(args.graph).is_file():
+        graph = profiler.load_graph_text(args.graph,
+                                         input_stride=args.input_stride)
     else:
-        try:
-            graph = profiler.load_graph_text(args.graph,
-                                             input_stride=args.input_stride)
-        except FileNotFoundError as exc:
-            raise CliError(
-                EXIT_PARSE,
-                f"unknown graph {args.graph!r} (catalog: "
-                f"{', '.join(sorted(profiler.CATALOG))}) and no such file") from exc
-        except ValueError as exc:
-            raise CliError(EXIT_PARSE, str(exc)) from exc
-    try:
-        report = profiler.profile(graph, args.resolution)
-    except profiler.ShapeError as exc:
-        raise CliError(EXIT_SHAPE, str(exc)) from exc
+        raise InputError(f"unknown graph {args.graph!r} (catalog: "
+                         f"{', '.join(sorted(profiler.CATALOG))}) and no such file")
+    report = profiler.profile(graph, args.resolution)
     if args.out:
         report.save(args.out)
     sys.stdout.write(report.to_text())
@@ -407,26 +336,17 @@ def cmd_synth_cameras(args) -> int:
     cams = synth.sample_cameras(elev_min=args.elev_min, elev_max=args.elev_max,
                                 azim_step=args.azim_step,
                                 elev_step=args.elev_step)
-    text = synth.cameras_to_text(cams)
-    Path(args.out).write_text(text)
+    Path(args.out).write_text(synth.cameras_to_text(cams))
     print(f"wrote {len(cams)} cameras to {args.out}")
     return EXIT_OK
 
 
 def cmd_synth_poses(args) -> int:
     if args.library:
-        try:
-            lib = synth.load_pose_library(args.library)
-        except FileNotFoundError as exc:
-            raise CliError(EXIT_PARSE,
-                           f"missing pose library: {args.library}") from exc
-        except (ContainerError, ValueError, KeyError) as exc:
-            raise CliError(EXIT_PARSE, str(exc)) from exc
+        lib = synth.load_pose_library(args.library)
     else:
-        model = _resolve_model(args)
-        limits = _resolve_limits(args)
-        lib = synth.make_pose_library(model, count=args.count, limits=limits,
-                                      seed=args.seed)
+        lib = synth.make_pose_library(_resolve_model(args), count=args.count,
+                                      limits=_resolve_limits(args), seed=args.seed)
     augmented = synth.augment_library(lib, per_pose=args.per_pose,
                                       seed=args.seed,
                                       swap_probability=args.swap_probability)
@@ -484,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="repeatable; default 30 and 35")
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--rate", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--limits")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ik_train)
@@ -537,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=synth.BASE_LIBRARY_SIZE)
     p.add_argument("--per-pose", type=int, default=synth.DEFAULT_VARIANTS_PER_POSE)
     p.add_argument("--swap-probability", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth_poses)
 
@@ -545,15 +465,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "decay_epoch", None) is None and hasattr(args, "decay_epoch"):
-        args.decay_epoch = [30, 35]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except HandkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

@@ -13,19 +13,20 @@ form so small test models can be versioned and inspected directly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from .errors import InputError, NumericError
 
 _BIN_MAGIC = b"HKC1"
 _TEXT_MAGIC = "HKCT1"
 
 _DTYPES = {"f4": np.dtype("<f4"), "i4": np.dtype("<i4")}
 
-
-class ContainerError(ValueError):
-    """Raised when a container file is malformed."""
+ContainerError = InputError
 
 
 def _dtype_code(arr: np.ndarray) -> str:
@@ -33,7 +34,7 @@ def _dtype_code(arr: np.ndarray) -> str:
         return "f4"
     if np.issubdtype(arr.dtype, np.integer):
         return "i4"
-    raise ContainerError(f"unsupported array dtype {arr.dtype}")
+    raise InputError(f"unsupported array dtype {arr.dtype}")
 
 
 def write_container(path, header: dict, arrays: dict[str, np.ndarray],
@@ -41,6 +42,7 @@ def write_container(path, header: dict, arrays: dict[str, np.ndarray],
     """Write ``arrays`` with ``header`` metadata to ``path``.
 
     Array insertion order is preserved; header must be JSON-serializable.
+    Raises NumericError for a float array that is not finite in float32.
     """
     path = Path(path)
     manifest = []
@@ -50,6 +52,8 @@ def write_container(path, header: dict, arrays: dict[str, np.ndarray],
         code = _dtype_code(arr)
         manifest.append({"name": name, "dtype": code, "shape": list(arr.shape)})
         payloads.append(np.ascontiguousarray(arr, dtype=_DTYPES[code]))
+        if code == "f4" and not np.isfinite(payloads[-1]).all():
+            raise NumericError(f"{path}: array {name!r} is not finite in float32")
 
     full_header = dict(header)
     full_header["arrays"] = manifest
@@ -76,73 +80,102 @@ def write_container(path, header: dict, arrays: dict[str, np.ndarray],
     path.write_bytes(bytes(blob))
 
 
-def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container written by :func:`write_container` (either variant)."""
+def read_container(path, kind: str | None = None
+                   ) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container written by :func:`write_container` (either variant).
+
+    Raises InputError when the file is malformed (header, manifest, payload
+    sizes, trailing bytes), when a float payload is not finite, or when
+    ``kind`` is given and the header declares another kind.  Looking up an
+    array the file does not hold raises InputError naming it.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] == _BIN_MAGIC:
-        return _read_binary(raw, path)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ContainerError(f"{path}: unrecognized container format") from exc
-    if text.splitlines() and text.splitlines()[0].strip() == _TEXT_MAGIC:
-        return _read_text(text, path)
-    raise ContainerError(f"{path}: unrecognized container format")
-
-
-def _read_binary(raw: bytes, path: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    if len(raw) < 8:
-        raise ContainerError(f"{path}: truncated header")
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + hlen:
-        raise ContainerError(f"{path}: truncated header")
-    header = json.loads(raw[8:8 + hlen].decode("utf-8"))
-    offset = 8 + hlen
-    arrays: dict[str, np.ndarray] = {}
-    for spec in header.pop("arrays", []):
-        dtype = _DTYPES[spec["dtype"]]
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(raw):
-            raise ContainerError(f"{path}: truncated array {spec['name']}")
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-        arrays[spec["name"]] = arr.reshape(shape).copy()
-        offset += nbytes
+        header, arrays = _read_binary(raw, path)
+    else:
+        header, arrays = _read_text(
+            raw.decode("utf-8", errors="replace").splitlines(), path)
+    if kind is not None and header.get("kind") != kind:
+        raise InputError(f"{path}: not a {kind} container")
+    for name, arr in arrays.items():
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise InputError(f"{path}: non-finite values in array {name!r}")
     return header, arrays
 
 
-def _read_text(text: str, path: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    lines = text.splitlines()
-    if len(lines) < 2:
-        raise ContainerError(f"{path}: truncated text container")
-    header = json.loads(lines[1])
-    manifest = {spec["name"]: spec for spec in header.pop("arrays", [])}
-    arrays: dict[str, np.ndarray] = {}
-    i = 2
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not line:
-            continue
-        if not line.startswith("array "):
-            raise ContainerError(f"{path}: unexpected line {i}: {line!r}")
-        name = line.split(None, 1)[1]
-        if name not in manifest:
-            raise ContainerError(f"{path}: array {name!r} missing from manifest")
-        spec = manifest[name]
-        dtype = _DTYPES[spec["dtype"]]
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        values = lines[i].split() if i < len(lines) else []
-        i += 1
+class _Arrays(dict):
+    """Name -> array; looking up an absent name raises InputError naming it."""
+
+    def __init__(self, path: Path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, name):
+        raise InputError(f"{self.path}: missing array {name!r}")
+
+
+def _read_header(blob, path: Path) -> tuple[dict, list[tuple]]:
+    """JSON header -> (metadata, [(name, dtype, shape, count), ...])."""
+    try:
+        header = json.loads(blob)
+    except ValueError as exc:
+        raise InputError(f"{path}: bad header ({exc})") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
+        raise InputError(f"{path}: header must be an object with an array list")
+    specs = []
+    for spec in header.pop("arrays", []):
+        try:
+            name, dtype, shape = spec["name"], _DTYPES[spec["dtype"]], tuple(spec["shape"])
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"{path}: bad array entry {spec!r}") from exc
+        if not isinstance(name, str) or not all(
+                isinstance(n, int) and n >= 0 for n in shape):
+            raise InputError(f"{path}: bad array entry {spec!r}")
+        specs.append((name, dtype, shape, math.prod(shape)))
+    return header, specs
+
+
+def _read_binary(raw: bytes, path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    hlen = struct.unpack("<I", raw[4:8])[0] if len(raw) >= 8 else len(raw)
+    if len(raw) < 8 + hlen:
+        raise InputError(f"{path}: truncated header")
+    header, specs = _read_header(raw[8:8 + hlen], path)
+    offset = 8 + hlen
+    arrays = _Arrays(path)
+    for name, dtype, shape, count in specs:
+        if offset + count * dtype.itemsize > len(raw):
+            raise InputError(f"{path}: truncated array {name}")
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+        arrays[name] = arr.reshape(shape).copy()
+        offset += count * dtype.itemsize
+    if offset != len(raw):
+        raise InputError(f"{path}: {len(raw) - offset} trailing bytes")
+    return header, arrays
+
+
+def _read_text(lines: list[str], path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    if not lines or lines[0].strip() != _TEXT_MAGIC:
+        raise InputError(f"{path}: unrecognized container format")
+    header, specs = _read_header(lines[1] if len(lines) > 1 else "", path)
+    payload = {}  # name -> value tokens, from "array <name>" + value line pairs
+    body = (line.strip() for line in lines[2:])
+    for line in body:
+        if line and not line.startswith("array "):
+            raise InputError(f"{path}: unexpected line {line!r}")
+        if line:
+            payload[line[6:].strip()] = next(body, "").split()
+    arrays = _Arrays(path)
+    for name, dtype, shape, count in specs:
+        values = payload.pop(name, [])
         if len(values) != count:
-            raise ContainerError(
-                f"{path}: array {name!r} has {len(values)} values, expected {count}")
-        arr = np.array(values, dtype=dtype).reshape(shape)
-        arrays[name] = arr
-    missing = set(manifest) - set(arrays)
-    if missing:
-        raise ContainerError(f"{path}: arrays missing payload: {sorted(missing)}")
+            raise InputError(f"{path}: array {name!r} has {len(values)} values, "
+                             f"expected {count}")
+        try:
+            with np.errstate(over="ignore"):  # out-of-range floats become inf
+                arrays[name] = np.array(values, dtype=dtype).reshape(shape)
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"{path}: bad values in array {name!r}") from exc
+    if payload:
+        raise InputError(f"{path}: arrays missing from manifest: {sorted(payload)}")
     return header, arrays

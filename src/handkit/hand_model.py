@@ -23,12 +23,12 @@ import numpy as np
 
 from . import kinematics as kin
 from .containers import read_container, write_container
+from .errors import InputError, NumericError, ShapeError
 
 SHAPE_DIM = 10
 
 
-class ModelError(ValueError):
-    """Raised when model data violates its structural invariants."""
+ModelError = ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +44,9 @@ class ShapeParams:
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float).reshape(-1)
         if self.beta.shape != (SHAPE_DIM,):
-            raise ValueError(f"beta must have {SHAPE_DIM} values")
+            raise ShapeError(f"beta must have {SHAPE_DIM} values")
         if not np.isfinite(self.beta).all():
-            raise ValueError("beta must be finite")
+            raise InputError("beta must be finite")
         if np.abs(self.beta).max(initial=0.0) > 5.0:
             warnings.warn("shape coefficients exceed the soft bound |beta| <= 5",
                           stacklevel=2)
@@ -64,22 +64,23 @@ class FullPose:
         self.global_rot = np.asarray(self.global_rot, dtype=float).reshape(-1)
         self.articulation = np.asarray(self.articulation, dtype=float).reshape(-1)
         if self.global_rot.shape != (3,):
-            raise ValueError("global_rot must have 3 values")
+            raise ShapeError("global_rot must have 3 values")
         if self.articulation.shape != (kin.ARTICULATION_SIZE,):
-            raise ValueError(f"articulation must have {kin.ARTICULATION_SIZE} values")
+            raise ShapeError(f"articulation must have {kin.ARTICULATION_SIZE} values")
         if self.translation is not None:
             self.translation = np.asarray(self.translation, dtype=float).reshape(-1)
             if self.translation.shape != (3,):
-                raise ValueError("translation must have 3 values")
+                raise ShapeError("translation must have 3 values")
         if not (np.isfinite(self.global_rot).all()
-                and np.isfinite(self.articulation).all()):
-            raise ValueError("pose must be finite")
+                and np.isfinite(self.articulation).all()
+                and (self.translation is None or np.isfinite(self.translation).all())):
+            raise InputError("pose must be finite")
 
     def validate_magnitudes(self):
         """Per-joint axis-angle magnitudes must stay below pi."""
         mags = np.linalg.norm(self.articulation.reshape(15, 3), axis=1)
         if mags.max(initial=0.0) >= np.pi or np.linalg.norm(self.global_rot) >= np.pi:
-            raise ValueError("per-joint axis-angle magnitude must be < pi")
+            raise InputError("per-joint axis-angle magnitude must be < pi")
 
 
 @dataclass
@@ -91,13 +92,9 @@ class Skeleton:
     def __post_init__(self):
         self.joints = np.asarray(self.joints, dtype=float)
         if self.joints.shape != (kin.JOINT_COUNT, 3):
-            raise ValueError(f"joints must have shape ({kin.JOINT_COUNT}, 3)")
+            raise ShapeError(f"joints must have shape ({kin.JOINT_COUNT}, 3)")
         if not np.isfinite(self.joints).all():
-            raise ValueError("joints must be finite")
-
-    def bone_lengths(self) -> np.ndarray:
-        parents = np.array(kin.PARENTS[1:])
-        return np.linalg.norm(self.joints[1:] - self.joints[parents], axis=1)
+            raise InputError("joints must be finite")
 
 
 @dataclass
@@ -111,12 +108,12 @@ class Mesh:
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise ValueError("vertices must have shape (V, 3)")
+            raise ShapeError("vertices must have shape (V, 3)")
         if not np.isfinite(self.vertices).all():
-            raise ValueError("vertices must be finite")
+            raise InputError("vertices must be finite")
         if self.faces.size and (self.faces.min() < 0
                                 or self.faces.max() >= len(self.vertices)):
-            raise ValueError("face indices out of range")
+            raise ShapeError("face indices out of range")
 
 
 @dataclass
@@ -141,7 +138,10 @@ class HandModel:
         self.joint_regressor = np.asarray(self.joint_regressor, dtype=float)
         self.skinning_weights = np.asarray(self.skinning_weights, dtype=float)
         self.parents = np.asarray(self.parents, dtype=np.int64).reshape(-1)
-        self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        self.faces = np.asarray(self.faces, dtype=np.int64)
+        if self.faces.size % 3:
+            raise ModelError("faces must hold index triples")
+        self.faces = self.faces.reshape(-1, 3)
         if self.pose_basis is not None:
             self.pose_basis = np.asarray(self.pose_basis, dtype=float)
 
@@ -154,9 +154,9 @@ class HandModel:
         return self.joint_regressor.shape[0]
 
     def validate(self, tol: float = 1e-6) -> None:
-        v = self.vertex_count
-        if self.rest_vertices.shape != (v, 3):
+        if self.rest_vertices.ndim != 2 or self.rest_vertices.shape[1] != 3:
             raise ModelError("rest_vertices must have shape (V, 3)")
+        v = self.vertex_count
         if self.shape_basis.shape != (SHAPE_DIM, v, 3):
             raise ModelError(f"shape_basis must have shape ({SHAPE_DIM}, V, 3)")
         if self.joint_regressor.shape != (kin.JOINT_COUNT, v):
@@ -201,7 +201,7 @@ def shape_offset(model: HandModel, beta: ShapeParams) -> np.ndarray:
     """Per-vertex offset sum_i beta_i * shape_basis[i]; linear in beta."""
     b = beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, dtype=float)
     if b.shape != (SHAPE_DIM,):
-        raise ValueError(f"beta must have {SHAPE_DIM} values, got {b.shape}")
+        raise ShapeError(f"beta must have {SHAPE_DIM} values, got {b.shape}")
     return np.einsum("i,ivc->vc", b, model.shape_basis)
 
 
@@ -217,7 +217,7 @@ def regress_joints(model: HandModel, mesh: Mesh | np.ndarray) -> Skeleton:
     """Joint regressor applied to arbitrary mesh vertices."""
     verts = mesh.vertices if isinstance(mesh, Mesh) else np.asarray(mesh, dtype=float)
     if verts.shape != (model.vertex_count, 3):
-        raise ValueError(
+        raise ShapeError(
             f"mesh has {verts.shape} vertices, model expects ({model.vertex_count}, 3)")
     return Skeleton(model.joint_regressor @ verts)
 
@@ -239,7 +239,7 @@ def forward(model: HandModel, pose: FullPose,
         want_vertices=True)
     verts = out.vertices[0]
     if not np.isfinite(verts).all():
-        raise ValueError("forward kinematics produced non-finite vertices")
+        raise NumericError("forward kinematics produced non-finite vertices")
     return Mesh(verts, model.faces), Skeleton(out.joints[0])
 
 
@@ -478,9 +478,7 @@ def save_model(model: HandModel, path, text: bool = False) -> None:
 
 
 def load_model(path) -> HandModel:
-    header, arrays = read_container(path)
-    if header.get("kind") != "hand_model":
-        raise ModelError(f"{path} is not a hand model container")
+    _, arrays = read_container(path, kind="hand_model")
     model = HandModel(
         rest_vertices=arrays["rest_vertices"],
         shape_basis=arrays["shape_basis"],
@@ -525,7 +523,7 @@ def from_mano_arrays(v_template, shapedirs, j_regressor, weights, faces,
     and tip markers are appended as one-hot regressor rows.
     """
     if unit not in ("m", "mm"):
-        raise ValueError("unit must be 'm' or 'mm'")
+        raise InputError("unit must be 'm' or 'mm'")
     scale = 1000.0 if unit == "m" else 1.0
     v_template = np.asarray(v_template, dtype=float) * scale
     shapedirs = np.asarray(shapedirs, dtype=float) * scale

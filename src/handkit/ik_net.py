@@ -23,6 +23,7 @@ import numpy as np
 
 from . import bio_dof, kinematics as kin
 from .containers import read_container, write_container
+from .errors import InputError, NumericError, ShapeError
 from .hand_model import HandModel, ShapeParams
 
 LENGTH_SCALE = 0.01  # mm -> decimeters for input conditioning
@@ -31,8 +32,7 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-class DegenerateSkeletonError(ValueError):
-    """Raised when a featurized skeleton contains a zero-length bone."""
+DegenerateSkeletonError = NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ class MlpIk:
 
     def __init__(self, widths=(256, 256, 256), input_dim=FEATURE_DIM, seed=0):
         if any(w < 1 for w in widths):
-            raise ValueError("hidden widths must be >= 1")
+            raise InputError("hidden widths must be >= 1")
         rng = np.random.default_rng(seed)
         self.widths = tuple(int(w) for w in widths)
         self.input_dim = int(input_dim)
@@ -176,16 +176,25 @@ class MlpIk:
             g = linear.backward(norm.backward(relu.backward(g)))
         return g
 
-    def parameters(self):
+    def arrays(self):
+        """Every stored array as (name, owner, attribute, trainable), in
+        checkpoint order; running statistics are stored but not trained."""
         for i, (linear, norm, _) in enumerate(self.blocks):
-            yield f"w{i}", linear, "weight"
-            yield f"b{i}", linear, "bias"
-            yield f"bn{i}_gamma", norm, "gamma"
-            yield f"bn{i}_beta", norm, "beta"
-        yield "head_theta_w", self.head_theta, "weight"
-        yield "head_theta_b", self.head_theta, "bias"
-        yield "head_beta_w", self.head_beta, "weight"
-        yield "head_beta_b", self.head_beta, "bias"
+            yield f"w{i}", linear, "weight", True
+            yield f"b{i}", linear, "bias", True
+            yield f"bn{i}_gamma", norm, "gamma", True
+            yield f"bn{i}_beta", norm, "beta", True
+            yield f"bn{i}_mean", norm, "running_mean", False
+            yield f"bn{i}_var", norm, "running_var", False
+        yield "head_theta_w", self.head_theta, "weight", True
+        yield "head_theta_b", self.head_theta, "bias", True
+        yield "head_beta_w", self.head_beta, "weight", True
+        yield "head_beta_b", self.head_beta, "bias", True
+
+    def parameters(self):
+        """The trainable arrays as (name, owner, attribute)."""
+        return ((name, owner, attr) for name, owner, attr, trainable
+                in self.arrays() if trainable)
 
     def zero_grads(self):
         for _, owner, attr in self.parameters():
@@ -194,7 +203,7 @@ class MlpIk:
     def check_finite(self):
         for name, owner, attr in self.parameters():
             if not np.isfinite(getattr(owner, attr)).all():
-                raise FloatingPointError(f"non-finite parameter {name}")
+                raise NumericError(f"non-finite parameter {name}")
 
 
 def predict(net: MlpIk, feats, limits: bio_dof.DofLimits | None = None
@@ -202,9 +211,11 @@ def predict(net: MlpIk, feats, limits: bio_dof.DofLimits | None = None
     """Deterministic inference with running statistics; angles are clamped."""
     limits = limits or bio_dof.DofLimits.default()
     vec = feats.as_vector() if isinstance(feats, BoneFeatures) else np.asarray(feats)
+    if vec.shape != (net.input_dim,):
+        raise ShapeError(f"network expects {net.input_dim} features, got {vec.shape}")
     theta, beta = net.forward(vec[None, :], training=False)
     if not (np.isfinite(theta).all() and np.isfinite(beta).all()):
-        raise FloatingPointError("non-finite network activations")
+        raise NumericError("non-finite network activations")
     bio = bio_dof.clamp(bio_dof.BioPose(theta[0]), limits)
     return bio, ShapeParams(beta[0])
 
@@ -297,7 +308,7 @@ def generate_pairs(model: HandModel, count: int,
                    seed: int = 0) -> SynthPairSet:
     """Feasible angles ~ uniform over limits, shape ~ N(0, 0.5); skeleton by FK."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InputError("count must be >= 1")
     limits = limits or bio_dof.DofLimits.default()
     rng = np.random.default_rng(seed)
     bio = bio_dof.sample_uniform(limits, count, rng)
@@ -317,10 +328,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise InputError("epochs must be >= 1")
         if any(d >= self.epochs for d in self.decay_epochs):
-            raise ValueError("decay epochs must precede the final epoch")
+            raise InputError("decay epochs must precede the final epoch")
         if self.batch_size < 2:
-            raise ValueError("batch statistics need batch_size >= 2")
+            raise InputError("batch statistics need batch_size >= 2")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise InputError("learning_rate must be finite and >= 0")
 
 
 def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
@@ -333,7 +348,7 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
     well-defined.  Deterministic given (net seed, config seed).
     """
     if len(data) < config.batch_size:
-        raise ValueError("need at least one full batch of pairs")
+        raise InputError("need at least one full batch of pairs")
     axes = bio_dof.derive_axes(data.model)
     feats_all = featurize_batch(data.skeletons)
     rng = np.random.default_rng(config.seed)
@@ -362,7 +377,7 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
                                 data.skeletons[idx], training=True,
                                 compute_grads=True)
             if not np.isfinite(losses[0]):
-                raise FloatingPointError(
+                raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {b}")
             sums += losses
             step += 1
@@ -386,48 +401,29 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(net: MlpIk, path) -> None:
-    header = {
-        "kind": "ik_net_checkpoint",
-        "input_dim": net.input_dim,
-        "widths": list(net.widths),
-    }
-    arrays = {}
-    for i, (linear, norm, _) in enumerate(net.blocks):
-        arrays[f"w{i}"] = linear.weight.astype(np.float32)
-        arrays[f"b{i}"] = linear.bias.astype(np.float32)
-        arrays[f"bn{i}_gamma"] = norm.gamma.astype(np.float32)
-        arrays[f"bn{i}_beta"] = norm.beta.astype(np.float32)
-        arrays[f"bn{i}_mean"] = norm.running_mean.astype(np.float32)
-        arrays[f"bn{i}_var"] = norm.running_var.astype(np.float32)
-    arrays["head_theta_w"] = net.head_theta.weight.astype(np.float32)
-    arrays["head_theta_b"] = net.head_theta.bias.astype(np.float32)
-    arrays["head_beta_w"] = net.head_beta.weight.astype(np.float32)
-    arrays["head_beta_b"] = net.head_beta.bias.astype(np.float32)
-    write_container(path, header, arrays)
+    header = {"kind": "ik_net_checkpoint", "input_dim": net.input_dim,
+              "widths": list(net.widths)}
+    write_container(path, header, {
+        name: getattr(owner, attr).astype(np.float32)
+        for name, owner, attr, _ in net.arrays()})
 
 
 def load_checkpoint(path) -> MlpIk:
-    header, arrays = read_container(path)
-    if header.get("kind") != "ik_net_checkpoint":
-        raise ValueError(f"{path} is not an ik_net checkpoint")
-    net = MlpIk(widths=tuple(header["widths"]), input_dim=header["input_dim"])
-    for i, (linear, norm, _) in enumerate(net.blocks):
-        linear.weight = arrays[f"w{i}"].astype(float)
-        linear.bias = arrays[f"b{i}"].astype(float)
-        norm.gamma = arrays[f"bn{i}_gamma"].astype(float)
-        norm.beta = arrays[f"bn{i}_beta"].astype(float)
-        norm.running_mean = arrays[f"bn{i}_mean"].astype(float)
-        norm.running_var = arrays[f"bn{i}_var"].astype(float)
-        linear.grad_weight = np.zeros_like(linear.weight)
-        linear.grad_bias = np.zeros_like(linear.bias)
-        norm.grad_gamma = np.zeros_like(norm.gamma)
-        norm.grad_beta = np.zeros_like(norm.beta)
-    net.head_theta.weight = arrays["head_theta_w"].astype(float)
-    net.head_theta.bias = arrays["head_theta_b"].astype(float)
-    net.head_beta.weight = arrays["head_beta_w"].astype(float)
-    net.head_beta.bias = arrays["head_beta_b"].astype(float)
-    net.head_theta.grad_weight = np.zeros_like(net.head_theta.weight)
-    net.head_theta.grad_bias = np.zeros_like(net.head_theta.bias)
-    net.head_beta.grad_weight = np.zeros_like(net.head_beta.weight)
-    net.head_beta.grad_bias = np.zeros_like(net.head_beta.bias)
+    header, arrays = read_container(path, kind="ik_net_checkpoint")
+    widths, input_dim = header.get("widths"), header.get("input_dim")
+    if not (isinstance(widths, list) and widths and all(
+            isinstance(n, int) and n >= 1 for n in [input_dim, *widths])):
+        raise InputError(f"{path}: bad input_dim/widths in the header")
+    # a header may not make us allocate a large net the file cannot fill
+    sizes = [input_dim, *widths]
+    weights = sum(a * b for a, b in zip(sizes, widths))
+    if weights > max(sum(a.size for a in arrays.values()), 2 ** 22):
+        raise InputError(f"{path}: header widths need more values than stored")
+    net = MlpIk(widths=tuple(widths), input_dim=input_dim)
+    for name, owner, attr, _ in net.arrays():
+        value = arrays[name].astype(float)
+        if value.shape != getattr(owner, attr).shape:
+            raise ShapeError(f"{path}: array {name!r} has shape {value.shape}, "
+                             f"expected {getattr(owner, attr).shape}")
+        setattr(owner, attr, value)
     return net

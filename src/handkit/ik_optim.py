@@ -23,18 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import bio_dof, kinematics as kin
+from .errors import InputError, NumericError, ShapeError
 from .hand_model import HandModel, ShapeParams
 
 HUBER_DELTA_MM = 1.0
 PARAM_COUNT = bio_dof.DOF_COUNT + 10 + 6  # 23 angles + 10 shape + rot/trans
 
 
-class DegenerateSkeletonError(ValueError):
-    """Raised when a bend-penalty bone has (near) zero length."""
-
-
-class FitDivergedError(RuntimeError):
-    """Raised when the fit loss becomes non-finite."""
+DegenerateSkeletonError = NumericError
+FitDivergedError = NumericError
 
 
 @dataclass
@@ -50,15 +47,15 @@ class FitTarget:
         if self.joints is not None:
             self.joints = np.asarray(self.joints, dtype=float)
             if self.joints.shape != (kin.JOINT_COUNT, 3):
-                raise ValueError(f"target joints must be ({kin.JOINT_COUNT}, 3)")
+                raise ShapeError(f"target joints must be ({kin.JOINT_COUNT}, 3)")
         if self.vertices is not None:
             self.vertices = np.asarray(self.vertices, dtype=float)
         has_joints = self.joints is not None and self.weight_joints > 0
         has_verts = self.vertices is not None and self.weight_vertices > 0
         if not (has_joints or has_verts):
-            raise ValueError("target needs joints or vertices with positive weight")
+            raise InputError("target needs joints or vertices with positive weight")
         if self.weight_joints < 0 or self.weight_vertices < 0:
-            raise ValueError("weights must be nonnegative")
+            raise InputError("weights must be nonnegative")
 
 
 @dataclass
@@ -73,11 +70,13 @@ class FitConfig:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.bend_weight < 0:
-            raise ValueError("bend_weight must be >= 0")
+            raise InputError("iterations must be >= 1")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise InputError("step_size must be finite and positive")
+        if not (np.isfinite(self.bend_weight) and self.bend_weight >= 0):
+            raise InputError("bend_weight must be finite and >= 0")
         if self.loss_kind not in ("huber", "l2"):
-            raise ValueError("loss_kind must be 'huber' or 'l2'")
+            raise InputError("loss_kind must be 'huber' or 'l2'")
 
 
 @dataclass
@@ -178,7 +177,7 @@ def _loss_and_grad(model, bio_values, beta_values, global_rot, translation,
         d_joints += target.weight_joints * der / residual.size
     if target.vertices is not None and target.weight_vertices > 0:
         if target.vertices.shape != out.vertices[0].shape:
-            raise ValueError("target vertex count does not match the model")
+            raise ShapeError("target vertex count does not match the model")
         residual = out.vertices[0] - target.vertices
         pen, der = _robust(residual, loss_kind)
         loss += target.weight_vertices * pen.mean()
@@ -200,18 +199,20 @@ def _loss_and_grad(model, bio_values, beta_values, global_rot, translation,
     return float(loss), grad
 
 
+def _flat_params(bio, beta, global_rot, translation):
+    return (bio.values if isinstance(bio, bio_dof.BioPose) else np.asarray(bio, float),
+            beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, float),
+            np.zeros(3) if global_rot is None else np.asarray(global_rot, float),
+            np.zeros(3) if translation is None else np.asarray(translation, float))
+
+
 def fit_loss(model: HandModel, bio, beta, global_rot=None, translation=None,
              target: FitTarget = None, bend_weight: float = 1e-2,
              loss_kind: str = "huber", axes: bio_dof.AxisTable | None = None) -> float:
     """Scalar fitting loss at the given parameters."""
-    bio_values = bio.values if isinstance(bio, bio_dof.BioPose) else np.asarray(bio, float)
-    beta_values = beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, float)
-    global_rot = np.zeros(3) if global_rot is None else np.asarray(global_rot, float)
-    translation = np.zeros(3) if translation is None else np.asarray(translation, float)
-    axes = axes or _axes_for(model)
-    loss, _ = _loss_and_grad(model, bio_values, beta_values, global_rot, translation,
-                             target, bend_weight, loss_kind, axes, want_grad=False)
-    return loss
+    return _loss_and_grad(model, *_flat_params(bio, beta, global_rot, translation),
+                          target, bend_weight, loss_kind, axes or _axes_for(model),
+                          want_grad=False)[0]
 
 
 def fit_jacobian(model: HandModel, bio, beta, global_rot=None, translation=None,
@@ -219,14 +220,9 @@ def fit_jacobian(model: HandModel, bio, beta, global_rot=None, translation=None,
                  loss_kind: str = "huber",
                  axes: bio_dof.AxisTable | None = None) -> np.ndarray:
     """Analytic gradient of fit_loss over the 23+10+6 parameters."""
-    bio_values = bio.values if isinstance(bio, bio_dof.BioPose) else np.asarray(bio, float)
-    beta_values = beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, float)
-    global_rot = np.zeros(3) if global_rot is None else np.asarray(global_rot, float)
-    translation = np.zeros(3) if translation is None else np.asarray(translation, float)
-    axes = axes or _axes_for(model)
-    _, grad = _loss_and_grad(model, bio_values, beta_values, global_rot, translation,
-                             target, bend_weight, loss_kind, axes, want_grad=True)
-    return grad
+    return _loss_and_grad(model, *_flat_params(bio, beta, global_rot, translation),
+                          target, bend_weight, loss_kind, axes or _axes_for(model),
+                          want_grad=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +256,7 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     if init_trans is not None:
         x[nd + 13:] = np.asarray(init_trans, float)
     if not np.isfinite(x).all():
-        raise ValueError("initial parameters must be finite")
+        raise InputError("initial parameters must be finite")
     frozen_beta = x[nd:nd + 10].copy()
 
     m = np.zeros(PARAM_COUNT)
@@ -313,6 +309,17 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     )
 
 
+def params_lines(bio: bio_dof.BioPose, beta: ShapeParams, global_rot,
+                 translation) -> list[str]:
+    """Parameter-file lines: 'bio <name> <v>', 'beta <i> <v>', global_rot and
+    translation, with fixed 9-significant-digit formatting."""
+    def fmt(*values):
+        return " ".join(format(float(v), ".9g") for v in values)
+    return ([f"bio {name} {fmt(v)}" for name, v in zip(bio_dof.DOF_NAMES, bio.values)]
+            + [f"beta {i} {fmt(v)}" for i, v in enumerate(beta.beta)]
+            + ["global_rot " + fmt(*global_rot), "translation " + fmt(*translation)])
+
+
 def write_fit_report(result: FitResult, path) -> None:
     """Structured text report: loss trace then final parameters."""
     lines = ["# fit report"]
@@ -320,11 +327,6 @@ def write_fit_report(result: FitResult, path) -> None:
     lines.append("iterations " + str(len(result.loss_trace)))
     for i, loss in enumerate(result.loss_trace):
         lines.append(f"loss {i} {format(loss, '.9g')}")
-    for name, value in zip(bio_dof.DOF_NAMES, result.bio.values):
-        lines.append(f"bio {name} {format(value, '.9g')}")
-    for i, value in enumerate(result.beta.beta):
-        lines.append(f"beta {i} {format(value, '.9g')}")
-    lines.append("global_rot " + " ".join(format(v, ".9g") for v in result.global_rot))
-    lines.append("translation " + " ".join(format(v, ".9g")
-                                           for v in result.translation))
+    lines += params_lines(result.bio, result.beta, result.global_rot,
+                          result.translation)
     Path(path).write_text("\n".join(lines) + "\n")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError, ShapeError
 from .rotations import rodrigues_with_jacobian
 
 FINGERS = ("thumb", "index", "middle", "ring", "little")
@@ -144,9 +145,9 @@ def _as_batch(x, n_cols: int, batch: int | None, name: str) -> np.ndarray:
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != n_cols:
-        raise ValueError(f"{name} must have shape (B, {n_cols}), got {x.shape}")
+        raise ShapeError(f"{name} must have shape (B, {n_cols}), got {x.shape}")
     if batch is not None and x.shape[0] not in (1, batch):
-        raise ValueError(f"{name} batch size {x.shape[0]} != {batch}")
+        raise ShapeError(f"{name} batch size {x.shape[0]} != {batch}")
     if batch is not None and x.shape[0] == 1 and batch > 1:
         x = np.broadcast_to(x, (batch, n_cols)).copy()
     return x
@@ -165,7 +166,7 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
         articulation = articulation[None, :]
     batch = articulation.shape[0]
     if articulation.shape[1] != ARTICULATION_SIZE:
-        raise ValueError(f"articulation must have {ARTICULATION_SIZE} values per row")
+        raise ShapeError(f"articulation must have {ARTICULATION_SIZE} values per row")
     beta = (_as_batch(beta, 10, batch, "beta") if beta is not None
             else np.zeros((batch, 10)))
     global_rot = (_as_batch(global_rot, 3, batch, "global_rot")
@@ -174,7 +175,7 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
                    if translation is not None else np.zeros((batch, 3)))
     if not (np.isfinite(articulation).all() and np.isfinite(beta).all()
             and np.isfinite(global_rot).all() and np.isfinite(translation).all()):
-        raise ValueError("non-finite pose/shape parameters")
+        raise NumericError("non-finite pose/shape parameters")
 
     omegas = articulation.reshape(batch, 15, 3)
     rot_art, drot_art = rodrigues_with_jacobian(omegas)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError, ShapeError
+
 DEFAULT_RESOLUTION = 64
 DEFAULT_SIGMA = 2.5
 DEFAULT_SHARPNESS = 256.0
@@ -33,11 +35,11 @@ class Heatmap1D:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
         if not np.isfinite(self.values).all():
-            raise ValueError("heatmap values must be finite")
+            raise InputError("heatmap values must be finite")
         if (self.values < 0).any():
-            raise ValueError("heatmap values must be nonnegative")
+            raise InputError("heatmap values must be nonnegative")
         if not (self.values > 0).any():
-            raise ValueError("heatmap must not be all zero")
+            raise InputError("heatmap must not be all zero")
 
     def __len__(self):
         return len(self.values)
@@ -47,9 +49,9 @@ def encode(coord: float, length: int = DEFAULT_RESOLUTION,
            sigma: float = DEFAULT_SIGMA, axis: str = "x") -> Heatmap1D:
     """Gaussian likelihood over lixel centers for a coordinate in [0, 1]."""
     if not 0.0 <= coord <= 1.0:
-        raise ValueError(f"coordinate {coord} outside [0, 1]")
+        raise InputError(f"coordinate {coord} outside [0, 1]")
     if sigma <= 0:
-        raise ValueError("sigma must be positive")
+        raise InputError("sigma must be positive")
     centers = np.arange(length) + 0.5
     values = np.exp(-((centers - coord * length) ** 2) / (2.0 * sigma * sigma))
     return Heatmap1D(values, axis=axis)
@@ -61,12 +63,10 @@ def decode(heatmap: Heatmap1D | np.ndarray,
 
     Exact identities for any sharpness >= 1: a one-hot heatmap decodes to its
     center, a uniform heatmap decodes to 0.5, and rescaling the heatmap (a
-    constant shift of the log-likelihoods) leaves the result unchanged.
+    constant shift of the log-likelihoods) leaves the result unchanged.  A raw
+    array is validated as a :class:`Heatmap1D` first.
     """
-    values = heatmap.values if isinstance(heatmap, Heatmap1D) else \
-        np.asarray(heatmap, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError("heatmap values must be finite")
+    values = (heatmap if isinstance(heatmap, Heatmap1D) else Heatmap1D(heatmap)).values
     probs = (values / values.max()) ** sharpness
     probs = probs / probs.sum()
     length = len(values)
@@ -81,11 +81,9 @@ def marginalize(grid: np.ndarray) -> tuple[Heatmap1D, Heatmap1D, Heatmap1D]:
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 3:
-        raise ValueError("expected a 3D likelihood grid")
+        raise ShapeError("expected a 3D likelihood grid")
     if (grid < 0).any():
-        raise ValueError("grid must be nonnegative")
-    if not (grid > 0).any():
-        raise ValueError("grid must not be all zero")
+        raise InputError("grid must be nonnegative")
     hx = Heatmap1D(grid.sum(axis=(1, 2)), axis="x")
     hy = Heatmap1D(grid.sum(axis=(0, 2)), axis="y")
     hz = Heatmap1D(grid.sum(axis=(0, 1)), axis="z")

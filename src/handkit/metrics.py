@@ -18,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericError, ShapeError
+
 DEFAULT_F_THRESHOLDS = (5.0, 15.0)
 
 
-class DegenerateConfigurationError(ValueError):
-    """Raised when alignment is attempted on a rank-deficient point set."""
+DegenerateConfigurationError = NumericError
 
 
 def _points(x) -> np.ndarray:
@@ -30,7 +31,7 @@ def _points(x) -> np.ndarray:
         x.vertices if hasattr(x, "vertices") else x)
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) points, got {pts.shape}")
+        raise ShapeError(f"expected (N, 3) points, got {pts.shape}")
     return pts
 
 
@@ -38,7 +39,7 @@ def mpjpe(pred, gt) -> float:
     """Mean Euclidean distance (mm) over corresponding points."""
     p, g = _points(pred), _points(gt)
     if p.shape != g.shape:
-        raise ValueError(f"point counts differ: {p.shape} vs {g.shape}")
+        raise ShapeError(f"point counts differ: {p.shape} vs {g.shape}")
     return float(np.linalg.norm(p - g, axis=1).mean())
 
 
@@ -50,7 +51,7 @@ def procrustes_align(pred, gt) -> tuple[float, np.ndarray, np.ndarray, np.ndarra
     """
     p, g = _points(pred), _points(gt)
     if p.shape != g.shape:
-        raise ValueError(f"point counts differ: {p.shape} vs {g.shape}")
+        raise ShapeError(f"point counts differ: {p.shape} vs {g.shape}")
     if len(p) < 3:
         raise DegenerateConfigurationError("alignment needs at least 3 points")
     mu_p, mu_g = p.mean(axis=0), g.mean(axis=0)
@@ -59,6 +60,8 @@ def procrustes_align(pred, gt) -> tuple[float, np.ndarray, np.ndarray, np.ndarra
     if var_p < 1e-12:
         raise DegenerateConfigurationError("prediction points are coincident")
     cov = x.T @ y / len(p)
+    if not (np.isfinite(var_p) and np.isfinite(cov).all()):
+        raise DegenerateConfigurationError("point coordinates overflow")
     u, s, vt = np.linalg.svd(cov)
     if np.linalg.matrix_rank(cov) < 2:
         raise DegenerateConfigurationError("points are (near) collinear")
@@ -82,7 +85,7 @@ def fscore(pred, gt, threshold_mm: float) -> float:
     """Harmonic mean of nearest-neighbor precision and recall at a threshold."""
     p, g = _points(pred), _points(gt)
     if len(p) == 0 or len(g) == 0:
-        raise ValueError("point sets must be nonempty")
+        raise ShapeError("point sets must be nonempty")
     dists = np.linalg.norm(p[:, None, :] - g[None, :, :], axis=2)
     precision = float((dists.min(axis=1) < threshold_mm).mean())
     recall = float((dists.min(axis=0) < threshold_mm).mean())
@@ -131,11 +134,11 @@ def evaluate(pred_joints, gt_joints, pred_vertices=None, gt_vertices=None,
     preds = [_points(p) for p in pred_joints]
     gts = [_points(g) for g in gt_joints]
     if len(preds) != len(gts) or not preds:
-        raise ValueError("need equal, nonempty prediction and truth lists")
+        raise ShapeError("need equal, nonempty prediction and truth lists")
     pred_v = [_points(v) for v in pred_vertices] if pred_vertices is not None else None
     gt_v = [_points(v) for v in gt_vertices] if gt_vertices is not None else None
     if (pred_v is None) != (gt_v is None):
-        raise ValueError("vertex lists must be supplied for both sides")
+        raise ShapeError("vertex lists must be supplied for both sides")
 
     def centered(p, g):
         if root_center:

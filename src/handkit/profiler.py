@@ -22,14 +22,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
+from .errors import InputError, ShapeError
+
+_SIZE_LIMIT = 2 ** 31  # layer sizes and spatial extents, as in int32
 
 KINDS = ("conv", "deconv", "depthwise_conv", "depthwise_deconv", "pointwise",
          "fully_connected", "squeeze_excitation", "pool", "elementwise")
-
-
-class ShapeError(ValueError):
-    """Raised when a layer cannot consume the incoming tensor shape."""
 
 
 @dataclass
@@ -46,18 +44,21 @@ class LayerSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if min(self.kernel, self.in_channels, self.out_channels, self.stride,
-               self.groups) < 1:
-            raise ValueError("kernel, channels, stride, groups must be >= 1")
+            raise InputError(f"unknown layer kind {self.kind!r}")
+        sizes = (self.kernel, self.in_channels, self.out_channels, self.stride,
+                 self.groups)
+        if min(sizes) < 1 or max(sizes) >= _SIZE_LIMIT:
+            raise InputError("kernel, channels, stride, groups must be in [1, 2**31)")
+        if not self.se_ratio >= 1:
+            raise InputError("se_ratio must be >= 1 (a reduction)")
         if self.kind in ("depthwise_conv", "depthwise_deconv"):
             if self.in_channels != self.out_channels:
-                raise ValueError("depthwise layers keep the channel count")
+                raise InputError("depthwise layers keep the channel count")
             self.groups = self.in_channels
         if self.kind == "pointwise":
             self.kernel = 1
         if self.in_channels % self.groups or self.out_channels % self.groups:
-            raise ValueError("groups must divide both channel counts")
+            raise InputError("groups must divide both channel counts")
 
     def out_shape(self, in_c: int, in_h: int, in_w: int) -> tuple[int, int, int]:
         if self.kind in ("pool", "elementwise", "squeeze_excitation"):
@@ -138,6 +139,8 @@ class ProfileReport:
 
 def profile(graph: NetGraph, resolution: int = 256) -> ProfileReport:
     """Propagate shapes through the graph and sum MACs per named stage."""
+    if graph.input_stride < 1:
+        raise InputError("input stride must be >= 1")
     if resolution % graph.input_stride:
         raise ShapeError("resolution must be divisible by the input stride")
     c = graph.input_channels
@@ -145,6 +148,8 @@ def profile(graph: NetGraph, resolution: int = 256) -> ProfileReport:
     rows = []
     stage_totals: dict[str, int] = {}
     for stage, layer in graph.layers:
+        if max(h, w) >= _SIZE_LIMIT:
+            raise ShapeError("spatial size must stay below 2**31")
         macs = layer_macs(layer, h, w)
         if layer.branch:
             layer.out_shape(c, h, w)  # validates channel agreement only
@@ -284,7 +289,7 @@ def decoder_variant(variant: str, channels: int = 256, stages: int = 3,
     """Full decoder built from variant blocks, with the channel-change
     pointwise in front (backbone width differs from the decoder width)."""
     if variant not in ("A", "B", "C"):
-        raise ValueError("variant must be 'A', 'B', or 'C'")
+        raise InputError("variant must be 'A', 'B', or 'C'")
     layers = [("in", LayerSpec("pointwise", in_channels=backbone_channels,
                                out_channels=channels))]
     for s in range(stages):
@@ -356,21 +361,23 @@ def load_graph_text(path, name: str | None = None, input_stride: int = 1
     """One layer per line: kind kernel in_channels out_channels stride groups
     [se_ratio].  Lines starting with '#' are comments."""
     layers: list[tuple[str, LayerSpec]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(
+            Path(path).read_text(errors="replace").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) < 6:
-            raise ValueError(f"{path}:{lineno}: expected at least 6 fields")
-        kind = parts[0]
-        nums = [float(p) for p in parts[1:]]
-        spec = LayerSpec(kind, kernel=int(nums[0]), in_channels=int(nums[1]),
-                         out_channels=int(nums[2]), stride=int(nums[3]),
-                         groups=int(nums[4]),
+            raise InputError(f"{path}:{lineno}: expected at least 6 fields")
+        try:
+            nums = [float(p) for p in parts[1:]]
+            ints = [int(n) for n in nums[:5]]
+        except (ValueError, OverflowError) as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        spec = LayerSpec(parts[0], *ints,
                          se_ratio=nums[5] if len(nums) > 5 else 4.0)
         layers.append((f"layer{len(layers) + 1}", spec))
     if not layers:
-        raise ValueError(f"{path}: no layers")
+        raise InputError(f"{path}: no layers")
     return NetGraph(name or Path(path).stem, layers[0][1].in_channels, layers,
                     input_stride=input_stride)

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import bio_dof, kinematics as kin
 from .containers import read_container, write_container
+from .errors import InputError, NumericError, ShapeError
 
 WORLD_UP = np.array([0.0, 1.0, 0.0])
 DEFAULT_ELEV_MIN = -np.pi / 3.0
@@ -52,7 +53,7 @@ class CameraPose:
         self.up = np.asarray(self.up, dtype=float)
         norm = np.linalg.norm(self.position)
         if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"camera position must be unit length, got {norm}")
+            raise InputError(f"camera position must be unit length, got {norm}")
 
 
 def sphere_point(elevation: float, azimuth: float) -> np.ndarray:
@@ -66,8 +67,9 @@ def sample_cameras(elev_min: float = DEFAULT_ELEV_MIN,
                    azim_step: float = DEFAULT_STEP,
                    elev_step: float = DEFAULT_STEP) -> list[CameraPose]:
     """Regular camera grid; defaults give exactly 31 x 72 = 2232 poses."""
-    if azim_step <= 0 or elev_step <= 0:
-        raise ValueError("step sizes must be positive")
+    if not (np.isfinite([elev_min, elev_max]).all() and azim_step > 0
+            and elev_step > 0):
+        raise InputError("step sizes must be positive and bounds finite")
     n_elev = int(round((elev_max - elev_min) / elev_step)) + 1
     n_azim = int(round(2.0 * np.pi / azim_step))
     cams = []
@@ -102,7 +104,7 @@ class PoseLibrary:
     def __post_init__(self):
         self.poses = np.asarray(self.poses, dtype=float)
         if self.poses.ndim != 2 or self.poses.shape[1] != kin.ARTICULATION_SIZE:
-            raise ValueError(f"poses must have shape (N, {kin.ARTICULATION_SIZE})")
+            raise ShapeError(f"poses must have shape (N, {kin.ARTICULATION_SIZE})")
 
     def __len__(self):
         return len(self.poses)
@@ -119,7 +121,7 @@ def swap_fingers(a: np.ndarray, b: np.ndarray, fingers) -> np.ndarray:
     out = a.copy()
     for finger in fingers:
         if finger not in FINGER_SLICES:
-            raise ValueError(f"unknown finger {finger!r}")
+            raise InputError(f"unknown finger {finger!r}")
         out[FINGER_SLICES[finger]] = b[FINGER_SLICES[finger]]
     return out
 
@@ -132,6 +134,8 @@ def make_pose_library(model, count: int = BASE_LIBRARY_SIZE,
     The loader (``load_pose_library``) accepts a real (N, 45) array container
     when one is available; this generator only fills its place.
     """
+    if count < 1:
+        raise InputError("count must be >= 1")
     limits = limits or bio_dof.DofLimits.default()
     rng = np.random.default_rng(seed)
     axes = bio_dof.derive_axes(model)
@@ -149,7 +153,9 @@ def augment_library(lib: PoseLibrary, per_pose: int = DEFAULT_VARIANTS_PER_POSE,
     base pose i.
     """
     if len(lib) == 0:
-        raise ValueError("library is empty")
+        raise InputError("library is empty")
+    if per_pose < 1:
+        raise InputError("per_pose must be >= 1")
     rng = np.random.default_rng(seed)
     total = len(lib) * per_pose
     out = lib.poses[np.repeat(np.arange(len(lib)), per_pose)].copy()
@@ -168,9 +174,7 @@ def save_pose_library(lib: PoseLibrary, path) -> None:
 
 
 def load_pose_library(path) -> PoseLibrary:
-    header, arrays = read_container(path)
-    if header.get("kind") != "pose_library":
-        raise ValueError(f"{path} is not a pose library container")
+    _, arrays = read_container(path, kind="pose_library")
     return PoseLibrary(arrays["poses"])
 
 
@@ -178,8 +182,7 @@ def load_pose_library(path) -> PoseLibrary:
 # projection
 # ---------------------------------------------------------------------------
 
-class BehindCameraError(ValueError):
-    """Raised when a point is at or behind the camera plane."""
+BehindCameraError = NumericError
 
 
 def camera_frame(cam: CameraPose, radius_mm: float

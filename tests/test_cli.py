@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +188,33 @@ def test_ik_fit_vertex_count_mismatch_exit_3(tmp_path, model_file):
     assert main(["ik-fit", "--model", model_file, "--target", str(path),
                  "--init", str(init),
                  "--out", str(tmp_path / "o")]) == EXIT_SHAPE
+
+
+def test_ik_fit_fits_every_record(tmp_path, model_file):
+    records, truths = [], []
+    for seed in (31, 32):
+        path, joints = target_json(tmp_path, model_file, name=f"t{seed}.json",
+                                   seed=seed)
+        records += json.loads(Path(path).read_text())["records"]
+        truths.append(joints)
+    target = tmp_path / "two.json"
+    target.write_text(json.dumps({"unit": "mm", "records": records}))
+    init = tmp_path / "init.txt"
+    init.write_text("bio index_mcp_flex 0\n")
+    out = tmp_path / "fit"
+    assert main(["ik-fit", "--model", model_file, "--target", str(target),
+                 "--init", str(init), "--iterations", "30",
+                 "--out", str(out)]) == EXIT_OK
+    assert not (out / "fit_params.txt").exists()
+    model = load_model(model_file)
+    axes = bio_dof.derive_axes(model)
+    for i in range(2):
+        assert (out / f"fit_report_{i:05d}.txt").exists()
+        bio, beta, rot, trans = load_params_file(out / f"fit_params_{i:05d}.txt")
+        _, skel = forward(model, FullPose(rot, bio_dof.expand(bio, axes), trans),
+                          beta)
+        own, other = (np.abs(skel.joints - truths[k]).mean() for k in (i, 1 - i))
+        assert own < other
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,372 @@
+"""The exit-code contract: every bad input ends in 0, 2, 3 or 4, never in an
+uncaught traceback (exit 1)."""
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import handkit
+from handkit import bio_dof, errors, ik_net, synth
+from handkit.cli import main, write_params_file
+from handkit.containers import write_container
+from handkit.hand_model import (FullPose, ShapeParams, forward, load_model,
+                                make_desk_hand_small, save_model)
+
+CONTRACT = {0, 2, 3, 4}
+
+
+def run(argv) -> tuple[int, str]:
+    """main() in-process; an exception escaping it fails the calling test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def ws(tmp_path_factory) -> Path:
+    """Valid inputs for every command, built on the small desk hand."""
+    root = tmp_path_factory.mktemp("ws")
+    model = make_desk_hand_small()
+    save_model(model, root / "model.hkm")
+    save_model(model, root / "model_text.hkm", text=True)
+    axes = bio_dof.derive_axes(model)
+    bio = bio_dof.BioPose.from_dict({"index_mcp_flex": 0.6, "thumb_pip_flex": 0.3})
+    mesh, skel = forward(model, FullPose(articulation=bio_dof.expand(bio, axes)))
+    # one number per line, so line mutations drop or repeat single numbers
+    (root / "target.json").write_text(json.dumps(
+        {"unit": "mm", "records": [{"joints": skel.joints.tolist(),
+                                    "vertices": mesh.vertices.tolist()}]},
+        indent=1))
+    (root / "pose.txt").write_text(
+        "global_rot: 0.1 0 0\narticulation: " + " ".join(["0.2"] * 45)
+        + "\nbeta: 0.5 0 0 0 0 0 0 0 0 0\n")
+    write_params_file(root / "init.txt", bio, ShapeParams(), [0, 0.1, 0], [1, 2, 3])
+    bio_dof.DofLimits.default().save(root / "limits.txt")
+    ik_net.save_checkpoint(ik_net.MlpIk(widths=(16, 16, 16), seed=0),
+                           root / "net.hkc")
+    synth.save_pose_library(synth.make_pose_library(model, count=3, seed=1),
+                            root / "library.hkc")
+    (root / "graph.txt").write_text("conv 3 3 16 2 1\n"
+                                    "depthwise_conv 3 16 16 1 1\n"
+                                    "pointwise 1 16 32 1 1\n"
+                                    "squeeze_excitation 1 32 32 1 1 4\n")
+    return root
+
+
+# ---------------------------------------------------------------------------
+# inputs that used to crash or map to the wrong code
+# ---------------------------------------------------------------------------
+
+def _raw_container(path: Path, header: bytes, payload: bytes = b"") -> Path:
+    path.write_bytes(b"HKC1" + struct.pack("<I", len(header)) + header + payload)
+    return path
+
+
+def _container(path: Path, header: dict) -> Path:
+    write_container(path, header, {})
+    return path
+
+
+def _text(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
+def _annotation(path: Path, joints) -> Path:
+    return _text(path, json.dumps({"unit": "mm",
+                                   "records": [{"joints": joints.tolist()}]}))
+
+
+def _nan_joints() -> np.ndarray:
+    joints = np.arange(63.0).reshape(21, 3)
+    joints[5, 1] = np.nan
+    return joints
+
+
+def _fk(ws, model):
+    return ["fk", "--model", model, "--pose", ws / "pose.txt", "--out", "{out}"]
+
+
+def _ik_fit(ws, *extra):
+    return ["ik-fit", "--model", ws / "model.hkm", *extra, "--out", "{out}"]
+
+
+def _ik_train(ws, *extra):
+    return ["ik-train", "--model", ws / "model.hkm", *extra, "--out", "{out}"]
+
+
+# name -> (expected exit code, argv builder from (workspace, scratch dir))
+TABLE = {
+    "fk-model-without-arrays": (2, lambda ws, t: _fk(
+        ws, _container(t / "m.hkm", {"kind": "hand_model"}))),
+    "fk-model-bad-json-header": (2, lambda ws, t: _fk(
+        ws, _raw_container(t / "m.hkm", b'{"kind": '))),
+    "fk-model-dtype-f8": (2, lambda ws, t: _fk(ws, _raw_container(
+        t / "m.hkm", json.dumps({"kind": "hand_model", "arrays": [
+            {"name": "rest_vertices", "dtype": "f8", "shape": [1]}]}).encode(),
+        bytes(8)))),
+    "fk-model-directory": (2, lambda ws, t: _fk(ws, t)),
+    "ik-fit-from-ik-net-zero-joints": (4, lambda ws, t: _ik_fit(
+        ws, "--from-ik-net", ws / "net.hkc",
+        "--target", _annotation(t / "z.json", np.zeros((21, 3))))),
+    "ik-fit-nan-annotation": (2, lambda ws, t: _ik_fit(
+        ws, "--init", ws / "init.txt",
+        "--target", _annotation(t / "n.json", _nan_joints()))),
+    "eval-nan-annotation": (2, lambda ws, t: [
+        "eval", "--pred", _annotation(t / "n.json", _nan_joints()),
+        "--gt", t / "n.json", "--out", t / "r.txt"]),
+    "ik-fit-init-nan": (2, lambda ws, t: _ik_fit(
+        ws, "--target", ws / "target.json",
+        "--init", _text(t / "i.txt", "bio index_mcp_flex nan\n"))),
+    "ik-fit-iterations-0": (2, lambda ws, t: _ik_fit(
+        ws, "--target", ws / "target.json", "--init", ws / "init.txt",
+        "--iterations", "0")),
+    "ik-train-pairs-0": (2, lambda ws, t: _ik_train(ws, "--pairs", "0")),
+    "ik-train-batch-size-1": (2, lambda ws, t: _ik_train(
+        ws, "--pairs", "64", "--batch-size", "1")),
+    "ik-train-epochs-1-default-decay": (2, lambda ws, t: _ik_train(
+        ws, "--pairs", "64", "--epochs", "1")),
+    "synth-cameras-azim-step-0": (2, lambda ws, t: [
+        "synth", "cameras", "--azim-step", "0", "--out", t / "c.csv"]),
+    "synth-poses-count-0": (2, lambda ws, t: [
+        "synth", "poses", "--model", ws / "model.hkm", "--count", "0",
+        "--out", t / "p.hkc"]),
+    "ik-predict-checkpoint-without-arrays": (2, lambda ws, t: [
+        "ik-predict", "--target", ws / "target.json", "--out", "{out}",
+        "--ckpt", _container(t / "c.hkc", {"kind": "ik_net_checkpoint",
+                                           "input_dim": 80, "widths": [256]})]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE))
+def test_documented_exit_code(name, ws, tmp_path):
+    expected, argv = TABLE[name]
+    code, err = run([str(a).format(out=tmp_path / "out")
+                     for a in argv(ws, tmp_path)])
+    assert code == expected, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if name == "ik-predict-checkpoint-without-arrays":
+        assert "missing array 'w0'" in err
+
+
+def test_entry_point_exit_code_and_stderr(ws, tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(handkit.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "handkit.cli", "fk", "--model", str(tmp_path),
+         "--pose", str(ws / "pose.txt"), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def _corrupt_model(path: Path, blob: bytes, name: str) -> Path:
+    """The small desk hand's container with one defect, written to path."""
+    hlen = struct.unpack("<I", blob[4:8])[0]
+    header = json.loads(blob[8:8 + hlen])
+    payload = blob[8 + hlen:]
+    if name == "trailing-bytes":
+        payload += bytes(4)
+    elif name == "nan-payload":
+        payload = np.float32(np.nan).tobytes() + payload[4:]
+    elif name == "negative-shape":
+        header["arrays"][0]["shape"] = [-1, 3]
+    elif name == "shape-not-a-list":
+        header["arrays"][0]["shape"] = 7
+    elif name == "header-not-an-object":
+        header = [header]
+    elif name == "wrong-kind":
+        header["kind"] = "pose_library"
+    elif name == "truncated-payload":
+        payload = payload[:-4]
+    return _raw_container(path, json.dumps(header).encode(), payload)
+
+
+@pytest.mark.parametrize("defect", [
+    "trailing-bytes", "nan-payload", "negative-shape", "shape-not-a-list",
+    "header-not-an-object", "wrong-kind", "truncated-payload"])
+def test_container_reader_rejects(defect, ws, tmp_path):
+    blob = (ws / "model.hkm").read_bytes()
+    with pytest.raises(errors.InputError):
+        load_model(_corrupt_model(tmp_path / "m.hkm", blob, defect))
+
+
+@pytest.mark.parametrize("reader, text", [
+    ("annotation", '{"unit": "mm", "joints": [[Infinity, 0, 0]]}'),
+    ("annotation", '[[[1e999, 0, 0]]]'),
+    ("limits", "index_mcp_flex = nan 1.0\n"),
+    ("params", "translation 0 nan 0\n"),
+    ("pose", "global_rot: 0 inf 0\n"),
+    ("graph", "squeeze_excitation 1 32 32 1 1 1e-310\n"),
+])
+def test_text_readers_reject_non_finite(reader, text, tmp_path):
+    from handkit.cli import load_annotation_records, load_params_file, load_pose_file
+    from handkit.profiler import load_graph_text
+    read = {"annotation": load_annotation_records, "params": load_params_file,
+            "limits": bio_dof.DofLimits.load, "pose": load_pose_file,
+            "graph": load_graph_text}[reader]
+    with pytest.raises(errors.InputError):
+        read(_text(tmp_path / "f.txt", text))
+
+
+def test_family_and_aliases():
+    from handkit import bio_dof as b, cli, containers, hand_model, ik_optim
+    from handkit import metrics, profiler
+    assert cli.CliError is containers.ContainerError is errors.InputError
+    assert hand_model.ModelError is profiler.ShapeError is errors.ShapeError
+    assert (ik_optim.FitDivergedError is ik_optim.DegenerateSkeletonError
+            is ik_net.DegenerateSkeletonError is b.DegenerateBoneError
+            is metrics.DegenerateConfigurationError is synth.BehindCameraError
+            is errors.NumericError)
+    for cls, code in ((errors.InputError, 2), (errors.ShapeError, 3),
+                      (errors.NumericError, 4)):
+        assert issubclass(cls, errors.HandkitError)
+        assert issubclass(cls, ValueError) and cls.exit_code == code
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated inputs for every reader, through every command
+# ---------------------------------------------------------------------------
+
+_NUMBER = re.compile(rb"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+
+
+def _mutate(data: bytes, ops) -> bytes:
+    for op, pos, blob in ops:
+        if op == "number":
+            numbers = list(_NUMBER.finditer(data))
+            if numbers:
+                match = numbers[pos % len(numbers)]
+                data = data[:match.start()] + blob + data[match.end():]
+        elif op == "replace":
+            pos %= max(len(data), 1)
+            data = data[:pos] + blob + data[pos + len(blob):]
+        elif op == "truncate":
+            data = data[:pos % (len(data) + 1)]
+        else:
+            lines = data.split(b"\n")
+            i = pos % len(lines)
+            if op == "drop-line":
+                del lines[i]
+            else:
+                lines.insert(i, lines[i])
+            data = b"\n".join(lines)
+    return data
+
+
+# positions favour the start of a file, where headers and first lines sit
+_position = st.one_of(st.integers(0, 600), st.integers(0, 2 ** 20))
+MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.just("replace"), _position,
+              st.one_of(st.binary(min_size=1, max_size=3),
+                        st.sampled_from([b"nan", b"-", b"9e9", b"0", b"]",
+                                         b"\xff", b"\x7f\x7f"]))),
+    st.tuples(st.just("number"), _position,
+              st.sampled_from([b"nan", b"inf", b"-1e308", b"1e308", b"0",
+                               b"-0.0", b"1e-310", b"2", b"-3", b"99999",
+                               b"2.5"])),
+    st.tuples(st.just("truncate"), _position, st.just(b"")),
+    st.tuples(st.sampled_from(["drop-line", "dup-line"]), _position,
+              st.just(b""))), min_size=1, max_size=4)
+
+# (file mutated, command reading it); {f} is the mutated copy
+FUZZ = {
+    "fk-model": ("model.hkm", ["fk", "--model", "{f}", "--pose",
+                               "{ws}/pose.txt", "--out", "{out}"]),
+    "fk-model-text": ("model_text.hkm", ["fk", "--model", "{f}", "--pose",
+                                         "{ws}/pose.txt", "--out", "{out}"]),
+    "fk-pose": ("pose.txt", ["fk", "--model", "{ws}/model.hkm", "--pose", "{f}",
+                             "--out", "{out}"]),
+    "ik-fit-target": ("target.json", [
+        "ik-fit", "--model", "{ws}/model.hkm", "--target", "{f}", "--init",
+        "{ws}/init.txt", "--iterations", "2", "--out", "{out}"]),
+    "ik-fit-init": ("init.txt", [
+        "ik-fit", "--model", "{ws}/model.hkm", "--target", "{ws}/target.json",
+        "--init", "{f}", "--iterations", "2", "--out", "{out}"]),
+    "ik-fit-limits": ("limits.txt", [
+        "ik-fit", "--model", "{ws}/model.hkm", "--target", "{ws}/target.json",
+        "--init", "{ws}/init.txt", "--limits", "{f}", "--iterations", "2",
+        "--out", "{out}"]),
+    "ik-fit-from-ik-net": ("net.hkc", [
+        "ik-fit", "--model", "{ws}/model.hkm", "--target", "{ws}/target.json",
+        "--from-ik-net", "{f}", "--iterations", "2", "--out", "{out}"]),
+    "ik-train-limits": ("limits.txt", [
+        "ik-train", "--model", "{ws}/model.hkm", "--limits", "{f}", "--pairs",
+        "32", "--epochs", "1", "--decay-epoch", "0", "--out", "{out}"]),
+    "ik-predict-ckpt": ("net.hkc", ["ik-predict", "--ckpt", "{f}", "--target",
+                                    "{ws}/target.json", "--out", "{out}"]),
+    "ik-predict-target": ("target.json", ["ik-predict", "--ckpt",
+                                          "{ws}/net.hkc", "--target", "{f}",
+                                          "--out", "{out}"]),
+    "eval-pred": ("target.json", ["eval", "--pred", "{f}", "--gt",
+                                  "{ws}/target.json", "--out", "{out}/r.txt"]),
+    "profile-graph": ("graph.txt", ["profile", "--graph", "{f}",
+                                    "--resolution", "64"]),
+    "synth-poses-library": ("library.hkc", [
+        "synth", "poses", "--library", "{f}", "--per-pose", "2",
+        "--out", "{out}/p.hkc"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on odd values
+@pytest.mark.parametrize("name", sorted(FUZZ))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(ops=MUTATIONS)
+def test_fuzz_mutated_inputs(name, ops, ws):
+    source, template = FUZZ[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / source
+        mutated.write_bytes(_mutate((ws / source).read_bytes(), ops))
+        argv = [a.format(f=mutated, ws=ws, out=Path(tmp) / "out")
+                for a in template]
+        code, err = run(argv)
+    assert code in CONTRACT, err
+    assert "Traceback" not in err
+
+
+_odd = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e308])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on odd values
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(coord=st.one_of(_odd, st.floats(-0.5, 1.5)),
+       length=st.integers(-2, 200),
+       sigma=st.one_of(_odd, st.floats(1e-6, 50.0)),
+       azim=st.one_of(_odd, st.floats(0.2, 7.0)),
+       elev=st.one_of(_odd, st.floats(0.2, 7.0)),
+       elev_min=st.one_of(_odd, st.floats(-3.0, 3.0)),
+       step=st.one_of(_odd, st.floats(1e-4, 10.0)),
+       bend=st.one_of(_odd, st.floats(0.0, 10.0)),
+       rate=st.one_of(_odd, st.floats(0.0, 10.0)))
+def test_fuzz_arguments(coord, length, sigma, azim, elev, elev_min, step, bend,
+                        rate, ws):
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in (
+                ["lixel", f"--coord={coord}", f"--length={length}",
+                 f"--sigma={sigma}", "--out", f"{tmp}/h.txt"],
+                ["synth", "cameras", f"--azim-step={azim}",
+                 f"--elev-step={elev}", f"--elev-min={elev_min}",
+                 "--out", f"{tmp}/c.csv"],
+                _ik_fit(ws, "--target", ws / "target.json", "--init",
+                        ws / "init.txt", "--iterations", "3",
+                        f"--step-size={step}", f"--bend-weight={bend}"),
+                _ik_train(ws, "--pairs", "32", "--epochs", "1",
+                          "--decay-epoch", "0", f"--rate={rate}"),
+                ["model", "desk", "--small", "--out", tmp]):  # a directory
+            code, err = run([str(a).format(out=f"{tmp}/out") for a in argv])
+            assert code in CONTRACT, err
+            assert "Traceback" not in err

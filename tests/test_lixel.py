@@ -92,6 +92,10 @@ def test_decode_rejects_bad_heatmaps():
         Heatmap1D(-np.ones(64))
     with pytest.raises(ValueError):
         decode(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        decode(np.zeros(8))
+    with pytest.raises(ValueError):
+        decode(-np.ones(8))
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.5, 4.0])
