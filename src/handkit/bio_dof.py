@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kinematics as kin
 from .errors import InputError, NumericError, ShapeError
-from .hand_model import HandModel, rest_joints
+from .hand_model import HandModel, Skeleton
 
 _FINGER_DOFS = ("mcp_flex", "mcp_abd", "pip_flex", "dip_flex")
 _THUMB_DOFS = ("mcp_rot", "mcp_abd", "mcp_flex",
@@ -157,9 +157,10 @@ class AxisTable:
         for arr in (self.flex, self.abd, self.twist):
             if np.asarray(arr).shape != (15, 3):
                 raise ShapeError("axis tables need shape (15, 3)")
-        self.flex = np.asarray(self.flex, dtype=float)
-        self.abd = np.asarray(self.abd, dtype=float)
-        self.twist = np.asarray(self.twist, dtype=float)
+        for name in ("flex", "abd", "twist"):   # one table is shared per model
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            setattr(self, name, value)
         self._expansion = None
 
     def check_orthonormal(self, tol: float = 1e-9) -> None:
@@ -181,6 +182,7 @@ class AxisTable:
             mat = np.zeros((kin.ARTICULATION_SIZE, DOF_COUNT))
             for col, (_, slot, kind) in enumerate(DOF_SPECS):
                 mat[3 * slot:3 * slot + 3, col] = self.axis(slot, kind)
+            mat.flags.writeable = False
             self._expansion = mat
         return self._expansion
 
@@ -189,7 +191,12 @@ DegenerateBoneError = NumericError
 
 
 def derive_axes(model: HandModel) -> AxisTable:
-    """Build the axis table from a model's rest pose.
+    """The model's axis table, derived once per model (``model.tensors``)."""
+    return model.tensors.axes
+
+
+def axes_from_rest_joints(joints: np.ndarray) -> AxisTable:
+    """Build the axis table from a model's (21, 3) rest joints.
 
     Twist follows the bone leaving each joint; the palm normal comes from the
     wrist / index-MCP / little-MCP plane; abd is the palm normal projected
@@ -197,7 +204,7 @@ def derive_axes(model: HandModel) -> AxisTable:
     orthonormal regardless of model geometry, and unit vectors make the table
     invariant to uniform scaling.
     """
-    joints = rest_joints(model).joints
+    joints = Skeleton(joints).joints
     wrist = joints[0]
     index_mcp = joints[kin.finger_joint(1, 0)]
     little_mcp = joints[kin.finger_joint(4, 0)]

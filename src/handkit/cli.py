@@ -157,7 +157,10 @@ def load_params_file(path):
             if key == "bio" and len(parts) == 3:
                 bio[bio_dof.DOF_NAMES.index(parts[1])] = float(parts[2])
             elif key == "beta" and len(parts) == 3:
-                beta[int(parts[1])] = float(parts[2])
+                index = int(parts[1])
+                if not 0 <= index < beta.size:   # -1 would silently set beta[9]
+                    raise IndexError(f"beta index must be in 0..{beta.size - 1}")
+                beta[index] = float(parts[2])
             elif key == "global_rot" and len(parts) == 4:
                 rot = np.array([float(v) for v in parts[1:]])
             elif key == "translation" and len(parts) == 4:

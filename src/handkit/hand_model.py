@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +117,13 @@ class Mesh:
             raise ShapeError("face indices out of range")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HandModel:
     """Rest template, blendshape bases, joint regressor, and skinning data.
 
-    Treat instances as immutable after construction/load; every operation on
-    them is a pure function, so concurrent readers are safe.
+    Immutable: construction copies every array and marks it read-only, so
+    the constants in ``tensors`` can never go stale, and every operation on
+    a model is a pure function that concurrent readers may share.
     """
 
     rest_vertices: np.ndarray       # (V, 3) mm
@@ -133,17 +135,26 @@ class HandModel:
     pose_basis: np.ndarray | None = None  # (135, V, 3) mm, optional
 
     def __post_init__(self):
-        self.rest_vertices = np.asarray(self.rest_vertices, dtype=float)
-        self.shape_basis = np.asarray(self.shape_basis, dtype=float)
-        self.joint_regressor = np.asarray(self.joint_regressor, dtype=float)
-        self.skinning_weights = np.asarray(self.skinning_weights, dtype=float)
-        self.parents = np.asarray(self.parents, dtype=np.int64).reshape(-1)
-        self.faces = np.asarray(self.faces, dtype=np.int64)
-        if self.faces.size % 3:
+        faces = np.asarray(self.faces, dtype=np.int64)
+        if faces.size % 3:
             raise ModelError("faces must hold index triples")
-        self.faces = self.faces.reshape(-1, 3)
-        if self.pose_basis is not None:
-            self.pose_basis = np.asarray(self.pose_basis, dtype=float)
+        for name, value, dtype in (
+                ("rest_vertices", self.rest_vertices, float),
+                ("shape_basis", self.shape_basis, float),
+                ("joint_regressor", self.joint_regressor, float),
+                ("skinning_weights", self.skinning_weights, float),
+                ("parents", np.reshape(self.parents, -1), np.int64),
+                ("faces", faces.reshape(-1, 3), np.int64),
+                ("pose_basis", self.pose_basis, float)):
+            if value is not None:
+                value = np.array(value, dtype=dtype)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+
+    @cached_property
+    def tensors(self) -> kin.ModelTensors:
+        """FK constants and the axis table, derived on first use."""
+        return kin.ModelTensors.build(self)
 
     @property
     def vertex_count(self) -> int:

@@ -147,19 +147,10 @@ def bend_penalty(skeleton) -> float:
     return bend_penalty_with_grad(joints)[0]
 
 
-def _axes_for(model: HandModel) -> bio_dof.AxisTable:
-    cache = getattr(model, "_kin_cache", None)
-    if cache is None:
-        cache = {}
-        model._kin_cache = cache
-    if "axes" not in cache:
-        cache["axes"] = bio_dof.derive_axes(model)
-    return cache["axes"]
-
-
 def _loss_and_grad(model, bio_values, beta_values, global_rot, translation,
                    target: FitTarget, bend_weight, loss_kind, axes,
                    want_grad: bool):
+    axes = axes or bio_dof.derive_axes(model)
     articulation = bio_dof.expand_batch(bio_values[None, :], axes)
     out = kin.fk_forward(model, articulation, beta_values[None, :],
                          global_rot[None, :], translation[None, :],
@@ -211,8 +202,7 @@ def fit_loss(model: HandModel, bio, beta, global_rot=None, translation=None,
              loss_kind: str = "huber", axes: bio_dof.AxisTable | None = None) -> float:
     """Scalar fitting loss at the given parameters."""
     return _loss_and_grad(model, *_flat_params(bio, beta, global_rot, translation),
-                          target, bend_weight, loss_kind, axes or _axes_for(model),
-                          want_grad=False)[0]
+                          target, bend_weight, loss_kind, axes, want_grad=False)[0]
 
 
 def fit_jacobian(model: HandModel, bio, beta, global_rot=None, translation=None,
@@ -221,8 +211,7 @@ def fit_jacobian(model: HandModel, bio, beta, global_rot=None, translation=None,
                  axes: bio_dof.AxisTable | None = None) -> np.ndarray:
     """Analytic gradient of fit_loss over the 23+10+6 parameters."""
     return _loss_and_grad(model, *_flat_params(bio, beta, global_rot, translation),
-                          target, bend_weight, loss_kind, axes or _axes_for(model),
-                          want_grad=True)[1]
+                          target, bend_weight, loss_kind, axes, want_grad=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +230,6 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     """
     config = config or FitConfig()
     limits = limits or bio_dof.DofLimits.default()
-    axes = axes or _axes_for(model)
     nd = bio_dof.DOF_COUNT
 
     x = np.zeros(PARAM_COUNT)

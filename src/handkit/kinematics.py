@@ -11,6 +11,9 @@ applied (about the origin) together with the translation as the last step.
 intermediate; ``fk_backward`` then pulls loss gradients at the outputs
 (skeleton joints, mesh vertices, regressed joints) back to the articulation,
 shape, global-rotation, and translation parameters in one reverse sweep.
+Only ``need_grad=True`` builds Rodrigues derivatives.  Skinning is the
+blend-then-apply LBS of SMPL/MANO, one rotation column at a time (no
+per-vertex 3x3 blend is held); per-model constants live in ``model.tensors``.
 Joint positions are exactly the translation parts of the chained per-joint
 rigid transforms, so independent re-composition of homogeneous matrices along
 each finger is a valid oracle for them.
@@ -19,11 +22,12 @@ each finger is a valid oracle for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .rotations import rodrigues_with_jacobian
+from .rotations import rodrigues, rodrigues_with_jacobian
 
 FINGERS = ("thumb", "index", "middle", "ring", "little")
 
@@ -48,6 +52,7 @@ MCP_JOINTS = tuple(4 * f + 1 for f in range(5))
 _slot_of = {j: s for s, j in enumerate(ARTICULATED)}
 ASSIGN_SLOT = tuple(_slot_of[j] if j in _slot_of else _slot_of[j - 1]
                     for j in range(JOINT_COUNT))
+_ASSIGN_ONEHOT = np.eye(ARTICULATED_COUNT)[list(ASSIGN_SLOT)]  # (21, 16)
 
 #: kinematic-tree edges (parent, child) for the 20 bones, in child order
 BONES = tuple((PARENTS[j], j) for j in range(1, JOINT_COUNT))
@@ -96,48 +101,45 @@ class FkGrads:
     translation: np.ndarray   # (B, 3)
 
 
-def _rest_joint_tensors(model) -> tuple[np.ndarray, np.ndarray]:
-    """J0 (21,3) and JB (10,21,3) so rest joints = J0 + beta . JB."""
-    cache = getattr(model, "_kin_cache", None)
-    if cache is None:
-        cache = {}
-        model._kin_cache = cache
-    if "J0" not in cache:
-        reg = np.asarray(model.joint_regressor, dtype=float)
-        cache["J0"] = reg @ np.asarray(model.rest_vertices, dtype=float)
-        cache["JB"] = np.einsum("kv,ivc->ikc",
-                                reg, np.asarray(model.shape_basis, dtype=float))
-    return cache["J0"], cache["JB"]
+@dataclass(frozen=True)
+class ModelTensors:
+    """Per-model constants, derived once from a read-only ``HandModel``.
 
-
-def _regression_tensors(model):
-    """Collapsed regressor-through-skinning tensors.
-
-    The joint regressor and the skinning blend are both linear in the vertex
-    positions, so the regressed joints reduce to per-(joint, slot) terms:
+    Rest joints are ``J0 + beta . JB``.  The joint regressor and the skinning
+    blend are both linear in the vertex positions, so the regressed joints
+    reduce to per-(joint, slot) terms:
         regressed[k] = sum_j skin_rot[j] @ q[k, j] + c[k, j] * skin_t[j]
     with q[k, j] = q0[k, j] + Qb[k, j] @ beta (+ Qp[k, j] @ pose_feats).
     This avoids materializing the mesh when only regressed joints are needed.
     """
-    cache = getattr(model, "_kin_cache", None)
-    if cache is None:
-        cache = {}
-        model._kin_cache = cache
-    if "reg_c" not in cache:
-        reg = np.asarray(model.joint_regressor, dtype=float)        # (21, V)
-        w = np.asarray(model.skinning_weights, dtype=float)          # (V, 16)
-        rest = np.asarray(model.rest_vertices, dtype=float)          # (V, 3)
-        basis = np.asarray(model.shape_basis, dtype=float)           # (10, V, 3)
-        rw = np.einsum("kv,vj->kjv", reg, w)                         # (21, 16, V)
-        cache["reg_c"] = rw.sum(axis=2)
-        cache["reg_q0"] = np.einsum("kjv,vc->kjc", rw, rest)
-        cache["reg_qb"] = np.einsum("kjv,ivc->kjci", rw, basis)
-        if getattr(model, "pose_basis", None) is not None:
-            pose = np.asarray(model.pose_basis, dtype=float)         # (135, V, 3)
-            cache["reg_qp"] = np.einsum("kjv,pvc->kjcp", rw, pose)
-        else:
-            cache["reg_qp"] = None
-    return cache["reg_c"], cache["reg_q0"], cache["reg_qb"], cache["reg_qp"]
+
+    J0: np.ndarray                   # (21, 3)
+    JB: np.ndarray                   # (10, 21, 3)
+    reg_c: np.ndarray                # (21, 16)
+    reg_q0: np.ndarray               # (21, 16, 3)
+    reg_qb: np.ndarray               # (21, 16, 3, 10)
+    reg_qp: np.ndarray | None        # (21, 16, 3, 135), with a pose basis
+
+    @classmethod
+    def build(cls, model) -> ModelTensors:
+        reg, rest, basis = (model.joint_regressor, model.rest_vertices,
+                            model.shape_basis)
+        rw = np.einsum("kv,vj->kjv", reg, model.skinning_weights)  # (21, 16, V)
+        arrays = (reg @ rest, np.einsum("kv,ivc->ikc", reg, basis), rw.sum(axis=2),
+                  np.einsum("kjv,vc->kjc", rw, rest),
+                  np.einsum("kjv,ivc->kjci", rw, basis),
+                  None if model.pose_basis is None
+                  else np.einsum("kjv,pvc->kjcp", rw, model.pose_basis))
+        for a in arrays:
+            if a is not None:
+                a.flags.writeable = False
+        return cls(*arrays)
+
+    @cached_property
+    def axes(self):
+        """The model's ``bio_dof.AxisTable``, derived from J0 on first use."""
+        from .bio_dof import axes_from_rest_joints  # bio_dof imports this module
+        return axes_from_rest_joints(self.J0)
 
 
 def _as_batch(x, n_cols: int, batch: int | None, name: str) -> np.ndarray:
@@ -178,16 +180,19 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
         raise NumericError("non-finite pose/shape parameters")
 
     omegas = articulation.reshape(batch, 15, 3)
-    rot_art, drot_art = rodrigues_with_jacobian(omegas)
-    rot_g, drot_g = rodrigues_with_jacobian(global_rot)
+    if need_grad:
+        rot_art, drot_art = rodrigues_with_jacobian(omegas)
+        rot_g, drot_g = rodrigues_with_jacobian(global_rot)
+    else:
+        rot_art, rot_g = rodrigues(omegas), rodrigues(global_rot)
 
-    J0, JB = _rest_joint_tensors(model)
-    rest_joints = J0[None, :, :] + np.einsum("bi,ikc->bkc", beta, JB)
+    tensors = model.tensors
+    rest_joints = tensors.J0 + (beta @ tensors.JB.reshape(10, -1)).reshape(
+        batch, JOINT_COUNT, 3)
 
-    has_pose_basis = getattr(model, "pose_basis", None) is not None
-    pose_feats = None
-    if has_pose_basis:
-        pose_feats = (rot_art - np.eye(3)).reshape(batch, POSE_BASIS_SIZE)
+    has_pose_basis = model.pose_basis is not None
+    pose_feats = ((rot_art - np.eye(3)).reshape(batch, POSE_BASIS_SIZE)
+                  if has_pose_basis else None)
 
     # Chain rigid transforms root-to-leaf.  Local translation of a joint is
     # its rest offset from the parent; the root sits at its rest position.
@@ -217,27 +222,29 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
 
     pre_vertices = template = None
     if want_vertices:
-        template = (np.asarray(model.rest_vertices, dtype=float)[None]
-                    + np.einsum("bi,ivc->bvc", beta,
-                                np.asarray(model.shape_basis, dtype=float)))
+        shape = (batch,) + model.rest_vertices.shape
+        template = model.rest_vertices + (
+            beta @ model.shape_basis.reshape(10, -1)).reshape(shape)
         if has_pose_basis:
-            template = template + np.einsum(
-                "bp,pvc->bvc", pose_feats, np.asarray(model.pose_basis, dtype=float))
-        weights = np.asarray(model.skinning_weights, dtype=float)
-        pre_vertices = (np.einsum("vj,bjxy,bvy->bvx", weights, skin_rot, template)
-                        + np.einsum("vj,bjx->bvx", weights, skin_t))
+            template += (pose_feats @ model.pose_basis.reshape(
+                POSE_BASIS_SIZE, -1)).reshape(shape)
+        # Blend-then-apply: W @ skin_rot[..., y] is column y of every vertex's
+        # blended rotation, so one column at a time keeps the blend (B, V, 3).
+        weights = model.skinning_weights
+        pre_vertices = weights @ skin_t
+        for y in range(3):
+            pre_vertices += (weights @ skin_rot[..., y]) * template[..., y, None]
 
     pre_regressed = reg_q = None
     if want_regressed:
-        c, q0, qb, qp = _regression_tensors(model)
-        reg_q = q0[None] + np.einsum("kjci,bi->bkjc", qb, beta)
+        reg_q = tensors.reg_q0 + np.einsum("kjci,bi->bkjc", tensors.reg_qb, beta)
         if has_pose_basis:
-            reg_q = reg_q + np.einsum("kjcp,bp->bkjc", qp, pose_feats)
+            reg_q = reg_q + np.einsum("kjcp,bp->bkjc", tensors.reg_qp, pose_feats)
         pre_regressed = (np.einsum("bjxy,bkjy->bkx", skin_rot, reg_q)
-                         + np.einsum("kj,bjx->bkx", c, skin_t))
+                         + np.einsum("kj,bjx->bkx", tensors.reg_c, skin_t))
 
     def apply_global(x):
-        return np.einsum("bxy,b...y->b...x", rot_g, x) + translation[:, None, :]
+        return x @ rot_g.transpose(0, 2, 1) + translation[:, None, :]
 
     out = FkCache(joints=apply_global(pre_joints))
     if pre_vertices is not None:
@@ -253,9 +260,7 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
         out.chain_rot, out.chain_t = chain_rot, chain_t
         out.skin_rot, out.skin_t = skin_rot, skin_t
         out.assign_rot = assign_rot
-        out.template = template
-        out.reg_q = reg_q
-        out.pose_feats = pose_feats
+        out.template, out.reg_q, out.pose_feats = template, reg_q, pose_feats
         out.pre_joints = pre_joints
         out.pre_vertices = pre_vertices
         out.pre_regressed = pre_regressed
@@ -272,7 +277,6 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
     if cache.rot_art is None:
         raise ValueError("fk_backward needs a cache built with need_grad=True")
     batch = cache.joints.shape[0]
-    rot_g = cache.rot_global
     rest_joints = cache.rest_joints
     skin_rot, skin_t = cache.skin_rot, cache.skin_t
 
@@ -289,52 +293,49 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
         nonlocal bar_rot_g, bar_trans
         flat_d = np.asarray(d_out, dtype=float).reshape(batch, -1, 3)
         flat_p = pre.reshape(batch, -1, 3)
-        bar_rot_g += np.einsum("bnx,bny->bxy", flat_d, flat_p)
+        bar_rot_g += flat_d.transpose(0, 2, 1) @ flat_p
         bar_trans += flat_d.sum(axis=1)
-        return np.einsum("bxy,bnx->bny", rot_g, flat_d).reshape(pre.shape)
+        return (flat_d @ cache.rot_global).reshape(pre.shape)
 
     if d_joints is not None:
         g = through_global(d_joints, cache.pre_joints)          # (B, 21, 3)
-        assign = list(ASSIGN_SLOT)
-        onehot = np.zeros((JOINT_COUNT, ARTICULATED_COUNT))
-        onehot[np.arange(JOINT_COUNT), assign] = 1.0
-        bar_skin_rot += np.einsum("kj,bkx,bky->bjxy", onehot, g, rest_joints)
-        bar_skin_t += np.einsum("kj,bkx->bjx", onehot, g)
+        bar_skin_rot += np.einsum("kj,bkx,bky->bjxy", _ASSIGN_ONEHOT, g, rest_joints)
+        bar_skin_t += np.einsum("kj,bkx->bjx", _ASSIGN_ONEHOT, g)
         bar_rest += np.einsum("bkxy,bkx->bky", cache.assign_rot, g)
 
     if d_vertices is not None:
         if cache.pre_vertices is None:
             raise ValueError("forward pass did not compute vertices")
         g = through_global(d_vertices, cache.pre_vertices)      # (B, V, 3)
-        weights = np.asarray(model.skinning_weights, dtype=float)
-        bar_skin_rot += np.einsum("vj,bvx,bvy->bjxy", weights, g, cache.template)
-        bar_skin_t += np.einsum("vj,bvx->bjx", weights, g)
-        bar_template = np.einsum("vj,bjxy,bvx->bvy", weights, skin_rot, g)
-        bar_beta += np.einsum("bvc,ivc->bi", bar_template,
-                              np.asarray(model.shape_basis, dtype=float))
+        weights, template = model.skinning_weights, cache.template
+        bar_skin_t += weights.T @ g
+        bar_template = np.empty_like(g)
+        for y in range(3):   # the forward blend's column loop, transposed
+            bar_skin_rot[..., y] += weights.T @ (g * template[..., y, None])
+            bar_template[..., y] = ((weights @ skin_rot[..., y]) * g).sum(axis=-1)
+        bar_template = bar_template.reshape(batch, -1)
+        bar_beta += bar_template @ model.shape_basis.reshape(10, -1).T
         if bar_pose_feats is not None:
-            bar_pose_feats += np.einsum(
-                "bvc,pvc->bp", bar_template, np.asarray(model.pose_basis, dtype=float))
+            bar_pose_feats += bar_template @ model.pose_basis.reshape(
+                POSE_BASIS_SIZE, -1).T
 
     if d_regressed is not None:
         if cache.pre_regressed is None:
             raise ValueError("forward pass did not compute regressed joints")
         g = through_global(d_regressed, cache.pre_regressed)    # (B, 21, 3)
-        c, q0, qb, qp = _regression_tensors(model)
+        tensors = model.tensors
         bar_skin_rot += np.einsum("bkx,bkjy->bjxy", g, cache.reg_q)
-        bar_skin_t += np.einsum("kj,bkx->bjx", c, g)
+        bar_skin_t += np.einsum("kj,bkx->bjx", tensors.reg_c, g)
         bar_q = np.einsum("bjxy,bkx->bkjy", skin_rot, g)
-        bar_beta += np.einsum("kjyi,bkjy->bi", qb, bar_q)
+        bar_beta += np.einsum("kjyi,bkjy->bi", tensors.reg_qb, bar_q)
         if bar_pose_feats is not None:
-            bar_pose_feats += np.einsum("kjyp,bkjy->bp", qp, bar_q)
+            bar_pose_feats += np.einsum("kjyp,bkjy->bp", tensors.reg_qp, bar_q)
 
     # Undo the rest-relative shift: skin_t = chain_t - chain_rot @ rest.
     rest_art = rest_joints[:, list(ARTICULATED)]
     bar_chain_t = bar_skin_t.copy()
     bar_chain_rot = bar_skin_rot - np.einsum("bjx,bjy->bjxy", bar_skin_t, rest_art)
-    bar_rest_art = -np.einsum("bjxy,bjx->bjy", skin_rot, bar_skin_t)
-    for s, j in enumerate(ARTICULATED):
-        bar_rest[:, j] += bar_rest_art[:, s]
+    bar_rest[:, list(ARTICULATED)] -= np.einsum("bjxy,bjx->bjy", skin_rot, bar_skin_t)
 
     # Walk the chain leaf-to-root.
     bar_omega = np.zeros((batch, 15, 3))
@@ -356,11 +357,10 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
     bar_rest[:, 0] += bar_chain_t[:, 0]
 
     if bar_pose_feats is not None:
-        bar_rot_extra = bar_pose_feats.reshape(batch, 15, 3, 3)
-        bar_omega += np.einsum("bsixy,bsxy->bsi", cache.drot_art, bar_rot_extra)
+        bar_omega += np.einsum("bsixy,bsxy->bsi", cache.drot_art,
+                               bar_pose_feats.reshape(batch, 15, 3, 3))
 
-    _, JB = _rest_joint_tensors(model)
-    bar_beta += np.einsum("bkc,ikc->bi", bar_rest, JB)
+    bar_beta += bar_rest.reshape(batch, -1) @ model.tensors.JB.reshape(10, -1).T
     bar_global = np.einsum("bixy,bxy->bi", cache.drot_global, bar_rot_g)
     return FkGrads(articulation=bar_omega.reshape(batch, 45),
                    beta=bar_beta, global_rot=bar_global, translation=bar_trans)

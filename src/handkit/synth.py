@@ -28,6 +28,9 @@ WORLD_UP = np.array([0.0, 1.0, 0.0])
 DEFAULT_ELEV_MIN = -np.pi / 3.0
 DEFAULT_ELEV_MAX = np.pi / 2.0
 DEFAULT_STEP = np.pi / 36.0
+#: most cameras one grid may hold (the default grid has 2232); the count is
+#: checked before any ``CameraPose`` is built
+MAX_CAMERAS = 100_000
 SAMPLES_PER_CAMERA = 32
 BASE_LIBRARY_SIZE = 895
 DEFAULT_VARIANTS_PER_POSE = 64
@@ -66,12 +69,22 @@ def sample_cameras(elev_min: float = DEFAULT_ELEV_MIN,
                    elev_max: float = DEFAULT_ELEV_MAX,
                    azim_step: float = DEFAULT_STEP,
                    elev_step: float = DEFAULT_STEP) -> list[CameraPose]:
-    """Regular camera grid; defaults give exactly 31 x 72 = 2232 poses."""
+    """Regular camera grid; defaults give exactly 31 x 72 = 2232 poses.
+
+    A grid with no camera or more than ``MAX_CAMERAS`` raises ``InputError``.
+    """
     if not (np.isfinite([elev_min, elev_max]).all() and azim_step > 0
             and elev_step > 0):
         raise InputError("step sizes must be positive and bounds finite")
-    n_elev = int(round((elev_max - elev_min) / elev_step)) + 1
-    n_azim = int(round(2.0 * np.pi / azim_step))
+    if elev_max < elev_min:
+        raise InputError(f"elev_max {elev_max} is below elev_min {elev_min}")
+    # float counts first: a tiny step gives inf, which int() cannot take
+    n_elev = np.rint((elev_max - elev_min) / elev_step) + 1
+    n_azim = np.rint(2.0 * np.pi / azim_step)
+    if not 1 <= n_elev * n_azim <= MAX_CAMERAS:
+        raise InputError(f"camera grid of {n_elev:.3g} x {n_azim:.3g} positions is "
+                         f"outside 1..{MAX_CAMERAS}")
+    n_elev, n_azim = int(n_elev), int(n_azim)
     cams = []
     for i in range(n_elev):
         elevation = elev_min + i * elev_step
@@ -156,6 +169,8 @@ def augment_library(lib: PoseLibrary, per_pose: int = DEFAULT_VARIANTS_PER_POSE,
         raise InputError("library is empty")
     if per_pose < 1:
         raise InputError("per_pose must be >= 1")
+    if not 0.0 <= swap_probability <= 1.0:
+        raise InputError(f"swap_probability must be in [0, 1], got {swap_probability}")
     rng = np.random.default_rng(seed)
     total = len(lib) * per_pose
     out = lib.poses[np.repeat(np.arange(len(lib)), per_pose)].copy()

@@ -146,6 +146,7 @@ def _fd_rel_err(fd, ana, noise_floor=1e-8):
     return max(abs(fd - ana) - noise_floor, 0.0) / max(abs(fd), abs(ana), 1e-7)
 
 
+@pytest.mark.slow
 def test_criterion_5_gradients(model, limits, axes):
     rng = np.random.default_rng(5)
     h = 1e-5
@@ -241,6 +242,7 @@ def _recovery_run(model, limits, axes, seed, iterations):
     return before, after, metrics.pa_mpjpe(final, target.joints)
 
 
+@pytest.mark.slow
 def test_criterion_6_fit_recovery(model, limits, axes):
     pa_errors = [_recovery_run(model, limits, axes, 600 + s, 200)[2]
                  for s in range(3)]
@@ -258,6 +260,7 @@ def test_criterion_6_fit_recovery(model, limits, axes):
 # 7. network training at production settings
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_ik_net_training(model, limits, axes):
     train_data = ik_net.generate_pairs(model, 20000, limits, seed=700)
     held = ik_net.generate_pairs(model, 1000, limits, seed=701)

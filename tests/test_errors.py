@@ -145,6 +145,18 @@ TABLE = {
     "synth-poses-count-0": (2, lambda ws, t: [
         "synth", "poses", "--model", ws / "model.hkm", "--count", "0",
         "--out", t / "p.hkc"]),
+    "synth-cameras-elev-max-below-min": (2, lambda ws, t: [
+        "synth", "cameras", "--elev-min", "0", "--elev-max", "-0.01",
+        "--out", t / "c.csv"]),
+    # 31 x 3307 positions: just above synth.MAX_CAMERAS, small if ever built
+    "synth-cameras-grid-above-ceiling": (2, lambda ws, t: [
+        "synth", "cameras", "--azim-step", "0.0019", "--out", t / "c.csv"]),
+    "synth-poses-swap-probability-nan": (2, lambda ws, t: [
+        "synth", "poses", "--library", ws / "library.hkc",
+        "--swap-probability", "nan", "--out", t / "p.hkc"]),
+    "ik-fit-init-negative-beta-index": (2, lambda ws, t: _ik_fit(
+        ws, "--target", ws / "target.json",
+        "--init", _text(t / "i.txt", "beta -1 0.5\n"))),
     "ik-predict-checkpoint-without-arrays": (2, lambda ws, t: [
         "ik-predict", "--target", ws / "target.json", "--out", "{out}",
         "--ckpt", _container(t / "c.hkc", {"kind": "ik_net_checkpoint",
@@ -221,6 +233,25 @@ def test_text_readers_reject_non_finite(reader, text, tmp_path):
             "graph": load_graph_text}[reader]
     with pytest.raises(errors.InputError):
         read(_text(tmp_path / "f.txt", text))
+
+
+def test_camera_grid_size_checked_before_any_camera_is_built(monkeypatch):
+    def no_camera(**kwargs):
+        raise AssertionError("a CameraPose was built for a refused grid")
+    monkeypatch.setattr(synth, "CameraPose", no_camera)
+    steps = 2.0 * math.pi / synth.MAX_CAMERAS   # 31 x MAX_CAMERAS positions
+    for kwargs in ({"azim_step": steps}, {"elev_step": 1e-320},
+                   {"elev_min": 1.0, "elev_max": -1.0}, {"azim_step": 100.0},
+                   {"elev_min": 0.0, "elev_max": -0.01}):   # rounds to one row
+        with pytest.raises(errors.InputError):
+            synth.sample_cameras(**kwargs)
+
+
+@pytest.mark.parametrize("probability", [math.nan, -0.1, 1.5])
+def test_augment_library_rejects_swap_probability(probability):
+    lib = synth.PoseLibrary(np.zeros((2, 45)))
+    with pytest.raises(errors.InputError):
+        synth.augment_library(lib, per_pose=2, swap_probability=probability)
 
 
 def test_family_and_aliases():

@@ -1,0 +1,143 @@
+"""Guards for the FK engine: a per-vertex skinning oracle, a finite-difference
+check of every ``fk_backward`` output at B > 1 with a pose basis, the no-grad
+Rodrigues path, and the read-only model behind ``model.tensors``."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from handkit import bio_dof, kinematics as kin
+from handkit.hand_model import HandModel
+from handkit.rotations import rodrigues
+
+
+def _variant(model, rng, dense_weights=False):
+    """Copy of ``model`` with a random pose basis (and random dense skinning
+    weights), so every term of the blend is exercised."""
+    weights = model.skinning_weights
+    if dense_weights:
+        weights = rng.dirichlet(np.ones(kin.ARTICULATED_COUNT), size=len(weights))
+    pose_basis = rng.normal(size=(kin.POSE_BASIS_SIZE, model.vertex_count, 3))
+    return HandModel(model.rest_vertices, model.shape_basis, model.joint_regressor,
+                     weights, model.parents, model.faces, pose_basis=pose_basis)
+
+
+def _params(rng, batch):
+    return (rng.normal(scale=0.4, size=(batch, 45)),
+            rng.normal(scale=0.5, size=(batch, 10)),
+            rng.normal(scale=0.4, size=(batch, 3)),
+            rng.normal(scale=20.0, size=(batch, 3)))
+
+
+def _vertex_oracle(model, art, beta, global_rot, translation):
+    """sum_j w_vj (R_j p + t_j) per vertex from explicitly chained 4x4
+    transforms, then the global rotation and translation."""
+    rots = [rodrigues(w) for w in art.reshape(15, 3)]
+    template = (model.rest_vertices + np.tensordot(beta, model.shape_basis, 1)
+                + np.tensordot(np.concatenate([(r - np.eye(3)).ravel() for r in rots]),
+                               model.pose_basis, 1))
+    rest = model.joint_regressor @ (model.rest_vertices
+                                    + np.tensordot(beta, model.shape_basis, 1))
+    chained = {}
+    for s, j in enumerate(kin.ARTICULATED):
+        local = np.eye(4)
+        if s == 0:
+            local[:3, 3] = rest[0]
+        else:
+            local[:3, :3] = rots[s - 1]
+            local[:3, 3] = rest[j] - rest[kin.PARENTS[j]]
+        chained[j] = local if s == 0 else chained[kin.PARENTS[j]] @ local
+    skin = []
+    for j in kin.ARTICULATED:
+        unrest = np.eye(4)
+        unrest[:3, 3] = -rest[j]
+        skin.append(chained[j] @ unrest)
+    out = np.zeros_like(template)
+    for v, p in enumerate(template):
+        for s, w in enumerate(model.skinning_weights[v]):
+            out[v] += w * (skin[s][:3, :3] @ p + skin[s][:3, 3])
+    return out @ rodrigues(global_rot).T + translation
+
+
+def test_vertices_match_per_vertex_oracle(desk_small):
+    rng = np.random.default_rng(11)
+    model = _variant(desk_small, rng, dense_weights=True)
+    art, beta, rot, trans = _params(rng, 4)
+    got = kin.fk_forward(model, art, beta, rot, trans, want_vertices=True).vertices
+    for b in range(4):
+        expected = _vertex_oracle(model, art[b], beta[b], rot[b], trans[b])
+        np.testing.assert_allclose(got[b], expected, rtol=0, atol=1e-9)
+
+
+def test_fk_backward_matches_finite_differences(desk_small):
+    rng = np.random.default_rng(12)
+    model = _variant(desk_small, rng)
+    batch, h = 3, 1e-5
+    params = list(_params(rng, batch))
+    out = kin.fk_forward(model, *params, want_vertices=True, want_regressed=True,
+                         need_grad=True)
+    d_joints = rng.normal(size=out.joints.shape)
+    d_vertices = rng.normal(size=out.vertices.shape)
+    d_regressed = rng.normal(size=out.regressed_joints.shape)
+    grads = kin.fk_backward(model, out, d_joints, d_vertices, d_regressed)
+    analytic = (grads.articulation, grads.beta, grads.global_rot, grads.translation)
+
+    def loss(row, values):
+        o = kin.fk_forward(model, *values, want_vertices=True, want_regressed=True)
+        return ((o.joints[row] * d_joints[row]).sum()
+                + (o.vertices[row] * d_vertices[row]).sum()
+                + (o.regressed_joints[row] * d_regressed[row]).sum())
+
+    worst = 0.0
+    for k, param in enumerate(params):
+        for b in range(batch):
+            for i in range(param.shape[1]):
+                plus = [p.copy() for p in params]
+                minus = [p.copy() for p in params]
+                plus[k][b, i] += h
+                minus[k][b, i] -= h
+                fd = (loss(b, plus) - loss(b, minus)) / (2 * h)
+                ana = analytic[k][b, i]
+                worst = max(worst, abs(fd - ana) / max(abs(fd), abs(ana), 1.0))
+    assert worst < 1e-6, worst
+
+
+def test_no_grad_path_skips_jacobians_and_matches(desk_small, monkeypatch):
+    rng = np.random.default_rng(13)
+    model = _variant(desk_small, rng)
+    params = _params(rng, 5)
+    with_grad = kin.fk_forward(model, *params, want_vertices=True,
+                               want_regressed=True, need_grad=True)
+
+    def no_jacobian(w):
+        raise AssertionError("a no-grad FK call built Rodrigues derivatives")
+    monkeypatch.setattr(kin, "rodrigues_with_jacobian", no_jacobian)
+    plain = kin.fk_forward(model, *params, want_vertices=True, want_regressed=True)
+    assert plain.drot_art is None and plain.drot_global is None
+    assert with_grad.drot_art is not None and with_grad.drot_global is not None
+    for name in ("joints", "vertices", "regressed_joints"):
+        np.testing.assert_array_equal(getattr(plain, name), getattr(with_grad, name))
+
+
+def test_model_is_read_only_and_tensors_built_once(desk_small):
+    source = desk_small.rest_vertices.copy()
+    model = HandModel(source, desk_small.shape_basis, desk_small.joint_regressor,
+                      desk_small.skinning_weights, desk_small.parents,
+                      desk_small.faces)
+    before = kin.fk_forward(model, np.zeros(45), want_vertices=True).vertices
+    source[0] += 5.0                       # the model holds its own copy
+    np.testing.assert_array_equal(
+        kin.fk_forward(model, np.zeros(45), want_vertices=True).vertices, before)
+    for name in ("rest_vertices", "shape_basis", "joint_regressor",
+                 "skinning_weights", "parents", "faces"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0] += 1
+    axes = model.tensors.axes        # one table per model, shared by every caller
+    for shared in (model.tensors.J0, axes.flex, axes.expansion_matrix()):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] += 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.rest_vertices = source
+    assert model.tensors is model.tensors
+    assert bio_dof.derive_axes(model) is model.tensors.axes
