@@ -50,12 +50,18 @@ class FitTarget:
                 raise ShapeError(f"target joints must be ({kin.JOINT_COUNT}, 3)")
         if self.vertices is not None:
             self.vertices = np.asarray(self.vertices, dtype=float)
+            if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+                raise ShapeError("target vertices must be (V, 3)")
+        for points in (self.joints, self.vertices):
+            if points is not None and not np.isfinite(points).all():
+                raise InputError("target points must be finite")
+        if not all(np.isfinite(w) and w >= 0
+                   for w in (self.weight_joints, self.weight_vertices)):
+            raise InputError("weights must be finite and nonnegative")
         has_joints = self.joints is not None and self.weight_joints > 0
         has_verts = self.vertices is not None and self.weight_vertices > 0
         if not (has_joints or has_verts):
             raise InputError("target needs joints or vertices with positive weight")
-        if self.weight_joints < 0 or self.weight_vertices < 0:
-            raise InputError("weights must be nonnegative")
 
 
 @dataclass
@@ -77,6 +83,11 @@ class FitConfig:
             raise InputError("bend_weight must be finite and >= 0")
         if self.loss_kind not in ("huber", "l2"):
             raise InputError("loss_kind must be 'huber' or 'l2'")
+        if not (np.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
+            raise InputError("convergence_tol must be finite and >= 0")
+        if not (np.isfinite(self.final_step_scale)
+                and 0 <= self.final_step_scale <= 1):
+            raise InputError("final_step_scale must be finite and in [0, 1]")
 
 
 @dataclass
@@ -104,6 +115,9 @@ def _robust(residual: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 _BEND_FINGERS = (1, 2, 3, 4)  # index, middle, ring, little
+#: (finger, part) -> joint index: MCP, PIP, DIP, TIP of each bend finger
+_BEND_CHAINS = np.array([[kin.finger_joint(fi, p) for p in range(4)]
+                         for fi in _BEND_FINGERS])
 
 
 def bend_penalty_with_grad(joints: np.ndarray) -> tuple[float, np.ndarray]:
@@ -115,30 +129,22 @@ def bend_penalty_with_grad(joints: np.ndarray) -> tuple[float, np.ndarray]:
     scaling preserves its sign (magnitude scales as scale^4).
     """
     joints = np.asarray(joints, dtype=float)
-    total = 0.0
+    bones = np.diff(joints[_BEND_CHAINS], axis=1)       # (4, 3, 3): b1, b2, b3
+    short = (np.linalg.norm(bones, axis=-1) < 1e-9).any(axis=1)
+    if short.any():
+        raise DegenerateSkeletonError(
+            f"zero-length bone on {kin.FINGERS[_BEND_FINGERS[short.argmax()]]} finger")
+    b1, b2, b3 = bones[:, 0], bones[:, 1], bones[:, 2]
+    u, v = np.cross(bones[:, [2, 1]], bones[:, [1, 0]]).swapaxes(0, 1)
+    s = (u * v).sum(axis=-1)
+    # u x b2, v x b3, b1 x u, b2 x v: the four cross products of ds/d(bone)
+    c = np.cross(np.stack([u, v, b1, b2], axis=1), np.stack([b2, b3, u, v], axis=1))
+    db1, db2, db3 = c[:, 0], c[:, 1] + c[:, 2], c[:, 3]
     grad = np.zeros_like(joints)
-    for fi in _BEND_FINGERS:
-        mcp, pip, dip, tip = (kin.finger_joint(fi, p) for p in range(4))
-        b1 = joints[pip] - joints[mcp]
-        b2 = joints[dip] - joints[pip]
-        b3 = joints[tip] - joints[dip]
-        for b in (b1, b2, b3):
-            if np.linalg.norm(b) < 1e-9:
-                raise DegenerateSkeletonError(
-                    f"zero-length bone on {kin.FINGERS[fi]} finger")
-        u = np.cross(b3, b2)
-        v = np.cross(b2, b1)
-        s = float(u @ v)
-        if s < 0.0:
-            total -= s
-            db1 = np.cross(u, b2)
-            db2 = np.cross(v, b3) + np.cross(b1, u)
-            db3 = np.cross(b2, v)
-            grad[mcp] += db1
-            grad[pip] -= db1 - db2
-            grad[dip] -= db2 - db3
-            grad[tip] -= db3
-    return total, grad
+    # d(-s) per finger joint; chains are disjoint, so one assignment scatters
+    grad[_BEND_CHAINS] = (np.stack([db1, db2 - db1, db3 - db2, -db3], axis=1)
+                          * (s < 0.0)[:, None, None])
+    return float(np.maximum(-s, 0.0).sum()), grad
 
 
 def bend_penalty(skeleton) -> float:
@@ -191,10 +197,11 @@ def _loss_and_grad(model, bio_values, beta_values, global_rot, translation,
 
 
 def _flat_params(bio, beta, global_rot, translation):
-    return (bio.values if isinstance(bio, bio_dof.BioPose) else np.asarray(bio, float),
-            beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, float),
-            np.zeros(3) if global_rot is None else np.asarray(global_rot, float),
-            np.zeros(3) if translation is None else np.asarray(translation, float))
+    """Angles, shape, rotation and translation as float arrays; None is zeros."""
+    bio = bio.values if isinstance(bio, bio_dof.BioPose) else bio
+    beta = beta.beta if isinstance(beta, ShapeParams) else beta
+    return tuple(np.zeros(n) if x is None else np.asarray(x, float) for x, n in (
+        (bio, bio_dof.DOF_COUNT), (beta, 10), (global_rot, 3), (translation, 3)))
 
 
 def fit_loss(model: HandModel, bio, beta, global_rot=None, translation=None,
@@ -232,17 +239,11 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     limits = limits or bio_dof.DofLimits.default()
     nd = bio_dof.DOF_COUNT
 
-    x = np.zeros(PARAM_COUNT)
-    if init_bio is not None:
-        x[:nd] = init_bio.values if isinstance(init_bio, bio_dof.BioPose) \
-            else np.asarray(init_bio, float)
-    if init_beta is not None:
-        x[nd:nd + 10] = init_beta.beta if isinstance(init_beta, ShapeParams) \
-            else np.asarray(init_beta, float)
-    if init_rot is not None:
-        x[nd + 10:nd + 13] = np.asarray(init_rot, float)
-    if init_trans is not None:
-        x[nd + 13:] = np.asarray(init_trans, float)
+    parts = _flat_params(init_bio, init_beta, init_rot, init_trans)
+    if [p.shape for p in parts] != [(nd,), (10,), (3,), (3,)]:
+        raise ShapeError(f"initial parameters must be {nd} angles, 10 shape values "
+                         "and 3 + 3 global rotation/translation values")
+    x = np.concatenate(parts)
     if not np.isfinite(x).all():
         raise InputError("initial parameters must be finite")
     frozen_beta = x[nd:nd + 10].copy()

@@ -7,16 +7,18 @@ finger joints); tips ride rigidly on their DIP.  The articulation vector has
 order.  The wrist rotation lives in the separate global rotation, which is
 applied (about the origin) together with the translation as the last step.
 
-``fk_forward`` evaluates poses for a whole batch at once and can cache every
-intermediate; ``fk_backward`` then pulls loss gradients at the outputs
-(skeleton joints, mesh vertices, regressed joints) back to the articulation,
-shape, global-rotation, and translation parameters in one reverse sweep.
-Only ``need_grad=True`` builds Rodrigues derivatives.  Skinning is the
-blend-then-apply LBS of SMPL/MANO, one rotation column at a time (no
-per-vertex 3x3 blend is held); per-model constants live in ``model.tensors``.
-Joint positions are exactly the translation parts of the chained per-joint
-rigid transforms, so independent re-composition of homogeneous matrices along
-each finger is a valid oracle for them.
+``fk_forward`` evaluates poses for a whole batch at once and can cache what
+``fk_backward`` reads; ``fk_backward`` then pulls loss gradients at the
+outputs (skeleton joints, mesh vertices, regressed joints) back to the
+articulation, shape, global-rotation, and translation parameters in one
+reverse sweep.  Both walk the chain by depth (MCPs, PIPs, DIPs: three steps,
+five fingers each); per-slot work that does not chain runs on all 15 slots
+outside the walk.  Only ``need_grad=True`` builds Rodrigues derivatives.
+Skinning is the blend-then-apply LBS of SMPL/MANO, one rotation column at a
+time; per-model constants live in ``model.tensors``.  Joint positions are
+exactly the translation parts of the chained per-joint rigid transforms, so
+independent re-composition of homogeneous matrices along each finger is a
+valid oracle for them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import InputError, NumericError, ShapeError
 from .rotations import rodrigues, rodrigues_with_jacobian
 
 FINGERS = ("thumb", "index", "middle", "ring", "little")
@@ -59,6 +61,18 @@ BONES = tuple((PARENTS[j], j) for j in range(1, JOINT_COUNT))
 
 POSE_BASIS_SIZE = 9 * (ARTICULATED_COUNT - 1)  # 135
 
+# Parent slot of each finger slot 1..15, and the slots grouped by depth below
+# the wrist (MCPs, PIPs, DIPs) as (slots, their parent slots) index arrays.
+_PARENT_SLOT = np.array([_slot_of[PARENTS[j]] for j in ARTICULATED[1:]])
+_depth = [0]
+for _p in _PARENT_SLOT:
+    _depth.append(_depth[_p] + 1)
+_DEPTHS = tuple((slots, _PARENT_SLOT[slots - 1]) for slots in (
+    np.flatnonzero(np.array(_depth) == d) for d in range(1, max(_depth) + 1)))
+# local_t = L @ rest_joints: each finger slot's rest offset from its parent
+_L = (np.eye(JOINT_COUNT)[list(ARTICULATED[1:])]
+      - np.eye(JOINT_COUNT)[[PARENTS[j] for j in ARTICULATED[1:]]])
+
 
 def finger_joint(finger: int, part: int) -> int:
     """Joint index for finger 0..4 and part 0..3 (mcp, pip, dip, tip)."""
@@ -67,27 +81,22 @@ def finger_joint(finger: int, part: int) -> int:
 
 @dataclass
 class FkCache:
-    """Forward pass outputs plus the intermediates the backward sweep needs."""
+    """Forward pass outputs plus the intermediates the backward sweep reads."""
 
     joints: np.ndarray                      # (B, 21, 3) chained skeleton
     vertices: np.ndarray | None = None      # (B, V, 3) skinned mesh
     regressed_joints: np.ndarray | None = None  # (B, 21, 3) regressor applied to mesh
     # intermediates (populated when need_grad=True)
-    beta: np.ndarray | None = None
     rot_art: np.ndarray | None = None       # (B, 15, 3, 3)
     drot_art: np.ndarray | None = None      # (B, 15, 3, 3, 3)
     rot_global: np.ndarray | None = None    # (B, 3, 3)
     drot_global: np.ndarray | None = None   # (B, 3, 3, 3)
     rest_joints: np.ndarray | None = None   # (B, 21, 3)
-    local_t: np.ndarray | None = None       # (B, 15, 3)
-    chain_rot: np.ndarray | None = None     # (B, 16, 3, 3)
+    chain_rot: np.ndarray | None = None     # (B, 16, 3, 3), also the skinning rotation
     chain_t: np.ndarray | None = None       # (B, 16, 3)
-    skin_rot: np.ndarray | None = None      # (B, 16, 3, 3) rest-relative rotation
-    skin_t: np.ndarray | None = None        # (B, 16, 3)
-    assign_rot: np.ndarray | None = None    # (B, 21, 3, 3) skin_rot gathered per joint
+    skin_t: np.ndarray | None = None        # (B, 16, 3) rest-relative translation
     template: np.ndarray | None = None      # (B, V, 3) shaped template
     reg_q: np.ndarray | None = None         # (B, 21, 16, 3) collapsed regression points
-    pose_feats: np.ndarray | None = None    # (B, 135) vec(R - I), when pose basis used
     pre_joints: np.ndarray | None = None    # outputs before the global transform
     pre_vertices: np.ndarray | None = None
     pre_regressed: np.ndarray | None = None
@@ -108,7 +117,7 @@ class ModelTensors:
     Rest joints are ``J0 + beta . JB``.  The joint regressor and the skinning
     blend are both linear in the vertex positions, so the regressed joints
     reduce to per-(joint, slot) terms:
-        regressed[k] = sum_j skin_rot[j] @ q[k, j] + c[k, j] * skin_t[j]
+        regressed[k] = sum_j chain_rot[j] @ q[k, j] + c[k, j] * skin_t[j]
     with q[k, j] = q0[k, j] + Qb[k, j] @ beta (+ Qp[k, j] @ pose_feats).
     This avoids materializing the mesh when only regressed joints are needed.
     """
@@ -143,6 +152,10 @@ class ModelTensors:
 
 
 def _as_batch(x, n_cols: int, batch: int | None, name: str) -> np.ndarray:
+    """(B, n_cols) floats; a 1-D row or a batch of one is broadcast to
+    ``batch`` rows, and a missing value is zeros."""
+    if x is None:
+        return np.zeros((batch or 1, n_cols))
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
@@ -163,20 +176,14 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
     articulation: (B, 45) axis-angle values, beta: (B, 10), global_rot and
     translation: (B, 3).  Missing beta/global/translation default to zeros.
     """
-    articulation = np.asarray(articulation, dtype=float)
-    if articulation.ndim == 1:
-        articulation = articulation[None, :]
+    articulation = _as_batch(articulation, ARTICULATION_SIZE, None, "articulation")
     batch = articulation.shape[0]
-    if articulation.shape[1] != ARTICULATION_SIZE:
-        raise ShapeError(f"articulation must have {ARTICULATION_SIZE} values per row")
-    beta = (_as_batch(beta, 10, batch, "beta") if beta is not None
-            else np.zeros((batch, 10)))
-    global_rot = (_as_batch(global_rot, 3, batch, "global_rot")
-                  if global_rot is not None else np.zeros((batch, 3)))
-    translation = (_as_batch(translation, 3, batch, "translation")
-                   if translation is not None else np.zeros((batch, 3)))
-    if not (np.isfinite(articulation).all() and np.isfinite(beta).all()
-            and np.isfinite(global_rot).all() and np.isfinite(translation).all()):
+    beta, global_rot, translation = (
+        _as_batch(x, n, batch, name) for x, n, name in (
+            (beta, 10, "beta"), (global_rot, 3, "global_rot"),
+            (translation, 3, "translation")))
+    if not all(np.isfinite(x).all()
+               for x in (articulation, beta, global_rot, translation)):
         raise NumericError("non-finite pose/shape parameters")
 
     omegas = articulation.reshape(batch, 15, 3)
@@ -194,30 +201,26 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
     pose_feats = ((rot_art - np.eye(3)).reshape(batch, POSE_BASIS_SIZE)
                   if has_pose_basis else None)
 
-    # Chain rigid transforms root-to-leaf.  Local translation of a joint is
-    # its rest offset from the parent; the root sits at its rest position.
-    chain_rot = np.zeros((batch, ARTICULATED_COUNT, 3, 3))
-    chain_t = np.zeros((batch, ARTICULATED_COUNT, 3))
+    # Chain rigid transforms root-to-leaf, one depth at a time.  Local
+    # translation of a joint is its rest offset from the parent; the root
+    # sits at its rest position.
+    local_t = _L @ rest_joints                                 # (B, 15, 3)
+    chain_rot = np.empty((batch, ARTICULATED_COUNT, 3, 3))
+    chain_t = np.empty((batch, ARTICULATED_COUNT, 3))
     chain_rot[:, 0] = np.eye(3)
     chain_t[:, 0] = rest_joints[:, 0]
-    local_t = np.zeros((batch, 15, 3))
-    for s in range(1, ARTICULATED_COUNT):
-        j = ARTICULATED[s]
-        p = _slot_of[PARENTS[j]]
-        tl = rest_joints[:, j] - rest_joints[:, PARENTS[j]]
-        local_t[:, s - 1] = tl
-        chain_rot[:, s] = chain_rot[:, p] @ rot_art[:, s - 1]
-        chain_t[:, s] = (np.einsum("bxy,by->bx", chain_rot[:, p], tl)
-                         + chain_t[:, p])
+    for slots, parents in _DEPTHS:
+        parent_rot = chain_rot[:, parents]
+        chain_rot[:, slots] = parent_rot @ rot_art[:, slots - 1]
+        chain_t[:, slots] = ((parent_rot @ local_t[:, slots - 1, :, None])[..., 0]
+                             + chain_t[:, parents])
 
-    # Rest-relative skinning transforms: undo the rest translation first.
-    skin_rot = chain_rot
+    # Rest-relative skinning transforms: the rotation is chain_rot; undo the
+    # rest translation first.
     skin_t = chain_t - np.einsum("bsxy,bsy->bsx",
                                  chain_rot, rest_joints[:, list(ARTICULATED)])
-
     assign = list(ASSIGN_SLOT)
-    assign_rot = skin_rot[:, assign]                       # (B, 21, 3, 3)
-    pre_joints = (np.einsum("bkxy,bky->bkx", assign_rot, rest_joints)
+    pre_joints = (np.einsum("bkxy,bky->bkx", chain_rot[:, assign], rest_joints)
                   + skin_t[:, assign])
 
     pre_vertices = template = None
@@ -228,43 +231,29 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
         if has_pose_basis:
             template += (pose_feats @ model.pose_basis.reshape(
                 POSE_BASIS_SIZE, -1)).reshape(shape)
-        # Blend-then-apply: W @ skin_rot[..., y] is column y of every vertex's
+        # Blend-then-apply: W @ chain_rot[..., y] is column y of every vertex's
         # blended rotation, so one column at a time keeps the blend (B, V, 3).
         weights = model.skinning_weights
         pre_vertices = weights @ skin_t
         for y in range(3):
-            pre_vertices += (weights @ skin_rot[..., y]) * template[..., y, None]
+            pre_vertices += (weights @ chain_rot[..., y]) * template[..., y, None]
 
     pre_regressed = reg_q = None
     if want_regressed:
         reg_q = tensors.reg_q0 + np.einsum("kjci,bi->bkjc", tensors.reg_qb, beta)
         if has_pose_basis:
             reg_q = reg_q + np.einsum("kjcp,bp->bkjc", tensors.reg_qp, pose_feats)
-        pre_regressed = (np.einsum("bjxy,bkjy->bkx", skin_rot, reg_q)
+        pre_regressed = (np.einsum("bjxy,bkjy->bkx", chain_rot, reg_q)
                          + np.einsum("kj,bjx->bkx", tensors.reg_c, skin_t))
 
-    def apply_global(x):
-        return x @ rot_g.transpose(0, 2, 1) + translation[:, None, :]
-
-    out = FkCache(joints=apply_global(pre_joints))
-    if pre_vertices is not None:
-        out.vertices = apply_global(pre_vertices)
-    if pre_regressed is not None:
-        out.regressed_joints = apply_global(pre_regressed)
-    if need_grad:
-        out.beta = beta
-        out.rot_art, out.drot_art = rot_art, drot_art
-        out.rot_global, out.drot_global = rot_g, drot_g
-        out.rest_joints = rest_joints
-        out.local_t = local_t
-        out.chain_rot, out.chain_t = chain_rot, chain_t
-        out.skin_rot, out.skin_t = skin_rot, skin_t
-        out.assign_rot = assign_rot
-        out.template, out.reg_q, out.pose_feats = template, reg_q, pose_feats
-        out.pre_joints = pre_joints
-        out.pre_vertices = pre_vertices
-        out.pre_regressed = pre_regressed
-    return out
+    rot_g_t, shift = rot_g.transpose(0, 2, 1), translation[:, None, :]
+    outputs = (None if x is None else x @ rot_g_t + shift
+               for x in (pre_joints, pre_vertices, pre_regressed))
+    return FkCache(*outputs, **({} if not need_grad else dict(
+        rot_art=rot_art, drot_art=drot_art, rot_global=rot_g, drot_global=drot_g,
+        rest_joints=rest_joints, chain_rot=chain_rot, chain_t=chain_t, skin_t=skin_t,
+        template=template, reg_q=reg_q, pre_joints=pre_joints,
+        pre_vertices=pre_vertices, pre_regressed=pre_regressed)))
 
 
 def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
@@ -275,19 +264,17 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
     may be omitted.  Requires a cache from ``fk_forward(..., need_grad=True)``.
     """
     if cache.rot_art is None:
-        raise ValueError("fk_backward needs a cache built with need_grad=True")
+        raise InputError("fk_backward needs a cache built with need_grad=True")
     batch = cache.joints.shape[0]
-    rest_joints = cache.rest_joints
-    skin_rot, skin_t = cache.skin_rot, cache.skin_t
+    rest_joints, chain_rot = cache.rest_joints, cache.chain_rot
 
     bar_rot_g = np.zeros((batch, 3, 3))
     bar_trans = np.zeros((batch, 3))
-    bar_skin_rot = np.zeros((batch, ARTICULATED_COUNT, 3, 3))
+    bar_chain_rot = np.zeros((batch, ARTICULATED_COUNT, 3, 3))
     bar_skin_t = np.zeros((batch, ARTICULATED_COUNT, 3))
     bar_rest = np.zeros((batch, JOINT_COUNT, 3))
     bar_beta = np.zeros((batch, 10))
-    bar_pose_feats = (np.zeros((batch, POSE_BASIS_SIZE))
-                      if cache.pose_feats is not None else None)
+    bar_pose_feats = np.zeros((batch, POSE_BASIS_SIZE))
 
     def through_global(d_out, pre):
         nonlocal bar_rot_g, bar_trans
@@ -299,66 +286,60 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
 
     if d_joints is not None:
         g = through_global(d_joints, cache.pre_joints)          # (B, 21, 3)
-        bar_skin_rot += np.einsum("kj,bkx,bky->bjxy", _ASSIGN_ONEHOT, g, rest_joints)
+        bar_chain_rot += np.einsum("kj,bkx,bky->bjxy", _ASSIGN_ONEHOT, g, rest_joints)
         bar_skin_t += np.einsum("kj,bkx->bjx", _ASSIGN_ONEHOT, g)
-        bar_rest += np.einsum("bkxy,bkx->bky", cache.assign_rot, g)
+        bar_rest += np.einsum("bkxy,bkx->bky", chain_rot[:, list(ASSIGN_SLOT)], g)
 
     if d_vertices is not None:
         if cache.pre_vertices is None:
-            raise ValueError("forward pass did not compute vertices")
+            raise InputError("forward pass did not compute vertices")
         g = through_global(d_vertices, cache.pre_vertices)      # (B, V, 3)
         weights, template = model.skinning_weights, cache.template
         bar_skin_t += weights.T @ g
         bar_template = np.empty_like(g)
         for y in range(3):   # the forward blend's column loop, transposed
-            bar_skin_rot[..., y] += weights.T @ (g * template[..., y, None])
-            bar_template[..., y] = ((weights @ skin_rot[..., y]) * g).sum(axis=-1)
+            bar_chain_rot[..., y] += weights.T @ (g * template[..., y, None])
+            bar_template[..., y] = ((weights @ chain_rot[..., y]) * g).sum(axis=-1)
         bar_template = bar_template.reshape(batch, -1)
         bar_beta += bar_template @ model.shape_basis.reshape(10, -1).T
-        if bar_pose_feats is not None:
+        if model.pose_basis is not None:
             bar_pose_feats += bar_template @ model.pose_basis.reshape(
                 POSE_BASIS_SIZE, -1).T
 
     if d_regressed is not None:
         if cache.pre_regressed is None:
-            raise ValueError("forward pass did not compute regressed joints")
+            raise InputError("forward pass did not compute regressed joints")
         g = through_global(d_regressed, cache.pre_regressed)    # (B, 21, 3)
         tensors = model.tensors
-        bar_skin_rot += np.einsum("bkx,bkjy->bjxy", g, cache.reg_q)
+        bar_chain_rot += np.einsum("bkx,bkjy->bjxy", g, cache.reg_q)
         bar_skin_t += np.einsum("kj,bkx->bjx", tensors.reg_c, g)
-        bar_q = np.einsum("bjxy,bkx->bkjy", skin_rot, g)
+        bar_q = np.einsum("bjxy,bkx->bkjy", chain_rot, g)
         bar_beta += np.einsum("kjyi,bkjy->bi", tensors.reg_qb, bar_q)
-        if bar_pose_feats is not None:
+        if model.pose_basis is not None:
             bar_pose_feats += np.einsum("kjyp,bkjy->bp", tensors.reg_qp, bar_q)
 
     # Undo the rest-relative shift: skin_t = chain_t - chain_rot @ rest.
     rest_art = rest_joints[:, list(ARTICULATED)]
-    bar_chain_t = bar_skin_t.copy()
-    bar_chain_rot = bar_skin_rot - np.einsum("bjx,bjy->bjxy", bar_skin_t, rest_art)
-    bar_rest[:, list(ARTICULATED)] -= np.einsum("bjxy,bjx->bjy", skin_rot, bar_skin_t)
+    bar_chain_rot -= np.einsum("bjx,bjy->bjxy", bar_skin_t, rest_art)
+    bar_rest[:, list(ARTICULATED)] -= np.einsum("bjxy,bjx->bjy", chain_rot, bar_skin_t)
+    bar_chain_t = bar_skin_t
 
-    # Walk the chain leaf-to-root.
-    bar_omega = np.zeros((batch, 15, 3))
-    for s in range(ARTICULATED_COUNT - 1, 0, -1):
-        j = ARTICULATED[s]
-        p = _slot_of[PARENTS[j]]
-        parent_rot = cache.chain_rot[:, p]
-        bar_local_rot = np.einsum("bxy,bxz->byz", parent_rot, bar_chain_rot[:, s])
-        bar_chain_rot[:, p] += np.einsum("bxz,byz->bxy",
-                                         bar_chain_rot[:, s], cache.rot_art[:, s - 1])
-        bar_chain_rot[:, p] += np.einsum("bx,by->bxy",
-                                         bar_chain_t[:, s], cache.local_t[:, s - 1])
-        bar_tl = np.einsum("bxy,bx->by", parent_rot, bar_chain_t[:, s])
-        bar_chain_t[:, p] += bar_chain_t[:, s]
-        bar_omega[:, s - 1] += np.einsum("bixy,bxy->bi",
-                                         cache.drot_art[:, s - 1], bar_local_rot)
-        bar_rest[:, j] += bar_tl
-        bar_rest[:, PARENTS[j]] -= bar_tl
+    # Walk the chain leaf-to-root, one depth at a time; np.add.at sums the
+    # five MCPs into their shared parent, the wrist.
+    local_t = _L @ rest_joints
+    for slots, parents in reversed(_DEPTHS):
+        np.add.at(bar_chain_rot, (slice(None), parents),
+                  bar_chain_rot[:, slots] @ cache.rot_art[:, slots - 1].swapaxes(-1, -2)
+                  + bar_chain_t[:, slots, :, None] * local_t[:, slots - 1, None, :])
+        np.add.at(bar_chain_t, (slice(None), parents), bar_chain_t[:, slots])
     bar_rest[:, 0] += bar_chain_t[:, 0]
 
-    if bar_pose_feats is not None:
-        bar_omega += np.einsum("bsixy,bsxy->bsi", cache.drot_art,
-                               bar_pose_feats.reshape(batch, 15, 3, 3))
+    # Per-slot terms of the chain step, once the walk has summed every child.
+    parent_rot_t = chain_rot[:, _PARENT_SLOT].swapaxes(-1, -2)
+    bar_local_rot = parent_rot_t @ bar_chain_rot[:, 1:]
+    bar_rest += _L.T @ (parent_rot_t @ bar_chain_t[:, 1:, :, None])[..., 0]
+    bar_omega = np.einsum("bsixy,bsxy->bsi", cache.drot_art,
+                          bar_local_rot + bar_pose_feats.reshape(batch, 15, 3, 3))
 
     bar_beta += bar_rest.reshape(batch, -1) @ model.tensors.JB.reshape(10, -1).T
     bar_global = np.einsum("bixy,bxy->bi", cache.drot_global, bar_rot_g)

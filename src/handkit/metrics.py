@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import InputError, NumericError, ShapeError
 
 DEFAULT_F_THRESHOLDS = (5.0, 15.0)
 
@@ -81,8 +81,16 @@ def pa_mpjpe(pred, gt) -> float:
     return mpjpe(aligned, gt)
 
 
+def _check_threshold(threshold_mm) -> float:
+    threshold_mm = float(threshold_mm)
+    if not (np.isfinite(threshold_mm) and threshold_mm > 0):
+        raise InputError(f"F-score threshold must be finite and > 0: {threshold_mm}")
+    return threshold_mm
+
+
 def fscore(pred, gt, threshold_mm: float) -> float:
     """Harmonic mean of nearest-neighbor precision and recall at a threshold."""
+    threshold_mm = _check_threshold(threshold_mm)
     p, g = _points(pred), _points(gt)
     if len(p) == 0 or len(g) == 0:
         raise ShapeError("point sets must be nonempty")
@@ -131,6 +139,7 @@ def evaluate(pred_joints, gt_joints, pred_vertices=None, gt_vertices=None,
     joints.  With root_center the first point is subtracted from every set
     before the unaligned metrics (the aligned ones are unaffected).
     """
+    thresholds = [_check_threshold(t) for t in thresholds]
     preds = [_points(p) for p in pred_joints]
     gts = [_points(g) for g in gt_joints]
     if len(preds) != len(gts) or not preds:
@@ -162,7 +171,7 @@ def evaluate(pred_joints, gt_joints, pred_vertices=None, gt_vertices=None,
             pa_vert_errs.append(pa_mpjpe(p, g))
 
     f_source = zip(pred_v, gt_v) if pred_v is not None else zip(preds, gts)
-    f_at = {float(t): 0.0 for t in thresholds}
+    f_at = {t: 0.0 for t in thresholds}
     f_pairs = list(f_source)
     for threshold in f_at:
         f_at[threshold] = float(np.mean([fscore(p, g, threshold)

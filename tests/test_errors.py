@@ -157,6 +157,12 @@ TABLE = {
     "ik-fit-init-negative-beta-index": (2, lambda ws, t: _ik_fit(
         ws, "--target", ws / "target.json",
         "--init", _text(t / "i.txt", "beta -1 0.5\n"))),
+    "eval-threshold-nan": (2, lambda ws, t: [
+        "eval", "--pred", ws / "target.json", "--gt", ws / "target.json",
+        "--threshold", "nan", "--out", t / "r.txt"]),
+    "eval-threshold-negative": (2, lambda ws, t: [
+        "eval", "--pred", ws / "target.json", "--gt", ws / "target.json",
+        "--threshold=-1", "--out", t / "r.txt"]),
     "ik-predict-checkpoint-without-arrays": (2, lambda ws, t: [
         "ik-predict", "--target", ws / "target.json", "--out", "{out}",
         "--ckpt", _container(t / "c.hkc", {"kind": "ik_net_checkpoint",
@@ -252,6 +258,59 @@ def test_augment_library_rejects_swap_probability(probability):
     lib = synth.PoseLibrary(np.zeros((2, 45)))
     with pytest.raises(errors.InputError):
         synth.augment_library(lib, per_pose=2, swap_probability=probability)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+def test_fscore_and_evaluate_reject_threshold(threshold):
+    from handkit import metrics
+    points = np.arange(63.0).reshape(21, 3) ** 1.5
+    with pytest.raises(errors.InputError):
+        metrics.fscore(points, points, threshold)
+    with pytest.raises(errors.InputError):
+        metrics.evaluate([points], [points], thresholds=(5.0, threshold))
+
+
+def _nan_vertices() -> np.ndarray:
+    vertices = np.zeros((8, 3))
+    vertices[3, 0] = np.nan
+    return vertices
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"joints": _nan_joints()}, errors.InputError),
+    ({"vertices": _nan_vertices()}, errors.InputError),
+    ({"vertices": np.zeros((8, 2))}, errors.ShapeError),
+    ({"vertices": np.zeros(24)}, errors.ShapeError),
+    ({"joints": np.zeros((21, 3)), "weight_joints": math.nan}, errors.InputError),
+    ({"joints": np.zeros((21, 3)), "weight_vertices": math.inf}, errors.InputError),
+    ({"joints": np.zeros((21, 3)), "weight_joints": -1.0}, errors.InputError),
+])
+def test_fit_target_rejects_at_construction(kwargs, error):
+    from handkit.ik_optim import FitTarget
+    with pytest.raises(error):
+        FitTarget(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"convergence_tol": math.nan}, {"convergence_tol": -1e-3},
+    {"convergence_tol": math.inf}, {"final_step_scale": math.nan},
+    {"final_step_scale": -0.1}, {"final_step_scale": 1.5},
+])
+def test_fit_config_rejects_at_construction(kwargs):
+    from handkit.ik_optim import FitConfig
+    with pytest.raises(errors.InputError):
+        FitConfig(**kwargs)
+
+
+def test_fit_rejects_misshapen_initial_parameters():
+    from handkit import ik_optim
+    model = make_desk_hand_small()
+    target = ik_optim.FitTarget(joints=np.zeros((21, 3)))
+    for kwargs in ({"init_bio": np.zeros(22)}, {"init_beta": np.zeros(11)},
+                   {"init_rot": np.zeros((1, 3))}):
+        with pytest.raises(errors.ShapeError):
+            ik_optim.fit(model, target, config=ik_optim.FitConfig(iterations=1),
+                         **kwargs)
 
 
 def test_family_and_aliases():

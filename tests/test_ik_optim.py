@@ -112,6 +112,14 @@ def test_bend_penalty_degenerate_bone(desk):
         bend_penalty(joints)
 
 
+def test_bend_penalty_degenerate_bone_names_the_first_such_finger(rng):
+    joints = rng.normal(scale=30, size=(21, 3))
+    joints[kin.finger_joint(4, 1)] = joints[kin.finger_joint(4, 0)]
+    joints[kin.finger_joint(3, 3)] = joints[kin.finger_joint(3, 2)]
+    with pytest.raises(DegenerateSkeletonError, match="bone on ring finger"):
+        bend_penalty_with_grad(joints)
+
+
 def test_bend_penalty_gradient_matches_fd(rng):
     h = 1e-6
     checked = 0

@@ -1,6 +1,8 @@
 """Guards for the FK engine: a per-vertex skinning oracle, a finite-difference
 check of every ``fk_backward`` output at B > 1 with a pose basis, the no-grad
-Rodrigues path, and the read-only model behind ``model.tensors``."""
+Rodrigues path (which holds nothing for backward), the depth-ordered chain
+layout, argument normalisation, and the read-only model behind
+``model.tensors``."""
 
 import dataclasses
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from handkit import bio_dof, kinematics as kin
+from handkit.errors import InputError, ShapeError
 from handkit.hand_model import HandModel
 from handkit.rotations import rodrigues
 
@@ -114,7 +117,10 @@ def test_no_grad_path_skips_jacobians_and_matches(desk_small, monkeypatch):
         raise AssertionError("a no-grad FK call built Rodrigues derivatives")
     monkeypatch.setattr(kin, "rodrigues_with_jacobian", no_jacobian)
     plain = kin.fk_forward(model, *params, want_vertices=True, want_regressed=True)
-    assert plain.drot_art is None and plain.drot_global is None
+    for name in ("rot_art", "drot_art", "rot_global", "drot_global", "rest_joints",
+                 "chain_rot", "chain_t", "skin_t", "template", "reg_q", "pre_joints",
+                 "pre_vertices", "pre_regressed"):
+        assert getattr(plain, name) is None, name   # nothing held for backward
     assert with_grad.drot_art is not None and with_grad.drot_global is not None
     for name in ("joints", "vertices", "regressed_joints"):
         np.testing.assert_array_equal(getattr(plain, name), getattr(with_grad, name))
@@ -141,3 +147,52 @@ def test_model_is_read_only_and_tensors_built_once(desk_small):
         model.rest_vertices = source
     assert model.tensors is model.tensors
     assert bio_dof.derive_axes(model) is model.tensors.axes
+
+
+def test_backward_rejects_caches_it_cannot_use(desk_small):
+    art = np.zeros((2, 45))
+    with pytest.raises(InputError, match="need_grad"):
+        kin.fk_backward(desk_small, kin.fk_forward(desk_small, art),
+                        d_joints=np.ones((2, 21, 3)))
+    joints_only = kin.fk_forward(desk_small, art, need_grad=True)
+    with pytest.raises(InputError, match="vertices"):
+        kin.fk_backward(desk_small, joints_only, d_vertices=np.ones((2, 5, 3)))
+    with pytest.raises(InputError, match="regressed"):
+        kin.fk_backward(desk_small, joints_only, d_regressed=np.ones((2, 21, 3)))
+
+
+def test_cache_holds_only_what_backward_reads():
+    names = {f.name for f in dataclasses.fields(kin.FkCache)}
+    assert not names & {"beta", "local_t", "skin_rot", "assign_rot", "pose_feats"}
+
+
+def test_depth_groups_cover_every_finger_slot_once():
+    # three steps of five fingers each, every parent one depth up
+    assert [len(slots) for slots, _ in kin._DEPTHS] == [5, 5, 5]
+    seen = {0}
+    for slots, parents in kin._DEPTHS:
+        assert set(parents.tolist()) <= seen
+        seen |= set(slots.tolist())
+    assert seen == set(range(kin.ARTICULATED_COUNT))
+    rest = np.random.default_rng(14).normal(size=(kin.JOINT_COUNT, 3))
+    np.testing.assert_array_equal(  # L gives each finger slot's offset from its parent
+        kin._L @ rest, [rest[j] - rest[kin.PARENTS[j]] for j in kin.ARTICULATED[1:]])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"articulation": np.zeros((2, 44))}, {"articulation": np.zeros((2, 45, 1))},
+    {"articulation": np.zeros((3, 45)), "beta": np.zeros((2, 10))},
+    {"articulation": np.zeros((2, 45)), "translation": np.zeros(4)},
+])
+def test_forward_argument_shapes_checked(desk_small, kwargs):
+    with pytest.raises(ShapeError):
+        kin.fk_forward(desk_small, **kwargs)
+
+
+def test_forward_broadcasts_rows_and_defaults_to_zeros(desk_small):
+    art = np.random.default_rng(15).normal(scale=0.3, size=(3, 45))
+    beta = np.linspace(-1, 1, 10)
+    broadcast = kin.fk_forward(desk_small, art, beta, want_regressed=True)
+    explicit = kin.fk_forward(desk_small, art, np.tile(beta, (3, 1)), np.zeros((3, 3)),
+                              np.zeros((1, 3)), want_regressed=True)
+    np.testing.assert_array_equal(broadcast.regressed_joints, explicit.regressed_joints)
