@@ -8,16 +8,16 @@ profiler for neural architectures.
 """
 
 from .bio_dof import (AxisTable, BioPose, DofLimits, clamp, derive_axes,
-                      expand, is_feasible)
+                      expand_batch, is_feasible)
 from .hand_model import (FullPose, HandModel, Mesh, ShapeParams, Skeleton,
                          forward, from_mano_arrays, load_model,
                          make_desk_hand, make_desk_hand_small, regress_joints,
-                         rest_joints, save_model, shape_offset, write_obj)
-from .ik_net import (BoneFeatures, MlpIk, SynthPairSet, TrainConfig, featurize,
-                     generate_pairs, ik_loss, load_checkpoint, predict,
+                         rest_joints, save_model, write_obj)
+from .ik_net import (MlpIk, SynthPairSet, TrainConfig, batch_loss,
+                     featurize_batch, generate_pairs, load_checkpoint, predict,
                      save_checkpoint, train)
-from .ik_optim import (FitConfig, FitResult, FitTarget, bend_penalty, fit,
-                       fit_jacobian, fit_loss)
+from .ik_optim import (FitConfig, FitResult, FitTarget, bend_penalty_with_grad,
+                       fit, fit_loss)
 from .lixel import Heatmap1D, decode, encode, marginalize
 from .metrics import EvalReport, evaluate, fscore, mpjpe, pa_mpjpe, procrustes_align
 from .profiler import (LayerSpec, NetGraph, compare_decoders, layer_macs,

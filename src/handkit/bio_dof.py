@@ -62,6 +62,12 @@ _DEFAULT_THUMB_LIMITS = {
 }
 
 
+def _dof_index(name: str) -> int:
+    if name not in DOF_NAMES:
+        raise InputError(f"unknown DoF name {name!r}")
+    return DOF_NAMES.index(name)
+
+
 @dataclass
 class BioPose:
     """The 23 feasible angles, radians, in DOF_NAMES order."""
@@ -76,13 +82,13 @@ class BioPose:
             raise InputError("BioPose values must be finite")
 
     def __getitem__(self, name: str) -> float:
-        return float(self.values[DOF_NAMES.index(name)])
+        return float(self.values[_dof_index(name)])
 
     @classmethod
     def from_dict(cls, angles: dict[str, float]) -> "BioPose":
         values = np.zeros(DOF_COUNT)
         for name, value in angles.items():
-            values[DOF_NAMES.index(name)] = value
+            values[_dof_index(name)] = value
         return cls(values)
 
 
@@ -133,6 +139,8 @@ class DofLimits:
                 raise InputError(f"{path}: bad limits line: {raw!r}") from exc
             if name not in DOF_NAMES or not np.isfinite([lo, hi]).all():
                 raise InputError(f"{path}: bad limits line: {raw!r}")
+            if name in bounds:
+                raise InputError(f"{path}: {name} is limited twice")
             bounds[name] = lo, hi
         missing = [name for name in DOF_NAMES if name not in bounds]
         if missing:
@@ -187,9 +195,6 @@ class AxisTable:
         return self._expansion
 
 
-DegenerateBoneError = NumericError
-
-
 def derive_axes(model: HandModel) -> AxisTable:
     """The model's axis table, derived once per model (``model.tensors``)."""
     return model.tensors.axes
@@ -211,7 +216,7 @@ def axes_from_rest_joints(joints: np.ndarray) -> AxisTable:
     normal = np.cross(little_mcp - wrist, index_mcp - wrist)
     norm = np.linalg.norm(normal)
     if norm < 1e-9:
-        raise DegenerateBoneError("wrist and MCP joints are collinear")
+        raise NumericError("wrist and MCP joints are collinear")
     normal = normal / norm
 
     flex = np.zeros((15, 3))
@@ -224,13 +229,13 @@ def axes_from_rest_joints(joints: np.ndarray) -> AxisTable:
             bone = joints[joint + 1] - joints[joint]
             length = np.linalg.norm(bone)
             if length < 1e-9:
-                raise DegenerateBoneError(
+                raise NumericError(
                     f"zero-length bone at {kin.JOINT_NAMES[joint]}")
             t = bone / length
             a = normal - np.dot(normal, t) * t
             a_norm = np.linalg.norm(a)
             if a_norm < 1e-9:
-                raise DegenerateBoneError(
+                raise NumericError(
                     f"bone at {kin.JOINT_NAMES[joint]} is parallel to the palm normal")
             a = a / a_norm
             twist[slot] = t
@@ -241,14 +246,9 @@ def axes_from_rest_joints(joints: np.ndarray) -> AxisTable:
     return table
 
 
-def expand(bio: BioPose, axes: AxisTable) -> np.ndarray:
-    """23 feasible angles -> 45 articulation values (linear; expand(0) = 0)."""
-    values = bio.values if isinstance(bio, BioPose) else np.asarray(bio, dtype=float)
-    return axes.expansion_matrix() @ values
-
-
 def expand_batch(bio_values: np.ndarray, axes: AxisTable) -> np.ndarray:
-    """Batched expansion: (B, 23) -> (B, 45)."""
+    """23 feasible angles -> 45 articulation values, linear (0 maps to 0):
+    (B, 23) -> (B, 45), and a (23,) row -> a (45,) row."""
     return np.asarray(bio_values, dtype=float) @ axes.expansion_matrix().T
 
 

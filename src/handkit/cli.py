@@ -6,11 +6,10 @@ artifacts use fixed 9-significant-digit formatting, so re-runs produce
 byte-identical outputs.  Exit codes are mapped once, in ``main``: 0 success,
 2 ``InputError`` (malformed file or argument) or any ``OSError``, 3
 ``ShapeError`` (shape or consistency mismatch), 4 ``NumericError``
-(degenerate geometry or divergence).  The older error names, ``CliError``
-among them, are aliases of these (see ``handkit.errors``); any other
-exception is a bug.  ``ik-train`` decays the rate at epochs 30 and 35 unless
---decay-epoch is given, so --epochs 35 or fewer needs explicit values.  The
-model path defaults to the HANDKIT_MODEL environment variable.
+(degenerate geometry or divergence); any other exception is a bug.
+``ik-train`` decays the rate at epochs 30 and 35 unless --decay-epoch is
+given, so --epochs 35 or fewer needs explicit values.  The model path
+defaults to the HANDKIT_MODEL environment variable.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from .hand_model import (FullPose, HandModel, ShapeParams, forward, load_model,
 MODEL_ENV_VAR = "HANDKIT_MODEL"
 
 EXIT_OK = 0
-
-CliError = InputError
 
 
 def _fmt(value: float) -> str:
@@ -120,19 +117,23 @@ def load_annotation_records(path) -> list[AnnotationRecord]:
             for i, item in enumerate(items)]
 
 
+_POSE_KEYS = ("global_rot", "articulation", "translation", "beta")
+
+
 def load_pose_file(path) -> tuple[FullPose, ShapeParams]:
     """Plain-text pose: 'key: values' lines for global_rot, articulation,
-    and optionally translation and beta."""
+    and optionally translation and beta; each key at most once."""
     fields: dict[str, np.ndarray] = {}
     for raw in Path(path).read_text(errors="replace").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, rest = line.partition(":")
-        if not sep:
-            raise InputError(f"{path}: bad pose line {raw!r}")
+        key = key.strip()
+        if not sep or key not in _POSE_KEYS or key in fields:
+            raise InputError(f"{path}: bad or repeated pose line {raw!r}")
         try:
-            fields[key.strip()] = np.array([float(v) for v in rest.split()])
+            fields[key] = np.array([float(v) for v in rest.split()])
         except ValueError as exc:
             raise InputError(f"{path}: bad numbers in {raw!r}") from exc
     pose = FullPose(global_rot=fields.get("global_rot", np.zeros(3)),
@@ -234,16 +235,16 @@ def cmd_ik_fit(args) -> int:
         bend_weight=args.bend_weight, freeze_shape=args.freeze_shape)
     if args.from_ik_net:
         net = ik_net.load_checkpoint(args.from_ik_net)
+        bio, beta = ik_net.predict(
+            net, ik_net.featurize_batch([r.joints for r in records]), limits)
+        inits = [(b, s, np.zeros(3), np.zeros(3)) for b, s in zip(bio, beta)]
     elif args.init:
-        init = load_params_file(args.init)
+        inits = [load_params_file(args.init)] * len(records)
     else:
         raise InputError("ik-fit needs --init or --from-ik-net")
 
     results = []
-    for record in records:
-        if args.from_ik_net:
-            feats = ik_net.featurize(record.joints)
-            init = (*ik_net.predict(net, feats, limits), np.zeros(3), np.zeros(3))
+    for record, init in zip(records, inits):
         target = ik_optim.FitTarget(joints=record.joints, vertices=record.vertices)
         results.append(ik_optim.fit(model, target, *init, config=config,
                                     limits=limits))
@@ -284,11 +285,12 @@ def cmd_ik_predict(args) -> int:
     limits = _resolve_limits(args)
     net = ik_net.load_checkpoint(args.ckpt)
     records = load_annotation_records(args.target)
+    bio, beta = ik_net.predict(
+        net, ik_net.featurize_batch([r.joints for r in records]), limits)
     out = _out_dir(args)
-    for i, record in enumerate(records):
-        bio, beta = ik_net.predict(net, ik_net.featurize(record.joints), limits)
-        write_params_file(out / _numbered("params", i, len(records)), bio, beta,
-                          np.zeros(3), np.zeros(3))
+    for i, (b, s) in enumerate(zip(bio, beta)):
+        write_params_file(out / _numbered("params", i, len(records)),
+                          bio_dof.BioPose(b), ShapeParams(s), np.zeros(3), np.zeros(3))
     print(f"wrote {len(records)} parameter file(s) to {out}")
     return EXIT_OK
 

@@ -26,8 +26,6 @@ _TEXT_MAGIC = "HKCT1"
 
 _DTYPES = {"f4": np.dtype("<f4"), "i4": np.dtype("<i4")}
 
-ContainerError = InputError
-
 
 def _dtype_code(arr: np.ndarray) -> str:
     if np.issubdtype(arr.dtype, np.floating):

@@ -1,11 +1,6 @@
 """The one error family of handkit; each member carries its CLI exit code.
 
-It derives from ``ValueError``.  The older names are aliases: ``CliError``
-and ``ContainerError`` of ``InputError``; ``ModelError`` and
-``profiler.ShapeError`` of ``ShapeError``; ``FitDivergedError``, both
-``DegenerateSkeletonError``, ``DegenerateBoneError``,
-``DegenerateConfigurationError`` and ``BehindCameraError`` of
-``NumericError``.
+It derives from ``ValueError``.
 """
 
 EXIT_PARSE = 2

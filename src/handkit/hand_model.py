@@ -29,9 +29,6 @@ from .errors import InputError, NumericError, ShapeError
 SHAPE_DIM = 10
 
 
-ModelError = ShapeError
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -137,7 +134,7 @@ class HandModel:
     def __post_init__(self):
         faces = np.asarray(self.faces, dtype=np.int64)
         if faces.size % 3:
-            raise ModelError("faces must hold index triples")
+            raise ShapeError("faces must hold index triples")
         for name, value, dtype in (
                 ("rest_vertices", self.rest_vertices, float),
                 ("shape_basis", self.shape_basis, float),
@@ -166,62 +163,53 @@ class HandModel:
 
     def validate(self, tol: float = 1e-6) -> None:
         if self.rest_vertices.ndim != 2 or self.rest_vertices.shape[1] != 3:
-            raise ModelError("rest_vertices must have shape (V, 3)")
+            raise ShapeError("rest_vertices must have shape (V, 3)")
         v = self.vertex_count
         if self.shape_basis.shape != (SHAPE_DIM, v, 3):
-            raise ModelError(f"shape_basis must have shape ({SHAPE_DIM}, V, 3)")
+            raise ShapeError(f"shape_basis must have shape ({SHAPE_DIM}, V, 3)")
         if self.joint_regressor.shape != (kin.JOINT_COUNT, v):
-            raise ModelError(f"joint_regressor must have shape ({kin.JOINT_COUNT}, V)")
+            raise ShapeError(f"joint_regressor must have shape ({kin.JOINT_COUNT}, V)")
         if self.skinning_weights.shape != (v, kin.ARTICULATED_COUNT):
-            raise ModelError(
+            raise ShapeError(
                 f"skinning_weights must have shape (V, {kin.ARTICULATED_COUNT})")
         if self.parents.shape != (kin.JOINT_COUNT,):
-            raise ModelError("parents must list one entry per joint")
+            raise ShapeError("parents must list one entry per joint")
         if self.pose_basis is not None and self.pose_basis.shape != (
                 kin.POSE_BASIS_SIZE, v, 3):
-            raise ModelError(
+            raise ShapeError(
                 f"pose_basis must have shape ({kin.POSE_BASIS_SIZE}, V, 3)")
         if (self.skinning_weights < -tol).any():
-            raise ModelError("skinning weights must be nonnegative")
+            raise ShapeError("skinning weights must be nonnegative")
         if (self.joint_regressor < -tol).any():
-            raise ModelError("joint regressor must be nonnegative")
+            raise ShapeError("joint regressor must be nonnegative")
         if np.abs(self.skinning_weights.sum(axis=1) - 1.0).max() > tol:
-            raise ModelError("skinning weight rows must sum to 1")
+            raise ShapeError("skinning weight rows must sum to 1")
         if np.abs(self.joint_regressor.sum(axis=1) - 1.0).max() > tol:
-            raise ModelError("joint regressor rows must sum to 1")
+            raise ShapeError("joint regressor rows must sum to 1")
         if self.parents[0] != -1:
-            raise ModelError("wrist must be the root joint")
+            raise ShapeError("wrist must be the root joint")
         # parent indices must define a tree rooted at the wrist
         for j in range(1, kin.JOINT_COUNT):
             seen = set()
             k = j
             while k != 0:
                 if k in seen or not (0 <= self.parents[k] < kin.JOINT_COUNT):
-                    raise ModelError("parents must encode an acyclic tree")
+                    raise ShapeError("parents must encode an acyclic tree")
                 seen.add(k)
                 k = int(self.parents[k])
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= v):
-            raise ModelError("face indices out of range")
+            raise ShapeError("face indices out of range")
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def shape_offset(model: HandModel, beta: ShapeParams) -> np.ndarray:
-    """Per-vertex offset sum_i beta_i * shape_basis[i]; linear in beta."""
-    b = beta.beta if isinstance(beta, ShapeParams) else np.asarray(beta, dtype=float)
-    if b.shape != (SHAPE_DIM,):
-        raise ShapeError(f"beta must have {SHAPE_DIM} values, got {b.shape}")
-    return np.einsum("i,ivc->vc", b, model.shape_basis)
-
-
 def rest_joints(model: HandModel, beta: ShapeParams | None = None) -> Skeleton:
-    """Joint regressor applied to the shaped rest template."""
-    if beta is None:
-        beta = ShapeParams()
-    shaped = model.rest_vertices + shape_offset(model, beta)
-    return Skeleton(model.joint_regressor @ shaped)
+    """Joint regressor applied to the shaped rest template, J0 + beta . JB."""
+    beta = ShapeParams() if beta is None else beta
+    tensors = model.tensors
+    return Skeleton(tensors.J0 + np.tensordot(beta.beta, tensors.JB, axes=1))
 
 
 def regress_joints(model: HandModel, mesh: Mesh | np.ndarray) -> Skeleton:
@@ -542,7 +530,7 @@ def from_mano_arrays(v_template, shapedirs, j_regressor, weights, faces,
     weights = np.asarray(weights, dtype=float)
     nverts = v_template.shape[0]
     if j_regressor.shape != (16, nverts) or weights.shape != (nverts, 16):
-        raise ModelError("regressor/weights do not match the MANO layout")
+        raise ShapeError("regressor/weights do not match the MANO layout")
 
     # source joint index (in the 16-joint MANO order) for each of our
     # articulated slots: wrist, then MCP/PIP/DIP per finger in our order

@@ -24,7 +24,7 @@ import numpy as np
 from . import bio_dof, kinematics as kin
 from .containers import read_container, write_container
 from .errors import InputError, NumericError, ShapeError
-from .hand_model import HandModel, ShapeParams
+from .hand_model import HandModel
 
 LENGTH_SCALE = 0.01  # mm -> decimeters for input conditioning
 FEATURE_DIM = 20 * 3 + 20
@@ -32,26 +32,14 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-DegenerateSkeletonError = NumericError
-
-
 # ---------------------------------------------------------------------------
 # featurization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoneFeatures:
-    """20 unit bone directions plus 20 scaled bone lengths (80 inputs)."""
-
-    directions: np.ndarray  # (20, 3)
-    lengths: np.ndarray     # (20,), scaled by LENGTH_SCALE
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.directions.reshape(-1), self.lengths])
-
-
 def featurize_batch(joints: np.ndarray) -> np.ndarray:
-    """(B, 21, 3) skeletons -> (B, 80) feature rows."""
+    """(B, 21, 3) skeletons -> (B, 80) feature rows; one (21, 3) skeleton
+    gives one row.  A row is the 20 unit bone directions, then the 20 bone
+    lengths times LENGTH_SCALE (translation invariant by construction)."""
     joints = np.asarray(joints, dtype=float)
     if joints.ndim == 2:
         joints = joints[None]
@@ -60,18 +48,10 @@ def featurize_batch(joints: np.ndarray) -> np.ndarray:
     bones = joints[:, children] - joints[:, parents]          # (B, 20, 3)
     lengths = np.linalg.norm(bones, axis=2)
     if (lengths < 1e-9).any():
-        raise DegenerateSkeletonError("zero-length bone in skeleton")
+        raise NumericError("zero-length bone in skeleton")
     dirs = bones / lengths[:, :, None]
     return np.concatenate([dirs.reshape(len(joints), -1),
                            lengths * LENGTH_SCALE], axis=1)
-
-
-def featurize(skeleton) -> BoneFeatures:
-    """Single-skeleton featurization (translation invariant by construction)."""
-    joints = skeleton.joints if hasattr(skeleton, "joints") else skeleton
-    row = featurize_batch(np.asarray(joints, dtype=float))[0]
-    return BoneFeatures(directions=row[:60].reshape(20, 3),
-                        lengths=row[60:])
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +186,19 @@ class MlpIk:
                 raise NumericError(f"non-finite parameter {name}")
 
 
-def predict(net: MlpIk, feats, limits: bio_dof.DofLimits | None = None
-            ) -> tuple[bio_dof.BioPose, ShapeParams]:
-    """Deterministic inference with running statistics; angles are clamped."""
+def predict(net: MlpIk, feats: np.ndarray,
+            limits: bio_dof.DofLimits | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic inference with running statistics on (B, 80) feature
+    rows: (B, 23) angles clamped to the limits and (B, 10) shape values."""
     limits = limits or bio_dof.DofLimits.default()
-    vec = feats.as_vector() if isinstance(feats, BoneFeatures) else np.asarray(feats)
-    if vec.shape != (net.input_dim,):
-        raise ShapeError(f"network expects {net.input_dim} features, got {vec.shape}")
-    theta, beta = net.forward(vec[None, :], training=False)
+    feats = np.asarray(feats, dtype=float)
+    if feats.ndim != 2 or feats.shape[1] != net.input_dim:
+        raise ShapeError(f"network expects (B, {net.input_dim}) features, "
+                         f"got {feats.shape}")
+    theta, beta = net.forward(feats, training=False)
     if not (np.isfinite(theta).all() and np.isfinite(beta).all()):
         raise NumericError("non-finite network activations")
-    bio = bio_dof.clamp(bio_dof.BioPose(theta[0]), limits)
-    return bio, ShapeParams(beta[0])
+    return np.clip(theta, limits.lower, limits.upper), beta
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +218,6 @@ def _pose_term(model, axes, theta, beta, skel_gt, compute_grads):
     grads = kin.fk_backward(model, out, d_regressed=d_reg)
     d_theta = grads.articulation @ axes.expansion_matrix()
     return loss, d_theta, grads.beta
-
-
-def ik_loss(pred, truth, model: HandModel,
-            axes: bio_dof.AxisTable | None = None
-            ) -> tuple[float, float, float, float]:
-    """(total, angle term, shape term, joint term) between two (bio, beta) pairs.
-
-    The joint term re-poses the mesh from the prediction, regresses its
-    joints, and compares them (L1, mean over coordinates) against the joints
-    obtained the same way from the truth parameters.
-    """
-    axes = axes or bio_dof.derive_axes(model)
-    bio_p, beta_p = pred
-    bio_t, beta_t = truth
-    tp = bio_p.values if isinstance(bio_p, bio_dof.BioPose) else np.asarray(bio_p, float)
-    tt = bio_t.values if isinstance(bio_t, bio_dof.BioPose) else np.asarray(bio_t, float)
-    bp = beta_p.beta if isinstance(beta_p, ShapeParams) else np.asarray(beta_p, float)
-    bt = beta_t.beta if isinstance(beta_t, ShapeParams) else np.asarray(beta_t, float)
-
-    l_theta = float(np.abs(tp - tt).mean())
-    l_beta = float(np.abs(bp - bt).mean())
-    gt_art = bio_dof.expand_batch(tt[None], axes)
-    gt_joints = kin.fk_forward(model, gt_art, bt[None],
-                               want_regressed=True).regressed_joints
-    l_pose, _, _ = _pose_term(model, axes, tp[None], bp[None], gt_joints, False)
-    return l_theta + l_beta + float(l_pose), l_theta, l_beta, float(l_pose)
 
 
 def batch_loss(net: MlpIk, model: HandModel, axes, feats, bio_gt, beta_gt,
@@ -330,8 +285,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
-        if any(d >= self.epochs for d in self.decay_epochs):
-            raise InputError("decay epochs must precede the final epoch")
+        if any(not 0 <= d < self.epochs for d in self.decay_epochs):
+            raise InputError("decay epochs must lie in 0..epochs-1")
         if self.batch_size < 2:
             raise InputError("batch statistics need batch_size >= 2")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):

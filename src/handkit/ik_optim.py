@@ -30,10 +30,6 @@ HUBER_DELTA_MM = 1.0
 PARAM_COUNT = bio_dof.DOF_COUNT + 10 + 6  # 23 angles + 10 shape + rot/trans
 
 
-DegenerateSkeletonError = NumericError
-FitDivergedError = NumericError
-
-
 @dataclass
 class FitTarget:
     """Pseudo-ground-truth joints and/or vertices to fit, in mm."""
@@ -132,7 +128,7 @@ def bend_penalty_with_grad(joints: np.ndarray) -> tuple[float, np.ndarray]:
     bones = np.diff(joints[_BEND_CHAINS], axis=1)       # (4, 3, 3): b1, b2, b3
     short = (np.linalg.norm(bones, axis=-1) < 1e-9).any(axis=1)
     if short.any():
-        raise DegenerateSkeletonError(
+        raise NumericError(
             f"zero-length bone on {kin.FINGERS[_BEND_FINGERS[short.argmax()]]} finger")
     b1, b2, b3 = bones[:, 0], bones[:, 1], bones[:, 2]
     u, v = np.cross(bones[:, [2, 1]], bones[:, [1, 0]]).swapaxes(0, 1)
@@ -145,12 +141,6 @@ def bend_penalty_with_grad(joints: np.ndarray) -> tuple[float, np.ndarray]:
     grad[_BEND_CHAINS] = (np.stack([db1, db2 - db1, db3 - db2, -db3], axis=1)
                           * (s < 0.0)[:, None, None])
     return float(np.maximum(-s, 0.0).sum()), grad
-
-
-def bend_penalty(skeleton) -> float:
-    """Scalar opposing-bend penalty (>= 0) for a posed skeleton."""
-    joints = skeleton.joints if hasattr(skeleton, "joints") else skeleton
-    return bend_penalty_with_grad(joints)[0]
 
 
 def _loss_and_grad(model, bio_values, beta_values, global_rot, translation,
@@ -206,19 +196,12 @@ def _flat_params(bio, beta, global_rot, translation):
 
 def fit_loss(model: HandModel, bio, beta, global_rot=None, translation=None,
              target: FitTarget = None, bend_weight: float = 1e-2,
-             loss_kind: str = "huber", axes: bio_dof.AxisTable | None = None) -> float:
-    """Scalar fitting loss at the given parameters."""
+             loss_kind: str = "huber", axes: bio_dof.AxisTable | None = None,
+             want_grad: bool = False) -> tuple[float, np.ndarray | None]:
+    """Fitting loss at the given parameters and, with ``want_grad``, its
+    analytic gradient over the 23+10+6 parameters (else None)."""
     return _loss_and_grad(model, *_flat_params(bio, beta, global_rot, translation),
-                          target, bend_weight, loss_kind, axes, want_grad=False)[0]
-
-
-def fit_jacobian(model: HandModel, bio, beta, global_rot=None, translation=None,
-                 target: FitTarget = None, bend_weight: float = 1e-2,
-                 loss_kind: str = "huber",
-                 axes: bio_dof.AxisTable | None = None) -> np.ndarray:
-    """Analytic gradient of fit_loss over the 23+10+6 parameters."""
-    return _loss_and_grad(model, *_flat_params(bio, beta, global_rot, translation),
-                          target, bend_weight, loss_kind, axes, want_grad=True)[1]
+                          target, bend_weight, loss_kind, axes, want_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +244,7 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
             model, x[:nd], x[nd:nd + 10], x[nd + 10:nd + 13], x[nd + 13:],
             target, config.bend_weight, config.loss_kind, axes, want_grad=True)
         if not np.isfinite(loss):
-            raise FitDivergedError(f"non-finite loss at iteration {t}")
+            raise NumericError(f"non-finite loss at iteration {t}")
         trace.append(loss)
         if loss < best_loss:
             best_loss = loss

@@ -23,9 +23,6 @@ from .errors import InputError, NumericError, ShapeError
 DEFAULT_F_THRESHOLDS = (5.0, 15.0)
 
 
-DegenerateConfigurationError = NumericError
-
-
 def _points(x) -> np.ndarray:
     pts = x.joints if hasattr(x, "joints") else (
         x.vertices if hasattr(x, "vertices") else x)
@@ -53,18 +50,18 @@ def procrustes_align(pred, gt) -> tuple[float, np.ndarray, np.ndarray, np.ndarra
     if p.shape != g.shape:
         raise ShapeError(f"point counts differ: {p.shape} vs {g.shape}")
     if len(p) < 3:
-        raise DegenerateConfigurationError("alignment needs at least 3 points")
+        raise NumericError("alignment needs at least 3 points")
     mu_p, mu_g = p.mean(axis=0), g.mean(axis=0)
     x, y = p - mu_p, g - mu_g
     var_p = (x * x).sum() / len(p)
     if var_p < 1e-12:
-        raise DegenerateConfigurationError("prediction points are coincident")
+        raise NumericError("prediction points are coincident")
     cov = x.T @ y / len(p)
     if not (np.isfinite(var_p) and np.isfinite(cov).all()):
-        raise DegenerateConfigurationError("point coordinates overflow")
+        raise NumericError("point coordinates overflow")
     u, s, vt = np.linalg.svd(cov)
     if np.linalg.matrix_rank(cov) < 2:
-        raise DegenerateConfigurationError("points are (near) collinear")
+        raise NumericError("points are (near) collinear")
     sign = np.sign(np.linalg.det(u @ vt))
     d = np.array([1.0, 1.0, sign])
     rotation = (u * d) @ vt

@@ -197,8 +197,6 @@ def load_pose_library(path) -> PoseLibrary:
 # projection
 # ---------------------------------------------------------------------------
 
-BehindCameraError = NumericError
-
 
 def camera_frame(cam: CameraPose, radius_mm: float
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +225,7 @@ def project(skeleton, cam: CameraPose, radius_mm: float,
     """Pinhole projection of the 21 joints; returns (21, 2) pixel coordinates.
 
     The look-at target projects to the principal point (cx, cy).  Raises
-    BehindCameraError if any joint has non-positive camera depth.
+    NumericError if any joint has non-positive camera depth.
     """
     joints = skeleton.joints if hasattr(skeleton, "joints") else \
         np.asarray(skeleton, dtype=float)
@@ -235,7 +233,7 @@ def project(skeleton, cam: CameraPose, radius_mm: float,
     cam_pts = (joints - eye) @ rot.T
     depth = cam_pts[:, 2]
     if (depth <= 1e-9).any():
-        raise BehindCameraError("joint at or behind the camera plane")
+        raise NumericError("joint at or behind the camera plane")
     u = cx + fx * cam_pts[:, 0] / depth
     v = cy + fy * cam_pts[:, 1] / depth
     return np.stack([u, v], axis=1)

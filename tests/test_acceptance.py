@@ -164,16 +164,16 @@ def test_criterion_5_gradients(model, limits, axes):
             rng.normal(scale=0.5, size=10),
             rng.normal(scale=0.3, size=3),
             rng.normal(scale=10.0, size=3)])
-        grad = ik_optim.fit_jacobian(model, x[:23], x[23:33], x[33:36],
-                                     x[36:], target, axes=axes)
+        _, grad = ik_optim.fit_loss(model, x[:23], x[23:33], x[33:36],
+                                    x[36:], target, axes=axes, want_grad=True)
         for i in range(39):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
             lp = ik_optim.fit_loss(model, xp[:23], xp[23:33], xp[33:36],
-                                   xp[36:], target, axes=axes)
+                                   xp[36:], target, axes=axes)[0]
             lm = ik_optim.fit_loss(model, xm[:23], xm[23:33], xm[33:36],
-                                   xm[36:], target, axes=axes)
+                                   xm[36:], target, axes=axes)[0]
             fd = (lp - lm) / (2 * h)
             worst_fit = max(worst_fit, _fd_rel_err(fd, grad[i]))
     ok_fit = worst_fit < 1e-4

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from handkit import bio_dof, kinematics as kin
-from handkit.bio_dof import (BioPose, DegenerateBoneError, DofLimits,
-                             clamp, derive_axes, expand, expand_batch,
-                             is_feasible, sample_uniform)
+from handkit.bio_dof import (BioPose, DofLimits, clamp, derive_axes,
+                             expand_batch, is_feasible, sample_uniform)
+from handkit.errors import InputError, NumericError
 from handkit.hand_model import HandModel, rest_joints
 
 
@@ -70,7 +70,7 @@ def test_derive_axes_rejects_degenerate_bone(desk_small):
     model = HandModel(desk_small.rest_vertices, desk_small.shape_basis, reg,
                       desk_small.skinning_weights, desk_small.parents,
                       desk_small.faces)
-    with pytest.raises(DegenerateBoneError):
+    with pytest.raises(NumericError):
         derive_axes(model)
 
 
@@ -79,12 +79,13 @@ def test_derive_axes_rejects_degenerate_bone(desk_small):
 # ---------------------------------------------------------------------------
 
 def test_expand_zero_is_zero(axes):
-    assert np.all(expand(BioPose(), axes) == 0.0)
+    assert np.all(expand_batch(BioPose().values, axes) == 0.0)
 
 
 def test_expand_single_dof(axes):
     phi = 0.8
-    art = expand(BioPose.from_dict({"index_mcp_flex": phi}), axes).reshape(15, 3)
+    bio = BioPose.from_dict({"index_mcp_flex": phi})
+    art = expand_batch(bio.values, axes).reshape(15, 3)
     nonzero = np.flatnonzero(np.abs(art).sum(axis=1))
     assert list(nonzero) == [3]  # index MCP slot
     np.testing.assert_allclose(art[3], phi * axes.flex[3], atol=1e-15)
@@ -103,8 +104,8 @@ def test_expand_matches_dof_table_oracle(axes, limits, rng):
 def test_expand_is_linear(axes, rng):
     x = rng.normal(size=23)
     y = rng.normal(size=23)
-    lhs = expand(BioPose(2.0 * x + 0.5 * y), axes)
-    rhs = 2.0 * expand(BioPose(x), axes) + 0.5 * expand(BioPose(y), axes)
+    lhs = expand_batch(2.0 * x + 0.5 * y, axes)
+    rhs = 2.0 * expand_batch(x, axes) + 0.5 * expand_batch(y, axes)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -176,7 +177,22 @@ def test_limits_file_rejects_missing_entries(tmp_path):
         DofLimits.load(path)
 
 
+def test_limits_file_rejects_a_dof_limited_twice(tmp_path, limits):
+    path = tmp_path / "limits.txt"
+    limits.save(path)
+    path.write_text(path.read_text() + "index_mcp_flex = -0.1 0.2\n")
+    with pytest.raises(InputError, match="index_mcp_flex"):
+        DofLimits.load(path)
+
+
 def test_biopose_name_access():
     pose = BioPose.from_dict({"thumb_dip_flex": 0.4})
     assert pose["thumb_dip_flex"] == 0.4
     assert pose["index_mcp_abd"] == 0.0
+
+
+def test_biopose_rejects_unknown_dof_names():
+    with pytest.raises(InputError, match="index_mcp_flx"):
+        BioPose.from_dict({"index_mcp_flx": 0.4})
+    with pytest.raises(InputError, match="thumb_tip_flex"):
+        BioPose()["thumb_tip_flex"]

@@ -37,7 +37,7 @@ def target_json(tmp_path, model_file, name="target.json", unit="mm",
     axes = bio_dof.derive_axes(model)
     rng = np.random.default_rng(seed)
     bio = bio_dof.BioPose(bio_dof.sample_uniform(limits, 1, rng)[0])
-    pose = FullPose(articulation=bio_dof.expand(bio, axes))
+    pose = FullPose(articulation=bio_dof.expand_batch(bio.values, axes))
     mesh, skel = forward(model, pose)
     scale = 0.001 if unit == "m" else 1.0
     record = {"joints": (skel.joints * scale).tolist()}
@@ -211,8 +211,8 @@ def test_ik_fit_fits_every_record(tmp_path, model_file):
     for i in range(2):
         assert (out / f"fit_report_{i:05d}.txt").exists()
         bio, beta, rot, trans = load_params_file(out / f"fit_params_{i:05d}.txt")
-        _, skel = forward(model, FullPose(rot, bio_dof.expand(bio, axes), trans),
-                          beta)
+        art = bio_dof.expand_batch(bio.values, axes)
+        _, skel = forward(model, FullPose(rot, art, trans), beta)
         own, other = (np.abs(skel.joints - truths[k]).mean() for k in (i, 1 - i))
         assert own < other
 
@@ -330,8 +330,8 @@ def test_annotation_requires_unit(tmp_path):
     path = tmp_path / "nounit.json"
     path.write_text(json.dumps({"records": [{"joints":
                                              np.zeros((21, 3)).tolist()}]}))
-    from handkit.cli import CliError
-    with pytest.raises(CliError):
+    from handkit.errors import InputError
+    with pytest.raises(InputError):
         load_annotation_records(path)
 
 

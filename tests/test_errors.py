@@ -1,6 +1,7 @@
 """The exit-code contract: every bad input ends in 0, 2, 3 or 4, never in an
 uncaught traceback (exit 1)."""
 
+import ast
 import contextlib
 import io
 import json
@@ -45,7 +46,8 @@ def ws(tmp_path_factory) -> Path:
     save_model(model, root / "model_text.hkm", text=True)
     axes = bio_dof.derive_axes(model)
     bio = bio_dof.BioPose.from_dict({"index_mcp_flex": 0.6, "thumb_pip_flex": 0.3})
-    mesh, skel = forward(model, FullPose(articulation=bio_dof.expand(bio, axes)))
+    art = bio_dof.expand_batch(bio.values, axes)
+    mesh, skel = forward(model, FullPose(articulation=art))
     # one number per line, so line mutations drop or repeat single numbers
     (root / "target.json").write_text(json.dumps(
         {"unit": "mm", "records": [{"joints": skel.joints.tolist(),
@@ -163,6 +165,14 @@ TABLE = {
     "eval-threshold-negative": (2, lambda ws, t: [
         "eval", "--pred", ws / "target.json", "--gt", ws / "target.json",
         "--threshold=-1", "--out", t / "r.txt"]),
+    "fk-pose-unknown-key": (2, lambda ws, t: [
+        "fk", "--model", ws / "model.hkm", "--out", "{out}", "--pose",
+        _text(t / "p.txt", "articulaton: " + " ".join(["0.2"] * 45) + "\n")]),
+    "fk-pose-repeated-key": (2, lambda ws, t: [
+        "fk", "--model", ws / "model.hkm", "--out", "{out}", "--pose",
+        _text(t / "p.txt", "global_rot: 0.1 0 0\nglobal_rot: 0 0.2 0\n")]),
+    "ik-train-negative-decay-epoch": (2, lambda ws, t: _ik_train(
+        ws, "--pairs", "64", "--epochs", "2", "--decay-epoch=-1")),
     "ik-predict-checkpoint-without-arrays": (2, lambda ws, t: [
         "ik-predict", "--target", ws / "target.json", "--out", "{out}",
         "--ckpt", _container(t / "c.hkc", {"kind": "ik_net_checkpoint",
@@ -314,18 +324,26 @@ def test_fit_rejects_misshapen_initial_parameters():
 
 
 def test_family_and_aliases():
-    from handkit import bio_dof as b, cli, containers, hand_model, ik_optim
-    from handkit import metrics, profiler
-    assert cli.CliError is containers.ContainerError is errors.InputError
-    assert hand_model.ModelError is profiler.ShapeError is errors.ShapeError
-    assert (ik_optim.FitDivergedError is ik_optim.DegenerateSkeletonError
-            is ik_net.DegenerateSkeletonError is b.DegenerateBoneError
-            is metrics.DegenerateConfigurationError is synth.BehindCameraError
-            is errors.NumericError)
     for cls, code in ((errors.InputError, 2), (errors.ShapeError, 3),
                       (errors.NumericError, 4)):
         assert issubclass(cls, errors.HandkitError)
         assert issubclass(cls, ValueError) and cls.exit_code == code
+    # every module raises the family under its own names: no second name
+    # (an assignment or an import alias) is ever bound to an errors class
+    family = {name for name, value in vars(errors).items()
+              if isinstance(value, type) and issubclass(value, errors.HandkitError)}
+    aliases = []
+    for path in sorted(Path(handkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "errors":
+                aliases += [f"{path.name}: {a.asname}" for a in node.names
+                            if a.name in family and a.asname not in (None, a.name)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                value = node.value
+                name = getattr(value, "id", getattr(value, "attr", None))
+                if name in family:
+                    aliases.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not aliases
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handkit import kinematics as kin
-from handkit.hand_model import (FullPose, HandModel, Mesh, ModelError,
-                                ShapeParams, forward, from_mano_arrays,
-                                load_model, regress_joints, rest_joints,
-                                save_model, shape_offset, write_obj)
+from handkit.errors import ShapeError
+from handkit.hand_model import (FullPose, HandModel, Mesh, ShapeParams,
+                                forward, from_mano_arrays, load_model,
+                                regress_joints, rest_joints, save_model,
+                                write_obj)
 from handkit.rotations import rodrigues
 
 
@@ -76,26 +79,36 @@ def chain_oracle(model, pose: FullPose, beta: ShapeParams):
     return out
 
 
+def shape_offset(model, beta):
+    """The shape blend alone: the zero-pose FK template of the model with its
+    rest template moved to the origin."""
+    blend_only = dataclasses.replace(
+        model, rest_vertices=np.zeros_like(model.rest_vertices))
+    out = kin.fk_forward(blend_only, np.zeros(kin.ARTICULATION_SIZE), beta,
+                         want_vertices=True, need_grad=True)
+    return out.template[0]
+
+
 # ---------------------------------------------------------------------------
-# shape_offset
+# shape blend: the zero-pose FK template
 # ---------------------------------------------------------------------------
 
 def test_shape_offset_zero_beta(desk):
-    assert np.all(shape_offset(desk, ShapeParams()) == 0.0)
+    assert np.all(shape_offset(desk, np.zeros(10)) == 0.0)
 
 
 def test_shape_offset_doubles(desk, rng):
     beta = rng.normal(scale=0.5, size=10)
-    one = shape_offset(desk, ShapeParams(beta))
-    two = shape_offset(desk, ShapeParams(2 * beta))
+    one = shape_offset(desk, beta)
+    two = shape_offset(desk, 2 * beta)
     np.testing.assert_allclose(two, 2 * one, rtol=1e-12)
 
 
 def test_shape_offset_matches_bruteforce(desk_small, rng):
     beta = rng.normal(scale=0.7, size=10)
     expected = offset_oracle(desk_small, beta)
-    np.testing.assert_allclose(shape_offset(desk_small, ShapeParams(beta)),
-                               expected, atol=1e-12)
+    np.testing.assert_allclose(shape_offset(desk_small, beta), expected,
+                               atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -103,9 +116,8 @@ def test_shape_offset_matches_bruteforce(desk_small, rng):
 def test_shape_offset_linearity(desk_small, seed, a, b):
     r = np.random.default_rng(seed)
     b1, b2 = r.normal(size=10), r.normal(size=10)
-    lhs = shape_offset(desk_small, ShapeParams(a * b1 + b * b2))
-    rhs = (a * shape_offset(desk_small, ShapeParams(b1))
-           + b * shape_offset(desk_small, ShapeParams(b2)))
+    lhs = shape_offset(desk_small, a * b1 + b * b2)
+    rhs = a * shape_offset(desk_small, b1) + b * shape_offset(desk_small, b2)
     scale = max(np.abs(rhs).max(), 1.0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-9 * scale)
 
@@ -137,7 +149,7 @@ def test_rest_joints_one_hot_regressor(desk_small):
 
 def test_rest_joints_matches_bruteforce(desk_small, rng):
     beta = ShapeParams(rng.normal(scale=0.5, size=10))
-    shaped = desk_small.rest_vertices + shape_offset(desk_small, beta)
+    shaped = desk_small.rest_vertices + offset_oracle(desk_small, beta.beta)
     np.testing.assert_allclose(rest_joints(desk_small, beta).joints,
                                regress_oracle(desk_small, shaped), atol=1e-10)
 
@@ -194,7 +206,7 @@ def test_forward_global_rotation_is_rigid(desk, rng):
 def test_forward_rigid_equivariance_posed(desk, limits, axes, rng):
     from handkit import bio_dof
     bio = bio_dof.BioPose(bio_dof.sample_uniform(limits, 1, rng)[0])
-    art = bio_dof.expand(bio, axes)
+    art = bio_dof.expand_batch(bio.values, axes)
     base_mesh, base_skel = forward(desk, FullPose(articulation=art))
     r = rng.normal(size=3)
     r = r / np.linalg.norm(r) * 0.9
@@ -213,7 +225,7 @@ def test_forward_matches_chain_oracle(desk, limits, axes, rng):
     for _ in range(25):
         bio = bio_dof.BioPose(bio_dof.sample_uniform(limits, 1, rng)[0])
         pose = FullPose(global_rot=rng.normal(scale=0.4, size=3),
-                        articulation=bio_dof.expand(bio, axes),
+                        articulation=bio_dof.expand_batch(bio.values, axes),
                         translation=rng.normal(scale=20, size=3))
         beta = ShapeParams(rng.normal(scale=0.5, size=10))
         _, skeleton = forward(desk, pose, beta)
@@ -230,7 +242,7 @@ def test_forward_skinning_one_hot_rigidity(desk_small, limits, axes_small, rng):
                       desk_small.joint_regressor, weights, desk_small.parents,
                       desk_small.faces)
     bio = bio_dof.BioPose(bio_dof.sample_uniform(limits, 1, rng)[0])
-    art = bio_dof.expand(bio, axes_small)
+    art = bio_dof.expand_batch(bio.values, axes_small)
     mesh, _ = forward(model, FullPose(articulation=art))
     # every vertex must move rigidly with the chained transform of that joint
     out = kin.fk_forward(model, art[None], need_grad=True)
@@ -271,7 +283,7 @@ def test_validate_rejects_bad_weight_rows(desk_small):
     model = HandModel(desk_small.rest_vertices, desk_small.shape_basis,
                       desk_small.joint_regressor, weights, desk_small.parents,
                       desk_small.faces)
-    with pytest.raises(ModelError):
+    with pytest.raises(ShapeError):
         model.validate()
 
 
@@ -282,7 +294,7 @@ def test_validate_rejects_cyclic_parents(desk_small):
     model = HandModel(desk_small.rest_vertices, desk_small.shape_basis,
                       desk_small.joint_regressor, desk_small.skinning_weights,
                       parents, desk_small.faces)
-    with pytest.raises(ModelError):
+    with pytest.raises(ShapeError):
         model.validate()
 
 
@@ -362,5 +374,5 @@ def test_from_mano_arrays_reorders_fingers_and_scales():
 
 def test_from_mano_arrays_rejects_bad_shapes():
     v, s, j, w, f, _ = _fake_mano_arrays()
-    with pytest.raises(ModelError):
+    with pytest.raises(ShapeError):
         from_mano_arrays(v, s, j[:10], w, f)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from handkit import bio_dof, ik_net, kinematics as kin
-from handkit.hand_model import ShapeParams
-from handkit.ik_net import (MlpIk, TrainConfig, batch_loss, featurize,
-                            featurize_batch, generate_pairs, ik_loss,
-                            load_checkpoint, predict, save_checkpoint,
-                            train)
+from handkit import bio_dof, kinematics as kin
+from handkit.errors import NumericError
+from handkit.ik_net import (MlpIk, TrainConfig, batch_loss, featurize_batch,
+                            generate_pairs, load_checkpoint, predict,
+                            save_checkpoint, train)
 from handkit.rotations import rodrigues
 
 
@@ -29,6 +28,11 @@ def random_skeleton(rng):
     return joints + rng.normal(scale=20, size=3)
 
 
+def directions_and_lengths(row):
+    """A feature row split into its (20, 3) unit directions and 20 lengths."""
+    return row[:60].reshape(20, 3), row[60:]
+
+
 # ---------------------------------------------------------------------------
 # featurize
 # ---------------------------------------------------------------------------
@@ -36,42 +40,42 @@ def random_skeleton(rng):
 def test_featurize_rest_pose(desk):
     from handkit.hand_model import rest_joints
     joints = rest_joints(desk).joints
-    feats = featurize(joints)
+    directions, lengths = directions_and_lengths(featurize_batch(joints)[0])
     parents = np.array([p for p, _ in kin.BONES])
     children = np.array([c for _, c in kin.BONES])
     expected_len = np.linalg.norm(joints[children] - joints[parents], axis=1)
-    np.testing.assert_allclose(feats.lengths, expected_len / 100.0, atol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(feats.directions, axis=1), 1.0,
+    np.testing.assert_allclose(lengths, expected_len / 100.0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(directions, axis=1), 1.0,
                                atol=1e-6)
 
 
 def test_featurize_translation_invariant(rng):
     joints = random_skeleton(rng)
-    a = featurize(joints).as_vector()
-    b = featurize(joints + [123.0, -55.0, 9.0]).as_vector()
+    a = featurize_batch(joints)
+    b = featurize_batch(joints + [123.0, -55.0, 9.0])
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_featurize_rotation_equivariant(rng):
     joints = random_skeleton(rng)
     rot = rodrigues(rng.normal(size=3))
-    a = featurize(joints)
-    b = featurize(joints @ rot.T)
-    np.testing.assert_allclose(b.directions, a.directions @ rot.T, atol=1e-9)
-    np.testing.assert_allclose(b.lengths, a.lengths, atol=1e-9)
+    a_dirs, a_lengths = directions_and_lengths(featurize_batch(joints)[0])
+    b_dirs, b_lengths = directions_and_lengths(featurize_batch(joints @ rot.T)[0])
+    np.testing.assert_allclose(b_dirs, a_dirs @ rot.T, atol=1e-9)
+    np.testing.assert_allclose(b_lengths, a_lengths, atol=1e-9)
 
 
 def test_featurize_matches_edge_oracle(rng):
-    joints = random_skeleton(rng)
-    np.testing.assert_allclose(featurize(joints).as_vector(),
-                               features_oracle(joints), atol=1e-12)
+    joints = np.stack([random_skeleton(rng) for _ in range(3)])
+    np.testing.assert_allclose(featurize_batch(joints),
+                               [features_oracle(j) for j in joints], atol=1e-12)
 
 
 def test_featurize_zero_length_bone(rng):
     joints = random_skeleton(rng)
     joints[2] = joints[1]
-    with pytest.raises(ik_net.DegenerateSkeletonError):
-        featurize(joints)
+    with pytest.raises(NumericError):
+        featurize_batch(joints)
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +86,43 @@ def test_predict_zero_heads_gives_rest(desk, limits, rng):
     net = MlpIk(seed=3)
     net.head_theta.weight[:] = 0.0
     net.head_beta.weight[:] = 0.0
-    feats = featurize(random_skeleton(rng))
+    feats = featurize_batch(random_skeleton(rng))
     bio, beta = predict(net, feats, limits)
-    assert np.all(bio.values == 0.0)
-    assert np.all(beta.beta == 0.0)
+    assert bio.shape == (1, 23) and beta.shape == (1, 10)
+    assert np.all(bio == 0.0)
+    assert np.all(beta == 0.0)
 
 
 def test_predict_deterministic(desk, limits, rng):
     net = MlpIk(seed=4)
-    feats = featurize(random_skeleton(rng))
+    feats = featurize_batch(random_skeleton(rng))
     a = predict(net, feats, limits)
     b = predict(net, feats, limits)
-    assert a[0].values.tobytes() == b[0].values.tobytes()
-    assert a[1].beta.tobytes() == b[1].beta.tobytes()
+    assert a[0].tobytes() == b[0].tobytes()
+    assert a[1].tobytes() == b[1].tobytes()
+
+
+def test_predict_batch_rows_match_single_rows(limits, rng):
+    net = MlpIk(seed=4)
+    feats = featurize_batch(np.stack([random_skeleton(rng) for _ in range(5)]))
+    bio, beta = predict(net, feats, limits)
+    for i in range(5):
+        one_bio, one_beta = predict(net, feats[i:i + 1], limits)
+        np.testing.assert_allclose(bio[i], one_bio[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(beta[i], one_beta[0], rtol=0, atol=1e-12)
+
+
+def test_predict_rejects_unbatched_features(limits, rng):
+    with pytest.raises(ValueError):
+        predict(MlpIk(seed=4), featurize_batch(random_skeleton(rng))[0], limits)
 
 
 def test_predict_clamps_to_limits(limits, rng):
     net = MlpIk(seed=5)
     net.head_theta.bias[:] = 10.0  # force everything far above the limits
-    bio, _ = predict(net, featurize(random_skeleton(rng)), limits)
-    assert bio_dof.is_feasible(bio, limits)
-    np.testing.assert_array_equal(bio.values, limits.upper)
+    bio, _ = predict(net, featurize_batch(random_skeleton(rng)), limits)
+    assert bio_dof.is_feasible(bio_dof.BioPose(bio[0]), limits)
+    np.testing.assert_array_equal(bio[0], limits.upper)
 
 
 def test_hand_traced_single_block_forward():
@@ -125,47 +145,64 @@ def test_hand_traced_single_block_forward():
 
 
 # ---------------------------------------------------------------------------
-# ik_loss
+# ik loss: batch_loss on chosen predictions
 # ---------------------------------------------------------------------------
 
+class ChosenPrediction:
+    """Stand-in for MlpIk whose forward returns the chosen (theta, beta)."""
+
+    def __init__(self, theta, beta):
+        self.theta, self.beta = theta[None], beta[None]
+
+    def forward(self, feats, training=False):
+        return self.theta, self.beta
+
+
+def loss_of(pred, truth, model, axes):
+    """batch_loss of one (angles, shape) prediction against the truth, whose
+    joints are regressed from the truth's posed mesh."""
+    (theta, beta), (bio_t, beta_t) = pred, truth
+    truth_joints = kin.fk_forward(model, bio_dof.expand_batch(bio_t[None], axes),
+                                  beta_t[None], want_regressed=True).regressed_joints
+    return batch_loss(ChosenPrediction(theta, beta), model, axes, None,
+                      bio_t[None], beta_t[None], truth_joints)
+
+
 def test_ik_loss_zero_for_equal_pairs(desk, axes, limits, rng):
-    bio = bio_dof.BioPose(bio_dof.sample_uniform(limits, 1, rng)[0])
-    beta = ShapeParams(rng.normal(scale=0.5, size=10))
-    total, lt, lb, lp = ik_loss((bio, beta), (bio, beta), desk, axes)
+    bio = bio_dof.sample_uniform(limits, 1, rng)[0]
+    beta = rng.normal(scale=0.5, size=10)
+    total, lt, lb, lp = loss_of((bio, beta), (bio, beta), desk, axes)
     assert total == lt == lb == lp == 0.0
 
 
 def test_ik_loss_single_component_offset(desk, axes, limits, rng):
-    bio = bio_dof.BioPose(bio_dof.sample_uniform(limits, 1, rng)[0])
-    beta = ShapeParams(rng.normal(scale=0.5, size=10))
+    bio = bio_dof.sample_uniform(limits, 1, rng)[0]
+    beta = rng.normal(scale=0.5, size=10)
     delta = 0.23
-    shifted = bio.values.copy()
+    shifted = bio.copy()
     shifted[bio_dof.DOF_NAMES.index("ring_pip_flex")] += delta
-    total, lt, lb, lp = ik_loss((bio_dof.BioPose(shifted), beta), (bio, beta),
-                                desk, axes)
+    total, lt, lb, lp = loss_of((shifted, beta), (bio, beta), desk, axes)
     assert lt == pytest.approx(delta / 23.0, rel=1e-12)
     assert lb == 0.0
     # joint term equals the FK-difference oracle
     art_p = bio_dof.expand_batch(shifted[None], axes)
-    art_t = bio_dof.expand_batch(bio.values[None], axes)
-    jp = kin.fk_forward(desk, art_p, beta.beta[None],
+    art_t = bio_dof.expand_batch(bio[None], axes)
+    jp = kin.fk_forward(desk, art_p, beta[None],
                         want_regressed=True).regressed_joints
-    jt = kin.fk_forward(desk, art_t, beta.beta[None],
+    jt = kin.fk_forward(desk, art_t, beta[None],
                         want_regressed=True).regressed_joints
     assert lp == pytest.approx(np.abs(jp - jt).mean(), rel=1e-12)
     assert total == pytest.approx(lt + lb + lp, rel=1e-12)
 
 
 def test_ik_loss_l1_homogeneity(desk, axes, limits, rng):
-    bio = bio_dof.BioPose(bio_dof.sample_uniform(limits, 1, rng)[0])
-    beta = ShapeParams(rng.normal(scale=0.5, size=10))
+    bio = bio_dof.sample_uniform(limits, 1, rng)[0]
+    beta = rng.normal(scale=0.5, size=10)
     d_bio = rng.normal(scale=0.05, size=23)
     d_beta = rng.normal(scale=0.05, size=10)
-    _, lt1, lb1, _ = ik_loss((bio_dof.BioPose(bio.values + d_bio),
-                              ShapeParams(beta.beta + d_beta)), (bio, beta),
+    _, lt1, lb1, _ = loss_of((bio + d_bio, beta + d_beta), (bio, beta),
                              desk, axes)
-    _, lt2, lb2, _ = ik_loss((bio_dof.BioPose(bio.values + 2 * d_bio),
-                              ShapeParams(beta.beta + 2 * d_beta)), (bio, beta),
+    _, lt2, lb2, _ = loss_of((bio + 2 * d_bio, beta + 2 * d_beta), (bio, beta),
                              desk, axes)
     assert lt2 == pytest.approx(2 * lt1, rel=1e-12)
     assert lb2 == pytest.approx(2 * lb1, rel=1e-12)
@@ -281,9 +318,9 @@ def test_checkpoint_roundtrip(desk, limits, tmp_path, rng):
     path = tmp_path / "net.hkc"
     save_checkpoint(net, path)
     loaded = load_checkpoint(path)
-    feats = featurize(random_skeleton(rng))
+    feats = featurize_batch(random_skeleton(rng))
     a = predict(net, feats, limits)
     b = predict(loaded, feats, limits)
     # float32 storage: predictions agree to storage precision
-    np.testing.assert_allclose(a[0].values, b[0].values, atol=1e-4)
-    np.testing.assert_allclose(a[1].beta, b[1].beta, atol=1e-4)
+    np.testing.assert_allclose(a[0], b[0], atol=1e-4)
+    np.testing.assert_allclose(a[1], b[1], atol=1e-4)

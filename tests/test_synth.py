@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handkit import kinematics as kin, synth
-from handkit.synth import (BehindCameraError, CameraPose, PoseLibrary,
+from handkit.errors import NumericError
+from handkit.synth import (CameraPose, PoseLibrary,
                            augment_library, cameras_to_text, load_pose_library,
                            make_pose_library, project, sample_cameras,
                            save_pose_library, sphere_point, swap_fingers)
@@ -192,7 +193,7 @@ def test_project_rejects_points_behind_camera():
     cam = CameraPose(0.0, 0.0, sphere_point(0.0, 0.0))
     joints = np.zeros((21, 3))
     joints[:, 0] = 300.0  # beyond the camera at radius 200
-    with pytest.raises(BehindCameraError):
+    with pytest.raises(NumericError):
         project(joints, cam, 200.0, 500.0, 500.0, 128.0, 128.0)
 
 
