@@ -149,25 +149,34 @@ def write_params_file(path, bio: bio_dof.BioPose, beta: ShapeParams,
 
 
 def load_params_file(path):
-    """Inverse of write_params_file (fit reports parse too)."""
-    bio, beta, rot, trans = (np.zeros(n) for n in (bio_dof.DOF_COUNT, 10, 3, 3))
+    """Inverse of write_params_file; a fit report loads too (its '#',
+    converged, iterations and loss lines are skipped).  Any other line must
+    be a known key with its field count, each value given at most once."""
+    values = {"bio": np.zeros(bio_dof.DOF_COUNT), "beta": np.zeros(10),
+              "global_rot": np.zeros(3), "translation": np.zeros(3)}
+    seen = set()
     for raw in Path(path).read_text(errors="replace").splitlines():
         parts = raw.split()
-        key = parts[0] if parts else ""
+        if not parts or parts[0].startswith("#") or parts[0] in (
+                "converged", "iterations", "loss"):
+            continue
+        key, *fields = parts
         try:
-            if key == "bio" and len(parts) == 3:
-                bio[bio_dof.DOF_NAMES.index(parts[1])] = float(parts[2])
-            elif key == "beta" and len(parts) == 3:
-                index = int(parts[1])
-                if not 0 <= index < beta.size:   # -1 would silently set beta[9]
-                    raise IndexError(f"beta index must be in 0..{beta.size - 1}")
-                beta[index] = float(parts[2])
-            elif key == "global_rot" and len(parts) == 4:
-                rot = np.array([float(v) for v in parts[1:]])
-            elif key == "translation" and len(parts) == 4:
-                trans = np.array([float(v) for v in parts[1:]])
+            if key == "bio" and len(fields) == 2:
+                i, numbers = bio_dof.DOF_NAMES.index(fields[0]), fields[1]
+            elif key == "beta" and len(fields) == 2 and fields[0].isdecimal():
+                i, numbers = int(fields[0]), fields[1]  # "-1" would set beta[9]
+            elif key in ("global_rot", "translation") and len(fields) == 3:
+                i, numbers = ..., fields
+            else:
+                raise ValueError("unknown key or index, or wrong field count")
+            if (key, i) in seen:
+                raise ValueError("repeated")
+            seen.add((key, i))
+            values[key][i] = np.array(numbers, dtype=float)
         except (ValueError, IndexError) as exc:
             raise InputError(f"{path}: bad params line {raw!r} ({exc})") from exc
+    bio, beta, rot, trans = values.values()
     if not np.isfinite(np.concatenate([bio, beta, rot, trans])).all():
         raise InputError(f"{path}: non-finite parameter values")
     return bio_dof.BioPose(bio), ShapeParams(beta), rot, trans

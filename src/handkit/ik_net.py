@@ -11,7 +11,8 @@ Training minimizes the sum of three L1 terms: angle error, shape error, and
 the positional error of the joints regressed from the re-posed mesh against
 the pair's ground-truth skeleton.  Backpropagation is implemented here
 directly (affine, normalization, rectifier) and chains into the analytic
-forward-kinematics gradients for the positional term.  Everything is
+forward-kinematics gradients for the positional term.  Adam runs in place
+on one flat parameter vector and its gradient twin.  Everything is
 deterministic given the seeds.
 """
 
@@ -63,8 +64,6 @@ class _Linear:
         self.weight = rng.normal(scale=scale * np.sqrt(2.0 / fan_in),
                                  size=(fan_in, fan_out))
         self.bias = np.zeros(fan_out)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
         self._x = None
 
     def forward(self, x):
@@ -83,8 +82,6 @@ class _BatchNorm:
         self.beta = np.zeros(width)
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
-        self.grad_gamma = np.zeros(width)
-        self.grad_beta = np.zeros(width)
         self._cache = None
 
     def forward(self, x, training):
@@ -127,7 +124,9 @@ class _Relu:
 
 
 class MlpIk:
-    """Three hidden blocks (affine + batch statistics + rectifier), two heads."""
+    """Three hidden blocks (affine + batch statistics + rectifier), two heads.
+    Trainable arrays are views into ``flat`` (``grad_*`` into ``flat_grad``)
+    in ``parameters()`` order: write into them, never rebind them."""
 
     def __init__(self, widths=(256, 256, 256), input_dim=FEATURE_DIM, seed=0):
         if any(w < 1 for w in widths):
@@ -143,6 +142,14 @@ class MlpIk:
         # small-scale heads start predictions near the rest pose
         self.head_theta = _Linear(rng, fan_in, bio_dof.DOF_COUNT, scale=0.01)
         self.head_beta = _Linear(rng, fan_in, 10, scale=0.01)
+        params = [(owner, attr, getattr(owner, attr))
+                  for _, owner, attr in self.parameters()]
+        self.flat = np.concatenate([value.ravel() for *_, value in params])
+        self.flat_grad = np.zeros_like(self.flat)
+        ends = np.cumsum([value.size for *_, value in params])
+        for (owner, attr, value), end in zip(params, ends):
+            for name, vec in ((attr, self.flat), ("grad_" + attr, self.flat_grad)):
+                setattr(owner, name, vec[end - value.size:end].reshape(value.shape))
 
     def forward(self, x, training=False):
         h = np.asarray(x, dtype=float)
@@ -177,13 +184,13 @@ class MlpIk:
                 in self.arrays() if trainable)
 
     def zero_grads(self):
-        for _, owner, attr in self.parameters():
-            getattr(owner, "grad_" + attr).fill(0.0)
+        self.flat_grad.fill(0.0)
 
     def check_finite(self):
-        for name, owner, attr in self.parameters():
-            if not np.isfinite(getattr(owner, attr)).all():
-                raise NumericError(f"non-finite parameter {name}")
+        if not np.isfinite(self.flat).all():
+            name = next(name for name, owner, attr in self.parameters()
+                        if not np.isfinite(getattr(owner, attr)).all())
+            raise NumericError(f"non-finite parameter {name}")
 
 
 def predict(net: MlpIk, feats: np.ndarray,
@@ -283,10 +290,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        counts = (self.epochs, self.batch_size, *self.decay_epochs)
+        if not all(isinstance(n, (int, np.integer)) for n in counts):
+            raise InputError("epochs, batch_size and decay epochs must be integers")
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
-        if any(not 0 <= d < self.epochs for d in self.decay_epochs):
-            raise InputError("decay epochs must lie in 0..epochs-1")
+        if (any(not 0 <= d < self.epochs for d in self.decay_epochs)
+                or len(set(self.decay_epochs)) != len(self.decay_epochs)):
+            raise InputError("decay epochs must be distinct, in 0..epochs-1")
         if self.batch_size < 2:
             raise InputError("batch statistics need batch_size >= 2")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -308,10 +319,9 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
     feats_all = featurize_batch(data.skeletons)
     rng = np.random.default_rng(config.seed)
 
-    adam_m = {name: np.zeros_like(getattr(owner, attr))
-              for name, owner, attr in net.parameters()}
-    adam_v = {name: np.zeros_like(getattr(owner, attr))
-              for name, owner, attr in net.parameters()}
+    # Adam on the flat vectors, in place; m, v and two scratch buffers.
+    params, grads = net.flat, net.flat_grad
+    adam_m, adam_v, s1, s2 = (np.zeros_like(params) for _ in range(4))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -336,14 +346,16 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
                     f"non-finite loss at epoch {epoch}, batch {b}")
             sums += losses
             step += 1
-            for name, owner, attr in net.parameters():
-                g = getattr(owner, "grad_" + attr)
-                adam_m[name] = beta1 * adam_m[name] + (1 - beta1) * g
-                adam_v[name] = beta2 * adam_v[name] + (1 - beta2) * g * g
-                mhat = adam_m[name] / (1 - beta1 ** step)
-                vhat = adam_v[name] / (1 - beta2 ** step)
-                setattr(owner, attr,
-                        getattr(owner, attr) - lr * mhat / (np.sqrt(vhat) + eps))
+            # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, then
+            # p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+            adam_m *= beta1
+            adam_m += np.multiply(1 - beta1, grads, out=s1)
+            adam_v *= beta2
+            adam_v += np.multiply(np.multiply(1 - beta2, grads, out=s1), grads, out=s1)
+            np.sqrt(np.divide(adam_v, 1 - beta2 ** step, out=s2), out=s2)
+            s2 += eps
+            np.multiply(np.divide(adam_m, 1 - beta1 ** step, out=s1), lr, out=s1)
+            params -= np.divide(s1, s2, out=s1)
         mean = sums / batches
         curve.append({"epoch": epoch, "total": mean[0], "theta": mean[1],
                       "beta": mean[2], "pose": mean[3]})
@@ -376,9 +388,9 @@ def load_checkpoint(path) -> MlpIk:
         raise InputError(f"{path}: header widths need more values than stored")
     net = MlpIk(widths=tuple(widths), input_dim=input_dim)
     for name, owner, attr, _ in net.arrays():
-        value = arrays[name].astype(float)
-        if value.shape != getattr(owner, attr).shape:
+        value, target = arrays[name], getattr(owner, attr)
+        if value.shape != target.shape:
             raise ShapeError(f"{path}: array {name!r} has shape {value.shape}, "
-                             f"expected {getattr(owner, attr).shape}")
-        setattr(owner, attr, value)
+                             f"expected {target.shape}")
+        target[...] = value   # into the view, so training still moves it
     return net

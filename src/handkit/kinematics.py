@@ -13,7 +13,9 @@ outputs (skeleton joints, mesh vertices, regressed joints) back to the
 articulation, shape, global-rotation, and translation parameters in one
 reverse sweep.  Both walk the chain by depth (MCPs, PIPs, DIPs: three steps,
 five fingers each); per-slot work that does not chain runs on all 15 slots
-outside the walk.  Only ``need_grad=True`` builds Rodrigues derivatives.
+outside the walk.  One Rodrigues call serves all 16 rotations; only
+``need_grad=True`` builds their derivatives.  Regressed joints skip the mesh
+as batched matmuls (see ``ModelTensors``) in both directions.
 Skinning is the blend-then-apply LBS of SMPL/MANO, one rotation column at a
 time; per-model constants live in ``model.tensors``.  Joint positions are
 exactly the translation parts of the chained per-joint rigid transforms, so
@@ -96,7 +98,7 @@ class FkCache:
     chain_t: np.ndarray | None = None       # (B, 16, 3)
     skin_t: np.ndarray | None = None        # (B, 16, 3) rest-relative translation
     template: np.ndarray | None = None      # (B, V, 3) shaped template
-    reg_q: np.ndarray | None = None         # (B, 21, 16, 3) collapsed regression points
+    reg_q: np.ndarray | None = None         # (B, 21, 48) collapsed regression points
     pre_joints: np.ndarray | None = None    # outputs before the global transform
     pre_vertices: np.ndarray | None = None
     pre_regressed: np.ndarray | None = None
@@ -119,7 +121,8 @@ class ModelTensors:
     reduce to per-(joint, slot) terms:
         regressed[k] = sum_j chain_rot[j] @ q[k, j] + c[k, j] * skin_t[j]
     with q[k, j] = q0[k, j] + Qb[k, j] @ beta (+ Qp[k, j] @ pose_feats).
-    This avoids materializing the mesh when only regressed joints are needed.
+    This avoids materializing the mesh when only regressed joints are needed;
+    with q as (B, 21, 48) and chain_rot as (B, 3, 48) the sum is a matmul.
     """
 
     J0: np.ndarray                   # (21, 3)
@@ -186,12 +189,14 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
                for x in (articulation, beta, global_rot, translation)):
         raise NumericError("non-finite pose/shape parameters")
 
-    omegas = articulation.reshape(batch, 15, 3)
+    omegas = np.concatenate([articulation.reshape(batch, 15, 3),
+                             global_rot[:, None]], axis=1)    # (B, 16, 3)
     if need_grad:
-        rot_art, drot_art = rodrigues_with_jacobian(omegas)
-        rot_g, drot_g = rodrigues_with_jacobian(global_rot)
+        rots, drots = rodrigues_with_jacobian(omegas)
+        drot_art, drot_g = drots[:, :15], drots[:, 15]
     else:
-        rot_art, rot_g = rodrigues(omegas), rodrigues(global_rot)
+        rots = rodrigues(omegas)
+    rot_art, rot_g = rots[:, :15], rots[:, 15]
 
     tensors = model.tensors
     rest_joints = tensors.J0 + (beta @ tensors.JB.reshape(10, -1)).reshape(
@@ -240,11 +245,14 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
 
     pre_regressed = reg_q = None
     if want_regressed:
-        reg_q = tensors.reg_q0 + np.einsum("kjci,bi->bkjc", tensors.reg_qb, beta)
+        q_shape = (batch, JOINT_COUNT, -1)
+        reg_q = (tensors.reg_q0.reshape(JOINT_COUNT, -1)
+                 + (beta @ tensors.reg_qb.reshape(-1, 10).T).reshape(q_shape))
         if has_pose_basis:
-            reg_q = reg_q + np.einsum("kjcp,bp->bkjc", tensors.reg_qp, pose_feats)
-        pre_regressed = (np.einsum("bjxy,bkjy->bkx", chain_rot, reg_q)
-                         + np.einsum("kj,bjx->bkx", tensors.reg_c, skin_t))
+            reg_q += (pose_feats @ tensors.reg_qp.reshape(
+                -1, POSE_BASIS_SIZE).T).reshape(q_shape)
+        rot_rows = chain_rot.swapaxes(1, 2).reshape(batch, 3, -1)  # [b, x, (j, y)]
+        pre_regressed = reg_q @ rot_rows.swapaxes(1, 2) + tensors.reg_c @ skin_t
 
     rot_g_t, shift = rot_g.transpose(0, 2, 1), translation[:, None, :]
     outputs = (None if x is None else x @ rot_g_t + shift
@@ -311,12 +319,14 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
             raise InputError("forward pass did not compute regressed joints")
         g = through_global(d_regressed, cache.pre_regressed)    # (B, 21, 3)
         tensors = model.tensors
-        bar_chain_rot += np.einsum("bkx,bkjy->bjxy", g, cache.reg_q)
-        bar_skin_t += np.einsum("kj,bkx->bjx", tensors.reg_c, g)
-        bar_q = np.einsum("bjxy,bkx->bkjy", chain_rot, g)
-        bar_beta += np.einsum("kjyi,bkjy->bi", tensors.reg_qb, bar_q)
+        bar_chain_rot += (g.swapaxes(1, 2) @ cache.reg_q).reshape(
+            batch, 3, ARTICULATED_COUNT, 3).swapaxes(1, 2)
+        bar_skin_t += tensors.reg_c.T @ g
+        bar_q = (g @ chain_rot.swapaxes(1, 2).reshape(batch, 3, -1)).reshape(
+            batch, -1)                                          # (B, 21 * 48)
+        bar_beta += bar_q @ tensors.reg_qb.reshape(-1, 10)
         if model.pose_basis is not None:
-            bar_pose_feats += np.einsum("kjyp,bkjy->bp", tensors.reg_qp, bar_q)
+            bar_pose_feats += bar_q @ tensors.reg_qp.reshape(-1, POSE_BASIS_SIZE)
 
     # Undo the rest-relative shift: skin_t = chain_t - chain_rot @ rest.
     rest_art = rest_joints[:, list(ARTICULATED)]

@@ -65,6 +65,14 @@ def _ab_prime_over_t(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ap, bp
 
 
+# d/dw_i of hat(w) is hat(e_i), a constant; _E[i] = hat(e_i).
+_E = hat(np.eye(3))  # (3, 3, 3)
+# W^2's product-rule term E_i W + W E_i is sum_k w_k (E_i E_k + E_k E_i);
+# each entry has one nonzero k, so w @ _EE is exact.
+_EE = (_E[None] @ _E[:, None] + _E[:, None] @ _E[None]).reshape(3, 27)
+_E.flags.writeable = _EE.flags.writeable = False
+
+
 def rodrigues_with_jacobian(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotation matrices and their derivatives w.r.t. the axis-angle vector.
 
@@ -81,20 +89,15 @@ def rodrigues_with_jacobian(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eye = np.broadcast_to(np.eye(3), W.shape)
     R = eye + a[..., None, None] * W + b[..., None, None] * W2
 
-    # d/dw_i of hat(w) is hat(e_i), a constant; E[i] = hat(e_i).
-    E = hat(np.eye(3))  # (3, 3, 3)
-    # Product-rule terms for W^2.
-    EW = np.einsum("iab,...bc->...iac", E, W)
-    WE = np.einsum("...ab,ibc->...iac", W, E)
-
     # da/dw_i = (a'/t) * w_i, same for b.
     da = ap_t[..., None] * w  # (..., 3)
     db = bp_t[..., None] * w
+    EW_WE = (w @ _EE).reshape(W.shape[:-2] + (3, 3, 3))
 
     dR = (
         da[..., :, None, None] * W[..., None, :, :]
-        + a[..., None, None, None] * np.broadcast_to(E, W.shape[:-2] + (3, 3, 3))
+        + a[..., None, None, None] * _E
         + db[..., :, None, None] * W2[..., None, :, :]
-        + b[..., None, None, None] * (EW + WE)
+        + b[..., None, None, None] * EW_WE
     )
     return R, dR

@@ -142,6 +142,29 @@ def test_ik_fit_self_target_reports_zero_data_loss(tmp_path, model_file):
     assert first_loss < 1e-9
 
 
+def test_fit_report_loads_as_init(tmp_path, model_file):
+    target, _ = target_json(tmp_path, model_file)
+    out = tmp_path / "fit"
+    init = tmp_path / "init.txt"
+    init.write_text("bio index_mcp_flex 0.4\nbeta 2 0.3\n"
+                    "global_rot 0 0.1 0\ntranslation 1 2 3\n")
+    assert main(["ik-fit", "--model", model_file, "--target", target,
+                 "--init", str(init), "--iterations", "2",
+                 "--out", str(out)]) == EXIT_OK
+    # the report adds '#', converged, iterations and loss lines to the params
+    bio_r, beta_r, rot_r, trans_r = load_params_file(out / "fit_report.txt")
+    bio_p, beta_p, rot_p, trans_p = load_params_file(out / "fit_params.txt")
+    np.testing.assert_array_equal(bio_r.values, bio_p.values)
+    np.testing.assert_array_equal(beta_r.beta, beta_p.beta)
+    np.testing.assert_array_equal(rot_r, rot_p)
+    np.testing.assert_array_equal(trans_r, trans_p)
+    assert bio_p.values[bio_dof.DOF_NAMES.index("index_mcp_flex")] != 0.0
+    again = tmp_path / "again"
+    assert main(["ik-fit", "--model", model_file, "--target", target,
+                 "--init", str(out / "fit_report.txt"), "--iterations", "1",
+                 "--out", str(again)]) == EXIT_OK
+
+
 def test_ik_fit_freeze_shape_bit_identical(tmp_path, model_file):
     target, _ = target_json(tmp_path, model_file)
     init = tmp_path / "init.txt"

@@ -173,6 +173,15 @@ TABLE = {
         _text(t / "p.txt", "global_rot: 0.1 0 0\nglobal_rot: 0 0.2 0\n")]),
     "ik-train-negative-decay-epoch": (2, lambda ws, t: _ik_train(
         ws, "--pairs", "64", "--epochs", "2", "--decay-epoch=-1")),
+    "ik-fit-init-unknown-key": (2, lambda ws, t: _ik_fit(
+        ws, "--target", ws / "target.json",
+        "--init", _text(t / "i.txt", "globl_rot 0 0.1 0\n"))),
+    "ik-fit-init-repeated-key": (2, lambda ws, t: _ik_fit(
+        ws, "--target", ws / "target.json", "--init", _text(
+            t / "i.txt", "bio index_mcp_flex 0.1\nbio index_mcp_flex 0.2\n"))),
+    "ik-train-repeated-decay-epoch": (2, lambda ws, t: _ik_train(
+        ws, "--pairs", "64", "--epochs", "2", "--decay-epoch", "1",
+        "--decay-epoch", "1")),
     "ik-predict-checkpoint-without-arrays": (2, lambda ws, t: [
         "ik-predict", "--target", ws / "target.json", "--out", "{out}",
         "--ckpt", _container(t / "c.hkc", {"kind": "ik_net_checkpoint",
@@ -249,6 +258,30 @@ def test_text_readers_reject_non_finite(reader, text, tmp_path):
             "graph": load_graph_text}[reader]
     with pytest.raises(errors.InputError):
         read(_text(tmp_path / "f.txt", text))
+
+
+@pytest.mark.parametrize("text", [
+    "globl_rot 0 0.1 0\n",                                  # unknown key
+    "# fit report\nconverged yes\nbio index_mcp_flx 0.1\n",  # unknown DoF
+    "global_rot 0 0.1\n", "bio index_mcp_flex\n", "beta 2 0.1 0.2\n",
+    "bio index_mcp_flex 0.1\nbio index_mcp_flex 0.2\n",
+    "beta 3 0.1\nbeta 3 0.1\n",
+    "global_rot 0 0 0\nglobal_rot 0 0.1 0\n",
+    "translation 1 2 3\ntranslation 1 2 3\n",
+])
+def test_params_file_rejects_unknown_malformed_and_repeated_lines(text, tmp_path):
+    from handkit.cli import load_params_file
+    with pytest.raises(errors.InputError, match="params line"):
+        load_params_file(_text(tmp_path / "p.txt", text))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"batch_size": 2.5}, {"epochs": 2.0, "decay_epochs": ()},
+    {"decay_epochs": (30.0, 35)}, {"decay_epochs": (30, 30)},
+])
+def test_train_config_rejects_non_integral_and_repeated(kwargs):
+    with pytest.raises(errors.InputError):
+        ik_net.TrainConfig(**kwargs)
 
 
 def test_camera_grid_size_checked_before_any_camera_is_built(monkeypatch):

@@ -301,6 +301,102 @@ def test_train_deterministic(desk, limits):
         np.testing.assert_array_equal(getattr(o1, a1), getattr(o2, a2))
 
 
+def _per_array_adam_train(net, data, config):
+    """The per-array Adam loop ``train`` ran before it held one flat vector,
+    kept as the oracle for the in-place update."""
+    axes = bio_dof.derive_axes(data.model)
+    feats_all = featurize_batch(data.skeletons)
+    rng = np.random.default_rng(config.seed)
+    adam_m = {name: np.zeros_like(getattr(owner, attr))
+              for name, owner, attr in net.parameters()}
+    adam_v = {name: np.zeros_like(getattr(owner, attr))
+              for name, owner, attr in net.parameters()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    curve = []
+    batches = len(data) // config.batch_size
+    for epoch in range(config.epochs):
+        lr = config.learning_rate
+        for d in config.decay_epochs:
+            if epoch >= d:
+                lr /= 10.0
+        perm = rng.permutation(len(data))
+        sums = np.zeros(4)
+        for b in range(batches):
+            idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
+            net.zero_grads()
+            sums += batch_loss(net, data.model, axes, feats_all[idx],
+                               data.bio[idx], data.beta[idx],
+                               data.skeletons[idx], training=True,
+                               compute_grads=True)
+            step += 1
+            for name, owner, attr in net.parameters():
+                g = getattr(owner, "grad_" + attr)
+                adam_m[name] = beta1 * adam_m[name] + (1 - beta1) * g
+                adam_v[name] = beta2 * adam_v[name] + (1 - beta2) * g * g
+                mhat = adam_m[name] / (1 - beta1 ** step)
+                vhat = adam_v[name] / (1 - beta2 ** step)
+                setattr(owner, attr,
+                        getattr(owner, attr) - lr * mhat / (np.sqrt(vhat) + eps))
+        mean = sums / batches
+        curve.append({"epoch": epoch, "total": mean[0], "theta": mean[1],
+                      "beta": mean[2], "pose": mean[3]})
+    return net, curve
+
+
+def test_flat_adam_matches_per_array_oracle(desk_small, limits):
+    data = generate_pairs(desk_small, 48, limits, seed=16)
+    config = TrainConfig(epochs=2, decay_epochs=(1,), batch_size=16,
+                         learning_rate=1e-3, seed=4)
+    oracle, oracle_curve = _per_array_adam_train(
+        MlpIk(widths=(24, 16, 8), seed=7), data, config)
+    net, curve = train(MlpIk(widths=(24, 16, 8), seed=7), data, config)
+    assert curve == oracle_curve
+    for (name, o1, a1, _), (_, o2, a2, _) in zip(net.arrays(), oracle.arrays()):
+        np.testing.assert_array_equal(getattr(o1, a1), getattr(o2, a2),
+                                      err_msg=name)
+
+
+def test_parameters_are_views_into_the_flat_vectors():
+    net = MlpIk(widths=(8, 8, 8), seed=1)
+    size = 0
+    for name, owner, attr in net.parameters():
+        value, grad = getattr(owner, attr), getattr(owner, "grad_" + attr)
+        assert np.shares_memory(value, net.flat), name
+        assert np.shares_memory(grad, net.flat_grad), name
+        size += value.size
+    assert net.flat.size == net.flat_grad.size == size
+    net.flat[:] = 2.0
+    assert all((getattr(o, a) == 2.0).all() for _, o, a in net.parameters())
+
+
+def test_loaded_net_trains_every_array_and_zeroes_grads(desk_small, limits,
+                                                        tmp_path):
+    path = tmp_path / "net.hkc"
+    save_checkpoint(MlpIk(widths=(16, 16, 16), seed=8), path)
+    net = load_checkpoint(path)
+    before = {name: getattr(owner, attr).copy()
+              for name, owner, attr in net.parameters()}
+    data = generate_pairs(desk_small, 32, limits, seed=17)
+    net, _ = train(net, data, TrainConfig(epochs=1, decay_epochs=(),
+                                          batch_size=16, learning_rate=1e-3))
+    for name, owner, attr in net.parameters():
+        assert not np.array_equal(getattr(owner, attr), before[name]), name
+        assert np.abs(getattr(owner, "grad_" + attr)).max() > 0.0, name
+    net.zero_grads()
+    for name, owner, attr in net.parameters():
+        assert not getattr(owner, "grad_" + attr).any(), name
+
+
+def test_check_finite_names_the_poisoned_array():
+    net = MlpIk(widths=(8, 8, 8), seed=1)
+    net.check_finite()
+    net.blocks[1][1].gamma[3] = np.nan
+    net.head_beta.bias[0] = np.inf
+    with pytest.raises(NumericError, match="parameter bn1_gamma$"):
+        net.check_finite()
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=10, decay_epochs=(10,))

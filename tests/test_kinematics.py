@@ -1,8 +1,8 @@
 """Guards for the FK engine: a per-vertex skinning oracle, a finite-difference
 check of every ``fk_backward`` output at B > 1 with a pose basis, the no-grad
-Rodrigues path (which holds nothing for backward), the depth-ordered chain
-layout, argument normalisation, and the read-only model behind
-``model.tensors``."""
+Rodrigues path (which holds nothing for backward), the grad path's single
+Rodrigues call, the depth-ordered chain layout, argument normalisation, and
+the read-only model behind ``model.tensors``."""
 
 import dataclasses
 
@@ -12,7 +12,7 @@ import pytest
 from handkit import bio_dof, kinematics as kin
 from handkit.errors import InputError, ShapeError
 from handkit.hand_model import HandModel
-from handkit.rotations import rodrigues
+from handkit.rotations import rodrigues, rodrigues_with_jacobian
 
 
 def _variant(model, rng, dense_weights=False):
@@ -124,6 +124,20 @@ def test_no_grad_path_skips_jacobians_and_matches(desk_small, monkeypatch):
     assert with_grad.drot_art is not None and with_grad.drot_global is not None
     for name in ("joints", "vertices", "regressed_joints"):
         np.testing.assert_array_equal(getattr(plain, name), getattr(with_grad, name))
+
+
+def test_grad_path_makes_one_rodrigues_call(desk_small, monkeypatch):
+    shapes = []
+
+    def recording(w):
+        shapes.append(np.shape(w))
+        return rodrigues_with_jacobian(w)
+    monkeypatch.setattr(kin, "rodrigues_with_jacobian", recording)
+    cache = kin.fk_forward(desk_small, *_params(np.random.default_rng(14), 5),
+                           want_regressed=True, need_grad=True)
+    assert shapes == [(5, 16, 3)]
+    assert cache.drot_art.shape == (5, 15, 3, 3, 3)
+    assert cache.drot_global.shape == (5, 3, 3, 3)
 
 
 def test_model_is_read_only_and_tensors_built_once(desk_small):
