@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kinematics as kin
-from .errors import InputError, NumericError, ShapeError
+from .errors import InputError, NumericError, as_array
 from .hand_model import HandModel, Skeleton
 
 _FINGER_DOFS = ("mcp_flex", "mcp_abd", "pip_flex", "dip_flex")
@@ -75,11 +75,7 @@ class BioPose:
     values: np.ndarray = field(default_factory=lambda: np.zeros(DOF_COUNT))
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(-1)
-        if self.values.shape != (DOF_COUNT,):
-            raise ShapeError(f"BioPose needs {DOF_COUNT} values")
-        if not np.isfinite(self.values).all():
-            raise InputError("BioPose values must be finite")
+        self.values = as_array(self.values, DOF_COUNT, "BioPose values")
 
     def __getitem__(self, name: str) -> float:
         return float(self.values[_dof_index(name)])
@@ -101,10 +97,8 @@ class DofLimits:
 
     def __post_init__(self):
         # + 0.0 turns -0.0 into 0.0, which uniform sampling would reject
-        self.lower = np.asarray(self.lower, dtype=float).reshape(-1) + 0.0
-        self.upper = np.asarray(self.upper, dtype=float).reshape(-1) + 0.0
-        if self.lower.shape != (DOF_COUNT,) or self.upper.shape != (DOF_COUNT,):
-            raise ShapeError(f"limits need {DOF_COUNT} intervals")
+        self.lower = as_array(self.lower, DOF_COUNT, "lower limits") + 0.0
+        self.upper = as_array(self.upper, DOF_COUNT, "upper limits") + 0.0
         if (self.lower > 0).any() or (self.upper < 0).any():
             raise InputError("every interval must contain 0 (rest pose feasible)")
         if (self.lower < -np.pi).any() or (self.upper > np.pi).any():
@@ -162,11 +156,8 @@ class AxisTable:
     twist: np.ndarray   # (15, 3)
 
     def __post_init__(self):
-        for arr in (self.flex, self.abd, self.twist):
-            if np.asarray(arr).shape != (15, 3):
-                raise ShapeError("axis tables need shape (15, 3)")
         for name in ("flex", "abd", "twist"):   # one table is shared per model
-            value = np.array(getattr(self, name), dtype=float)
+            value = np.array(as_array(getattr(self, name), (15, 3), f"{name} axes"))
             value.flags.writeable = False
             setattr(self, name, value)
         self._expansion = None

@@ -6,7 +6,8 @@ artifacts use fixed 9-significant-digit formatting, so re-runs produce
 byte-identical outputs.  Exit codes are mapped once, in ``main``: 0 success,
 2 ``InputError`` (malformed file or argument) or any ``OSError``, 3
 ``ShapeError`` (shape or consistency mismatch), 4 ``NumericError``
-(degenerate geometry or divergence); any other exception is a bug.
+(degenerate geometry or divergence); any other exception is a bug.  Values
+are checked where read, by the ``errors`` helpers the library shares.
 ``ik-train`` decays the rate at epochs 30 and 35 unless --decay-epoch is
 given, so --epochs 35 or fewer needs explicit values.  The model path
 defaults to the HANDKIT_MODEL environment variable.
@@ -26,7 +27,7 @@ import numpy as np
 from . import (bio_dof, ik_net, ik_optim, kinematics as kin, lixel, metrics,
                profiler, synth)
 from .errors import (EXIT_NUMERIC, EXIT_PARSE, EXIT_SHAPE,  # noqa: F401
-                     HandkitError, InputError, ShapeError)
+                     HandkitError, InputError, ShapeError, as_array)
 from .hand_model import (FullPose, HandModel, ShapeParams, forward, load_model,
                          make_desk_hand, make_desk_hand_small, save_model,
                          write_obj)
@@ -62,33 +63,19 @@ class AnnotationRecord:
     intrinsics: np.ndarray | None = None
 
 
-def _floats(value, where: str, key: str, scale: float = 1.0) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float) * scale
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {key} is not numeric ({exc})") from exc
-    if not np.isfinite(arr).all():
-        raise InputError(f"{where}: {key} holds non-finite values")
-    return arr
-
-
 def _record_from_obj(obj, scale: float, where: str) -> AnnotationRecord:
     if not isinstance(obj, dict):
         obj = {"joints": obj}  # bare-list layout: one joints array per record
     if obj.get("joints") is None:
         raise InputError(f"{where}: no joints")
-    record = AnnotationRecord(**{
-        key: _floats(obj[key], where, key, 1.0 if key == "intrinsics" else scale)
-        for key in ("joints", "vertices", "intrinsics") if obj.get(key) is not None})
-    if record.joints.shape != (kin.JOINT_COUNT, 3):
-        raise ShapeError(f"{where}: joints must be {kin.JOINT_COUNT}x3, "
-                         f"got {record.joints.shape}")
-    if record.vertices is not None and (record.vertices.ndim != 2
-                                        or record.vertices.shape[1] != 3):
-        raise ShapeError(f"{where}: vertices must be (V, 3)")
-    if record.intrinsics is not None and record.intrinsics.shape != (3, 3):
-        raise ShapeError(f"{where}: intrinsics must be 3x3")
-    return record
+    # every value of the record is checked before any shape; the millimetre
+    # values once more, as a huge meter value scales to inf
+    mm = {key: as_array(obj[key], None, f"{where}: {key}")
+          * (1.0 if key == "intrinsics" else scale)
+          for key in ("joints", "vertices", "intrinsics") if obj.get(key) is not None}
+    shapes = {"joints": (kin.JOINT_COUNT, 3), "vertices": (None, 3), "intrinsics": (3, 3)}
+    return AnnotationRecord(**{key: as_array(value, shapes[key], f"{where}: {key}")
+                               for key, value in mm.items()})
 
 
 def load_annotation_records(path) -> list[AnnotationRecord]:

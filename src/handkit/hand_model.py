@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kinematics as kin
 from .containers import read_container, write_container
-from .errors import InputError, NumericError, ShapeError
+from .errors import InputError, NumericError, ShapeError, as_array
 
 SHAPE_DIM = 10
 
@@ -40,11 +40,7 @@ class ShapeParams:
     beta: np.ndarray = field(default_factory=lambda: np.zeros(SHAPE_DIM))
 
     def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float).reshape(-1)
-        if self.beta.shape != (SHAPE_DIM,):
-            raise ShapeError(f"beta must have {SHAPE_DIM} values")
-        if not np.isfinite(self.beta).all():
-            raise InputError("beta must be finite")
+        self.beta = as_array(self.beta, SHAPE_DIM, "beta")
         if np.abs(self.beta).max(initial=0.0) > 5.0:
             warnings.warn("shape coefficients exceed the soft bound |beta| <= 5",
                           stacklevel=2)
@@ -59,20 +55,11 @@ class FullPose:
     translation: np.ndarray | None = None
 
     def __post_init__(self):
-        self.global_rot = np.asarray(self.global_rot, dtype=float).reshape(-1)
-        self.articulation = np.asarray(self.articulation, dtype=float).reshape(-1)
-        if self.global_rot.shape != (3,):
-            raise ShapeError("global_rot must have 3 values")
-        if self.articulation.shape != (kin.ARTICULATION_SIZE,):
-            raise ShapeError(f"articulation must have {kin.ARTICULATION_SIZE} values")
+        self.global_rot = as_array(self.global_rot, 3, "global_rot")
+        self.articulation = as_array(self.articulation, kin.ARTICULATION_SIZE,
+                                     "articulation")
         if self.translation is not None:
-            self.translation = np.asarray(self.translation, dtype=float).reshape(-1)
-            if self.translation.shape != (3,):
-                raise ShapeError("translation must have 3 values")
-        if not (np.isfinite(self.global_rot).all()
-                and np.isfinite(self.articulation).all()
-                and (self.translation is None or np.isfinite(self.translation).all())):
-            raise InputError("pose must be finite")
+            self.translation = as_array(self.translation, 3, "translation")
 
     def validate_magnitudes(self):
         """Per-joint axis-angle magnitudes must stay below pi."""
@@ -88,11 +75,7 @@ class Skeleton:
     joints: np.ndarray
 
     def __post_init__(self):
-        self.joints = np.asarray(self.joints, dtype=float)
-        if self.joints.shape != (kin.JOINT_COUNT, 3):
-            raise ShapeError(f"joints must have shape ({kin.JOINT_COUNT}, 3)")
-        if not np.isfinite(self.joints).all():
-            raise InputError("joints must be finite")
+        self.joints = as_array(self.joints, (kin.JOINT_COUNT, 3), "joints")
 
 
 @dataclass
@@ -103,12 +86,8 @@ class Mesh:
     faces: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
+        self.vertices = as_array(self.vertices, (None, 3), "vertices")
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise ShapeError("vertices must have shape (V, 3)")
-        if not np.isfinite(self.vertices).all():
-            raise InputError("vertices must be finite")
         if self.faces.size and (self.faces.min() < 0
                                 or self.faces.max() >= len(self.vertices)):
             raise ShapeError("face indices out of range")
@@ -214,10 +193,8 @@ def rest_joints(model: HandModel, beta: ShapeParams | None = None) -> Skeleton:
 
 def regress_joints(model: HandModel, mesh: Mesh | np.ndarray) -> Skeleton:
     """Joint regressor applied to arbitrary mesh vertices."""
-    verts = mesh.vertices if isinstance(mesh, Mesh) else np.asarray(mesh, dtype=float)
-    if verts.shape != (model.vertex_count, 3):
-        raise ShapeError(
-            f"mesh has {verts.shape} vertices, model expects ({model.vertex_count}, 3)")
+    verts = as_array(mesh.vertices if isinstance(mesh, Mesh) else mesh,
+                     (model.vertex_count, 3), "mesh vertices")
     return Skeleton(model.joint_regressor @ verts)
 
 
@@ -531,6 +508,8 @@ def from_mano_arrays(v_template, shapedirs, j_regressor, weights, faces,
     nverts = v_template.shape[0]
     if j_regressor.shape != (16, nverts) or weights.shape != (nverts, 16):
         raise ShapeError("regressor/weights do not match the MANO layout")
+    if not all(0 <= index < nverts for index in tip_vertices):
+        raise ShapeError(f"tip vertices {tip_vertices} must index {nverts} vertices")
 
     # source joint index (in the 16-joint MANO order) for each of our
     # articulated slots: wrist, then MCP/PIP/DIP per finger in our order

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bio_dof, kinematics as kin
 from .containers import read_container, write_container
-from .errors import InputError, NumericError, ShapeError
+from .errors import InputError, NumericError, ShapeError, as_array, as_number
 from .hand_model import HandModel
 
 LENGTH_SCALE = 0.01  # mm -> decimeters for input conditioning
@@ -41,9 +41,8 @@ def featurize_batch(joints: np.ndarray) -> np.ndarray:
     """(B, 21, 3) skeletons -> (B, 80) feature rows; one (21, 3) skeleton
     gives one row.  A row is the 20 unit bone directions, then the 20 bone
     lengths times LENGTH_SCALE (translation invariant by construction)."""
-    joints = np.asarray(joints, dtype=float)
-    if joints.ndim == 2:
-        joints = joints[None]
+    joints = as_array(joints, (..., kin.JOINT_COUNT, 3), "skeletons").reshape(
+        -1, kin.JOINT_COUNT, 3)
     parents = np.array([p for p, _ in kin.BONES])
     children = np.array([c for _, c in kin.BONES])
     bones = joints[:, children] - joints[:, parents]          # (B, 20, 3)
@@ -129,13 +128,12 @@ class MlpIk:
     in ``parameters()`` order: write into them, never rebind them."""
 
     def __init__(self, widths=(256, 256, 256), input_dim=FEATURE_DIM, seed=0):
-        if any(w < 1 for w in widths):
-            raise InputError("hidden widths must be >= 1")
-        rng = np.random.default_rng(seed)
-        self.widths = tuple(int(w) for w in widths)
-        self.input_dim = int(input_dim)
+        self.widths = tuple(as_number(w, "hidden width", 1, integer=True)
+                            for w in widths)
+        self.input_dim = as_number(input_dim, "input_dim", 1, integer=True)
+        rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
         self.blocks = []
-        fan_in = input_dim
+        fan_in = self.input_dim
         for w in self.widths:
             self.blocks.append((_Linear(rng, fan_in, w), _BatchNorm(w), _Relu()))
             fan_in = w
@@ -198,11 +196,8 @@ def predict(net: MlpIk, feats: np.ndarray,
     """Deterministic inference with running statistics on (B, 80) feature
     rows: (B, 23) angles clamped to the limits and (B, 10) shape values."""
     limits = limits or bio_dof.DofLimits.default()
-    feats = np.asarray(feats, dtype=float)
-    if feats.ndim != 2 or feats.shape[1] != net.input_dim:
-        raise ShapeError(f"network expects (B, {net.input_dim}) features, "
-                         f"got {feats.shape}")
-    theta, beta = net.forward(feats, training=False)
+    theta, beta = net.forward(as_array(feats, (None, net.input_dim), "features"),
+                              training=False)
     if not (np.isfinite(theta).all() and np.isfinite(beta).all()):
         raise NumericError("non-finite network activations")
     return np.clip(theta, limits.lower, limits.upper), beta
@@ -269,10 +264,9 @@ def generate_pairs(model: HandModel, count: int,
                    limits: bio_dof.DofLimits | None = None,
                    seed: int = 0) -> SynthPairSet:
     """Feasible angles ~ uniform over limits, shape ~ N(0, 0.5); skeleton by FK."""
-    if count < 1:
-        raise InputError("count must be >= 1")
+    count = as_number(count, "count", 1, integer=True)
     limits = limits or bio_dof.DofLimits.default()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     bio = bio_dof.sample_uniform(limits, count, rng)
     beta = rng.normal(scale=0.5, size=(count, 10))
     axes = bio_dof.derive_axes(model)
@@ -290,18 +284,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (self.epochs, self.batch_size, *self.decay_epochs)
-        if not all(isinstance(n, (int, np.integer)) for n in counts):
-            raise InputError("epochs, batch_size and decay epochs must be integers")
-        if self.epochs < 1:
-            raise InputError("epochs must be >= 1")
-        if (any(not 0 <= d < self.epochs for d in self.decay_epochs)
-                or len(set(self.decay_epochs)) != len(self.decay_epochs)):
-            raise InputError("decay epochs must be distinct, in 0..epochs-1")
-        if self.batch_size < 2:
-            raise InputError("batch statistics need batch_size >= 2")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise InputError("learning_rate must be finite and >= 0")
+        self.epochs = as_number(self.epochs, "epochs", 1, integer=True)
+        self.decay_epochs = tuple(as_number(d, "decay epoch", 0, self.epochs - 1,
+                                            integer=True) for d in self.decay_epochs)
+        if len(set(self.decay_epochs)) != len(self.decay_epochs):
+            raise InputError("decay epochs must be distinct")
+        self.batch_size = as_number(self.batch_size, "batch_size", 2, integer=True)
+        self.learning_rate = as_number(self.learning_rate, "learning_rate", 0)
+        self.seed = as_number(self.seed, "seed", 0, integer=True)
 
 
 def train(net: MlpIk, data: SynthPairSet, config: TrainConfig

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bio_dof, kinematics as kin
-from .errors import InputError, NumericError, ShapeError
+from .errors import InputError, NumericError, ShapeError, as_array, as_number
 from .hand_model import HandModel, ShapeParams
 
 HUBER_DELTA_MM = 1.0
@@ -41,19 +41,11 @@ class FitTarget:
 
     def __post_init__(self):
         if self.joints is not None:
-            self.joints = np.asarray(self.joints, dtype=float)
-            if self.joints.shape != (kin.JOINT_COUNT, 3):
-                raise ShapeError(f"target joints must be ({kin.JOINT_COUNT}, 3)")
+            self.joints = as_array(self.joints, (kin.JOINT_COUNT, 3), "target joints")
         if self.vertices is not None:
-            self.vertices = np.asarray(self.vertices, dtype=float)
-            if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-                raise ShapeError("target vertices must be (V, 3)")
-        for points in (self.joints, self.vertices):
-            if points is not None and not np.isfinite(points).all():
-                raise InputError("target points must be finite")
-        if not all(np.isfinite(w) and w >= 0
-                   for w in (self.weight_joints, self.weight_vertices)):
-            raise InputError("weights must be finite and nonnegative")
+            self.vertices = as_array(self.vertices, (None, 3), "target vertices")
+        self.weight_joints = as_number(self.weight_joints, "weight_joints", 0)
+        self.weight_vertices = as_number(self.weight_vertices, "weight_vertices", 0)
         has_joints = self.joints is not None and self.weight_joints > 0
         has_verts = self.vertices is not None and self.weight_vertices > 0
         if not (has_joints or has_verts):
@@ -71,19 +63,14 @@ class FitConfig:
     final_step_scale: float = 0.02    # cosine decay floor, fraction of step_size
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise InputError("iterations must be >= 1")
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
-            raise InputError("step_size must be finite and positive")
-        if not (np.isfinite(self.bend_weight) and self.bend_weight >= 0):
-            raise InputError("bend_weight must be finite and >= 0")
+        self.iterations = as_number(self.iterations, "iterations", 1, integer=True)
+        self.step_size = as_number(self.step_size, "step_size", above=0)
+        self.bend_weight = as_number(self.bend_weight, "bend_weight", 0)
         if self.loss_kind not in ("huber", "l2"):
             raise InputError("loss_kind must be 'huber' or 'l2'")
-        if not (np.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
-            raise InputError("convergence_tol must be finite and >= 0")
-        if not (np.isfinite(self.final_step_scale)
-                and 0 <= self.final_step_scale <= 1):
-            raise InputError("final_step_scale must be finite and in [0, 1]")
+        self.convergence_tol = as_number(self.convergence_tol, "convergence_tol", 0)
+        self.final_step_scale = as_number(self.final_step_scale, "final_step_scale",
+                                          0, 1)
 
 
 @dataclass
@@ -187,11 +174,12 @@ def _loss_and_grad(model, bio_values, beta_values, global_rot, translation,
 
 
 def _flat_params(bio, beta, global_rot, translation):
-    """Angles, shape, rotation and translation as float arrays; None is zeros."""
+    """Angles, shape, rotation and translation as checked arrays; None is zeros."""
     bio = bio.values if isinstance(bio, bio_dof.BioPose) else bio
     beta = beta.beta if isinstance(beta, ShapeParams) else beta
-    return tuple(np.zeros(n) if x is None else np.asarray(x, float) for x, n in (
-        (bio, bio_dof.DOF_COUNT), (beta, 10), (global_rot, 3), (translation, 3)))
+    return tuple(np.zeros(n) if x is None else as_array(x, (n,), what) for x, n, what in (
+        (bio, bio_dof.DOF_COUNT, "angles"), (beta, 10, "beta"),
+        (global_rot, 3, "global rotation"), (translation, 3, "translation")))
 
 
 def fit_loss(model: HandModel, bio, beta, global_rot=None, translation=None,
@@ -222,13 +210,7 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     limits = limits or bio_dof.DofLimits.default()
     nd = bio_dof.DOF_COUNT
 
-    parts = _flat_params(init_bio, init_beta, init_rot, init_trans)
-    if [p.shape for p in parts] != [(nd,), (10,), (3,), (3,)]:
-        raise ShapeError(f"initial parameters must be {nd} angles, 10 shape values "
-                         "and 3 + 3 global rotation/translation values")
-    x = np.concatenate(parts)
-    if not np.isfinite(x).all():
-        raise InputError("initial parameters must be finite")
+    x = np.concatenate(_flat_params(init_bio, init_beta, init_rot, init_trans))
     frozen_beta = x[nd:nd + 10].copy()
 
     m = np.zeros(PARAM_COUNT)

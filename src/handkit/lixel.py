@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import InputError, as_array, as_number
 
 DEFAULT_RESOLUTION = 64
 DEFAULT_SIGMA = 2.5
@@ -33,9 +33,7 @@ class Heatmap1D:
     axis: str = "x"
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(-1)
-        if not np.isfinite(self.values).all():
-            raise InputError("heatmap values must be finite")
+        self.values = as_array(self.values, None, "heatmap values").reshape(-1)
         if (self.values < 0).any():
             raise InputError("heatmap values must be nonnegative")
         if not (self.values > 0).any():
@@ -48,10 +46,9 @@ class Heatmap1D:
 def encode(coord: float, length: int = DEFAULT_RESOLUTION,
            sigma: float = DEFAULT_SIGMA, axis: str = "x") -> Heatmap1D:
     """Gaussian likelihood over lixel centers for a coordinate in [0, 1]."""
-    if not 0.0 <= coord <= 1.0:
-        raise InputError(f"coordinate {coord} outside [0, 1]")
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
+    coord = as_number(coord, "coordinate", 0, 1)
+    length = as_number(length, "length", 1, integer=True)
+    sigma = as_number(sigma, "sigma", above=0)
     centers = np.arange(length) + 0.5
     values = np.exp(-((centers - coord * length) ** 2) / (2.0 * sigma * sigma))
     return Heatmap1D(values, axis=axis)
@@ -79,9 +76,7 @@ def marginalize(grid: np.ndarray) -> tuple[Heatmap1D, Heatmap1D, Heatmap1D]:
     Each output sums over the other two axes, so total mass is preserved on
     every axis.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 3:
-        raise ShapeError("expected a 3D likelihood grid")
+    grid = as_array(grid, (None, None, None), "likelihood grid")
     if (grid < 0).any():
         raise InputError("grid must be nonnegative")
     hx = Heatmap1D(grid.sum(axis=(1, 2)), axis="x")

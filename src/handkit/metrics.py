@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NumericError, ShapeError
+from .errors import NumericError, ShapeError, as_array, as_number
 
 DEFAULT_F_THRESHOLDS = (5.0, 15.0)
 
@@ -26,10 +26,7 @@ DEFAULT_F_THRESHOLDS = (5.0, 15.0)
 def _points(x) -> np.ndarray:
     pts = x.joints if hasattr(x, "joints") else (
         x.vertices if hasattr(x, "vertices") else x)
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ShapeError(f"expected (N, 3) points, got {pts.shape}")
-    return pts
+    return as_array(pts, (None, 3), "points")
 
 
 def mpjpe(pred, gt) -> float:
@@ -78,16 +75,9 @@ def pa_mpjpe(pred, gt) -> float:
     return mpjpe(aligned, gt)
 
 
-def _check_threshold(threshold_mm) -> float:
-    threshold_mm = float(threshold_mm)
-    if not (np.isfinite(threshold_mm) and threshold_mm > 0):
-        raise InputError(f"F-score threshold must be finite and > 0: {threshold_mm}")
-    return threshold_mm
-
-
 def fscore(pred, gt, threshold_mm: float) -> float:
     """Harmonic mean of nearest-neighbor precision and recall at a threshold."""
-    threshold_mm = _check_threshold(threshold_mm)
+    threshold_mm = as_number(threshold_mm, "F-score threshold", above=0)
     p, g = _points(pred), _points(gt)
     if len(p) == 0 or len(g) == 0:
         raise ShapeError("point sets must be nonempty")
@@ -136,7 +126,7 @@ def evaluate(pred_joints, gt_joints, pred_vertices=None, gt_vertices=None,
     joints.  With root_center the first point is subtracted from every set
     before the unaligned metrics (the aligned ones are unaffected).
     """
-    thresholds = [_check_threshold(t) for t in thresholds]
+    thresholds = [as_number(t, "F-score threshold", above=0) for t in thresholds]
     preds = [_points(p) for p in pred_joints]
     gts = [_points(g) for g in gt_joints]
     if len(preds) != len(gts) or not preds:

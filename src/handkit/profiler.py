@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InputError, ShapeError
+from .errors import InputError, ShapeError, as_number
 
 _SIZE_LIMIT = 2 ** 31  # layer sizes and spatial extents, as in int32
 
@@ -45,12 +45,10 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown layer kind {self.kind!r}")
-        sizes = (self.kernel, self.in_channels, self.out_channels, self.stride,
-                 self.groups)
-        if min(sizes) < 1 or max(sizes) >= _SIZE_LIMIT:
-            raise InputError("kernel, channels, stride, groups must be in [1, 2**31)")
-        if not self.se_ratio >= 1:
-            raise InputError("se_ratio must be >= 1 (a reduction)")
+        for name in ("kernel", "in_channels", "out_channels", "stride", "groups"):
+            setattr(self, name, as_number(getattr(self, name), name, 1,
+                                          _SIZE_LIMIT - 1, integer=True))
+        self.se_ratio = as_number(self.se_ratio, "se_ratio (a reduction)", 1)
         if self.kind in ("depthwise_conv", "depthwise_deconv"):
             if self.in_channels != self.out_channels:
                 raise InputError("depthwise layers keep the channel count")
@@ -139,9 +137,7 @@ class ProfileReport:
 
 def profile(graph: NetGraph, resolution: int = 256) -> ProfileReport:
     """Propagate shapes through the graph and sum MACs per named stage."""
-    if graph.input_stride < 1:
-        raise InputError("input stride must be >= 1")
-    if resolution % graph.input_stride:
+    if resolution % as_number(graph.input_stride, "input stride", 1, integer=True):
         raise ShapeError("resolution must be divisible by the input stride")
     c = graph.input_channels
     h = w = resolution // graph.input_stride

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bio_dof, kinematics as kin
 from .containers import read_container, write_container
-from .errors import InputError, NumericError, ShapeError
+from .errors import InputError, NumericError, as_array, as_number
 
 WORLD_UP = np.array([0.0, 1.0, 0.0])
 DEFAULT_ELEV_MIN = -np.pi / 3.0
@@ -73,11 +73,10 @@ def sample_cameras(elev_min: float = DEFAULT_ELEV_MIN,
 
     A grid with no camera or more than ``MAX_CAMERAS`` raises ``InputError``.
     """
-    if not (np.isfinite([elev_min, elev_max]).all() and azim_step > 0
-            and elev_step > 0):
-        raise InputError("step sizes must be positive and bounds finite")
-    if elev_max < elev_min:
-        raise InputError(f"elev_max {elev_max} is below elev_min {elev_min}")
+    elev_min = as_number(elev_min, "elev_min")
+    elev_max = as_number(elev_max, "elev_max", elev_min)
+    azim_step = as_number(azim_step, "azim_step", above=0)
+    elev_step = as_number(elev_step, "elev_step", above=0)
     # float counts first: a tiny step gives inf, which int() cannot take
     n_elev = np.rint((elev_max - elev_min) / elev_step) + 1
     n_azim = np.rint(2.0 * np.pi / azim_step)
@@ -115,9 +114,7 @@ class PoseLibrary:
     poses: np.ndarray
 
     def __post_init__(self):
-        self.poses = np.asarray(self.poses, dtype=float)
-        if self.poses.ndim != 2 or self.poses.shape[1] != kin.ARTICULATION_SIZE:
-            raise ShapeError(f"poses must have shape (N, {kin.ARTICULATION_SIZE})")
+        self.poses = as_array(self.poses, (None, kin.ARTICULATION_SIZE), "poses")
 
     def __len__(self):
         return len(self.poses)
@@ -147,10 +144,9 @@ def make_pose_library(model, count: int = BASE_LIBRARY_SIZE,
     The loader (``load_pose_library``) accepts a real (N, 45) array container
     when one is available; this generator only fills its place.
     """
-    if count < 1:
-        raise InputError("count must be >= 1")
+    count = as_number(count, "count", 1, integer=True)
     limits = limits or bio_dof.DofLimits.default()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     axes = bio_dof.derive_axes(model)
     bio = bio_dof.sample_uniform(limits, count, rng)
     return PoseLibrary(bio_dof.expand_batch(bio, axes))
@@ -167,11 +163,9 @@ def augment_library(lib: PoseLibrary, per_pose: int = DEFAULT_VARIANTS_PER_POSE,
     """
     if len(lib) == 0:
         raise InputError("library is empty")
-    if per_pose < 1:
-        raise InputError("per_pose must be >= 1")
-    if not 0.0 <= swap_probability <= 1.0:
-        raise InputError(f"swap_probability must be in [0, 1], got {swap_probability}")
-    rng = np.random.default_rng(seed)
+    per_pose = as_number(per_pose, "per_pose", 1, integer=True)
+    swap_probability = as_number(swap_probability, "swap_probability", 0, 1)
+    rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     total = len(lib) * per_pose
     out = lib.poses[np.repeat(np.arange(len(lib)), per_pose)].copy()
     donors = lib.poses[rng.integers(len(lib), size=total)]
@@ -225,11 +219,13 @@ def project(skeleton, cam: CameraPose, radius_mm: float,
     """Pinhole projection of the 21 joints; returns (21, 2) pixel coordinates.
 
     The look-at target projects to the principal point (cx, cy).  Raises
-    NumericError if any joint has non-positive camera depth.
+    InputError for a radius <= 0 or non-finite intrinsics, and NumericError
+    if any joint has non-positive camera depth.
     """
     joints = skeleton.joints if hasattr(skeleton, "joints") else \
         np.asarray(skeleton, dtype=float)
-    rot, eye = camera_frame(cam, radius_mm)
+    fx, fy, cx, cy = (as_number(v, "intrinsics") for v in (fx, fy, cx, cy))
+    rot, eye = camera_frame(cam, as_number(radius_mm, "radius_mm", above=0))
     cam_pts = (joints - eye) @ rot.T
     depth = cam_pts[:, 2]
     if (depth <= 1e-9).any():

@@ -19,11 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import handkit
-from handkit import bio_dof, errors, ik_net, synth
+from handkit import (bio_dof, errors, ik_net, ik_optim, lixel, metrics, profiler,
+                     synth)
 from handkit.cli import main, write_params_file
 from handkit.containers import write_container
-from handkit.hand_model import (FullPose, ShapeParams, forward, load_model,
-                                make_desk_hand_small, save_model)
+from handkit.hand_model import (FullPose, Mesh, ShapeParams, Skeleton, forward,
+                                load_model, make_desk_hand_small, regress_joints,
+                                save_model)
 
 CONTRACT = {0, 2, 3, 4}
 
@@ -245,6 +247,8 @@ def test_container_reader_rejects(defect, ws, tmp_path):
 @pytest.mark.parametrize("reader, text", [
     ("annotation", '{"unit": "mm", "joints": [[Infinity, 0, 0]]}'),
     ("annotation", '[[[1e999, 0, 0]]]'),
+    # every array of a record is checked for NaN before any shape is
+    ("annotation", '{"unit": "mm", "joints": [[0, 0, 0]], "vertices": [[NaN, 0, 0]]}'),
     ("limits", "index_mcp_flex = nan 1.0\n"),
     ("params", "translation 0 nan 0\n"),
     ("pose", "global_rot: 0 inf 0\n"),
@@ -354,6 +358,162 @@ def test_fit_rejects_misshapen_initial_parameters():
         with pytest.raises(errors.ShapeError):
             ik_optim.fit(model, target, config=ik_optim.FitConfig(iterations=1),
                          **kwargs)
+
+
+def _nan(*shape) -> np.ndarray:
+    values = np.zeros(shape)
+    values.flat[1] = np.nan
+    return values
+
+
+_RAGGED = [[1.0, 2.0], [3.0]]
+_CAM = synth.CameraPose(0.0, 0.0, synth.sphere_point(0.0, 0.0))
+_LIB = synth.PoseLibrary(np.zeros((2, 45)))
+
+# name -> (family class, call on the small desk hand): one row per library
+# entry point that checks a value where it enters
+LIBRARY = {
+    "ShapeParams-strings": (errors.InputError, lambda m: ShapeParams(["a"] * 10)),
+    "ShapeParams-ragged": (errors.InputError, lambda m: ShapeParams(_RAGGED)),
+    "ShapeParams-nan": (errors.InputError, lambda m: ShapeParams(_nan(10))),
+    "ShapeParams-11-values": (errors.ShapeError, lambda m: ShapeParams(np.zeros(11))),
+    "FullPose-string-rotation": (errors.InputError, lambda m: FullPose(global_rot="abc")),
+    "FullPose-nan-translation": (errors.InputError, lambda m: FullPose(
+        translation=[0.0, np.nan, 0.0])),
+    "FullPose-44-values": (errors.ShapeError, lambda m: FullPose(
+        articulation=np.zeros(44))),
+    "Skeleton-misshapen-nan": (errors.InputError, lambda m: Skeleton(_nan(5, 3))),
+    "Skeleton-none": (errors.InputError, lambda m: Skeleton(None)),
+    "Skeleton-20-joints": (errors.ShapeError, lambda m: Skeleton(np.zeros((20, 3)))),
+    "Mesh-strings": (errors.InputError, lambda m: Mesh([["a", "b", "c"]], [])),
+    "Mesh-ragged": (errors.InputError, lambda m: Mesh(_RAGGED, [])),
+    "regress_joints-nan": (errors.InputError, lambda m: regress_joints(
+        m, _nan(m.vertex_count, 3))),
+    "BioPose-strings": (errors.InputError, lambda m: bio_dof.BioPose(["x"] * 23)),
+    "BioPose-ragged": (errors.InputError, lambda m: bio_dof.BioPose(_RAGGED)),
+    "DofLimits-nan": (errors.InputError, lambda m: bio_dof.DofLimits(
+        _nan(23), np.ones(23))),
+    "DofLimits-22-values": (errors.ShapeError, lambda m: bio_dof.DofLimits(
+        np.zeros(22), np.ones(23))),
+    "AxisTable-nan": (errors.InputError, lambda m: bio_dof.AxisTable(
+        _nan(15, 3), np.zeros((15, 3)), np.zeros((15, 3)))),
+    "AxisTable-strings": (errors.InputError, lambda m: bio_dof.AxisTable(
+        [["a"] * 3] * 15, np.zeros((15, 3)), np.zeros((15, 3)))),
+    "FitTarget-string-joints": (errors.InputError, lambda m: ik_optim.FitTarget(
+        joints=[["a"] * 3] * 21)),
+    "FitTarget-string-weight": (errors.InputError, lambda m: ik_optim.FitTarget(
+        joints=np.zeros((21, 3)), weight_joints="1")),
+    "FitConfig-fractional-iterations": (errors.InputError, lambda m: ik_optim.FitConfig(
+        iterations=2.5)),
+    "FitConfig-string-step-size": (errors.InputError, lambda m: ik_optim.FitConfig(
+        step_size="0.1")),
+    "fit-string-initial-angles": (errors.InputError, lambda m: ik_optim.fit(
+        m, ik_optim.FitTarget(joints=np.zeros((21, 3))), init_bio=["a"] * 23)),
+    "fit-nan-initial-rotation": (errors.InputError, lambda m: ik_optim.fit(
+        m, ik_optim.FitTarget(joints=np.zeros((21, 3))), init_rot=_nan(3))),
+    "fit_loss-misshapen-beta": (errors.ShapeError, lambda m: ik_optim.fit_loss(
+        m, np.zeros(23), np.zeros(11), target=ik_optim.FitTarget(
+            joints=np.zeros((21, 3))))),
+    "featurize_batch-20-joints": (errors.ShapeError, lambda m: ik_net.featurize_batch(
+        np.zeros((5, 20, 3)))),
+    "featurize_batch-nan": (errors.InputError, lambda m: ik_net.featurize_batch(
+        _nan(21, 3) + np.arange(63.0).reshape(21, 3))),
+    "MlpIk-fractional-width": (errors.InputError, lambda m: ik_net.MlpIk(
+        widths=(2.5, 3, 4))),
+    "MlpIk-fractional-input-dim": (errors.InputError, lambda m: ik_net.MlpIk(
+        widths=(2, 2, 2), input_dim=80.0)),
+    "MlpIk-negative-seed": (errors.InputError, lambda m: ik_net.MlpIk(
+        widths=(2, 2, 2), seed=-1)),
+    "predict-nan-features": (errors.InputError, lambda m: ik_net.predict(
+        ik_net.MlpIk(widths=(2, 2, 2)), _nan(2, 80))),
+    "predict-79-features": (errors.ShapeError, lambda m: ik_net.predict(
+        ik_net.MlpIk(widths=(2, 2, 2)), np.zeros((2, 79)))),
+    "generate_pairs-fractional-count": (errors.InputError, lambda m: ik_net.generate_pairs(
+        m, 2.5)),
+    "generate_pairs-negative-seed": (errors.InputError, lambda m: ik_net.generate_pairs(
+        m, 2, seed=-1)),
+    "TrainConfig-negative-seed": (errors.InputError, lambda m: ik_net.TrainConfig(
+        seed=-1)),
+    "TrainConfig-fractional-seed": (errors.InputError, lambda m: ik_net.TrainConfig(
+        seed=1.5)),
+    "TrainConfig-string-rate": (errors.InputError, lambda m: ik_net.TrainConfig(
+        learning_rate="1e-4")),
+    "sample_cameras-string-step": (errors.InputError, lambda m: synth.sample_cameras(
+        azim_step="0.1")),
+    "sample_cameras-string-bound": (errors.InputError, lambda m: synth.sample_cameras(
+        elev_min="0")),
+    "PoseLibrary-nan": (errors.InputError, lambda m: synth.PoseLibrary(_nan(2, 45))),
+    "PoseLibrary-44-values": (errors.ShapeError, lambda m: synth.PoseLibrary(
+        np.zeros((2, 44)))),
+    "make_pose_library-fractional-count": (errors.InputError, lambda m:
+                                           synth.make_pose_library(m, count=2.5)),
+    "make_pose_library-negative-seed": (errors.InputError, lambda m:
+                                        synth.make_pose_library(m, count=2, seed=-1)),
+    "augment_library-fractional-per-pose": (errors.InputError, lambda m:
+                                            synth.augment_library(_LIB, per_pose=1.5)),
+    "augment_library-string-probability": (errors.InputError, lambda m:
+                                           synth.augment_library(
+                                               _LIB, per_pose=2, swap_probability="0.5")),
+    "augment_library-negative-seed": (errors.InputError, lambda m: synth.augment_library(
+        _LIB, per_pose=2, seed=-1)),
+    "project-zero-radius": (errors.InputError, lambda m: synth.project(
+        np.zeros((21, 3)), _CAM, 0.0, 500.0, 500.0, 128.0, 128.0)),
+    "project-nan-focal-length": (errors.InputError, lambda m: synth.project(
+        np.zeros((21, 3)), _CAM, 400.0, np.nan, 500.0, 128.0, 128.0)),
+    "Heatmap1D-ragged": (errors.InputError, lambda m: lixel.Heatmap1D(_RAGGED)),
+    "Heatmap1D-strings": (errors.InputError, lambda m: lixel.Heatmap1D(["a", "b"])),
+    "encode-fractional-length": (errors.InputError, lambda m: lixel.encode(
+        0.5, length=2.5)),
+    "encode-string-coordinate": (errors.InputError, lambda m: lixel.encode("0.5")),
+    "encode-infinite-sigma": (errors.InputError, lambda m: lixel.encode(
+        0.5, sigma=math.inf)),
+    "marginalize-2d-grid": (errors.ShapeError, lambda m: lixel.marginalize(
+        np.ones((4, 4)))),
+    "mpjpe-nan-points": (errors.InputError, lambda m: metrics.mpjpe(
+        _nan(21, 3), np.zeros((21, 3)))),
+    "mpjpe-2d-points": (errors.ShapeError, lambda m: metrics.mpjpe(
+        np.zeros((21, 2)), np.zeros((21, 2)))),
+    "fscore-string-threshold": (errors.InputError, lambda m: metrics.fscore(
+        np.zeros((4, 3)), np.zeros((4, 3)), "5")),
+    "LayerSpec-fractional-kernel": (errors.InputError, lambda m: profiler.LayerSpec(
+        "conv", kernel=2.5)),
+    "LayerSpec-string-se-ratio": (errors.InputError, lambda m: profiler.LayerSpec(
+        "squeeze_excitation", se_ratio="4")),
+    "LayerSpec-infinite-se-ratio": (errors.InputError, lambda m: profiler.LayerSpec(
+        "squeeze_excitation", se_ratio=math.inf)),
+    "profile-fractional-input-stride": (errors.InputError, lambda m: profiler.profile(
+        profiler.NetGraph("g", 3, [("s", profiler.LayerSpec("conv"))], input_stride=1.5),
+        resolution=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_library_entry_points_raise_the_family(name, desk_small):
+    error, call = LIBRARY[name]
+    with pytest.raises(error):
+        call(desk_small)
+
+
+def test_check_helpers_keep_the_input_rule():
+    # not numeric, then not finite, then wrong shape
+    with pytest.raises(errors.InputError, match="beta must be finite"):
+        errors.as_array(_nan(3), (10,), "beta")
+    with pytest.raises(errors.ShapeError, match=r"\(\.\.\., 21, 3\), got \(20, 3\)"):
+        errors.as_array(np.zeros((20, 3)), (..., 21, 3), "skeletons")
+    assert errors.as_array(np.zeros((2, 5)), 10, "beta").shape == (10,)
+    joints = np.zeros((21, 3))
+    assert errors.as_array(joints, (None, 3), "joints") is joints
+    assert errors.as_number(np.int64(3), "count", 1, integer=True) == 3
+    assert type(ik_net.TrainConfig(epochs=np.int64(3), decay_epochs=(1,)).epochs) is int
+    for value in ("3", 2.5, None):
+        with pytest.raises(errors.InputError, match="count must be an integer"):
+            errors.as_number(value, "count", integer=True)
+    for value in ("0.5", b"1", 1j, None):
+        with pytest.raises(errors.InputError, match="rate must be a number"):
+            errors.as_number(value, "rate")
+    with pytest.raises(errors.InputError, match="rate must be > 0"):
+        errors.as_number(0.0, "rate", above=0)
+    assert errors.as_number(1, "p", 0, 1) == 1.0
 
 
 def test_family_and_aliases():

@@ -376,3 +376,10 @@ def test_from_mano_arrays_rejects_bad_shapes():
     v, s, j, w, f, _ = _fake_mano_arrays()
     with pytest.raises(ShapeError):
         from_mano_arrays(v, s, j[:10], w, f)
+
+
+def test_from_mano_arrays_rejects_tip_vertices_out_of_range():
+    # the published thumb tip is vertex 745, past the end of a 500-vertex mesh
+    v, s, j, w, f, _ = _fake_mano_arrays(nverts=500)
+    with pytest.raises(ShapeError, match="745"):
+        from_mano_arrays(v, s, j, w, f)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handkit import kinematics as kin, synth
-from handkit.errors import NumericError
+from handkit.errors import InputError, NumericError
 from handkit.synth import (CameraPose, PoseLibrary,
                            augment_library, cameras_to_text, load_pose_library,
                            make_pose_library, project, sample_cameras,
@@ -195,6 +195,17 @@ def test_project_rejects_points_behind_camera():
     joints[:, 0] = 300.0  # beyond the camera at radius 200
     with pytest.raises(NumericError):
         project(joints, cam, 200.0, 500.0, 500.0, 128.0, 128.0)
+
+
+@pytest.mark.parametrize("radius, intrinsics", [
+    (0.0, (500.0, 500.0, 128.0, 128.0)), (-200.0, (500.0, 500.0, 128.0, 128.0)),
+    (np.nan, (500.0, 500.0, 128.0, 128.0)), (400.0, (np.nan, 500.0, 128.0, 128.0)),
+    (400.0, (500.0, 500.0, np.inf, 128.0)), (400.0, (500.0, "500", 128.0, 128.0)),
+])
+def test_project_rejects_bad_camera_geometry(radius, intrinsics):
+    cam = CameraPose(0.3, 1.1, sphere_point(0.3, 1.1))
+    with pytest.raises(InputError):
+        project(np.zeros((21, 3)), cam, radius, *intrinsics)
 
 
 def test_project_pole_camera_is_defined(rng):
