@@ -10,10 +10,10 @@ feed two affine heads: 23 feasible angles and 10 shape coefficients.
 Training minimizes the sum of three L1 terms: angle error, shape error, and
 the positional error of the joints regressed from the re-posed mesh against
 the pair's ground-truth skeleton.  Backpropagation is implemented here
-directly (affine, normalization, rectifier) and chains into the analytic
-forward-kinematics gradients for the positional term.  Adam runs in place
-on one flat parameter vector and its gradient twin.  Everything is
-deterministic given the seeds.
+directly (affine, normalization, rectifier); the positional term and its
+gradients come from the refinement's ``ik_optim.batch_fit_loss``.
+``ik_optim.adam_step`` runs in place on one flat parameter vector and its
+gradient twin.  Everything is deterministic given the seeds.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bio_dof, kinematics as kin
+from . import bio_dof, ik_optim, kinematics as kin
 from .containers import read_container, write_container
 from .errors import InputError, NumericError, ShapeError, as_array, as_number
 from .hand_model import HandModel
@@ -207,21 +207,6 @@ def predict(net: MlpIk, feats: np.ndarray,
 # losses
 # ---------------------------------------------------------------------------
 
-def _pose_term(model, axes, theta, beta, skel_gt, compute_grads):
-    """L1 joint term through FK, plus its gradients w.r.t. (theta, beta)."""
-    art = bio_dof.expand_batch(theta, axes)
-    out = kin.fk_forward(model, art, beta, want_regressed=True,
-                         need_grad=compute_grads)
-    residual = out.regressed_joints - skel_gt
-    loss = np.abs(residual).mean()
-    if not compute_grads:
-        return loss, None, None
-    d_reg = np.sign(residual) / residual.size
-    grads = kin.fk_backward(model, out, d_regressed=d_reg)
-    d_theta = grads.articulation @ axes.expansion_matrix()
-    return loss, d_theta, grads.beta
-
-
 def batch_loss(net: MlpIk, model: HandModel, axes, feats, bio_gt, beta_gt,
                skel_gt, training=False, compute_grads=False):
     """Forward the net on a feature batch and evaluate the three-term loss.
@@ -233,12 +218,14 @@ def batch_loss(net: MlpIk, model: HandModel, axes, feats, bio_gt, beta_gt,
     theta, beta = net.forward(feats, training=training)
     l_theta = np.abs(theta - bio_gt).mean()
     l_beta = np.abs(beta - beta_gt).mean()
-    l_pose, d_theta_pose, d_beta_pose = _pose_term(
-        model, axes, theta, beta, skel_gt, compute_grads)
+    # L1 joint term through FK: the refinement's loss with only a joint term
+    l_pose, pose_grads = ik_optim.batch_fit_loss(
+        model, axes, theta, beta, None, None, skel_gt, None, weight_joints=1.0,
+        weight_vertices=0.0, bend_weight=0.0, loss_kind="l1", want_grad=compute_grads)
     total = float(l_theta + l_beta + l_pose)
     if compute_grads:
-        d_theta = np.sign(theta - bio_gt) / (theta.size) + d_theta_pose
-        d_beta = np.sign(beta - beta_gt) / (beta.size) + d_beta_pose
+        d_theta = np.sign(theta - bio_gt) / (theta.size) + pose_grads[0]
+        d_beta = np.sign(beta - beta_gt) / (beta.size) + pose_grads[1]
         net.backward(d_theta, d_beta)
     return total, float(l_theta), float(l_beta), float(l_pose)
 
@@ -309,10 +296,7 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
     feats_all = featurize_batch(data.skeletons)
     rng = np.random.default_rng(config.seed)
 
-    # Adam on the flat vectors, in place; m, v and two scratch buffers.
-    params, grads = net.flat, net.flat_grad
-    adam_m, adam_v, s1, s2 = (np.zeros_like(params) for _ in range(4))
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    adam_state = np.zeros((4, net.flat.size))
     step = 0
 
     curve: list[dict[str, float]] = []
@@ -336,16 +320,7 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
                     f"non-finite loss at epoch {epoch}, batch {b}")
             sums += losses
             step += 1
-            # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, then
-            # p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-            adam_m *= beta1
-            adam_m += np.multiply(1 - beta1, grads, out=s1)
-            adam_v *= beta2
-            adam_v += np.multiply(np.multiply(1 - beta2, grads, out=s1), grads, out=s1)
-            np.sqrt(np.divide(adam_v, 1 - beta2 ** step, out=s2), out=s2)
-            s2 += eps
-            np.multiply(np.divide(adam_m, 1 - beta1 ** step, out=s1), lr, out=s1)
-            params -= np.divide(s1, s2, out=s1)
+            ik_optim.adam_step(net.flat, net.flat_grad, adam_state, step, lr)
         mean = sums / batches
         curve.append({"epoch": epoch, "total": mean[0], "theta": mean[1],
                       "beta": mean[2], "pose": mean[3]})

@@ -8,11 +8,11 @@ bend-direction invariant: for each finger the two cross products
 penalty is max(0, -s) on their dot product s, so feasible bends contribute
 exactly zero.
 
-The solver runs adaptive-moment (Adam-style) first-order steps with a cosine
+The one loss, ``batch_fit_loss``, is batched; ``fit`` and ``fit_loss`` call
+it as a batch of one and ``ik_net`` for its L1 joint term.  The solver runs
+in-place Adam steps (``adam_step``, shared with ``ik_net``) with a cosine
 step-size decay, clamps the 23 feasible angles to their limits after every
-update, and returns the best-loss iterate.  Gradients are fully analytic:
-chain rule through the DoF expansion, Rodrigues, the chained transforms, the
-skinning/regression collapse, and the loss.
+update, and returns the best-loss iterate.  Gradients are fully analytic.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ def _robust(residual: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate penalty and its derivative."""
     if kind == "l2":
         return residual * residual, 2.0 * residual
+    if kind == "l1":
+        return np.abs(residual), np.sign(residual)
     absr = np.abs(residual)
     pen = np.where(absr <= HUBER_DELTA_MM, 0.5 * residual * residual,
                    HUBER_DELTA_MM * (absr - 0.5 * HUBER_DELTA_MM))
@@ -103,8 +105,9 @@ _BEND_CHAINS = np.array([[kin.finger_joint(fi, p) for p in range(4)]
                          for fi in _BEND_FINGERS])
 
 
-def bend_penalty_with_grad(joints: np.ndarray) -> tuple[float, np.ndarray]:
-    """Opposing-bend hinge penalty and its gradient w.r.t. joint positions.
+def bend_penalty_with_grad(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Opposing-bend hinge penalty of (..., 21, 3) skeletons: one penalty per
+    skeleton (shape ``...``) and its (..., 21, 3) gradient w.r.t. the joints.
 
     For each non-thumb finger, s = (b_tip x b_mid) . (b_mid x b_prox) with
     bone vectors pointing tip-ward; same-direction planar bends give s >= 0
@@ -112,74 +115,82 @@ def bend_penalty_with_grad(joints: np.ndarray) -> tuple[float, np.ndarray]:
     scaling preserves its sign (magnitude scales as scale^4).
     """
     joints = np.asarray(joints, dtype=float)
-    bones = np.diff(joints[_BEND_CHAINS], axis=1)       # (4, 3, 3): b1, b2, b3
-    short = (np.linalg.norm(bones, axis=-1) < 1e-9).any(axis=1)
+    bones = np.diff(joints[..., _BEND_CHAINS, :], axis=-2)  # (..., 4, 3, 3): b1, b2, b3
+    short = (np.linalg.norm(bones, axis=-1) < 1e-9).any(axis=-1)
     if short.any():
-        raise NumericError(
-            f"zero-length bone on {kin.FINGERS[_BEND_FINGERS[short.argmax()]]} finger")
-    b1, b2, b3 = bones[:, 0], bones[:, 1], bones[:, 2]
-    u, v = np.cross(bones[:, [2, 1]], bones[:, [1, 0]]).swapaxes(0, 1)
-    s = (u * v).sum(axis=-1)
+        finger = kin.FINGERS[_BEND_FINGERS[np.nonzero(short)[-1][0]]]
+        raise NumericError(f"zero-length bone on {finger} finger")
+    b1, b2, b3 = bones[..., 0, :], bones[..., 1, :], bones[..., 2, :]
+    u, v = np.moveaxis(np.cross(bones[..., [2, 1], :], bones[..., [1, 0], :]), -2, 0)
+    s = (u * v).sum(axis=-1)                                 # (..., 4)
     # u x b2, v x b3, b1 x u, b2 x v: the four cross products of ds/d(bone)
-    c = np.cross(np.stack([u, v, b1, b2], axis=1), np.stack([b2, b3, u, v], axis=1))
-    db1, db2, db3 = c[:, 0], c[:, 1] + c[:, 2], c[:, 3]
+    c = np.cross(np.stack([u, v, b1, b2], axis=-2), np.stack([b2, b3, u, v], axis=-2))
+    db1, db2, db3 = c[..., 0, :], c[..., 1, :] + c[..., 2, :], c[..., 3, :]
     grad = np.zeros_like(joints)
     # d(-s) per finger joint; chains are disjoint, so one assignment scatters
-    grad[_BEND_CHAINS] = (np.stack([db1, db2 - db1, db3 - db2, -db3], axis=1)
-                          * (s < 0.0)[:, None, None])
-    return float(np.maximum(-s, 0.0).sum()), grad
+    grad[..., _BEND_CHAINS, :] = (np.stack([db1, db2 - db1, db3 - db2, -db3], axis=-2)
+                                  * (s < 0.0)[..., None, None])
+    return np.maximum(-s, 0.0).sum(axis=-1), grad
 
 
-def _loss_and_grad(model, bio_values, beta_values, global_rot, translation,
-                   target: FitTarget, bend_weight, loss_kind, axes,
+def batch_fit_loss(model: HandModel, axes: bio_dof.AxisTable, bio, beta,
+                   global_rot, translation, joints, vertices, weight_joints: float,
+                   weight_vertices: float, bend_weight: float, loss_kind: str,
                    want_grad: bool):
-    axes = axes or bio_dof.derive_axes(model)
-    articulation = bio_dof.expand_batch(bio_values[None, :], axes)
-    out = kin.fk_forward(model, articulation, beta_values[None, :],
-                         global_rot[None, :], translation[None, :],
-                         want_vertices=target.vertices is not None,
-                         want_regressed=True, need_grad=want_grad)
-    joints = out.regressed_joints[0]
+    """Batch-mean loss of (B, 23) angles, (B, 10) shape, (B, 3) rotations and
+    translations (None is zeros) against (B, 21, 3) joints and (B, V, 3)
+    vertices (None or weight 0 drops a term), plus the bend penalty; with
+    ``want_grad`` also the four (B, n) gradients, else None.  ``loss_kind``
+    is "huber", "l2" or "l1"."""
+    art = bio_dof.expand_batch(bio, axes)
+    out = kin.fk_forward(model, art, beta, global_rot, translation,
+                         want_vertices=vertices is not None, want_regressed=True,
+                         need_grad=want_grad)
+    regressed = out.regressed_joints
+    batch = len(regressed)
 
     loss = 0.0
-    d_joints = np.zeros((kin.JOINT_COUNT, 3))
+    d_joints = np.zeros_like(regressed)
     d_vertices = None
-    if target.joints is not None and target.weight_joints > 0:
-        residual = joints - target.joints
+    if joints is not None and weight_joints > 0:
+        residual = regressed - joints
         pen, der = _robust(residual, loss_kind)
-        loss += target.weight_joints * pen.mean()
-        d_joints += target.weight_joints * der / residual.size
-    if target.vertices is not None and target.weight_vertices > 0:
-        if target.vertices.shape != out.vertices[0].shape:
+        loss += weight_joints * pen.mean()
+        d_joints += weight_joints * der / residual.size
+    if vertices is not None and weight_vertices > 0:
+        if vertices.shape != out.vertices.shape:
             raise ShapeError("target vertex count does not match the model")
-        residual = out.vertices[0] - target.vertices
+        residual = out.vertices - vertices
         pen, der = _robust(residual, loss_kind)
-        loss += target.weight_vertices * pen.mean()
-        d_vertices = target.weight_vertices * der / residual.size
+        loss += weight_vertices * pen.mean()
+        d_vertices = weight_vertices * der / residual.size
     if bend_weight > 0:
-        bend, bend_grad = bend_penalty_with_grad(joints)
-        loss += bend_weight * bend
-        d_joints += bend_weight * bend_grad
+        bend, bend_grad = bend_penalty_with_grad(regressed)
+        loss += bend_weight * bend.mean()
+        d_joints += bend_weight * bend_grad / batch
 
     if not want_grad:
         return float(loss), None
-
-    grads = kin.fk_backward(
-        model, out, d_regressed=d_joints[None, :, :],
-        d_vertices=None if d_vertices is None else d_vertices[None, :, :])
-    grad = np.concatenate([
-        axes.expansion_matrix().T @ grads.articulation[0],
-        grads.beta[0], grads.global_rot[0], grads.translation[0]])
-    return float(loss), grad
+    grads = kin.fk_backward(model, out, d_regressed=d_joints, d_vertices=d_vertices)
+    return float(loss), (grads.articulation @ axes.expansion_matrix(), grads.beta,
+                         grads.global_rot, grads.translation)
 
 
-def _flat_params(bio, beta, global_rot, translation):
-    """Angles, shape, rotation and translation as checked arrays; None is zeros."""
+def _batch_of_one(bio, beta, global_rot, translation, target: FitTarget):
+    """The checked parameters as one flat vector (None is zeros), its (1, n)
+    angle, shape, rotation and translation views, and the target's
+    ``batch_fit_loss`` arguments."""
     bio = bio.values if isinstance(bio, bio_dof.BioPose) else bio
     beta = beta.beta if isinstance(beta, ShapeParams) else beta
-    return tuple(np.zeros(n) if x is None else as_array(x, (n,), what) for x, n, what in (
-        (bio, bio_dof.DOF_COUNT, "angles"), (beta, 10, "beta"),
-        (global_rot, 3, "global rotation"), (translation, 3, "translation")))
+    x = np.concatenate([np.zeros(n) if p is None else as_array(p, (n,), what)
+                        for p, n, what in ((bio, bio_dof.DOF_COUNT, "angles"),
+                                           (beta, 10, "beta"),
+                                           (global_rot, 3, "global rotation"),
+                                           (translation, 3, "translation"))])
+    views = np.split(x[None], np.cumsum([bio_dof.DOF_COUNT, 10, 3]), axis=1)
+    return x, views, (None if target.joints is None else target.joints[None],
+                      None if target.vertices is None else target.vertices[None],
+                      target.weight_joints, target.weight_vertices)
 
 
 def fit_loss(model: HandModel, bio, beta, global_rot=None, translation=None,
@@ -188,8 +199,29 @@ def fit_loss(model: HandModel, bio, beta, global_rot=None, translation=None,
              want_grad: bool = False) -> tuple[float, np.ndarray | None]:
     """Fitting loss at the given parameters and, with ``want_grad``, its
     analytic gradient over the 23+10+6 parameters (else None)."""
-    return _loss_and_grad(model, *_flat_params(bio, beta, global_rot, translation),
-                          target, bend_weight, loss_kind, axes, want_grad)
+    _, params, target_args = _batch_of_one(bio, beta, global_rot, translation, target)
+    loss, grads = batch_fit_loss(model, axes or bio_dof.derive_axes(model), *params,
+                                 *target_args, bend_weight, loss_kind, want_grad)
+    return loss, None if grads is None else np.concatenate(grads, axis=1)[0]
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: np.ndarray,
+              step: int, lr: float) -> None:
+    """One in-place Adam update of the flat ``params``.  ``state`` is a
+    (4, N) array, zeros before step 1: the moments m and v, then two scratch
+    rows.  ``step`` counts from 1."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m, v, s1, s2 = state
+    # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, then
+    # p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+    m *= beta1
+    m += np.multiply(1 - beta1, grads, out=s1)
+    v *= beta2
+    v += np.multiply(np.multiply(1 - beta2, grads, out=s1), grads, out=s1)
+    np.sqrt(np.divide(v, 1 - beta2 ** step, out=s2), out=s2)
+    s2 += eps
+    np.multiply(np.divide(m, 1 - beta1 ** step, out=s1), lr, out=s1)
+    params -= np.divide(s1, s2, out=s1)
 
 
 # ---------------------------------------------------------------------------
@@ -208,59 +240,49 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     """
     config = config or FitConfig()
     limits = limits or bio_dof.DofLimits.default()
+    axes = axes or bio_dof.derive_axes(model)
     nd = bio_dof.DOF_COUNT
 
-    x = np.concatenate(_flat_params(init_bio, init_beta, init_rot, init_trans))
-    frozen_beta = x[nd:nd + 10].copy()
-
-    m = np.zeros(PARAM_COUNT)
-    v = np.zeros(PARAM_COUNT)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    x, (bio, beta, rot, trans), target_args = _batch_of_one(
+        init_bio, init_beta, init_rot, init_trans, target)
+    frozen_beta = beta.copy()
+    grad = np.zeros(PARAM_COUNT)
+    adam_state = np.zeros((4, PARAM_COUNT))
 
     best_loss = np.inf
     best_x = x.copy()
     trace: list[float] = []
     converged = False
     for t in range(config.iterations):
-        loss, grad = _loss_and_grad(
-            model, x[:nd], x[nd:nd + 10], x[nd + 10:nd + 13], x[nd + 13:],
-            target, config.bend_weight, config.loss_kind, axes, want_grad=True)
+        loss, grads = batch_fit_loss(model, axes, bio, beta, rot, trans, *target_args,
+                                     config.bend_weight, config.loss_kind,
+                                     want_grad=True)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at iteration {t}")
         trace.append(loss)
         if loss < best_loss:
             best_loss = loss
-            best_x = x.copy()
+            best_x[:] = x
         if (config.convergence_tol > 0 and len(trace) >= 2
                 and abs(trace[-2] - trace[-1]) < config.convergence_tol):
             converged = True
             break
-        if config.freeze_shape:
-            grad[nd:nd + 10] = 0.0
+        np.concatenate(grads, axis=1, out=grad[None])
         # cosine step decay keeps late iterations from orbiting the optimum
         frac = t / max(config.iterations - 1, 1)
         lr = config.step_size * (config.final_step_scale
                                  + (1 - config.final_step_scale)
                                  * 0.5 * (1 + np.cos(np.pi * frac)))
-        m = beta1 * m + (1 - beta1) * grad
-        v = beta2 * v + (1 - beta2) * grad * grad
-        mhat = m / (1 - beta1 ** (t + 1))
-        vhat = v / (1 - beta2 ** (t + 1))
-        x = x - lr * mhat / (np.sqrt(vhat) + eps)
-        x[:nd] = np.clip(x[:nd], limits.lower, limits.upper)
-        if config.freeze_shape:
-            x[nd:nd + 10] = frozen_beta
+        adam_step(x, grad, adam_state, t + 1, lr)
+        np.clip(bio, limits.lower, limits.upper, out=bio)
+        if config.freeze_shape:   # Adam is per coordinate: resetting freezes
+            beta[...] = frozen_beta
 
-    final_bio = bio_dof.clamp(bio_dof.BioPose(best_x[:nd]), limits)
-    final_beta = frozen_beta if config.freeze_shape else best_x[nd:nd + 10]
-    return FitResult(
-        bio=final_bio,
-        beta=ShapeParams(final_beta),
-        global_rot=best_x[nd + 10:nd + 13].copy(),
-        translation=best_x[nd + 13:].copy(),
-        loss_trace=trace,
-        converged=converged,
-    )
+    return FitResult(bio=bio_dof.clamp(bio_dof.BioPose(best_x[:nd]), limits),
+                     beta=ShapeParams(best_x[nd:nd + 10]),
+                     global_rot=best_x[nd + 10:nd + 13],
+                     translation=best_x[nd + 13:], loss_trace=trace,
+                     converged=converged)
 
 
 def params_lines(bio: bio_dof.BioPose, beta: ShapeParams, global_rot,

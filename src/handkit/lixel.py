@@ -64,6 +64,7 @@ def decode(heatmap: Heatmap1D | np.ndarray,
     array is validated as a :class:`Heatmap1D` first.
     """
     values = (heatmap if isinstance(heatmap, Heatmap1D) else Heatmap1D(heatmap)).values
+    sharpness = as_number(sharpness, "sharpness", above=0)
     probs = (values / values.max()) ** sharpness
     probs = probs / probs.sum()
     length = len(values)

@@ -367,10 +367,11 @@ def load_graph_text(path, name: str | None = None, input_stride: int = 1
             raise InputError(f"{path}:{lineno}: expected at least 6 fields")
         try:
             nums = [float(p) for p in parts[1:]]
-            ints = [int(n) for n in nums[:5]]
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
-        spec = LayerSpec(parts[0], *ints,
+        # whole sizes as ints; LayerSpec refuses 2.5, inf or nan
+        sizes = [int(n) if n.is_integer() else n for n in nums[:5]]
+        spec = LayerSpec(parts[0], *sizes,
                          se_ratio=nums[5] if len(nums) > 5 else 4.0)
         layers.append((f"layer{len(layers) + 1}", spec))
     if not layers:

@@ -42,15 +42,19 @@ def _ab(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def rodrigues(w: np.ndarray) -> np.ndarray:
-    """Rotation matrix for axis-angle vector(s) w of shape (..., 3)."""
-    w = np.asarray(w, dtype=float)
+def _rotation(w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """theta, a, b, W, W^2 and R = I + a W + b W^2 for float vectors w."""
     theta = np.linalg.norm(w, axis=-1)
     a, b = _ab(theta)
     W = hat(w)
     W2 = W @ W
     eye = np.broadcast_to(np.eye(3), W.shape)
-    return eye + a[..., None, None] * W + b[..., None, None] * W2
+    return theta, a, b, W, W2, eye + a[..., None, None] * W + b[..., None, None] * W2
+
+
+def rodrigues(w: np.ndarray) -> np.ndarray:
+    """Rotation matrix for axis-angle vector(s) w of shape (..., 3)."""
+    return _rotation(np.asarray(w, dtype=float))[-1]
 
 
 def _ab_prime_over_t(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,14 +84,8 @@ def rodrigues_with_jacobian(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (..., 3, 3, 3), where dR[..., i, :, :] = dR/dw_i.
     """
     w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w, axis=-1)
-    a, b = _ab(theta)
+    theta, a, b, W, W2, R = _rotation(w)
     ap_t, bp_t = _ab_prime_over_t(theta)
-
-    W = hat(w)
-    W2 = W @ W
-    eye = np.broadcast_to(np.eye(3), W.shape)
-    R = eye + a[..., None, None] * W + b[..., None, None] * W2
 
     # da/dw_i = (a'/t) * w_i, same for b.
     da = ap_t[..., None] * w  # (..., 3)

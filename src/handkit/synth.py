@@ -55,7 +55,7 @@ class CameraPose:
         self.target = np.asarray(self.target, dtype=float)
         self.up = np.asarray(self.up, dtype=float)
         norm = np.linalg.norm(self.position)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:     # so NaN fails too
             raise InputError(f"camera position must be unit length, got {norm}")
 
 
@@ -126,8 +126,8 @@ def swap_fingers(a: np.ndarray, b: np.ndarray, fingers) -> np.ndarray:
     Unselected blocks are untouched bit-for-bit; swapping twice with the same
     mask restores ``a``.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = as_array(a, (kin.ARTICULATION_SIZE,), "pose a")
+    b = as_array(b, (kin.ARTICULATION_SIZE,), "pose b")
     out = a.copy()
     for finger in fingers:
         if finger not in FINGER_SLICES:
@@ -219,11 +219,12 @@ def project(skeleton, cam: CameraPose, radius_mm: float,
     """Pinhole projection of the 21 joints; returns (21, 2) pixel coordinates.
 
     The look-at target projects to the principal point (cx, cy).  Raises
-    InputError for a radius <= 0 or non-finite intrinsics, and NumericError
-    if any joint has non-positive camera depth.
+    InputError for non-finite joints, a radius <= 0 or non-finite intrinsics,
+    ShapeError for joints that are not (21, 3), and NumericError if any joint
+    has non-positive camera depth.
     """
-    joints = skeleton.joints if hasattr(skeleton, "joints") else \
-        np.asarray(skeleton, dtype=float)
+    joints = as_array(skeleton.joints if hasattr(skeleton, "joints") else skeleton,
+                      (kin.JOINT_COUNT, 3), "joints")
     fx, fy, cx, cy = (as_number(v, "intrinsics") for v in (fx, fy, cx, cy))
     rot, eye = camera_frame(cam, as_number(radius_mm, "radius_mm", above=0))
     cam_pts = (joints - eye) @ rot.T

@@ -184,6 +184,8 @@ TABLE = {
     "ik-train-repeated-decay-epoch": (2, lambda ws, t: _ik_train(
         ws, "--pairs", "64", "--epochs", "2", "--decay-epoch", "1",
         "--decay-epoch", "1")),
+    "profile-graph-fractional-kernel": (2, lambda ws, t: [
+        "profile", "--graph", _text(t / "g.txt", "conv 2.5 3 16 2 1\n")]),
     "ik-predict-checkpoint-without-arrays": (2, lambda ws, t: [
         "ik-predict", "--target", ws / "target.json", "--out", "{out}",
         "--ckpt", _container(t / "c.hkc", {"kind": "ik_net_checkpoint",
@@ -460,6 +462,18 @@ LIBRARY = {
         np.zeros((21, 3)), _CAM, 0.0, 500.0, 500.0, 128.0, 128.0)),
     "project-nan-focal-length": (errors.InputError, lambda m: synth.project(
         np.zeros((21, 3)), _CAM, 400.0, np.nan, 500.0, 128.0, 128.0)),
+    "CameraPose-nan-position": (errors.InputError, lambda m: synth.CameraPose(
+        0.0, 0.0, [np.nan, 0.0, 0.0])),
+    "project-nan-joints": (errors.InputError, lambda m: synth.project(
+        _nan(21, 3), _CAM, 400.0, 500.0, 500.0, 128.0, 128.0)),
+    "project-20-joints": (errors.ShapeError, lambda m: synth.project(
+        np.zeros((20, 3)), _CAM, 400.0, 500.0, 500.0, 128.0, 128.0)),
+    "swap_fingers-10-values": (errors.ShapeError, lambda m: synth.swap_fingers(
+        np.zeros(10), np.ones(10), ["little"])),
+    "decode-nan-sharpness": (errors.InputError, lambda m: lixel.decode(
+        np.arange(4.0) + 1, sharpness=np.nan)),
+    "decode-negative-sharpness": (errors.InputError, lambda m: lixel.decode(
+        np.arange(4.0) + 1, sharpness=-1.0)),
     "Heatmap1D-ragged": (errors.InputError, lambda m: lixel.Heatmap1D(_RAGGED)),
     "Heatmap1D-strings": (errors.InputError, lambda m: lixel.Heatmap1D(["a", "b"])),
     "encode-fractional-length": (errors.InputError, lambda m: lixel.encode(

@@ -138,6 +138,34 @@ def test_bend_penalty_gradient_matches_fd(rng):
             assert grad[j, c] == pytest.approx(fd, rel=1e-4, abs=1e-3)
 
 
+def test_bend_penalty_batch_matches_single_calls(desk, axes, rng):
+    # only the middle skeleton bends against itself: its index finger's DIP
+    # is hyper-extended against a flexed PIP
+    opposed = bio_dof.BioPose.from_dict({"index_pip_flex": 1.0,
+                                         "index_dip_flex": -0.7})
+    skeletons = np.stack([straight_finger_skeleton(desk),
+                          posed_joints(desk, axes, opposed.values, np.zeros(10)),
+                          posed_joints(desk, axes, np.zeros(23), rng.normal(size=10))])
+    penalties, grads = bend_penalty_with_grad(skeletons)
+    assert penalties.shape == (3,) and grads.shape == (3, 21, 3)
+    assert penalties[1] > 0.0 and np.abs(grads[1]).max() > 0.0
+    for joints, penalty, grad in zip(skeletons, penalties, grads):
+        one_penalty, one_grad = bend_penalty_with_grad(joints)
+        assert penalty.tobytes() == np.float64(one_penalty).tobytes()
+        assert grad.tobytes() == one_grad.tobytes()
+    # more leading axes reshape the same way
+    stacked = bend_penalty_with_grad(np.stack([skeletons, skeletons[::-1]]))
+    assert stacked[0][0].tobytes() == penalties.tobytes()
+    assert stacked[1][1].tobytes() == grads[::-1].tobytes()
+
+
+def test_bend_penalty_degenerate_bone_in_a_batch_names_its_finger(rng):
+    skeletons = rng.normal(scale=30, size=(3, 21, 3))
+    skeletons[2, kin.finger_joint(2, 2)] = skeletons[2, kin.finger_joint(2, 1)]
+    with pytest.raises(NumericError, match="bone on middle finger"):
+        bend_penalty_with_grad(skeletons)
+
+
 # ---------------------------------------------------------------------------
 # fit loss
 # ---------------------------------------------------------------------------
@@ -198,6 +226,28 @@ def test_l2_loss_kind(desk, axes, limits, rng):
     joints = posed_joints(desk, axes, bio, beta)
     assert loss == pytest.approx(((joints - target.joints) ** 2).mean(),
                                  rel=1e-12)
+
+
+def test_batch_fit_loss_is_the_mean_of_single_losses(desk, axes, limits, rng):
+    # two samples, each with its own target: the batch loss is the mean of
+    # the B = 1 losses and each gradient row is the sample's gradient / 2
+    singles, rows = [], []
+    for _ in range(2):
+        _, _, target = make_target(desk, axes, limits, rng)
+        params = (rng.uniform(limits.lower, limits.upper), rng.normal(scale=0.5, size=10),
+                  rng.normal(scale=0.2, size=3), rng.normal(scale=5.0, size=3))
+        singles.append(fit_loss(desk, *params, target, bend_weight=0.5, axes=axes,
+                                want_grad=True))
+        rows.append((*params, target.joints, target.vertices))
+    batch = [np.stack(column) for column in zip(*rows)]
+    loss, grads = ik_optim.batch_fit_loss(desk, axes, *batch, 1.0, 1.0, 0.5,
+                                          "huber", want_grad=True)
+    assert loss == pytest.approx((singles[0][0] + singles[1][0]) / 2, rel=1e-12)
+    assert [g.shape for g in grads] == [(2, 23), (2, 10), (2, 3), (2, 3)]
+    batch_grad = np.concatenate(grads, axis=1)
+    for row, (_, single_grad) in zip(batch_grad, singles):
+        np.testing.assert_allclose(row, single_grad / 2, rtol=1e-12,
+                                   atol=1e-12 * np.abs(single_grad).max())
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +339,53 @@ def test_fit_freeze_shape_is_bit_exact(desk, axes, limits, rng):
                  config=FitConfig(iterations=10, freeze_shape=True),
                  limits=limits, axes=axes)
     assert result.beta.beta.tobytes() == init_beta.tobytes()
+
+
+def _allocating_adam_fit(model, target, x, config, limits, axes):
+    """The fit loop with an allocating Adam update on one parameter vector,
+    as ``fit`` ran before it shared the in-place ``adam_step``."""
+    nd = bio_dof.DOF_COUNT
+    frozen_beta = x[nd:nd + 10].copy()
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    best_loss, best_x, trace = np.inf, x.copy(), []
+    for t in range(config.iterations):
+        loss, grad = fit_loss(model, x[:nd], x[nd:nd + 10], x[nd + 10:nd + 13],
+                              x[nd + 13:], target, config.bend_weight,
+                              config.loss_kind, axes, want_grad=True)
+        trace.append(loss)
+        if loss < best_loss:
+            best_loss, best_x = loss, x.copy()
+        grad[nd:nd + 10] = 0.0
+        frac = t / max(config.iterations - 1, 1)
+        lr = config.step_size * (config.final_step_scale
+                                 + (1 - config.final_step_scale)
+                                 * 0.5 * (1 + np.cos(np.pi * frac)))
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * grad * grad
+        mhat = m / (1 - beta1 ** (t + 1))
+        vhat = v / (1 - beta2 ** (t + 1))
+        x = x - lr * mhat / (np.sqrt(vhat) + eps)
+        x[:nd] = np.clip(x[:nd], limits.lower, limits.upper)
+        x[nd:nd + 10] = frozen_beta
+    return best_x, trace
+
+
+def test_fit_adam_matches_allocating_oracle(desk, axes, limits, rng):
+    _, _, target = make_target(desk, axes, limits, rng)
+    x = np.concatenate([rng.uniform(limits.lower, limits.upper),
+                        rng.normal(scale=0.5, size=10),
+                        rng.normal(scale=0.2, size=3), rng.normal(scale=5.0, size=3)])
+    config = FitConfig(iterations=8, freeze_shape=True)
+    result = fit(desk, target, x[:23], x[23:33], x[33:36], x[36:], config=config,
+                 limits=limits, axes=axes)
+    best_x, trace = _allocating_adam_fit(desk, target, x.copy(), config, limits, axes)
+    assert np.array(result.loss_trace).tobytes() == np.array(trace).tobytes()
+    got = np.concatenate([result.bio.values, result.beta.beta, result.global_rot,
+                          result.translation])
+    best_x[:23] = np.clip(best_x[:23], limits.lower, limits.upper)
+    assert got.tobytes() == best_x.tobytes()
 
 
 def test_fit_best_iterate_not_worse_than_initial(desk, axes, limits, rng):
