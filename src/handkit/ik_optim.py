@@ -180,6 +180,8 @@ def _batch_of_one(bio, beta, global_rot, translation, target: FitTarget):
     """The checked parameters as one flat vector (None is zeros), its (1, n)
     angle, shape, rotation and translation views, and the target's
     ``batch_fit_loss`` arguments."""
+    if target is None:
+        raise InputError("a FitTarget is required, got target=None")
     bio = bio.values if isinstance(bio, bio_dof.BioPose) else bio
     beta = beta.beta if isinstance(beta, ShapeParams) else beta
     x = np.concatenate([np.zeros(n) if p is None else as_array(p, (n,), what)

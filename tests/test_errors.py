@@ -416,6 +416,8 @@ LIBRARY = {
     "fit_loss-misshapen-beta": (errors.ShapeError, lambda m: ik_optim.fit_loss(
         m, np.zeros(23), np.zeros(11), target=ik_optim.FitTarget(
             joints=np.zeros((21, 3))))),
+    "fit_loss-no-target": (errors.InputError, lambda m: ik_optim.fit_loss(
+        m, np.zeros(23), np.zeros(10))),
     "featurize_batch-20-joints": (errors.ShapeError, lambda m: ik_net.featurize_batch(
         np.zeros((5, 20, 3)))),
     "featurize_batch-nan": (errors.InputError, lambda m: ik_net.featurize_batch(

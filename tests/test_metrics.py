@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from handkit.errors import NumericError
-from handkit.metrics import (evaluate, fscore, mpjpe, pa_mpjpe,
+from handkit.errors import NumericError, ShapeError
+from handkit.metrics import (_nearest, evaluate, fscore, mpjpe, pa_mpjpe,
                              procrustes_align)
 from handkit.rotations import rodrigues
 
@@ -161,6 +163,74 @@ def test_fscore_swap_symmetric(rng):
     gt = rng.normal(scale=10, size=(25, 3))
     assert fscore(pred, gt, 8.0) == pytest.approx(fscore(gt, pred, 8.0),
                                                   rel=1e-12)
+
+
+def nearest_broadcast(pred, gt):
+    # the full (N, M) distance matrix: the formula the blocked pass replaces
+    dists = np.linalg.norm(pred[:, None, :] - gt[None, :, :], axis=2)
+    return dists.min(axis=1), dists.min(axis=0)
+
+
+GRID = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3)
+# 16 points each way sit exactly 1.0 from their nearest point in the other set
+SHIFTED = GRID + [1.0, 0.0, 0.0]
+# duplicated points, ties at distance 1, and nearest distances equal to 1.0
+GRID_PAIRS = [(np.vstack([GRID, GRID[:20]]), GRID), (SHIFTED, GRID), (GRID[::7], SHIFTED)]
+
+
+def test_nearest_equals_broadcast_norm_exactly(rng):
+    big = rng.normal(scale=30, size=(778, 3))
+    small = rng.normal(scale=30, size=(21, 3))
+    cases = [(small, big), (big, small), (big, big + 0.5),
+             (rng.normal(size=(130, 3)), rng.normal(size=(50, 3))),
+             (rng.normal(size=(65, 3)), rng.normal(size=(64, 3))),
+             (small[:1], big), (big, small[:1]), (small[:1], small[1:2])]
+    for pred, gt in cases + GRID_PAIRS:
+        near_p, near_g = _nearest(pred, gt)
+        want_p, want_g = nearest_broadcast(pred, gt)
+        assert np.array_equal(near_p, want_p) and np.array_equal(near_g, want_g)
+
+
+def test_fscore_threshold_on_a_nearest_distance_is_strict():
+    assert fscore(SHIFTED, GRID, 1.0) == fscore_oracle(SHIFTED, GRID, 1.0) == 0.75
+    assert fscore(SHIFTED, GRID, np.nextafter(1.0, 2.0)) == 1.0
+    for pred, gt in GRID_PAIRS:
+        for threshold in (0.5, 1.0, 1.5):
+            assert fscore(pred, gt, threshold) == fscore_oracle(pred, gt, threshold)
+
+
+def test_fscore_equals_evaluate_for_one_sample(rng):
+    joints = rng.normal(scale=30, size=(21, 3))
+    gt = rng.normal(scale=30, size=(778, 3))
+    pred = gt + rng.normal(scale=6, size=gt.shape)
+    thresholds = (1.0, 5.0, 7.5, 15.0, 40.0)
+    report = evaluate([joints], [joints], [pred], [gt], thresholds=thresholds)
+    for threshold in thresholds:
+        assert report.f_at[threshold] == fscore(pred, gt, threshold)
+
+
+def test_fscore_rejects_empty_point_set(rng):
+    pts = rng.normal(size=(5, 3))
+    for pred, gt in ((np.zeros((0, 3)), pts), (pts, np.zeros((0, 3)))):
+        with pytest.raises(ShapeError, match="nonempty"):
+            fscore(pred, gt, 5.0)
+
+
+def test_fscore_and_evaluate_peak_memory(rng):
+    gt = [rng.normal(scale=30, size=(778, 3)) for _ in range(8)]
+    pred = [v + rng.normal(scale=6, size=v.shape) for v in gt]
+    joints = [rng.normal(scale=30, size=(21, 3)) for _ in range(8)]
+    tracemalloc.start()
+    try:
+        fscore(pred[0], gt[0], 5.0)
+        fscore_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        evaluate(joints, joints, pred, gt)
+        evaluate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full 778 x 778 x 3 difference tensor alone is 14.5 MB
+    assert fscore_peak < 4e6 and evaluate_peak < 4e6
 
 
 # ---------------------------------------------------------------------------
