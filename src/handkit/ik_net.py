@@ -4,8 +4,10 @@ network with shape and angle heads, and from-scratch training.
 The input is a skeleton reduced to its 20 bones: unit directions (60 values)
 plus lengths (20 values, divided by 100 so millimeter skeletons feed the net
 in decimeter units).  No reference-bone channels are kept.  Three hidden
-blocks (affine + per-feature batch statistics normalization + rectifier)
-feed two affine heads: 23 feasible angles and 10 shape coefficients.
+blocks (linear map + per-feature batch statistics normalization + rectifier)
+feed two affine heads: 23 feasible angles and 10 shape coefficients.  The
+net trains and predicts in float32, the precision its checkpoints store;
+FK and the loss stay in float64.
 
 Training minimizes the sum of three L1 terms: angle error, shape error, and
 the positional error of the joints regressed from the re-posed mesh against
@@ -59,28 +61,30 @@ def featurize_batch(joints: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Linear:
-    def __init__(self, rng, fan_in, fan_out, scale=1.0):
+    def __init__(self, rng, fan_in, fan_out, dtype, scale=1.0, bias=True):
         self.weight = rng.normal(scale=scale * np.sqrt(2.0 / fan_in),
-                                 size=(fan_in, fan_out))
-        self.bias = np.zeros(fan_out)
+                                 size=(fan_in, fan_out)).astype(dtype)
+        self.bias = np.zeros(fan_out, dtype) if bias else None
         self._x = None
 
     def forward(self, x):
         self._x = x
-        return x @ self.weight + self.bias
+        y = x @ self.weight
+        return y if self.bias is None else y + self.bias
 
     def backward(self, g):
         self.grad_weight += self._x.T @ g
-        self.grad_bias += g.sum(axis=0)
+        if self.bias is not None:
+            self.grad_bias += g.sum(axis=0)
         return g @ self.weight.T
 
 
 class _BatchNorm:
-    def __init__(self, width):
-        self.gamma = np.ones(width)
-        self.beta = np.zeros(width)
-        self.running_mean = np.zeros(width)
-        self.running_var = np.ones(width)
+    def __init__(self, width, dtype):
+        self.gamma = np.ones(width, dtype)
+        self.beta = np.zeros(width, dtype)
+        self.running_mean = np.zeros(width, dtype)
+        self.running_var = np.ones(width, dtype)
         self._cache = None
 
     def forward(self, x, training):
@@ -123,23 +127,27 @@ class _Relu:
 
 
 class MlpIk:
-    """Three hidden blocks (affine + batch statistics + rectifier), two heads.
+    """Three hidden blocks (linear map + batch statistics + rectifier), two heads.
     Trainable arrays are views into ``flat`` (``grad_*`` into ``flat_grad``)
-    in ``parameters()`` order: write into them, never rebind them."""
+    in ``parameters()`` order: write into them, never rebind them.  Arrays
+    and activations have ``dtype`` (float64 for exact gradient checks)."""
 
-    def __init__(self, widths=(256, 256, 256), input_dim=FEATURE_DIM, seed=0):
+    def __init__(self, widths=(256, 256, 256), input_dim=FEATURE_DIM, seed=0,
+                 dtype=np.float32):
         self.widths = tuple(as_number(w, "hidden width", 1, integer=True)
                             for w in widths)
         self.input_dim = as_number(input_dim, "input_dim", 1, integer=True)
+        self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
         self.blocks = []
         fan_in = self.input_dim
-        for w in self.widths:
-            self.blocks.append((_Linear(rng, fan_in, w), _BatchNorm(w), _Relu()))
+        for w in self.widths:   # no bias: the batch normalization cancels it
+            self.blocks.append((_Linear(rng, fan_in, w, dtype, bias=False),
+                                _BatchNorm(w, dtype), _Relu()))
             fan_in = w
         # small-scale heads start predictions near the rest pose
-        self.head_theta = _Linear(rng, fan_in, bio_dof.DOF_COUNT, scale=0.01)
-        self.head_beta = _Linear(rng, fan_in, 10, scale=0.01)
+        self.head_theta = _Linear(rng, fan_in, bio_dof.DOF_COUNT, dtype, scale=0.01)
+        self.head_beta = _Linear(rng, fan_in, 10, dtype, scale=0.01)
         params = [(owner, attr, getattr(owner, attr))
                   for _, owner, attr in self.parameters()]
         self.flat = np.concatenate([value.ravel() for *_, value in params])
@@ -150,13 +158,14 @@ class MlpIk:
                 setattr(owner, name, vec[end - value.size:end].reshape(value.shape))
 
     def forward(self, x, training=False):
-        h = np.asarray(x, dtype=float)
+        h = np.asarray(x, dtype=self.dtype)
         for linear, norm, relu in self.blocks:
             h = relu.forward(norm.forward(linear.forward(h), training))
         return self.head_theta.forward(h), self.head_beta.forward(h)
 
     def backward(self, d_theta, d_beta):
-        g = self.head_theta.backward(d_theta) + self.head_beta.backward(d_beta)
+        g = (self.head_theta.backward(np.asarray(d_theta, self.dtype))
+             + self.head_beta.backward(np.asarray(d_beta, self.dtype)))
         for linear, norm, relu in reversed(self.blocks):
             g = linear.backward(norm.backward(relu.backward(g)))
         return g
@@ -166,7 +175,6 @@ class MlpIk:
         checkpoint order; running statistics are stored but not trained."""
         for i, (linear, norm, _) in enumerate(self.blocks):
             yield f"w{i}", linear, "weight", True
-            yield f"b{i}", linear, "bias", True
             yield f"bn{i}_gamma", norm, "gamma", True
             yield f"bn{i}_beta", norm, "beta", True
             yield f"bn{i}_mean", norm, "running_mean", False
@@ -194,10 +202,10 @@ class MlpIk:
 def predict(net: MlpIk, feats: np.ndarray,
             limits: bio_dof.DofLimits | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic inference with running statistics on (B, 80) feature
-    rows: (B, 23) angles clamped to the limits and (B, 10) shape values."""
+    rows: float64 (B, 23) angles clamped to the limits and (B, 10) shapes."""
     limits = limits or bio_dof.DofLimits.default()
-    theta, beta = net.forward(as_array(feats, (None, net.input_dim), "features"),
-                              training=False)
+    theta, beta = (out.astype(np.float64) for out in net.forward(
+        as_array(feats, (None, net.input_dim), "features"), training=False))
     if not (np.isfinite(theta).all() and np.isfinite(beta).all()):
         raise NumericError("non-finite network activations")
     return np.clip(theta, limits.lower, limits.upper), beta
@@ -296,7 +304,7 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
     feats_all = featurize_batch(data.skeletons)
     rng = np.random.default_rng(config.seed)
 
-    adam_state = np.zeros((4, net.flat.size))
+    adam_state = np.zeros((4, net.flat.size), net.dtype)
     step = 0
 
     curve: list[dict[str, float]] = []
@@ -341,6 +349,8 @@ def save_checkpoint(net: MlpIk, path) -> None:
 
 
 def load_checkpoint(path) -> MlpIk:
+    """The float32 net a checkpoint stores.  An older file's hidden biases
+    ``b{i}`` fold into the running mean as ``bn{i}_mean - b{i}``."""
     header, arrays = read_container(path, kind="ik_net_checkpoint")
     widths, input_dim = header.get("widths"), header.get("input_dim")
     if not (isinstance(widths, list) and widths and all(
@@ -358,4 +368,8 @@ def load_checkpoint(path) -> MlpIk:
             raise ShapeError(f"{path}: array {name!r} has shape {value.shape}, "
                              f"expected {target.shape}")
         target[...] = value   # into the view, so training still moves it
+    for i, (_, norm, _) in enumerate(net.blocks):
+        if f"b{i}" in arrays:
+            norm.running_mean -= as_array(arrays[f"b{i}"], norm.running_mean.shape,
+                                          f"{path}: array 'b{i}'")
     return net

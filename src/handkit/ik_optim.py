@@ -105,6 +105,13 @@ _BEND_CHAINS = np.array([[kin.finger_joint(fi, p) for p in range(4)]
                          for fi in _BEND_FINGERS])
 
 
+def _cross(a, b):
+    """``np.cross`` over the last axis by components, in its operand order."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def bend_penalty_with_grad(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Opposing-bend hinge penalty of (..., 21, 3) skeletons: one penalty per
     skeleton (shape ``...``) and its (..., 21, 3) gradient w.r.t. the joints.
@@ -121,10 +128,11 @@ def bend_penalty_with_grad(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         finger = kin.FINGERS[_BEND_FINGERS[np.nonzero(short)[-1][0]]]
         raise NumericError(f"zero-length bone on {finger} finger")
     b1, b2, b3 = bones[..., 0, :], bones[..., 1, :], bones[..., 2, :]
-    u, v = np.moveaxis(np.cross(bones[..., [2, 1], :], bones[..., [1, 0], :]), -2, 0)
+    uv = _cross(bones[..., [2, 1], :], bones[..., [1, 0], :])
+    u, v = uv[..., 0, :], uv[..., 1, :]
     s = (u * v).sum(axis=-1)                                 # (..., 4)
     # u x b2, v x b3, b1 x u, b2 x v: the four cross products of ds/d(bone)
-    c = np.cross(np.stack([u, v, b1, b2], axis=-2), np.stack([b2, b3, u, v], axis=-2))
+    c = _cross(np.stack([u, v, b1, b2], axis=-2), np.stack([b2, b3, u, v], axis=-2))
     db1, db2, db3 = c[..., 0, :], c[..., 1, :] + c[..., 2, :], c[..., 3, :]
     grad = np.zeros_like(joints)
     # d(-s) per finger joint; chains are disjoint, so one assignment scatters

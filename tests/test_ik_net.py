@@ -3,9 +3,10 @@ import pytest
 
 from handkit import bio_dof, kinematics as kin
 from handkit.errors import NumericError
-from handkit.ik_net import (MlpIk, TrainConfig, batch_loss, featurize_batch,
-                            generate_pairs, load_checkpoint, predict,
-                            save_checkpoint, train)
+from handkit.containers import write_container
+from handkit.ik_net import (FEATURE_DIM, MlpIk, TrainConfig, batch_loss,
+                            featurize_batch, generate_pairs, load_checkpoint,
+                            predict, save_checkpoint, train)
 from handkit.rotations import rodrigues
 
 
@@ -103,13 +104,33 @@ def test_predict_deterministic(desk, limits, rng):
 
 
 def test_predict_batch_rows_match_single_rows(limits, rng):
-    net = MlpIk(seed=4)
+    net = MlpIk(seed=4, dtype=np.float64)
     feats = featurize_batch(np.stack([random_skeleton(rng) for _ in range(5)]))
     bio, beta = predict(net, feats, limits)
     for i in range(5):
         one_bio, one_beta = predict(net, feats[i:i + 1], limits)
         np.testing.assert_allclose(bio[i], one_bio[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(beta[i], one_beta[0], rtol=0, atol=1e-12)
+
+
+def test_predict_batch_rows_match_single_rows_float32(limits, rng):
+    # A batch and a single row may take BLAS kernels that sum in another
+    # order.  The rounding error of a float32 sum of n terms grows like
+    # sqrt(n) eps times the sum of the terms' magnitudes, and it compounds
+    # over the four affine layers; a head output's terms are |h| @ |W| for
+    # the last hidden activation h.
+    net = MlpIk(seed=4)
+    feats = featurize_batch(np.stack([random_skeleton(rng) for _ in range(5)]))
+    bio, beta = predict(net, feats, limits)
+    assert bio.dtype == beta.dtype == np.float64
+    hidden = np.abs(net.head_theta._x)
+    slack = 4 * np.sqrt(max(net.widths)) * np.finfo(np.float32).eps
+    for i in range(5):
+        one_bio, one_beta = predict(net, feats[i:i + 1], limits)
+        assert np.all(np.abs(bio[i] - one_bio[0])
+                      <= slack * hidden[i] @ np.abs(net.head_theta.weight))
+        assert np.all(np.abs(beta[i] - one_beta[0])
+                      <= slack * hidden[i] @ np.abs(net.head_beta.weight))
 
 
 def test_predict_rejects_unbatched_features(limits, rng):
@@ -128,17 +149,17 @@ def test_predict_clamps_to_limits(limits, rng):
 def test_hand_traced_single_block_forward():
     # one block, identity-like weights, crafted input: the activation path is
     # hand-computable because batch statistics start at mean 0 / var 1
-    net = MlpIk(widths=(4,), input_dim=4, seed=0)
+    net = MlpIk(widths=(4,), input_dim=4, seed=0, dtype=np.float64)
     net.blocks[0][0].weight[:] = np.eye(4)
-    net.blocks[0][0].bias[:] = [0.0, 1.0, -1.0, 0.5]
+    net.blocks[0][1].running_mean[:] = [0.0, -1.0, 1.0, -0.5]
     net.head_theta.weight[:] = 0.0
     net.head_theta.weight[0, 0] = 1.0
     net.head_theta.bias[:] = 0.0
     net.head_beta.weight[:] = 0.0
     x = np.array([[2.0, -3.0, 0.25, 0.0]])
     theta, _ = net.forward(x, training=False)
-    # linear: [2, -2, -0.75, 0.5]; bn is identity at init (eps shrinks
-    # slightly); relu keeps [2, 0, 0, 0.5]; head picks feature 0
+    # linear minus the running mean: [2, -2, -0.75, 0.5]; bn scales by
+    # 1 / sqrt(1 + eps); relu keeps [2, 0, 0, 0.5]; head picks feature 0
     expected = 2.0 / np.sqrt(1.0 + 1e-5)
     assert theta[0, 0] == pytest.approx(expected, rel=1e-12)
     assert np.all(theta[0, 1:] == 0.0)
@@ -257,7 +278,7 @@ def test_train_zero_rate_keeps_parameters(desk, limits):
 def test_backprop_matches_finite_differences(desk, axes, limits, rng):
     data = generate_pairs(desk, 16, limits, seed=12)
     feats = featurize_batch(data.skeletons[:8])
-    net = MlpIk(seed=2)
+    net = MlpIk(seed=2, dtype=np.float64)
     net.forward(featurize_batch(data.skeletons), training=True)  # warm stats
     net.zero_grads()
     batch_loss(net, desk, axes, feats, data.bio[:8], data.beta[:8],
@@ -414,9 +435,45 @@ def test_checkpoint_roundtrip(desk, limits, tmp_path, rng):
     path = tmp_path / "net.hkc"
     save_checkpoint(net, path)
     loaded = load_checkpoint(path)
-    feats = featurize_batch(random_skeleton(rng))
-    a = predict(net, feats, limits)
-    b = predict(loaded, feats, limits)
-    # float32 storage: predictions agree to storage precision
-    np.testing.assert_allclose(a[0], b[0], atol=1e-4)
-    np.testing.assert_allclose(a[1], b[1], atol=1e-4)
+    feats = featurize_batch(np.stack([random_skeleton(rng) for _ in range(4)]))
+    # the net trains in the float32 its checkpoint stores: one net, same bytes
+    for a, b in zip(predict(net, feats, limits), predict(loaded, feats, limits)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_old_checkpoint_biases_fold_into_the_running_mean(tmp_path, rng):
+    # a file from before the hidden blocks lost their biases b0-b2
+    widths, rows = (16, 12, 8), featurize_batch(
+        np.stack([random_skeleton(rng) for _ in range(6)]))
+    arrays = {}
+    fan_in = FEATURE_DIM
+    for i, w in enumerate(widths):
+        arrays[f"w{i}"] = rng.normal(scale=0.3, size=(fan_in, w))
+        arrays[f"b{i}"] = rng.normal(size=w)
+        arrays[f"bn{i}_gamma"] = rng.uniform(0.5, 1.5, w)
+        arrays[f"bn{i}_beta"] = rng.normal(scale=0.1, size=w)
+        arrays[f"bn{i}_mean"] = rng.normal(size=w)
+        arrays[f"bn{i}_var"] = rng.uniform(0.5, 2.0, w)
+        fan_in = w
+    for head, n in (("theta", 23), ("beta", 10)):
+        arrays[f"head_{head}_w"] = rng.normal(scale=0.1, size=(fan_in, n))
+        arrays[f"head_{head}_b"] = rng.normal(scale=0.1, size=n)
+    arrays = {name: a.astype(np.float32) for name, a in arrays.items()}
+    path = tmp_path / "old.hkc"
+    write_container(path, {"kind": "ik_net_checkpoint", "input_dim": FEATURE_DIM,
+                           "widths": list(widths)}, arrays)
+
+    # the old inference formula, in float64 from the stored values
+    a = {name: value.astype(np.float64) for name, value in arrays.items()}
+    h = rows
+    for i in range(len(widths)):
+        z = h @ a[f"w{i}"] + a[f"b{i}"] - a[f"bn{i}_mean"]
+        h = np.maximum(a[f"bn{i}_gamma"] * z / np.sqrt(a[f"bn{i}_var"] + 1e-5)
+                       + a[f"bn{i}_beta"], 0.0)
+    net = load_checkpoint(path)
+    assert net.dtype == np.float32
+    # float32 round-off, compounded over four layers, of the head's terms
+    for head, got in zip(("theta", "beta"), net.forward(rows)):
+        w, b = a[f"head_{head}_w"], a[f"head_{head}_b"]
+        scale = np.abs(h) @ np.abs(w) + np.abs(b)
+        assert np.all(np.abs(got - (h @ w + b)) <= 64 * np.finfo(np.float32).eps * scale)

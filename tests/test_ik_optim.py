@@ -33,6 +33,21 @@ def bend_oracle(joints):
     return total
 
 
+def bend_cross_oracle(joints):
+    """The penalty and gradient through ``np.cross``, as computed before the
+    cross products were written out by components."""
+    bones = np.diff(joints[..., ik_optim._BEND_CHAINS, :], axis=-2)
+    b1, b2, b3 = bones[..., 0, :], bones[..., 1, :], bones[..., 2, :]
+    u, v = np.moveaxis(np.cross(bones[..., [2, 1], :], bones[..., [1, 0], :]), -2, 0)
+    s = (u * v).sum(axis=-1)
+    c = np.cross(np.stack([u, v, b1, b2], axis=-2), np.stack([b2, b3, u, v], axis=-2))
+    db1, db2, db3 = c[..., 0, :], c[..., 1, :] + c[..., 2, :], c[..., 3, :]
+    grad = np.zeros_like(joints)
+    grad[..., ik_optim._BEND_CHAINS, :] = (
+        np.stack([db1, db2 - db1, db3 - db2, -db3], axis=-2) * (s < 0.0)[..., None, None])
+    return np.maximum(-s, 0.0).sum(axis=-1), grad
+
+
 def posed_joints(model, axes, bio, beta, rot=None, trans=None):
     art = bio_dof.expand_batch(np.asarray(bio, float)[None], axes)
     out = kin.fk_forward(model, art, np.asarray(beta, float)[None],
@@ -83,6 +98,21 @@ def test_bend_penalty_matches_oracle_on_random_skeletons(rng):
         joints = rng.normal(scale=30, size=(21, 3))
         assert bend_penalty_with_grad(joints)[0] == pytest.approx(
             bend_oracle(joints), rel=1e-9, abs=1e-9)
+
+
+def test_bend_penalty_equals_cross_oracle_bit_for_bit(desk, axes, rng):
+    bio = bio_dof.BioPose.from_dict({
+        f"{f}_{j}_flex": v for f in ("index", "middle", "ring", "little")
+        for j, v in (("pip", 0.9), ("dip", 0.6))})
+    feasible = posed_joints(desk, axes, bio.values, np.zeros(10))
+    batch = np.concatenate([rng.normal(scale=30, size=(7, 21, 3)), feasible[None]])
+    for joints in (batch, batch.reshape(2, 4, 21, 3), batch[0], feasible):
+        value, grad = bend_penalty_with_grad(joints)
+        want_value, want_grad = bend_cross_oracle(joints)
+        assert value.shape == want_value.shape and grad.shape == want_grad.shape
+        assert np.all(value == want_value) and np.all(grad == want_grad)
+    assert bend_penalty_with_grad(feasible)[0] == 0.0
+    assert bend_penalty_with_grad(batch)[0].max() > 0.0
 
 
 def test_bend_penalty_rigid_invariance(rng):
