@@ -165,17 +165,9 @@ class HandModel:
             raise ShapeError("skinning weight rows must sum to 1")
         if np.abs(self.joint_regressor.sum(axis=1) - 1.0).max() > tol:
             raise ShapeError("joint regressor rows must sum to 1")
-        if self.parents[0] != -1:
-            raise ShapeError("wrist must be the root joint")
-        # parent indices must define a tree rooted at the wrist
-        for j in range(1, kin.JOINT_COUNT):
-            seen = set()
-            k = j
-            while k != 0:
-                if k in seen or not (0 <= self.parents[k] < kin.JOINT_COUNT):
-                    raise ShapeError("parents must encode an acyclic tree")
-                seen.add(k)
-                k = int(self.parents[k])
+        if not np.array_equal(self.parents, kin.PARENTS):
+            raise ShapeError("parents must be kinematics.PARENTS, the one tree "
+                             "the kinematics poses")
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= v):
             raise ShapeError("face indices out of range")
 

@@ -14,8 +14,10 @@ the positional error of the joints regressed from the re-posed mesh against
 the pair's ground-truth skeleton.  Backpropagation is implemented here
 directly (affine, normalization, rectifier); the positional term and its
 gradients come from the refinement's ``ik_optim.batch_fit_loss``.
-``ik_optim.adam_step`` runs in place on one flat parameter vector and its
-gradient twin.  Everything is deterministic given the seeds.
+Every array of the net is listed once, in the name table ``MlpIk.arrays``;
+the trainable ones are views into one flat vector, and ``MlpIk.grads``
+views their gradients in its flat twin, on which ``ik_optim.adam_step``
+runs in place.  Everything is deterministic given the seeds.
 """
 
 from __future__ import annotations
@@ -57,145 +59,114 @@ def featurize_batch(joints: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# layers
+# network
 # ---------------------------------------------------------------------------
 
-class _Linear:
-    def __init__(self, rng, fan_in, fan_out, dtype, scale=1.0, bias=True):
-        self.weight = rng.normal(scale=scale * np.sqrt(2.0 / fan_in),
-                                 size=(fan_in, fan_out)).astype(dtype)
-        self.bias = np.zeros(fan_out, dtype) if bias else None
-        self._x = None
-
-    def forward(self, x):
-        self._x = x
-        y = x @ self.weight
-        return y if self.bias is None else y + self.bias
-
-    def backward(self, g):
-        self.grad_weight += self._x.T @ g
-        if self.bias is not None:
-            self.grad_bias += g.sum(axis=0)
-        return g @ self.weight.T
-
-
-class _BatchNorm:
-    def __init__(self, width, dtype):
-        self.gamma = np.ones(width, dtype)
-        self.beta = np.zeros(width, dtype)
-        self.running_mean = np.zeros(width, dtype)
-        self.running_var = np.ones(width, dtype)
-        self._cache = None
-
-    def forward(self, x, training):
-        if training:
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = ((1 - BN_MOMENTUM) * self.running_mean
-                                 + BN_MOMENTUM * mu)
-            self.running_var = ((1 - BN_MOMENTUM) * self.running_var
-                                + BN_MOMENTUM * var)
-        else:
-            mu, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mu) * inv_std
-        self._cache = (xhat, inv_std, training, x.shape[0])
-        return self.gamma * xhat + self.beta
-
-    def backward(self, g):
-        xhat, inv_std, training, batch = self._cache
-        self.grad_gamma += (g * xhat).sum(axis=0)
-        self.grad_beta += g.sum(axis=0)
-        gx = g * self.gamma
-        if not training:
-            return gx * inv_std
-        # full backward through the batch statistics
-        return (inv_std / batch) * (batch * gx - gx.sum(axis=0)
-                                    - xhat * (gx * xhat).sum(axis=0))
-
-
-class _Relu:
-    def __init__(self):
-        self._mask = None
-
-    def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
-
-    def backward(self, g):
-        return g * self._mask
-
-
 class MlpIk:
-    """Three hidden blocks (linear map + batch statistics + rectifier), two heads.
-    Trainable arrays are views into ``flat`` (``grad_*`` into ``flat_grad``)
-    in ``parameters()`` order: write into them, never rebind them.  Arrays
-    and activations have ``dtype`` (float64 for exact gradient checks)."""
+    """Hidden blocks (linear map + batch statistics + rectifier), two heads.
+
+    ``arrays`` maps each stored array's name to its value, in checkpoint
+    order: ``w{i}``, ``bn{i}_gamma``, ``bn{i}_beta``, ``bn{i}_mean`` and
+    ``bn{i}_var`` per block, then ``head_theta_w``, ``head_theta_b``,
+    ``head_beta_w`` and ``head_beta_b``.  The trainable entries are views
+    into ``flat``, and ``grads`` holds their twins in ``flat_grad``; the
+    running statistics are plain arrays.  Write into the entries, never
+    rebind them.  Arrays and activations have ``dtype`` (float64 for exact
+    gradient checks)."""
 
     def __init__(self, widths=(256, 256, 256), input_dim=FEATURE_DIM, seed=0,
                  dtype=np.float32):
         self.widths = tuple(as_number(w, "hidden width", 1, integer=True)
                             for w in widths)
+        if not self.widths:
+            raise InputError("the net needs at least one hidden width")
         self.input_dim = as_number(input_dim, "input_dim", 1, integer=True)
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
-        self.blocks = []
+        a = self.arrays = {}
         fan_in = self.input_dim
-        for w in self.widths:   # no bias: the batch normalization cancels it
-            self.blocks.append((_Linear(rng, fan_in, w, dtype, bias=False),
-                                _BatchNorm(w, dtype), _Relu()))
+        for i, w in enumerate(self.widths):  # no bias: batch norm cancels it
+            a[f"w{i}"] = rng.normal(scale=np.sqrt(2.0 / fan_in),
+                                    size=(fan_in, w)).astype(dtype)
+            a[f"bn{i}_gamma"] = np.ones(w, dtype)
+            a[f"bn{i}_beta"] = np.zeros(w, dtype)
+            a[f"bn{i}_mean"] = np.zeros(w, dtype)
+            a[f"bn{i}_var"] = np.ones(w, dtype)
             fan_in = w
         # small-scale heads start predictions near the rest pose
-        self.head_theta = _Linear(rng, fan_in, bio_dof.DOF_COUNT, dtype, scale=0.01)
-        self.head_beta = _Linear(rng, fan_in, 10, dtype, scale=0.01)
-        params = [(owner, attr, getattr(owner, attr))
-                  for _, owner, attr in self.parameters()]
-        self.flat = np.concatenate([value.ravel() for *_, value in params])
+        for head, n in (("theta", bio_dof.DOF_COUNT), ("beta", 10)):
+            a[f"head_{head}_w"] = rng.normal(scale=0.01 * np.sqrt(2.0 / fan_in),
+                                             size=(fan_in, n)).astype(dtype)
+            a[f"head_{head}_b"] = np.zeros(n, dtype)
+        trained = [name for name in a if not name.endswith(("_mean", "_var"))]
+        self.flat = np.concatenate([a[name].ravel() for name in trained])
         self.flat_grad = np.zeros_like(self.flat)
-        ends = np.cumsum([value.size for *_, value in params])
-        for (owner, attr, value), end in zip(params, ends):
-            for name, vec in ((attr, self.flat), ("grad_" + attr, self.flat_grad)):
-                setattr(owner, name, vec[end - value.size:end].reshape(value.shape))
+        self.grads = {}
+        end = 0
+        for name in trained:
+            shape, start = a[name].shape, end
+            end += a[name].size
+            a[name] = self.flat[start:end].reshape(shape)
+            self.grads[name] = self.flat_grad[start:end].reshape(shape)
 
     def forward(self, x, training=False):
+        """(theta, beta) head outputs; the activation tape is kept for
+        ``backward``.  Training normalizes by the batch statistics and moves
+        the running statistics towards them."""
+        a, blocks = self.arrays, []
         h = np.asarray(x, dtype=self.dtype)
-        for linear, norm, relu in self.blocks:
-            h = relu.forward(norm.forward(linear.forward(h), training))
-        return self.head_theta.forward(h), self.head_beta.forward(h)
+        for i in range(len(self.widths)):
+            z = h @ a[f"w{i}"]
+            if training:
+                mu, var = z.mean(axis=0), z.var(axis=0)
+                for running, batch in ((a[f"bn{i}_mean"], mu), (a[f"bn{i}_var"], var)):
+                    running *= 1 - BN_MOMENTUM
+                    running += BN_MOMENTUM * batch
+            else:
+                mu, var = a[f"bn{i}_mean"], a[f"bn{i}_var"]
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            xhat = (z - mu) * inv_std
+            y = a[f"bn{i}_gamma"] * xhat + a[f"bn{i}_beta"]
+            mask = y > 0
+            blocks.append((h, xhat, inv_std, mask))
+            h = y * mask
+        self._tape = training, blocks, h
+        return (h @ a["head_theta_w"] + a["head_theta_b"],
+                h @ a["head_beta_w"] + a["head_beta_b"])
 
     def backward(self, d_theta, d_beta):
-        g = (self.head_theta.backward(np.asarray(d_theta, self.dtype))
-             + self.head_beta.backward(np.asarray(d_beta, self.dtype)))
-        for linear, norm, relu in reversed(self.blocks):
-            g = linear.backward(norm.backward(relu.backward(g)))
+        """Accumulate the parameter gradients of the last ``forward`` into
+        ``grads``; returns the gradient with respect to its input."""
+        a, grads = self.arrays, self.grads
+        training, blocks, h = self._tape
+        d_theta, d_beta = (np.asarray(d, self.dtype) for d in (d_theta, d_beta))
+        for head, d in (("theta", d_theta), ("beta", d_beta)):
+            grads[f"head_{head}_w"] += h.T @ d
+            grads[f"head_{head}_b"] += d.sum(axis=0)
+        g = d_theta @ a["head_theta_w"].T + d_beta @ a["head_beta_w"].T
+        for i in reversed(range(len(blocks))):
+            h, xhat, inv_std, mask = blocks[i]
+            g = g * mask
+            grads[f"bn{i}_gamma"] += (g * xhat).sum(axis=0)
+            grads[f"bn{i}_beta"] += g.sum(axis=0)
+            g = g * a[f"bn{i}_gamma"]
+            if training:   # full backward through the batch statistics
+                batch = len(h)
+                g = (inv_std / batch) * (batch * g - g.sum(axis=0)
+                                         - xhat * (g * xhat).sum(axis=0))
+            else:
+                g = g * inv_std
+            grads[f"w{i}"] += h.T @ g
+            g = g @ a[f"w{i}"].T
         return g
-
-    def arrays(self):
-        """Every stored array as (name, owner, attribute, trainable), in
-        checkpoint order; running statistics are stored but not trained."""
-        for i, (linear, norm, _) in enumerate(self.blocks):
-            yield f"w{i}", linear, "weight", True
-            yield f"bn{i}_gamma", norm, "gamma", True
-            yield f"bn{i}_beta", norm, "beta", True
-            yield f"bn{i}_mean", norm, "running_mean", False
-            yield f"bn{i}_var", norm, "running_var", False
-        yield "head_theta_w", self.head_theta, "weight", True
-        yield "head_theta_b", self.head_theta, "bias", True
-        yield "head_beta_w", self.head_beta, "weight", True
-        yield "head_beta_b", self.head_beta, "bias", True
-
-    def parameters(self):
-        """The trainable arrays as (name, owner, attribute)."""
-        return ((name, owner, attr) for name, owner, attr, trainable
-                in self.arrays() if trainable)
 
     def zero_grads(self):
         self.flat_grad.fill(0.0)
 
     def check_finite(self):
         if not np.isfinite(self.flat).all():
-            name = next(name for name, owner, attr in self.parameters()
-                        if not np.isfinite(getattr(owner, attr)).all())
+            name = next(name for name in self.grads
+                        if not np.isfinite(self.arrays[name]).all())
             raise NumericError(f"non-finite parameter {name}")
 
 
@@ -343,9 +314,8 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
 def save_checkpoint(net: MlpIk, path) -> None:
     header = {"kind": "ik_net_checkpoint", "input_dim": net.input_dim,
               "widths": list(net.widths)}
-    write_container(path, header, {
-        name: getattr(owner, attr).astype(np.float32)
-        for name, owner, attr, _ in net.arrays()})
+    write_container(path, header, {name: value.astype(np.float32)
+                                    for name, value in net.arrays.items()})
 
 
 def load_checkpoint(path) -> MlpIk:
@@ -362,14 +332,14 @@ def load_checkpoint(path) -> MlpIk:
     if weights > max(sum(a.size for a in arrays.values()), 2 ** 22):
         raise InputError(f"{path}: header widths need more values than stored")
     net = MlpIk(widths=tuple(widths), input_dim=input_dim)
-    for name, owner, attr, _ in net.arrays():
-        value, target = arrays[name], getattr(owner, attr)
+    for name, target in net.arrays.items():
+        value = arrays[name]
         if value.shape != target.shape:
             raise ShapeError(f"{path}: array {name!r} has shape {value.shape}, "
                              f"expected {target.shape}")
         target[...] = value   # into the view, so training still moves it
-    for i, (_, norm, _) in enumerate(net.blocks):
+    for i in range(len(widths)):
         if f"b{i}" in arrays:
-            norm.running_mean -= as_array(arrays[f"b{i}"], norm.running_mean.shape,
-                                          f"{path}: array 'b{i}'")
+            mean = net.arrays[f"bn{i}_mean"]
+            mean -= as_array(arrays[f"b{i}"], mean.shape, f"{path}: array 'b{i}'")
     return net

@@ -332,17 +332,9 @@ class DecoderComparison:
 
 def compare_decoders(channels: int, spatial: int) -> DecoderComparison:
     """Per-sublayer MACs of one upsampling block per variant, plus ordering."""
-    totals: dict[str, int] = {}
-    breakdown: dict[str, dict[str, int]] = {}
-    for variant in ("A", "B", "C"):
-        parts: dict[str, int] = {}
-        h = w = spatial
-        c = channels
-        for name, spec in _variant_block(variant, channels):
-            parts[name] = layer_macs(spec, h, w)
-            c, h, w = spec.out_shape(c, h, w)
-        breakdown[variant] = parts
-        totals[variant] = sum(parts.values())
+    breakdown = {variant: profile(NetGraph(variant, channels, _variant_block(
+        variant, channels)), spatial).stage_totals for variant in ("A", "B", "C")}
+    totals = {variant: sum(parts.values()) for variant, parts in breakdown.items()}
     ordering = tuple(sorted(totals, key=totals.get))
     return DecoderComparison(channels=channels, spatial=spatial, totals=totals,
                              breakdown=breakdown, ordering=ordering)

@@ -186,13 +186,13 @@ def test_criterion_5_gradients(model, limits, axes):
     net.zero_grads()
     ik_net.batch_loss(net, model, axes, feats, data.bio[:8], data.beta[:8],
                       data.skeletons[:8], training=False, compute_grads=True)
-    params = list(net.parameters())
+    params = list(net.grads)
     worst_net = 0.0
     for _ in range(50):
-        name, owner, attr = params[rng.integers(len(params))]
-        arr = getattr(owner, attr)
+        name = params[rng.integers(len(params))]
+        arr = net.arrays[name]
         i = rng.integers(arr.size)
-        ana = getattr(owner, "grad_" + attr).reshape(-1)[i]
+        ana = net.grads[name].reshape(-1)[i]
         orig = arr.reshape(-1)[i]
         arr.reshape(-1)[i] = orig + h
         lp = ik_net.batch_loss(net, model, axes, feats, data.bio[:8],

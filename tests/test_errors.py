@@ -3,6 +3,7 @@ uncaught traceback (exit 1)."""
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -374,6 +375,16 @@ _LIB = synth.PoseLibrary(np.zeros((2, 45)))
 
 # name -> (family class, call on the small desk hand): one row per library
 # entry point that checks a value where it enters
+def _load_reparented_model(model):
+    """load_model of a saved hand whose little MCP hangs under the ring MCP."""
+    parents = model.parents.copy()
+    parents[17] = 13
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.hkm"
+        save_model(dataclasses.replace(model, parents=parents), path)
+        return load_model(path)
+
+
 LIBRARY = {
     "ShapeParams-strings": (errors.InputError, lambda m: ShapeParams(["a"] * 10)),
     "ShapeParams-ragged": (errors.InputError, lambda m: ShapeParams(_RAGGED)),
@@ -389,6 +400,7 @@ LIBRARY = {
     "Skeleton-20-joints": (errors.ShapeError, lambda m: Skeleton(np.zeros((20, 3)))),
     "Mesh-strings": (errors.InputError, lambda m: Mesh([["a", "b", "c"]], [])),
     "Mesh-ragged": (errors.InputError, lambda m: Mesh(_RAGGED, [])),
+    "load_model-reparented-tree": (errors.ShapeError, _load_reparented_model),
     "regress_joints-nan": (errors.InputError, lambda m: regress_joints(
         m, _nan(m.vertex_count, 3))),
     "BioPose-strings": (errors.InputError, lambda m: bio_dof.BioPose(["x"] * 23)),
@@ -428,6 +440,7 @@ LIBRARY = {
         widths=(2, 2, 2), input_dim=80.0)),
     "MlpIk-negative-seed": (errors.InputError, lambda m: ik_net.MlpIk(
         widths=(2, 2, 2), seed=-1)),
+    "MlpIk-no-hidden-widths": (errors.InputError, lambda m: ik_net.MlpIk(widths=())),
     "predict-nan-features": (errors.InputError, lambda m: ik_net.predict(
         ik_net.MlpIk(widths=(2, 2, 2)), _nan(2, 80))),
     "predict-79-features": (errors.ShapeError, lambda m: ik_net.predict(

@@ -287,6 +287,17 @@ def test_validate_rejects_bad_weight_rows(desk_small):
         model.validate()
 
 
+def test_validate_rejects_a_tree_the_kinematics_does_not_pose(desk_small):
+    # little MCP under ring MCP: an acyclic tree, but FK walks kin.PARENTS
+    parents = desk_small.parents.copy()
+    parents[17] = 13
+    model = HandModel(desk_small.rest_vertices, desk_small.shape_basis,
+                      desk_small.joint_regressor, desk_small.skinning_weights,
+                      parents, desk_small.faces)
+    with pytest.raises(ShapeError, match="kinematics.PARENTS"):
+        model.validate()
+
+
 def test_validate_rejects_cyclic_parents(desk_small):
     parents = desk_small.parents.copy()
     parents[1] = 2

@@ -3,7 +3,7 @@ import pytest
 
 from handkit import bio_dof, kinematics as kin
 from handkit.errors import NumericError
-from handkit.containers import write_container
+from handkit.containers import read_container, write_container
 from handkit.ik_net import (FEATURE_DIM, MlpIk, TrainConfig, batch_loss,
                             featurize_batch, generate_pairs, load_checkpoint,
                             predict, save_checkpoint, train)
@@ -85,8 +85,8 @@ def test_featurize_zero_length_bone(rng):
 
 def test_predict_zero_heads_gives_rest(desk, limits, rng):
     net = MlpIk(seed=3)
-    net.head_theta.weight[:] = 0.0
-    net.head_beta.weight[:] = 0.0
+    net.arrays["head_theta_w"][:] = 0.0
+    net.arrays["head_beta_w"][:] = 0.0
     feats = featurize_batch(random_skeleton(rng))
     bio, beta = predict(net, feats, limits)
     assert bio.shape == (1, 23) and beta.shape == (1, 10)
@@ -123,14 +123,15 @@ def test_predict_batch_rows_match_single_rows_float32(limits, rng):
     feats = featurize_batch(np.stack([random_skeleton(rng) for _ in range(5)]))
     bio, beta = predict(net, feats, limits)
     assert bio.dtype == beta.dtype == np.float64
-    hidden = np.abs(net.head_theta._x)
+    _, _, hidden = net._tape   # the heads' input from the batch forward
+    hidden = np.abs(hidden)
     slack = 4 * np.sqrt(max(net.widths)) * np.finfo(np.float32).eps
     for i in range(5):
         one_bio, one_beta = predict(net, feats[i:i + 1], limits)
         assert np.all(np.abs(bio[i] - one_bio[0])
-                      <= slack * hidden[i] @ np.abs(net.head_theta.weight))
+                      <= slack * hidden[i] @ np.abs(net.arrays["head_theta_w"]))
         assert np.all(np.abs(beta[i] - one_beta[0])
-                      <= slack * hidden[i] @ np.abs(net.head_beta.weight))
+                      <= slack * hidden[i] @ np.abs(net.arrays["head_beta_w"]))
 
 
 def test_predict_rejects_unbatched_features(limits, rng):
@@ -140,7 +141,7 @@ def test_predict_rejects_unbatched_features(limits, rng):
 
 def test_predict_clamps_to_limits(limits, rng):
     net = MlpIk(seed=5)
-    net.head_theta.bias[:] = 10.0  # force everything far above the limits
+    net.arrays["head_theta_b"][:] = 10.0  # force everything far above the limits
     bio, _ = predict(net, featurize_batch(random_skeleton(rng)), limits)
     assert bio_dof.is_feasible(bio_dof.BioPose(bio[0]), limits)
     np.testing.assert_array_equal(bio[0], limits.upper)
@@ -150,12 +151,12 @@ def test_hand_traced_single_block_forward():
     # one block, identity-like weights, crafted input: the activation path is
     # hand-computable because batch statistics start at mean 0 / var 1
     net = MlpIk(widths=(4,), input_dim=4, seed=0, dtype=np.float64)
-    net.blocks[0][0].weight[:] = np.eye(4)
-    net.blocks[0][1].running_mean[:] = [0.0, -1.0, 1.0, -0.5]
-    net.head_theta.weight[:] = 0.0
-    net.head_theta.weight[0, 0] = 1.0
-    net.head_theta.bias[:] = 0.0
-    net.head_beta.weight[:] = 0.0
+    net.arrays["w0"][:] = np.eye(4)
+    net.arrays["bn0_mean"][:] = [0.0, -1.0, 1.0, -0.5]
+    net.arrays["head_theta_w"][:] = 0.0
+    net.arrays["head_theta_w"][0, 0] = 1.0
+    net.arrays["head_theta_b"][:] = 0.0
+    net.arrays["head_beta_w"][:] = 0.0
     x = np.array([[2.0, -3.0, 0.25, 0.0]])
     theta, _ = net.forward(x, training=False)
     # linear minus the running mean: [2, -2, -0.75, 0.5]; bn scales by
@@ -265,13 +266,12 @@ def test_generate_pairs_rejects_empty(desk, limits):
 def test_train_zero_rate_keeps_parameters(desk, limits):
     data = generate_pairs(desk, 32, limits, seed=10)
     net = MlpIk(seed=1)
-    before = {name: getattr(owner, attr).copy()
-              for name, owner, attr in net.parameters()}
+    before = {name: net.arrays[name].copy() for name in net.grads}
     config = TrainConfig(epochs=1, decay_epochs=(), batch_size=32,
                          learning_rate=0.0, seed=0)
     net, curve = train(net, data, config)
-    for name, owner, attr in net.parameters():
-        np.testing.assert_array_equal(getattr(owner, attr), before[name])
+    for name in net.grads:
+        np.testing.assert_array_equal(net.arrays[name], before[name])
     assert len(curve) == 1
 
 
@@ -283,13 +283,13 @@ def test_backprop_matches_finite_differences(desk, axes, limits, rng):
     net.zero_grads()
     batch_loss(net, desk, axes, feats, data.bio[:8], data.beta[:8],
                data.skeletons[:8], training=False, compute_grads=True)
-    params = list(net.parameters())
+    params = list(net.grads)
     h = 1e-6
     for _ in range(12):
-        name, owner, attr = params[rng.integers(len(params))]
-        arr = getattr(owner, attr)
+        name = params[rng.integers(len(params))]
+        arr = net.arrays[name]
         i = rng.integers(arr.size)
-        ana = getattr(owner, "grad_" + attr).reshape(-1)[i]
+        ana = net.grads[name].reshape(-1)[i]
         orig = arr.reshape(-1)[i]
         arr.reshape(-1)[i] = orig + h
         lp = batch_loss(net, desk, axes, feats, data.bio[:8], data.beta[:8],
@@ -318,8 +318,8 @@ def test_train_deterministic(desk, limits):
     n1, c1 = train(MlpIk(seed=4), data, config)
     n2, c2 = train(MlpIk(seed=4), data, config)
     assert c1 == c2
-    for (name, o1, a1), (_, o2, a2) in zip(n1.parameters(), n2.parameters()):
-        np.testing.assert_array_equal(getattr(o1, a1), getattr(o2, a2))
+    for name in n1.grads:
+        np.testing.assert_array_equal(n1.arrays[name], n2.arrays[name])
 
 
 def _per_array_adam_train(net, data, config):
@@ -328,10 +328,8 @@ def _per_array_adam_train(net, data, config):
     axes = bio_dof.derive_axes(data.model)
     feats_all = featurize_batch(data.skeletons)
     rng = np.random.default_rng(config.seed)
-    adam_m = {name: np.zeros_like(getattr(owner, attr))
-              for name, owner, attr in net.parameters()}
-    adam_v = {name: np.zeros_like(getattr(owner, attr))
-              for name, owner, attr in net.parameters()}
+    adam_m = {name: np.zeros_like(net.arrays[name]) for name in net.grads}
+    adam_v = {name: np.zeros_like(net.arrays[name]) for name in net.grads}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     curve = []
@@ -351,14 +349,13 @@ def _per_array_adam_train(net, data, config):
                                data.skeletons[idx], training=True,
                                compute_grads=True)
             step += 1
-            for name, owner, attr in net.parameters():
-                g = getattr(owner, "grad_" + attr)
+            for name, g in net.grads.items():
                 adam_m[name] = beta1 * adam_m[name] + (1 - beta1) * g
                 adam_v[name] = beta2 * adam_v[name] + (1 - beta2) * g * g
                 mhat = adam_m[name] / (1 - beta1 ** step)
                 vhat = adam_v[name] / (1 - beta2 ** step)
-                setattr(owner, attr,
-                        getattr(owner, attr) - lr * mhat / (np.sqrt(vhat) + eps))
+                net.arrays[name][...] = (net.arrays[name]
+                                         - lr * mhat / (np.sqrt(vhat) + eps))
         mean = sums / batches
         curve.append({"epoch": epoch, "total": mean[0], "theta": mean[1],
                       "beta": mean[2], "pose": mean[3]})
@@ -373,22 +370,22 @@ def test_flat_adam_matches_per_array_oracle(desk_small, limits):
         MlpIk(widths=(24, 16, 8), seed=7), data, config)
     net, curve = train(MlpIk(widths=(24, 16, 8), seed=7), data, config)
     assert curve == oracle_curve
-    for (name, o1, a1, _), (_, o2, a2, _) in zip(net.arrays(), oracle.arrays()):
-        np.testing.assert_array_equal(getattr(o1, a1), getattr(o2, a2),
-                                      err_msg=name)
+    assert list(net.arrays) == list(oracle.arrays)
+    for name, value in net.arrays.items():
+        np.testing.assert_array_equal(value, oracle.arrays[name], err_msg=name)
 
 
 def test_parameters_are_views_into_the_flat_vectors():
     net = MlpIk(widths=(8, 8, 8), seed=1)
     size = 0
-    for name, owner, attr in net.parameters():
-        value, grad = getattr(owner, attr), getattr(owner, "grad_" + attr)
+    for name, grad in net.grads.items():
+        value = net.arrays[name]
         assert np.shares_memory(value, net.flat), name
         assert np.shares_memory(grad, net.flat_grad), name
         size += value.size
     assert net.flat.size == net.flat_grad.size == size
     net.flat[:] = 2.0
-    assert all((getattr(o, a) == 2.0).all() for _, o, a in net.parameters())
+    assert all((net.arrays[name] == 2.0).all() for name in net.grads)
 
 
 def test_loaded_net_trains_every_array_and_zeroes_grads(desk_small, limits,
@@ -396,26 +393,43 @@ def test_loaded_net_trains_every_array_and_zeroes_grads(desk_small, limits,
     path = tmp_path / "net.hkc"
     save_checkpoint(MlpIk(widths=(16, 16, 16), seed=8), path)
     net = load_checkpoint(path)
-    before = {name: getattr(owner, attr).copy()
-              for name, owner, attr in net.parameters()}
+    before = {name: net.arrays[name].copy() for name in net.grads}
     data = generate_pairs(desk_small, 32, limits, seed=17)
     net, _ = train(net, data, TrainConfig(epochs=1, decay_epochs=(),
                                           batch_size=16, learning_rate=1e-3))
-    for name, owner, attr in net.parameters():
-        assert not np.array_equal(getattr(owner, attr), before[name]), name
-        assert np.abs(getattr(owner, "grad_" + attr)).max() > 0.0, name
+    for name, grad in net.grads.items():
+        assert not np.array_equal(net.arrays[name], before[name]), name
+        assert np.abs(grad).max() > 0.0, name
     net.zero_grads()
-    for name, owner, attr in net.parameters():
-        assert not getattr(owner, "grad_" + attr).any(), name
+    for name, grad in net.grads.items():
+        assert not grad.any(), name
 
 
 def test_check_finite_names_the_poisoned_array():
     net = MlpIk(widths=(8, 8, 8), seed=1)
     net.check_finite()
-    net.blocks[1][1].gamma[3] = np.nan
-    net.head_beta.bias[0] = np.inf
+    net.arrays["bn1_gamma"][3] = np.nan
+    net.arrays["head_beta_b"][0] = np.inf
     with pytest.raises(NumericError, match="parameter bn1_gamma$"):
         net.check_finite()
+
+
+def test_checkpoint_layout(tmp_path):
+    # every array a checkpoint stores, by name, shape and order
+    path = tmp_path / "net.hkc"
+    save_checkpoint(MlpIk(widths=(16, 12, 8)), path)
+    header, arrays = read_container(path, kind="ik_net_checkpoint")
+    assert (header["input_dim"], header["widths"]) == (FEATURE_DIM, [16, 12, 8])
+    assert [(name, value.shape) for name, value in arrays.items()] == [
+        ("w0", (80, 16)), ("bn0_gamma", (16,)), ("bn0_beta", (16,)),
+        ("bn0_mean", (16,)), ("bn0_var", (16,)),
+        ("w1", (16, 12)), ("bn1_gamma", (12,)), ("bn1_beta", (12,)),
+        ("bn1_mean", (12,)), ("bn1_var", (12,)),
+        ("w2", (12, 8)), ("bn2_gamma", (8,)), ("bn2_beta", (8,)),
+        ("bn2_mean", (8,)), ("bn2_var", (8,)),
+        ("head_theta_w", (8, 23)), ("head_theta_b", (23,)),
+        ("head_beta_w", (8, 10)), ("head_beta_b", (10,))]
+    assert all(value.dtype == np.float32 for value in arrays.values())
 
 
 def test_train_config_validation():
