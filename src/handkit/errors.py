@@ -51,7 +51,7 @@ def as_array(value, shape, what: str) -> np.ndarray:
         raise InputError(f"{what} must be finite")
     if isinstance(shape, int):
         arr, shape = arr.reshape(-1), (shape,)
-    if shape is not None:
+    if shape is not None and arr.shape != shape:   # an exact match passes
         lead = shape[:1] == (...,)
         want = shape[lead:]
         got = arr.shape[arr.ndim - len(want):] if lead else arr.shape

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NumericError, ShapeError
+from .errors import InputError, NumericError, ShapeError, as_array
 from .rotations import rodrigues, rodrigues_with_jacobian
 
 FINGERS = ("thumb", "index", "middle", "ring", "little")
@@ -268,8 +268,9 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
                 d_regressed=None) -> FkGrads:
     """Reverse sweep: output cotangents -> parameter gradients.
 
-    Each ``d_*`` matches the shape of the corresponding forward output; any
-    may be omitted.  Requires a cache from ``fk_forward(..., need_grad=True)``.
+    Each ``d_*`` matches the shape of the corresponding forward output (else
+    ``ShapeError``) and is finite (else ``InputError``); any may be omitted.
+    Requires a cache from ``fk_forward(..., need_grad=True)``.
     """
     if cache.rot_art is None:
         raise InputError("fk_backward needs a cache built with need_grad=True")
@@ -284,16 +285,17 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
     bar_beta = np.zeros((batch, 10))
     bar_pose_feats = np.zeros((batch, POSE_BASIS_SIZE))
 
-    def through_global(d_out, pre):
+    def through_global(d_out, pre, what):
+        """Cotangent of one (B, N, 3) output, checked against its shape,
+        through the global rotation and translation."""
         nonlocal bar_rot_g, bar_trans
-        flat_d = np.asarray(d_out, dtype=float).reshape(batch, -1, 3)
-        flat_p = pre.reshape(batch, -1, 3)
-        bar_rot_g += flat_d.transpose(0, 2, 1) @ flat_p
-        bar_trans += flat_d.sum(axis=1)
-        return (flat_d @ cache.rot_global).reshape(pre.shape)
+        d_out = as_array(d_out, pre.shape, what)
+        bar_rot_g += d_out.transpose(0, 2, 1) @ pre
+        bar_trans += d_out.sum(axis=1)
+        return d_out @ cache.rot_global
 
     if d_joints is not None:
-        g = through_global(d_joints, cache.pre_joints)          # (B, 21, 3)
+        g = through_global(d_joints, cache.pre_joints, "d_joints")  # (B, 21, 3)
         bar_chain_rot += np.einsum("kj,bkx,bky->bjxy", _ASSIGN_ONEHOT, g, rest_joints)
         bar_skin_t += np.einsum("kj,bkx->bjx", _ASSIGN_ONEHOT, g)
         bar_rest += np.einsum("bkxy,bkx->bky", chain_rot[:, list(ASSIGN_SLOT)], g)
@@ -301,7 +303,7 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
     if d_vertices is not None:
         if cache.pre_vertices is None:
             raise InputError("forward pass did not compute vertices")
-        g = through_global(d_vertices, cache.pre_vertices)      # (B, V, 3)
+        g = through_global(d_vertices, cache.pre_vertices, "d_vertices")  # (B, V, 3)
         weights, template = model.skinning_weights, cache.template
         bar_skin_t += weights.T @ g
         bar_template = np.empty_like(g)
@@ -317,7 +319,7 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
     if d_regressed is not None:
         if cache.pre_regressed is None:
             raise InputError("forward pass did not compute regressed joints")
-        g = through_global(d_regressed, cache.pre_regressed)    # (B, 21, 3)
+        g = through_global(d_regressed, cache.pre_regressed, "d_regressed")  # (B, 21, 3)
         tensors = model.tensors
         bar_chain_rot += (g.swapaxes(1, 2) @ cache.reg_q).reshape(
             batch, 3, ARTICULATED_COUNT, 3).swapaxes(1, 2)

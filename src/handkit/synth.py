@@ -12,11 +12,15 @@ Finger swapping treats each finger's articulation (3 joints x 3 values = 9
 consecutive entries of the 45-vector) as an independent block, replacing
 selected blocks of one pose with another's.  The augmented library draws a
 random finger subset and donor per variant, reproducibly from the seed.
+
+Projection takes (..., 21, 3) joints through one look-at camera to
+(..., 21, 2) pixels in one broadcast; one (21, 3) skeleton is a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +28,11 @@ from . import bio_dof, kinematics as kin
 from .containers import read_container, write_container
 from .errors import InputError, NumericError, as_array, as_number
 
+#: a camera's default target and up vector, shared read-only by every camera
+#: that does not give its own
+ORIGIN = np.zeros(3)
 WORLD_UP = np.array([0.0, 1.0, 0.0])
+ORIGIN.flags.writeable = WORLD_UP.flags.writeable = False
 DEFAULT_ELEV_MIN = -np.pi / 3.0
 DEFAULT_ELEV_MAX = np.pi / 2.0
 DEFAULT_STEP = np.pi / 36.0
@@ -42,27 +50,37 @@ FINGER_SLICES = {name: slice(9 * fi, 9 * (fi + 1))
 
 @dataclass
 class CameraPose:
-    """A viewpoint on the unit sphere looking at a target (wrist/origin)."""
+    """A viewpoint on the unit sphere looking at a target (wrist/origin).
+
+    ``position`` (unit length), ``target`` and ``up`` are finite (3,)
+    vectors; a ``target`` or ``up`` left at ``None`` is ``ORIGIN`` or
+    ``WORLD_UP``.
+    """
 
     elevation: float
     azimuth: float
-    position: np.ndarray                 # unit vector
-    target: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    up: np.ndarray = field(default_factory=lambda: WORLD_UP.copy())
+    position: np.ndarray
+    target: np.ndarray | None = None
+    up: np.ndarray | None = None
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.target = np.asarray(self.target, dtype=float)
-        self.up = np.asarray(self.up, dtype=float)
-        norm = np.linalg.norm(self.position)
+        self.elevation = as_number(self.elevation, "camera elevation")
+        self.azimuth = as_number(self.azimuth, "camera azimuth")
+        self.position = as_array(self.position, (3,), "camera position")
+        self.target = (ORIGIN if self.target is None
+                       else as_array(self.target, (3,), "camera target"))
+        self.up = WORLD_UP if self.up is None else as_array(self.up, (3,), "camera up")
+        norm = math.hypot(*self.position.tolist())
         if not abs(norm - 1.0) <= 1e-9:     # so NaN fails too
             raise InputError(f"camera position must be unit length, got {norm}")
 
 
-def sphere_point(elevation: float, azimuth: float) -> np.ndarray:
-    return np.array([np.cos(elevation) * np.cos(azimuth),
-                     np.sin(elevation),
-                     np.cos(elevation) * np.sin(azimuth)])
+def sphere_point(elevation, azimuth) -> np.ndarray:
+    """(cos e cos a, sin e, cos e sin a) for elevation e and azimuth a, which
+    broadcast against each other; returns (..., 3)."""
+    cos_e = np.cos(elevation)
+    return np.stack(np.broadcast_arrays(cos_e * np.cos(azimuth), np.sin(elevation),
+                                        cos_e * np.sin(azimuth)), axis=-1)
 
 
 def sample_cameras(elev_min: float = DEFAULT_ELEV_MIN,
@@ -83,15 +101,12 @@ def sample_cameras(elev_min: float = DEFAULT_ELEV_MIN,
     if not 1 <= n_elev * n_azim <= MAX_CAMERAS:
         raise InputError(f"camera grid of {n_elev:.3g} x {n_azim:.3g} positions is "
                          f"outside 1..{MAX_CAMERAS}")
-    n_elev, n_azim = int(n_elev), int(n_azim)
-    cams = []
-    for i in range(n_elev):
-        elevation = elev_min + i * elev_step
-        for j in range(n_azim):
-            azimuth = j * azim_step
-            cams.append(CameraPose(elevation=elevation, azimuth=azimuth,
-                                   position=sphere_point(elevation, azimuth)))
-    return cams
+    elevations = elev_min + np.arange(int(n_elev)) * elev_step
+    azimuths = np.arange(int(n_azim)) * azim_step
+    positions = sphere_point(elevations[:, None], azimuths)
+    return [CameraPose(elevation=elevation, azimuth=azimuth, position=row)
+            for elevation, rows in zip(elevations.tolist(), positions)
+            for azimuth, row in zip(azimuths.tolist(), rows)]
 
 
 def cameras_to_text(cams: list[CameraPose]) -> str:
@@ -192,6 +207,13 @@ def load_pose_library(path) -> PoseLibrary:
 # ---------------------------------------------------------------------------
 
 
+def _cross(a, b) -> tuple[float, float, float]:
+    """``np.cross`` of two 3-sequences of floats, in its operand order."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 def camera_frame(cam: CameraPose, radius_mm: float
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Rotation (world -> camera rows [right, down, forward]) and eye point.
@@ -199,38 +221,44 @@ def camera_frame(cam: CameraPose, radius_mm: float
     The camera sits at position * radius looking at the target with the +Y-up
     convention; image y grows downward as usual for pixel coordinates.  At
     the elevation poles, where the view direction is parallel to the up
-    vector, a fixed +X up-hint keeps the frame defined.
+    vector, a fixed +X up-hint keeps the frame defined.  The 3-vectors are
+    worked out on Python floats, component by component: a numpy call on
+    three values costs more than their arithmetic.
     """
-    eye = cam.position * radius_mm + cam.target
-    fwd = cam.target - eye
-    fwd = fwd / np.linalg.norm(fwd)
-    up_hint = cam.up
-    right = np.cross(fwd, up_hint)
-    if np.linalg.norm(right) < 1e-9:
-        right = np.cross(fwd, np.array([1.0, 0.0, 0.0]))
-    right = right / np.linalg.norm(right)
-    down = np.cross(fwd, right)
-    rot = np.stack([right, down, fwd])
-    return rot, eye
+    target = cam.target.tolist()
+    eye = [p * radius_mm + t for p, t in zip(cam.position.tolist(), target)]
+    fwd = [t - e for t, e in zip(target, eye)]
+    norm = math.hypot(*fwd)
+    fwd = [f / norm for f in fwd]
+    right = _cross(fwd, cam.up.tolist())
+    norm = math.hypot(*right)
+    if norm < 1e-9:
+        right = _cross(fwd, (1.0, 0.0, 0.0))
+        norm = math.hypot(*right)
+    right = [r / norm for r in right]
+    return np.array([right, _cross(fwd, right), fwd]), np.array(eye)
 
 
 def project(skeleton, cam: CameraPose, radius_mm: float,
             fx: float, fy: float, cx: float, cy: float) -> np.ndarray:
-    """Pinhole projection of the 21 joints; returns (21, 2) pixel coordinates.
+    """Pinhole projection of (..., 21, 3) joints through one camera; returns
+    (..., 21, 2) pixel coordinates.  One (21, 3) skeleton is a batch of one
+    and gives (21, 2).
 
     The look-at target projects to the principal point (cx, cy).  Raises
     InputError for non-finite joints, a radius <= 0 or non-finite intrinsics,
-    ShapeError for joints that are not (21, 3), and NumericError if any joint
-    has non-positive camera depth.
+    ShapeError for joints that are not (..., 21, 3), and NumericError, naming
+    the first batch row and joint, if any joint has non-positive camera depth.
     """
     joints = as_array(skeleton.joints if hasattr(skeleton, "joints") else skeleton,
-                      (kin.JOINT_COUNT, 3), "joints")
+                      (..., kin.JOINT_COUNT, 3), "joints")
     fx, fy, cx, cy = (as_number(v, "intrinsics") for v in (fx, fy, cx, cy))
     rot, eye = camera_frame(cam, as_number(radius_mm, "radius_mm", above=0))
     cam_pts = (joints - eye) @ rot.T
-    depth = cam_pts[:, 2]
+    depth = cam_pts[..., 2:]
     if (depth <= 1e-9).any():
-        raise NumericError("joint at or behind the camera plane")
-    u = cx + fx * cam_pts[:, 0] / depth
-    v = cy + fy * cam_pts[:, 1] / depth
-    return np.stack([u, v], axis=1)
+        *row, joint = np.argwhere(depth[..., 0] <= 1e-9)[0].tolist()
+        at = f"batch row {row[0] if len(row) == 1 else tuple(row)}, " if row else ""
+        raise NumericError(f"{at}joint {joint} is at or behind the camera plane")
+    # (fx * x) / depth + cx: the same operations as cx + fx * x / depth
+    return cam_pts[..., :2] * (fx, fy) / depth + (cx, cy)

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import handkit
-from handkit import (bio_dof, errors, ik_net, ik_optim, lixel, metrics, profiler,
-                     synth)
+from handkit import (bio_dof, errors, ik_net, ik_optim, kinematics, lixel, metrics,
+                     profiler, synth)
 from handkit.cli import main, write_params_file
 from handkit.containers import write_container
 from handkit.hand_model import (FullPose, Mesh, ShapeParams, Skeleton, forward,
@@ -373,6 +373,14 @@ _RAGGED = [[1.0, 2.0], [3.0]]
 _CAM = synth.CameraPose(0.0, 0.0, synth.sphere_point(0.0, 0.0))
 _LIB = synth.PoseLibrary(np.zeros((2, 45)))
 
+
+def _backward_b2(model, **cotangents):
+    """fk_backward on a B = 2 cache that holds every output."""
+    cache = kinematics.fk_forward(model, np.zeros((2, 45)), want_vertices=True,
+                                  want_regressed=True, need_grad=True)
+    return kinematics.fk_backward(model, cache, **cotangents)
+
+
 # name -> (family class, call on the small desk hand): one row per library
 # entry point that checks a value where it enters
 def _load_reparented_model(model):
@@ -479,6 +487,22 @@ LIBRARY = {
         np.zeros((21, 3)), _CAM, 400.0, np.nan, 500.0, 128.0, 128.0)),
     "CameraPose-nan-position": (errors.InputError, lambda m: synth.CameraPose(
         0.0, 0.0, [np.nan, 0.0, 0.0])),
+    "CameraPose-2-value-position": (errors.ShapeError, lambda m: synth.CameraPose(
+        0.0, 0.0, [1.0, 0.0])),
+    "CameraPose-nan-target": (errors.InputError, lambda m: synth.CameraPose(
+        0.0, 0.0, [1.0, 0.0, 0.0], target=[0.0, np.nan, 0.0])),
+    "CameraPose-2-value-up": (errors.ShapeError, lambda m: synth.CameraPose(
+        0.0, 0.0, [1.0, 0.0, 0.0], up=[0.0, 1.0])),
+    "CameraPose-string-position": (errors.InputError, lambda m: synth.CameraPose(
+        0.0, 0.0, ["1", "0", "0"])),
+    "CameraPose-string-elevation": (errors.InputError, lambda m: synth.CameraPose(
+        "0", 0.0, [1.0, 0.0, 0.0])),
+    "fk_backward-misshapen-d_vertices": (errors.ShapeError, lambda m: _backward_b2(
+        m, d_vertices=np.ones((2, 5, 3)))),
+    "fk_backward-1-row-d_joints": (errors.ShapeError, lambda m: _backward_b2(
+        m, d_joints=np.ones((1, 21, 3)))),
+    "fk_backward-nan-d_regressed": (errors.InputError, lambda m: _backward_b2(
+        m, d_regressed=_nan(2, 21, 3))),
     "project-nan-joints": (errors.InputError, lambda m: synth.project(
         _nan(21, 3), _CAM, 400.0, 500.0, 500.0, 128.0, 128.0)),
     "project-20-joints": (errors.ShapeError, lambda m: synth.project(

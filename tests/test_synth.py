@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from handkit import kinematics as kin, synth
 from handkit.errors import InputError, NumericError
 from handkit.synth import (CameraPose, PoseLibrary,
-                           augment_library, cameras_to_text, load_pose_library,
-                           make_pose_library, project, sample_cameras,
-                           save_pose_library, sphere_point, swap_fingers)
+                           augment_library, camera_frame, cameras_to_text,
+                           load_pose_library, make_pose_library, project,
+                           sample_cameras, save_pose_library, sphere_point,
+                           swap_fingers)
 
 
 def look_at_oracle(eye, target, up, fx, fy, cx, cy, point):
@@ -25,6 +26,19 @@ def look_at_oracle(eye, target, up, fx, fy, cx, cy, point):
     h = view @ np.array([*point, 1.0])
     uvw = intr @ h[:3]
     return uvw[:2] / uvw[2]
+
+
+def frame_oracle(cam, radius):
+    """``camera_frame`` with numpy's vector calls; the +X hint at the poles."""
+    eye = cam.position * radius + cam.target
+    fwd = cam.target - eye
+    fwd = fwd / np.linalg.norm(fwd)
+    right = np.cross(fwd, cam.up)
+    pole = np.linalg.norm(right) < 1e-9
+    if pole:
+        right = np.cross(fwd, np.array([1.0, 0.0, 0.0]))
+    right = right / np.linalg.norm(right)
+    return np.stack([right, np.cross(fwd, right), fwd]), eye, pole
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +66,16 @@ def test_camera_convention_anchor():
 def test_all_camera_positions_unit_norm():
     for cam in sample_cameras():
         assert abs(np.linalg.norm(cam.position) - 1.0) <= 1e-9
+        # the grid's one broadcast call equals the per-camera call
+        assert cam.position.tobytes() == sphere_point(cam.elevation,
+                                                      cam.azimuth).tobytes()
+
+
+def test_camera_defaults_are_shared_read_only():
+    cam = CameraPose(0.0, 0.0, sphere_point(0.0, 0.0))
+    assert cam.target is synth.ORIGIN and cam.up is synth.WORLD_UP
+    with pytest.raises(ValueError):
+        cam.up[0] = 1.0
 
 
 def test_camera_pose_rejects_non_unit():
@@ -213,3 +237,48 @@ def test_project_pole_camera_is_defined(rng):
     joints = rng.normal(scale=20, size=(21, 3))
     uv = project(joints, cam, 400.0, 500.0, 500.0, 128.0, 128.0)
     assert np.isfinite(uv).all()
+
+
+def test_camera_frame_matches_numpy_oracle():
+    joints = np.random.default_rng(4).normal(scale=40, size=(21, 3))
+    cams = sample_cameras() + [CameraPose(
+        0.4, 2.0, sphere_point(0.4, 2.0), target=[10.0, -20.0, 35.0],
+        up=[0.3, 0.9, -0.2])]
+    poles = 0
+    for cam in cams:
+        rot, eye = camera_frame(cam, 600.0)
+        want_rot, want_eye, pole = frame_oracle(cam, 600.0)
+        poles += pole
+        np.testing.assert_allclose(rot, want_rot, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(eye, want_eye, rtol=0, atol=1e-12)
+        cam_pts = (joints - want_eye) @ want_rot.T
+        want_uv = np.stack([128.0 + 500.0 * cam_pts[:, 0] / cam_pts[:, 2],
+                            120.0 + 480.0 * cam_pts[:, 1] / cam_pts[:, 2]], axis=1)
+        uv = project(joints, cam, 600.0, 500.0, 480.0, 128.0, 120.0)
+        np.testing.assert_allclose(uv, want_uv, rtol=0, atol=1e-9)
+    assert poles == 72      # every elevation pi/2 camera took the +X hint
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 3)])
+def test_project_batch_equals_per_skeleton_calls(rng, lead):
+    joints = rng.normal(scale=40, size=lead + (21, 3))
+    for cam in sample_cameras()[::97]:
+        uv = project(joints, cam, 500.0, 480.0, 460.0, 120.0, 130.0)
+        assert uv.shape == lead + (21, 2)
+        for row in np.ndindex(*lead):
+            one = project(joints[row], cam, 500.0, 480.0, 460.0, 120.0, 130.0)
+            assert uv[row].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("shape, where, message", [
+    ((21, 3), (9,), "^joint 9 is"),
+    ((4, 21, 3), (3, 7), "^batch row 3, joint 7 is"),
+    ((2, 3, 21, 3), (1, 2, 5), r"^batch row \(1, 2\), joint 5 is"),
+])
+def test_project_behind_camera_error_names_row_and_joint(shape, where, message):
+    cam = CameraPose(0.0, 0.0, sphere_point(0.0, 0.0))
+    joints = np.zeros(shape)
+    joints[where + (0,)] = 300.0     # beyond the camera at radius 200
+    joints[where[:-1] + (-1, 0)] = 400.0   # a later joint behind it too
+    with pytest.raises(NumericError, match=message):
+        project(joints, cam, 200.0, 500.0, 500.0, 128.0, 128.0)
