@@ -61,6 +61,11 @@ def as_array(value, shape, what: str) -> np.ndarray:
     return arr
 
 
+def batch_row(index) -> str:
+    """An error message's "batch row 3, " or "batch row (1, 2), " prefix ("" for none)."""
+    return f"batch row {index[0] if len(index) == 1 else tuple(index)}, " if index else ""
+
+
 def as_number(value, what: str, low=None, high=None, *, above=None,
               integer: bool = False):
     """``value`` as a finite float, or an int when ``integer`` (by

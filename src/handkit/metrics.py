@@ -1,15 +1,14 @@
-"""Pose-estimation metrics: mean per-point position error, its
-Procrustes-aligned variants, and nearest-neighbor F-score at distance
-thresholds.
+"""Pose-estimation metrics over (..., N, 3) point samples: mean per-point
+position error, its Procrustes-aligned variants, and nearest-neighbor F-score.
 
-Alignment solves the least-squares similarity transform (scale, rotation,
-translation) in closed form from the centered cross-covariance, with the
-determinant sign guard that forbids reflections.  Aligned error is therefore
-invariant to any similarity transform of the prediction and can never exceed
-the unaligned error.  F-score follows the point-cloud convention: precision
-and recall count points whose nearest neighbor in the other set lies
-strictly within the threshold, combined by harmonic mean.  Every threshold
-is counted from one exact nearest-neighbor pass per sample.
+Alignment solves each sample's least-squares similarity transform (scale,
+rotation, translation) in closed form from the centered cross-covariance,
+with the determinant sign guard that forbids reflections, so aligned error is
+invariant to any similarity transform of the prediction and never exceeds the
+unaligned error.  F-score follows the point-cloud convention: precision and
+recall count points whose nearest neighbor in the other set lies strictly
+within the threshold, combined by harmonic mean; every threshold is counted
+from one exact nearest-neighbor pass per sample.
 """
 
 from __future__ import annotations
@@ -19,62 +18,68 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, as_array, as_number
+from .errors import NumericError, ShapeError, as_array, as_number, batch_row
 
 DEFAULT_F_THRESHOLDS = (5.0, 15.0)
 _ROW_BLOCK = 64  # rows of pred per distance block: a (64, M) buffer stays in cache
 
 
-def _points(x) -> np.ndarray:
-    pts = x.joints if hasattr(x, "joints") else (
-        x.vertices if hasattr(x, "vertices") else x)
-    return as_array(pts, (None, 3), "points")
+def _pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    p, g = (as_array(x, (..., None, 3), "points") for x in (pred, gt))
+    if p.shape != g.shape or not p.size:
+        raise ShapeError(f"point sets must be nonempty and of one shape, got {p.shape} "
+                         f"and {g.shape}")
+    return p, g
+
+
+def _refuse(bad: np.ndarray, message: str) -> None:
+    """NumericError naming the first batch row where ``bad`` holds."""
+    if bad.any():
+        raise NumericError(batch_row(np.argwhere(bad)[0].tolist()) + message)
 
 
 def mpjpe(pred, gt) -> float:
-    """Mean Euclidean distance (mm) over corresponding points."""
-    p, g = _points(pred), _points(gt)
-    if p.shape != g.shape:
-        raise ShapeError(f"point counts differ: {p.shape} vs {g.shape}")
-    return float(np.linalg.norm(p - g, axis=1).mean())
+    """Mean Euclidean distance (mm) over corresponding (..., N, 3) points: the
+    mean over samples of each sample's mean."""
+    p, g = _pair(pred, gt)
+    return float(np.linalg.norm(p - g, axis=-1).mean(axis=-1).mean())
 
 
-def procrustes_align(pred, gt) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares similarity fit of pred onto gt.
+def procrustes_align(pred, gt) -> tuple:
+    """Least-squares similarity fit of each (..., N, 3) pred sample onto gt.
 
-    Returns (scale, rotation, translation, aligned) with
-    aligned = scale * pred @ rotation.T + translation.
+    Returns (scale, rotation, translation, aligned) of shapes ``...``,
+    (..., 3, 3), (..., 3) and (..., N, 3), with aligned = scale * pred @
+    rotation.T + translation per sample; an (N, 3) pair gives a float scale.
     """
-    p, g = _points(pred), _points(gt)
-    if p.shape != g.shape:
-        raise ShapeError(f"point counts differ: {p.shape} vs {g.shape}")
-    if len(p) < 3:
+    p, g = _pair(pred, gt)
+    n = p.shape[-2]
+    if n < 3:
         raise NumericError("alignment needs at least 3 points")
-    mu_p, mu_g = p.mean(axis=0), g.mean(axis=0)
-    x, y = p - mu_p, g - mu_g
-    var_p = (x * x).sum() / len(p)
-    if var_p < 1e-12:
-        raise NumericError("prediction points are coincident")
-    cov = x.T @ y / len(p)
-    if not (np.isfinite(var_p) and np.isfinite(cov).all()):
-        raise NumericError("point coordinates overflow")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        mu_p, mu_g = p.mean(axis=-2), g.mean(axis=-2)
+        x, y = p - mu_p[..., None, :], g - mu_g[..., None, :]
+        var_p = (x * x).sum(axis=(-2, -1)) / n
+        cov = np.swapaxes(x, -1, -2) @ y / n
+    _refuse(var_p < 1e-12, "prediction points are coincident")
+    _refuse(~(np.isfinite(var_p) & np.isfinite(cov).all(axis=(-2, -1))),
+            "point coordinates overflow")
     u, s, vt = np.linalg.svd(cov)
-    if s[1] <= s[0] * 3 * np.finfo(float).eps:  # rank < 2 by matrix_rank's tolerance
-        raise NumericError("points are (near) collinear")
-    sign = np.sign(np.linalg.det(u @ vt))
-    d = np.array([1.0, 1.0, sign])
-    rotation = (u * d) @ vt
-    rotation = rotation.T
-    scale = float((s * d).sum() / var_p)
-    translation = mu_g - scale * rotation @ mu_p
-    aligned = scale * p @ rotation.T + translation
-    return scale, rotation, translation, aligned
+    _refuse(s[..., 1] <= s[..., 0] * 3 * np.finfo(float).eps,  # rank < 2, as matrix_rank
+            "points are (near) collinear")
+    d = np.ones_like(s)
+    d[..., 2] = np.sign(np.linalg.det(u @ vt))
+    fit = (u * d[..., None, :]) @ vt   # rotation.T
+    scale = (s * d).sum(axis=-1) / var_p
+    rotation = np.swapaxes(fit, -1, -2)
+    translation = mu_g - ((scale[..., None, None] * rotation) @ mu_p[..., None])[..., 0]
+    aligned = scale[..., None, None] * p @ fit + translation[..., None, :]
+    return (float(scale) if scale.ndim == 0 else scale), rotation, translation, aligned
 
 
 def pa_mpjpe(pred, gt) -> float:
-    """MPJPE after Procrustes alignment of the prediction."""
-    _, _, _, aligned = procrustes_align(pred, gt)
-    return mpjpe(aligned, gt)
+    """MPJPE after Procrustes alignment of each prediction sample."""
+    return mpjpe(procrustes_align(pred, gt)[3], gt)
 
 
 def _nearest(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +112,8 @@ def _f_at(p_near: np.ndarray, g_near: np.ndarray, threshold_mm: float) -> float:
 def fscore(pred, gt, threshold_mm: float) -> float:
     """Harmonic mean of nearest-neighbor precision and recall at a threshold."""
     threshold_mm = as_number(threshold_mm, "F-score threshold", above=0)
-    return _f_at(*_nearest(_points(pred), _points(gt)), threshold_mm)
+    return _f_at(*_nearest(*(as_array(x, (None, 3), "points") for x in (pred, gt))),
+                 threshold_mm)
 
 
 @dataclass
@@ -137,57 +143,40 @@ class EvalReport:
         Path(path).write_text(self.to_text())
 
 
+def _samples(samples, what: str) -> np.ndarray:
+    """A nonempty list of equal-shape (N, 3) point sets as one (B, N, 3) array."""
+    try:
+        stacked = np.stack(samples)
+    except (TypeError, ValueError) as exc:   # not a list, empty, or ragged
+        raise ShapeError(f"{what} must be equal-shape point sets ({exc})") from exc
+    return as_array(stacked, (None, None, 3), what)
+
+
 def evaluate(pred_joints, gt_joints, pred_vertices=None, gt_vertices=None,
              thresholds=DEFAULT_F_THRESHOLDS, root_center: bool = False
              ) -> EvalReport:
-    """Aggregate the metric stack over aligned sample lists.
+    """Aggregate the metric stack over aligned sample lists, each stacked to
+    one (B, N, 3) array, so all samples of a point kind share N.
 
-    Aligned (PA-) variants fit a similarity transform per sample before
-    measuring.  F-scores are computed on vertices when supplied, else on
-    joints.  With root_center the first point is subtracted from every set
-    before the unaligned metrics (the aligned ones are unaffected).
+    Aligned (PA-) variants fit a similarity transform per sample.  F-scores
+    are computed on vertices when supplied, else on joints.  With root_center
+    the first point is subtracted from every set before the unaligned metrics
+    (the aligned ones are unaffected).
     """
-    thresholds = [as_number(t, "F-score threshold", above=0) for t in thresholds]
-    preds = [_points(p) for p in pred_joints]
-    gts = [_points(g) for g in gt_joints]
-    if len(preds) != len(gts) or not preds:
-        raise ShapeError("need equal, nonempty prediction and truth lists")
-    pred_v = [_points(v) for v in pred_vertices] if pred_vertices is not None else None
-    gt_v = [_points(v) for v in gt_vertices] if gt_vertices is not None else None
-    if (pred_v is None) != (gt_v is None):
+    thresholds = [as_number(t, "F-score threshold", above=0)
+                  for t in as_array(thresholds, (None,), "F-score thresholds")]
+    kinds = [(_samples(pred_joints, "predicted joints"),
+              _samples(gt_joints, "true joints"))]
+    if (pred_vertices is None) != (gt_vertices is None):
         raise ShapeError("vertex lists must be supplied for both sides")
-
-    def centered(p, g):
-        if root_center:
-            return p - p[0], g - g[0]
-        return p, g
-
-    joint_errs = []
-    pa_joint_errs = []
-    for p, g in zip(preds, gts):
-        pc, gc = centered(p, g)
-        joint_errs.append(mpjpe(pc, gc))
-        pa_joint_errs.append(pa_mpjpe(p, g))
-
-    vert_errs = pa_vert_errs = None
-    if pred_v is not None:
-        vert_errs = []
-        pa_vert_errs = []
-        for p, g in zip(pred_v, gt_v):
-            pc, gc = centered(p, g)
-            vert_errs.append(mpjpe(pc, gc))
-            pa_vert_errs.append(pa_mpjpe(p, g))
-
-    f_source = zip(pred_v, gt_v) if pred_v is not None else zip(preds, gts)
-    nearest = [_nearest(p, g) for p, g in f_source]
+    if pred_vertices is not None:
+        kinds.append((_samples(pred_vertices, "predicted vertices"),
+                      _samples(gt_vertices, "true vertices")))
+    errors = []
+    for p, g in kinds:   # joints, then vertices: one batched call each
+        errors += [mpjpe(p - p[:, :1], g - g[:, :1]) if root_center else mpjpe(p, g),
+                   pa_mpjpe(p, g)]
+    nearest = [_nearest(p, g) for p, g in zip(*kinds[-1])]   # memory: one at a time
     f_at = {t: float(np.mean([_f_at(pn, gn, t) for pn, gn in nearest]))
             for t in thresholds}
-
-    return EvalReport(
-        mpjpe=float(np.mean(joint_errs)),
-        pa_mpjpe=float(np.mean(pa_joint_errs)),
-        mpvpe=None if vert_errs is None else float(np.mean(vert_errs)),
-        pa_mpvpe=None if pa_vert_errs is None else float(np.mean(pa_vert_errs)),
-        f_at=f_at,
-        sample_count=len(preds),
-    )
+    return EvalReport(*errors[:2], *(errors[2:] or (None, None)), f_at, len(kinds[0][0]))

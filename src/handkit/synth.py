@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bio_dof, kinematics as kin
 from .containers import read_container, write_container
-from .errors import InputError, NumericError, as_array, as_number
+from .errors import InputError, NumericError, as_array, as_number, batch_row
 
 #: a camera's default target and up vector, shared read-only by every camera
 #: that does not give its own
@@ -250,15 +250,14 @@ def project(skeleton, cam: CameraPose, radius_mm: float,
     ShapeError for joints that are not (..., 21, 3), and NumericError, naming
     the first batch row and joint, if any joint has non-positive camera depth.
     """
-    joints = as_array(skeleton.joints if hasattr(skeleton, "joints") else skeleton,
-                      (..., kin.JOINT_COUNT, 3), "joints")
+    joints = as_array(skeleton, (..., kin.JOINT_COUNT, 3), "joints")
     fx, fy, cx, cy = (as_number(v, "intrinsics") for v in (fx, fy, cx, cy))
     rot, eye = camera_frame(cam, as_number(radius_mm, "radius_mm", above=0))
     cam_pts = (joints - eye) @ rot.T
     depth = cam_pts[..., 2:]
     if (depth <= 1e-9).any():
         *row, joint = np.argwhere(depth[..., 0] <= 1e-9)[0].tolist()
-        at = f"batch row {row[0] if len(row) == 1 else tuple(row)}, " if row else ""
-        raise NumericError(f"{at}joint {joint} is at or behind the camera plane")
+        raise NumericError(f"{batch_row(row)}joint {joint} is at or behind the "
+                           "camera plane")
     # (fx * x) / depth + cx: the same operations as cx + fx * x / depth
     return cam_pts[..., :2] * (fx, fy) / depth + (cx, cy)

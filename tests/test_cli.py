@@ -331,6 +331,18 @@ def test_eval_count_mismatch_exit_3(tmp_path, model_file):
                  "--out", str(tmp_path / "o.txt")]) == EXIT_SHAPE
 
 
+def test_eval_ragged_vertex_counts_exit_3(tmp_path, model_file):
+    # every sample of one evaluate call has the same vertex count
+    target_json(tmp_path, model_file, name="one.json")
+    rec = json.loads((tmp_path / "one.json").read_text())["records"][0]
+    short = dict(rec, vertices=rec["vertices"][:-1])
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({"unit": "mm", "records": [rec, short]}))
+    assert main(["eval", "--pred", str(ragged), "--gt", str(ragged),
+                 "--out", str(tmp_path / "o.txt")]) == EXIT_SHAPE
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_eval_degenerate_exit_4(tmp_path):
     flat = {"unit": "mm",
             "records": [{"joints": (np.outer(np.arange(21.0), [1, 1, 1]))

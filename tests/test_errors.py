@@ -372,6 +372,7 @@ def _nan(*shape) -> np.ndarray:
 _RAGGED = [[1.0, 2.0], [3.0]]
 _CAM = synth.CameraPose(0.0, 0.0, synth.sphere_point(0.0, 0.0))
 _LIB = synth.PoseLibrary(np.zeros((2, 45)))
+_SPREAD = np.arange(63.0).reshape(21, 3) ** 1.5   # 21 points, not collinear
 
 
 def _backward_b2(model, **cotangents):
@@ -528,6 +529,21 @@ LIBRARY = {
         np.zeros((21, 2)), np.zeros((21, 2)))),
     "fscore-string-threshold": (errors.InputError, lambda m: metrics.fscore(
         np.zeros((4, 3)), np.zeros((4, 3)), "5")),
+    "mpjpe-empty-points": (errors.ShapeError, lambda m: metrics.mpjpe(
+        np.zeros((0, 3)), np.zeros((0, 3)))),
+    "procrustes_align-empty-points": (errors.ShapeError, lambda m: metrics.procrustes_align(
+        np.zeros((0, 3)), np.zeros((0, 3)))),
+    "procrustes_align-overflow": (errors.NumericError, lambda m: metrics.procrustes_align(
+        _SPREAD * 1e200, _SPREAD)),
+    "evaluate-empty-points": (errors.ShapeError, lambda m: metrics.evaluate(
+        [np.zeros((0, 3))], [np.zeros((0, 3))])),
+    "evaluate-scalar-thresholds": (errors.ShapeError, lambda m: metrics.evaluate(
+        [_SPREAD], [_SPREAD], thresholds=5.0)),
+    "evaluate-ragged-vertices": (errors.ShapeError, lambda m: metrics.evaluate(
+        [_SPREAD] * 2, [_SPREAD] * 2, [_SPREAD, _SPREAD[:20]], [_SPREAD, _SPREAD[:20]])),
+    "decode-all-zero-row": (errors.InputError, lambda m: lixel.decode(
+        np.stack([np.ones(8), np.zeros(8)]))),
+    "decode-scalar": (errors.ShapeError, lambda m: lixel.decode(1.0)),
     "LayerSpec-fractional-kernel": (errors.InputError, lambda m: profiler.LayerSpec(
         "conv", kernel=2.5)),
     "LayerSpec-string-se-ratio": (errors.InputError, lambda m: profiler.LayerSpec(

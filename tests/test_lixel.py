@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handkit.errors import InputError, ShapeError
 from handkit.lixel import (DEFAULT_RESOLUTION, Heatmap1D, decode, dump_text,
                            encode, marginalize)
 
@@ -96,6 +97,53 @@ def test_decode_rejects_bad_heatmaps():
         decode(np.zeros(8))
     with pytest.raises(ValueError):
         decode(-np.ones(8))
+    with pytest.raises(InputError, match="all zero"):   # one all-zero row
+        decode(np.stack([np.ones(8), np.zeros(8)]))
+    with pytest.raises(InputError, match="nonnegative"):
+        decode(np.stack([np.ones(8), -np.ones(8)]))
+    with pytest.raises(ShapeError):
+        decode(np.float64(1.0))
+    with pytest.raises(ShapeError):   # one heatmap is 1-D; it is no longer flattened
+        Heatmap1D(np.ones((2, 64)))
+
+
+def decode_formula(values, sharpness=256.0):
+    """The single-heatmap soft-argmax, written out."""
+    probs = (values / values.max()) ** sharpness
+    probs = probs / probs.sum()
+    length = len(values)
+    return float(probs @ (np.arange(length) + 0.5)) / length
+
+
+def test_decode_of_one_heatmap_is_the_formula_bit_for_bit(rng):
+    heatmaps = [encode(float(x), length).values
+                for x in rng.uniform(0, 1, 100) for length in (8, 64, 129)]
+    heatmaps += [rng.uniform(0.1, 1.0, 64) for _ in range(100)]
+    for values in heatmaps:
+        got = decode(values)
+        assert type(got) is float and got == decode_formula(values)
+        assert decode(Heatmap1D(values)) == got
+    for sharpness in (1.0, 3.5):
+        assert decode(heatmaps[0], sharpness) == decode_formula(heatmaps[0], sharpness)
+
+
+def test_decode_batch_of_two_gives_two_values():
+    assert decode(np.ones((2, 64))).tolist() == [0.5, 0.5]
+    hot = np.zeros((2, 64))
+    hot[0, 3] = hot[1, 60] = 1.0
+    assert decode(hot).tolist() == [3.5 / 64, 60.5 / 64]
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (3, 4), (8, 21, 3), (40, 50)])
+def test_batched_decode_equals_per_row_calls(shape, rng):
+    coords = rng.uniform(0, 1, shape)
+    encoded = np.array([encode(float(c)).values for c in coords.ravel()])
+    dense = rng.uniform(0.1, 1.0, encoded.shape)
+    for rows, tol in ((encoded, 0.0), (dense, 2.3e-16)):
+        got = decode(rows.reshape(shape + (64,)))
+        assert got.shape == shape
+        one = np.array([decode(row) for row in rows]).reshape(shape)
+        assert np.abs(got - one).max() <= tol
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.5, 4.0])

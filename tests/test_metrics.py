@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from handkit.errors import NumericError, ShapeError
-from handkit.metrics import (_nearest, evaluate, fscore, mpjpe, pa_mpjpe,
+from handkit.metrics import (EvalReport, _nearest, evaluate, fscore, mpjpe, pa_mpjpe,
                              procrustes_align)
 from handkit.rotations import rodrigues
 
@@ -105,6 +106,59 @@ def test_procrustes_rejects_degenerate(rng):
         procrustes_align(line, rng.normal(size=(21, 3)))
     with pytest.raises(NumericError):
         procrustes_align(np.zeros((21, 3)), rng.normal(size=(21, 3)))
+
+
+def procrustes_formula(p, g):
+    """The single-sample similarity fit, written out."""
+    mu_p, mu_g = p.mean(axis=0), g.mean(axis=0)
+    x, y = p - mu_p, g - mu_g
+    var_p = (x * x).sum() / len(p)
+    u, s, vt = np.linalg.svd(x.T @ y / len(p))
+    d = np.array([1.0, 1.0, np.sign(np.linalg.det(u @ vt))])
+    rotation = ((u * d) @ vt).T
+    scale = float((s * d).sum() / var_p)
+    translation = mu_g - scale * rotation @ mu_p
+    return scale, rotation, translation, scale * p @ rotation.T + translation
+
+
+@pytest.mark.parametrize("count", [21, 778])
+def test_batched_procrustes_equals_per_sample_calls(count, rng):
+    gt = rng.normal(scale=30, size=(8, count, 3))
+    rot = rodrigues(np.array([0.3, -1.1, 0.6]))
+    pred = 1.3 * (gt + rng.normal(scale=4, size=gt.shape)) @ rot.T + [5.0, -8.0, 2.0]
+    pred[3] *= [-1.0, 1.0, 1.0]   # a mirrored sample exercises the reflection guard
+    batch = procrustes_align(pred, gt)
+    assert [np.shape(out) for out in batch] == [(8,), (8, 3, 3), (8, 3), (8, count, 3)]
+    for i in range(8):
+        one = procrustes_align(pred[i], gt[i])
+        assert type(one[0]) is float
+        for got, alone, want in zip(batch, one, procrustes_formula(pred[i], gt[i])):
+            assert np.array_equal(got[i], alone) and np.array_equal(alone, want)
+    assert pa_mpjpe(pred, gt) == np.mean([pa_mpjpe(p, g) for p, g in zip(pred, gt)])
+
+
+def test_batched_mpjpe_is_the_mean_of_sample_means(rng):
+    pred = rng.normal(scale=30, size=(2, 3, 21, 3))
+    gt = rng.normal(scale=30, size=(2, 3, 21, 3))
+    means = [mpjpe(p, g) for p, g in zip(pred.reshape(6, 21, 3), gt.reshape(6, 21, 3))]
+    assert mpjpe(pred, gt) == np.mean(means)
+
+
+def test_batched_procrustes_errors_name_the_first_bad_row(rng):
+    pts = rng.normal(scale=30, size=(4, 21, 3))
+    line = np.outer(np.arange(21.0), [1.0, 2.0, 3.0])
+    cases = [(line, "batch row 2, points are (near) collinear"),
+             (np.zeros((21, 3)), "batch row 2, prediction points are coincident"),
+             (pts[0] * 1e200, "batch row 2, point coordinates overflow")]
+    for bad, message in cases:
+        pred = pts.copy()
+        pred[2] = pred[3] = bad
+        with pytest.raises(NumericError, match=re.escape(message)):
+            procrustes_align(pred, pts)
+    with pytest.raises(NumericError, match=r"^batch row \(1, 0\), points"):
+        procrustes_align(np.stack([pts[:2], [line, pts[3]]]), pts.reshape(2, 2, 21, 3))
+    with pytest.raises(NumericError, match="^point coordinates overflow"):
+        procrustes_align(pts[0] * 1e200, pts[0])
 
 
 def test_pa_mpjpe_similarity_invariant(rng):
@@ -287,3 +341,45 @@ def test_report_serialization(tmp_path, rng):
 def test_evaluate_rejects_mismatched_lists(rng):
     with pytest.raises(ValueError):
         evaluate([rng.normal(size=(21, 3))], [])
+
+
+def evaluate_oracle(pred_j, gt_j, pred_v=None, gt_v=None, thresholds=(5.0, 15.0),
+                    root_center=False) -> str:
+    """The metric stack as one loop over samples, one call per sample."""
+    def centered(p, g):
+        return (p - p[0], g - g[0]) if root_center else (p, g)
+
+    kinds = [(pred_j, gt_j)] + ([] if pred_v is None else [(pred_v, gt_v)])
+    errors = []
+    for preds, gts in kinds:
+        errors.append(float(np.mean([mpjpe(*centered(p, g)) for p, g in zip(preds, gts)])))
+        errors.append(float(np.mean([pa_mpjpe(p, g) for p, g in zip(preds, gts)])))
+    f_at = {t: float(np.mean([fscore(p, g, t) for p, g in zip(*kinds[-1])]))
+            for t in thresholds}
+    mpvpe, pa_mpvpe = errors[2:] if pred_v is not None else (None, None)
+    return EvalReport(errors[0], errors[1], mpvpe, pa_mpvpe, f_at,
+                      len(pred_j)).to_text()
+
+
+@pytest.mark.parametrize("count", range(1, 9))
+def test_evaluate_equals_the_per_sample_loop(count, rng):
+    gt_j = rng.normal(scale=30, size=(count, 21, 3))
+    gt_v = rng.normal(scale=30, size=(count, 100, 3))
+    pred_j = list(gt_j + rng.normal(scale=5, size=gt_j.shape) + [0.0, 9.0, 0.0])
+    pred_v = list(gt_v + rng.normal(scale=5, size=gt_v.shape))
+    for verts in ((), (pred_v, list(gt_v))):
+        for root_center in (False, True):
+            for thresholds in ((5.0, 15.0), (2.0, 6.5, 30.0)):
+                text = evaluate(pred_j, list(gt_j), *verts, thresholds=thresholds,
+                                root_center=root_center).to_text()
+                assert text == evaluate_oracle(pred_j, gt_j, *verts, thresholds=thresholds,
+                                               root_center=root_center)
+
+
+def test_evaluate_refuses_ragged_samples(rng):
+    joints = [rng.normal(size=(21, 3)) for _ in range(2)]
+    verts = [rng.normal(size=(100, 3)), rng.normal(size=(90, 3))]
+    with pytest.raises(ShapeError, match="equal-shape"):
+        evaluate(joints, joints, verts, verts)
+    with pytest.raises(ShapeError, match="equal-shape"):
+        evaluate([joints[0], joints[1][:20]], joints)
