@@ -4,8 +4,8 @@ The skeleton has 21 joints: the wrist plus five fingers with MCP, PIP, DIP
 joints and a TIP marker each.  Sixteen joints carry rotations (wrist + 15
 finger joints); tips ride rigidly on their DIP.  The articulation vector has
 45 values: one axis-angle triple per non-wrist articulated joint, in joint
-order.  The wrist rotation lives in the separate global rotation, which is
-applied (about the origin) together with the translation as the last step.
+order.  The wrist rotation lives in the separate global rotation (about the
+origin), folded into the 16 bone transforms; the translation is added last.
 
 ``fk_forward`` evaluates poses for a whole batch at once and can cache what
 ``fk_backward`` reads; ``fk_backward`` then pulls loss gradients at the
@@ -15,12 +15,13 @@ reverse sweep.  Both walk the chain by depth (MCPs, PIPs, DIPs: three steps,
 five fingers each); per-slot work that does not chain runs on all 15 slots
 outside the walk.  One Rodrigues call serves all 16 rotations; only
 ``need_grad=True`` builds their derivatives.  Regressed joints skip the mesh
-as batched matmuls (see ``ModelTensors``) in both directions.
-Skinning is the blend-then-apply LBS of SMPL/MANO, one rotation column at a
-time; per-model constants live in ``model.tensors``.  Joint positions are
-exactly the translation parts of the chained per-joint rigid transforms, so
-independent re-composition of homogeneous matrices along each finger is a
-valid oracle for them.
+as batched matmuls (see ``ModelTensors``) in both directions.  Skinning is
+the blend-then-apply LBS of SMPL/MANO in bone space: per block of poses, one
+GEMM blends the 3x4 bones per vertex as (3, V) planes, applied to the
+template's (3, V) planes; per-model constants live in ``model.tensors``.
+Joint positions are exactly the translation parts of the chained per-joint
+rigid transforms, so independent re-composition of homogeneous matrices
+along each finger is a valid oracle for them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ JOINT_NAMES = ("wrist",) + tuple(
     f"{finger}_{part}" for finger in FINGERS for part in ("mcp", "pip", "dip", "tip")
 )
 JOINT_COUNT = 21
-VERTEX_COUNT_DEFAULT = 778
 
 #: parent joint index per joint; wrist is the root (-1)
 PARENTS = (-1,) + sum(((0, 4 * f + 1, 4 * f + 2, 4 * f + 3) for f in range(5)), ())
@@ -48,9 +48,6 @@ PARENTS = (-1,) + sum(((0, 4 * f + 1, 4 * f + 2, 4 * f + 3) for f in range(5)), 
 ARTICULATED = (0,) + tuple(4 * f + p for f in range(5) for p in (1, 2, 3))
 ARTICULATED_COUNT = len(ARTICULATED)  # 16
 ARTICULATION_SIZE = 45  # 15 non-wrist articulated joints x 3
-
-TIP_JOINTS = tuple(4 * f + 4 for f in range(5))
-MCP_JOINTS = tuple(4 * f + 1 for f in range(5))
 
 #: articulated-slot index for every joint (tips map to their DIP's slot)
 _slot_of = {j: s for s, j in enumerate(ARTICULATED)}
@@ -94,14 +91,12 @@ class FkCache:
     rot_global: np.ndarray | None = None    # (B, 3, 3)
     drot_global: np.ndarray | None = None   # (B, 3, 3, 3)
     rest_joints: np.ndarray | None = None   # (B, 21, 3)
-    chain_rot: np.ndarray | None = None     # (B, 16, 3, 3), also the skinning rotation
+    chain_rot: np.ndarray | None = None     # (B, 16, 3, 3)
     chain_t: np.ndarray | None = None       # (B, 16, 3)
-    skin_t: np.ndarray | None = None        # (B, 16, 3) rest-relative translation
-    template: np.ndarray | None = None      # (B, V, 3) shaped template
+    skin_bones: np.ndarray | None = None    # (B, 3, 16, 4) [chain_rot | skin_t]
+    bones: np.ndarray | None = None         # (B, 3, 16, 4) rot_global @ skin_bones
+    template: np.ndarray | None = None      # (B, 3, V) shaped template planes
     reg_q: np.ndarray | None = None         # (B, 21, 48) collapsed regression points
-    pre_joints: np.ndarray | None = None    # outputs before the global transform
-    pre_vertices: np.ndarray | None = None
-    pre_regressed: np.ndarray | None = None
 
 
 @dataclass
@@ -123,6 +118,8 @@ class ModelTensors:
     with q[k, j] = q0[k, j] + Qb[k, j] @ beta (+ Qp[k, j] @ pose_feats).
     This avoids materializing the mesh when only regressed joints are needed;
     with q as (B, 21, 48) and chain_rot as (B, 3, 48) the sum is a matmul.
+    The skinned template is kept as (3, V) coordinate planes, flattened:
+    ``rest_planes + beta @ shape_planes (+ pose_feats @ pose_planes)``.
     """
 
     J0: np.ndarray                   # (21, 3)
@@ -131,17 +128,21 @@ class ModelTensors:
     reg_q0: np.ndarray               # (21, 16, 3)
     reg_qb: np.ndarray               # (21, 16, 3, 10)
     reg_qp: np.ndarray | None        # (21, 16, 3, 135), with a pose basis
+    rest_planes: np.ndarray          # (3 * V,)
+    shape_planes: np.ndarray         # (10, 3 * V)
+    pose_planes: np.ndarray | None   # (135, 3 * V), with a pose basis
 
     @classmethod
     def build(cls, model) -> ModelTensors:
-        reg, rest, basis = (model.joint_regressor, model.rest_vertices,
-                            model.shape_basis)
+        reg, rest, basis, pose = (model.joint_regressor, model.rest_vertices,
+                                  model.shape_basis, model.pose_basis)
         rw = np.einsum("kv,vj->kjv", reg, model.skinning_weights)  # (21, 16, V)
         arrays = (reg @ rest, np.einsum("kv,ivc->ikc", reg, basis), rw.sum(axis=2),
                   np.einsum("kjv,vc->kjc", rw, rest),
                   np.einsum("kjv,ivc->kjci", rw, basis),
-                  None if model.pose_basis is None
-                  else np.einsum("kjv,pvc->kjcp", rw, model.pose_basis))
+                  None if pose is None else np.einsum("kjv,pvc->kjcp", rw, pose),
+                  rest.T.ravel(), *(None if b is None else b.swapaxes(1, 2).reshape(
+                      len(b), -1) for b in (basis, pose)))        # (3, V) planes
         for a in arrays:
             if a is not None:
                 a.flags.writeable = False
@@ -206,11 +207,12 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
     pose_feats = ((rot_art - np.eye(3)).reshape(batch, POSE_BASIS_SIZE)
                   if has_pose_basis else None)
 
-    # Chain rigid transforms root-to-leaf, one depth at a time.  Local
-    # translation of a joint is its rest offset from the parent; the root
-    # sits at its rest position.
+    # Chain rigid transforms root-to-leaf, one depth at a time, into the bones
+    # [chain_rot | skin_t] as [b, x, slot, column] rows.  Local translation is
+    # the rest offset from the parent; the root sits at its rest position.
     local_t = _L @ rest_joints                                 # (B, 15, 3)
-    chain_rot = np.empty((batch, ARTICULATED_COUNT, 3, 3))
+    skin_bones = np.empty((batch, 3, ARTICULATED_COUNT, 4))
+    chain_rot = skin_bones[..., :3].swapaxes(1, 2)             # (B, 16, 3, 3) view
     chain_t = np.empty((batch, ARTICULATED_COUNT, 3))
     chain_rot[:, 0] = np.eye(3)
     chain_t[:, 0] = rest_joints[:, 0]
@@ -220,30 +222,38 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
         chain_t[:, slots] = ((parent_rot @ local_t[:, slots - 1, :, None])[..., 0]
                              + chain_t[:, parents])
 
-    # Rest-relative skinning transforms: the rotation is chain_rot; undo the
-    # rest translation first.
-    skin_t = chain_t - np.einsum("bsxy,bsy->bsx",
-                                 chain_rot, rest_joints[:, list(ARTICULATED)])
-    assign = list(ASSIGN_SLOT)
-    pre_joints = (np.einsum("bkxy,bky->bkx", chain_rot[:, assign], rest_joints)
-                  + skin_t[:, assign])
+    # Undo the rest translation, then fold the global rotation in once.  The
+    # translation is added per output: the weight and regressor rows sum to 1
+    # only to ``HandModel.validate``'s tolerance, and the bones would scale it.
+    skin_bones[..., 3] = (chain_t - np.einsum(
+        "bsxy,bsy->bsx", chain_rot, rest_joints[:, list(ARTICULATED)])).swapaxes(1, 2)
+    flat = skin_bones.reshape(batch, 3, -1)   # without need_grad, fold in place
+    bones = np.matmul(rot_g, flat, out=None if need_grad else flat).reshape(-1, 3, 16, 4)
+    bone_rot, bone_t = bones[..., :3], bones[..., 3].swapaxes(1, 2)
+    joints = (np.einsum("bxky,bky->bkx", bone_rot[:, :, list(ASSIGN_SLOT)], rest_joints)
+              + bone_t[:, list(ASSIGN_SLOT)] + translation[:, None])
 
-    pre_vertices = template = None
+    vertices = template = None
     if want_vertices:
-        shape = (batch,) + model.rest_vertices.shape
-        template = model.rest_vertices + (
-            beta @ model.shape_basis.reshape(10, -1)).reshape(shape)
-        if has_pose_basis:
-            template += (pose_feats @ model.pose_basis.reshape(
-                POSE_BASIS_SIZE, -1)).reshape(shape)
-        # Blend-then-apply: W @ chain_rot[..., y] is column y of every vertex's
-        # blended rotation, so one column at a time keeps the blend (B, V, 3).
-        weights = model.skinning_weights
-        pre_vertices = weights @ skin_t
-        for y in range(3):
-            pre_vertices += (weights @ chain_rot[..., y]) * template[..., y, None]
+        count = model.vertex_count
+        vertices = np.empty((batch, count, 3))
+        template = np.empty((batch, 3, count)) if need_grad else None
+        by_column = bones.transpose(0, 3, 1, 2)   # [b, column, x, slot]; 3: shift
+        for rows in (slice(i, i + BLEND_BLOCK) for i in range(0, batch, BLEND_BLOCK)):
+            shaped = tensors.rest_planes + beta[rows] @ tensors.shape_planes
+            if has_pose_basis:
+                shaped += pose_feats[rows] @ tensors.pose_planes
+            shaped = shaped.reshape(-1, 3, count)                # (n, 3, V)
+            blend = (by_column[rows].reshape(-1, ARTICULATED_COUNT)
+                     @ model.skinning_weights.T).reshape(-1, 4, 3, count)  # (n, 4, 3, V)
+            planes = blend[:, 3] + translation[rows, :, None]
+            for y in range(3):
+                planes += blend[:, y] * shaped[:, y, None]
+            vertices[rows] = planes.transpose(0, 2, 1)
+            if need_grad:
+                template[rows] = shaped
 
-    pre_regressed = reg_q = None
+    regressed = reg_q = None
     if want_regressed:
         q_shape = (batch, JOINT_COUNT, -1)
         reg_q = (tensors.reg_q0.reshape(JOINT_COUNT, -1)
@@ -251,17 +261,17 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
         if has_pose_basis:
             reg_q += (pose_feats @ tensors.reg_qp.reshape(
                 -1, POSE_BASIS_SIZE).T).reshape(q_shape)
-        rot_rows = chain_rot.swapaxes(1, 2).reshape(batch, 3, -1)  # [b, x, (j, y)]
-        pre_regressed = reg_q @ rot_rows.swapaxes(1, 2) + tensors.reg_c @ skin_t
+        regressed = (reg_q @ bone_rot.reshape(batch, 3, -1).swapaxes(1, 2)
+                     + tensors.reg_c @ bone_t + translation[:, None])
 
-    rot_g_t, shift = rot_g.transpose(0, 2, 1), translation[:, None, :]
-    outputs = (None if x is None else x @ rot_g_t + shift
-               for x in (pre_joints, pre_vertices, pre_regressed))
-    return FkCache(*outputs, **({} if not need_grad else dict(
+    return FkCache(joints, vertices, regressed, **({} if not need_grad else dict(
         rot_art=rot_art, drot_art=drot_art, rot_global=rot_g, drot_global=drot_g,
-        rest_joints=rest_joints, chain_rot=chain_rot, chain_t=chain_t, skin_t=skin_t,
-        template=template, reg_q=reg_q, pre_joints=pre_joints,
-        pre_vertices=pre_vertices, pre_regressed=pre_regressed)))
+        rest_joints=rest_joints, chain_rot=chain_rot, chain_t=chain_t,
+        skin_bones=skin_bones, bones=bones, template=template, reg_q=reg_q)))
+
+
+#: poses per skinning block: their (n * 12, V) blend, 0.6 MB at V = 778, stays in L2
+BLEND_BLOCK = 8
 
 
 def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
@@ -275,60 +285,62 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
     if cache.rot_art is None:
         raise InputError("fk_backward needs a cache built with need_grad=True")
     batch = cache.joints.shape[0]
-    rest_joints, chain_rot = cache.rest_joints, cache.chain_rot
+    rest_joints, bone_rot = cache.rest_joints, cache.bones[..., :3]
+    chain_rot = np.ascontiguousarray(cache.chain_rot)   # a view into skin_bones
 
-    bar_rot_g = np.zeros((batch, 3, 3))
+    bar_bones = np.zeros((batch, 3, ARTICULATED_COUNT, 4))
     bar_trans = np.zeros((batch, 3))
-    bar_chain_rot = np.zeros((batch, ARTICULATED_COUNT, 3, 3))
-    bar_skin_t = np.zeros((batch, ARTICULATED_COUNT, 3))
     bar_rest = np.zeros((batch, JOINT_COUNT, 3))
     bar_beta = np.zeros((batch, 10))
     bar_pose_feats = np.zeros((batch, POSE_BASIS_SIZE))
 
-    def through_global(d_out, pre, what):
-        """Cotangent of one (B, N, 3) output, checked against its shape,
-        through the global rotation and translation."""
-        nonlocal bar_rot_g, bar_trans
-        d_out = as_array(d_out, pre.shape, what)
-        bar_rot_g += d_out.transpose(0, 2, 1) @ pre
-        bar_trans += d_out.sum(axis=1)
-        return d_out @ cache.rot_global
-
     if d_joints is not None:
-        g = through_global(d_joints, cache.pre_joints, "d_joints")  # (B, 21, 3)
-        bar_chain_rot += np.einsum("kj,bkx,bky->bjxy", _ASSIGN_ONEHOT, g, rest_joints)
-        bar_skin_t += np.einsum("kj,bkx->bjx", _ASSIGN_ONEHOT, g)
-        bar_rest += np.einsum("bkxy,bkx->bky", chain_rot[:, list(ASSIGN_SLOT)], g)
+        g = as_array(d_joints, cache.joints.shape, "d_joints")  # (B, 21, 3)
+        bar_trans += g.sum(axis=1)
+        rest_h = np.concatenate([rest_joints, np.ones((batch, JOINT_COUNT, 1))], -1)
+        bar_bones += np.einsum("kj,bkx,bky->bxjy", _ASSIGN_ONEHOT, g, rest_h)
+        bar_rest += np.einsum("bxky,bkx->bky", bone_rot[:, :, list(ASSIGN_SLOT)], g)
 
     if d_vertices is not None:
-        if cache.pre_vertices is None:
+        if cache.vertices is None:
             raise InputError("forward pass did not compute vertices")
-        g = through_global(d_vertices, cache.pre_vertices, "d_vertices")  # (B, V, 3)
-        weights, template = model.skinning_weights, cache.template
-        bar_skin_t += weights.T @ g
-        bar_template = np.empty_like(g)
-        for y in range(3):   # the forward blend's column loop, transposed
-            bar_chain_rot[..., y] += weights.T @ (g * template[..., y, None])
-            bar_template[..., y] = ((weights @ chain_rot[..., y]) * g).sum(axis=-1)
-        bar_template = bar_template.reshape(batch, -1)
-        bar_beta += bar_template @ model.shape_basis.reshape(10, -1).T
+        g = as_array(d_vertices, cache.vertices.shape, "d_vertices")  # (B, V, 3)
+        bar_trans += g.sum(axis=1)
+        weights = model.skinning_weights
+        rot_columns = bone_rot.transpose(0, 3, 1, 2)         # [b, y, x, slot]
+        bar_template = np.empty_like(cache.template)
+        for rows in (slice(i, i + BLEND_BLOCK) for i in range(0, batch, BLEND_BLOCK)):
+            # the forward blend, transposed: d planes times template planes
+            d = g[rows].transpose(0, 2, 1)[:, None]                 # (n, 1, 3, V)
+            bar_blend = np.concatenate([d * cache.template[rows, :, None], d], axis=1)
+            bar_bones[rows] += (bar_blend.reshape(-1, len(weights)) @ weights).reshape(
+                -1, 4, 3, ARTICULATED_COUNT).transpose(0, 2, 3, 1)
+            blend = rot_columns[rows].reshape(-1, ARTICULATED_COUNT) @ weights.T
+            bar_template[rows] = (blend.reshape(-1, 3, 3, len(weights)) * d).sum(axis=2)
+        bar_beta += bar_template.reshape(batch, -1) @ model.tensors.shape_planes.T
         if model.pose_basis is not None:
-            bar_pose_feats += bar_template @ model.pose_basis.reshape(
-                POSE_BASIS_SIZE, -1).T
+            bar_pose_feats += bar_template.reshape(batch, -1) @ model.tensors.pose_planes.T
 
     if d_regressed is not None:
-        if cache.pre_regressed is None:
+        if cache.regressed_joints is None:
             raise InputError("forward pass did not compute regressed joints")
-        g = through_global(d_regressed, cache.pre_regressed, "d_regressed")  # (B, 21, 3)
+        g = as_array(d_regressed, cache.regressed_joints.shape, "d_regressed")
+        bar_trans += g.sum(axis=1)
         tensors = model.tensors
-        bar_chain_rot += (g.swapaxes(1, 2) @ cache.reg_q).reshape(
-            batch, 3, ARTICULATED_COUNT, 3).swapaxes(1, 2)
-        bar_skin_t += tensors.reg_c.T @ g
-        bar_q = (g @ chain_rot.swapaxes(1, 2).reshape(batch, 3, -1)).reshape(
-            batch, -1)                                          # (B, 21 * 48)
+        bar_bones[..., :3] += (g.swapaxes(1, 2) @ cache.reg_q).reshape(
+            batch, 3, ARTICULATED_COUNT, 3)
+        bar_bones[..., 3] += (tensors.reg_c.T @ g).swapaxes(1, 2)
+        bar_q = (g @ bone_rot.reshape(batch, 3, -1)).reshape(batch, -1)  # (B, 21 * 48)
         bar_beta += bar_q @ tensors.reg_qb.reshape(-1, 10)
         if model.pose_basis is not None:
             bar_pose_feats += bar_q @ tensors.reg_qp.reshape(-1, POSE_BASIS_SIZE)
+
+    # Undo the global fold: bones = R_g @ skin_bones.
+    rot_g, bar_rows = cache.rot_global, bar_bones.reshape(batch, 3, -1)
+    bar_rot_g = bar_rows @ cache.skin_bones.reshape(batch, 3, -1).swapaxes(1, 2)
+    bar_skin = (rot_g.swapaxes(1, 2) @ bar_rows).reshape(bar_bones.shape).swapaxes(1, 2)
+    bar_chain_rot = np.ascontiguousarray(bar_skin[..., :3])   # the walk runs faster
+    bar_skin_t = np.ascontiguousarray(bar_skin[..., 3])       # on contiguous arrays
 
     # Undo the rest-relative shift: skin_t = chain_t - chain_rot @ rest.
     rest_art = rest_joints[:, list(ARTICULATED)]

@@ -172,6 +172,8 @@ def evaluate(pred_joints, gt_joints, pred_vertices=None, gt_vertices=None,
     if pred_vertices is not None:
         kinds.append((_samples(pred_vertices, "predicted vertices"),
                       _samples(gt_vertices, "true vertices")))
+        if len(kinds[1][0]) != len(kinds[0][0]):
+            raise ShapeError("joint and vertex lists differ in sample count")
     errors = []
     for p, g in kinds:   # joints, then vertices: one batched call each
         errors += [mpjpe(p - p[:, :1], g - g[:, :1]) if root_center else mpjpe(p, g),

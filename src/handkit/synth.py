@@ -236,7 +236,7 @@ def camera_frame(cam: CameraPose, radius_mm: float
         right = _cross(fwd, (1.0, 0.0, 0.0))
         norm = math.hypot(*right)
     right = [r / norm for r in right]
-    return np.array([right, _cross(fwd, right), fwd]), np.array(eye)
+    return np.array([*right, *_cross(fwd, right), *fwd]).reshape(3, 3), np.array(eye)
 
 
 def project(skeleton, cam: CameraPose, radius_mm: float,
@@ -251,11 +251,12 @@ def project(skeleton, cam: CameraPose, radius_mm: float,
     the first batch row and joint, if any joint has non-positive camera depth.
     """
     joints = as_array(skeleton, (..., kin.JOINT_COUNT, 3), "joints")
-    fx, fy, cx, cy = (as_number(v, "intrinsics") for v in (fx, fy, cx, cy))
+    fx, fy, cx, cy = [as_number(v, "intrinsics") for v in (fx, fy, cx, cy)]
     rot, eye = camera_frame(cam, as_number(radius_mm, "radius_mm", above=0))
     cam_pts = (joints - eye) @ rot.T
     depth = cam_pts[..., 2:]
-    if (depth <= 1e-9).any():
+    # one reduction; as (depth <= 1e-9).any() would, it skips NaN and passes no rows
+    if np.fmin.reduce(depth, axis=None, initial=np.inf) <= 1e-9:
         *row, joint = np.argwhere(depth[..., 0] <= 1e-9)[0].tolist()
         raise NumericError(f"{batch_row(row)}joint {joint} is at or behind the "
                            "camera plane")

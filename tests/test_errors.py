@@ -541,6 +541,8 @@ LIBRARY = {
         [_SPREAD], [_SPREAD], thresholds=5.0)),
     "evaluate-ragged-vertices": (errors.ShapeError, lambda m: metrics.evaluate(
         [_SPREAD] * 2, [_SPREAD] * 2, [_SPREAD, _SPREAD[:20]], [_SPREAD, _SPREAD[:20]])),
+    "evaluate-vertex-sample-count": (errors.ShapeError, lambda m: metrics.evaluate(
+        [_SPREAD] * 2, [_SPREAD] * 2, [_SPREAD] * 3, [_SPREAD] * 3)),
     "decode-all-zero-row": (errors.InputError, lambda m: lixel.decode(
         np.stack([np.ones(8), np.zeros(8)]))),
     "decode-scalar": (errors.ShapeError, lambda m: lixel.decode(1.0)),

@@ -86,7 +86,7 @@ def shape_offset(model, beta):
         model, rest_vertices=np.zeros_like(model.rest_vertices))
     out = kin.fk_forward(blend_only, np.zeros(kin.ARTICULATION_SIZE), beta,
                          want_vertices=True, need_grad=True)
-    return out.template[0]
+    return out.template[0].T    # (3, V) planes
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Guards for the FK engine: a per-vertex skinning oracle, a finite-difference
+"""Guards for the FK engine: a per-vertex skinning oracle, batch rows against
+single rows and the peak memory of the blocked blend, a finite-difference
 check of every ``fk_backward`` output at B > 1 with a pose basis, the no-grad
 Rodrigues path (which holds nothing for backward), the grad path's single
 Rodrigues call, the depth-ordered chain layout, argument normalisation, and
 the read-only model behind ``model.tensors``."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +75,30 @@ def test_vertices_match_per_vertex_oracle(desk_small):
         np.testing.assert_allclose(got[b], expected, rtol=0, atol=1e-9)
 
 
+def test_blocked_blend_rows_match_single_rows(desk):
+    rng = np.random.default_rng(15)
+    art, beta, rot, trans = _params(rng, 256)
+    got = kin.fk_forward(desk, art, beta, rot, trans, want_vertices=True)
+    for b in range(256):
+        one = kin.fk_forward(desk, art[b], beta[b], rot[b], trans[b], want_vertices=True)
+        np.testing.assert_allclose(got.vertices[b], one.vertices[0], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(got.joints[b], one.joints[0], rtol=0, atol=1e-9)
+
+
+def test_blocked_blend_peak_memory(desk):
+    """The blend works in blocks of poses: one B = 256 call holds less than
+    three times its (B, V, 3) output at its peak."""
+    params = _params(np.random.default_rng(16), 256)
+    kin.fk_forward(desk, *params, want_vertices=True)   # model tensors built once
+    tracemalloc.start()
+    try:
+        out = kin.fk_forward(desk, *params, want_vertices=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.vertices.nbytes, (peak, out.vertices.nbytes)
+
+
 def test_fk_backward_matches_finite_differences(desk_small):
     rng = np.random.default_rng(12)
     model = _variant(desk_small, rng)
@@ -117,12 +143,12 @@ def test_no_grad_path_skips_jacobians_and_matches(desk_small, monkeypatch):
         raise AssertionError("a no-grad FK call built Rodrigues derivatives")
     monkeypatch.setattr(kin, "rodrigues_with_jacobian", no_jacobian)
     plain = kin.fk_forward(model, *params, want_vertices=True, want_regressed=True)
-    for name in ("rot_art", "drot_art", "rot_global", "drot_global", "rest_joints",
-                 "chain_rot", "chain_t", "skin_t", "template", "reg_q", "pre_joints",
-                 "pre_vertices", "pre_regressed"):
-        assert getattr(plain, name) is None, name   # nothing held for backward
+    outputs = ("joints", "vertices", "regressed_joints")
+    for field in dataclasses.fields(kin.FkCache):
+        if field.name not in outputs:   # nothing held for backward
+            assert getattr(plain, field.name) is None, field.name
     assert with_grad.drot_art is not None and with_grad.drot_global is not None
-    for name in ("joints", "vertices", "regressed_joints"):
+    for name in outputs:
         np.testing.assert_array_equal(getattr(plain, name), getattr(with_grad, name))
 
 

@@ -259,6 +259,18 @@ def test_camera_frame_matches_numpy_oracle():
     assert poles == 72      # every elevation pi/2 camera took the +X hint
 
 
+def test_project_pixels_equal_the_broadcast_formula():
+    """On every default camera, ``project`` gives the bytes of the plain
+    broadcast formula it computes."""
+    joints = np.random.default_rng(6).normal(scale=40, size=(3, 21, 3))
+    for cam in sample_cameras():
+        rot, eye = camera_frame(cam, 600.0)
+        cam_pts = (joints - eye) @ rot.T
+        want = cam_pts[..., :2] * (500.0, 480.0) / cam_pts[..., 2:] + (128.0, 120.0)
+        uv = project(joints, cam, 600.0, 500.0, 480.0, 128.0, 120.0)
+        assert uv.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("lead", [(5,), (2, 3)])
 def test_project_batch_equals_per_skeleton_calls(rng, lead):
     joints = rng.normal(scale=40, size=lead + (21, 3))
