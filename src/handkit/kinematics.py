@@ -182,6 +182,8 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
     """
     articulation = _as_batch(articulation, ARTICULATION_SIZE, None, "articulation")
     batch = articulation.shape[0]
+    if not batch:
+        raise ShapeError(f"articulation must hold at least one pose, got shape {articulation.shape}")
     beta, global_rot, translation = (
         _as_batch(x, n, batch, name) for x, n, name in (
             (beta, 10, "beta"), (global_rot, 3, "global_rot"),

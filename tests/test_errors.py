@@ -543,6 +543,10 @@ LIBRARY = {
         [_SPREAD] * 2, [_SPREAD] * 2, [_SPREAD, _SPREAD[:20]], [_SPREAD, _SPREAD[:20]])),
     "evaluate-vertex-sample-count": (errors.ShapeError, lambda m: metrics.evaluate(
         [_SPREAD] * 2, [_SPREAD] * 2, [_SPREAD] * 3, [_SPREAD] * 3)),
+    "fk_forward-empty-batch": (errors.ShapeError, lambda m: kinematics.fk_forward(
+        m, np.zeros((0, 45)))),
+    "fk_forward-empty-batch-vertices": (errors.ShapeError, lambda m: kinematics.fk_forward(
+        m, np.zeros((0, 45)), want_vertices=True, want_regressed=True, need_grad=True)),
     "decode-all-zero-row": (errors.InputError, lambda m: lixel.decode(
         np.stack([np.ones(8), np.zeros(8)]))),
     "decode-scalar": (errors.ShapeError, lambda m: lixel.decode(1.0)),

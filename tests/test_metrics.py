@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from handkit import metrics
 from handkit.errors import NumericError, ShapeError
 from handkit.metrics import (EvalReport, _nearest, evaluate, fscore, mpjpe, pa_mpjpe,
                              procrustes_align)
@@ -243,6 +244,95 @@ def test_nearest_equals_broadcast_norm_exactly(rng):
         near_p, near_g = _nearest(pred, gt)
         want_p, want_g = nearest_broadcast(pred, gt)
         assert np.array_equal(near_p, want_p) and np.array_equal(near_g, want_g)
+
+
+def assert_exact_within_reach(pred, gt, reach):
+    """The banded pass's contract against the full distance matrix."""
+    for got, want in zip(_nearest(pred, gt, reach), nearest_broadcast(pred, gt)):
+        inside = want <= reach
+        assert np.array_equal(got[inside], want[inside])
+        assert (got[~inside] > reach).all() and (got >= want).all()
+
+
+def rotated_hands(desk, rng, count):
+    """Seeded randomly rotated and shifted rest meshes and noisy copies of them."""
+    gt = np.stack([desk.rest_vertices @ rodrigues(rng.normal(size=3)).T
+                   + rng.normal(scale=50, size=3) for _ in range(count)])
+    return gt + rng.normal(scale=3, size=gt.shape), gt
+
+
+def test_banded_nearest_is_exact_within_reach(desk, rng):
+    big = rng.normal(scale=30, size=(778, 3))
+    small = rng.normal(scale=30, size=(21, 3))
+    lattice = rng.integers(0, 4, size=(300, 3)).astype(float)   # keys repeat ~75 times
+    cases = [(pair, reach) for pair in GRID_PAIRS
+             for reach in (0.5, 1.0, np.nextafter(1.0, 2.0), 1.5)]
+    cases += [((lattice, lattice[::-1] + [0.5, 0.0, 0.0]), reach)
+              for reach in (0.5, 1.0, 1.5)]
+    cases += [(pair, reach) for pair in [(small[:1], big), (big, small[:1]),
+                                         (small[:1], small[1:2]), (big[:1], big[:1])]
+              for reach in (1e-3, 5.0, 40.0)]
+    spread = GRID * 100.0   # every cross pair is at least 50 apart
+    apart = spread + [1000.0, 0.0, 0.0]   # no key of one set near one of the other
+    cases += [(pair, reach) for pair in ((spread, spread + 50.0), (spread, apart))
+              for reach in (1.0, 49.0)]
+    pred, gt = rotated_hands(desk, rng, 4)
+    assert pred.shape[1] == 778
+    cases += [((p, g), reach) for p, g in zip(pred, gt) for reach in (5.0, 15.0)]
+    for (p, g), reach in cases:
+        assert_exact_within_reach(p, g, reach)
+        assert_exact_within_reach(g, p, reach)
+    far_p, far_g = _nearest(spread, apart, 49.0)   # no pair in any band
+    assert np.isinf(far_p).all() and np.isinf(far_g).all()
+
+
+def test_banded_nearest_keeps_a_pair_the_rounded_edge_would_drop():
+    # 14.9 - 15.0 rounds above -0.1, so a band edge taken without widening
+    # misses the key -0.1; yet 14.9 - (-0.1) rounds to exactly 15.0
+    assert 14.9 - 15.0 > -0.1 and 14.9 - (-0.1) == 15.0
+    low, high = np.array([[-0.1, 0.0, 0.0]]), np.array([[14.9, 0.0, 0.0]])
+    rows = np.array([[-0.1, 0.0, 0.0], [-0.1, 0.0, 5.0], [-30.0, 1.0, 0.0]])  # widest in x
+    for reach in (15.0, np.nextafter(15.0, 16.0)):
+        assert [d.tolist() for d in _nearest(high, low, reach)] == [[15.0], [15.0]]
+        for p, g in ((high, low), (high, rows)):
+            assert_exact_within_reach(p, g, reach)
+            assert_exact_within_reach(g, p, reach)
+    assert fscore(high, low, np.nextafter(15.0, 16.0)) == 1.0
+    assert fscore(high, low, 15.0) == fscore_oracle(high, low, 15.0) == 0.0
+
+
+def full_pass_f(pred, gt, threshold):
+    """F-score from the counts of the full distance matrix."""
+    near_p, near_g = nearest_broadcast(pred, gt)
+    precision, recall = (near_p < threshold).mean(), (near_g < threshold).mean()
+    return 0.0 if precision + recall == 0 else float(
+        2 * precision * recall / (precision + recall))
+
+
+def test_fscore_and_evaluate_count_as_the_full_pass(desk, rng):
+    pred, gt = rotated_hands(desk, rng, 4)
+    joints = list(rng.normal(scale=30, size=(4, 21, 3)))
+    thresholds = (1.0, 5.0, 15.0)
+    report = evaluate(joints, joints, list(pred), list(gt), thresholds=thresholds)
+    for threshold in thresholds:
+        want = [full_pass_f(p, g, threshold) for p, g in zip(pred, gt)]
+        assert [fscore(p, g, threshold) for p, g in zip(pred, gt)] == want
+        assert report.f_at[threshold] == float(np.mean(want))
+    few_p, few_g = pred[0, ::7], gt[0, ::7]
+    for threshold in thresholds:
+        assert fscore(few_p, few_g, threshold) == fscore_oracle(few_p, few_g, threshold)
+
+
+def test_evaluate_without_thresholds_skips_the_nearest_pass(rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nearest pass run without thresholds")
+
+    monkeypatch.setattr(metrics, "_nearest", refuse)
+    joints = rng.normal(scale=30, size=(21, 3))
+    verts = rng.normal(scale=30, size=(100, 3))
+    report = evaluate([joints], [joints], [verts], [verts], thresholds=())
+    assert report.f_at == {} and report.mpvpe == 0.0
+    assert evaluate([joints], [joints], thresholds=[]).f_at == {}
 
 
 def test_fscore_threshold_on_a_nearest_distance_is_strict():
