@@ -27,38 +27,38 @@ def main():
     limits = bio_dof.DofLimits.default()
     axes = bio_dof.derive_axes(model)
 
-    def joints_at(bio, beta, rot, trans):
-        art = bio_dof.expand_batch(np.asarray(bio)[None], axes)
-        return kin.fk_forward(model, art, np.asarray(beta)[None],
-                              np.asarray(rot)[None], np.asarray(trans)[None],
-                              want_regressed=True).regressed_joints[0]
+    def joints_at(bio, beta, rot=None, trans=None, want_vertices=False):
+        return kin.fk_forward(model, bio_dof.expand_batch(bio, axes), beta, rot, trans,
+                              want_vertices=want_vertices, want_regressed=True)
 
-    wins = 0
-    pa_errors = []
+    draws = []
     for run in range(args.runs):
         rng = np.random.default_rng(args.seed + run)
         bio_t = bio_dof.sample_uniform(limits, 1, rng)[0]
         beta_t = rng.normal(scale=0.5, size=10)
-        art = bio_dof.expand_batch(bio_t[None], axes)
-        out = kin.fk_forward(model, art, beta_t[None], want_vertices=True,
-                             want_regressed=True)
-        target = ik_optim.FitTarget(joints=out.regressed_joints[0],
-                                    vertices=out.vertices[0])
         init = np.clip(bio_t + rng.normal(scale=args.sigma, size=23),
                        limits.lower, limits.upper)
-        result = ik_optim.fit(
-            model, target, init_bio=init, init_beta=beta_t,
-            config=ik_optim.FitConfig(iterations=args.iterations),
-            limits=limits, axes=axes)
-        before = metrics.mpjpe(joints_at(init, beta_t, np.zeros(3),
-                                         np.zeros(3)), target.joints)
-        final = joints_at(result.bio.values, result.beta.beta,
-                          result.global_rot, result.translation)
-        after = metrics.mpjpe(final, target.joints)
-        pa = metrics.pa_mpjpe(final, target.joints)
-        wins += after < before
+        draws.append((bio_t, beta_t, init))
+    bio_t, beta_t, init = (np.array(column) for column in zip(*draws))
+    out = joints_at(bio_t, beta_t, want_vertices=True)
+    target = ik_optim.FitTarget(joints=out.regressed_joints, vertices=out.vertices)
+    results = ik_optim.fit(
+        model, target, init_bio=init, init_beta=beta_t,
+        config=ik_optim.FitConfig(iterations=args.iterations),
+        limits=limits, axes=axes)   # every run in one batched solve
+    before = joints_at(init, beta_t).regressed_joints
+    final = joints_at(*(np.array(column) for column in zip(*(
+        (r.bio.values, r.beta.beta, r.global_rot, r.translation)
+        for r in results)))).regressed_joints
+
+    wins = 0
+    pa_errors = []
+    for run, (start, end, truth) in enumerate(zip(before, final, target.joints)):
+        err_before, err_after = metrics.mpjpe(start, truth), metrics.mpjpe(end, truth)
+        pa = metrics.pa_mpjpe(end, truth)
+        wins += err_after < err_before
         pa_errors.append(pa)
-        print(f"run {run:3d}: {before:7.3f} mm -> {after:7.4f} mm "
+        print(f"run {run:3d}: {err_before:7.3f} mm -> {err_after:7.4f} mm "
               f"(PA {pa:7.4f} mm)")
 
     print(f"\nimproved in {wins}/{args.runs} runs; "

@@ -17,7 +17,7 @@ from .ik_net import (MlpIk, SynthPairSet, TrainConfig, batch_loss,
                      featurize_batch, generate_pairs, load_checkpoint, predict,
                      save_checkpoint, train)
 from .ik_optim import (FitConfig, FitResult, FitTarget, bend_penalty_with_grad,
-                       fit, fit_loss)
+                       fit)
 from .lixel import Heatmap1D, decode, encode, marginalize
 from .metrics import EvalReport, evaluate, fscore, mpjpe, pa_mpjpe, procrustes_align
 from .profiler import (LayerSpec, NetGraph, compare_decoders, layer_macs,

@@ -222,7 +222,8 @@ def cmd_fk(args) -> int:
 
 
 def cmd_ik_fit(args) -> int:
-    """Fit every target record in turn; several records give numbered files."""
+    """Fit the target records in one batched solve per vertex count (no
+    vertices is a count of its own); several records give numbered files."""
     model = _resolve_model(args)
     limits = _resolve_limits(args)
     records = load_annotation_records(args.target)
@@ -231,19 +232,23 @@ def cmd_ik_fit(args) -> int:
         bend_weight=args.bend_weight, freeze_shape=args.freeze_shape)
     if args.from_ik_net:
         net = ik_net.load_checkpoint(args.from_ik_net)
-        bio, beta = ik_net.predict(
+        init = ik_net.predict(
             net, ik_net.featurize_batch([r.joints for r in records]), limits)
-        inits = [(b, s, np.zeros(3), np.zeros(3)) for b, s in zip(bio, beta)]
     elif args.init:
-        inits = [load_params_file(args.init)] * len(records)
+        init = load_params_file(args.init)
     else:
         raise InputError("ik-fit needs --init or --from-ik-net")
 
-    results = []
-    for record, init in zip(records, inits):
-        target = ik_optim.FitTarget(joints=record.joints, vertices=record.vertices)
-        results.append(ik_optim.fit(model, target, *init, config=config,
-                                    limits=limits))
+    counts = [None if r.vertices is None else len(r.vertices) for r in records]
+    results = [None] * len(records)
+    for count in dict.fromkeys(counts):   # apart: each record keeps its own loss terms
+        rows = [i for i, c in enumerate(counts) if c == count]
+        target = ik_optim.FitTarget([records[i].joints for i in rows], None if count is None
+                                    else [records[i].vertices for i in rows])
+        row_init = [p[rows] for p in init] if args.from_ik_net else init
+        for i, result in zip(rows, ik_optim.fit(model, target, *row_init, config=config,
+                                                limits=limits)):
+            results[i] = result
     out = _out_dir(args)
     for i, result in enumerate(results):
         ik_optim.write_fit_report(

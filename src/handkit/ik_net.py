@@ -12,8 +12,8 @@ FK and the loss stay in float64.
 Training minimizes the sum of three L1 terms: angle error, shape error, and
 the positional error of the joints regressed from the re-posed mesh against
 the pair's ground-truth skeleton.  Backpropagation is implemented here
-directly (affine, normalization, rectifier); the positional term and its
-gradients come from the refinement's ``ik_optim.batch_fit_loss``.
+directly (affine, normalization, rectifier); the positional term is the
+batch mean of the refinement's per-sample ``ik_optim.batch_fit_loss``.
 Every array of the net is listed once, in the name table ``MlpIk.arrays``;
 the trainable ones are views into one flat vector, and ``MlpIk.grads``
 views their gradients in its flat twin, on which ``ik_optim.adam_step``
@@ -197,14 +197,15 @@ def batch_loss(net: MlpIk, model: HandModel, axes, feats, bio_gt, beta_gt,
     theta, beta = net.forward(feats, training=training)
     l_theta = np.abs(theta - bio_gt).mean()
     l_beta = np.abs(beta - beta_gt).mean()
-    # L1 joint term through FK: the refinement's loss with only a joint term
+    # L1 joint term through FK: the mean of the refinement's per-sample losses
     l_pose, pose_grads = ik_optim.batch_fit_loss(
         model, axes, theta, beta, None, None, skel_gt, None, weight_joints=1.0,
         weight_vertices=0.0, bend_weight=0.0, loss_kind="l1", want_grad=compute_grads)
+    l_pose = l_pose.mean()
     total = float(l_theta + l_beta + l_pose)
-    if compute_grads:
-        d_theta = np.sign(theta - bio_gt) / (theta.size) + pose_grads[0]
-        d_beta = np.sign(beta - beta_gt) / (beta.size) + pose_grads[1]
+    if compute_grads:   # the pose gradients are of the sum over the batch
+        d_theta = np.sign(theta - bio_gt) / (theta.size) + pose_grads[0] / len(theta)
+        d_beta = np.sign(beta - beta_gt) / (beta.size) + pose_grads[1] / len(beta)
         net.backward(d_theta, d_beta)
     return total, float(l_theta), float(l_beta), float(l_pose)
 
@@ -237,7 +238,8 @@ def generate_pairs(model: HandModel, count: int,
     beta = rng.normal(scale=0.5, size=(count, 10))
     axes = bio_dof.derive_axes(model)
     art = bio_dof.expand_batch(bio, axes)
-    skeletons = kin.fk_forward(model, art, beta).joints
+    skeletons = np.concatenate([kin.fk_forward(model, art[i:i + 1024], beta[i:i + 1024])
+                                .joints for i in range(0, count, 1024)])  # bounds FK memory
     return SynthPairSet(bio=bio, beta=beta, skeletons=skeletons, model=model)
 
 

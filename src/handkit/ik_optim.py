@@ -8,11 +8,12 @@ bend-direction invariant: for each finger the two cross products
 penalty is max(0, -s) on their dot product s, so feasible bends contribute
 exactly zero.
 
-The one loss, ``batch_fit_loss``, is batched; ``fit`` and ``fit_loss`` call
-it as a batch of one and ``ik_net`` for its L1 joint term.  The solver runs
-in-place Adam steps (``adam_step``, shared with ``ik_net``) with a cosine
-step-size decay, clamps the 23 feasible angles to their limits after every
-update, and returns the best-loss iterate.  Gradients are fully analytic.
+The one loss, ``batch_fit_loss``, gives per-sample losses and the gradient
+of their sum; ``fit`` and ``ik_net`` (its L1 joint term) call it.  ``fit``
+solves a batch of targets with in-place Adam steps (``adam_step``, shared
+with ``ik_net``) and one cosine step-size decay, clamps the 23 feasible
+angles to their limits after every update, and returns each sample's
+best-loss iterate.  Gradients are fully analytic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bio_dof, kinematics as kin
-from .errors import InputError, NumericError, ShapeError, as_array, as_number
+from .errors import InputError, NumericError, ShapeError, as_array, as_number, batch_row
 from .hand_model import HandModel, ShapeParams
 
 HUBER_DELTA_MM = 1.0
@@ -32,24 +33,27 @@ PARAM_COUNT = bio_dof.DOF_COUNT + 10 + 6  # 23 angles + 10 shape + rot/trans
 
 @dataclass
 class FitTarget:
-    """Pseudo-ground-truth joints and/or vertices to fit, in mm."""
+    """Joints (21, 3) and/or vertices (V, 3) to fit, in mm, or (B, ...) batches."""
 
-    joints: np.ndarray | None = None          # (21, 3)
-    vertices: np.ndarray | None = None        # (V, 3)
+    joints: np.ndarray | None = None
+    vertices: np.ndarray | None = None
     weight_joints: float = 1.0
     weight_vertices: float = 1.0
 
     def __post_init__(self):
         if self.joints is not None:
-            self.joints = as_array(self.joints, (kin.JOINT_COUNT, 3), "target joints")
+            self.joints = as_array(self.joints, (..., kin.JOINT_COUNT, 3), "target joints")
         if self.vertices is not None:
-            self.vertices = as_array(self.vertices, (None, 3), "target vertices")
+            self.vertices = as_array(self.vertices, (..., None, 3), "target vertices")
         self.weight_joints = as_number(self.weight_joints, "weight_joints", 0)
         self.weight_vertices = as_number(self.weight_vertices, "weight_vertices", 0)
         has_joints = self.joints is not None and self.weight_joints > 0
         has_verts = self.vertices is not None and self.weight_vertices > 0
         if not (has_joints or has_verts):
             raise InputError("target needs joints or vertices with positive weight")
+        leads = {a.shape[:-2] for a in (self.joints, self.vertices) if a is not None}
+        if len(leads) > 1 or any(len(lead) > 1 for lead in leads):
+            raise ShapeError("target arrays need one shared batch axis or none")
 
 
 @dataclass
@@ -145,74 +149,42 @@ def batch_fit_loss(model: HandModel, axes: bio_dof.AxisTable, bio, beta,
                    global_rot, translation, joints, vertices, weight_joints: float,
                    weight_vertices: float, bend_weight: float, loss_kind: str,
                    want_grad: bool):
-    """Batch-mean loss of (B, 23) angles, (B, 10) shape, (B, 3) rotations and
-    translations (None is zeros) against (B, 21, 3) joints and (B, V, 3)
-    vertices (None or weight 0 drops a term), plus the bend penalty; with
-    ``want_grad`` also the four (B, n) gradients, else None.  ``loss_kind``
-    is "huber", "l2" or "l1"."""
+    """(B,) per-sample losses of (B, 23) angles, (B, 10) shape, (B, 3)
+    rotations and translations (None is zeros) against (B, 21, 3) joints and
+    (B, V, 3) vertices (None or weight 0 drops a term), plus the bend
+    penalty; with ``want_grad`` also the four (B, n) gradients of their sum,
+    else None.  ``loss_kind`` is "huber", "l2" or "l1"."""
     art = bio_dof.expand_batch(bio, axes)
     out = kin.fk_forward(model, art, beta, global_rot, translation,
                          want_vertices=vertices is not None, want_regressed=True,
                          need_grad=want_grad)
     regressed = out.regressed_joints
-    batch = len(regressed)
 
-    loss = 0.0
+    loss = np.zeros(len(regressed))
     d_joints = np.zeros_like(regressed)
     d_vertices = None
     if joints is not None and weight_joints > 0:
         residual = regressed - joints
         pen, der = _robust(residual, loss_kind)
-        loss += weight_joints * pen.mean()
-        d_joints += weight_joints * der / residual.size
+        loss += weight_joints * pen.mean(axis=(-2, -1))
+        d_joints += weight_joints * der / residual[0].size
     if vertices is not None and weight_vertices > 0:
         if vertices.shape != out.vertices.shape:
             raise ShapeError("target vertex count does not match the model")
         residual = out.vertices - vertices
         pen, der = _robust(residual, loss_kind)
-        loss += weight_vertices * pen.mean()
-        d_vertices = weight_vertices * der / residual.size
+        loss += weight_vertices * pen.mean(axis=(-2, -1))
+        d_vertices = weight_vertices * der / residual[0].size
     if bend_weight > 0:
         bend, bend_grad = bend_penalty_with_grad(regressed)
-        loss += bend_weight * bend.mean()
-        d_joints += bend_weight * bend_grad / batch
+        loss += bend_weight * bend
+        d_joints += bend_weight * bend_grad
 
     if not want_grad:
-        return float(loss), None
+        return loss, None
     grads = kin.fk_backward(model, out, d_regressed=d_joints, d_vertices=d_vertices)
-    return float(loss), (grads.articulation @ axes.expansion_matrix(), grads.beta,
-                         grads.global_rot, grads.translation)
-
-
-def _batch_of_one(bio, beta, global_rot, translation, target: FitTarget):
-    """The checked parameters as one flat vector (None is zeros), its (1, n)
-    angle, shape, rotation and translation views, and the target's
-    ``batch_fit_loss`` arguments."""
-    if target is None:
-        raise InputError("a FitTarget is required, got target=None")
-    bio = bio.values if isinstance(bio, bio_dof.BioPose) else bio
-    beta = beta.beta if isinstance(beta, ShapeParams) else beta
-    x = np.concatenate([np.zeros(n) if p is None else as_array(p, (n,), what)
-                        for p, n, what in ((bio, bio_dof.DOF_COUNT, "angles"),
-                                           (beta, 10, "beta"),
-                                           (global_rot, 3, "global rotation"),
-                                           (translation, 3, "translation"))])
-    views = np.split(x[None], np.cumsum([bio_dof.DOF_COUNT, 10, 3]), axis=1)
-    return x, views, (None if target.joints is None else target.joints[None],
-                      None if target.vertices is None else target.vertices[None],
-                      target.weight_joints, target.weight_vertices)
-
-
-def fit_loss(model: HandModel, bio, beta, global_rot=None, translation=None,
-             target: FitTarget = None, bend_weight: float = 1e-2,
-             loss_kind: str = "huber", axes: bio_dof.AxisTable | None = None,
-             want_grad: bool = False) -> tuple[float, np.ndarray | None]:
-    """Fitting loss at the given parameters and, with ``want_grad``, its
-    analytic gradient over the 23+10+6 parameters (else None)."""
-    _, params, target_args = _batch_of_one(bio, beta, global_rot, translation, target)
-    loss, grads = batch_fit_loss(model, axes or bio_dof.derive_axes(model), *params,
-                                 *target_args, bend_weight, loss_kind, want_grad)
-    return loss, None if grads is None else np.concatenate(grads, axis=1)[0]
+    return loss, (grads.articulation @ axes.expansion_matrix(), grads.beta,
+                  grads.global_rot, grads.translation)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: np.ndarray,
@@ -241,58 +213,77 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: np.ndarray,
 def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
         init_rot=None, init_trans=None, config: FitConfig | None = None,
         limits: bio_dof.DofLimits | None = None,
-        axes: bio_dof.AxisTable | None = None) -> FitResult:
-    """First-order refinement of (angles, shape, global pose) toward a target.
-
-    Runs ``config.iterations`` adaptive-moment steps, clamping the feasible
-    angles each iteration, and returns the best-loss iterate.  With
-    ``freeze_shape`` the shape coefficients are never touched.
-    """
+        axes: bio_dof.AxisTable | None = None) -> FitResult | list[FitResult]:
+    """First-order refinement of (angles, shape, global pose) toward B
+    targets at once: a list of B results, or one for one target (a batch of
+    one).  Initial values (None is zeros) are (n,), shared, or (B, n).  Runs
+    ``config.iterations`` Adam steps, clamping the feasible angles, and
+    returns each sample's best-loss iterate; a sample whose loss changes by
+    less than ``convergence_tol`` stops, and the loop ends when all have.
+    With ``freeze_shape`` the shape coefficients are never touched."""
+    if not isinstance(target, FitTarget):
+        raise InputError(f"a FitTarget is required, got {type(target).__name__}")
     config = config or FitConfig()
     limits = limits or bio_dof.DofLimits.default()
     axes = axes or bio_dof.derive_axes(model)
     nd = bio_dof.DOF_COUNT
+    targets = [None if a is None else a.reshape(-1, *a.shape[-2:])   # (B, n, 3)
+               for a in (target.joints, target.vertices)]
+    lead = next(a for a in (target.joints, target.vertices) if a is not None).shape[:-2]
+    batch = lead[0] if lead else 1
 
-    x, (bio, beta, rot, trans), target_args = _batch_of_one(
-        init_bio, init_beta, init_rot, init_trans, target)
+    x = np.zeros((batch, PARAM_COUNT))   # C order: Adam runs on its flat view
+    bio, beta, rot, trans = views = np.split(x, np.cumsum([nd, 10, 3]), axis=1)
+    init_bio = init_bio.values if isinstance(init_bio, bio_dof.BioPose) else init_bio
+    init_beta = init_beta.beta if isinstance(init_beta, ShapeParams) else init_beta
+    for view, value, what in zip(views, (init_bio, init_beta, init_rot, init_trans),
+                                 ("angles", "beta", "global rotation", "translation")):
+        if value is not None:
+            value = as_array(value, (..., view.shape[1]), what)
+            if value.shape not in (view.shape[1:], (*lead, view.shape[1])):
+                raise ShapeError(f"{what} must have shape {view.shape[1:]} or "
+                                 f"{(*lead, view.shape[1])}, got {value.shape}")
+            view[...] = value
     frozen_beta = beta.copy()
-    grad = np.zeros(PARAM_COUNT)
-    adam_state = np.zeros((4, PARAM_COUNT))
-
-    best_loss = np.inf
-    best_x = x.copy()
-    trace: list[float] = []
-    converged = False
+    grad, adam_state = np.zeros_like(x), np.zeros((4, x.size))   # per-row moments
+    best_loss, best_x = np.full(batch, np.inf), x.copy()
+    losses, converged = [], np.zeros(batch, bool)
+    lengths = np.full(batch, config.iterations)   # of the loss traces; a stop cuts one
     for t in range(config.iterations):
-        loss, grads = batch_fit_loss(model, axes, bio, beta, rot, trans, *target_args,
-                                     config.bend_weight, config.loss_kind,
-                                     want_grad=True)
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite loss at iteration {t}")
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best_x[:] = x
-        if (config.convergence_tol > 0 and len(trace) >= 2
-                and abs(trace[-2] - trace[-1]) < config.convergence_tol):
-            converged = True
-            break
-        np.concatenate(grads, axis=1, out=grad[None])
+        loss, grads = batch_fit_loss(model, axes, bio, beta, rot, trans, *targets,
+                                     target.weight_joints, target.weight_vertices,
+                                     config.bend_weight, config.loss_kind, want_grad=True)
+        if not np.isfinite(loss).all():   # a stopped row sits at its finite best
+            row = (int(np.argmax(~np.isfinite(loss))),) if lead else ()
+            raise NumericError(f"{batch_row(row)}non-finite loss at iteration {t}")
+        losses.append(loss)
+        better = ~converged & (loss < best_loss)
+        best_loss[better] = loss[better]
+        best_x[better] = x[better]
+        if config.convergence_tol > 0 and t > 0:
+            stop = ~converged & (np.abs(losses[-2] - loss) < config.convergence_tol)
+            lengths[stop], converged[stop] = t + 1, True
+            if converged.all():
+                break
+        np.concatenate(grads, axis=1, out=grad)
         # cosine step decay keeps late iterations from orbiting the optimum
         frac = t / max(config.iterations - 1, 1)
         lr = config.step_size * (config.final_step_scale
                                  + (1 - config.final_step_scale)
                                  * 0.5 * (1 + np.cos(np.pi * frac)))
-        adam_step(x, grad, adam_state, t + 1, lr)
+        adam_step(x.reshape(-1), grad.reshape(-1), adam_state, t + 1, lr)
         np.clip(bio, limits.lower, limits.upper, out=bio)
         if config.freeze_shape:   # Adam is per coordinate: resetting freezes
             beta[...] = frozen_beta
+        np.copyto(x, best_x, where=converged[:, None])   # a stopped row stays put
 
-    return FitResult(bio=bio_dof.clamp(bio_dof.BioPose(best_x[:nd]), limits),
-                     beta=ShapeParams(best_x[nd:nd + 10]),
-                     global_rot=best_x[nd + 10:nd + 13],
-                     translation=best_x[nd + 13:], loss_trace=trace,
-                     converged=converged)
+    losses = np.array(losses)
+    results = [FitResult(bio=bio_dof.clamp(bio_dof.BioPose(row[:nd]), limits),
+                         beta=ShapeParams(row[nd:nd + 10]), global_rot=row[nd + 10:nd + 13],
+                         translation=row[nd + 13:], loss_trace=losses[:n, i].tolist(),
+                         converged=bool(done))
+               for i, (row, n, done) in enumerate(zip(best_x, lengths, converged))]
+    return results if lead else results[0]
 
 
 def params_lines(bio: bio_dof.BioPose, beta: ShapeParams, global_rot,

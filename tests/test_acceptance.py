@@ -157,24 +157,26 @@ def test_criterion_5_gradients(model, limits, axes):
         art = bio_dof.expand_batch(bio_t[None], axes)
         out = kin.fk_forward(model, art, beta_t[None], want_vertices=True,
                              want_regressed=True)
-        target = ik_optim.FitTarget(joints=out.regressed_joints[0],
-                                    vertices=out.vertices[0])
+
+        def loss_at(x, want_grad=False):
+            # the fit loss (huber, bend weight 1e-2) on a batch of one
+            loss, grads = ik_optim.batch_fit_loss(
+                model, axes, x[None, :23], x[None, 23:33], x[None, 33:36],
+                x[None, 36:], out.regressed_joints, out.vertices, 1.0, 1.0,
+                1e-2, "huber", want_grad)
+            return loss[0], None if grads is None else np.concatenate(grads, axis=1)[0]
+
         x = np.concatenate([
             rng.uniform(limits.lower - 0.4, limits.upper + 0.4),
             rng.normal(scale=0.5, size=10),
             rng.normal(scale=0.3, size=3),
             rng.normal(scale=10.0, size=3)])
-        _, grad = ik_optim.fit_loss(model, x[:23], x[23:33], x[33:36],
-                                    x[36:], target, axes=axes, want_grad=True)
+        _, grad = loss_at(x, want_grad=True)
         for i in range(39):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            lp = ik_optim.fit_loss(model, xp[:23], xp[23:33], xp[33:36],
-                                   xp[36:], target, axes=axes)[0]
-            lm = ik_optim.fit_loss(model, xm[:23], xm[23:33], xm[33:36],
-                                   xm[36:], target, axes=axes)[0]
-            fd = (lp - lm) / (2 * h)
+            fd = (loss_at(xp)[0] - loss_at(xm)[0]) / (2 * h)
             worst_fit = max(worst_fit, _fd_rel_err(fd, grad[i]))
     ok_fit = worst_fit < 1e-4
 
@@ -214,43 +216,41 @@ def test_criterion_5_gradients(model, limits, axes):
 # 6. fit recovery on noiseless synthetic targets
 # ---------------------------------------------------------------------------
 
-def _recovery_run(model, limits, axes, seed, iterations):
-    rng = np.random.default_rng(seed)
-    bio_t = bio_dof.sample_uniform(limits, 1, rng)[0]
-    beta_t = rng.normal(scale=0.5, size=10)
-    art = bio_dof.expand_batch(bio_t[None], axes)
-    out = kin.fk_forward(model, art, beta_t[None], want_vertices=True,
-                         want_regressed=True)
-    target = ik_optim.FitTarget(joints=out.regressed_joints[0],
-                                vertices=out.vertices[0])
-    init = np.clip(bio_t + rng.normal(scale=0.1, size=23),
-                   limits.lower, limits.upper)
-    result = ik_optim.fit(model, target, init_bio=init, init_beta=beta_t,
-                          config=ik_optim.FitConfig(iterations=iterations),
-                          limits=limits, axes=axes)
+def _recovery_runs(model, limits, axes, seeds, iterations):
+    """(before, after, PA) MPJPE of each seeded recovery; one fit solves all."""
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        bio_t = bio_dof.sample_uniform(limits, 1, rng)[0]
+        beta_t = rng.normal(scale=0.5, size=10)
+        init = np.clip(bio_t + rng.normal(scale=0.1, size=23),
+                       limits.lower, limits.upper)
+        draws.append((bio_t, beta_t, init))
+    bio_t, beta_t, init = (np.array(column) for column in zip(*draws))
 
-    def joints_at(bio, beta, rot, trans):
-        a = bio_dof.expand_batch(np.asarray(bio)[None], axes)
-        return kin.fk_forward(model, a, np.asarray(beta)[None],
-                              np.asarray(rot)[None], np.asarray(trans)[None],
-                              want_regressed=True).regressed_joints[0]
+    def joints_at(bio, beta, rot=None, trans=None, want_vertices=False):
+        return kin.fk_forward(model, bio_dof.expand_batch(bio, axes), beta, rot, trans,
+                              want_vertices=want_vertices, want_regressed=True)
 
-    before = metrics.mpjpe(joints_at(init, beta_t, np.zeros(3), np.zeros(3)),
-                           target.joints)
-    final = joints_at(result.bio.values, result.beta.beta, result.global_rot,
-                      result.translation)
-    after = metrics.mpjpe(final, target.joints)
-    return before, after, metrics.pa_mpjpe(final, target.joints)
+    out = joints_at(bio_t, beta_t, want_vertices=True)
+    target = ik_optim.FitTarget(joints=out.regressed_joints, vertices=out.vertices)
+    results = ik_optim.fit(model, target, init_bio=init, init_beta=beta_t,
+                           config=ik_optim.FitConfig(iterations=iterations),
+                           limits=limits, axes=axes)
+    before = joints_at(init, beta_t).regressed_joints
+    final = joints_at(*(np.array(column) for column in zip(*(
+        (r.bio.values, r.beta.beta, r.global_rot, r.translation) for r in results))))
+    return [(metrics.mpjpe(b, t), metrics.mpjpe(f, t), metrics.pa_mpjpe(f, t))
+            for b, f, t in zip(before, final.regressed_joints, target.joints)]
 
 
 @pytest.mark.slow
 def test_criterion_6_fit_recovery(model, limits, axes):
-    pa_errors = [_recovery_run(model, limits, axes, 600 + s, 200)[2]
-                 for s in range(3)]
+    pa_errors = [pa for _, _, pa in _recovery_runs(model, limits, axes,
+                                                   range(600, 603), 200)]
     ok_long = max(pa_errors) < 1.0
-    wins = sum(after < before
-               for before, after, _ in (_recovery_run(model, limits, axes, s, 20)
-                                        for s in range(100)))
+    wins = sum(after < before for before, after, _ in _recovery_runs(
+        model, limits, axes, range(100), 20))
     ok_short = wins >= 90
     check(6, "200-iteration fits reach PA-MPJPE < 1 mm; 20-iteration fits "
              "improve >= 90/100 seeded runs", ok_long and ok_short,

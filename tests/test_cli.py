@@ -201,16 +201,40 @@ def test_ik_fit_requires_init_source(tmp_path, model_file):
 
 
 def test_ik_fit_vertex_count_mismatch_exit_3(tmp_path, model_file):
-    path = tmp_path / "bad_target.json"
-    path.write_text(json.dumps({
-        "unit": "mm",
-        "records": [{"joints": np.zeros((21, 3)).tolist(),
-                     "vertices": np.zeros((10, 3)).tolist()}]}))
+    good, _ = target_json(tmp_path, model_file)
+    bad = {"joints": np.zeros((21, 3)).tolist(), "vertices": np.zeros((10, 3)).tolist()}
     init = tmp_path / "init.txt"
     init.write_text("bio index_mcp_flex 0.1\n")
-    assert main(["ik-fit", "--model", model_file, "--target", str(path),
-                 "--init", str(init),
-                 "--out", str(tmp_path / "o")]) == EXIT_SHAPE
+    # alone, and second of two after a record with the model's vertex count
+    for records in ([bad], [*json.loads(Path(good).read_text())["records"], bad]):
+        path = tmp_path / "bad_target.json"
+        path.write_text(json.dumps({"unit": "mm", "records": records}))
+        assert main(["ik-fit", "--model", model_file, "--target", str(path),
+                     "--init", str(init),
+                     "--out", str(tmp_path / "o")]) == EXIT_SHAPE
+
+
+def test_ik_fit_mixed_records_match_single_record_fits(tmp_path, model_file):
+    records = []
+    for seed, with_vertices in ((31, True), (32, False)):
+        path, _ = target_json(tmp_path, model_file, name=f"t{seed}.json", seed=seed,
+                              with_vertices=with_vertices)
+        records += json.loads(Path(path).read_text())["records"]
+    init = tmp_path / "init.txt"
+    init.write_text("bio index_mcp_flex 0.2\n")
+    args = ["--model", model_file, "--init", str(init), "--iterations", "6"]
+    target = tmp_path / "mixed.json"
+    target.write_text(json.dumps({"unit": "mm", "records": records}))
+    assert main(["ik-fit", *args, "--target", str(target),
+                 "--out", str(tmp_path / "both")]) == EXIT_OK
+    for i, record in enumerate(records):
+        alone = tmp_path / f"alone{i}.json"
+        alone.write_text(json.dumps({"unit": "mm", "records": [record]}))
+        assert main(["ik-fit", *args, "--target", str(alone),
+                     "--out", str(tmp_path / f"alone{i}")]) == EXIT_OK
+        for stem in ("fit_report", "fit_params"):
+            assert ((tmp_path / "both" / f"{stem}_{i:05d}.txt").read_text()
+                    == (tmp_path / f"alone{i}" / f"{stem}.txt").read_text())
 
 
 def test_ik_fit_fits_every_record(tmp_path, model_file):

@@ -434,11 +434,18 @@ LIBRARY = {
         m, ik_optim.FitTarget(joints=np.zeros((21, 3))), init_bio=["a"] * 23)),
     "fit-nan-initial-rotation": (errors.InputError, lambda m: ik_optim.fit(
         m, ik_optim.FitTarget(joints=np.zeros((21, 3))), init_rot=_nan(3))),
-    "fit_loss-misshapen-beta": (errors.ShapeError, lambda m: ik_optim.fit_loss(
-        m, np.zeros(23), np.zeros(11), target=ik_optim.FitTarget(
-            joints=np.zeros((21, 3))))),
-    "fit_loss-no-target": (errors.InputError, lambda m: ik_optim.fit_loss(
-        m, np.zeros(23), np.zeros(10))),
+    "fit-misshapen-beta": (errors.ShapeError, lambda m: ik_optim.fit(
+        m, ik_optim.FitTarget(joints=np.zeros((21, 3))), np.zeros(23), np.zeros(11))),
+    "fit-no-target": (errors.InputError, lambda m: ik_optim.fit(
+        m, None, np.zeros(23), np.zeros(10))),
+    "fit-22-angles-per-row": (errors.ShapeError, lambda m: ik_optim.fit(
+        m, ik_optim.FitTarget(joints=np.zeros((2, 21, 3))), np.zeros((2, 22)))),
+    "fit-initial-batch-size": (errors.ShapeError, lambda m: ik_optim.fit(
+        m, ik_optim.FitTarget(joints=np.zeros((2, 21, 3))), np.zeros((3, 23)))),
+    "FitTarget-two-batch-axes": (errors.ShapeError, lambda m: ik_optim.FitTarget(
+        joints=np.zeros((2, 2, 21, 3)))),
+    "FitTarget-batch-sizes-differ": (errors.ShapeError, lambda m: ik_optim.FitTarget(
+        joints=np.zeros((2, 21, 3)), vertices=np.zeros((3, 8, 3)))),
     "featurize_batch-20-joints": (errors.ShapeError, lambda m: ik_net.featurize_batch(
         np.zeros((5, 20, 3)))),
     "featurize_batch-nan": (errors.InputError, lambda m: ik_net.featurize_batch(

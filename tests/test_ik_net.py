@@ -254,6 +254,13 @@ def test_generate_pairs_skeletons_recomputable(desk, axes, limits):
     np.testing.assert_allclose(data.skeletons, again, atol=1e-12)
 
 
+def test_generate_pairs_blocks_match_one_fk_call(desk, axes, limits):
+    # two full 1024-row blocks and a remainder
+    data = generate_pairs(desk, 2500, limits, seed=10)
+    art = bio_dof.expand_batch(data.bio, axes)
+    assert data.skeletons.tobytes() == kin.fk_forward(desk, art, data.beta).joints.tobytes()
+
+
 def test_generate_pairs_rejects_empty(desk, limits):
     with pytest.raises(ValueError):
         generate_pairs(desk, 0, limits)

@@ -4,7 +4,7 @@ import pytest
 from handkit import bio_dof, ik_optim, kinematics as kin
 from handkit.errors import NumericError
 from handkit.ik_optim import (FitConfig, FitTarget, bend_penalty_with_grad,
-                              fit, fit_loss, write_fit_report)
+                              fit, write_fit_report)
 from handkit.rotations import rodrigues
 
 
@@ -211,11 +211,26 @@ def make_target(model, axes, limits, rng, with_vertices=True):
     return bio, beta, target
 
 
+def loss_of_one(model, axes, target, bio, beta, rot=None, trans=None,
+                bend_weight=1e-2, loss_kind="huber", want_grad=False):
+    """``batch_fit_loss`` on a batch of one: the loss and, with
+    ``want_grad``, the (39,) gradient (else None)."""
+    params = [None if p is None else np.asarray(p, float)[None]
+              for p in (bio, beta, rot, trans)]
+    loss, grads = ik_optim.batch_fit_loss(
+        model, axes, *params,
+        None if target.joints is None else target.joints[None],
+        None if target.vertices is None else target.vertices[None],
+        target.weight_joints, target.weight_vertices, bend_weight, loss_kind,
+        want_grad)
+    assert loss.shape == (1,)
+    return loss[0], None if grads is None else np.concatenate(grads, axis=1)[0]
+
+
 def test_fit_loss_self_consistency(desk, axes, limits, rng):
     bio, beta, target = make_target(desk, axes, limits, rng)
     lam = 0.01
-    loss, grad = fit_loss(desk, bio, beta, target=target, bend_weight=lam,
-                          axes=axes)
+    loss, grad = loss_of_one(desk, axes, target, bio, beta, bend_weight=lam)
     assert grad is None
     joints = posed_joints(desk, axes, bio, beta)
     assert loss == pytest.approx(lam * bend_penalty_with_grad(joints)[0], abs=1e-12)
@@ -225,7 +240,7 @@ def test_fit_loss_matches_mean_robust_distance_oracle(desk, axes, limits, rng):
     _, _, target = make_target(desk, axes, limits, rng, with_vertices=False)
     bio = bio_dof.sample_uniform(limits, 1, rng)[0]
     beta = rng.normal(scale=0.5, size=10)
-    loss, _ = fit_loss(desk, bio, beta, target=target, bend_weight=0.0, axes=axes)
+    loss, _ = loss_of_one(desk, axes, target, bio, beta, bend_weight=0.0)
     joints = posed_joints(desk, axes, bio, beta)
     acc = 0.0
     for k in range(21):
@@ -239,11 +254,9 @@ def test_fit_loss_linear_in_weights(desk, axes, limits, rng):
     bio_t, beta_t, target = make_target(desk, axes, limits, rng,
                                         with_vertices=False)
     bio = bio_dof.sample_uniform(limits, 1, rng)[0]
-    single = fit_loss(desk, bio, beta_t, target=target, bend_weight=0.0,
-                      axes=axes)[0]
+    single = loss_of_one(desk, axes, target, bio, beta_t, bend_weight=0.0)[0]
     target2 = FitTarget(joints=target.joints, weight_joints=2.0)
-    double = fit_loss(desk, bio, beta_t, target=target2, bend_weight=0.0,
-                      axes=axes)[0]
+    double = loss_of_one(desk, axes, target2, bio, beta_t, bend_weight=0.0)[0]
     assert double == pytest.approx(2.0 * single, rel=1e-12)
 
 
@@ -251,32 +264,33 @@ def test_l2_loss_kind(desk, axes, limits, rng):
     _, _, target = make_target(desk, axes, limits, rng, with_vertices=False)
     bio = bio_dof.sample_uniform(limits, 1, rng)[0]
     beta = rng.normal(scale=0.5, size=10)
-    loss, _ = fit_loss(desk, bio, beta, target=target, bend_weight=0.0,
-                       loss_kind="l2", axes=axes)
+    loss, _ = loss_of_one(desk, axes, target, bio, beta, bend_weight=0.0,
+                          loss_kind="l2")
     joints = posed_joints(desk, axes, bio, beta)
     assert loss == pytest.approx(((joints - target.joints) ** 2).mean(),
                                  rel=1e-12)
 
 
-def test_batch_fit_loss_is_the_mean_of_single_losses(desk, axes, limits, rng):
-    # two samples, each with its own target: the batch loss is the mean of
-    # the B = 1 losses and each gradient row is the sample's gradient / 2
+def test_batch_fit_loss_rows_are_single_losses(desk, axes, limits, rng):
+    # two samples, each with its own target: each batch loss is the sample's
+    # B = 1 loss and each gradient row is the sample's gradient
     singles, rows = [], []
     for _ in range(2):
         _, _, target = make_target(desk, axes, limits, rng)
         params = (rng.uniform(limits.lower, limits.upper), rng.normal(scale=0.5, size=10),
                   rng.normal(scale=0.2, size=3), rng.normal(scale=5.0, size=3))
-        singles.append(fit_loss(desk, *params, target, bend_weight=0.5, axes=axes,
-                                want_grad=True))
+        singles.append(loss_of_one(desk, axes, target, *params, bend_weight=0.5,
+                                   want_grad=True))
         rows.append((*params, target.joints, target.vertices))
     batch = [np.stack(column) for column in zip(*rows)]
     loss, grads = ik_optim.batch_fit_loss(desk, axes, *batch, 1.0, 1.0, 0.5,
                                           "huber", want_grad=True)
-    assert loss == pytest.approx((singles[0][0] + singles[1][0]) / 2, rel=1e-12)
+    assert loss.shape == (2,)
+    np.testing.assert_allclose(loss, [single[0] for single in singles], rtol=1e-12)
     assert [g.shape for g in grads] == [(2, 23), (2, 10), (2, 3), (2, 3)]
     batch_grad = np.concatenate(grads, axis=1)
     for row, (_, single_grad) in zip(batch_grad, singles):
-        np.testing.assert_allclose(row, single_grad / 2, rtol=1e-12,
+        np.testing.assert_allclose(row, single_grad, rtol=1e-12,
                                    atol=1e-12 * np.abs(single_grad).max())
 
 
@@ -286,8 +300,8 @@ def test_batch_fit_loss_is_the_mean_of_single_losses(desk, axes, limits, rng):
 
 def test_jacobian_zero_at_data_minimum(desk, axes, limits, rng):
     bio, beta, target = make_target(desk, axes, limits, rng)
-    _, grad = fit_loss(desk, bio, beta, target=target, bend_weight=0.0,
-                       axes=axes, want_grad=True)
+    _, grad = loss_of_one(desk, axes, target, bio, beta, bend_weight=0.0,
+                          want_grad=True)
     assert np.abs(grad).max() < 1e-8
 
 
@@ -299,17 +313,17 @@ def test_jacobian_matches_finite_differences(desk, axes, limits, rng):
         beta = rng.normal(scale=0.5, size=10)
         rot = rng.normal(scale=0.3, size=3)
         trans = rng.normal(scale=10.0, size=3)
-        _, grad = fit_loss(desk, bio, beta, rot, trans, target, axes=axes,
-                           want_grad=True)
+        _, grad = loss_of_one(desk, axes, target, bio, beta, rot, trans,
+                              want_grad=True)
         x = np.concatenate([bio, beta, rot, trans])
         for i in rng.choice(39, size=6, replace=False):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            lp = fit_loss(desk, xp[:23], xp[23:33], xp[33:36], xp[36:], target,
-                          axes=axes)[0]
-            lm = fit_loss(desk, xm[:23], xm[23:33], xm[33:36], xm[36:], target,
-                          axes=axes)[0]
+            lp = loss_of_one(desk, axes, target, xp[:23], xp[23:33], xp[33:36],
+                             xp[36:])[0]
+            lm = loss_of_one(desk, axes, target, xm[:23], xm[23:33], xm[33:36],
+                             xm[36:])[0]
             fd = (lp - lm) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
@@ -381,9 +395,9 @@ def _allocating_adam_fit(model, target, x, config, limits, axes):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     best_loss, best_x, trace = np.inf, x.copy(), []
     for t in range(config.iterations):
-        loss, grad = fit_loss(model, x[:nd], x[nd:nd + 10], x[nd + 10:nd + 13],
-                              x[nd + 13:], target, config.bend_weight,
-                              config.loss_kind, axes, want_grad=True)
+        loss, grad = loss_of_one(model, axes, target, x[:nd], x[nd:nd + 10],
+                                 x[nd + 10:nd + 13], x[nd + 13:], config.bend_weight,
+                                 config.loss_kind, want_grad=True)
         trace.append(loss)
         if loss < best_loss:
             best_loss, best_x = loss, x.copy()
@@ -467,3 +481,74 @@ def test_fit_target_requires_data():
         FitTarget()
     with pytest.raises(ValueError):
         FitTarget(joints=np.zeros((21, 3)), weight_joints=0.0)
+
+
+# ---------------------------------------------------------------------------
+# batched fit
+# ---------------------------------------------------------------------------
+
+def test_batched_fit_rows_match_solo_runs(desk, axes, limits, rng):
+    bio_t = bio_dof.sample_uniform(limits, 4, rng)
+    beta_t = rng.normal(scale=0.5, size=(4, 10))
+    out = kin.fk_forward(desk, bio_dof.expand_batch(bio_t, axes), beta_t,
+                         want_vertices=True, want_regressed=True)
+    init_bio = bio_t + rng.normal(scale=0.1, size=(4, 23))
+    init_bio[0] = bio_t[0] + rng.normal(scale=0.01, size=23)  # converges early
+    init_bio[1] = rng.normal(scale=2.0, size=23)              # outside the limits
+    init_beta = beta_t + rng.normal(scale=0.1, size=(4, 10))
+    assert not bio_dof.is_feasible(bio_dof.BioPose(init_bio[1]), limits)
+    config = FitConfig(iterations=12, step_size=0.005, convergence_tol=1e-2,
+                       freeze_shape=True)
+    init_trans = np.array([0.02, -0.01, 0.03])                # shared by every row
+    batched = fit(desk, FitTarget(joints=out.regressed_joints, vertices=out.vertices),
+                  init_bio, init_beta, init_trans=init_trans, config=config,
+                  limits=limits, axes=axes)
+    assert len(batched) == 4
+    for i, result in enumerate(batched):
+        solo = fit(desk, FitTarget(joints=out.regressed_joints[i],
+                                   vertices=out.vertices[i]),
+                   init_bio[i], init_beta[i], init_trans=init_trans, config=config,
+                   limits=limits, axes=axes)
+        assert (result.converged, len(result.loss_trace)) == \
+            (solo.converged, len(solo.loss_trace))
+        np.testing.assert_allclose(result.loss_trace, solo.loss_trace,
+                                   rtol=1e-12, atol=1e-12)
+        for got, want in ((result.bio.values, solo.bio.values),
+                          (result.global_rot, solo.global_rot),
+                          (result.translation, solo.translation)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert result.beta.beta.tobytes() == init_beta[i].tobytes()
+        assert bio_dof.is_feasible(result.bio, limits)
+    # per-row stops: one row early, one at the last iteration, two never
+    assert [(r.converged, len(r.loss_trace)) for r in batched] == [
+        (True, 2), (False, 12), (False, 12), (True, 12)]
+
+
+def test_fit_of_one_target_is_a_batch_of_one(desk, axes, limits, rng):
+    bio, beta, target = make_target(desk, axes, limits, rng)
+    init = bio + rng.normal(scale=0.1, size=23)
+    config = FitConfig(iterations=4)
+    one = fit(desk, target, init, beta, config=config, limits=limits, axes=axes)
+    (row,) = fit(desk, FitTarget(joints=target.joints[None],
+                                 vertices=target.vertices[None]),
+                 init, beta[None], config=config, limits=limits, axes=axes)
+    assert isinstance(one, ik_optim.FitResult)
+    assert one.loss_trace == row.loss_trace
+    for a, b in ((one.bio.values, row.bio.values), (one.beta.beta, row.beta.beta),
+                 (one.global_rot, row.global_rot), (one.translation, row.translation)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_fit_non_finite_loss_names_the_row(desk, axes, limits, rng, monkeypatch):
+    loss_of = ik_optim.batch_fit_loss
+
+    def second_row_diverges(*args, **kwargs):
+        loss, grads = loss_of(*args, **kwargs)
+        loss[1] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(ik_optim, "batch_fit_loss", second_row_diverges)
+    _, _, target = make_target(desk, axes, limits, rng, with_vertices=False)
+    batch = FitTarget(joints=np.stack([target.joints] * 3))
+    with pytest.raises(NumericError, match=r"^batch row 1, non-finite loss at iteration 0"):
+        fit(desk, batch, config=FitConfig(iterations=2), limits=limits, axes=axes)
