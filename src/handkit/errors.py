@@ -35,11 +35,12 @@ class NumericError(HandkitError):
     exit_code = EXIT_NUMERIC
 
 
-def as_array(value, shape, what: str) -> np.ndarray:
+def as_array(value, shape, what: str, *, finite: bool = True) -> np.ndarray:
     """``value`` as a finite float array, not copied if it is one.  ``shape``
     is ``None`` (any), an int (any layout of that many values, returned flat)
     or a tuple; ``None`` entries match any extent, a leading ``...`` any
-    number of leading axes."""
+    number of leading axes.  ``finite=False`` leaves non-finite values to
+    the caller."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:   # ragged nesting
@@ -47,7 +48,7 @@ def as_array(value, shape, what: str) -> np.ndarray:
     if arr.dtype.kind not in "biuf":
         raise InputError(f"{what} is not numeric (dtype {arr.dtype})")
     arr = arr.astype(float, copy=False)
-    if not np.isfinite(arr).all():
+    if finite and not np.isfinite(arr).all():
         raise InputError(f"{what} must be finite")
     if isinstance(shape, int):
         arr, shape = arr.reshape(-1), (shape,)

@@ -4,21 +4,24 @@ The skeleton has 21 joints: the wrist plus five fingers with MCP, PIP, DIP
 joints and a TIP marker each.  Sixteen joints carry rotations (wrist + 15
 finger joints); tips ride rigidly on their DIP.  The articulation vector has
 45 values: one axis-angle triple per non-wrist articulated joint, in joint
-order.  The wrist rotation lives in the separate global rotation (about the
-origin), folded into the 16 bone transforms; the translation is added last.
+order.  The global rotation (about the origin) is the rotation of the
+chain's root, the wrist slot, as in MANO; the translation is added last.
 
 ``fk_forward`` evaluates poses for a whole batch at once and can cache what
 ``fk_backward`` reads; ``fk_backward`` then pulls loss gradients at the
 outputs (skeleton joints, mesh vertices, regressed joints) back to the
 articulation, shape, global-rotation, and translation parameters in one
-reverse sweep.  Both walk the chain by depth (MCPs, PIPs, DIPs: three steps,
-five fingers each); per-slot work that does not chain runs on all 15 slots
-outside the walk.  One Rodrigues call serves all 16 rotations; only
-``need_grad=True`` builds their derivatives.  Regressed joints skip the mesh
-as batched matmuls (see ``ModelTensors``) in both directions.  Skinning is
-the blend-then-apply LBS of SMPL/MANO in bone space: per block of poses, one
-GEMM blends the 3x4 bones per vertex as (3, V) planes, applied to the
-template's (3, V) planes; per-model constants live in ``model.tensors``.
+reverse sweep.  The forward chains the 16 bone transforms root first, by
+depth (MCPs, PIPs, DIPs: three steps, five fingers each).  The backward does
+not walk: one GEMM with a constant (16, 16) subtree matrix sums each slot's
+adjoints over the slots below it, and every local rotation's and offset's
+adjoint follows from those sums in closed form.  One Rodrigues call serves
+all 16 rotations, global first; only ``need_grad=True`` builds their
+derivatives.  Regressed joints skip the mesh as batched matmuls (see
+``ModelTensors``) in both directions.  Skinning is the blend-then-apply LBS
+of SMPL/MANO in bone space: per block of poses, one GEMM blends the 3x4
+bones per vertex as (3, V) planes, applied to the template's (3, V) planes;
+per-model constants live in ``model.tensors``.
 Joint positions are exactly the translation parts of the chained per-joint
 rigid transforms, so independent re-composition of homogeneous matrices
 along each finger is a valid oracle for them.
@@ -71,6 +74,10 @@ _DEPTHS = tuple((slots, _PARENT_SLOT[slots - 1]) for slots in (
 # local_t = L @ rest_joints: each finger slot's rest offset from its parent
 _L = (np.eye(JOINT_COUNT)[list(ARTICULATED[1:])]
       - np.eye(JOINT_COUNT)[[PARENTS[j] for j in ARTICULATED[1:]]])
+# _SUBTREE[s, d] = 1 when slot d is s or below it; parents precede children
+_SUBTREE = np.eye(ARTICULATED_COUNT)
+for _d, _p in enumerate(_PARENT_SLOT, 1):
+    _SUBTREE[:, _d] += _SUBTREE[:, _p]
 
 
 def finger_joint(finger: int, part: int) -> int:
@@ -86,15 +93,11 @@ class FkCache:
     vertices: np.ndarray | None = None      # (B, V, 3) skinned mesh
     regressed_joints: np.ndarray | None = None  # (B, 21, 3) regressor applied to mesh
     # intermediates (populated when need_grad=True)
-    rot_art: np.ndarray | None = None       # (B, 15, 3, 3)
-    drot_art: np.ndarray | None = None      # (B, 15, 3, 3, 3)
-    rot_global: np.ndarray | None = None    # (B, 3, 3)
-    drot_global: np.ndarray | None = None   # (B, 3, 3, 3)
+    drots: np.ndarray | None = None         # (B, 16, 3, 3, 3) global first
     rest_joints: np.ndarray | None = None   # (B, 21, 3)
     chain_rot: np.ndarray | None = None     # (B, 16, 3, 3)
     chain_t: np.ndarray | None = None       # (B, 16, 3)
-    skin_bones: np.ndarray | None = None    # (B, 3, 16, 4) [chain_rot | skin_t]
-    bones: np.ndarray | None = None         # (B, 3, 16, 4) rot_global @ skin_bones
+    bones: np.ndarray | None = None         # (B, 3, 16, 4) [chain_rot | bone_t]
     template: np.ndarray | None = None      # (B, 3, V) shaped template planes
     reg_q: np.ndarray | None = None         # (B, 21, 48) collapsed regression points
 
@@ -114,7 +117,7 @@ class ModelTensors:
     Rest joints are ``J0 + beta . JB``.  The joint regressor and the skinning
     blend are both linear in the vertex positions, so the regressed joints
     reduce to per-(joint, slot) terms:
-        regressed[k] = sum_j chain_rot[j] @ q[k, j] + c[k, j] * skin_t[j]
+        regressed[k] = sum_j chain_rot[j] @ q[k, j] + c[k, j] * bone_t[j]
     with q[k, j] = q0[k, j] + Qb[k, j] @ beta (+ Qp[k, j] @ pose_feats).
     This avoids materializing the mesh when only regressed joints are needed;
     with q as (B, 21, 48) and chain_rot as (B, 3, 48) the sum is a matmul.
@@ -157,10 +160,11 @@ class ModelTensors:
 
 def _as_batch(x, n_cols: int, batch: int | None, name: str) -> np.ndarray:
     """(B, n_cols) floats; a 1-D row or a batch of one is broadcast to
-    ``batch`` rows, and a missing value is zeros."""
+    ``batch`` rows, and a missing value is zeros.  Non-finite values pass: a
+    diverging caller gets ``NumericError`` from ``fk_forward``."""
     if x is None:
         return np.zeros((batch or 1, n_cols))
-    x = np.asarray(x, dtype=float)
+    x = as_array(x, None, name, finite=False)
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != n_cols:
@@ -192,45 +196,42 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
                for x in (articulation, beta, global_rot, translation)):
         raise NumericError("non-finite pose/shape parameters")
 
-    omegas = np.concatenate([articulation.reshape(batch, 15, 3),
-                             global_rot[:, None]], axis=1)    # (B, 16, 3)
+    omegas = np.concatenate([global_rot[:, None],
+                             articulation.reshape(batch, 15, 3)], axis=1)  # (B, 16, 3)
     if need_grad:
         rots, drots = rodrigues_with_jacobian(omegas)
-        drot_art, drot_g = drots[:, :15], drots[:, 15]
     else:
         rots = rodrigues(omegas)
-    rot_art, rot_g = rots[:, :15], rots[:, 15]
 
     tensors = model.tensors
     rest_joints = tensors.J0 + (beta @ tensors.JB.reshape(10, -1)).reshape(
         batch, JOINT_COUNT, 3)
 
     has_pose_basis = model.pose_basis is not None
-    pose_feats = ((rot_art - np.eye(3)).reshape(batch, POSE_BASIS_SIZE)
+    pose_feats = ((rots[:, 1:] - np.eye(3)).reshape(batch, POSE_BASIS_SIZE)
                   if has_pose_basis else None)
 
     # Chain rigid transforms root-to-leaf, one depth at a time, into the bones
-    # [chain_rot | skin_t] as [b, x, slot, column] rows.  Local translation is
-    # the rest offset from the parent; the root sits at its rest position.
+    # [chain_rot | bone_t] as [b, x, slot, column] rows.  The root is the global
+    # rotation about the origin; a finger slot's local translation is its rest
+    # offset from the parent.
     local_t = _L @ rest_joints                                 # (B, 15, 3)
-    skin_bones = np.empty((batch, 3, ARTICULATED_COUNT, 4))
-    chain_rot = skin_bones[..., :3].swapaxes(1, 2)             # (B, 16, 3, 3) view
+    bones = np.empty((batch, 3, ARTICULATED_COUNT, 4))
+    chain_rot = bones[..., :3].swapaxes(1, 2)                  # (B, 16, 3, 3) view
     chain_t = np.empty((batch, ARTICULATED_COUNT, 3))
-    chain_rot[:, 0] = np.eye(3)
-    chain_t[:, 0] = rest_joints[:, 0]
+    chain_rot[:, 0] = rots[:, 0]
+    chain_t[:, 0] = (rots[:, 0] @ rest_joints[:, 0, :, None])[..., 0]
     for slots, parents in _DEPTHS:
         parent_rot = chain_rot[:, parents]
-        chain_rot[:, slots] = parent_rot @ rot_art[:, slots - 1]
+        chain_rot[:, slots] = parent_rot @ rots[:, slots]
         chain_t[:, slots] = ((parent_rot @ local_t[:, slots - 1, :, None])[..., 0]
                              + chain_t[:, parents])
 
-    # Undo the rest translation, then fold the global rotation in once.  The
-    # translation is added per output: the weight and regressor rows sum to 1
-    # only to ``HandModel.validate``'s tolerance, and the bones would scale it.
-    skin_bones[..., 3] = (chain_t - np.einsum(
+    # Undo the rest translation.  The translation is added per output: the
+    # weight and regressor rows sum to 1 only to ``HandModel.validate``'s
+    # tolerance, and the bones would scale it.
+    bones[..., 3] = (chain_t - np.einsum(
         "bsxy,bsy->bsx", chain_rot, rest_joints[:, list(ARTICULATED)])).swapaxes(1, 2)
-    flat = skin_bones.reshape(batch, 3, -1)   # without need_grad, fold in place
-    bones = np.matmul(rot_g, flat, out=None if need_grad else flat).reshape(-1, 3, 16, 4)
     bone_rot, bone_t = bones[..., :3], bones[..., 3].swapaxes(1, 2)
     joints = (np.einsum("bxky,bky->bkx", bone_rot[:, :, list(ASSIGN_SLOT)], rest_joints)
               + bone_t[:, list(ASSIGN_SLOT)] + translation[:, None])
@@ -267,9 +268,8 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
                      + tensors.reg_c @ bone_t + translation[:, None])
 
     return FkCache(joints, vertices, regressed, **({} if not need_grad else dict(
-        rot_art=rot_art, drot_art=drot_art, rot_global=rot_g, drot_global=drot_g,
-        rest_joints=rest_joints, chain_rot=chain_rot, chain_t=chain_t,
-        skin_bones=skin_bones, bones=bones, template=template, reg_q=reg_q)))
+        drots=drots, rest_joints=rest_joints, chain_rot=chain_rot, chain_t=chain_t,
+        bones=bones, template=template, reg_q=reg_q)))
 
 
 #: poses per skinning block: their (n * 12, V) blend, 0.6 MB at V = 778, stays in L2
@@ -284,11 +284,11 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
     ``ShapeError``) and is finite (else ``InputError``); any may be omitted.
     Requires a cache from ``fk_forward(..., need_grad=True)``.
     """
-    if cache.rot_art is None:
+    if cache.drots is None:
         raise InputError("fk_backward needs a cache built with need_grad=True")
     batch = cache.joints.shape[0]
     rest_joints, bone_rot = cache.rest_joints, cache.bones[..., :3]
-    chain_rot = np.ascontiguousarray(cache.chain_rot)   # a view into skin_bones
+    chain_rot = np.ascontiguousarray(cache.chain_rot)   # a view into bones
 
     bar_bones = np.zeros((batch, 3, ARTICULATED_COUNT, 4))
     bar_trans = np.zeros((batch, 3))
@@ -337,37 +337,30 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
         if model.pose_basis is not None:
             bar_pose_feats += bar_q @ tensors.reg_qp.reshape(-1, POSE_BASIS_SIZE)
 
-    # Undo the global fold: bones = R_g @ skin_bones.
-    rot_g, bar_rows = cache.rot_global, bar_bones.reshape(batch, 3, -1)
-    bar_rot_g = bar_rows @ cache.skin_bones.reshape(batch, 3, -1).swapaxes(1, 2)
-    bar_skin = (rot_g.swapaxes(1, 2) @ bar_rows).reshape(bar_bones.shape).swapaxes(1, 2)
-    bar_chain_rot = np.ascontiguousarray(bar_skin[..., :3])   # the walk runs faster
-    bar_skin_t = np.ascontiguousarray(bar_skin[..., 3])       # on contiguous arrays
+    # Sum each slot's chain adjoints over its subtree in one GEMM.  Per slot,
+    # [bar_bones] [bones]^T is bar_C C^T + bar_t t^T of the chain transform,
+    # since bone_t = t - C rest; S and T are its and bar_t's subtree sums.
+    chain_t, bar_t = cache.chain_t, bar_bones[..., 3].swapaxes(1, 2)   # (B, 16, 3)
+    own = np.empty((batch, 3, 4, ARTICULATED_COUNT))         # [b, x, y, slot]
+    own[:, :, :3] = np.einsum("bxsc,bysc->bxys", bar_bones, cache.bones)
+    own[:, :, 3] = bar_bones[..., 3]
+    sums = (own.reshape(-1, ARTICULATED_COUNT) @ _SUBTREE.T).reshape(own.shape)
+    S, T = sums[:, :, :3].transpose(0, 3, 1, 2), sums[:, :, 3].swapaxes(1, 2)
 
-    # Undo the rest-relative shift: skin_t = chain_t - chain_rot @ rest.
-    rest_art = rest_joints[:, list(ARTICULATED)]
-    bar_chain_rot -= np.einsum("bjx,bjy->bjxy", bar_skin_t, rest_art)
-    bar_rest[:, list(ARTICULATED)] -= np.einsum("bjxy,bjx->bjy", chain_rot, bar_skin_t)
-    bar_chain_t = bar_skin_t
-
-    # Walk the chain leaf-to-root, one depth at a time; np.add.at sums the
-    # five MCPs into their shared parent, the wrist.
-    local_t = _L @ rest_joints
-    for slots, parents in reversed(_DEPTHS):
-        np.add.at(bar_chain_rot, (slice(None), parents),
-                  bar_chain_rot[:, slots] @ cache.rot_art[:, slots - 1].swapaxes(-1, -2)
-                  + bar_chain_t[:, slots, :, None] * local_t[:, slots - 1, None, :])
-        np.add.at(bar_chain_t, (slice(None), parents), bar_chain_t[:, slots])
-    bar_rest[:, 0] += bar_chain_t[:, 0]
-
-    # Per-slot terms of the chain step, once the walk has summed every child.
+    # Slot s = parent p @ local rotation: its adjoint is C_p^T (S_s - T_s t_s^T) C_s
+    # and its offset's is C_p^T T_s.  The root C_0 = R_g also moves t_0 = R_g w,
+    # which leaves S_0 C_0 for R_g and C_0^T T_0 for the rest wrist w.
     parent_rot_t = chain_rot[:, _PARENT_SLOT].swapaxes(-1, -2)
-    bar_local_rot = parent_rot_t @ bar_chain_rot[:, 1:]
-    bar_rest += _L.T @ (parent_rot_t @ bar_chain_t[:, 1:, :, None])[..., 0]
-    bar_omega = np.einsum("bsixy,bsxy->bsi", cache.drot_art,
-                          bar_local_rot + bar_pose_feats.reshape(batch, 15, 3, 3))
+    bar_local = np.empty((batch, ARTICULATED_COUNT, 3, 3))
+    bar_local[:, 0] = S[:, 0] @ chain_rot[:, 0]
+    bar_local[:, 1:] = (parent_rot_t @ (S[:, 1:] - T[:, 1:, :, None] * chain_t[:, 1:, None])
+                        @ chain_rot[:, 1:]
+                        + bar_pose_feats.reshape(batch, 15, 3, 3))
+    bar_rest[:, 0] += (T[:, 0, None] @ chain_rot[:, 0])[:, 0]
+    bar_rest += _L.T @ (parent_rot_t @ T[:, 1:, :, None])[..., 0]
+    bar_rest[:, list(ARTICULATED)] -= np.einsum("bsxy,bsx->bsy", chain_rot, bar_t)
+    bar_omega = np.einsum("bsixy,bsxy->bsi", cache.drots, bar_local)
 
     bar_beta += bar_rest.reshape(batch, -1) @ model.tensors.JB.reshape(10, -1).T
-    bar_global = np.einsum("bixy,bxy->bi", cache.drot_global, bar_rot_g)
-    return FkGrads(articulation=bar_omega.reshape(batch, 45),
-                   beta=bar_beta, global_rot=bar_global, translation=bar_trans)
+    return FkGrads(articulation=bar_omega[:, 1:].reshape(batch, 45),
+                   beta=bar_beta, global_rot=bar_omega[:, 0], translation=bar_trans)

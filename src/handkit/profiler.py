@@ -355,8 +355,8 @@ def load_graph_text(path, name: str | None = None, input_stride: int = 1
         if not line:
             continue
         parts = line.split()
-        if len(parts) < 6:
-            raise InputError(f"{path}:{lineno}: expected at least 6 fields")
+        if not 6 <= len(parts) <= 7:
+            raise InputError(f"{path}:{lineno}: expected 6 or 7 fields, got {len(parts)}")
         try:
             nums = [float(p) for p in parts[1:]]
         except ValueError as exc:

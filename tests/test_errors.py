@@ -187,6 +187,8 @@ TABLE = {
         "--decay-epoch", "1")),
     "profile-graph-fractional-kernel": (2, lambda ws, t: [
         "profile", "--graph", _text(t / "g.txt", "conv 2.5 3 16 2 1\n")]),
+    "profile-graph-8-fields": (2, lambda ws, t: [
+        "profile", "--graph", _text(t / "g.txt", "conv 3 3 32 2 1 4.0 99\n")]),
     "ik-predict-checkpoint-without-arrays": (2, lambda ws, t: [
         "ik-predict", "--target", ws / "target.json", "--out", "{out}",
         "--ckpt", _container(t / "c.hkc", {"kind": "ik_net_checkpoint",
@@ -554,6 +556,12 @@ LIBRARY = {
         m, np.zeros((0, 45)))),
     "fk_forward-empty-batch-vertices": (errors.ShapeError, lambda m: kinematics.fk_forward(
         m, np.zeros((0, 45)), want_vertices=True, want_regressed=True, need_grad=True)),
+    "fk_forward-string-articulation": (errors.InputError, lambda m: kinematics.fk_forward(
+        m, ["a"] * 45)),
+    "fk_forward-ragged-translation": (errors.InputError, lambda m: kinematics.fk_forward(
+        m, np.zeros(45), translation=_RAGGED)),
+    "fk_forward-nan-beta": (errors.NumericError, lambda m: kinematics.fk_forward(
+        m, np.zeros(45), _nan(10))),
     "decode-all-zero-row": (errors.InputError, lambda m: lixel.decode(
         np.stack([np.ones(8), np.zeros(8)]))),
     "decode-scalar": (errors.ShapeError, lambda m: lixel.decode(1.0)),

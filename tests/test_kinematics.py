@@ -99,11 +99,16 @@ def test_blocked_blend_peak_memory(desk):
     assert peak < 3 * out.vertices.nbytes, (peak, out.vertices.nbytes)
 
 
-def test_fk_backward_matches_finite_differences(desk_small):
+@pytest.mark.parametrize("global_rot", ["random", None])
+def test_fk_backward_matches_finite_differences(desk_small, global_rot):
+    """With ``global_rot=None`` (the IK-net training call) the root rotation
+    is an exact identity; its gradient is still checked, at zero."""
     rng = np.random.default_rng(12)
     model = _variant(desk_small, rng)
     batch, h = 3, 1e-5
     params = list(_params(rng, batch))
+    if global_rot is None:
+        params[2] = np.zeros_like(params[2])
     out = kin.fk_forward(model, *params, want_vertices=True, want_regressed=True,
                          need_grad=True)
     d_joints = rng.normal(size=out.joints.shape)
@@ -147,7 +152,7 @@ def test_no_grad_path_skips_jacobians_and_matches(desk_small, monkeypatch):
     for field in dataclasses.fields(kin.FkCache):
         if field.name not in outputs:   # nothing held for backward
             assert getattr(plain, field.name) is None, field.name
-    assert with_grad.drot_art is not None and with_grad.drot_global is not None
+    assert with_grad.drots.shape == (5, 16, 3, 3, 3)
     for name in outputs:
         np.testing.assert_array_equal(getattr(plain, name), getattr(with_grad, name))
 
@@ -162,8 +167,7 @@ def test_grad_path_makes_one_rodrigues_call(desk_small, monkeypatch):
     cache = kin.fk_forward(desk_small, *_params(np.random.default_rng(14), 5),
                            want_regressed=True, need_grad=True)
     assert shapes == [(5, 16, 3)]
-    assert cache.drot_art.shape == (5, 15, 3, 3, 3)
-    assert cache.drot_global.shape == (5, 3, 3, 3)
+    assert cache.drots.shape == (5, 16, 3, 3, 3)
 
 
 def test_model_is_read_only_and_tensors_built_once(desk_small):
@@ -203,7 +207,8 @@ def test_backward_rejects_caches_it_cannot_use(desk_small):
 
 def test_cache_holds_only_what_backward_reads():
     names = {f.name for f in dataclasses.fields(kin.FkCache)}
-    assert not names & {"beta", "local_t", "skin_rot", "assign_rot", "pose_feats"}
+    assert not names & {"beta", "local_t", "skin_rot", "assign_rot", "pose_feats",
+                        "skin_bones", "rot_global", "drot_global", "rot_art"}
 
 
 def test_depth_groups_cover_every_finger_slot_once():
@@ -217,6 +222,12 @@ def test_depth_groups_cover_every_finger_slot_once():
     rest = np.random.default_rng(14).normal(size=(kin.JOINT_COUNT, 3))
     np.testing.assert_array_equal(  # L gives each finger slot's offset from its parent
         kin._L @ rest, [rest[j] - rest[kin.PARENTS[j]] for j in kin.ARTICULATED[1:]])
+    # the subtree matrix is the reflexive transitive closure of the parent links
+    closure = np.eye(kin.ARTICULATED_COUNT, dtype=bool)
+    closure[kin._PARENT_SLOT, np.arange(1, kin.ARTICULATED_COUNT)] = True
+    for _ in range(len(kin._DEPTHS)):
+        closure = (closure.astype(int) @ closure) > 0
+    np.testing.assert_array_equal(kin._SUBTREE, closure)
 
 
 @pytest.mark.parametrize("kwargs", [

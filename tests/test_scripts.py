@@ -28,3 +28,12 @@ def test_script_runs(script, args, summary):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert summary in proc.stdout, proc.stdout
+
+
+def test_fk_parity_of_a_checkout_with_itself_is_exact():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "fk_parity.py"),
+                           "--parent", str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "worst output difference: 0 mm\n" in proc.stdout, proc.stdout
+    assert "worst relative gradient difference: 0\n" in proc.stdout, proc.stdout
