@@ -118,14 +118,18 @@ class MlpIk:
         for i in range(len(self.widths)):
             z = h @ a[f"w{i}"]
             if training:
-                mu, var = z.mean(axis=0), z.var(axis=0)
+                # z - mu once; the variance from it is bit-identical to z.var
+                mu = z.mean(axis=0)
+                centered = z - mu
+                var = (centered * centered).mean(axis=0)
                 for running, batch in ((a[f"bn{i}_mean"], mu), (a[f"bn{i}_var"], var)):
                     running *= 1 - BN_MOMENTUM
                     running += BN_MOMENTUM * batch
             else:
                 mu, var = a[f"bn{i}_mean"], a[f"bn{i}_var"]
+                centered = z - mu
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (z - mu) * inv_std
+            xhat = centered * inv_std
             y = a[f"bn{i}_gamma"] * xhat + a[f"bn{i}_beta"]
             mask = y > 0
             blocks.append((h, xhat, inv_std, mask))

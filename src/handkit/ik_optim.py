@@ -97,10 +97,11 @@ def _robust(residual: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
         return residual * residual, 2.0 * residual
     if kind == "l1":
         return np.abs(residual), np.sign(residual)
+    # m (|r| - m/2) with m = min(|r|, delta): r^2 / 2 inside delta, linear
+    # outside, and no r^2 (which overflows for |r| > ~1e154) on either branch
     absr = np.abs(residual)
-    pen = np.where(absr <= HUBER_DELTA_MM, 0.5 * residual * residual,
-                   HUBER_DELTA_MM * (absr - 0.5 * HUBER_DELTA_MM))
-    return pen, np.clip(residual, -HUBER_DELTA_MM, HUBER_DELTA_MM)
+    m = np.minimum(absr, HUBER_DELTA_MM)
+    return m * (absr - 0.5 * m), np.clip(residual, -HUBER_DELTA_MM, HUBER_DELTA_MM)
 
 
 _BEND_FINGERS = (1, 2, 3, 4)  # index, middle, ring, little
@@ -125,7 +126,7 @@ def bend_penalty_with_grad(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and contribute nothing.  Rigid motions leave s unchanged and uniform
     scaling preserves its sign (magnitude scales as scale^4).
     """
-    joints = np.asarray(joints, dtype=float)
+    joints = as_array(joints, (..., kin.JOINT_COUNT, 3), "joints")
     bones = np.diff(joints[..., _BEND_CHAINS, :], axis=-2)  # (..., 4, 3, 3): b1, b2, b3
     short = (np.linalg.norm(bones, axis=-1) < 1e-9).any(axis=-1)
     if short.any():

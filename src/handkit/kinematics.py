@@ -11,8 +11,14 @@ chain's root, the wrist slot, as in MANO; the translation is added last.
 ``fk_backward`` reads; ``fk_backward`` then pulls loss gradients at the
 outputs (skeleton joints, mesh vertices, regressed joints) back to the
 articulation, shape, global-rotation, and translation parameters in one
-reverse sweep.  The forward chains the 16 bone transforms root first, by
-depth (MCPs, PIPs, DIPs: three steps, five fingers each).  The backward does
+reverse sweep.  The forward chains the 16 rigid transforms root first, by
+depth (MCPs, PIPs, DIPs: three steps, five fingers each, as slices), into
+contiguous (B, 16, 3, 3) rotations and (B, 16, 3) translations; the
+translations are each slot's rest offset in its parent's frame (one batched
+matvec), summed down the depths.  An articulated joint is its slot's
+translation, a tip its DIP's translation plus the DIP's rotation of its rest
+offset.  The 3x4 bones [chain_rot | bone_t] that skinning and the regressed
+joints read are built from the chain once.  The backward does
 not walk: one GEMM with a constant (16, 16) subtree matrix sums each slot's
 adjoints over the slots below it, and every local rotation's and offset's
 adjoint follows from those sums in closed form.  One Rodrigues call serves
@@ -23,8 +29,9 @@ of SMPL/MANO in bone space: per block of poses, one GEMM blends the 3x4
 bones per vertex as (3, V) planes, applied to the template's (3, V) planes;
 per-model constants live in ``model.tensors``.
 Joint positions are exactly the translation parts of the chained per-joint
-rigid transforms, so independent re-composition of homogeneous matrices
-along each finger is a valid oracle for them.
+rigid transforms (a tip's, of its DIP's transform applied to its rest
+offset), so independent re-composition of homogeneous matrices along each
+finger is a valid oracle for them.
 """
 
 from __future__ import annotations
@@ -63,6 +70,20 @@ BONES = tuple((PARENTS[j], j) for j in range(1, JOINT_COUNT))
 
 POSE_BASIS_SIZE = 9 * (ARTICULATED_COUNT - 1)  # 135
 
+# The largest accepted rotation-vector component (rad): the squared norm of a
+# vector within it (at most 3e306) stays finite.
+_MAX_ROTATION = 1e153
+
+
+def _as_slice(index: np.ndarray) -> slice:
+    """An evenly spaced index run as a basic slice; one index repeated is a
+    length-1 slice, which broadcasts."""
+    step = int(index[1] - index[0])
+    assert (np.diff(index) == step).all()
+    stop = int(index[-1]) + 1
+    return slice(int(index[0]), stop, step) if step else slice(stop - 1, stop)
+
+
 # Parent slot of each finger slot 1..15, and the slots grouped by depth below
 # the wrist (MCPs, PIPs, DIPs) as (slots, their parent slots) index arrays.
 _PARENT_SLOT = np.array([_slot_of[PARENTS[j]] for j in ARTICULATED[1:]])
@@ -71,9 +92,30 @@ for _p in _PARENT_SLOT:
     _depth.append(_depth[_p] + 1)
 _DEPTHS = tuple((slots, _PARENT_SLOT[slots - 1]) for slots in (
     np.flatnonzero(np.array(_depth) == d) for d in range(1, max(_depth) + 1)))
+# The depth groups as (slots, parent slots) slices, so the chain reads and
+# writes views instead of gathered copies.
+_DEPTH_SLICES = tuple((_as_slice(slots), _as_slice(parents)) for slots, parents in _DEPTHS)
+# The tips, the DIPs they ride on, and the DIPs' slots (as a slice).
+_TIPS = np.array([j for j in range(JOINT_COUNT) if j not in _slot_of])
+_DIPS = _TIPS - 1
+_TIP_SLOTS = _as_slice(np.array([_slot_of[j] for j in _DIPS]))
 # local_t = L @ rest_joints: each finger slot's rest offset from its parent
 _L = (np.eye(JOINT_COUNT)[list(ARTICULATED[1:])]
       - np.eye(JOINT_COUNT)[[PARENTS[j] for j in ARTICULATED[1:]]])
+# The frame each slot's local offset is rotated by: the parent's chain
+# rotation, and for the root (t_0 = R_g w, w the rest wrist) its own.
+_OFFSET_FRAME = np.concatenate([[0], _PARENT_SLOT])
+# What the chain reads of the rest joints, as one map of flat (B, 63) rows:
+# the 16 slots' local offsets (the root's is the rest wrist), the 16 slot
+# joints, and the 5 tips' offsets from their DIPs.  Each entry is one
+# coordinate or a difference of two, so the product is exact.
+_REST_MAP = np.kron(np.concatenate([
+    np.eye(JOINT_COUNT)[:1], _L, np.eye(JOINT_COUNT)[list(ARTICULATED)],
+    np.eye(JOINT_COUNT)[_TIPS] - np.eye(JOINT_COUNT)[_DIPS]]), np.eye(3))
+# The backward's rest-joint adjoints from (B, 2, 16, 3) chain adjoints: the
+# offsets', then minus the slot joints' own, through bone_t = t - C rest.
+_REST_FROM_CHAIN = _REST_MAP[:6 * ARTICULATED_COUNT] * np.repeat(
+    [1.0, -1.0], 3 * ARTICULATED_COUNT)[:, None]
 # _SUBTREE[s, d] = 1 when slot d is s or below it; parents precede children
 _SUBTREE = np.eye(ARTICULATED_COUNT)
 for _d, _p in enumerate(_PARENT_SLOT, 1):
@@ -195,9 +237,10 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
     if not all(np.isfinite(x).all()
                for x in (articulation, beta, global_rot, translation)):
         raise NumericError("non-finite pose/shape parameters")
-
     omegas = np.concatenate([global_rot[:, None],
                              articulation.reshape(batch, 15, 3)], axis=1)  # (B, 16, 3)
+    if np.abs(omegas).max() > _MAX_ROTATION:
+        raise NumericError(f"rotation vector component beyond {_MAX_ROTATION:g} rad")
     if need_grad:
         rots, drots = rodrigues_with_jacobian(omegas)
     else:
@@ -211,30 +254,39 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
     pose_feats = ((rots[:, 1:] - np.eye(3)).reshape(batch, POSE_BASIS_SIZE)
                   if has_pose_basis else None)
 
-    # Chain rigid transforms root-to-leaf, one depth at a time, into the bones
-    # [chain_rot | bone_t] as [b, x, slot, column] rows.  The root is the global
-    # rotation about the origin; a finger slot's local translation is its rest
-    # offset from the parent.
-    local_t = _L @ rest_joints                                 # (B, 15, 3)
-    bones = np.empty((batch, 3, ARTICULATED_COUNT, 4))
-    chain_rot = bones[..., :3].swapaxes(1, 2)                  # (B, 16, 3, 3) view
-    chain_t = np.empty((batch, ARTICULATED_COUNT, 3))
+    # Chain rigid transforms root-to-leaf, one depth at a time.  The root is
+    # the global rotation about the origin; a finger slot's local translation
+    # is its rest offset from the parent, rotated by the parent's chain
+    # rotation and added to its translation.
+    rest_parts = (rest_joints.reshape(batch, -1) @ _REST_MAP.T).reshape(batch, -1, 3)
+    local_t, slot_rest, tip_offsets = np.split(
+        rest_parts, [ARTICULATED_COUNT, 2 * ARTICULATED_COUNT], axis=1)
+    chain_rot = np.empty((batch, ARTICULATED_COUNT, 3, 3))
     chain_rot[:, 0] = rots[:, 0]
-    chain_t[:, 0] = (rots[:, 0] @ rest_joints[:, 0, :, None])[..., 0]
-    for slots, parents in _DEPTHS:
-        parent_rot = chain_rot[:, parents]
-        chain_rot[:, slots] = parent_rot @ rots[:, slots]
-        chain_t[:, slots] = ((parent_rot @ local_t[:, slots - 1, :, None])[..., 0]
-                             + chain_t[:, parents])
+    for slots, parents in _DEPTH_SLICES:
+        np.matmul(chain_rot[:, parents], rots[:, slots], out=chain_rot[:, slots])
+    chain_t = np.einsum("bsxy,bsy->bsx", chain_rot[:, _OFFSET_FRAME], local_t)
+    for slots, parents in _DEPTH_SLICES:
+        chain_t[:, slots] += chain_t[:, parents]
 
-    # Undo the rest translation.  The translation is added per output: the
-    # weight and regressor rows sum to 1 only to ``HandModel.validate``'s
-    # tolerance, and the bones would scale it.
-    bones[..., 3] = (chain_t - np.einsum(
-        "bsxy,bsy->bsx", chain_rot, rest_joints[:, list(ARTICULATED)])).swapaxes(1, 2)
-    bone_rot, bone_t = bones[..., :3], bones[..., 3].swapaxes(1, 2)
-    joints = (np.einsum("bxky,bky->bkx", bone_rot[:, :, list(ASSIGN_SLOT)], rest_joints)
-              + bone_t[:, list(ASSIGN_SLOT)] + translation[:, None])
+    # An articulated joint is its slot's translation; a tip rides on its DIP.
+    joints = np.empty((batch, JOINT_COUNT, 3))
+    joints[:, ARTICULATED] = chain_t
+    joints[:, _TIPS] = chain_t[:, _TIP_SLOTS] + np.einsum(
+        "bsxy,bsy->bsx", chain_rot[:, _TIP_SLOTS], tip_offsets)
+    joints += translation[:, None]
+
+    # The bones [chain_rot | bone_t], as [b, x, slot, column] rows, undo the
+    # rest translation.  The translation is added per output: the weight and
+    # regressor rows sum to 1 only to ``HandModel.validate``'s tolerance, and
+    # the bones would scale it.
+    bones = None
+    if want_vertices or want_regressed or need_grad:
+        bones = np.empty((batch, 3, ARTICULATED_COUNT, 4))
+        bones[..., :3] = chain_rot.swapaxes(1, 2)
+        bones[..., 3] = (chain_t - np.einsum("bsxy,bsy->bsx", chain_rot,
+                                             slot_rest)).swapaxes(1, 2)
+        bone_rot, bone_t = bones[..., :3], bones[..., 3].swapaxes(1, 2)
 
     vertices = template = None
     if want_vertices:
@@ -288,11 +340,10 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
         raise InputError("fk_backward needs a cache built with need_grad=True")
     batch = cache.joints.shape[0]
     rest_joints, bone_rot = cache.rest_joints, cache.bones[..., :3]
-    chain_rot = np.ascontiguousarray(cache.chain_rot)   # a view into bones
 
     bar_bones = np.zeros((batch, 3, ARTICULATED_COUNT, 4))
     bar_trans = np.zeros((batch, 3))
-    bar_rest = np.zeros((batch, JOINT_COUNT, 3))
+    bar_rest = np.zeros((batch, 3 * JOINT_COUNT))
     bar_beta = np.zeros((batch, 10))
     bar_pose_feats = np.zeros((batch, POSE_BASIS_SIZE))
 
@@ -301,7 +352,8 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
         bar_trans += g.sum(axis=1)
         rest_h = np.concatenate([rest_joints, np.ones((batch, JOINT_COUNT, 1))], -1)
         bar_bones += np.einsum("kj,bkx,bky->bxjy", _ASSIGN_ONEHOT, g, rest_h)
-        bar_rest += np.einsum("bxky,bkx->bky", bone_rot[:, :, list(ASSIGN_SLOT)], g)
+        bar_rest += np.einsum("bxky,bkx->bky", bone_rot[:, :, list(ASSIGN_SLOT)],
+                              g).reshape(batch, -1)
 
     if d_vertices is not None:
         if cache.vertices is None:
@@ -340,27 +392,30 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
     # Sum each slot's chain adjoints over its subtree in one GEMM.  Per slot,
     # [bar_bones] [bones]^T is bar_C C^T + bar_t t^T of the chain transform,
     # since bone_t = t - C rest; S and T are its and bar_t's subtree sums.
-    chain_t, bar_t = cache.chain_t, bar_bones[..., 3].swapaxes(1, 2)   # (B, 16, 3)
+    chain_rot, chain_t = cache.chain_rot, cache.chain_t
     own = np.empty((batch, 3, 4, ARTICULATED_COUNT))         # [b, x, y, slot]
     own[:, :, :3] = np.einsum("bxsc,bysc->bxys", bar_bones, cache.bones)
     own[:, :, 3] = bar_bones[..., 3]
     sums = (own.reshape(-1, ARTICULATED_COUNT) @ _SUBTREE.T).reshape(own.shape)
-    S, T = sums[:, :, :3].transpose(0, 3, 1, 2), sums[:, :, 3].swapaxes(1, 2)
+    T = np.ascontiguousarray(sums[:, :, 3].swapaxes(1, 2))
+    M = sums[:, :, :3].transpose(0, 3, 1, 2) - np.einsum("bsx,bsy->bsxy", T, chain_t)
 
     # Slot s = parent p @ local rotation: its adjoint is C_p^T (S_s - T_s t_s^T) C_s
     # and its offset's is C_p^T T_s.  The root C_0 = R_g also moves t_0 = R_g w,
-    # which leaves S_0 C_0 for R_g and C_0^T T_0 for the rest wrist w.
-    parent_rot_t = chain_rot[:, _PARENT_SLOT].swapaxes(-1, -2)
-    bar_local = np.empty((batch, ARTICULATED_COUNT, 3, 3))
-    bar_local[:, 0] = S[:, 0] @ chain_rot[:, 0]
-    bar_local[:, 1:] = (parent_rot_t @ (S[:, 1:] - T[:, 1:, :, None] * chain_t[:, 1:, None])
-                        @ chain_rot[:, 1:]
+    # which leaves S_0 C_0 = (M_0 + T_0 t_0^T) C_0 for R_g and C_0^T T_0 for the
+    # rest wrist w: the root acts as its own parent.
+    parent_rot = chain_rot[:, _OFFSET_FRAME]
+    bar_local = M @ chain_rot
+    bar_local[:, 0] += T[:, 0, :, None] * rest_joints[:, 0, None]
+    bar_local[:, 1:] = (parent_rot[:, 1:].swapaxes(-1, -2) @ bar_local[:, 1:]
                         + bar_pose_feats.reshape(batch, 15, 3, 3))
-    bar_rest[:, 0] += (T[:, 0, None] @ chain_rot[:, 0])[:, 0]
-    bar_rest += _L.T @ (parent_rot_t @ T[:, 1:, :, None])[..., 0]
-    bar_rest[:, list(ARTICULATED)] -= np.einsum("bsxy,bsx->bsy", chain_rot, bar_t)
     bar_omega = np.einsum("bsixy,bsxy->bsi", cache.drots, bar_local)
 
-    bar_beta += bar_rest.reshape(batch, -1) @ model.tensors.JB.reshape(10, -1).T
+    # the offsets' adjoints and, through bone_t, the slot joints' rest adjoints
+    bar_t = np.ascontiguousarray(bar_bones[..., 3].swapaxes(1, 2))
+    chain_bar = np.concatenate([np.einsum("bsxy,bsx->bsy", parent_rot, T),
+                                np.einsum("bsxy,bsx->bsy", chain_rot, bar_t)], axis=1)
+    bar_rest += chain_bar.reshape(batch, -1) @ _REST_FROM_CHAIN
+    bar_beta += bar_rest @ model.tensors.JB.reshape(10, -1).T
     return FkGrads(articulation=bar_omega[:, 1:].reshape(batch, 45),
                    beta=bar_beta, global_rot=bar_omega[:, 0], translation=bar_trans)

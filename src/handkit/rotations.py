@@ -3,10 +3,19 @@
 All functions are vectorized over arbitrary leading batch axes: an input of
 shape (..., 3) yields matrices of shape (..., 3, 3).
 
-Rotation matrices follow R = I + a(t) * W + b(t) * W^2 with W = hat(w),
-t = |w|, a = sin(t)/t, b = (1 - cos(t))/t^2.  Below ANGLE_EPS the a/b
-coefficients (and their derivatives) switch to second-order series so the
-t -> 0 limit is exact instead of 0/0.
+Rotation matrices are R = cos(t) I + a(t) W + b(t) w w^T with W = hat(w),
+t = |w|, a = sin(t)/t and b = (1 - cos(t))/t^2: the closed form of
+I + a W + b W^2, since W^2 = w w^T - t^2 I.  Below ANGLE_EPS the a/b
+coefficients (and below DERIV_EPS their derivatives) switch to second-order
+series so the t -> 0 limit is exact instead of 0/0.
+
+The work runs on coordinate planes: the N vectors become a (3, N) array, so
+every elementwise step runs over N contiguous values.  One sine and one
+cosine of t/2 give sin t, cos t and 1 - cos t = 2 sin^2(t/2) (which loses no
+digits at small t) for every coefficient, and the parts linear in w
+(cos t I + a W, and the derivatives' constant-tensor terms) are one product
+with a constant table whose entries each select exactly one term, so they
+are exact.
 """
 
 from __future__ import annotations
@@ -18,84 +27,90 @@ ANGLE_EPS = 1e-8
 # quotients well before ANGLE_EPS, so they switch earlier.
 DERIV_EPS = 1e-4
 
+# d/dw_i of hat(w) is hat(e_i), a constant; _E[i] = hat(e_i).
+_E = np.zeros((3, 3, 3))
+for _i, (_x, _y) in enumerate(((1, 2), (2, 0), (0, 1))):
+    _E[_i, _x, _y], _E[_i, _y, _x] = -1.0, 1.0
+# _LINEAR @ [s, v] = s I + hat(v) as 9 planes
+_LINEAR = np.concatenate([np.eye(3).reshape(1, 9), _E.reshape(3, 9)]).T.copy()
+# _DERIV_LINEAR @ [a, b w] = a E_i + b (e_i w^T + w e_i^T) as 27 planes (i, x, y)
+_DERIV_LINEAR = np.concatenate([_E.reshape(1, 27), (
+    np.einsum("kx,iy->kixy", np.eye(3), np.eye(3))
+    + np.einsum("ix,ky->kixy", np.eye(3), np.eye(3))).reshape(3, 27)]).T.copy()
+# the 9 planes of w w^T are products of coordinate planes _ROW and _COLUMN
+_ROW, _COLUMN = np.divmod(np.arange(9), 3)
+for _table in (_E, _LINEAR, _DERIV_LINEAR):
+    _table.flags.writeable = False
+
 
 def hat(w: np.ndarray) -> np.ndarray:
     """Cross-product matrix: hat(w) @ v == cross(w, v)."""
     w = np.asarray(w, dtype=float)
-    out = np.zeros(w.shape[:-1] + (3, 3))
-    x, y, z = w[..., 0], w[..., 1], w[..., 2]
-    out[..., 0, 1] = -z
-    out[..., 0, 2] = y
-    out[..., 1, 0] = z
-    out[..., 1, 2] = -x
-    out[..., 2, 0] = -y
-    out[..., 2, 1] = x
+    return (w @ _E.reshape(3, 9)).reshape(w.shape[:-1] + (3, 3))
+
+
+def _planes(w: np.ndarray):
+    """The (3, N) coordinate planes of float vectors w (..., 3), their (9, N)
+    outer-product planes w w^T, and theta^2."""
+    v = np.asarray(w, dtype=float).reshape(-1, 3).T.copy()
+    outer = v[_ROW] * v[_COLUMN]
+    return v, outer, outer[0] + outer[4] + outer[8]
+
+
+def _coefficients(t2: np.ndarray, with_derivatives: bool) -> np.ndarray:
+    """Rows cos t, a, b (then a'(t)/t and b'(t)/t) from theta^2 (N,)."""
+    theta = np.sqrt(t2)
+    small = theta < ANGLE_EPS
+    t = np.where(small, 1.0, theta)
+    tt = t * t
+    # from the half angle: 1 - cos t = 2 sin^2(t/2) loses no digits at small t
+    half_sin, half_cos = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    sin = 2.0 * half_sin * half_cos
+    one_minus_cos = 2.0 * half_sin * half_sin
+    out = np.empty((5 if with_derivatives else 3, len(t2)))
+    out[0] = cos = 1.0 - one_minus_cos
+    out[1] = np.where(small, 1.0 - t2 / 6.0, sin / t)
+    out[2] = np.where(small, 0.5 - t2 / 24.0, one_minus_cos / tt)
+    if with_derivatives:
+        small = theta < DERIV_EPS
+        out[3] = np.where(small, -1.0 / 3.0 + t2 / 30.0, (t * cos - sin) / (tt * t))
+        out[4] = np.where(small, -1.0 / 12.0 + t2 / 180.0,
+                          (t * sin - 2.0 * one_minus_cos) / (tt * tt))
     return out
 
 
-def _ab(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients a = sin(t)/t and b = (1-cos(t))/t^2 with small-angle series."""
-    small = theta < ANGLE_EPS
-    t = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0 - theta * theta / 6.0, np.sin(t) / t)
-    b = np.where(small, 0.5 - theta * theta / 24.0, (1.0 - np.cos(t)) / (t * t))
-    return a, b
-
-
-def _rotation(w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """theta, a, b, W, W^2 and R = I + a W + b W^2 for float vectors w."""
-    theta = np.linalg.norm(w, axis=-1)
-    a, b = _ab(theta)
-    W = hat(w)
-    W2 = W @ W
-    eye = np.broadcast_to(np.eye(3), W.shape)
-    return theta, a, b, W, W2, eye + a[..., None, None] * W + b[..., None, None] * W2
+def _linear(table: np.ndarray, s: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``table @ [s, c v]``: planes linear in the scalar s and in v."""
+    stacked = np.empty((4, v.shape[1]))
+    stacked[0] = s
+    np.multiply(c, v, out=stacked[1:])
+    return table @ stacked
 
 
 def rodrigues(w: np.ndarray) -> np.ndarray:
     """Rotation matrix for axis-angle vector(s) w of shape (..., 3)."""
-    return _rotation(np.asarray(w, dtype=float))[-1]
-
-
-def _ab_prime_over_t(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a'(t)/t and b'(t)/t, finite at t = 0 (limits -1/3 and -1/12)."""
-    small = theta < DERIV_EPS
-    t = np.where(small, 1.0, theta)
-    t2 = theta * theta
-    ap = np.where(small, -1.0 / 3.0 + t2 / 30.0,
-                  (t * np.cos(t) - np.sin(t)) / (t ** 3))
-    bp = np.where(small, -1.0 / 12.0 + t2 / 180.0,
-                  (t * np.sin(t) - 2.0 * (1.0 - np.cos(t))) / (t ** 4))
-    return ap, bp
-
-
-# d/dw_i of hat(w) is hat(e_i), a constant; _E[i] = hat(e_i).
-_E = hat(np.eye(3))  # (3, 3, 3)
-# W^2's product-rule term E_i W + W E_i is sum_k w_k (E_i E_k + E_k E_i);
-# each entry has one nonzero k, so w @ _EE is exact.
-_EE = (_E[None] @ _E[:, None] + _E[:, None] @ _E[None]).reshape(3, 27)
-_E.flags.writeable = _EE.flags.writeable = False
+    v, outer, t2 = _planes(w)
+    cos, a, b = _coefficients(t2, False)
+    R = _linear(_LINEAR, cos, a, v)
+    R += b * outer
+    return np.ascontiguousarray(R.T).reshape(np.shape(w)[:-1] + (3, 3))
 
 
 def rodrigues_with_jacobian(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotation matrices and their derivatives w.r.t. the axis-angle vector.
 
     Returns (R, dR) with R of shape (..., 3, 3) and dR of shape
-    (..., 3, 3, 3), where dR[..., i, :, :] = dR/dw_i.
+    (..., 3, 3, 3), where dR[..., i, :, :] = dR/dw_i
+        = w_i (-a I + a'/t W + b'/t w w^T) + a E_i + b (e_i w^T + w e_i^T)
+    with E_i = hat(e_i) and a', b' the derivatives of a, b in t.
     """
-    w = np.asarray(w, dtype=float)
-    theta, a, b, W, W2, R = _rotation(w)
-    ap_t, bp_t = _ab_prime_over_t(theta)
-
-    # da/dw_i = (a'/t) * w_i, same for b.
-    da = ap_t[..., None] * w  # (..., 3)
-    db = bp_t[..., None] * w
-    EW_WE = (w @ _EE).reshape(W.shape[:-2] + (3, 3, 3))
-
-    dR = (
-        da[..., :, None, None] * W[..., None, :, :]
-        + a[..., None, None, None] * _E
-        + db[..., :, None, None] * W2[..., None, :, :]
-        + b[..., None, None, None] * EW_WE
-    )
-    return R, dR
+    v, outer, t2 = _planes(w)
+    cos, a, b, a_prime, b_prime = _coefficients(t2, True)
+    R = _linear(_LINEAR, cos, a, v)
+    R += b * outer
+    common = _linear(_LINEAR, -a, a_prime, v)
+    common += b_prime * outer
+    dR = _linear(_DERIV_LINEAR, a, b, v)
+    dR.reshape(3, 9, -1)[...] += v[:, None] * common
+    lead = np.shape(w)[:-1]
+    return np.ascontiguousarray(R.T).reshape(lead + (3, 3)), dR.T.reshape(lead + (3, 3, 3))

@@ -562,6 +562,15 @@ LIBRARY = {
         m, np.zeros(45), translation=_RAGGED)),
     "fk_forward-nan-beta": (errors.NumericError, lambda m: kinematics.fk_forward(
         m, np.zeros(45), _nan(10))),
+    # finite, but its squared norm overflows
+    "fk_forward-overflowing-rotation": (errors.NumericError, lambda m: kinematics.fk_forward(
+        m, np.zeros(45), global_rot=np.full(3, 1e200))),
+    "bend_penalty-20-joints": (errors.ShapeError, lambda m: ik_optim.bend_penalty_with_grad(
+        np.ones((20, 3)))),
+    "bend_penalty-string": (errors.InputError, lambda m: ik_optim.bend_penalty_with_grad(
+        "joints")),
+    "bend_penalty-2d-points": (errors.ShapeError, lambda m: ik_optim.bend_penalty_with_grad(
+        np.arange(42.0).reshape(21, 2))),
     "decode-all-zero-row": (errors.InputError, lambda m: lixel.decode(
         np.stack([np.ones(8), np.zeros(8)]))),
     "decode-scalar": (errors.ShapeError, lambda m: lixel.decode(1.0)),

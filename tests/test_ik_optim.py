@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -552,3 +554,12 @@ def test_fit_non_finite_loss_names_the_row(desk, axes, limits, rng, monkeypatch)
     batch = FitTarget(joints=np.stack([target.joints] * 3))
     with pytest.raises(NumericError, match=r"^batch row 1, non-finite loss at iteration 0"):
         fit(desk, batch, config=FitConfig(iterations=2), limits=limits, axes=axes)
+
+
+def test_fit_toward_a_far_target_raises_no_overflow(desk, axes, limits):
+    # the Huber penalty's linear branch never squares the residual
+    target = FitTarget(joints=np.full((21, 3), 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit(desk, target, config=FitConfig(iterations=3), limits=limits, axes=axes)
+    assert np.isfinite(result.loss_trace).all()

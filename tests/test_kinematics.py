@@ -2,8 +2,8 @@
 single rows and the peak memory of the blocked blend, a finite-difference
 check of every ``fk_backward`` output at B > 1 with a pose basis, the no-grad
 Rodrigues path (which holds nothing for backward), the grad path's single
-Rodrigues call, the depth-ordered chain layout, argument normalisation, and
-the read-only model behind ``model.tensors``."""
+Rodrigues call, joints read off the chain, the depth-ordered chain layout,
+argument normalisation, and the read-only model behind ``model.tensors``."""
 
 import dataclasses
 import tracemalloc
@@ -170,6 +170,21 @@ def test_grad_path_makes_one_rodrigues_call(desk_small, monkeypatch):
     assert cache.drots.shape == (5, 16, 3, 3, 3)
 
 
+def test_joints_are_read_off_the_chain(desk_small):
+    # an articulated joint is its slot's chain translation, a tip its DIP's
+    # transform of the rest offset, both bit for bit (not through the bones)
+    art, beta, global_rot, translation = _params(np.random.default_rng(16), 4)
+    cache = kin.fk_forward(desk_small, art, beta, global_rot, translation, need_grad=True)
+    shift = translation[:, None]
+    np.testing.assert_array_equal(cache.joints[:, list(kin.ARTICULATED)],
+                                  cache.chain_t + shift)
+    tips = [j for j in range(kin.JOINT_COUNT) if j not in kin.ARTICULATED]
+    dips = [kin.ASSIGN_SLOT[j] for j in tips]
+    offsets = cache.rest_joints[:, tips] - cache.rest_joints[:, [j - 1 for j in tips]]
+    np.testing.assert_array_equal(cache.joints[:, tips], cache.chain_t[:, dips] + np.einsum(
+        "bsxy,bsy->bsx", cache.chain_rot[:, dips], offsets) + shift)
+
+
 def test_model_is_read_only_and_tensors_built_once(desk_small):
     source = desk_small.rest_vertices.copy()
     model = HandModel(source, desk_small.shape_basis, desk_small.joint_regressor,
@@ -219,6 +234,11 @@ def test_depth_groups_cover_every_finger_slot_once():
         assert set(parents.tolist()) <= seen
         seen |= set(slots.tolist())
     assert seen == set(range(kin.ARTICULATED_COUNT))
+    slot_ids = np.arange(kin.ARTICULATED_COUNT)   # the chain walks them as slices
+    for (slots, parents), (slot_run, parent_run) in zip(kin._DEPTHS, kin._DEPTH_SLICES):
+        np.testing.assert_array_equal(slot_ids[slot_run], slots)
+        np.testing.assert_array_equal(np.broadcast_to(slot_ids[parent_run], slots.shape),
+                                      parents)
     rest = np.random.default_rng(14).normal(size=(kin.JOINT_COUNT, 3))
     np.testing.assert_array_equal(  # L gives each finger slot's offset from its parent
         kin._L @ rest, [rest[j] - rest[kin.PARENTS[j]] for j in kin.ARTICULATED[1:]])

@@ -6,9 +6,11 @@ rotation against ``rodrigues`` bit for bit."""
 import numpy as np
 import pytest
 
-from handkit.rotations import DERIV_EPS, rodrigues, rodrigues_with_jacobian
+from handkit.rotations import ANGLE_EPS, DERIV_EPS, rodrigues, rodrigues_with_jacobian
 
-ANGLES = (0.0, 1e-9, 0.5 * DERIV_EPS, 1e-3, 1.0, 3.1)
+# both sides of each series switch, then the direct formulas up to near pi
+ANGLES = (0.0, 1e-9, 0.5 * ANGLE_EPS, 2.0 * ANGLE_EPS, 0.5 * DERIV_EPS, 0.99 * DERIV_EPS,
+          1.01 * DERIV_EPS, 2.0 * DERIV_EPS, 1e-3, 1.0, 3.1)
 SHAPES = ((), (4,), (2, 16))
 
 

@@ -37,3 +37,15 @@ def test_fk_parity_of_a_checkout_with_itself_is_exact():
     assert proc.returncode == 0, proc.stderr
     assert "worst output difference: 0 mm\n" in proc.stdout, proc.stdout
     assert "worst relative gradient difference: 0\n" in proc.stdout, proc.stdout
+
+
+def test_fk_parity_times_a_checkout_against_itself():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "fk_parity.py"),
+                           "--parent", str(ROOT / "src"), "--time", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["B1", "B32", "B256", "B1024"], proc.stdout
+    for row in rows:   # this side, the other side, their ratio
+        mine, theirs, ratio = map(float, row.split()[-3:])
+        assert mine > 0 and theirs > 0 and ratio > 0, row
