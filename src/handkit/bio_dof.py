@@ -44,6 +44,7 @@ DOF_SPECS: tuple[tuple[str, int, str], ...] = tuple(
 )
 DOF_NAMES = tuple(name for name, _, _ in DOF_SPECS)
 DOF_COUNT = len(DOF_SPECS)  # 23
+_ORTHONORMAL_TOL = 1e-9
 
 _DEFAULT_FINGER_LIMITS = {
     "mcp_flex": (-0.3, 1.6),
@@ -162,14 +163,14 @@ class AxisTable:
             setattr(self, name, value)
         self._expansion = None
 
-    def check_orthonormal(self, tol: float = 1e-9) -> None:
+    def check_orthonormal(self) -> None:
         for a, b in (("flex", "abd"), ("flex", "twist"), ("abd", "twist")):
             dots = np.abs(np.einsum("ic,ic->i", getattr(self, a), getattr(self, b)))
-            if dots.max() > tol:
+            if dots.max() > _ORTHONORMAL_TOL:
                 raise NumericError(f"{a} and {b} axes are not orthogonal")
         for name in ("flex", "abd", "twist"):
             norms = np.linalg.norm(getattr(self, name), axis=1)
-            if np.abs(norms - 1.0).max() > tol:
+            if np.abs(norms - 1.0).max() > _ORTHONORMAL_TOL:
                 raise NumericError(f"{name} axes are not unit length")
 
     def axis(self, slot: int, kind: str) -> np.ndarray:
@@ -233,7 +234,7 @@ def axes_from_rest_joints(joints: np.ndarray) -> AxisTable:
             abd[slot] = a
             flex[slot] = np.cross(t, a)
     table = AxisTable(flex=flex, abd=abd, twist=twist)
-    table.check_orthonormal(1e-9)
+    table.check_orthonormal()
     return table
 
 

@@ -4,13 +4,14 @@ metric evaluation, architecture profiling, and synthetic-data generation.
 All commands are deterministic given their inputs and --seed, and all text
 artifacts use fixed 9-significant-digit formatting, so re-runs produce
 byte-identical outputs.  Exit codes are mapped once, in ``main``: 0 success,
-2 ``InputError`` (malformed file or argument) or any ``OSError``, 3
-``ShapeError`` (shape or consistency mismatch), 4 ``NumericError``
-(degenerate geometry or divergence); any other exception is a bug.  Values
-are checked where read, by the ``errors`` helpers the library shares.
-``ik-train`` decays the rate at epochs 30 and 35 unless --decay-epoch is
-given, so --epochs 35 or fewer needs explicit values.  The model path
-defaults to the HANDKIT_MODEL environment variable.
+2 ``InputError`` (malformed file or argument), any ``OSError`` or a
+``MemoryError`` (a count too large to allocate), 3 ``ShapeError`` (shape or
+consistency mismatch), 4 ``NumericError`` (degenerate geometry or
+divergence); any other exception is a bug.  Values are checked where read,
+by the ``errors`` helpers the library shares.  ``ik-train`` decays the rate
+at epochs 30 and 35 unless --decay-epoch is given, so --epochs 35 or fewer
+needs explicit values.  The model path defaults to the HANDKIT_MODEL
+environment variable.
 """
 
 from __future__ import annotations
@@ -129,9 +130,29 @@ def load_pose_file(path) -> tuple[FullPose, ShapeParams]:
     return pose, ShapeParams(fields.get("beta", np.zeros(10)))
 
 
+def _params_lines(bio: bio_dof.BioPose, beta: ShapeParams, global_rot,
+                  translation) -> list[str]:
+    """'bio <name> <v>', 'beta <i> <v>', global_rot and translation lines."""
+    return ([f"bio {name} {_fmt(v)}" for name, v in zip(bio_dof.DOF_NAMES, bio.values)]
+            + [f"beta {i} {_fmt(v)}" for i, v in enumerate(beta.beta)]
+            + ["global_rot " + _fmt_row(global_rot),
+               "translation " + _fmt_row(translation)])
+
+
 def write_params_file(path, bio: bio_dof.BioPose, beta: ShapeParams,
                       global_rot, translation) -> None:
-    lines = ik_optim.params_lines(bio, beta, global_rot, translation)
+    lines = _params_lines(bio, beta, global_rot, translation)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_fit_report(path, result: ik_optim.FitResult) -> None:
+    """A parameter file preceded by a '# fit report' line, 'converged yes|no',
+    'iterations <n>' and one 'loss <i> <v>' line per iteration."""
+    lines = ["# fit report", "converged " + ("yes" if result.converged else "no"),
+             f"iterations {len(result.loss_trace)}"]
+    lines += [f"loss {i} {_fmt(loss)}" for i, loss in enumerate(result.loss_trace)]
+    lines += _params_lines(result.bio, result.beta, result.global_rot,
+                           result.translation)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -251,8 +272,7 @@ def cmd_ik_fit(args) -> int:
             results[i] = result
     out = _out_dir(args)
     for i, result in enumerate(results):
-        ik_optim.write_fit_report(
-            result, out / _numbered("fit_report", i, len(results)))
+        write_fit_report(out / _numbered("fit_report", i, len(results)), result)
         write_params_file(out / _numbered("fit_params", i, len(results)),
                           result.bio, result.beta, result.global_rot,
                           result.translation)
@@ -477,7 +497,7 @@ def main(argv=None) -> int:
     except HandkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -27,6 +27,7 @@ from .containers import read_container, write_container
 from .errors import InputError, NumericError, ShapeError, as_array
 
 SHAPE_DIM = 10
+_WEIGHT_TOL = 1e-6   # rounding allowed in the stored skinning and regressor rows
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ class HandModel:
     def joint_count(self) -> int:
         return self.joint_regressor.shape[0]
 
-    def validate(self, tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         if self.rest_vertices.ndim != 2 or self.rest_vertices.shape[1] != 3:
             raise ShapeError("rest_vertices must have shape (V, 3)")
         v = self.vertex_count
@@ -157,13 +158,13 @@ class HandModel:
                 kin.POSE_BASIS_SIZE, v, 3):
             raise ShapeError(
                 f"pose_basis must have shape ({kin.POSE_BASIS_SIZE}, V, 3)")
-        if (self.skinning_weights < -tol).any():
+        if (self.skinning_weights < -_WEIGHT_TOL).any():
             raise ShapeError("skinning weights must be nonnegative")
-        if (self.joint_regressor < -tol).any():
+        if (self.joint_regressor < -_WEIGHT_TOL).any():
             raise ShapeError("joint regressor must be nonnegative")
-        if np.abs(self.skinning_weights.sum(axis=1) - 1.0).max() > tol:
+        if np.abs(self.skinning_weights.sum(axis=1) - 1.0).max() > _WEIGHT_TOL:
             raise ShapeError("skinning weight rows must sum to 1")
-        if np.abs(self.joint_regressor.sum(axis=1) - 1.0).max() > tol:
+        if np.abs(self.joint_regressor.sum(axis=1) - 1.0).max() > _WEIGHT_TOL:
             raise ShapeError("joint regressor rows must sum to 1")
         if not np.array_equal(self.parents, kin.PARENTS):
             raise ShapeError("parents must be kinematics.PARENTS, the one tree "

@@ -203,8 +203,8 @@ def batch_loss(net: MlpIk, model: HandModel, axes, feats, bio_gt, beta_gt,
     l_beta = np.abs(beta - beta_gt).mean()
     # L1 joint term through FK: the mean of the refinement's per-sample losses
     l_pose, pose_grads = ik_optim.batch_fit_loss(
-        model, axes, theta, beta, None, None, skel_gt, None, weight_joints=1.0,
-        weight_vertices=0.0, bend_weight=0.0, loss_kind="l1", want_grad=compute_grads)
+        model, axes, theta, beta, None, None, skel_gt, None, bend_weight=0.0,
+        loss_kind="l1", want_grad=compute_grads)
     l_pose = l_pose.mean()
     total = float(l_theta + l_beta + l_pose)
     if compute_grads:   # the pose gradients are of the sum over the batch

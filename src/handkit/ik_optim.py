@@ -1,12 +1,11 @@
 """Optimization-based pose/shape refinement against target joints and mesh
 vertices, with an opposing-bend penalty on the four fingers.
 
-The loss is a robust per-coordinate distance (smooth-L1 with a 1 mm knee by
-default; pure L2 available) averaged over points, plus a hinge penalty on the
-bend-direction invariant: for each finger the two cross products
-(tip-dip x dip-pip) and (dip-pip x pip-mcp) must not oppose each other.  The
-penalty is max(0, -s) on their dot product s, so feasible bends contribute
-exactly zero.
+The loss is a robust per-coordinate distance (smooth-L1 with a 1 mm knee)
+averaged over points, plus a hinge penalty on the bend-direction invariant:
+for each finger the two cross products (tip-dip x dip-pip) and
+(dip-pip x pip-mcp) must not oppose each other.  The penalty is max(0, -s)
+on their dot product s, so feasible bends contribute exactly zero.
 
 The one loss, ``batch_fit_loss``, gives per-sample losses and the gradient
 of their sum; ``fit`` and ``ik_net`` (its L1 joint term) call it.  ``fit``
@@ -19,7 +18,6 @@ best-loss iterate.  Gradients are fully analytic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -28,29 +26,25 @@ from .errors import InputError, NumericError, ShapeError, as_array, as_number, b
 from .hand_model import HandModel, ShapeParams
 
 HUBER_DELTA_MM = 1.0
+FINAL_STEP_SCALE = 0.02   # cosine decay floor, fraction of the step size
 PARAM_COUNT = bio_dof.DOF_COUNT + 10 + 6  # 23 angles + 10 shape + rot/trans
 
 
 @dataclass
 class FitTarget:
-    """Joints (21, 3) and/or vertices (V, 3) to fit, in mm, or (B, ...) batches."""
+    """Joints (21, 3) and/or vertices (V, 3) to fit, in mm, or (B, ...)
+    batches; each array given adds its loss term."""
 
     joints: np.ndarray | None = None
     vertices: np.ndarray | None = None
-    weight_joints: float = 1.0
-    weight_vertices: float = 1.0
 
     def __post_init__(self):
         if self.joints is not None:
             self.joints = as_array(self.joints, (..., kin.JOINT_COUNT, 3), "target joints")
         if self.vertices is not None:
             self.vertices = as_array(self.vertices, (..., None, 3), "target vertices")
-        self.weight_joints = as_number(self.weight_joints, "weight_joints", 0)
-        self.weight_vertices = as_number(self.weight_vertices, "weight_vertices", 0)
-        has_joints = self.joints is not None and self.weight_joints > 0
-        has_verts = self.vertices is not None and self.weight_vertices > 0
-        if not (has_joints or has_verts):
-            raise InputError("target needs joints or vertices with positive weight")
+        if self.joints is None and self.vertices is None:
+            raise InputError("target needs joints or vertices")
         leads = {a.shape[:-2] for a in (self.joints, self.vertices) if a is not None}
         if len(leads) > 1 or any(len(lead) > 1 for lead in leads):
             raise ShapeError("target arrays need one shared batch axis or none")
@@ -61,20 +55,14 @@ class FitConfig:
     iterations: int = 20
     step_size: float = 0.05
     bend_weight: float = 1e-2
-    loss_kind: str = "huber"          # "huber" (smooth-L1) or "l2"
     freeze_shape: bool = False
     convergence_tol: float = 0.0      # early stop when |dloss| < tol; 0 = never
-    final_step_scale: float = 0.02    # cosine decay floor, fraction of step_size
 
     def __post_init__(self):
         self.iterations = as_number(self.iterations, "iterations", 1, integer=True)
         self.step_size = as_number(self.step_size, "step_size", above=0)
         self.bend_weight = as_number(self.bend_weight, "bend_weight", 0)
-        if self.loss_kind not in ("huber", "l2"):
-            raise InputError("loss_kind must be 'huber' or 'l2'")
         self.convergence_tol = as_number(self.convergence_tol, "convergence_tol", 0)
-        self.final_step_scale = as_number(self.final_step_scale, "final_step_scale",
-                                          0, 1)
 
 
 @dataclass
@@ -92,9 +80,7 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 def _robust(residual: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate penalty and its derivative."""
-    if kind == "l2":
-        return residual * residual, 2.0 * residual
+    """Per-coordinate penalty and its derivative: "l1", else Huber."""
     if kind == "l1":
         return np.abs(residual), np.sign(residual)
     # m (|r| - m/2) with m = min(|r|, delta): r^2 / 2 inside delta, linear
@@ -147,14 +133,13 @@ def bend_penalty_with_grad(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_fit_loss(model: HandModel, axes: bio_dof.AxisTable, bio, beta,
-                   global_rot, translation, joints, vertices, weight_joints: float,
-                   weight_vertices: float, bend_weight: float, loss_kind: str,
-                   want_grad: bool):
+                   global_rot, translation, joints, vertices, bend_weight: float,
+                   loss_kind: str, want_grad: bool):
     """(B,) per-sample losses of (B, 23) angles, (B, 10) shape, (B, 3)
     rotations and translations (None is zeros) against (B, 21, 3) joints and
-    (B, V, 3) vertices (None or weight 0 drops a term), plus the bend
-    penalty; with ``want_grad`` also the four (B, n) gradients of their sum,
-    else None.  ``loss_kind`` is "huber", "l2" or "l1"."""
+    (B, V, 3) vertices (None drops a term), plus the bend penalty; with
+    ``want_grad`` also the four (B, n) gradients of their sum, else None.
+    ``loss_kind`` is "huber" or "l1"."""
     art = bio_dof.expand_batch(bio, axes)
     out = kin.fk_forward(model, art, beta, global_rot, translation,
                          want_vertices=vertices is not None, want_regressed=True,
@@ -164,18 +149,18 @@ def batch_fit_loss(model: HandModel, axes: bio_dof.AxisTable, bio, beta,
     loss = np.zeros(len(regressed))
     d_joints = np.zeros_like(regressed)
     d_vertices = None
-    if joints is not None and weight_joints > 0:
+    if joints is not None:
         residual = regressed - joints
         pen, der = _robust(residual, loss_kind)
-        loss += weight_joints * pen.mean(axis=(-2, -1))
-        d_joints += weight_joints * der / residual[0].size
-    if vertices is not None and weight_vertices > 0:
+        loss += pen.mean(axis=(-2, -1))
+        d_joints += der / residual[0].size
+    if vertices is not None:
         if vertices.shape != out.vertices.shape:
             raise ShapeError("target vertex count does not match the model")
         residual = out.vertices - vertices
         pen, der = _robust(residual, loss_kind)
-        loss += weight_vertices * pen.mean(axis=(-2, -1))
-        d_vertices = weight_vertices * der / residual[0].size
+        loss += pen.mean(axis=(-2, -1))
+        d_vertices = der / residual[0].size
     if bend_weight > 0:
         bend, bend_grad = bend_penalty_with_grad(regressed)
         loss += bend_weight * bend
@@ -252,8 +237,7 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     lengths = np.full(batch, config.iterations)   # of the loss traces; a stop cuts one
     for t in range(config.iterations):
         loss, grads = batch_fit_loss(model, axes, bio, beta, rot, trans, *targets,
-                                     target.weight_joints, target.weight_vertices,
-                                     config.bend_weight, config.loss_kind, want_grad=True)
+                                     config.bend_weight, "huber", want_grad=True)
         if not np.isfinite(loss).all():   # a stopped row sits at its finite best
             row = (int(np.argmax(~np.isfinite(loss))),) if lead else ()
             raise NumericError(f"{batch_row(row)}non-finite loss at iteration {t}")
@@ -269,8 +253,7 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
         np.concatenate(grads, axis=1, out=grad)
         # cosine step decay keeps late iterations from orbiting the optimum
         frac = t / max(config.iterations - 1, 1)
-        lr = config.step_size * (config.final_step_scale
-                                 + (1 - config.final_step_scale)
+        lr = config.step_size * (FINAL_STEP_SCALE + (1 - FINAL_STEP_SCALE)
                                  * 0.5 * (1 + np.cos(np.pi * frac)))
         adam_step(x.reshape(-1), grad.reshape(-1), adam_state, t + 1, lr)
         np.clip(bio, limits.lower, limits.upper, out=bio)
@@ -285,26 +268,3 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
                          converged=bool(done))
                for i, (row, n, done) in enumerate(zip(best_x, lengths, converged))]
     return results if lead else results[0]
-
-
-def params_lines(bio: bio_dof.BioPose, beta: ShapeParams, global_rot,
-                 translation) -> list[str]:
-    """Parameter-file lines: 'bio <name> <v>', 'beta <i> <v>', global_rot and
-    translation, with fixed 9-significant-digit formatting."""
-    def fmt(*values):
-        return " ".join(format(float(v), ".9g") for v in values)
-    return ([f"bio {name} {fmt(v)}" for name, v in zip(bio_dof.DOF_NAMES, bio.values)]
-            + [f"beta {i} {fmt(v)}" for i, v in enumerate(beta.beta)]
-            + ["global_rot " + fmt(*global_rot), "translation " + fmt(*translation)])
-
-
-def write_fit_report(result: FitResult, path) -> None:
-    """Structured text report: loss trace then final parameters."""
-    lines = ["# fit report"]
-    lines.append("converged " + ("yes" if result.converged else "no"))
-    lines.append("iterations " + str(len(result.loss_trace)))
-    for i, loss in enumerate(result.loss_trace):
-        lines.append(f"loss {i} {format(loss, '.9g')}")
-    lines += params_lines(result.bio, result.beta, result.global_rot,
-                          result.translation)
-    Path(path).write_text("\n".join(lines) + "\n")

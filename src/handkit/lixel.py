@@ -6,7 +6,7 @@ Lixel centers sit at (i + 0.5) / L, which avoids a half-cell bias at the
 domain edges.  Decoding normalizes the likelihoods to a distribution and
 returns the expected center, after raising them to a sharpening exponent (a
 temperature on the log-likelihoods, so the decode is exactly invariant to
-rescaling the heatmap).  The default exponent makes the decode an
+rescaling the heatmap).  The exponent, 256, makes the decode an
 interpolating argmax; a plain normalized centroid (exponent 1) overshoots
 toward the domain center for peaks near the edges, where the Gaussian is
 truncated.
@@ -22,7 +22,7 @@ from .errors import InputError, ShapeError, as_array, as_number
 
 DEFAULT_RESOLUTION = 64
 DEFAULT_SIGMA = 2.5
-DEFAULT_SHARPNESS = 256.0
+SHARPNESS = 256.0
 
 
 def _likelihoods(values, shape=None) -> tuple[np.ndarray, np.ndarray]:
@@ -62,18 +62,17 @@ def encode(coord: float, length: int = DEFAULT_RESOLUTION,
     return Heatmap1D(values)
 
 
-def decode(heatmaps, sharpness: float = DEFAULT_SHARPNESS):
+def decode(heatmaps):
     """Soft-argmax on the last axis of a :class:`Heatmap1D` or (..., L)
     heatmaps: a float for one (L,) heatmap, else an array of shape ``...``.
 
-    Exact identities for any sharpness >= 1: a one-hot heatmap decodes to its
-    center, a uniform heatmap decodes to 0.5, and rescaling the heatmap (a
-    constant shift of the log-likelihoods) leaves the result unchanged.
+    Exact identities: a one-hot heatmap decodes to its center, a uniform
+    heatmap decodes to 0.5, and rescaling the heatmap (a constant shift of
+    the log-likelihoods) leaves the result unchanged.
     """
     values, peak = _likelihoods(
         heatmaps.values if isinstance(heatmaps, Heatmap1D) else heatmaps)
-    sharpness = as_number(sharpness, "sharpness", above=0)
-    probs = (values / peak) ** sharpness
+    probs = (values / peak) ** SHARPNESS
     probs /= probs.sum(axis=-1, keepdims=True)
     length = values.shape[-1]
     # one dot product per heatmap, as a lone (L,) heatmap gets

@@ -280,20 +280,24 @@ def _variant_block(variant: str, channels: int, kernel: int = 4
     return layers
 
 
-def decoder_variant(variant: str, channels: int = 256, stages: int = 3,
-                    backbone_channels: int = 320) -> NetGraph:
+DECODER_CHANNELS = 256
+DECODER_STAGES = 3
+BACKBONE_CHANNELS = 320   # EfficientNet-B0's last stage
+
+
+def decoder_variant(variant: str) -> NetGraph:
     """Full decoder built from variant blocks, with the channel-change
     pointwise in front (backbone width differs from the decoder width)."""
     if variant not in ("A", "B", "C"):
         raise InputError("variant must be 'A', 'B', or 'C'")
-    layers = [("in", LayerSpec("pointwise", in_channels=backbone_channels,
-                               out_channels=channels))]
-    for s in range(stages):
-        for name, spec in _variant_block(variant, channels):
+    layers = [("in", LayerSpec("pointwise", in_channels=BACKBONE_CHANNELS,
+                               out_channels=DECODER_CHANNELS))]
+    for s in range(DECODER_STAGES):
+        for name, spec in _variant_block(variant, DECODER_CHANNELS):
             layers.append((f"up{s + 1}_{name}", spec))
-    layers.append(("out", LayerSpec("pointwise", in_channels=channels,
+    layers.append(("out", LayerSpec("pointwise", in_channels=DECODER_CHANNELS,
                                     out_channels=21)))
-    return NetGraph(f"decoder_variant_{variant}", backbone_channels, layers,
+    return NetGraph(f"decoder_variant_{variant}", BACKBONE_CHANNELS, layers,
                     input_stride=32)
 
 

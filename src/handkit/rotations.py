@@ -3,9 +3,9 @@
 All functions are vectorized over arbitrary leading batch axes: an input of
 shape (..., 3) yields matrices of shape (..., 3, 3).
 
-Rotation matrices are R = cos(t) I + a(t) W + b(t) w w^T with W = hat(w),
-t = |w|, a = sin(t)/t and b = (1 - cos(t))/t^2: the closed form of
-I + a W + b W^2, since W^2 = w w^T - t^2 I.  Below ANGLE_EPS the a/b
+Rotation matrices are R = cos(t) I + a(t) W + b(t) w w^T with W = hat(w)
+(W v = w x v), t = |w|, a = sin(t)/t and b = (1 - cos(t))/t^2: the closed
+form of I + a W + b W^2, since W^2 = w w^T - t^2 I.  Below ANGLE_EPS the a/b
 coefficients (and below DERIV_EPS their derivatives) switch to second-order
 series so the t -> 0 limit is exact instead of 0/0.
 
@@ -41,12 +41,6 @@ _DERIV_LINEAR = np.concatenate([_E.reshape(1, 27), (
 _ROW, _COLUMN = np.divmod(np.arange(9), 3)
 for _table in (_E, _LINEAR, _DERIV_LINEAR):
     _table.flags.writeable = False
-
-
-def hat(w: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: hat(w) @ v == cross(w, v)."""
-    w = np.asarray(w, dtype=float)
-    return (w @ _E.reshape(3, 9)).reshape(w.shape[:-1] + (3, 3))
 
 
 def _planes(w: np.ndarray):

@@ -162,8 +162,8 @@ def test_criterion_5_gradients(model, limits, axes):
             # the fit loss (huber, bend weight 1e-2) on a batch of one
             loss, grads = ik_optim.batch_fit_loss(
                 model, axes, x[None, :23], x[None, 23:33], x[None, 33:36],
-                x[None, 36:], out.regressed_joints, out.vertices, 1.0, 1.0,
-                1e-2, "huber", want_grad)
+                x[None, 36:], out.regressed_joints, out.vertices, 1e-2, "huber",
+                want_grad)
             return loss[0], None if grads is None else np.concatenate(grads, axis=1)[0]
 
         x = np.concatenate([

@@ -42,7 +42,7 @@ def test_axis_convention_on_plus_x_bone(desk, axes):
 
 
 def test_axes_orthonormal(axes):
-    axes.check_orthonormal(1e-9)
+    axes.check_orthonormal()
 
 
 def test_axes_match_raw_coordinate_oracle(desk, axes):

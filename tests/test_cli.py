@@ -7,9 +7,10 @@ import pytest
 from handkit import bio_dof, kinematics as kin
 from handkit.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_SHAPE,
                          MODEL_ENV_VAR, load_annotation_records,
-                         load_params_file, main)
+                         load_params_file, main, write_fit_report)
 from handkit.hand_model import (FullPose, ShapeParams, forward, load_model,
                                 make_desk_hand_small, save_model)
+from handkit.ik_optim import FitResult
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +164,60 @@ def test_fit_report_loads_as_init(tmp_path, model_file):
     assert main(["ik-fit", "--model", model_file, "--target", target,
                  "--init", str(out / "fit_report.txt"), "--iterations", "1",
                  "--out", str(again)]) == EXIT_OK
+
+
+FIT_REPORT = """# fit report
+converged no
+iterations 2
+loss 0 1.5
+loss 1 0.25
+bio index_mcp_flex -1.375
+bio index_mcp_abd -1.25
+bio index_pip_flex -1.125
+bio index_dip_flex -1
+bio middle_mcp_flex -0.875
+bio middle_mcp_abd -0.75
+bio middle_pip_flex -0.625
+bio middle_dip_flex -0.5
+bio ring_mcp_flex -0.375
+bio ring_mcp_abd -0.25
+bio ring_pip_flex -0.125
+bio ring_dip_flex 0
+bio little_mcp_flex 0.125
+bio little_mcp_abd 0.25
+bio little_pip_flex 0.375
+bio little_dip_flex 0.5
+bio thumb_mcp_rot 0.625
+bio thumb_mcp_abd 0.75
+bio thumb_mcp_flex 0.875
+bio thumb_pip_rot 1
+bio thumb_pip_abd 1.125
+bio thumb_pip_flex 1.25
+bio thumb_dip_flex 1.375
+beta 0 -1
+beta 1 -0.75
+beta 2 -0.5
+beta 3 -0.25
+beta 4 0
+beta 5 0.25
+beta 6 0.5
+beta 7 0.75
+beta 8 1
+beta 9 1.25
+global_rot 0.1 -0.2 0.333333333
+translation 1 2.5 -30
+"""
+
+
+def test_fit_report_file(tmp_path):
+    result = FitResult(bio=bio_dof.BioPose((np.arange(23) - 11) / 8),
+                       beta=ShapeParams(np.arange(10) / 4 - 1),
+                       global_rot=np.array([0.1, -0.2, 1 / 3]),
+                       translation=np.array([1.0, 2.5, -30.0]),
+                       loss_trace=[1.5, 0.25], converged=False)
+    path = tmp_path / "report.txt"
+    write_fit_report(path, result)
+    assert path.read_bytes() == FIT_REPORT.encode()
 
 
 def test_ik_fit_freeze_shape_bit_identical(tmp_path, model_file):

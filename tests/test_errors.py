@@ -159,6 +159,12 @@ TABLE = {
     "synth-poses-swap-probability-nan": (2, lambda ws, t: [
         "synth", "poses", "--library", ws / "library.hkc",
         "--swap-probability", "nan", "--out", t / "p.hkc"]),
+    # arrays past any 64-bit address space: numpy refuses them before writing
+    "lixel-length-1e17": (2, lambda ws, t: [
+        "lixel", "--coord", "0.5", "--length", str(10 ** 17), "--out", t / "h.txt"]),
+    "synth-poses-per-pose-1e17": (2, lambda ws, t: [
+        "synth", "poses", "--model", ws / "model.hkm", "--count", "3",
+        "--per-pose", str(10 ** 17), "--out", t / "p.hkc"]),
     "ik-fit-init-negative-beta-index": (2, lambda ws, t: _ik_fit(
         ws, "--target", ws / "target.json",
         "--init", _text(t / "i.txt", "beta -1 0.5\n"))),
@@ -333,9 +339,6 @@ def _nan_vertices() -> np.ndarray:
     ({"vertices": _nan_vertices()}, errors.InputError),
     ({"vertices": np.zeros((8, 2))}, errors.ShapeError),
     ({"vertices": np.zeros(24)}, errors.ShapeError),
-    ({"joints": np.zeros((21, 3)), "weight_joints": math.nan}, errors.InputError),
-    ({"joints": np.zeros((21, 3)), "weight_vertices": math.inf}, errors.InputError),
-    ({"joints": np.zeros((21, 3)), "weight_joints": -1.0}, errors.InputError),
 ])
 def test_fit_target_rejects_at_construction(kwargs, error):
     from handkit.ik_optim import FitTarget
@@ -345,8 +348,7 @@ def test_fit_target_rejects_at_construction(kwargs, error):
 
 @pytest.mark.parametrize("kwargs", [
     {"convergence_tol": math.nan}, {"convergence_tol": -1e-3},
-    {"convergence_tol": math.inf}, {"final_step_scale": math.nan},
-    {"final_step_scale": -0.1}, {"final_step_scale": 1.5},
+    {"convergence_tol": math.inf},
 ])
 def test_fit_config_rejects_at_construction(kwargs):
     from handkit.ik_optim import FitConfig
@@ -426,8 +428,6 @@ LIBRARY = {
         [["a"] * 3] * 15, np.zeros((15, 3)), np.zeros((15, 3)))),
     "FitTarget-string-joints": (errors.InputError, lambda m: ik_optim.FitTarget(
         joints=[["a"] * 3] * 21)),
-    "FitTarget-string-weight": (errors.InputError, lambda m: ik_optim.FitTarget(
-        joints=np.zeros((21, 3)), weight_joints="1")),
     "FitConfig-fractional-iterations": (errors.InputError, lambda m: ik_optim.FitConfig(
         iterations=2.5)),
     "FitConfig-string-step-size": (errors.InputError, lambda m: ik_optim.FitConfig(
@@ -519,10 +519,6 @@ LIBRARY = {
         np.zeros((20, 3)), _CAM, 400.0, 500.0, 500.0, 128.0, 128.0)),
     "swap_fingers-10-values": (errors.ShapeError, lambda m: synth.swap_fingers(
         np.zeros(10), np.ones(10), ["little"])),
-    "decode-nan-sharpness": (errors.InputError, lambda m: lixel.decode(
-        np.arange(4.0) + 1, sharpness=np.nan)),
-    "decode-negative-sharpness": (errors.InputError, lambda m: lixel.decode(
-        np.arange(4.0) + 1, sharpness=-1.0)),
     "Heatmap1D-ragged": (errors.InputError, lambda m: lixel.Heatmap1D(_RAGGED)),
     "Heatmap1D-strings": (errors.InputError, lambda m: lixel.Heatmap1D(["a", "b"])),
     "encode-fractional-length": (errors.InputError, lambda m: lixel.encode(

@@ -107,9 +107,9 @@ def test_decode_rejects_bad_heatmaps():
         Heatmap1D(np.ones((2, 64)))
 
 
-def decode_formula(values, sharpness=256.0):
+def decode_formula(values):
     """The single-heatmap soft-argmax, written out."""
-    probs = (values / values.max()) ** sharpness
+    probs = (values / values.max()) ** 256.0
     probs = probs / probs.sum()
     length = len(values)
     return float(probs @ (np.arange(length) + 0.5)) / length
@@ -123,8 +123,6 @@ def test_decode_of_one_heatmap_is_the_formula_bit_for_bit(rng):
         got = decode(values)
         assert type(got) is float and got == decode_formula(values)
         assert decode(Heatmap1D(values)) == got
-    for sharpness in (1.0, 3.5):
-        assert decode(heatmaps[0], sharpness) == decode_formula(heatmaps[0], sharpness)
 
 
 def test_decode_batch_of_two_gives_two_values():
