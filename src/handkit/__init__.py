@@ -9,10 +9,9 @@ profiler for neural architectures.
 
 from .bio_dof import (AxisTable, BioPose, DofLimits, clamp, derive_axes,
                       expand_batch, is_feasible)
-from .hand_model import (FullPose, HandModel, Mesh, ShapeParams, Skeleton,
-                         forward, from_mano_arrays, load_model,
-                         make_desk_hand, make_desk_hand_small, regress_joints,
-                         rest_joints, save_model, write_obj)
+from .hand_model import (HandModel, ShapeParams, Skeleton, from_mano_arrays,
+                         load_model, make_desk_hand, make_desk_hand_small,
+                         regress_joints, save_model, write_obj)
 from .ik_net import (MlpIk, SynthPairSet, TrainConfig, batch_loss,
                      featurize_batch, generate_pairs, load_checkpoint, predict,
                      save_checkpoint, train)

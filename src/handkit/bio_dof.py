@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kinematics as kin
 from .errors import InputError, NumericError, as_array
-from .hand_model import HandModel, Skeleton
+from .hand_model import HandModel
 
 _FINGER_DOFS = ("mcp_flex", "mcp_abd", "pip_flex", "dip_flex")
 _THUMB_DOFS = ("mcp_rot", "mcp_abd", "mcp_flex",
@@ -201,7 +201,7 @@ def axes_from_rest_joints(joints: np.ndarray) -> AxisTable:
     orthonormal regardless of model geometry, and unit vectors make the table
     invariant to uniform scaling.
     """
-    joints = Skeleton(joints).joints
+    joints = as_array(joints, (kin.JOINT_COUNT, 3), "joints")
     wrist = joints[0]
     index_mcp = joints[kin.finger_joint(1, 0)]
     little_mcp = joints[kin.finger_joint(4, 0)]

@@ -29,9 +29,8 @@ from . import (bio_dof, ik_net, ik_optim, kinematics as kin, lixel, metrics,
                profiler, synth)
 from .errors import (EXIT_NUMERIC, EXIT_PARSE, EXIT_SHAPE,  # noqa: F401
                      HandkitError, InputError, ShapeError, as_array)
-from .hand_model import (FullPose, HandModel, ShapeParams, forward, load_model,
-                         make_desk_hand, make_desk_hand_small, save_model,
-                         write_obj)
+from .hand_model import (HandModel, ShapeParams, load_model, make_desk_hand,
+                         make_desk_hand_small, save_model, write_obj)
 
 MODEL_ENV_VAR = "HANDKIT_MODEL"
 
@@ -108,9 +107,13 @@ def load_annotation_records(path) -> list[AnnotationRecord]:
 _POSE_KEYS = ("global_rot", "articulation", "translation", "beta")
 
 
-def load_pose_file(path) -> tuple[FullPose, ShapeParams]:
+def load_pose_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Plain-text pose: 'key: values' lines for global_rot, articulation,
-    and optionally translation and beta; each key at most once."""
+    and optionally translation and beta; each key at most once.  Returns
+    ``fk_forward``'s (articulation, beta, global_rot, translation), a missing
+    key as zeros.  A rotation magnitude >= pi (per joint or global) is
+    ``InputError`` here, not in FK: fit and training iterates are not
+    bounded by pi.  |beta| > 5 warns."""
     fields: dict[str, np.ndarray] = {}
     for raw in Path(path).read_text(errors="replace").splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -124,10 +127,14 @@ def load_pose_file(path) -> tuple[FullPose, ShapeParams]:
             fields[key] = np.array([float(v) for v in rest.split()])
         except ValueError as exc:
             raise InputError(f"{path}: bad numbers in {raw!r}") from exc
-    pose = FullPose(global_rot=fields.get("global_rot", np.zeros(3)),
-                    articulation=fields.get("articulation", np.zeros(45)),
-                    translation=fields.get("translation"))
-    return pose, ShapeParams(fields.get("beta", np.zeros(10)))
+    rot, art, trans = (as_array(fields.get(key, np.zeros(n)), n, key) for key, n in (
+        ("global_rot", 3), ("articulation", kin.ARTICULATION_SIZE), ("translation", 3)))
+    beta = ShapeParams(fields.get("beta", np.zeros(10))).beta
+    omegas = np.vstack([rot, art.reshape(-1, 3)])
+    # a component at or past pi decides before any square could overflow
+    if np.abs(omegas).max() >= np.pi or np.linalg.norm(omegas, axis=1).max() >= np.pi:
+        raise InputError(f"{path}: per-joint axis-angle magnitude must be < pi")
+    return art, beta, rot, trans
 
 
 def _params_lines(bio: bio_dof.BioPose, beta: ShapeParams, global_rot,
@@ -157,9 +164,10 @@ def write_fit_report(path, result: ik_optim.FitResult) -> None:
 
 
 def load_params_file(path):
-    """Inverse of write_params_file; a fit report loads too (its '#',
-    converged, iterations and loss lines are skipped).  Any other line must
-    be a known key with its field count, each value given at most once."""
+    """Inverse of write_params_file, as (angles, beta, global_rot,
+    translation) arrays; a fit report loads too (its '#', converged,
+    iterations and loss lines are skipped).  Any other line must be a known
+    key with its field count, each value given at most once."""
     values = {"bio": np.zeros(bio_dof.DOF_COUNT), "beta": np.zeros(10),
               "global_rot": np.zeros(3), "translation": np.zeros(3)}
     seen = set()
@@ -184,10 +192,9 @@ def load_params_file(path):
             values[key][i] = np.array(numbers, dtype=float)
         except (ValueError, IndexError) as exc:
             raise InputError(f"{path}: bad params line {raw!r} ({exc})") from exc
-    bio, beta, rot, trans = values.values()
-    if not np.isfinite(np.concatenate([bio, beta, rot, trans])).all():
+    if not np.isfinite(np.concatenate(list(values.values()))).all():
         raise InputError(f"{path}: non-finite parameter values")
-    return bio_dof.BioPose(bio), ShapeParams(beta), rot, trans
+    return tuple(values.values())
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +239,11 @@ def cmd_model_desk(args) -> int:
 
 def cmd_fk(args) -> int:
     model = _resolve_model(args)
-    pose, beta = load_pose_file(args.pose)
-    mesh, skeleton = forward(model, pose, beta)
+    posed = kin.fk_forward(model, *load_pose_file(args.pose), want_vertices=True)
     out = _out_dir(args)
-    write_obj(mesh, out / "mesh.obj")
+    write_obj(posed.vertices[0], model.faces, out / "mesh.obj")
     (out / "skeleton.txt").write_text(
-        "\n".join(_fmt_row(row) for row in skeleton.joints) + "\n")
+        "\n".join(_fmt_row(row) for row in posed.joints[0]) + "\n")
     print(f"wrote {out / 'mesh.obj'} and {out / 'skeleton.txt'}")
     return EXIT_OK
 

@@ -1,11 +1,12 @@
-"""Parametric hand mesh: shape/pose blendshapes, joint regression, and
-linear-blend-skinning forward kinematics.
+"""Parametric hand mesh: the model's arrays (shape blendshapes, joint
+regressor, skinning weights), the procedural desk hand, the MANO-layout
+converter and file I/O.
 
-Units are millimeters throughout.  The default configuration has 778 mesh
-vertices and 21 joints (wrist, then per finger MCP/PIP/DIP/TIP).  Shape is a
-10-vector of PCA-style coefficients; articulation is 45 axis-angle values for
-the 15 finger joints, with the wrist rotation carried separately as the
-global rotation.
+Posing is ``kinematics.fk_forward``, for any batch of poses (one pose is a
+batch of one); this module does no forward kinematics.  Units are
+millimeters throughout.  The default configuration has 778 mesh vertices and
+21 joints (wrist, then per finger MCP/PIP/DIP/TIP).  Shape is a 10-vector of
+PCA-style coefficients.
 
 A licensed statistical hand model is not required: ``make_desk_hand`` builds
 a fully procedural model with the same structure (tube fingers, palm sheets,
@@ -24,19 +25,22 @@ import numpy as np
 
 from . import kinematics as kin
 from .containers import read_container, write_container
-from .errors import InputError, NumericError, ShapeError, as_array
+from .errors import InputError, ShapeError, as_array
 
 SHAPE_DIM = 10
 _WEIGHT_TOL = 1e-6   # rounding allowed in the stored skinning and regressor rows
 
 
 # ---------------------------------------------------------------------------
-# domain types
+# model types
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ShapeParams:
-    """10 dimensionless shape coefficients; |beta| > 5 is suspicious."""
+    """10 dimensionless shape coefficients; |beta| > 5 is suspicious.
+
+    Kept as the type of ``ik_optim.FitResult.beta`` (the benchmark reads
+    ``result.beta.beta``) and for its soft-bound warning."""
 
     beta: np.ndarray = field(default_factory=lambda: np.zeros(SHAPE_DIM))
 
@@ -48,50 +52,16 @@ class ShapeParams:
 
 
 @dataclass
-class FullPose:
-    """Global wrist rotation (3), articulation (45), optional translation (mm)."""
-
-    global_rot: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    articulation: np.ndarray = field(default_factory=lambda: np.zeros(45))
-    translation: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.global_rot = as_array(self.global_rot, 3, "global_rot")
-        self.articulation = as_array(self.articulation, kin.ARTICULATION_SIZE,
-                                     "articulation")
-        if self.translation is not None:
-            self.translation = as_array(self.translation, 3, "translation")
-
-    def validate_magnitudes(self):
-        """Per-joint axis-angle magnitudes must stay below pi."""
-        mags = np.linalg.norm(self.articulation.reshape(15, 3), axis=1)
-        if mags.max(initial=0.0) >= np.pi or np.linalg.norm(self.global_rot) >= np.pi:
-            raise InputError("per-joint axis-angle magnitude must be < pi")
-
-
-@dataclass
 class Skeleton:
-    """21 joint positions, millimeters."""
+    """21 joint positions, millimeters.
+
+    Kept as ``regress_joints``' result, which the benchmark reads and traces
+    by name."""
 
     joints: np.ndarray
 
     def __post_init__(self):
         self.joints = as_array(self.joints, (kin.JOINT_COUNT, 3), "joints")
-
-
-@dataclass
-class Mesh:
-    """Mesh vertices (mm) and triangle faces (0-based indices)."""
-
-    vertices: np.ndarray
-    faces: np.ndarray
-
-    def __post_init__(self):
-        self.vertices = as_array(self.vertices, (None, 3), "vertices")
-        self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
-        if self.faces.size and (self.faces.min() < 0
-                                or self.faces.max() >= len(self.vertices)):
-            raise ShapeError("face indices out of range")
 
 
 @dataclass(frozen=True)
@@ -174,42 +144,14 @@ class HandModel:
 
 
 # ---------------------------------------------------------------------------
-# operations
+# joint regression
 # ---------------------------------------------------------------------------
 
-def rest_joints(model: HandModel, beta: ShapeParams | None = None) -> Skeleton:
-    """Joint regressor applied to the shaped rest template, J0 + beta . JB."""
-    beta = ShapeParams() if beta is None else beta
-    tensors = model.tensors
-    return Skeleton(tensors.J0 + np.tensordot(beta.beta, tensors.JB, axes=1))
-
-
-def regress_joints(model: HandModel, mesh: Mesh | np.ndarray) -> Skeleton:
-    """Joint regressor applied to arbitrary mesh vertices."""
-    verts = as_array(mesh.vertices if isinstance(mesh, Mesh) else mesh,
-                     (model.vertex_count, 3), "mesh vertices")
-    return Skeleton(model.joint_regressor @ verts)
-
-
-def forward(model: HandModel, pose: FullPose,
-            beta: ShapeParams | None = None) -> tuple[Mesh, Skeleton]:
-    """Pose the mesh with linear blend skinning and return (mesh, skeleton).
-
-    The skeleton is the chained rest joints (tips ride on their DIP); the
-    global rotation acts about the origin and the translation is added last.
-    """
-    if beta is None:
-        beta = ShapeParams()
-    pose.validate_magnitudes()
-    out = kin.fk_forward(
-        model, pose.articulation[None, :], beta.beta[None, :],
-        pose.global_rot[None, :],
-        None if pose.translation is None else pose.translation[None, :],
-        want_vertices=True)
-    verts = out.vertices[0]
-    if not np.isfinite(verts).all():
-        raise NumericError("forward kinematics produced non-finite vertices")
-    return Mesh(verts, model.faces), Skeleton(out.joints[0])
+def regress_joints(model: HandModel, vertices: np.ndarray) -> Skeleton:
+    """Joint regressor applied to arbitrary (V, 3) mesh vertices (kept for
+    the benchmark, which calls and traces it by name)."""
+    return Skeleton(model.joint_regressor @ as_array(
+        vertices, (model.vertex_count, 3), "mesh vertices"))
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +403,13 @@ def load_model(path) -> HandModel:
     return model
 
 
-def write_obj(mesh: Mesh, path) -> None:
-    """Wavefront OBJ: vertices in mm, 1-based face indices, stable formatting."""
+def write_obj(vertices: np.ndarray, faces: np.ndarray, path) -> None:
+    """Wavefront OBJ of (V, 3) vertices in mm and (F, 3) 0-based faces:
+    1-based face indices, stable formatting."""
     lines = []
-    for v in mesh.vertices:
+    for v in vertices:
         lines.append("v {} {} {}".format(*(format(c, ".9g") for c in v)))
-    for f in mesh.faces:
+    for f in faces:
         lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
     Path(path).write_text("\n".join(lines) + "\n")
 

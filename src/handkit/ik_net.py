@@ -35,6 +35,9 @@ LENGTH_SCALE = 0.01  # mm -> decimeters for input conditioning
 FEATURE_DIM = 20 * 3 + 20
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+#: the most pairs ``generate_pairs`` builds, checked before any array is:
+#: ten times the paper's 20k training pairs
+MAX_PAIRS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,7 @@ def generate_pairs(model: HandModel, count: int,
                    limits: bio_dof.DofLimits | None = None,
                    seed: int = 0) -> SynthPairSet:
     """Feasible angles ~ uniform over limits, shape ~ N(0, 0.5); skeleton by FK."""
-    count = as_number(count, "count", 1, integer=True)
+    count = as_number(count, "count", 1, MAX_PAIRS, integer=True)
     limits = limits or bio_dof.DofLimits.default()
     rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     bio = bio_dof.sample_uniform(limits, count, rng)

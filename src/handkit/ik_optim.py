@@ -220,8 +220,6 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
 
     x = np.zeros((batch, PARAM_COUNT))   # C order: Adam runs on its flat view
     bio, beta, rot, trans = views = np.split(x, np.cumsum([nd, 10, 3]), axis=1)
-    init_bio = init_bio.values if isinstance(init_bio, bio_dof.BioPose) else init_bio
-    init_beta = init_beta.beta if isinstance(init_beta, ShapeParams) else init_beta
     for view, value, what in zip(views, (init_bio, init_beta, init_rot, init_trans),
                                  ("angles", "beta", "global rotation", "translation")):
         if value is not None:

@@ -73,6 +73,12 @@ POSE_BASIS_SIZE = 9 * (ARTICULATED_COUNT - 1)  # 135
 # The largest accepted rotation-vector component (rad): the squared norm of a
 # vector within it (at most 3e306) stays finite.
 _MAX_ROTATION = 1e153
+# The largest accepted |shape coefficient|.  A model file stores float32
+# entries (below 3.4e38 mm per unit), and FK sums at most a few hundred
+# products of beta and such an entry (ten basis terms, rotated and summed
+# along the chain), so beta moves no output by more than ~1e142 mm, and the
+# square of that, as distances and losses take it, stays finite.
+_MAX_SHAPE = 1e100
 
 
 def _as_slice(index: np.ndarray) -> slice:
@@ -234,9 +240,9 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
         _as_batch(x, n, batch, name) for x, n, name in (
             (beta, 10, "beta"), (global_rot, 3, "global_rot"),
             (translation, 3, "translation")))
-    if not all(np.isfinite(x).all()
-               for x in (articulation, beta, global_rot, translation)):
-        raise NumericError("non-finite pose/shape parameters")
+    if not (all(np.isfinite(x).all() for x in (articulation, global_rot, translation))
+            and (np.abs(beta) <= _MAX_SHAPE).all()):   # False for NaN too
+        raise NumericError(f"non-finite pose/shape parameters or |beta| beyond {_MAX_SHAPE:g}")
     omegas = np.concatenate([global_rot[:, None],
                              articulation.reshape(batch, 15, 3)], axis=1)  # (B, 16, 3)
     if np.abs(omegas).max() > _MAX_ROTATION:

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import InputError, ShapeError, as_array, as_number
 
 DEFAULT_RESOLUTION = 64
+#: the longest heatmap ``encode`` builds: ten times the paper's L = 64
+MAX_RESOLUTION = 10 * DEFAULT_RESOLUTION
 DEFAULT_SIGMA = 2.5
 SHARPNESS = 256.0
 
@@ -55,7 +57,7 @@ def encode(coord: float, length: int = DEFAULT_RESOLUTION,
            sigma: float = DEFAULT_SIGMA) -> Heatmap1D:
     """Gaussian likelihood over lixel centers for a coordinate in [0, 1]."""
     coord = as_number(coord, "coordinate", 0, 1)
-    length = as_number(length, "length", 1, integer=True)
+    length = as_number(length, "length", 1, MAX_RESOLUTION, integer=True)
     sigma = as_number(sigma, "sigma", above=0)
     centers = np.arange(length) + 0.5
     values = np.exp(-((centers - coord * length) ** 2) / (2.0 * sigma * sigma))

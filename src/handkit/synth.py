@@ -42,6 +42,11 @@ MAX_CAMERAS = 100_000
 SAMPLES_PER_CAMERA = 32
 BASE_LIBRARY_SIZE = 895
 DEFAULT_VARIANTS_PER_POSE = 64
+#: the most poses ``make_pose_library`` draws and ``augment_library`` writes:
+#: ten times the paper's 895 base poses and their 895 x 64 = 57,280 variants;
+#: both are checked before any array is built
+MAX_LIBRARY_SIZE = 10 * BASE_LIBRARY_SIZE
+MAX_AUGMENTED_POSES = 10 * BASE_LIBRARY_SIZE * DEFAULT_VARIANTS_PER_POSE
 
 #: 9-value articulation block owned by each finger
 FINGER_SLICES = {name: slice(9 * fi, 9 * (fi + 1))
@@ -159,7 +164,7 @@ def make_pose_library(model, count: int = BASE_LIBRARY_SIZE,
     The loader (``load_pose_library``) accepts a real (N, 45) array container
     when one is available; this generator only fills its place.
     """
-    count = as_number(count, "count", 1, integer=True)
+    count = as_number(count, "count", 1, MAX_LIBRARY_SIZE, integer=True)
     limits = limits or bio_dof.DofLimits.default()
     rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     axes = bio_dof.derive_axes(model)
@@ -174,11 +179,12 @@ def augment_library(lib: PoseLibrary, per_pose: int = DEFAULT_VARIANTS_PER_POSE,
     Each variant picks a donor pose uniformly and swaps each finger with
     probability ``swap_probability`` (0 forces plain copies).  Variants are
     laid out base-major: rows [i * per_pose, (i + 1) * per_pose) derive from
-    base pose i.
+    base pose i.  More than ``MAX_AUGMENTED_POSES`` rows is ``InputError``.
     """
     if len(lib) == 0:
         raise InputError("library is empty")
-    per_pose = as_number(per_pose, "per_pose", 1, integer=True)
+    per_pose = as_number(per_pose, f"per_pose of {len(lib)} poses", 1,
+                         MAX_AUGMENTED_POSES // len(lib), integer=True)
     swap_probability = as_number(swap_probability, "swap_probability", 0, 1)
     rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
     total = len(lib) * per_pose

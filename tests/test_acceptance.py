@@ -13,7 +13,7 @@ import pytest
 from handkit import (bio_dof, ik_net, ik_optim, kinematics as kin, lixel,
                      metrics, profiler, synth)
 from handkit.cli import main as cli_main
-from handkit.hand_model import FullPose, ShapeParams, make_desk_hand
+from handkit.hand_model import load_model, make_desk_hand
 from handkit.rotations import rodrigues
 
 
@@ -131,7 +131,7 @@ def test_criterion_4_fk_against_oracle(model, limits, axes):
     for i in range(count):
         oracle = _chain_oracle(model, art[i], beta[i], rot[i], trans[i])
         worst = max(worst, np.abs(got[i] - oracle).max())
-    check(4, "forward() joints match the chain oracle over 1000 random "
+    check(4, "fk_forward joints match the chain oracle over 1000 random "
              "feasible poses (1e-6 mm)", worst < 1e-6,
           f"worst {worst:.2e} mm")
 
@@ -366,14 +366,12 @@ def test_criterion_11_cli_determinism(tmp_path):
         "global_rot: 0.1 -0.05 0\narticulation: "
         + " ".join(format(v, ".9g") for v in art) + "\n")
 
-    from handkit.hand_model import forward, load_model
-    mesh, skel = forward(load_model(model_path),
-                         FullPose(articulation=art), ShapeParams())
+    posed = kin.fk_forward(load_model(model_path), art, want_vertices=True)
     target_path = tmp_path / "target.json"
     target_path.write_text(json.dumps({
         "unit": "mm",
-        "records": [{"joints": skel.joints.tolist(),
-                     "vertices": mesh.vertices.tolist()}]}))
+        "records": [{"joints": posed.joints[0].tolist(),
+                     "vertices": posed.vertices[0].tolist()}]}))
     init_path = tmp_path / "init.txt"
     init_path.write_text("bio index_mcp_flex 0.3\n")
 

@@ -8,12 +8,12 @@ from handkit import bio_dof, kinematics as kin
 from handkit.bio_dof import (BioPose, DofLimits, clamp, derive_axes,
                              expand_batch, is_feasible, sample_uniform)
 from handkit.errors import InputError, NumericError
-from handkit.hand_model import HandModel, rest_joints
+from handkit.hand_model import HandModel
 
 
 def axes_oracle(model):
     """Recompute axes from raw joint coordinates with explicit dot/cross."""
-    joints = rest_joints(model).joints
+    joints = model.tensors.J0
     w = joints[0]
     n = np.cross(joints[kin.finger_joint(4, 0)] - w,
                  joints[kin.finger_joint(1, 0)] - w)

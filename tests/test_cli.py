@@ -8,8 +8,8 @@ from handkit import bio_dof, kinematics as kin
 from handkit.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_SHAPE,
                          MODEL_ENV_VAR, load_annotation_records,
                          load_params_file, main, write_fit_report)
-from handkit.hand_model import (FullPose, ShapeParams, forward, load_model,
-                                make_desk_hand_small, save_model)
+from handkit.hand_model import (ShapeParams, load_model, make_desk_hand_small,
+                                save_model)
 from handkit.ik_optim import FitResult
 
 
@@ -37,16 +37,15 @@ def target_json(tmp_path, model_file, name="target.json", unit="mm",
     limits = bio_dof.DofLimits.default()
     axes = bio_dof.derive_axes(model)
     rng = np.random.default_rng(seed)
-    bio = bio_dof.BioPose(bio_dof.sample_uniform(limits, 1, rng)[0])
-    pose = FullPose(articulation=bio_dof.expand_batch(bio.values, axes))
-    mesh, skel = forward(model, pose)
+    art = bio_dof.expand_batch(bio_dof.sample_uniform(limits, 1, rng)[0], axes)
+    out = kin.fk_forward(model, art, want_vertices=True)
     scale = 0.001 if unit == "m" else 1.0
-    record = {"joints": (skel.joints * scale).tolist()}
+    record = {"joints": (out.joints[0] * scale).tolist()}
     if with_vertices:
-        record["vertices"] = (mesh.vertices * scale).tolist()
+        record["vertices"] = (out.vertices[0] * scale).tolist()
     path = tmp_path / name
     path.write_text(json.dumps({"unit": unit, "records": [record]}))
-    return str(path), skel.joints
+    return str(path), out.joints[0]
 
 
 def test_model_desk_roundtrip(tmp_path):
@@ -87,9 +86,16 @@ def test_fk_skeleton_matches_library(tmp_path, model_file, pose_file):
     model = load_model(model_file)
     art = np.zeros(45)
     art[10] = 0.5
-    pose = FullPose(global_rot=[0.1, 0, 0], articulation=art)
-    _, skel = forward(model, pose, ShapeParams([0.2] + [0.0] * 9))
-    np.testing.assert_allclose(got, skel.joints, atol=1e-5)
+    joints = kin.fk_forward(model, art, [0.2] + [0.0] * 9, [0.1, 0, 0]).joints[0]
+    np.testing.assert_allclose(got, joints, atol=1e-5)
+
+
+def test_fk_warns_beyond_the_shape_soft_bound(tmp_path, model_file):
+    pose = tmp_path / "wide.txt"
+    pose.write_text("beta: 0 5.5 0 0 0 0 0 0 0 0\n")
+    with pytest.warns(UserWarning, match=r"soft bound \|beta\| <= 5"):
+        assert main(["fk", "--model", model_file, "--pose", str(pose),
+                     "--out", str(tmp_path / "fk")]) == EXIT_OK
 
 
 def test_fk_missing_pose_file_exit_2(tmp_path, model_file):
@@ -155,11 +161,11 @@ def test_fit_report_loads_as_init(tmp_path, model_file):
     # the report adds '#', converged, iterations and loss lines to the params
     bio_r, beta_r, rot_r, trans_r = load_params_file(out / "fit_report.txt")
     bio_p, beta_p, rot_p, trans_p = load_params_file(out / "fit_params.txt")
-    np.testing.assert_array_equal(bio_r.values, bio_p.values)
-    np.testing.assert_array_equal(beta_r.beta, beta_p.beta)
+    np.testing.assert_array_equal(bio_r, bio_p)
+    np.testing.assert_array_equal(beta_r, beta_p)
     np.testing.assert_array_equal(rot_r, rot_p)
     np.testing.assert_array_equal(trans_r, trans_p)
-    assert bio_p.values[bio_dof.DOF_NAMES.index("index_mcp_flex")] != 0.0
+    assert bio_p[bio_dof.DOF_NAMES.index("index_mcp_flex")] != 0.0
     again = tmp_path / "again"
     assert main(["ik-fit", "--model", model_file, "--target", target,
                  "--init", str(out / "fit_report.txt"), "--iterations", "1",
@@ -232,7 +238,7 @@ def test_ik_fit_freeze_shape_bit_identical(tmp_path, model_file):
                  "--out", str(out)]) == EXIT_OK
     _, fitted_beta, _, _ = load_params_file(out / "fit_params.txt")
     for i, b in enumerate(beta):
-        assert format(fitted_beta.beta[i], ".9g") == format(b, ".9g")
+        assert format(fitted_beta[i], ".9g") == format(b, ".9g")
 
 
 def test_ik_fit_deterministic(tmp_path, model_file):
@@ -313,9 +319,9 @@ def test_ik_fit_fits_every_record(tmp_path, model_file):
     for i in range(2):
         assert (out / f"fit_report_{i:05d}.txt").exists()
         bio, beta, rot, trans = load_params_file(out / f"fit_params_{i:05d}.txt")
-        art = bio_dof.expand_batch(bio.values, axes)
-        _, skel = forward(model, FullPose(rot, art, trans), beta)
-        own, other = (np.abs(skel.joints - truths[k]).mean() for k in (i, 1 - i))
+        art = bio_dof.expand_batch(bio, axes)
+        joints = kin.fk_forward(model, art, beta, rot, trans).joints[0]
+        own, other = (np.abs(joints - truths[k]).mean() for k in (i, 1 - i))
         assert own < other
 
 
@@ -338,7 +344,7 @@ def test_ik_train_and_predict_pipeline(tmp_path, model_file):
     assert main(["ik-predict", "--ckpt", str(out / "ik_net.hkc"),
                  "--target", target, "--out", str(pred_out)]) == EXIT_OK
     bio, beta, _, _ = load_params_file(pred_out / "params.txt")
-    assert bio_dof.is_feasible(bio, bio_dof.DofLimits.default())
+    assert bio_dof.is_feasible(bio_dof.BioPose(bio), bio_dof.DofLimits.default())
 
 
 def test_ik_fit_from_ik_net_chain(tmp_path, model_file):

@@ -24,9 +24,8 @@ from handkit import (bio_dof, errors, ik_net, ik_optim, kinematics, lixel, metri
                      profiler, synth)
 from handkit.cli import main, write_params_file
 from handkit.containers import write_container
-from handkit.hand_model import (FullPose, Mesh, ShapeParams, Skeleton, forward,
-                                load_model, make_desk_hand_small, regress_joints,
-                                save_model)
+from handkit.hand_model import (ShapeParams, Skeleton, load_model, make_desk_hand_small,
+                                regress_joints, save_model)
 
 CONTRACT = {0, 2, 3, 4}
 
@@ -50,11 +49,11 @@ def ws(tmp_path_factory) -> Path:
     axes = bio_dof.derive_axes(model)
     bio = bio_dof.BioPose.from_dict({"index_mcp_flex": 0.6, "thumb_pip_flex": 0.3})
     art = bio_dof.expand_batch(bio.values, axes)
-    mesh, skel = forward(model, FullPose(articulation=art))
+    posed = kinematics.fk_forward(model, art, want_vertices=True)
     # one number per line, so line mutations drop or repeat single numbers
     (root / "target.json").write_text(json.dumps(
-        {"unit": "mm", "records": [{"joints": skel.joints.tolist(),
-                                    "vertices": mesh.vertices.tolist()}]},
+        {"unit": "mm", "records": [{"joints": posed.joints[0].tolist(),
+                                    "vertices": posed.vertices[0].tolist()}]},
         indent=1))
     (root / "pose.txt").write_text(
         "global_rot: 0.1 0 0\narticulation: " + " ".join(["0.2"] * 45)
@@ -104,6 +103,11 @@ def _nan_joints() -> np.ndarray:
 
 def _fk(ws, model):
     return ["fk", "--model", model, "--pose", ws / "pose.txt", "--out", "{out}"]
+
+
+def _fk_pose(text):
+    return lambda ws, t: ["fk", "--model", ws / "model.hkm", "--out", "{out}",
+                          "--pose", _text(t / "p.txt", text)]
 
 
 def _ik_fit(ws, *extra):
@@ -159,12 +163,32 @@ TABLE = {
     "synth-poses-swap-probability-nan": (2, lambda ws, t: [
         "synth", "poses", "--library", ws / "library.hkc",
         "--swap-probability", "nan", "--out", t / "p.hkc"]),
-    # arrays past any 64-bit address space: numpy refuses them before writing
+    # arrays past any 64-bit address space, far above the count ceilings too
     "lixel-length-1e17": (2, lambda ws, t: [
         "lixel", "--coord", "0.5", "--length", str(10 ** 17), "--out", t / "h.txt"]),
     "synth-poses-per-pose-1e17": (2, lambda ws, t: [
         "synth", "poses", "--model", ws / "model.hkm", "--count", "3",
         "--per-pose", str(10 ** 17), "--out", t / "p.hkc"]),
+    # one above each count's ceiling: refused before any array is built
+    "lixel-length-ceiling-plus-1": (2, lambda ws, t: [
+        "lixel", "--coord", "0.5", "--length", str(lixel.MAX_RESOLUTION + 1),
+        "--out", t / "h.txt"]),
+    "synth-poses-count-ceiling-plus-1": (2, lambda ws, t: [
+        "synth", "poses", "--model", ws / "model.hkm",
+        "--count", str(synth.MAX_LIBRARY_SIZE + 1), "--out", t / "p.hkc"]),
+    "synth-poses-per-pose-ceiling-plus-1": (2, lambda ws, t: [
+        "synth", "poses", "--model", ws / "model.hkm", "--count", "3",
+        "--per-pose", str(synth.MAX_AUGMENTED_POSES // 3 + 1), "--out", t / "p.hkc"]),
+    "ik-train-pairs-ceiling-plus-1": (2, lambda ws, t: _ik_train(
+        ws, "--pairs", str(ik_net.MAX_PAIRS + 1))),
+    # a pose file states one hand pose: magnitudes of pi and more are refused
+    "fk-pose-articulation-above-pi": (2, _fk_pose(
+        "articulation: " + " ".join([str(math.pi + 0.01)] + ["0"] * 44) + "\n")),
+    "fk-pose-global-rotation-norm-pi": (2, _fk_pose(   # each component below pi
+        "global_rot: 1.8849555921538759 2.5132741228718345 0\n")),
+    "fk-pose-string-rotation": (2, _fk_pose("global_rot: abc 0 0\n")),
+    "fk-pose-nan-translation": (2, _fk_pose("translation: 0 nan 0\n")),
+    "fk-pose-44-values": (3, _fk_pose("articulation: " + " ".join(["0"] * 44) + "\n")),
     "ik-fit-init-negative-beta-index": (2, lambda ws, t: _ik_fit(
         ws, "--target", ws / "target.json",
         "--init", _text(t / "i.txt", "beta -1 0.5\n"))),
@@ -211,6 +235,17 @@ def test_documented_exit_code(name, ws, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
     if name == "ik-predict-checkpoint-without-arrays":
         assert "missing array 'w0'" in err
+    if name.endswith("-ceiling-plus-1"):   # the count's own check, which runs first
+        assert "must be <=" in err
+
+
+def test_fk_overflowing_beta_exits_4_without_output(ws, tmp_path):
+    pose = _text(tmp_path / "p.txt", "beta: 1e308" + " 0" * 9 + "\n")
+    with pytest.warns(UserWarning, match="soft bound"):
+        code, err = run(["fk", "--model", ws / "model.hkm", "--pose", pose,
+                         "--out", tmp_path / "out"])
+    assert code == 4 and "|beta| beyond" in err, err
+    assert not (tmp_path / "out" / "mesh.obj").exists()
 
 
 def test_entry_point_exit_code_and_stderr(ws, tmp_path):
@@ -403,16 +438,9 @@ LIBRARY = {
     "ShapeParams-ragged": (errors.InputError, lambda m: ShapeParams(_RAGGED)),
     "ShapeParams-nan": (errors.InputError, lambda m: ShapeParams(_nan(10))),
     "ShapeParams-11-values": (errors.ShapeError, lambda m: ShapeParams(np.zeros(11))),
-    "FullPose-string-rotation": (errors.InputError, lambda m: FullPose(global_rot="abc")),
-    "FullPose-nan-translation": (errors.InputError, lambda m: FullPose(
-        translation=[0.0, np.nan, 0.0])),
-    "FullPose-44-values": (errors.ShapeError, lambda m: FullPose(
-        articulation=np.zeros(44))),
     "Skeleton-misshapen-nan": (errors.InputError, lambda m: Skeleton(_nan(5, 3))),
     "Skeleton-none": (errors.InputError, lambda m: Skeleton(None)),
     "Skeleton-20-joints": (errors.ShapeError, lambda m: Skeleton(np.zeros((20, 3)))),
-    "Mesh-strings": (errors.InputError, lambda m: Mesh([["a", "b", "c"]], [])),
-    "Mesh-ragged": (errors.InputError, lambda m: Mesh(_RAGGED, [])),
     "load_model-reparented-tree": (errors.ShapeError, _load_reparented_model),
     "regress_joints-nan": (errors.InputError, lambda m: regress_joints(
         m, _nan(m.vertex_count, 3))),
@@ -558,6 +586,9 @@ LIBRARY = {
         m, np.zeros(45), translation=_RAGGED)),
     "fk_forward-nan-beta": (errors.NumericError, lambda m: kinematics.fk_forward(
         m, np.zeros(45), _nan(10))),
+    # finite, but the shape blend would overflow (no RuntimeWarning either)
+    "fk_forward-overflowing-beta": (errors.NumericError, lambda m: kinematics.fk_forward(
+        m, np.zeros(45), [1e308] + [0.0] * 9, want_vertices=True)),
     # finite, but its squared norm overflows
     "fk_forward-overflowing-rotation": (errors.NumericError, lambda m: kinematics.fk_forward(
         m, np.zeros(45), global_rot=np.full(3, 1e200))),

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from handkit import kinematics as kin
 from handkit.errors import ShapeError
-from handkit.hand_model import (FullPose, HandModel, Mesh, ShapeParams,
-                                forward, from_mano_arrays, load_model,
-                                regress_joints, rest_joints, save_model,
-                                write_obj)
+from handkit.hand_model import (HandModel, from_mano_arrays, load_model,
+                                regress_joints, save_model, write_obj)
 from handkit.rotations import rodrigues
 
 
@@ -41,17 +39,17 @@ def regress_oracle(model, verts):
     return out
 
 
-def chain_oracle(model, pose: FullPose, beta: ShapeParams):
+def chain_oracle(model, articulation, beta, global_rot, translation):
     """Joint positions by composing homogeneous 4x4 transforms per finger.
 
     Walks each finger chain independently, multiplying local transforms
     whose translation is the rest offset from the parent, then applies the
     global rotation/translation.  No skinning involved.
     """
-    shaped = model.rest_vertices + np.einsum("i,ivc->vc", beta.beta,
+    shaped = model.rest_vertices + np.einsum("i,ivc->vc", beta,
                                              model.shape_basis)
     rest = model.joint_regressor @ shaped
-    art = pose.articulation.reshape(15, 3)
+    art = articulation.reshape(15, 3)
 
     def local(rot3, offset):
         m = np.eye(4)
@@ -72,11 +70,15 @@ def chain_oracle(model, pose: FullPose, beta: ShapeParams):
             prev = j
         tip = kin.finger_joint(f, 3)
         joints[tip] = (acc @ np.array([*(rest[tip] - rest[prev]), 1.0]))[:3]
-    rot_g = rodrigues(pose.global_rot)
-    out = joints @ rot_g.T
-    if pose.translation is not None:
-        out = out + pose.translation
-    return out
+    return joints @ rodrigues(global_rot).T + translation
+
+
+def posed(model, articulation=(0.0,) * kin.ARTICULATION_SIZE, beta=None,
+          global_rot=None, translation=None):
+    """``fk_forward`` on a batch of one: its (V, 3) vertices and (21, 3) joints."""
+    out = kin.fk_forward(model, articulation, beta, global_rot, translation,
+                         want_vertices=True)
+    return out.vertices[0], out.joints[0]
 
 
 def shape_offset(model, beta):
@@ -128,12 +130,12 @@ def test_shape_offset_dimension_mismatch(desk):
 
 
 # ---------------------------------------------------------------------------
-# rest_joints / regress_joints
+# rest joints (model.tensors) / regress_joints
 # ---------------------------------------------------------------------------
 
 def test_rest_joints_zero_beta(desk):
     expected = desk.joint_regressor @ desk.rest_vertices
-    np.testing.assert_allclose(rest_joints(desk).joints, expected, atol=1e-12)
+    np.testing.assert_allclose(desk.tensors.J0, expected, atol=1e-12)
 
 
 def test_rest_joints_one_hot_regressor(desk_small):
@@ -143,35 +145,34 @@ def test_rest_joints_one_hot_regressor(desk_small):
     model = HandModel(desk_small.rest_vertices, desk_small.shape_basis, reg,
                       desk_small.skinning_weights, desk_small.parents,
                       desk_small.faces)
-    np.testing.assert_array_equal(rest_joints(model).joints,
+    np.testing.assert_array_equal(model.tensors.J0,
                                   desk_small.rest_vertices[picks])
 
 
 def test_rest_joints_matches_bruteforce(desk_small, rng):
-    beta = ShapeParams(rng.normal(scale=0.5, size=10))
-    shaped = desk_small.rest_vertices + offset_oracle(desk_small, beta.beta)
-    np.testing.assert_allclose(rest_joints(desk_small, beta).joints,
+    beta = rng.normal(scale=0.5, size=10)
+    shaped = desk_small.rest_vertices + offset_oracle(desk_small, beta)
+    tensors = desk_small.tensors
+    np.testing.assert_allclose(tensors.J0 + np.tensordot(beta, tensors.JB, axes=1),
                                regress_oracle(desk_small, shaped), atol=1e-10)
 
 
 def test_regress_joints_rest_template(desk):
-    mesh = Mesh(desk.rest_vertices, desk.faces)
-    np.testing.assert_allclose(regress_joints(desk, mesh).joints,
-                               rest_joints(desk).joints, atol=1e-12)
+    np.testing.assert_allclose(regress_joints(desk, desk.rest_vertices).joints,
+                               desk.tensors.J0, atol=1e-12)
 
 
 def test_regress_joints_affine_equivariance(desk, rng):
     rot = rodrigues(rng.normal(size=3))
     t = rng.normal(scale=30, size=3)
-    mesh = Mesh(desk.rest_vertices @ rot.T + t, desk.faces)
-    expected = rest_joints(desk).joints @ rot.T + t
-    np.testing.assert_allclose(regress_joints(desk, mesh).joints, expected,
-                               atol=1e-9)
+    expected = desk.tensors.J0 @ rot.T + t
+    np.testing.assert_allclose(
+        regress_joints(desk, desk.rest_vertices @ rot.T + t).joints, expected, atol=1e-9)
 
 
 def test_regress_joints_random_mesh_bruteforce(desk_small, rng):
     verts = rng.normal(scale=40, size=(desk_small.vertex_count, 3))
-    got = regress_joints(desk_small, Mesh(verts, desk_small.faces)).joints
+    got = regress_joints(desk_small, verts).joints
     np.testing.assert_allclose(got, regress_oracle(desk_small, verts),
                                atol=1e-10)
 
@@ -182,55 +183,47 @@ def test_regress_joints_count_mismatch(desk):
 
 
 # ---------------------------------------------------------------------------
-# forward
+# forward kinematics: fk_forward on a batch of one
 # ---------------------------------------------------------------------------
 
 def test_forward_rest_pose(desk):
-    mesh, skeleton = forward(desk, FullPose())
-    np.testing.assert_allclose(mesh.vertices, desk.rest_vertices, atol=1e-9)
-    np.testing.assert_allclose(skeleton.joints, rest_joints(desk).joints,
-                               atol=1e-9)
+    vertices, joints = posed(desk)
+    np.testing.assert_allclose(vertices, desk.rest_vertices, atol=1e-9)
+    np.testing.assert_allclose(joints, desk.tensors.J0, atol=1e-9)
 
 
 def test_forward_global_rotation_is_rigid(desk, rng):
     r = rng.normal(size=3) * 0.6
     t = rng.normal(scale=25, size=3)
-    mesh, skeleton = forward(desk, FullPose(global_rot=r, translation=t))
+    vertices, joints = posed(desk, global_rot=r, translation=t)
     rot = rodrigues(r)
-    np.testing.assert_allclose(mesh.vertices,
-                               desk.rest_vertices @ rot.T + t, atol=1e-6)
-    np.testing.assert_allclose(skeleton.joints,
-                               rest_joints(desk).joints @ rot.T + t, atol=1e-6)
+    np.testing.assert_allclose(vertices, desk.rest_vertices @ rot.T + t, atol=1e-6)
+    np.testing.assert_allclose(joints, desk.tensors.J0 @ rot.T + t, atol=1e-6)
 
 
 def test_forward_rigid_equivariance_posed(desk, limits, axes, rng):
     from handkit import bio_dof
-    bio = bio_dof.BioPose(bio_dof.sample_uniform(limits, 1, rng)[0])
-    art = bio_dof.expand_batch(bio.values, axes)
-    base_mesh, base_skel = forward(desk, FullPose(articulation=art))
+    art = bio_dof.expand_batch(bio_dof.sample_uniform(limits, 1, rng)[0], axes)
+    base_vertices, base_joints = posed(desk, art)
     r = rng.normal(size=3)
     r = r / np.linalg.norm(r) * 0.9
     t = rng.normal(scale=15, size=3)
-    mesh, skel = forward(desk, FullPose(global_rot=r, articulation=art,
-                                        translation=t))
+    vertices, joints = posed(desk, art, global_rot=r, translation=t)
     rot = rodrigues(r)
-    np.testing.assert_allclose(mesh.vertices,
-                               base_mesh.vertices @ rot.T + t, atol=1e-6)
-    np.testing.assert_allclose(skel.joints, base_skel.joints @ rot.T + t,
-                               atol=1e-6)
+    np.testing.assert_allclose(vertices, base_vertices @ rot.T + t, atol=1e-6)
+    np.testing.assert_allclose(joints, base_joints @ rot.T + t, atol=1e-6)
 
 
 def test_forward_matches_chain_oracle(desk, limits, axes, rng):
     from handkit import bio_dof
     for _ in range(25):
-        bio = bio_dof.BioPose(bio_dof.sample_uniform(limits, 1, rng)[0])
-        pose = FullPose(global_rot=rng.normal(scale=0.4, size=3),
-                        articulation=bio_dof.expand_batch(bio.values, axes),
-                        translation=rng.normal(scale=20, size=3))
-        beta = ShapeParams(rng.normal(scale=0.5, size=10))
-        _, skeleton = forward(desk, pose, beta)
-        np.testing.assert_allclose(skeleton.joints,
-                                   chain_oracle(desk, pose, beta), atol=1e-6)
+        art = bio_dof.expand_batch(bio_dof.sample_uniform(limits, 1, rng)[0], axes)
+        rot = rng.normal(scale=0.4, size=3)
+        trans = rng.normal(scale=20, size=3)
+        beta = rng.normal(scale=0.5, size=10)
+        _, joints = posed(desk, art, beta, rot, trans)
+        np.testing.assert_allclose(joints, chain_oracle(desk, art, beta, rot, trans),
+                                   atol=1e-6)
 
 
 def test_forward_skinning_one_hot_rigidity(desk_small, limits, axes_small, rng):
@@ -241,9 +234,8 @@ def test_forward_skinning_one_hot_rigidity(desk_small, limits, axes_small, rng):
     model = HandModel(desk_small.rest_vertices, desk_small.shape_basis,
                       desk_small.joint_regressor, weights, desk_small.parents,
                       desk_small.faces)
-    bio = bio_dof.BioPose(bio_dof.sample_uniform(limits, 1, rng)[0])
-    art = bio_dof.expand_batch(bio.values, axes_small)
-    mesh, _ = forward(model, FullPose(articulation=art))
+    art = bio_dof.expand_batch(bio_dof.sample_uniform(limits, 1, rng)[0], axes_small)
+    vertices, _ = posed(model, art)
     # every vertex must move rigidly with the chained transform of that joint
     out = kin.fk_forward(model, art[None], need_grad=True)
     joint = kin.ARTICULATED[slot]
@@ -251,14 +243,7 @@ def test_forward_skinning_one_hot_rigidity(desk_small, limits, axes_small, rng):
     rest_j = out.rest_joints[0, joint]
     posed_j = out.chain_t[0, slot]
     expected = (model.rest_vertices - rest_j) @ rot.T + posed_j
-    np.testing.assert_allclose(mesh.vertices, expected, atol=1e-9)
-
-
-def test_forward_rejects_out_of_range_magnitudes(desk):
-    art = np.zeros(45)
-    art[0] = np.pi + 0.01
-    with pytest.raises(ValueError):
-        forward(desk, FullPose(articulation=art))
+    np.testing.assert_allclose(vertices, expected, atol=1e-9)
 
 
 def test_forward_with_pose_basis_changes_mesh_not_joints_at_rest(desk_small):
@@ -268,9 +253,9 @@ def test_forward_with_pose_basis_changes_mesh_not_joints_at_rest(desk_small):
                       desk_small.joint_regressor, desk_small.skinning_weights,
                       desk_small.parents, desk_small.faces,
                       pose_basis=pose_basis)
-    mesh, _ = forward(model, FullPose())
+    vertices, _ = posed(model)
     # identity rotations: the corrective features vec(R - I) vanish
-    np.testing.assert_allclose(mesh.vertices, model.rest_vertices, atol=1e-12)
+    np.testing.assert_allclose(vertices, model.rest_vertices, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +314,10 @@ def test_model_roundtrip(desk_small, tmp_path, text):
 
 
 def test_obj_export_is_stable(desk_small, tmp_path):
-    mesh, _ = forward(desk_small, FullPose())
+    vertices, _ = posed(desk_small)
     a, b = tmp_path / "a.obj", tmp_path / "b.obj"
-    write_obj(mesh, a)
-    write_obj(mesh, b)
+    write_obj(vertices, desk_small.faces, a)
+    write_obj(vertices, desk_small.faces, b)
     assert a.read_bytes() == b.read_bytes()
     first = a.read_text().splitlines()[0]
     assert first.startswith("v ")

@@ -39,8 +39,7 @@ def directions_and_lengths(row):
 # ---------------------------------------------------------------------------
 
 def test_featurize_rest_pose(desk):
-    from handkit.hand_model import rest_joints
-    joints = rest_joints(desk).joints
+    joints = desk.tensors.J0
     directions, lengths = directions_and_lengths(featurize_batch(joints)[0])
     parents = np.array([p for p, _ in kin.BONES])
     children = np.array([c for _, c in kin.BONES])

@@ -10,8 +10,7 @@ from handkit.rotations import rodrigues
 
 
 def straight_finger_skeleton(desk):
-    from handkit.hand_model import rest_joints
-    return rest_joints(desk).joints  # desk fingers are straight radial lines
+    return desk.tensors.J0  # desk fingers are straight radial lines
 
 
 def bend_oracle(joints):
