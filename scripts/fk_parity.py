@@ -9,7 +9,7 @@ Each checkout's ``handkit`` poses the same seeded set in its own subprocess:
 B = 1, 32 and 256 on the desk hand, with and without a pose basis, with
 ``global_rot`` None or random.  Every case runs the forward pass with
 vertices and regressed joints, then ``fk_backward`` once per cotangent
-(joints, vertices, regressed joints).  The script prints the worst absolute
+(vertices, regressed joints).  The script prints the worst absolute
 output difference (mm), the same over the ``global_rot=None`` cases alone,
 and the worst relative gradient difference: per array, max |a - b| over the
 larger of the two max |a|.
@@ -40,7 +40,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 BATCHES = (1, 32, 256)
 OUTPUTS = ("joints", "vertices", "regressed_joints")
-COTANGENTS = ("d_joints", "d_vertices", "d_regressed")
+#: cotangent -> the output it matches
+COTANGENTS = {"d_vertices": "vertices", "d_regressed": "regressed_joints"}
 PARAMS = ("articulation", "beta", "global_rot", "translation")
 
 
@@ -69,8 +70,8 @@ def pose_set(path):
                 case = f"B{batch}-{basis}-{rot}"
                 for name in OUTPUTS:
                     arrays[f"{case}/out/{name}"] = getattr(out, name)
-                for name in COTANGENTS:
-                    shape = getattr(out, OUTPUTS[COTANGENTS.index(name)]).shape
+                for name, output in COTANGENTS.items():
+                    shape = getattr(out, output).shape
                     grads = kin.fk_backward(model, out, **{name: rng.normal(size=shape)})
                     for param in PARAMS:
                         arrays[f"{case}/{name}/{param}"] = getattr(grads, param)

@@ -7,8 +7,8 @@ pose/camera generation, pose-estimation metrics, and an analytic MAC
 profiler for neural architectures.
 """
 
-from .bio_dof import (AxisTable, BioPose, DofLimits, clamp, derive_axes,
-                      expand_batch, is_feasible)
+from .bio_dof import (BioPose, DofLimits, clamp, derive_axes, expand_batch,
+                      is_feasible)
 from .hand_model import (HandModel, ShapeParams, Skeleton, from_mano_arrays,
                          load_model, make_desk_hand, make_desk_hand_small,
                          regress_joints, save_model, write_obj)

@@ -14,8 +14,9 @@ Axes are derived from a model's rest pose: the twist axis follows the bone
 leaving the joint, the abduction axis is the palm normal projected
 perpendicular to it, and the flexion axis completes the right-handed triplet
 (twist x abd).  Positive flexion therefore bends the finger toward the palm
-normal.  Joint limits are data, not code: defaults below, loadable from a
-plain-text config.
+normal.  The axis table is the (45, 23) expansion matrix E itself: column c
+holds DoF c's axis in the three rows of its joint.  Joint limits are data,
+not code: defaults below, loadable from a plain-text config.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ DOF_SPECS: tuple[tuple[str, int, str], ...] = tuple(
 DOF_NAMES = tuple(name for name, _, _ in DOF_SPECS)
 DOF_COUNT = len(DOF_SPECS)  # 23
 _ORTHONORMAL_TOL = 1e-9
+_FRAME_ROW = {"flex": 0, "abd": 1, "twist": 2}
 
 _DEFAULT_FINGER_LIMITS = {
     "mcp_flex": (-0.3, 1.6),
@@ -63,30 +65,17 @@ _DEFAULT_THUMB_LIMITS = {
 }
 
 
-def _dof_index(name: str) -> int:
-    if name not in DOF_NAMES:
-        raise InputError(f"unknown DoF name {name!r}")
-    return DOF_NAMES.index(name)
-
-
 @dataclass
 class BioPose:
-    """The 23 feasible angles, radians, in DOF_NAMES order."""
+    """The 23 feasible angles, radians, in DOF_NAMES order.
+
+    Kept as the type of ``ik_optim.FitResult.bio`` (the benchmark reads
+    ``result.bio.values``)."""
 
     values: np.ndarray = field(default_factory=lambda: np.zeros(DOF_COUNT))
 
     def __post_init__(self):
         self.values = as_array(self.values, DOF_COUNT, "BioPose values")
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.values[_dof_index(name)])
-
-    @classmethod
-    def from_dict(cls, angles: dict[str, float]) -> "BioPose":
-        values = np.zeros(DOF_COUNT)
-        for name, value in angles.items():
-            values[_dof_index(name)] = value
-        return cls(values)
 
 
 @dataclass
@@ -144,62 +133,21 @@ class DofLimits:
         return cls(lower, upper)
 
 
-@dataclass
-class AxisTable:
-    """Orthonormal (flex, abd, twist) triplets per articulated finger joint.
-
-    Rows follow the articulated-joint order (thumb MCP/PIP/DIP, then index,
-    middle, ring, little).  Immutable after derivation.
-    """
-
-    flex: np.ndarray    # (15, 3)
-    abd: np.ndarray     # (15, 3)
-    twist: np.ndarray   # (15, 3)
-
-    def __post_init__(self):
-        for name in ("flex", "abd", "twist"):   # one table is shared per model
-            value = np.array(as_array(getattr(self, name), (15, 3), f"{name} axes"))
-            value.flags.writeable = False
-            setattr(self, name, value)
-        self._expansion = None
-
-    def check_orthonormal(self) -> None:
-        for a, b in (("flex", "abd"), ("flex", "twist"), ("abd", "twist")):
-            dots = np.abs(np.einsum("ic,ic->i", getattr(self, a), getattr(self, b)))
-            if dots.max() > _ORTHONORMAL_TOL:
-                raise NumericError(f"{a} and {b} axes are not orthogonal")
-        for name in ("flex", "abd", "twist"):
-            norms = np.linalg.norm(getattr(self, name), axis=1)
-            if np.abs(norms - 1.0).max() > _ORTHONORMAL_TOL:
-                raise NumericError(f"{name} axes are not unit length")
-
-    def axis(self, slot: int, kind: str) -> np.ndarray:
-        return {"flex": self.flex, "abd": self.abd, "twist": self.twist}[kind][slot]
-
-    def expansion_matrix(self) -> np.ndarray:
-        """E of shape (45, 23) such that articulation = E @ bio23."""
-        if self._expansion is None:
-            mat = np.zeros((kin.ARTICULATION_SIZE, DOF_COUNT))
-            for col, (_, slot, kind) in enumerate(DOF_SPECS):
-                mat[3 * slot:3 * slot + 3, col] = self.axis(slot, kind)
-            mat.flags.writeable = False
-            self._expansion = mat
-        return self._expansion
-
-
-def derive_axes(model: HandModel) -> AxisTable:
+def derive_axes(model: HandModel) -> np.ndarray:
     """The model's axis table, derived once per model (``model.tensors``)."""
     return model.tensors.axes
 
 
-def axes_from_rest_joints(joints: np.ndarray) -> AxisTable:
-    """Build the axis table from a model's (21, 3) rest joints.
+def axes_from_rest_joints(joints: np.ndarray) -> np.ndarray:
+    """The axis table of a model's (21, 3) rest joints: the read-only (45, 23)
+    expansion matrix E, articulation = E @ bio23.
 
-    Twist follows the bone leaving each joint; the palm normal comes from the
-    wrist / index-MCP / little-MCP plane; abd is the palm normal projected
-    orthogonal to twist; flex = twist x abd.  Gram-Schmidt keeps the triplets
-    orthonormal regardless of model geometry, and unit vectors make the table
-    invariant to uniform scaling.
+    Column c holds DoF c's unit axis in the three rows of its joint slot.
+    Per slot, twist follows the bone leaving the joint; the palm normal comes
+    from the wrist / index-MCP / little-MCP plane; abd is the palm normal
+    projected orthogonal to twist; flex = twist x abd.  Gram-Schmidt keeps
+    the (flex, abd, twist) frames orthonormal regardless of model geometry,
+    and unit vectors make the table invariant to uniform scaling.
     """
     joints = as_array(joints, (kin.JOINT_COUNT, 3), "joints")
     wrist = joints[0]
@@ -211,12 +159,9 @@ def axes_from_rest_joints(joints: np.ndarray) -> AxisTable:
         raise NumericError("wrist and MCP joints are collinear")
     normal = normal / norm
 
-    flex = np.zeros((15, 3))
-    abd = np.zeros((15, 3))
-    twist = np.zeros((15, 3))
+    frames = np.zeros((15, 3, 3))   # per slot: flex, abd, twist rows
     for fi in range(5):
         for part in range(3):
-            slot = 3 * fi + part
             joint = kin.finger_joint(fi, part)
             bone = joints[joint + 1] - joints[joint]
             length = np.linalg.norm(bone)
@@ -230,18 +175,22 @@ def axes_from_rest_joints(joints: np.ndarray) -> AxisTable:
                 raise NumericError(
                     f"bone at {kin.JOINT_NAMES[joint]} is parallel to the palm normal")
             a = a / a_norm
-            twist[slot] = t
-            abd[slot] = a
-            flex[slot] = np.cross(t, a)
-    table = AxisTable(flex=flex, abd=abd, twist=twist)
-    table.check_orthonormal()
+            frames[3 * fi + part] = np.cross(t, a), a, t
+    gram = frames @ frames.swapaxes(1, 2)   # the identity per slot
+    if np.abs(gram - np.eye(3)).max() > _ORTHONORMAL_TOL:
+        raise NumericError("flex, abd and twist axes are not orthonormal")
+
+    table = np.zeros((kin.ARTICULATION_SIZE, DOF_COUNT))
+    for col, (_, slot, kind) in enumerate(DOF_SPECS):
+        table[3 * slot:3 * slot + 3, col] = frames[slot, _FRAME_ROW[kind]]
+    table.flags.writeable = False
     return table
 
 
-def expand_batch(bio_values: np.ndarray, axes: AxisTable) -> np.ndarray:
+def expand_batch(bio_values: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """23 feasible angles -> 45 articulation values, linear (0 maps to 0):
     (B, 23) -> (B, 45), and a (23,) row -> a (45,) row."""
-    return np.asarray(bio_values, dtype=float) @ axes.expansion_matrix().T
+    return np.asarray(bio_values, dtype=float) @ axes.T
 
 
 def clamp(bio: BioPose, limits: DofLimits) -> BioPose:

@@ -137,29 +137,28 @@ def load_pose_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return art, beta, rot, trans
 
 
-def _params_lines(bio: bio_dof.BioPose, beta: ShapeParams, global_rot,
-                  translation) -> list[str]:
-    """'bio <name> <v>', 'beta <i> <v>', global_rot and translation lines."""
-    return ([f"bio {name} {_fmt(v)}" for name, v in zip(bio_dof.DOF_NAMES, bio.values)]
-            + [f"beta {i} {_fmt(v)}" for i, v in enumerate(beta.beta)]
+def _params_lines(bio, beta, global_rot, translation) -> list[str]:
+    """'bio <name> <v>', 'beta <i> <v>', global_rot and translation lines of
+    the (23,), (10,), (3,) and (3,) arrays."""
+    return ([f"bio {name} {_fmt(v)}" for name, v in zip(bio_dof.DOF_NAMES, bio)]
+            + [f"beta {i} {_fmt(v)}" for i, v in enumerate(beta)]
             + ["global_rot " + _fmt_row(global_rot),
                "translation " + _fmt_row(translation)])
 
 
-def write_params_file(path, bio: bio_dof.BioPose, beta: ShapeParams,
-                      global_rot, translation) -> None:
+def write_params_file(path, bio, beta, global_rot, translation) -> None:
     lines = _params_lines(bio, beta, global_rot, translation)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_fit_report(path, result: ik_optim.FitResult) -> None:
+def write_fit_report(path, loss_trace, converged: bool, bio, beta, global_rot,
+                     translation) -> None:
     """A parameter file preceded by a '# fit report' line, 'converged yes|no',
     'iterations <n>' and one 'loss <i> <v>' line per iteration."""
-    lines = ["# fit report", "converged " + ("yes" if result.converged else "no"),
-             f"iterations {len(result.loss_trace)}"]
-    lines += [f"loss {i} {_fmt(loss)}" for i, loss in enumerate(result.loss_trace)]
-    lines += _params_lines(result.bio, result.beta, result.global_rot,
-                           result.translation)
+    lines = ["# fit report", "converged " + ("yes" if converged else "no"),
+             f"iterations {len(loss_trace)}"]
+    lines += [f"loss {i} {_fmt(loss)}" for i, loss in enumerate(loss_trace)]
+    lines += _params_lines(bio, beta, global_rot, translation)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -167,7 +166,9 @@ def load_params_file(path):
     """Inverse of write_params_file, as (angles, beta, global_rot,
     translation) arrays; a fit report loads too (its '#', converged,
     iterations and loss lines are skipped).  Any other line must be a known
-    key with its field count, each value given at most once."""
+    key with its field count, each value given at most once.  Values are
+    finite, and |beta| is at most ``ik_optim.MAX_INIT_BETA``, as ``fit``
+    starts from them."""
     values = {"bio": np.zeros(bio_dof.DOF_COUNT), "beta": np.zeros(10),
               "global_rot": np.zeros(3), "translation": np.zeros(3)}
     seen = set()
@@ -194,6 +195,8 @@ def load_params_file(path):
             raise InputError(f"{path}: bad params line {raw!r} ({exc})") from exc
     if not np.isfinite(np.concatenate(list(values.values()))).all():
         raise InputError(f"{path}: non-finite parameter values")
+    if np.abs(values["beta"]).max() > ik_optim.MAX_INIT_BETA:
+        raise InputError(f"{path}: |beta| must be <= {ik_optim.MAX_INIT_BETA:g}")
     return tuple(values.values())
 
 
@@ -277,11 +280,11 @@ def cmd_ik_fit(args) -> int:
                                                 limits=limits)):
             results[i] = result
     out = _out_dir(args)
-    for i, result in enumerate(results):
-        write_fit_report(out / _numbered("fit_report", i, len(results)), result)
-        write_params_file(out / _numbered("fit_params", i, len(results)),
-                          result.bio, result.beta, result.global_rot,
-                          result.translation)
+    for i, r in enumerate(results):
+        params = r.bio.values, r.beta.beta, r.global_rot, r.translation
+        write_fit_report(out / _numbered("fit_report", i, len(results)),
+                         r.loss_trace, r.converged, *params)
+        write_params_file(out / _numbered("fit_params", i, len(results)), *params)
     print(f"wrote {len(results)} fit report(s) to {out} (final loss "
           f"{_fmt_row(min(r.loss_trace) for r in results)})")
     return EXIT_OK
@@ -317,7 +320,7 @@ def cmd_ik_predict(args) -> int:
     out = _out_dir(args)
     for i, (b, s) in enumerate(zip(bio, beta)):
         write_params_file(out / _numbered("params", i, len(records)),
-                          bio_dof.BioPose(b), ShapeParams(s), np.zeros(3), np.zeros(3))
+                          b, s, np.zeros(3), np.zeros(3))
     print(f"wrote {len(records)} parameter file(s) to {out}")
     return EXIT_OK
 

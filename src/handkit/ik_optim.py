@@ -28,6 +28,18 @@ from .hand_model import HandModel, ShapeParams
 HUBER_DELTA_MM = 1.0
 FINAL_STEP_SCALE = 0.02   # cosine decay floor, fraction of the step size
 PARAM_COUNT = bio_dof.DOF_COUNT + 10 + 6  # 23 angles + 10 shape + rot/trans
+# The largest accepted |initial shape coefficient| and bend weight w.  The
+# bend penalty grows as the fourth power of the hand's size, and so do its
+# gradients w.r.t. the rotations (a rotation moves a joint by its distance
+# from the axis); Adam squares every gradient.  A hand's shape basis moves a
+# joint by at most ~1e2 mm per unit (the desk hand's by 9.6 mm), so with ten
+# coefficients of at most 1e4 every bone stays below ~1e7 mm.  The penalty
+# and its gradients then stay below ~1e3 w 1e28 (a few bones and lever arms
+# summed), and their squares finite for w up to ~1e120; 1e100 leaves a factor
+# of over 1e40 in the squares.  Both are far above any fit's use (|beta| <= 5 is
+# the plausible range, and w defaults to 1e-2).
+MAX_INIT_BETA = 1e4
+MAX_BEND_WEIGHT = 1e100
 
 
 @dataclass
@@ -61,7 +73,7 @@ class FitConfig:
     def __post_init__(self):
         self.iterations = as_number(self.iterations, "iterations", 1, integer=True)
         self.step_size = as_number(self.step_size, "step_size", above=0)
-        self.bend_weight = as_number(self.bend_weight, "bend_weight", 0)
+        self.bend_weight = as_number(self.bend_weight, "bend_weight", 0, MAX_BEND_WEIGHT)
         self.convergence_tol = as_number(self.convergence_tol, "convergence_tol", 0)
 
 
@@ -132,7 +144,7 @@ def bend_penalty_with_grad(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(-s, 0.0).sum(axis=-1), grad
 
 
-def batch_fit_loss(model: HandModel, axes: bio_dof.AxisTable, bio, beta,
+def batch_fit_loss(model: HandModel, axes: np.ndarray, bio, beta,
                    global_rot, translation, joints, vertices, bend_weight: float,
                    loss_kind: str, want_grad: bool):
     """(B,) per-sample losses of (B, 23) angles, (B, 10) shape, (B, 3)
@@ -169,7 +181,7 @@ def batch_fit_loss(model: HandModel, axes: bio_dof.AxisTable, bio, beta,
     if not want_grad:
         return loss, None
     grads = kin.fk_backward(model, out, d_regressed=d_joints, d_vertices=d_vertices)
-    return loss, (grads.articulation @ axes.expansion_matrix(), grads.beta,
+    return loss, (grads.articulation @ axes, grads.beta,
                   grads.global_rot, grads.translation)
 
 
@@ -199,7 +211,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: np.ndarray,
 def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
         init_rot=None, init_trans=None, config: FitConfig | None = None,
         limits: bio_dof.DofLimits | None = None,
-        axes: bio_dof.AxisTable | None = None) -> FitResult | list[FitResult]:
+        axes: np.ndarray | None = None) -> FitResult | list[FitResult]:
     """First-order refinement of (angles, shape, global pose) toward B
     targets at once: a list of B results, or one for one target (a batch of
     one).  Initial values (None is zeros) are (n,), shared, or (B, n).  Runs
@@ -211,7 +223,8 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
         raise InputError(f"a FitTarget is required, got {type(target).__name__}")
     config = config or FitConfig()
     limits = limits or bio_dof.DofLimits.default()
-    axes = axes or bio_dof.derive_axes(model)
+    if axes is None:
+        axes = bio_dof.derive_axes(model)
     nd = bio_dof.DOF_COUNT
     targets = [None if a is None else a.reshape(-1, *a.shape[-2:])   # (B, n, 3)
                for a in (target.joints, target.vertices)]
@@ -228,6 +241,8 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
                 raise ShapeError(f"{what} must have shape {view.shape[1:]} or "
                                  f"{(*lead, view.shape[1])}, got {value.shape}")
             view[...] = value
+    if np.abs(beta).max() > MAX_INIT_BETA:
+        raise InputError(f"initial |beta| must be <= {MAX_INIT_BETA:g}")
     frozen_beta = beta.copy()
     grad, adam_state = np.zeros_like(x), np.zeros((4, x.size))   # per-row moments
     best_loss, best_x = np.full(batch, np.inf), x.copy()

@@ -8,8 +8,8 @@ order.  The global rotation (about the origin) is the rotation of the
 chain's root, the wrist slot, as in MANO; the translation is added last.
 
 ``fk_forward`` evaluates poses for a whole batch at once and can cache what
-``fk_backward`` reads; ``fk_backward`` then pulls loss gradients at the
-outputs (skeleton joints, mesh vertices, regressed joints) back to the
+``fk_backward`` reads; ``fk_backward`` then pulls loss gradients at the mesh
+vertices and the regressed joints (the outputs a loss reads) back to the
 articulation, shape, global-rotation, and translation parameters in one
 reverse sweep.  The forward chains the 16 rigid transforms root first, by
 depth (MCPs, PIPs, DIPs: three steps, five fingers each, as slices), into
@@ -59,11 +59,8 @@ ARTICULATED = (0,) + tuple(4 * f + p for f in range(5) for p in (1, 2, 3))
 ARTICULATED_COUNT = len(ARTICULATED)  # 16
 ARTICULATION_SIZE = 45  # 15 non-wrist articulated joints x 3
 
-#: articulated-slot index for every joint (tips map to their DIP's slot)
+#: articulated-slot index of each articulated joint
 _slot_of = {j: s for s, j in enumerate(ARTICULATED)}
-ASSIGN_SLOT = tuple(_slot_of[j] if j in _slot_of else _slot_of[j - 1]
-                    for j in range(JOINT_COUNT))
-_ASSIGN_ONEHOT = np.eye(ARTICULATED_COUNT)[list(ASSIGN_SLOT)]  # (21, 16)
 
 #: kinematic-tree edges (parent, child) for the 20 bones, in child order
 BONES = tuple((PARENTS[j], j) for j in range(1, JOINT_COUNT))
@@ -200,8 +197,9 @@ class ModelTensors:
         return cls(*arrays)
 
     @cached_property
-    def axes(self):
-        """The model's ``bio_dof.AxisTable``, derived from J0 on first use."""
+    def axes(self) -> np.ndarray:
+        """The model's read-only (45, 23) axis table (``bio_dof``'s expansion
+        matrix), derived from J0 on first use."""
         from .bio_dof import axes_from_rest_joints  # bio_dof imports this module
         return axes_from_rest_joints(self.J0)
 
@@ -334,9 +332,9 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
 BLEND_BLOCK = 8
 
 
-def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
-                d_regressed=None) -> FkGrads:
-    """Reverse sweep: output cotangents -> parameter gradients.
+def fk_backward(model, cache: FkCache, d_vertices=None, d_regressed=None) -> FkGrads:
+    """Reverse sweep: cotangents at the mesh vertices and the regressed
+    joints -> parameter gradients.
 
     Each ``d_*`` matches the shape of the corresponding forward output (else
     ``ShapeError``) and is finite (else ``InputError``); any may be omitted.
@@ -349,17 +347,8 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
 
     bar_bones = np.zeros((batch, 3, ARTICULATED_COUNT, 4))
     bar_trans = np.zeros((batch, 3))
-    bar_rest = np.zeros((batch, 3 * JOINT_COUNT))
     bar_beta = np.zeros((batch, 10))
     bar_pose_feats = np.zeros((batch, POSE_BASIS_SIZE))
-
-    if d_joints is not None:
-        g = as_array(d_joints, cache.joints.shape, "d_joints")  # (B, 21, 3)
-        bar_trans += g.sum(axis=1)
-        rest_h = np.concatenate([rest_joints, np.ones((batch, JOINT_COUNT, 1))], -1)
-        bar_bones += np.einsum("kj,bkx,bky->bxjy", _ASSIGN_ONEHOT, g, rest_h)
-        bar_rest += np.einsum("bxky,bkx->bky", bone_rot[:, :, list(ASSIGN_SLOT)],
-                              g).reshape(batch, -1)
 
     if d_vertices is not None:
         if cache.vertices is None:
@@ -421,7 +410,7 @@ def fk_backward(model, cache: FkCache, d_joints=None, d_vertices=None,
     bar_t = np.ascontiguousarray(bar_bones[..., 3].swapaxes(1, 2))
     chain_bar = np.concatenate([np.einsum("bsxy,bsx->bsy", parent_rot, T),
                                 np.einsum("bsxy,bsx->bsy", chain_rot, bar_t)], axis=1)
-    bar_rest += chain_bar.reshape(batch, -1) @ _REST_FROM_CHAIN
+    bar_rest = chain_bar.reshape(batch, -1) @ _REST_FROM_CHAIN
     bar_beta += bar_rest @ model.tensors.JB.reshape(10, -1).T
     return FkGrads(articulation=bar_omega[:, 1:].reshape(batch, 45),
                    beta=bar_beta, global_rot=bar_omega[:, 0], translation=bar_trans)

@@ -113,7 +113,6 @@ class NetGraph:
 class ProfileReport:
     graph: str
     resolution: int
-    rows: list[tuple[str, str, int]]      # (stage, layer kind, MACs)
     stage_totals: dict[str, int]
     total_macs: int
 
@@ -141,7 +140,6 @@ def profile(graph: NetGraph, resolution: int = 256) -> ProfileReport:
         raise ShapeError("resolution must be divisible by the input stride")
     c = graph.input_channels
     h = w = resolution // graph.input_stride
-    rows = []
     stage_totals: dict[str, int] = {}
     for stage, layer in graph.layers:
         if max(h, w) >= _SIZE_LIMIT:
@@ -151,11 +149,10 @@ def profile(graph: NetGraph, resolution: int = 256) -> ProfileReport:
             layer.out_shape(c, h, w)  # validates channel agreement only
         else:
             c, h, w = layer.out_shape(c, h, w)
-        rows.append((stage, layer.kind, macs))
         stage_totals[stage] = stage_totals.get(stage, 0) + macs
-    return ProfileReport(graph=graph.name, resolution=resolution, rows=rows,
+    return ProfileReport(graph=graph.name, resolution=resolution,
                          stage_totals=stage_totals,
-                         total_macs=sum(m for _, _, m in rows))
+                         total_macs=sum(stage_totals.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +262,9 @@ def heatmap_aggregator() -> NetGraph:
     return NetGraph("heatmap_aggregator", 21 * 64 + 64, layers, input_stride=4)
 
 
-def _variant_block(variant: str, channels: int, kernel: int = 4
-                   ) -> list[tuple[str, LayerSpec]]:
+def _variant_block(variant: str, channels: int) -> list[tuple[str, LayerSpec]]:
     """One x2 upsampling block of decoder variant A, B, or C."""
-    layers = [("dw_deconv", LayerSpec("depthwise_deconv", kernel=kernel,
+    layers = [("dw_deconv", LayerSpec("depthwise_deconv", kernel=4,
                                       in_channels=channels,
                                       out_channels=channels, stride=2))]
     if variant in ("B", "C"):
@@ -348,10 +344,10 @@ def compare_decoders(channels: int, spatial: int) -> DecoderComparison:
 # plain-text graph files
 # ---------------------------------------------------------------------------
 
-def load_graph_text(path, name: str | None = None, input_stride: int = 1
-                    ) -> NetGraph:
+def load_graph_text(path, input_stride: int = 1) -> NetGraph:
     """One layer per line: kind kernel in_channels out_channels stride groups
-    [se_ratio].  Lines starting with '#' are comments."""
+    [se_ratio].  Lines starting with '#' are comments.  The graph is named
+    after the file's stem."""
     layers: list[tuple[str, LayerSpec]] = []
     for lineno, raw in enumerate(
             Path(path).read_text(errors="replace").splitlines(), 1):
@@ -372,5 +368,5 @@ def load_graph_text(path, name: str | None = None, input_stride: int = 1
         layers.append((f"layer{len(layers) + 1}", spec))
     if not layers:
         raise InputError(f"{path}: no layers")
-    return NetGraph(name or Path(path).stem, layers[0][1].in_channels, layers,
+    return NetGraph(Path(path).stem, layers[0][1].in_channels, layers,
                     input_stride=input_stride)

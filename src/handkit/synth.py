@@ -28,11 +28,10 @@ from . import bio_dof, kinematics as kin
 from .containers import read_container, write_container
 from .errors import InputError, NumericError, as_array, as_number, batch_row
 
-#: a camera's default target and up vector, shared read-only by every camera
-#: that does not give its own
-ORIGIN = np.zeros(3)
-WORLD_UP = np.array([0.0, 1.0, 0.0])
-ORIGIN.flags.writeable = WORLD_UP.flags.writeable = False
+#: every camera looks at the origin with +Y up; at the elevation poles, where
+#: the view is parallel to +Y, the +X hint keeps the frame defined
+WORLD_UP = (0.0, 1.0, 0.0)
+POLE_HINT = (1.0, 0.0, 0.0)
 DEFAULT_ELEV_MIN = -np.pi / 3.0
 DEFAULT_ELEV_MAX = np.pi / 2.0
 DEFAULT_STEP = np.pi / 36.0
@@ -55,26 +54,17 @@ FINGER_SLICES = {name: slice(9 * fi, 9 * (fi + 1))
 
 @dataclass
 class CameraPose:
-    """A viewpoint on the unit sphere looking at a target (wrist/origin).
-
-    ``position`` (unit length), ``target`` and ``up`` are finite (3,)
-    vectors; a ``target`` or ``up`` left at ``None`` is ``ORIGIN`` or
-    ``WORLD_UP``.
-    """
+    """A viewpoint on the unit sphere looking at the origin (the wrist);
+    ``position`` is a finite, unit-length (3,) vector."""
 
     elevation: float
     azimuth: float
     position: np.ndarray
-    target: np.ndarray | None = None
-    up: np.ndarray | None = None
 
     def __post_init__(self):
         self.elevation = as_number(self.elevation, "camera elevation")
         self.azimuth = as_number(self.azimuth, "camera azimuth")
         self.position = as_array(self.position, (3,), "camera position")
-        self.target = (ORIGIN if self.target is None
-                       else as_array(self.target, (3,), "camera target"))
-        self.up = WORLD_UP if self.up is None else as_array(self.up, (3,), "camera up")
         norm = math.hypot(*self.position.tolist())
         if not abs(norm - 1.0) <= 1e-9:     # so NaN fails too
             raise InputError(f"camera position must be unit length, got {norm}")
@@ -179,10 +169,12 @@ def augment_library(lib: PoseLibrary, per_pose: int = DEFAULT_VARIANTS_PER_POSE,
     Each variant picks a donor pose uniformly and swaps each finger with
     probability ``swap_probability`` (0 forces plain copies).  Variants are
     laid out base-major: rows [i * per_pose, (i + 1) * per_pose) derive from
-    base pose i.  More than ``MAX_AUGMENTED_POSES`` rows is ``InputError``.
+    base pose i.  More than ``MAX_AUGMENTED_POSES`` rows, or a library longer
+    than that, is ``InputError``.
     """
-    if len(lib) == 0:
-        raise InputError("library is empty")
+    if not 1 <= len(lib) <= MAX_AUGMENTED_POSES:
+        raise InputError(f"a library of {len(lib)} poses is outside "
+                         f"1..{MAX_AUGMENTED_POSES} (MAX_AUGMENTED_POSES)")
     per_pose = as_number(per_pose, f"per_pose of {len(lib)} poses", 1,
                          MAX_AUGMENTED_POSES // len(lib), integer=True)
     swap_probability = as_number(swap_probability, "swap_probability", 0, 1)
@@ -224,22 +216,19 @@ def camera_frame(cam: CameraPose, radius_mm: float
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Rotation (world -> camera rows [right, down, forward]) and eye point.
 
-    The camera sits at position * radius looking at the target with the +Y-up
-    convention; image y grows downward as usual for pixel coordinates.  At
-    the elevation poles, where the view direction is parallel to the up
-    vector, a fixed +X up-hint keeps the frame defined.  The 3-vectors are
-    worked out on Python floats, component by component: a numpy call on
-    three values costs more than their arithmetic.
+    The camera sits at position * radius looking at the origin with
+    ``WORLD_UP`` up (``POLE_HINT`` at the elevation poles); image y grows
+    downward as usual for pixel coordinates.  The 3-vectors are worked out on
+    Python floats, component by component: a numpy call on three values
+    costs more than their arithmetic.
     """
-    target = cam.target.tolist()
-    eye = [p * radius_mm + t for p, t in zip(cam.position.tolist(), target)]
-    fwd = [t - e for t, e in zip(target, eye)]
-    norm = math.hypot(*fwd)
-    fwd = [f / norm for f in fwd]
-    right = _cross(fwd, cam.up.tolist())
+    eye = [p * radius_mm for p in cam.position.tolist()]
+    norm = math.hypot(*eye)
+    fwd = [-e / norm for e in eye]
+    right = _cross(fwd, WORLD_UP)
     norm = math.hypot(*right)
     if norm < 1e-9:
-        right = _cross(fwd, (1.0, 0.0, 0.0))
+        right = _cross(fwd, POLE_HINT)
         norm = math.hypot(*right)
     right = [r / norm for r in right]
     return np.array([*right, *_cross(fwd, right), *fwd]).reshape(3, 3), np.array(eye)

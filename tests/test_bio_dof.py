@@ -11,8 +11,12 @@ from handkit.errors import InputError, NumericError
 from handkit.hand_model import HandModel
 
 
+FRAME_ROW = {"flex": 0, "abd": 1, "twist": 2}   # in an axes_oracle frame
+
+
 def axes_oracle(model):
-    """Recompute axes from raw joint coordinates with explicit dot/cross."""
+    """Recompute axes from raw joint coordinates with explicit dot/cross:
+    slot -> its (flex, abd, twist) frame."""
     joints = model.tensors.J0
     w = joints[0]
     n = np.cross(joints[kin.finger_joint(4, 0)] - w,
@@ -31,36 +35,42 @@ def axes_oracle(model):
     return table
 
 
+def axis_column(axes, name):
+    """The 3 rows of DoF ``name``'s column of the axis table: its axis."""
+    col = bio_dof.DOF_NAMES.index(name)
+    slot = bio_dof.DOF_SPECS[col][1]
+    return axes[3 * slot:3 * slot + 3, col]
+
+
 def test_axis_convention_on_plus_x_bone(desk, axes):
     # middle-finger bones run along a nearly +X radial with palm normal +Z
-    slot = 3 * 2 + 1  # middle PIP
-    direction = axes.twist[slot]
+    direction = axes_oracle(desk)[3 * 2 + 0][FRAME_ROW["twist"]]  # middle MCP
     assert direction[2] == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(axes.abd[slot], [0.0, 0.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(axes.flex[slot],
+    np.testing.assert_allclose(axis_column(axes, "middle_mcp_abd"), [0.0, 0.0, 1.0],
+                               atol=1e-12)
+    np.testing.assert_allclose(axis_column(axes, "middle_mcp_flex"),
                                np.cross(direction, [0.0, 0.0, 1.0]), atol=1e-12)
 
 
 def test_axes_orthonormal(axes):
-    axes.check_orthonormal()
+    # one joint's axes share its three rows, so E^T E is the identity
+    assert axes.shape == (45, 23)
+    np.testing.assert_allclose(axes.T @ axes, np.eye(23), rtol=0, atol=1e-9)
 
 
 def test_axes_match_raw_coordinate_oracle(desk, axes):
     table = axes_oracle(desk)
-    for slot, (f, a, t) in table.items():
-        np.testing.assert_allclose(axes.flex[slot], f, atol=1e-12)
-        np.testing.assert_allclose(axes.abd[slot], a, atol=1e-12)
-        np.testing.assert_allclose(axes.twist[slot], t, atol=1e-12)
+    expected = np.zeros((45, 23))
+    for col, (_, slot, kind) in enumerate(bio_dof.DOF_SPECS):
+        expected[3 * slot:3 * slot + 3, col] = table[slot][FRAME_ROW[kind]]
+    np.testing.assert_allclose(axes, expected, atol=1e-12)
 
 
 def test_axes_scale_invariant(desk):
     scaled = HandModel(desk.rest_vertices * 3.7, desk.shape_basis * 3.7,
                        desk.joint_regressor, desk.skinning_weights,
                        desk.parents, desk.faces)
-    a1, a2 = derive_axes(desk), derive_axes(scaled)
-    np.testing.assert_allclose(a1.flex, a2.flex, atol=1e-12)
-    np.testing.assert_allclose(a1.abd, a2.abd, atol=1e-12)
-    np.testing.assert_allclose(a1.twist, a2.twist, atol=1e-12)
+    np.testing.assert_allclose(derive_axes(desk), derive_axes(scaled), atol=1e-12)
 
 
 def test_derive_axes_rejects_degenerate_bone(desk_small):
@@ -82,22 +92,25 @@ def test_expand_zero_is_zero(axes):
     assert np.all(expand_batch(BioPose().values, axes) == 0.0)
 
 
-def test_expand_single_dof(axes):
+def test_expand_single_dof(desk, axes):
     phi = 0.8
-    bio = BioPose.from_dict({"index_mcp_flex": phi})
-    art = expand_batch(bio.values, axes).reshape(15, 3)
+    bio = np.zeros(23)
+    bio[bio_dof.DOF_NAMES.index("index_mcp_flex")] = phi
+    art = expand_batch(bio, axes).reshape(15, 3)
     nonzero = np.flatnonzero(np.abs(art).sum(axis=1))
     assert list(nonzero) == [3]  # index MCP slot
-    np.testing.assert_allclose(art[3], phi * axes.flex[3], atol=1e-15)
+    np.testing.assert_allclose(art[3], phi * axes_oracle(desk)[3][FRAME_ROW["flex"]],
+                               atol=1e-15)
 
 
-def test_expand_matches_dof_table_oracle(axes, limits, rng):
+def test_expand_matches_dof_table_oracle(desk, axes, limits, rng):
+    table = axes_oracle(desk)
     bio = sample_uniform(limits, 20, rng)
     got = expand_batch(bio, axes)
     for b in range(20):
         expected = np.zeros((15, 3))
         for col, (_, slot, kind) in enumerate(bio_dof.DOF_SPECS):
-            expected[slot] += bio[b, col] * axes.axis(slot, kind)
+            expected[slot] += bio[b, col] * table[slot][FRAME_ROW[kind]]
         np.testing.assert_allclose(got[b].reshape(15, 3), expected, atol=1e-12)
 
 
@@ -109,11 +122,12 @@ def test_expand_is_linear(axes, rng):
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_zero_twist_for_non_thumb_joints(axes, limits, rng):
+def test_zero_twist_for_non_thumb_joints(desk, axes, limits, rng):
+    table = axes_oracle(desk)
     bio = sample_uniform(limits, 500, rng)
     art = expand_batch(bio, axes)
     for slot in range(3, 15):  # all non-thumb joints
-        component = art[:, 3 * slot:3 * slot + 3] @ axes.twist[slot]
+        component = art[:, 3 * slot:3 * slot + 3] @ table[slot][FRAME_ROW["twist"]]
         assert np.abs(component).max() <= 1e-12
 
 
@@ -184,15 +198,3 @@ def test_limits_file_rejects_a_dof_limited_twice(tmp_path, limits):
     with pytest.raises(InputError, match="index_mcp_flex"):
         DofLimits.load(path)
 
-
-def test_biopose_name_access():
-    pose = BioPose.from_dict({"thumb_dip_flex": 0.4})
-    assert pose["thumb_dip_flex"] == 0.4
-    assert pose["index_mcp_abd"] == 0.0
-
-
-def test_biopose_rejects_unknown_dof_names():
-    with pytest.raises(InputError, match="index_mcp_flx"):
-        BioPose.from_dict({"index_mcp_flx": 0.4})
-    with pytest.raises(InputError, match="thumb_tip_flex"):
-        BioPose()["thumb_tip_flex"]

@@ -8,9 +8,7 @@ from handkit import bio_dof, kinematics as kin
 from handkit.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_SHAPE,
                          MODEL_ENV_VAR, load_annotation_records,
                          load_params_file, main, write_fit_report)
-from handkit.hand_model import (ShapeParams, load_model, make_desk_hand_small,
-                                save_model)
-from handkit.ik_optim import FitResult
+from handkit.hand_model import load_model, make_desk_hand_small, save_model
 
 
 @pytest.fixture(scope="module")
@@ -216,13 +214,10 @@ translation 1 2.5 -30
 
 
 def test_fit_report_file(tmp_path):
-    result = FitResult(bio=bio_dof.BioPose((np.arange(23) - 11) / 8),
-                       beta=ShapeParams(np.arange(10) / 4 - 1),
-                       global_rot=np.array([0.1, -0.2, 1 / 3]),
-                       translation=np.array([1.0, 2.5, -30.0]),
-                       loss_trace=[1.5, 0.25], converged=False)
     path = tmp_path / "report.txt"
-    write_fit_report(path, result)
+    write_fit_report(path, [1.5, 0.25], False, (np.arange(23) - 11) / 8,
+                     np.arange(10) / 4 - 1, np.array([0.1, -0.2, 1 / 3]),
+                     np.array([1.0, 2.5, -30.0]))
     assert path.read_bytes() == FIT_REPORT.encode()
 
 

@@ -47,8 +47,10 @@ def ws(tmp_path_factory) -> Path:
     save_model(model, root / "model.hkm")
     save_model(model, root / "model_text.hkm", text=True)
     axes = bio_dof.derive_axes(model)
-    bio = bio_dof.BioPose.from_dict({"index_mcp_flex": 0.6, "thumb_pip_flex": 0.3})
-    art = bio_dof.expand_batch(bio.values, axes)
+    bio = np.zeros(bio_dof.DOF_COUNT)
+    for name, value in (("index_mcp_flex", 0.6), ("thumb_pip_flex", 0.3)):
+        bio[bio_dof.DOF_NAMES.index(name)] = value
+    art = bio_dof.expand_batch(bio, axes)
     posed = kinematics.fk_forward(model, art, want_vertices=True)
     # one number per line, so line mutations drop or repeat single numbers
     (root / "target.json").write_text(json.dumps(
@@ -58,7 +60,7 @@ def ws(tmp_path_factory) -> Path:
     (root / "pose.txt").write_text(
         "global_rot: 0.1 0 0\narticulation: " + " ".join(["0.2"] * 45)
         + "\nbeta: 0.5 0 0 0 0 0 0 0 0 0\n")
-    write_params_file(root / "init.txt", bio, ShapeParams(), [0, 0.1, 0], [1, 2, 3])
+    write_params_file(root / "init.txt", bio, np.zeros(10), [0, 0.1, 0], [1, 2, 3])
     bio_dof.DofLimits.default().save(root / "limits.txt")
     ik_net.save_checkpoint(ik_net.MlpIk(widths=(16, 16, 16), seed=0),
                            root / "net.hkc")
@@ -99,6 +101,11 @@ def _nan_joints() -> np.ndarray:
     joints = np.arange(63.0).reshape(21, 3)
     joints[5, 1] = np.nan
     return joints
+
+
+def _above(bound: float) -> float:
+    """The next float above ``bound``."""
+    return float(np.nextafter(bound, np.inf))
 
 
 def _fk(ws, model):
@@ -189,6 +196,13 @@ TABLE = {
     "fk-pose-string-rotation": (2, _fk_pose("global_rot: abc 0 0\n")),
     "fk-pose-nan-translation": (2, _fk_pose("translation: 0 nan 0\n")),
     "fk-pose-44-values": (3, _fk_pose("articulation: " + " ".join(["0"] * 44) + "\n")),
+    # just above the initial-shape and bend-weight bounds of a fit
+    "ik-fit-init-beta-above-bound": (2, lambda ws, t: _ik_fit(
+        ws, "--target", ws / "target.json", "--init", _text(
+            t / "i.txt", f"beta 3 {_above(ik_optim.MAX_INIT_BETA)!r}\n"))),
+    "ik-fit-bend-weight-above-bound": (2, lambda ws, t: _ik_fit(
+        ws, "--target", ws / "target.json", "--init", ws / "init.txt",
+        "--bend-weight", repr(_above(ik_optim.MAX_BEND_WEIGHT)))),
     "ik-fit-init-negative-beta-index": (2, lambda ws, t: _ik_fit(
         ws, "--target", ws / "target.json",
         "--init", _text(t / "i.txt", "beta -1 0.5\n"))),
@@ -237,6 +251,8 @@ def test_documented_exit_code(name, ws, tmp_path):
         assert "missing array 'w0'" in err
     if name.endswith("-ceiling-plus-1"):   # the count's own check, which runs first
         assert "must be <=" in err
+    if name == "ik-fit-init-beta-above-bound":   # the reader refuses it, not fit
+        assert "i.txt: |beta| must be <=" in err
 
 
 def test_fk_overflowing_beta_exits_4_without_output(ws, tmp_path):
@@ -353,6 +369,14 @@ def test_augment_library_rejects_swap_probability(probability):
         synth.augment_library(lib, per_pose=2, swap_probability=probability)
 
 
+def test_augment_library_refuses_a_library_above_the_ceiling(monkeypatch):
+    monkeypatch.setattr(synth, "MAX_AUGMENTED_POSES", 4)
+    assert len(synth.augment_library(synth.PoseLibrary(np.zeros((4, 45))),
+                                     per_pose=1)) == 4
+    with pytest.raises(errors.InputError, match=r"library of 5 poses .*MAX_AUGMENTED_POSES"):
+        synth.augment_library(synth.PoseLibrary(np.zeros((5, 45))), per_pose=1)
+
+
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
 def test_fscore_and_evaluate_reject_threshold(threshold):
     from handkit import metrics
@@ -450,10 +474,6 @@ LIBRARY = {
         _nan(23), np.ones(23))),
     "DofLimits-22-values": (errors.ShapeError, lambda m: bio_dof.DofLimits(
         np.zeros(22), np.ones(23))),
-    "AxisTable-nan": (errors.InputError, lambda m: bio_dof.AxisTable(
-        _nan(15, 3), np.zeros((15, 3)), np.zeros((15, 3)))),
-    "AxisTable-strings": (errors.InputError, lambda m: bio_dof.AxisTable(
-        [["a"] * 3] * 15, np.zeros((15, 3)), np.zeros((15, 3)))),
     "FitTarget-string-joints": (errors.InputError, lambda m: ik_optim.FitTarget(
         joints=[["a"] * 3] * 21)),
     "FitConfig-fractional-iterations": (errors.InputError, lambda m: ik_optim.FitConfig(
@@ -464,6 +484,11 @@ LIBRARY = {
         m, ik_optim.FitTarget(joints=np.zeros((21, 3))), init_bio=["a"] * 23)),
     "fit-nan-initial-rotation": (errors.InputError, lambda m: ik_optim.fit(
         m, ik_optim.FitTarget(joints=np.zeros((21, 3))), init_rot=_nan(3))),
+    "fit-initial-beta-above-bound": (errors.InputError, lambda m: ik_optim.fit(
+        m, ik_optim.FitTarget(joints=np.zeros((21, 3))), np.zeros(23),
+        [0.0] * 9 + [-_above(ik_optim.MAX_INIT_BETA)])),
+    "FitConfig-bend-weight-above-bound": (errors.InputError, lambda m: ik_optim.FitConfig(
+        bend_weight=_above(ik_optim.MAX_BEND_WEIGHT))),
     "fit-misshapen-beta": (errors.ShapeError, lambda m: ik_optim.fit(
         m, ik_optim.FitTarget(joints=np.zeros((21, 3))), np.zeros(23), np.zeros(11))),
     "fit-no-target": (errors.InputError, lambda m: ik_optim.fit(
@@ -527,18 +552,14 @@ LIBRARY = {
         0.0, 0.0, [np.nan, 0.0, 0.0])),
     "CameraPose-2-value-position": (errors.ShapeError, lambda m: synth.CameraPose(
         0.0, 0.0, [1.0, 0.0])),
-    "CameraPose-nan-target": (errors.InputError, lambda m: synth.CameraPose(
-        0.0, 0.0, [1.0, 0.0, 0.0], target=[0.0, np.nan, 0.0])),
-    "CameraPose-2-value-up": (errors.ShapeError, lambda m: synth.CameraPose(
-        0.0, 0.0, [1.0, 0.0, 0.0], up=[0.0, 1.0])),
     "CameraPose-string-position": (errors.InputError, lambda m: synth.CameraPose(
         0.0, 0.0, ["1", "0", "0"])),
     "CameraPose-string-elevation": (errors.InputError, lambda m: synth.CameraPose(
         "0", 0.0, [1.0, 0.0, 0.0])),
     "fk_backward-misshapen-d_vertices": (errors.ShapeError, lambda m: _backward_b2(
         m, d_vertices=np.ones((2, 5, 3)))),
-    "fk_backward-1-row-d_joints": (errors.ShapeError, lambda m: _backward_b2(
-        m, d_joints=np.ones((1, 21, 3)))),
+    "fk_backward-1-row-d_regressed": (errors.ShapeError, lambda m: _backward_b2(
+        m, d_regressed=np.ones((1, 21, 3)))),
     "fk_backward-nan-d_regressed": (errors.InputError, lambda m: _backward_b2(
         m, d_regressed=_nan(2, 21, 3))),
     "project-nan-joints": (errors.InputError, lambda m: synth.project(

@@ -48,6 +48,14 @@ def bend_cross_oracle(joints):
     return np.maximum(-s, 0.0).sum(axis=-1), grad
 
 
+def angles(named):
+    """The 23 feasible angles with the named DoFs set, the rest zero."""
+    bio = np.zeros(bio_dof.DOF_COUNT)
+    for name, value in named.items():
+        bio[bio_dof.DOF_NAMES.index(name)] = value
+    return bio
+
+
 def posed_joints(model, axes, bio, beta, rot=None, trans=None):
     art = bio_dof.expand_batch(np.asarray(bio, float)[None], axes)
     out = kin.fk_forward(model, art, np.asarray(beta, float)[None],
@@ -76,18 +84,17 @@ def test_bend_penalty_zero_for_straight_fingers(desk):
 def test_bend_penalty_zero_for_same_direction_bend(desk, axes):
     # flexing PIP and DIP the same way keeps every finger strictly on the
     # satisfied side (s > 0), so the hinge contributes exactly zero
-    bio = bio_dof.BioPose.from_dict({
+    bio = angles({
         f"{f}_{j}_flex": v for f in ("index", "middle", "ring", "little")
         for j, v in (("pip", 0.9), ("dip", 0.6))})
-    joints = posed_joints(desk, axes, bio.values, np.zeros(10))
+    joints = posed_joints(desk, axes, bio, np.zeros(10))
     assert bend_penalty_with_grad(joints)[0] == 0.0
 
 
 def test_bend_penalty_positive_for_opposed_bend(desk, axes):
     # hyper-extended DIP against a flexed PIP opposes the cross products
-    bio = bio_dof.BioPose.from_dict({"index_pip_flex": 1.0,
-                                     "index_dip_flex": -0.7})
-    joints = posed_joints(desk, axes, bio.values, np.zeros(10))
+    bio = angles({"index_pip_flex": 1.0, "index_dip_flex": -0.7})
+    joints = posed_joints(desk, axes, bio, np.zeros(10))
     penalty = bend_penalty_with_grad(joints)[0]
     assert penalty > 0.0
     assert penalty == pytest.approx(bend_oracle(joints), rel=1e-12)
@@ -101,10 +108,10 @@ def test_bend_penalty_matches_oracle_on_random_skeletons(rng):
 
 
 def test_bend_penalty_equals_cross_oracle_bit_for_bit(desk, axes, rng):
-    bio = bio_dof.BioPose.from_dict({
+    bio = angles({
         f"{f}_{j}_flex": v for f in ("index", "middle", "ring", "little")
         for j, v in (("pip", 0.9), ("dip", 0.6))})
-    feasible = posed_joints(desk, axes, bio.values, np.zeros(10))
+    feasible = posed_joints(desk, axes, bio, np.zeros(10))
     batch = np.concatenate([rng.normal(scale=30, size=(7, 21, 3)), feasible[None]])
     for joints in (batch, batch.reshape(2, 4, 21, 3), batch[0], feasible):
         value, grad = bend_penalty_with_grad(joints)
@@ -171,10 +178,9 @@ def test_bend_penalty_gradient_matches_fd(rng):
 def test_bend_penalty_batch_matches_single_calls(desk, axes, rng):
     # only the middle skeleton bends against itself: its index finger's DIP
     # is hyper-extended against a flexed PIP
-    opposed = bio_dof.BioPose.from_dict({"index_pip_flex": 1.0,
-                                         "index_dip_flex": -0.7})
+    opposed = angles({"index_pip_flex": 1.0, "index_dip_flex": -0.7})
     skeletons = np.stack([straight_finger_skeleton(desk),
-                          posed_joints(desk, axes, opposed.values, np.zeros(10)),
+                          posed_joints(desk, axes, opposed, np.zeros(10)),
                           posed_joints(desk, axes, np.zeros(23), rng.normal(size=10))])
     penalties, grads = bend_penalty_with_grad(skeletons)
     assert penalties.shape == (3,) and grads.shape == (3, 21, 3)
@@ -523,4 +529,21 @@ def test_fit_toward_a_far_target_raises_no_overflow(desk, axes, limits):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = fit(desk, target, config=FitConfig(iterations=3), limits=limits, axes=axes)
+    assert np.isfinite(result.loss_trace).all()
+
+
+def test_fit_at_the_initial_beta_and_bend_weight_bounds_raises_no_overflow(
+        desk, axes, limits):
+    # the largest hand the fit may start from, against an opposed bend, with
+    # the largest bend weight: the penalty's gradients and their squares in
+    # Adam stay finite
+    opposed = angles({"index_pip_flex": 1.0, "index_dip_flex": -0.7})
+    target = FitTarget(joints=posed_joints(desk, axes, opposed, np.zeros(10)))
+    init_beta = np.where(np.arange(10) % 2, -1.0, 1.0) * ik_optim.MAX_INIT_BETA
+    config = FitConfig(bend_weight=ik_optim.MAX_BEND_WEIGHT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(UserWarning, match="soft bound"):   # the result's |beta|
+            result = fit(desk, target, opposed, init_beta, config=config,
+                         limits=limits, axes=axes)
     assert np.isfinite(result.loss_trace).all()

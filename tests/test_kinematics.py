@@ -111,16 +111,14 @@ def test_fk_backward_matches_finite_differences(desk_small, global_rot):
         params[2] = np.zeros_like(params[2])
     out = kin.fk_forward(model, *params, want_vertices=True, want_regressed=True,
                          need_grad=True)
-    d_joints = rng.normal(size=out.joints.shape)
     d_vertices = rng.normal(size=out.vertices.shape)
     d_regressed = rng.normal(size=out.regressed_joints.shape)
-    grads = kin.fk_backward(model, out, d_joints, d_vertices, d_regressed)
+    grads = kin.fk_backward(model, out, d_vertices, d_regressed)
     analytic = (grads.articulation, grads.beta, grads.global_rot, grads.translation)
 
     def loss(row, values):
         o = kin.fk_forward(model, *values, want_vertices=True, want_regressed=True)
-        return ((o.joints[row] * d_joints[row]).sum()
-                + (o.vertices[row] * d_vertices[row]).sum()
+        return ((o.vertices[row] * d_vertices[row]).sum()
                 + (o.regressed_joints[row] * d_regressed[row]).sum())
 
     worst = 0.0
@@ -179,7 +177,7 @@ def test_joints_are_read_off_the_chain(desk_small):
     np.testing.assert_array_equal(cache.joints[:, list(kin.ARTICULATED)],
                                   cache.chain_t + shift)
     tips = [j for j in range(kin.JOINT_COUNT) if j not in kin.ARTICULATED]
-    dips = [kin.ASSIGN_SLOT[j] for j in tips]
+    dips = [kin.ARTICULATED.index(j - 1) for j in tips]
     offsets = cache.rest_joints[:, tips] - cache.rest_joints[:, [j - 1 for j in tips]]
     np.testing.assert_array_equal(cache.joints[:, tips], cache.chain_t[:, dips] + np.einsum(
         "bsxy,bsy->bsx", cache.chain_rot[:, dips], offsets) + shift)
@@ -198,8 +196,7 @@ def test_model_is_read_only_and_tensors_built_once(desk_small):
                  "skinning_weights", "parents", "faces"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(model, name)[0] += 1
-    axes = model.tensors.axes        # one table per model, shared by every caller
-    for shared in (model.tensors.J0, axes.flex, axes.expansion_matrix()):
+    for shared in (model.tensors.J0, model.tensors.axes):   # shared by every caller
         with pytest.raises(ValueError, match="read-only"):
             shared[0] += 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -212,7 +209,7 @@ def test_backward_rejects_caches_it_cannot_use(desk_small):
     art = np.zeros((2, 45))
     with pytest.raises(InputError, match="need_grad"):
         kin.fk_backward(desk_small, kin.fk_forward(desk_small, art),
-                        d_joints=np.ones((2, 21, 3)))
+                        d_regressed=np.ones((2, 21, 3)))
     joints_only = kin.fk_forward(desk_small, art, need_grad=True)
     with pytest.raises(InputError, match="vertices"):
         kin.fk_backward(desk_small, joints_only, d_vertices=np.ones((2, 5, 3)))
