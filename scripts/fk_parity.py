@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Compare FK outputs and gradients of this checkout with another one, or
-time the two side by side.
+"""Compare FK and fit-loss outputs and gradients of this checkout with
+another one, or time the two side by side.
 
     python scripts/fk_parity.py --parent OTHER/src
     python scripts/fk_parity.py --parent OTHER/src --time [ROUNDS]
@@ -9,10 +9,14 @@ Each checkout's ``handkit`` poses the same seeded set in its own subprocess:
 B = 1, 32 and 256 on the desk hand, with and without a pose basis, with
 ``global_rot`` None or random.  Every case runs the forward pass with
 vertices and regressed joints, then ``fk_backward`` once per cotangent
-(vertices, regressed joints).  The script prints the worst absolute
-output difference (mm), the same over the ``global_rot=None`` cases alone,
-and the worst relative gradient difference: per array, max |a - b| over the
-larger of the two max |a|.
+(vertices, regressed joints).  The loss layer runs at B = 1 and 8 on the
+desk hand: ``bend_penalty_with_grad`` of posed skeletons, and
+``batch_fit_loss`` with gradients against target joints and vertices with
+bend weight 1e-2.  The script prints the worst absolute FK output
+difference (mm), the same over the ``global_rot=None`` cases alone, the
+worst relative FK gradient difference (per array, max |a - b| over the
+larger of the two max |a|), and the worst relative value and gradient
+differences of the loss layer.
 
 ``--time`` imports both checkouts into this one process, the other one
 under the package name ``handkit_parent`` (``src/handkit`` uses only
@@ -22,11 +26,14 @@ which side goes first, ``fk_forward`` (and ``fk_backward`` with gradients)
 on each checkout's desk hand for four cases: B = 1 with vertices and
 gradients (a fit), B = 32 regressed with gradients (a training step),
 B = 256 with vertices and no gradients (posing a library) and B = 1024
-joints only.  It prints each case's median time per call on both sides
-and their ratio (this checkout over the other).
+joints only; and one B = 1 iteration of ``fit`` against joints and
+vertices (``batch_fit_loss`` with gradients, then ``adam_step``).  It
+prints each case's median time per call on both sides and their ratio
+(this checkout over the other).
 """
 
 import argparse
+import functools
 import importlib.util
 import os
 import subprocess
@@ -39,6 +46,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 BATCHES = (1, 32, 256)
+LOSS_BATCHES = (1, 8)
+FIT_GRADS = ("bio", "beta", "global_rot", "translation")
 OUTPUTS = ("joints", "vertices", "regressed_joints")
 #: cotangent -> the output it matches
 COTANGENTS = {"d_vertices": "vertices", "d_regressed": "regressed_joints"}
@@ -75,7 +84,48 @@ def pose_set(path):
                     grads = kin.fk_backward(model, out, **{name: rng.normal(size=shape)})
                     for param in PARAMS:
                         arrays[f"{case}/{name}/{param}"] = getattr(grads, param)
+    arrays.update(loss_set(desk, rng))
     np.savez(path, **arrays)
+
+
+def fit_inputs(desk, rng, batch):
+    """Seeded (B, 39) fit parameters and (B, 21, 3) and (B, V, 3) targets."""
+    from handkit import bio_dof, kinematics as kin
+
+    limits, axes = bio_dof.DofLimits.default(), bio_dof.derive_axes(desk)
+    bio = bio_dof.sample_uniform(limits, batch, rng)
+    x = np.concatenate([bio, rng.normal(scale=0.5, size=(batch, 10)),
+                        rng.normal(scale=0.2, size=(batch, 3)),
+                        rng.normal(scale=5.0, size=(batch, 3))], axis=1)
+    target = kin.fk_forward(desk, bio_dof.expand_batch(
+        bio + rng.normal(scale=0.3, size=bio.shape), axes),
+        rng.normal(scale=0.5, size=(batch, 10)), want_vertices=True, want_regressed=True)
+    return x, target.regressed_joints, target.vertices
+
+
+def split_params(x):
+    """The angle, shape, rotation and translation views of (B, 39) rows."""
+    return np.split(x, np.cumsum([23, 10, 3]), axis=1)
+
+
+def loss_set(desk, rng):
+    """The loss layer's arrays: the bend penalty of the targets, and the fit
+    loss with gradients, at each of ``LOSS_BATCHES``."""
+    from handkit import bio_dof, ik_optim
+
+    arrays = {}
+    for batch in LOSS_BATCHES:
+        x, joints, vertices = fit_inputs(desk, rng, batch)
+        case = f"loss-B{batch}"
+        arrays[f"{case}/value/bend"], arrays[f"{case}/grad/bend"] = (
+            ik_optim.bend_penalty_with_grad(joints))
+        loss, grads = ik_optim.batch_fit_loss(
+            desk, bio_dof.derive_axes(desk), *split_params(x), joints, vertices, 1e-2,
+            "huber", want_grad=True)
+        arrays[f"{case}/value/fit"] = loss
+        for name, grad in zip(FIT_GRADS, grads):
+            arrays[f"{case}/grad/{name}"] = grad
+    return arrays
 
 
 #: (name, batch, forward options, cotangents) of the timed cases
@@ -99,45 +149,60 @@ def import_as(src, name):
     return package
 
 
+def fk_call(kin, model, params, options, grads):
+    out = kin.fk_forward(model, *params, **options)
+    if grads:
+        kin.fk_backward(model, out, **grads)
+
+
+def fit_iteration(ik_optim, model, axes, x0, joints, vertices):
+    """One iteration of ``fit``'s loop from ``x0``: the loss with gradients,
+    then the first Adam step."""
+    x = x0.copy()
+    _, grads = ik_optim.batch_fit_loss(model, axes, *split_params(x), joints, vertices,
+                                       1e-2, "huber", want_grad=True)
+    ik_optim.adam_step(x.reshape(-1), np.concatenate(grads, axis=1).reshape(-1),
+                       np.zeros((4, x.size)), 1, 0.05)
+
+
 def time_checkouts(src, parent_src, rounds):
     """Median seconds per call of each case on both checkouts."""
     rng = np.random.default_rng(0)
-    sides = []
-    for package in (import_as(src, "handkit"), import_as(parent_src, "handkit_parent")):
-        model = package.hand_model.make_desk_hand()
-        sides.append((package.kinematics, model))
-    cases = []
+    packages = (import_as(src, "handkit"), import_as(parent_src, "handkit_parent"))
+    models = [package.hand_model.make_desk_hand() for package in packages]
+    cases = []   # (name, the call on each side)
     for name, batch, options, cotangents in TIME_CASES:
         params = (rng.normal(scale=0.4, size=(batch, 45)),
                   rng.normal(scale=0.5, size=(batch, 10)),
                   rng.normal(scale=0.4, size=(batch, 3)),
                   rng.normal(scale=20.0, size=(batch, 3)))
-        out = sides[0][0].fk_forward(sides[0][1], *params, **options)
+        out = packages[0].kinematics.fk_forward(models[0], *params, **options)
         shapes = {"d_regressed": out.regressed_joints, "d_vertices": out.vertices}
         grads = {d: rng.normal(size=shapes[d].shape) for d in cotangents}
-        cases.append((name, params, options, grads))
-
-    def call(kin, model, params, options, grads):
-        out = kin.fk_forward(model, *params, **options)
-        if grads:
-            kin.fk_backward(model, out, **grads)
+        cases.append((name, [functools.partial(fk_call, package.kinematics, model, params,
+                                               options, grads)
+                             for package, model in zip(packages, models)]))
+    inputs = fit_inputs(models[0], rng, 1)
+    cases.append(("B1 fit iteration", [
+        functools.partial(fit_iteration, package.ik_optim, model,
+                          package.bio_dof.derive_axes(model), *inputs)
+        for package, model in zip(packages, models)]))
 
     # about 20 ms of calls per lap: few enough laps to alternate often
     laps = []
-    for _, params, options, grads in cases:
+    for _, calls in cases:
         start = time.perf_counter()
-        call(*sides[0], params, options, grads)
+        calls[0]()
         laps.append(max(1, int(0.02 / (time.perf_counter() - start))))
     times = np.zeros((len(cases), 2, rounds))
     for r in range(rounds):
-        for c, (_, params, options, grads) in enumerate(cases):
+        for c, (_, calls) in enumerate(cases):
             for side in ((0, 1) if (r + c) % 2 == 0 else (1, 0)):
-                kin, model = sides[side]
                 start = time.perf_counter()
                 for _ in range(laps[c]):
-                    call(kin, model, params, options, grads)
+                    calls[side]()
                 times[c, side, r] = (time.perf_counter() - start) / laps[c]
-    return [(name, *np.median(times[c], axis=1)) for c, (name, *_) in enumerate(cases)]
+    return [(name, *np.median(times[c], axis=1)) for c, (name, _) in enumerate(cases)]
 
 
 def run_checkout(src, path):
@@ -174,20 +239,27 @@ def main():
         theirs = run_checkout(args.parent, Path(tmp) / "parent.npz")
     if mine.keys() != theirs.keys():
         sys.exit("error: the two checkouts posed different sets")
-    out_worst = out_none_worst = grad_worst = 0.0
+    out_worst = out_none_worst = grad_worst = loss_value_worst = loss_grad_worst = 0.0
     for key, a in mine.items():
         diff = float(np.abs(a - theirs[key]).max())
         if "/out/" in key:
             out_worst = max(out_worst, diff)
             if "-none/" in key:
                 out_none_worst = max(out_none_worst, diff)
-        elif diff:
-            scale = max(np.abs(a).max(), np.abs(theirs[key]).max())
-            grad_worst = max(grad_worst, diff / float(scale))
-    print(f"{len(BATCHES) * 4} cases, {len(mine)} arrays")
+            continue
+        relative = diff and diff / float(max(np.abs(a).max(), np.abs(theirs[key]).max()))
+        if "/value/" in key:
+            loss_value_worst = max(loss_value_worst, relative)
+        elif key.startswith("loss-"):
+            loss_grad_worst = max(loss_grad_worst, relative)
+        else:
+            grad_worst = max(grad_worst, relative)
+    print(f"{len(BATCHES) * 4} FK cases, {len(LOSS_BATCHES)} loss cases, {len(mine)} arrays")
     print(f"worst output difference: {out_worst:.3g} mm")
     print(f"worst output difference with global_rot=None: {out_none_worst:.3g} mm")
     print(f"worst relative gradient difference: {grad_worst:.3g}")
+    print(f"worst relative loss-layer value difference: {loss_value_worst:.3g}")
+    print(f"worst relative loss-layer gradient difference: {loss_grad_worst:.3g}")
 
 
 if __name__ == "__main__":

@@ -38,8 +38,16 @@ PARAM_COUNT = bio_dof.DOF_COUNT + 10 + 6  # 23 angles + 10 shape + rot/trans
 # summed), and their squares finite for w up to ~1e120; 1e100 leaves a factor
 # of over 1e40 in the squares.  Both are far above any fit's use (|beta| <= 5 is
 # the plausible range, and w defaults to 1e-2).
+# A fit then moves the coefficients: an Adam step moves a parameter by at most
+# (1 - beta1) / sqrt(1 - beta2) ~ 3.2 times the step size, so after at most
+# 1e3 iterations of a step size of at most 1e2, |beta| stays below ~3.3e5 and
+# every bone below ~3.3e8 mm.  The bend gradients (fourth power of the size)
+# then stay below ~1e137 and their squares finite, with a factor of over 1e30
+# to spare.  The default fit takes 20 steps of 0.05.
 MAX_INIT_BETA = 1e4
 MAX_BEND_WEIGHT = 1e100
+MAX_STEP_SIZE = 1e2
+MAX_ITERATIONS = 1000
 
 
 @dataclass
@@ -71,8 +79,9 @@ class FitConfig:
     convergence_tol: float = 0.0      # early stop when |dloss| < tol; 0 = never
 
     def __post_init__(self):
-        self.iterations = as_number(self.iterations, "iterations", 1, integer=True)
-        self.step_size = as_number(self.step_size, "step_size", above=0)
+        self.iterations = as_number(self.iterations, "iterations", 1, MAX_ITERATIONS,
+                                    integer=True)
+        self.step_size = as_number(self.step_size, "step_size", high=MAX_STEP_SIZE, above=0)
         self.bend_weight = as_number(self.bend_weight, "bend_weight", 0, MAX_BEND_WEIGHT)
         self.convergence_tol = as_number(self.convergence_tol, "convergence_tol", 0)
 
@@ -106,13 +115,30 @@ _BEND_FINGERS = (1, 2, 3, 4)  # index, middle, ring, little
 #: (finger, part) -> joint index: MCP, PIP, DIP, TIP of each bend finger
 _BEND_CHAINS = np.array([[kin.finger_joint(fi, p) for p in range(4)]
                          for fi in _BEND_FINGERS])
-
-
-def _cross(a, b):
-    """``np.cross`` over the last axis by components, in its operand order."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+# The bend fingers' bones b1, b2, b3 (PIP - MCP, DIP - PIP, TIP - DIP) as a
+# (12, 21) map of the joints; each row holds one +1 and one -1, so the product
+# is np.diff's.  A finger's joint adjoints are _BEND_JOINTS.T times its bones'.
+_BEND_JOINTS = np.diff(np.eye(4), axis=0)                    # (3, 4)
+_BEND_BONES = np.concatenate([_BEND_JOINTS @ np.eye(kin.JOINT_COUNT)[chain]
+                              for chain in _BEND_CHAINS])
+# Indices into the flat (4 fingers x 9) bones of the operands of u = b3 x b2
+# and v = b2 x b1 as np.cross forms them, a_y b_z - a_z b_y per component
+# (y, z the next two, cyclically): a_y, b_z, a_z, b_y, each (4, 2, 3).
+_A, _B = np.array([2, 1]), np.array([1, 0])
+_Y, _Z = np.array([1, 2, 0]), np.array([2, 0, 1])
+_BEND_CROSS = (9 * np.arange(len(_BEND_FINGERS))[:, None, None]
+               + 3 * np.array([_A, _B, _A, _B])[:, None, :, None]
+               + np.array([_Y, _Z, _Z, _Y])[:, None, None])
+# ds/db1 = u x b2, ds/db2 = v x b3 - u x b1 and ds/db3 = -(v x b2) are bilinear
+# in (u, v) and the bones, so d(-s)/d(joints) = -_BEND_JOINTS.T ds/d(bones) is
+# one constant (54, 12) map of each finger's outer product uv[a, j] bones[m, k]
+# to its 4 joints' gradients; _BEND_SCATTER places those 16 rows among the 21.
+_LEVI = np.cross(np.eye(3)[:, None], np.eye(3))   # (p x q)_i = sum _LEVI[j, k, i] p_j q_k
+_DS_DBONES = np.zeros((2, 3, 3, 3, 3, 3))   # [u or v, j, bone m, k, bone n, i] of ds/db_n
+for _a, _m, _n, _w in ((0, 1, 0, 1), (1, 2, 1, 1), (0, 0, 1, -1), (1, 1, 2, -1)):
+    _DS_DBONES[_a, :, _m, :, _n] = _w * _LEVI
+_BEND_GRAD = -np.einsum("ajmkni,np->ajmkpi", _DS_DBONES, _BEND_JOINTS).reshape(54, 12)
+_BEND_SCATTER = np.eye(kin.JOINT_COUNT)[:, _BEND_CHAINS.ravel()]  # (21, 16)
 
 
 def bend_penalty_with_grad(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,24 +149,26 @@ def bend_penalty_with_grad(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bone vectors pointing tip-ward; same-direction planar bends give s >= 0
     and contribute nothing.  Rigid motions leave s unchanged and uniform
     scaling preserves its sign (magnitude scales as scale^4).
+
+    s and its gradient both come from the cross products u = b_tip x b_mid
+    and v = b_mid x b_prox, which keep their digits when a finger is nearly
+    straight; the Gram-matrix (Binet-Cauchy) forms of either lose them to
+    cancellation there.
     """
     joints = as_array(joints, (..., kin.JOINT_COUNT, 3), "joints")
-    bones = np.diff(joints[..., _BEND_CHAINS, :], axis=-2)  # (..., 4, 3, 3): b1, b2, b3
-    short = (np.linalg.norm(bones, axis=-1) < 1e-9).any(axis=-1)
+    lead, fingers = joints.shape[:-2], len(_BEND_FINGERS)
+    bones = (_BEND_BONES @ joints).reshape(*lead, fingers, 3, 3)
+    short = ((bones * bones).sum(axis=-1) < 1e-18).any(axis=-1)   # |b| < 1e-9
     if short.any():
         finger = kin.FINGERS[_BEND_FINGERS[np.nonzero(short)[-1][0]]]
         raise NumericError(f"zero-length bone on {finger} finger")
-    b1, b2, b3 = bones[..., 0, :], bones[..., 1, :], bones[..., 2, :]
-    uv = _cross(bones[..., [2, 1], :], bones[..., [1, 0], :])
-    u, v = uv[..., 0, :], uv[..., 1, :]
-    s = (u * v).sum(axis=-1)                                 # (..., 4)
-    # u x b2, v x b3, b1 x u, b2 x v: the four cross products of ds/d(bone)
-    c = _cross(np.stack([u, v, b1, b2], axis=-2), np.stack([b2, b3, u, v], axis=-2))
-    db1, db2, db3 = c[..., 0, :], c[..., 1, :] + c[..., 2, :], c[..., 3, :]
-    grad = np.zeros_like(joints)
-    # d(-s) per finger joint; chains are disjoint, so one assignment scatters
-    grad[..., _BEND_CHAINS, :] = (np.stack([db1, db2 - db1, db3 - db2, -db3], axis=-2)
-                                  * (s < 0.0)[..., None, None])
+    ay, bz, az, by = np.moveaxis(bones.reshape(*lead, -1)[..., _BEND_CROSS], -4, 0)
+    uv = ay * bz - az * by                                   # (..., 4, 2, 3): u, v
+    s = (uv[..., 0, :] * uv[..., 1, :]).sum(axis=-1)         # (..., 4)
+    outer = ((uv * (s < 0.0)[..., None, None]).reshape(*lead, fingers, 6, 1)
+             * bones.reshape(*lead, fingers, 1, 9))
+    grad = _BEND_SCATTER @ (outer.reshape(*lead, fingers, 54) @ _BEND_GRAD).reshape(
+        *lead, -1, 3)
     return np.maximum(-s, 0.0).sum(axis=-1), grad
 
 

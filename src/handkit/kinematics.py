@@ -26,7 +26,8 @@ all 16 rotations, global first; only ``need_grad=True`` builds their
 derivatives.  Regressed joints skip the mesh as batched matmuls (see
 ``ModelTensors``) in both directions.  Skinning is the blend-then-apply LBS
 of SMPL/MANO in bone space: per block of poses, one GEMM blends the 3x4
-bones per vertex as (3, V) planes, applied to the template's (3, V) planes;
+bones per vertex as (3, V) planes, applied to the template's (3, V) planes,
+and the backward reads the vertex cotangent as (B, 3, V) planes the same way;
 per-model constants live in ``model.tensors``.
 Joint positions are exactly the translation parts of the chained per-joint
 rigid transforms (a tip's, of its DIP's transform applied to its rest
@@ -353,19 +354,25 @@ def fk_backward(model, cache: FkCache, d_vertices=None, d_regressed=None) -> FkG
     if d_vertices is not None:
         if cache.vertices is None:
             raise InputError("forward pass did not compute vertices")
-        g = as_array(d_vertices, cache.vertices.shape, "d_vertices")  # (B, V, 3)
-        bar_trans += g.sum(axis=1)
-        weights = model.skinning_weights
+        g = as_array(d_vertices, cache.vertices.shape, "d_vertices")
+        d = np.ascontiguousarray(g.transpose(0, 2, 1))       # (B, 3, V) planes
+        bar_trans += d.sum(axis=2)
+        weights, count = model.skinning_weights, model.vertex_count
         rot_columns = bone_rot.transpose(0, 3, 1, 2)         # [b, y, x, slot]
         bar_template = np.empty_like(cache.template)
+        bar_blend = np.empty((min(batch, BLEND_BLOCK), 4, 3, count))
         for rows in (slice(i, i + BLEND_BLOCK) for i in range(0, batch, BLEND_BLOCK)):
             # the forward blend, transposed: d planes times template planes
-            d = g[rows].transpose(0, 2, 1)[:, None]                 # (n, 1, 3, V)
-            bar_blend = np.concatenate([d * cache.template[rows, :, None], d], axis=1)
-            bar_bones[rows] += (bar_blend.reshape(-1, len(weights)) @ weights).reshape(
+            planes = d[rows]                                 # (n, 3, V)
+            block = bar_blend[:len(planes)]
+            np.multiply(cache.template[rows, :, None], planes[:, None], out=block[:, :3])
+            block[:, 3] = planes
+            bar_bones[rows] += (block.reshape(-1, count) @ weights).reshape(
                 -1, 4, 3, ARTICULATED_COUNT).transpose(0, 2, 3, 1)
-            blend = rot_columns[rows].reshape(-1, ARTICULATED_COUNT) @ weights.T
-            bar_template[rows] = (blend.reshape(-1, 3, 3, len(weights)) * d).sum(axis=2)
+            blend = (rot_columns[rows].reshape(-1, ARTICULATED_COUNT) @ weights.T).reshape(
+                -1, 3, 3, count)
+            blend *= planes[:, None]
+            np.add.reduce(blend, axis=2, out=bar_template[rows])
         bar_beta += bar_template.reshape(batch, -1) @ model.tensors.shape_planes.T
         if model.pose_basis is not None:
             bar_pose_feats += bar_template.reshape(batch, -1) @ model.tensors.pose_planes.T

@@ -196,13 +196,20 @@ TABLE = {
     "fk-pose-string-rotation": (2, _fk_pose("global_rot: abc 0 0\n")),
     "fk-pose-nan-translation": (2, _fk_pose("translation: 0 nan 0\n")),
     "fk-pose-44-values": (3, _fk_pose("articulation: " + " ".join(["0"] * 44) + "\n")),
-    # just above the initial-shape and bend-weight bounds of a fit
+    # just above the initial-shape, bend-weight, step-size and iteration bounds
+    # of a fit
     "ik-fit-init-beta-above-bound": (2, lambda ws, t: _ik_fit(
         ws, "--target", ws / "target.json", "--init", _text(
             t / "i.txt", f"beta 3 {_above(ik_optim.MAX_INIT_BETA)!r}\n"))),
     "ik-fit-bend-weight-above-bound": (2, lambda ws, t: _ik_fit(
         ws, "--target", ws / "target.json", "--init", ws / "init.txt",
         "--bend-weight", repr(_above(ik_optim.MAX_BEND_WEIGHT)))),
+    "ik-fit-step-size-above-bound": (2, lambda ws, t: _ik_fit(
+        ws, "--target", ws / "target.json", "--init", ws / "init.txt",
+        "--step-size", repr(_above(ik_optim.MAX_STEP_SIZE)))),
+    "ik-fit-iterations-above-bound": (2, lambda ws, t: _ik_fit(
+        ws, "--target", ws / "target.json", "--init", ws / "init.txt",
+        "--iterations", str(ik_optim.MAX_ITERATIONS + 1))),
     "ik-fit-init-negative-beta-index": (2, lambda ws, t: _ik_fit(
         ws, "--target", ws / "target.json",
         "--init", _text(t / "i.txt", "beta -1 0.5\n"))),
@@ -489,6 +496,10 @@ LIBRARY = {
         [0.0] * 9 + [-_above(ik_optim.MAX_INIT_BETA)])),
     "FitConfig-bend-weight-above-bound": (errors.InputError, lambda m: ik_optim.FitConfig(
         bend_weight=_above(ik_optim.MAX_BEND_WEIGHT))),
+    "FitConfig-step-size-above-bound": (errors.InputError, lambda m: ik_optim.FitConfig(
+        step_size=_above(ik_optim.MAX_STEP_SIZE))),
+    "FitConfig-iterations-above-bound": (errors.InputError, lambda m: ik_optim.FitConfig(
+        iterations=ik_optim.MAX_ITERATIONS + 1)),
     "fit-misshapen-beta": (errors.ShapeError, lambda m: ik_optim.fit(
         m, ik_optim.FitTarget(joints=np.zeros((21, 3))), np.zeros(23), np.zeros(11))),
     "fit-no-target": (errors.InputError, lambda m: ik_optim.fit(

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,9 +34,24 @@ def bend_oracle(joints):
     return total
 
 
+def bend_exact_oracle(joints):
+    """The penalty in exact rational arithmetic on the float joints."""
+    total = Fraction(0)
+    for chain in ik_optim._BEND_CHAINS:
+        mcp, pip, dip, tip = ([Fraction(float(x)) for x in joints[j]] for j in chain)
+        b1, b2, b3 = ([q - p for p, q in zip(a, b)]
+                      for a, b in ((mcp, pip), (pip, dip), (dip, tip)))
+        u = (b3[1] * b2[2] - b3[2] * b2[1], b3[2] * b2[0] - b3[0] * b2[2],
+             b3[0] * b2[1] - b3[1] * b2[0])
+        v = (b2[1] * b1[2] - b2[2] * b1[1], b2[2] * b1[0] - b2[0] * b1[2],
+             b2[0] * b1[1] - b2[1] * b1[0])
+        total += max(-sum(x * y for x, y in zip(u, v)), Fraction(0))
+    return total
+
+
 def bend_cross_oracle(joints):
-    """The penalty and gradient through ``np.cross``, as computed before the
-    cross products were written out by components."""
+    """The penalty and gradient through ``np.cross``: its cross products in
+    stacked arrays, and the gradient as their cross products with the bones."""
     bones = np.diff(joints[..., ik_optim._BEND_CHAINS, :], axis=-2)
     b1, b2, b3 = bones[..., 0, :], bones[..., 1, :], bones[..., 2, :]
     u, v = np.moveaxis(np.cross(bones[..., [2, 1], :], bones[..., [1, 0], :]), -2, 0)
@@ -108,18 +124,40 @@ def test_bend_penalty_matches_oracle_on_random_skeletons(rng):
 
 
 def test_bend_penalty_equals_cross_oracle_bit_for_bit(desk, axes, rng):
+    """The penalties are np.cross's to the bit.  The gradients sum the same
+    products in another order, so they match to 1e-12 of their largest
+    entry, also on nearly straight fingers, where a Gram-matrix form of the
+    gradient (say ds/db1 = (b3.b2) b2 - (b2.b2) b3) loses digits."""
     bio = angles({
         f"{f}_{j}_flex": v for f in ("index", "middle", "ring", "little")
         for j, v in (("pip", 0.9), ("dip", 0.6))})
     feasible = posed_joints(desk, axes, bio, np.zeros(10))
     batch = np.concatenate([rng.normal(scale=30, size=(7, 21, 3)), feasible[None]])
-    for joints in (batch, batch.reshape(2, 4, 21, 3), batch[0], feasible):
+    near_straight = straight_finger_skeleton(desk) + rng.normal(size=(8, 21, 3)) * np.repeat(
+        [1e-7, 1e-5, 1e-3, 1e-1], 2)[:, None, None]
+    for joints in (batch, batch.reshape(2, 4, 21, 3), batch[0], feasible, near_straight):
         value, grad = bend_penalty_with_grad(joints)
         want_value, want_grad = bend_cross_oracle(joints)
         assert value.shape == want_value.shape and grad.shape == want_grad.shape
-        assert np.all(value == want_value) and np.all(grad == want_grad)
+        assert np.all(value == want_value)
+        for got, want in zip(grad.reshape(-1, 63), want_grad.reshape(-1, 63)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert bend_penalty_with_grad(near_straight)[0].min() > 0.0
     assert bend_penalty_with_grad(feasible)[0] == 0.0
     assert bend_penalty_with_grad(batch)[0].max() > 0.0
+
+
+def test_bend_penalty_keeps_its_digits_on_nearly_straight_fingers(desk, rng):
+    # s of nearly straight fingers is a small difference of large products:
+    # the two cross products keep it to ~1e-13 (mm^4) at 0.1 mm of noise and
+    # far less below, where the Gram form of s, (b3.b2)(b2.b1) - (b3.b1)(b2.b2),
+    # errs by ~1e-10 at every noise level
+    rest = straight_finger_skeleton(desk)
+    for scale in (1e-7, 1e-5, 1e-3, 1e-1):
+        for _ in range(3):
+            joints = rest + rng.normal(scale=scale, size=rest.shape)
+            value = bend_penalty_with_grad(joints)[0]
+            assert abs(Fraction(float(value)) - bend_exact_oracle(joints)) <= 1e-12
 
 
 def test_bend_penalty_rigid_invariance(rng):
@@ -535,12 +573,14 @@ def test_fit_toward_a_far_target_raises_no_overflow(desk, axes, limits):
 def test_fit_at_the_initial_beta_and_bend_weight_bounds_raises_no_overflow(
         desk, axes, limits):
     # the largest hand the fit may start from, against an opposed bend, with
-    # the largest bend weight: the penalty's gradients and their squares in
-    # Adam stay finite
+    # the largest bend weight, step size and iteration count (which let |beta|
+    # grow by up to ~3.3e5): the penalty's gradients and their squares in Adam
+    # stay finite
     opposed = angles({"index_pip_flex": 1.0, "index_dip_flex": -0.7})
     target = FitTarget(joints=posed_joints(desk, axes, opposed, np.zeros(10)))
     init_beta = np.where(np.arange(10) % 2, -1.0, 1.0) * ik_optim.MAX_INIT_BETA
-    config = FitConfig(bend_weight=ik_optim.MAX_BEND_WEIGHT)
+    config = FitConfig(bend_weight=ik_optim.MAX_BEND_WEIGHT, step_size=ik_optim.MAX_STEP_SIZE,
+                       iterations=ik_optim.MAX_ITERATIONS)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.warns(UserWarning, match="soft bound"):   # the result's |beta|

@@ -1,6 +1,7 @@
 """Guards for the FK engine: a per-vertex skinning oracle, batch rows against
 single rows and the peak memory of the blocked blend, a finite-difference
-check of every ``fk_backward`` output at B > 1 with a pose basis, the no-grad
+check of every ``fk_backward`` output at B > 1 with a pose basis (also
+across a blend-block boundary, against each row's B = 1 backward), the no-grad
 Rodrigues path (which holds nothing for backward), the grad path's single
 Rodrigues call, joints read off the chain, the depth-ordered chain layout,
 argument normalisation, and the read-only model behind ``model.tensors``."""
@@ -132,6 +133,46 @@ def test_fk_backward_matches_finite_differences(desk_small, global_rot):
                 fd = (loss(b, plus) - loss(b, minus)) / (2 * h)
                 ana = analytic[k][b, i]
                 worst = max(worst, abs(fd - ana) / max(abs(fd), abs(ana), 1.0))
+    assert worst < 1e-6, worst
+
+
+def test_fk_backward_across_a_blend_block_boundary(desk_small):
+    """B = 11 fills one blend block and part of a second: each row's
+    gradients are its own B = 1 backward's, and central differences hold on
+    a row of the partial block."""
+    rng = np.random.default_rng(14)
+    model = _variant(desk_small, rng)
+    batch, row, h = kin.BLEND_BLOCK + 3, kin.BLEND_BLOCK + 1, 1e-5
+    params = _params(rng, batch)
+    options = dict(want_vertices=True, want_regressed=True)
+    out = kin.fk_forward(model, *params, **options, need_grad=True)
+    d_vertices = rng.normal(size=out.vertices.shape)
+    d_regressed = rng.normal(size=out.regressed_joints.shape)
+    grads = kin.fk_backward(model, out, d_vertices, d_regressed)
+    analytic = (grads.articulation, grads.beta, grads.global_rot, grads.translation)
+    for b in range(batch):
+        one = kin.fk_forward(model, *(p[b:b + 1] for p in params), **options,
+                             need_grad=True)
+        solo = kin.fk_backward(model, one, d_vertices[b:b + 1], d_regressed[b:b + 1])
+        for got, want in zip(analytic, (solo.articulation, solo.beta, solo.global_rot,
+                                        solo.translation)):
+            assert np.abs(got[b] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
+
+    def loss(values):
+        o = kin.fk_forward(model, *values, **options)
+        return (o.vertices[0] * d_vertices[row]).sum() + (
+            o.regressed_joints[0] * d_regressed[row]).sum()
+
+    worst = 0.0
+    for k, param in enumerate(params):
+        for i in range(param.shape[1]):
+            plus = [p[row:row + 1].copy() for p in params]
+            minus = [p[row:row + 1].copy() for p in params]
+            plus[k][0, i] += h
+            minus[k][0, i] -= h
+            fd = (loss(plus) - loss(minus)) / (2 * h)
+            ana = analytic[k][row, i]
+            worst = max(worst, abs(fd - ana) / max(abs(fd), abs(ana), 1.0))
     assert worst < 1e-6, worst
 
 

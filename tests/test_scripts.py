@@ -37,6 +37,8 @@ def test_fk_parity_of_a_checkout_with_itself_is_exact():
     assert proc.returncode == 0, proc.stderr
     assert "worst output difference: 0 mm\n" in proc.stdout, proc.stdout
     assert "worst relative gradient difference: 0\n" in proc.stdout, proc.stdout
+    assert "worst relative loss-layer value difference: 0\n" in proc.stdout, proc.stdout
+    assert "worst relative loss-layer gradient difference: 0\n" in proc.stdout, proc.stdout
 
 
 def test_fk_parity_times_a_checkout_against_itself():
@@ -45,7 +47,9 @@ def test_fk_parity_times_a_checkout_against_itself():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
-    assert [row.split()[0] for row in rows] == ["B1", "B32", "B256", "B1024"], proc.stdout
+    assert [row[:20].strip() for row in rows] == [
+        "B1 vertices grad", "B32 regressed grad", "B256 vertices", "B1024 joints",
+        "B1 fit iteration"], proc.stdout
     for row in rows:   # this side, the other side, their ratio
         mine, theirs, ratio = map(float, row.split()[-3:])
         assert mine > 0 and theirs > 0 and ratio > 0, row
