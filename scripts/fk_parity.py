@@ -33,6 +33,7 @@ prints each case's median time per call on both sides and their ratio
 """
 
 import argparse
+import dataclasses
 import functools
 import importlib.util
 import os
@@ -57,14 +58,12 @@ PARAMS = ("articulation", "beta", "global_rot", "translation")
 def pose_set(path):
     """Pose the seeded set with the importable ``handkit``; save to ``path``."""
     from handkit import kinematics as kin
-    from handkit.hand_model import HandModel, make_desk_hand
+    from handkit.hand_model import make_desk_hand
 
     desk = make_desk_hand()
     rng = np.random.default_rng(0)
-    with_basis = HandModel(desk.rest_vertices, desk.shape_basis, desk.joint_regressor,
-                           desk.skinning_weights, desk.parents, desk.faces,
-                           pose_basis=rng.normal(scale=0.5, size=(
-                               kin.POSE_BASIS_SIZE, desk.vertex_count, 3)))
+    with_basis = dataclasses.replace(desk, pose_basis=rng.normal(scale=0.5, size=(
+        kin.POSE_BASIS_SIZE, desk.vertex_count, 3)))
     arrays = {}
     for batch in BATCHES:
         for basis, model in (("basis", with_basis), ("plain", desk)):

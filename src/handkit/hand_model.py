@@ -6,7 +6,8 @@ Posing is ``kinematics.fk_forward``, for any batch of poses (one pose is a
 batch of one); this module does no forward kinematics.  Units are
 millimeters throughout.  The default configuration has 778 mesh vertices and
 21 joints (wrist, then per finger MCP/PIP/DIP/TIP).  Shape is a 10-vector of
-PCA-style coefficients.
+PCA-style coefficients.  The joint tree is always ``kinematics.PARENTS``;
+model files still store it, and ``load_model`` checks it.
 
 A licensed statistical hand model is not required: ``make_desk_hand`` builds
 a fully procedural model with the same structure (tube fingers, palm sheets,
@@ -68,35 +69,49 @@ class Skeleton:
 class HandModel:
     """Rest template, blendshape bases, joint regressor, and skinning data.
 
-    Immutable: construction copies every array and marks it read-only, so
-    the constants in ``tensors`` can never go stale, and every operation on
-    a model is a pure function that concurrent readers may share.
+    Construction checks every array (``as_array``; a fractional face is also
+    ``InputError``), that weight and regressor rows are nonnegative and sum
+    to 1 and that faces index the mesh (else ``ShapeError``), then copies
+    each and marks it read-only, so the constants in ``tensors`` can never go
+    stale, and every operation on a model is a pure function that concurrent
+    readers may share.
     """
 
     rest_vertices: np.ndarray       # (V, 3) mm
     shape_basis: np.ndarray         # (10, V, 3) mm per unit beta
     joint_regressor: np.ndarray     # (21, V), rows sum to 1
     skinning_weights: np.ndarray    # (V, 16), rows sum to 1
-    parents: np.ndarray             # (21,) with parents[0] == -1
     faces: np.ndarray               # (F, 3) triangle indices
     pose_basis: np.ndarray | None = None  # (135, V, 3) mm, optional
 
     def __post_init__(self):
-        faces = np.asarray(self.faces, dtype=np.int64)
-        if faces.size % 3:
-            raise ShapeError("faces must hold index triples")
-        for name, value, dtype in (
-                ("rest_vertices", self.rest_vertices, float),
-                ("shape_basis", self.shape_basis, float),
-                ("joint_regressor", self.joint_regressor, float),
-                ("skinning_weights", self.skinning_weights, float),
-                ("parents", np.reshape(self.parents, -1), np.int64),
-                ("faces", faces.reshape(-1, 3), np.int64),
-                ("pose_basis", self.pose_basis, float)):
-            if value is not None:
-                value = np.array(value, dtype=dtype)
-                value.flags.writeable = False
-                object.__setattr__(self, name, value)
+        rest = as_array(self.rest_vertices, (None, 3), "rest_vertices")
+        v = len(rest)
+        arrays = {"rest_vertices": rest}
+        for name, shape in (("shape_basis", (SHAPE_DIM, v, 3)),
+                            ("joint_regressor", (kin.JOINT_COUNT, v)),
+                            ("skinning_weights", (v, kin.ARTICULATED_COUNT)),
+                            ("faces", (None, 3))):
+            arrays[name] = as_array(getattr(self, name), shape, name)
+        if self.pose_basis is not None:
+            arrays["pose_basis"] = as_array(self.pose_basis, (kin.POSE_BASIS_SIZE, v, 3),
+                                            "pose_basis")
+        faces = arrays["faces"]
+        if (faces != np.round(faces)).any():
+            raise InputError("faces must hold whole vertex indices")
+        if faces.size and (faces.min() < 0 or faces.max() >= v):
+            raise ShapeError("face indices out of range")
+        arrays["faces"] = faces.astype(np.int64)
+        for what, rows in (("skinning weight", arrays["skinning_weights"]),
+                           ("joint regressor", arrays["joint_regressor"])):
+            if (rows < -_WEIGHT_TOL).any():
+                raise ShapeError(f"{what} rows must be nonnegative")
+            if np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) > _WEIGHT_TOL:
+                raise ShapeError(f"{what} rows must sum to 1")
+        for name, value in arrays.items():
+            value = np.array(value)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @cached_property
     def tensors(self) -> kin.ModelTensors:
@@ -106,41 +121,6 @@ class HandModel:
     @property
     def vertex_count(self) -> int:
         return self.rest_vertices.shape[0]
-
-    @property
-    def joint_count(self) -> int:
-        return self.joint_regressor.shape[0]
-
-    def validate(self) -> None:
-        if self.rest_vertices.ndim != 2 or self.rest_vertices.shape[1] != 3:
-            raise ShapeError("rest_vertices must have shape (V, 3)")
-        v = self.vertex_count
-        if self.shape_basis.shape != (SHAPE_DIM, v, 3):
-            raise ShapeError(f"shape_basis must have shape ({SHAPE_DIM}, V, 3)")
-        if self.joint_regressor.shape != (kin.JOINT_COUNT, v):
-            raise ShapeError(f"joint_regressor must have shape ({kin.JOINT_COUNT}, V)")
-        if self.skinning_weights.shape != (v, kin.ARTICULATED_COUNT):
-            raise ShapeError(
-                f"skinning_weights must have shape (V, {kin.ARTICULATED_COUNT})")
-        if self.parents.shape != (kin.JOINT_COUNT,):
-            raise ShapeError("parents must list one entry per joint")
-        if self.pose_basis is not None and self.pose_basis.shape != (
-                kin.POSE_BASIS_SIZE, v, 3):
-            raise ShapeError(
-                f"pose_basis must have shape ({kin.POSE_BASIS_SIZE}, V, 3)")
-        if (self.skinning_weights < -_WEIGHT_TOL).any():
-            raise ShapeError("skinning weights must be nonnegative")
-        if (self.joint_regressor < -_WEIGHT_TOL).any():
-            raise ShapeError("joint regressor must be nonnegative")
-        if np.abs(self.skinning_weights.sum(axis=1) - 1.0).max() > _WEIGHT_TOL:
-            raise ShapeError("skinning weight rows must sum to 1")
-        if np.abs(self.joint_regressor.sum(axis=1) - 1.0).max() > _WEIGHT_TOL:
-            raise ShapeError("joint regressor rows must sum to 1")
-        if not np.array_equal(self.parents, kin.PARENTS):
-            raise ShapeError("parents must be kinematics.PARENTS, the one tree "
-                             "the kinematics poses")
-        if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= v):
-            raise ShapeError("face indices out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +300,13 @@ def make_desk_hand(ring_size: int = 6, interior_rings: int = 3,
     for j in range(kin.JOINT_COUNT):
         regressor[j, ring_start[j]:ring_start[j] + ring_size] = 1.0 / ring_size
 
-    model = HandModel(
+    return HandModel(
         rest_vertices=rest,
         shape_basis=_desk_shape_basis(rest),
         joint_regressor=regressor,
         skinning_weights=skin,
-        parents=np.array(kin.PARENTS),
         faces=np.array(faces, dtype=np.int64),
     )
-    model.validate()
-    return model
 
 
 def make_desk_hand_small() -> HandModel:
@@ -371,7 +348,7 @@ def save_model(model: HandModel, path, text: bool = False) -> None:
         "kind": "hand_model",
         "units": "mm",
         "vertex_count": int(model.vertex_count),
-        "joint_count": int(model.joint_count),
+        "joint_count": kin.JOINT_COUNT,
         "articulated_count": kin.ARTICULATED_COUNT,
         "has_pose_basis": model.pose_basis is not None,
     }
@@ -380,7 +357,7 @@ def save_model(model: HandModel, path, text: bool = False) -> None:
         "shape_basis": model.shape_basis.astype(np.float32),
         "joint_regressor": model.joint_regressor.astype(np.float32),
         "skinning_weights": model.skinning_weights.astype(np.float32),
-        "parents": model.parents.astype(np.int32),
+        "parents": np.array(kin.PARENTS, dtype=np.int32),
         "faces": model.faces.astype(np.int32),
     }
     if model.pose_basis is not None:
@@ -389,18 +366,19 @@ def save_model(model: HandModel, path, text: bool = False) -> None:
 
 
 def load_model(path) -> HandModel:
+    """Read a model container; its ``parents`` must be ``kinematics.PARENTS``."""
     _, arrays = read_container(path, kind="hand_model")
-    model = HandModel(
+    if not np.array_equal(arrays["parents"], kin.PARENTS):
+        raise ShapeError("parents must be kinematics.PARENTS, the one tree "
+                         "the kinematics poses")
+    return HandModel(
         rest_vertices=arrays["rest_vertices"],
         shape_basis=arrays["shape_basis"],
         joint_regressor=arrays["joint_regressor"],
         skinning_weights=arrays["skinning_weights"],
-        parents=arrays["parents"],
-        faces=arrays.get("faces", np.zeros((0, 3), dtype=np.int64)),
+        faces=arrays.get("faces", np.zeros((0, 3))),
         pose_basis=arrays.get("pose_basis"),
     )
-    model.validate()
-    return model
 
 
 def write_obj(vertices: np.ndarray, faces: np.ndarray, path) -> None:
@@ -437,13 +415,11 @@ def from_mano_arrays(v_template, shapedirs, j_regressor, weights, faces,
     if unit not in ("m", "mm"):
         raise InputError("unit must be 'm' or 'mm'")
     scale = 1000.0 if unit == "m" else 1.0
-    v_template = np.asarray(v_template, dtype=float) * scale
-    shapedirs = np.asarray(shapedirs, dtype=float) * scale
-    j_regressor = np.asarray(j_regressor, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    v_template = as_array(v_template, (None, 3), "v_template") * scale
     nverts = v_template.shape[0]
-    if j_regressor.shape != (16, nverts) or weights.shape != (nverts, 16):
-        raise ShapeError("regressor/weights do not match the MANO layout")
+    shapedirs = as_array(shapedirs, (nverts, 3, SHAPE_DIM), "shapedirs") * scale
+    j_regressor = as_array(j_regressor, (16, nverts), "j_regressor")
+    weights = as_array(weights, (nverts, 16), "weights")
     if not all(0 <= index < nverts for index in tip_vertices):
         raise ShapeError(f"tip vertices {tip_vertices} must index {nverts} vertices")
 
@@ -466,21 +442,18 @@ def from_mano_arrays(v_template, shapedirs, j_regressor, weights, faces,
 
     pose_basis = None
     if posedirs is not None:
-        posedirs = np.asarray(posedirs, dtype=float) * scale
+        posedirs = as_array(posedirs, (nverts, 3, kin.POSE_BASIS_SIZE), "posedirs") * scale
         pose_basis = np.zeros((kin.POSE_BASIS_SIZE, nverts, 3))
         for ours, theirs in enumerate(mano_slot[1:]):
             src = slice(9 * (theirs - 1), 9 * theirs)
             dst = slice(9 * ours, 9 * (ours + 1))
             pose_basis[dst] = np.transpose(posedirs[:, :, src], (2, 0, 1))
 
-    model = HandModel(
+    return HandModel(
         rest_vertices=v_template,
         shape_basis=shape_basis,
         joint_regressor=regressor,
         skinning_weights=skin,
-        parents=np.array(kin.PARENTS),
-        faces=np.asarray(faces, dtype=np.int64),
+        faces=faces,
         pose_basis=pose_basis,
     )
-    model.validate()
-    return model

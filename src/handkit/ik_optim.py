@@ -11,7 +11,7 @@ The one loss, ``batch_fit_loss``, gives per-sample losses and the gradient
 of their sum; ``fit`` and ``ik_net`` (its L1 joint term) call it.  ``fit``
 solves a batch of targets with in-place Adam steps (``adam_step``, shared
 with ``ik_net``) and one cosine step-size decay, clamps the 23 feasible
-angles to their limits after every update, and returns each sample's
+angles to their limits on entry and after every update, and returns each sample's
 best-loss iterate.  Gradients are fully analytic.
 """
 
@@ -243,10 +243,11 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     """First-order refinement of (angles, shape, global pose) toward B
     targets at once: a list of B results, or one for one target (a batch of
     one).  Initial values (None is zeros) are (n,), shared, or (B, n).  Runs
-    ``config.iterations`` Adam steps, clamping the feasible angles, and
-    returns each sample's best-loss iterate; a sample whose loss changes by
-    less than ``convergence_tol`` stops, and the loop ends when all have.
-    With ``freeze_shape`` the shape coefficients are never touched."""
+    ``config.iterations`` Adam steps from the clamped initial angles,
+    clamping after every step, so every iterate is feasible, and returns
+    each sample's best-loss iterate; a sample whose loss changes by less
+    than ``convergence_tol`` stops, and the loop ends when all have.  With
+    ``freeze_shape`` the shape coefficients are never touched."""
     if not isinstance(target, FitTarget):
         raise InputError(f"a FitTarget is required, got {type(target).__name__}")
     config = config or FitConfig()
@@ -269,6 +270,7 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
                 raise ShapeError(f"{what} must have shape {view.shape[1:]} or "
                                  f"{(*lead, view.shape[1])}, got {value.shape}")
             view[...] = value
+    np.clip(bio, limits.lower, limits.upper, out=bio)   # every iterate is feasible
     if np.abs(beta).max() > MAX_INIT_BETA:
         raise InputError(f"initial |beta| must be <= {MAX_INIT_BETA:g}")
     frozen_beta = beta.copy()
@@ -303,7 +305,7 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
         np.copyto(x, best_x, where=converged[:, None])   # a stopped row stays put
 
     losses = np.array(losses)
-    results = [FitResult(bio=bio_dof.clamp(bio_dof.BioPose(row[:nd]), limits),
+    results = [FitResult(bio=bio_dof.BioPose(row[:nd]),
                          beta=ShapeParams(row[nd:nd + 10]), global_rot=row[nd + 10:nd + 13],
                          translation=row[nd + 13:], loss_trace=losses[:n, i].tolist(),
                          converged=bool(done))

@@ -283,7 +283,7 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
 
     # The bones [chain_rot | bone_t], as [b, x, slot, column] rows, undo the
     # rest translation.  The translation is added per output: the weight and
-    # regressor rows sum to 1 only to ``HandModel.validate``'s tolerance, and
+    # regressor rows sum to 1 only to the tolerance ``HandModel`` checks, and
     # the bones would scale it.
     bones = None
     if want_vertices or want_regressed or need_grad:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from handkit import bio_dof, kinematics as kin
 from handkit.bio_dof import (BioPose, DofLimits, clamp, derive_axes,
                              expand_batch, is_feasible, sample_uniform)
 from handkit.errors import InputError, NumericError
-from handkit.hand_model import HandModel
 
 
 FRAME_ROW = {"flex": 0, "abd": 1, "twist": 2}   # in an axes_oracle frame
@@ -67,9 +68,8 @@ def test_axes_match_raw_coordinate_oracle(desk, axes):
 
 
 def test_axes_scale_invariant(desk):
-    scaled = HandModel(desk.rest_vertices * 3.7, desk.shape_basis * 3.7,
-                       desk.joint_regressor, desk.skinning_weights,
-                       desk.parents, desk.faces)
+    scaled = dataclasses.replace(desk, rest_vertices=desk.rest_vertices * 3.7,
+                                 shape_basis=desk.shape_basis * 3.7)
     np.testing.assert_allclose(derive_axes(desk), derive_axes(scaled), atol=1e-12)
 
 
@@ -77,9 +77,7 @@ def test_derive_axes_rejects_degenerate_bone(desk_small):
     reg = desk_small.joint_regressor.copy()
     # collapse the index PIP onto the index MCP
     reg[kin.finger_joint(1, 1)] = reg[kin.finger_joint(1, 0)]
-    model = HandModel(desk_small.rest_vertices, desk_small.shape_basis, reg,
-                      desk_small.skinning_weights, desk_small.parents,
-                      desk_small.faces)
+    model = dataclasses.replace(desk_small, joint_regressor=reg)
     with pytest.raises(NumericError):
         derive_axes(model)
 

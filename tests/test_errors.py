@@ -24,8 +24,8 @@ from handkit import (bio_dof, errors, ik_net, ik_optim, kinematics, lixel, metri
                      profiler, synth)
 from handkit.cli import main, write_params_file
 from handkit.containers import write_container
-from handkit.hand_model import (ShapeParams, Skeleton, load_model, make_desk_hand_small,
-                                regress_joints, save_model)
+from handkit.hand_model import (ShapeParams, Skeleton, from_mano_arrays, load_model,
+                                make_desk_hand_small, regress_joints, save_model)
 
 CONTRACT = {0, 2, 3, 4}
 
@@ -455,13 +455,35 @@ def _backward_b2(model, **cotangents):
 # name -> (family class, call on the small desk hand): one row per library
 # entry point that checks a value where it enters
 def _load_reparented_model(model):
-    """load_model of a saved hand whose little MCP hangs under the ring MCP."""
-    parents = model.parents.copy()
+    """load_model of a hand file whose little MCP hangs under the ring MCP."""
+    parents = np.array(kinematics.PARENTS, dtype=np.int32)
     parents[17] = 13
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.hkm"
-        save_model(dataclasses.replace(model, parents=parents), path)
+        write_container(path, {"kind": "hand_model"}, {
+            "rest_vertices": model.rest_vertices, "shape_basis": model.shape_basis,
+            "joint_regressor": model.joint_regressor,
+            "skinning_weights": model.skinning_weights, "parents": parents,
+            "faces": model.faces})
         return load_model(path)
+
+
+def _with(model, name, index, value):
+    """``model`` rebuilt with one entry of its array ``name`` set to ``value``."""
+    array = getattr(model, name).astype(type(value))
+    array[index] = value
+    return dataclasses.replace(model, **{name: array})
+
+
+def _nan_mano():
+    """Valid MANO-layout arrays (778 vertices, meters) but a NaN rest vertex."""
+    v_template = _nan(778, 3)
+    j_regressor = np.zeros((16, 778))
+    j_regressor[:, 0] = 1.0
+    weights = np.zeros((778, 16))
+    weights[:, 0] = 1.0
+    return from_mano_arrays(v_template, np.zeros((778, 3, 10)), j_regressor, weights,
+                            np.array([[0, 1, 2]]))
 
 
 LIBRARY = {
@@ -473,6 +495,17 @@ LIBRARY = {
     "Skeleton-none": (errors.InputError, lambda m: Skeleton(None)),
     "Skeleton-20-joints": (errors.ShapeError, lambda m: Skeleton(np.zeros((20, 3)))),
     "load_model-reparented-tree": (errors.ShapeError, _load_reparented_model),
+    "HandModel-nan-rest-vertex": (errors.InputError, lambda m: _with(
+        m, "rest_vertices", (0, 1), np.nan)),
+    "HandModel-string-weights": (errors.InputError, lambda m: dataclasses.replace(
+        m, skinning_weights=m.skinning_weights.astype(str))),
+    "HandModel-fractional-face": (errors.InputError, lambda m: _with(
+        m, "faces", (0, 0), 0.7)),
+    "HandModel-face-past-the-mesh": (errors.ShapeError, lambda m: _with(
+        m, "faces", (0, 0), m.vertex_count)),
+    "HandModel-9-shape-bases": (errors.ShapeError, lambda m: dataclasses.replace(
+        m, shape_basis=m.shape_basis[:9])),
+    "from_mano_arrays-nan-v_template": (errors.InputError, lambda m: _nan_mano()),
     "regress_joints-nan": (errors.InputError, lambda m: regress_joints(
         m, _nan(m.vertex_count, 3))),
     "BioPose-strings": (errors.InputError, lambda m: bio_dof.BioPose(["x"] * 23)),

@@ -21,6 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # name -> why it stays public without a caller outside the tests
 TEST_ONLY = {
+    "clamp": "the projection onto the feasible box; fit and predict clip "
+             "their (B, 23) arrays in place instead of building a BioPose",
     "from_mano_arrays": "the converter for user-supplied MANO arrays, which "
                         "the repository does not ship",
     "fscore": "one threshold's F-score; the benchmark traces it by name, and "

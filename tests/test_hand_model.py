@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from handkit import kinematics as kin
 from handkit.errors import ShapeError
-from handkit.hand_model import (HandModel, from_mano_arrays, load_model,
-                                regress_joints, save_model, write_obj)
+from handkit.containers import read_container, write_container
+from handkit.hand_model import (from_mano_arrays, load_model, regress_joints,
+                                save_model, write_obj)
 from handkit.rotations import rodrigues
 
 
@@ -142,9 +143,7 @@ def test_rest_joints_one_hot_regressor(desk_small):
     picks = np.arange(21) * 3 % desk_small.vertex_count
     reg = np.zeros_like(desk_small.joint_regressor)
     reg[np.arange(21), picks] = 1.0
-    model = HandModel(desk_small.rest_vertices, desk_small.shape_basis, reg,
-                      desk_small.skinning_weights, desk_small.parents,
-                      desk_small.faces)
+    model = dataclasses.replace(desk_small, joint_regressor=reg)
     np.testing.assert_array_equal(model.tensors.J0,
                                   desk_small.rest_vertices[picks])
 
@@ -231,9 +230,7 @@ def test_forward_skinning_one_hot_rigidity(desk_small, limits, axes_small, rng):
     slot = 5  # an articulated joint column
     weights = np.zeros_like(desk_small.skinning_weights)
     weights[:, slot] = 1.0
-    model = HandModel(desk_small.rest_vertices, desk_small.shape_basis,
-                      desk_small.joint_regressor, weights, desk_small.parents,
-                      desk_small.faces)
+    model = dataclasses.replace(desk_small, skinning_weights=weights)
     art = bio_dof.expand_batch(bio_dof.sample_uniform(limits, 1, rng)[0], axes_small)
     vertices, _ = posed(model, art)
     # every vertex must move rigidly with the chained transform of that joint
@@ -249,10 +246,7 @@ def test_forward_skinning_one_hot_rigidity(desk_small, limits, axes_small, rng):
 def test_forward_with_pose_basis_changes_mesh_not_joints_at_rest(desk_small):
     pose_basis = np.zeros((kin.POSE_BASIS_SIZE, desk_small.vertex_count, 3))
     pose_basis[:, :, 2] = 0.5
-    model = HandModel(desk_small.rest_vertices, desk_small.shape_basis,
-                      desk_small.joint_regressor, desk_small.skinning_weights,
-                      desk_small.parents, desk_small.faces,
-                      pose_basis=pose_basis)
+    model = dataclasses.replace(desk_small, pose_basis=pose_basis)
     vertices, _ = posed(model)
     # identity rotations: the corrective features vec(R - I) vanish
     np.testing.assert_allclose(vertices, model.rest_vertices, atol=1e-12)
@@ -262,41 +256,42 @@ def test_forward_with_pose_basis_changes_mesh_not_joints_at_rest(desk_small):
 # model validation and I/O
 # ---------------------------------------------------------------------------
 
-def test_validate_rejects_bad_weight_rows(desk_small):
+def test_construction_rejects_bad_weight_rows(desk_small):
     weights = desk_small.skinning_weights.copy()
     weights[0] *= 2.0
-    model = HandModel(desk_small.rest_vertices, desk_small.shape_basis,
-                      desk_small.joint_regressor, weights, desk_small.parents,
-                      desk_small.faces)
     with pytest.raises(ShapeError):
-        model.validate()
+        dataclasses.replace(desk_small, skinning_weights=weights)
 
 
-def test_validate_rejects_a_tree_the_kinematics_does_not_pose(desk_small):
+def _save_with_parents(model, parents, path):
+    """A model file of ``model`` whose ``parents`` array is ``parents``."""
+    save_model(model, path)
+    header, arrays = read_container(path, kind="hand_model")
+    write_container(path, header, dict(arrays, parents=np.asarray(parents, dtype=np.int32)))
+    return path
+
+
+def test_load_model_rejects_a_tree_the_kinematics_does_not_pose(desk_small, tmp_path):
     # little MCP under ring MCP: an acyclic tree, but FK walks kin.PARENTS
-    parents = desk_small.parents.copy()
+    parents = np.array(kin.PARENTS)
     parents[17] = 13
-    model = HandModel(desk_small.rest_vertices, desk_small.shape_basis,
-                      desk_small.joint_regressor, desk_small.skinning_weights,
-                      parents, desk_small.faces)
+    path = _save_with_parents(desk_small, parents, tmp_path / "m.hkm")
     with pytest.raises(ShapeError, match="kinematics.PARENTS"):
-        model.validate()
+        load_model(path)
 
 
-def test_validate_rejects_cyclic_parents(desk_small):
-    parents = desk_small.parents.copy()
+def test_load_model_rejects_cyclic_parents(desk_small, tmp_path):
+    parents = np.array(kin.PARENTS)
     parents[1] = 2
     parents[2] = 1
-    model = HandModel(desk_small.rest_vertices, desk_small.shape_basis,
-                      desk_small.joint_regressor, desk_small.skinning_weights,
-                      parents, desk_small.faces)
+    path = _save_with_parents(desk_small, parents, tmp_path / "m.hkm")
     with pytest.raises(ShapeError):
-        model.validate()
+        load_model(path)
 
 
 def test_default_configuration_counts(desk):
     assert desk.vertex_count == 778
-    assert desk.joint_count == 21
+    assert desk.joint_regressor.shape[0] == 21
 
 
 @pytest.mark.parametrize("text", [False, True])
@@ -309,7 +304,8 @@ def test_model_roundtrip(desk_small, tmp_path, text):
                                desk_small.rest_vertices, atol=1e-4)
     np.testing.assert_allclose(loaded.skinning_weights,
                                desk_small.skinning_weights, atol=1e-6)
-    np.testing.assert_array_equal(loaded.parents, desk_small.parents)
+    _, arrays = read_container(path, kind="hand_model")
+    np.testing.assert_array_equal(arrays["parents"], kin.PARENTS)
     np.testing.assert_array_equal(loaded.faces, desk_small.faces)
 
 
@@ -348,7 +344,6 @@ def _fake_mano_arrays(nverts=778):
 def test_from_mano_arrays_reorders_fingers_and_scales():
     v, s, j, w, f, p = _fake_mano_arrays()
     model = from_mano_arrays(v, s, j, w, f, posedirs=p, unit="m")
-    model.validate()
     assert model.vertex_count == 778
     np.testing.assert_allclose(model.rest_vertices, v * 1000.0, atol=1e-9)
     # source finger order is index, middle, little, ring, thumb; ours starts

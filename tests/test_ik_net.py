@@ -308,6 +308,32 @@ def test_backprop_matches_finite_differences(desk, axes, limits, rng):
         assert ana == pytest.approx(fd, rel=1e-3, abs=1e-9)
 
 
+def test_batch_statistics_backprop_matches_finite_differences(desk, axes, limits, rng):
+    # training=True normalizes by the batch's own statistics, so each output
+    # row depends on every row of the batch; train runs this branch
+    data = generate_pairs(desk, 8, limits, seed=12)
+    net = MlpIk(seed=2, dtype=np.float64)
+    args = (net, desk, axes, featurize_batch(data.skeletons), data.bio, data.beta,
+            data.skeletons)
+    net.zero_grads()
+    batch_loss(*args, training=True, compute_grads=True)
+    grads = {name: grad.copy() for name, grad in net.grads.items()}
+    h = 1e-6
+    for name, arr in net.arrays.items():
+        if name not in grads:   # the running statistics are not trained
+            continue
+        for i in rng.choice(arr.size, 3, replace=False):
+            orig = arr.reshape(-1)[i]
+            arr.reshape(-1)[i] = orig + h
+            lp = batch_loss(*args, training=True)[0]
+            arr.reshape(-1)[i] = orig - h
+            lm = batch_loss(*args, training=True)[0]
+            arr.reshape(-1)[i] = orig
+            fd = (lp - lm) / (2 * h)
+            assert grads[name].reshape(-1)[i] == pytest.approx(fd, rel=1e-3), (
+                name, i)
+
+
 def test_short_training_reduces_loss(desk, limits):
     data = generate_pairs(desk, 512, limits, seed=13)
     net = MlpIk(seed=3)

@@ -469,6 +469,22 @@ def test_fit_final_pose_feasible(desk, axes, limits, rng):
     assert bio_dof.is_feasible(result.bio, limits)
 
 
+def test_fit_clamps_the_initial_angles_before_the_first_loss(desk_small, limits, rng):
+    # one iteration from an init past DoF 0's upper limit: the returned
+    # (best) iterate is the first one, so it must be the clamped init and its
+    # loss the first traced one
+    axes = bio_dof.derive_axes(desk_small)
+    _, _, target = make_target(desk_small, axes, limits, rng, with_vertices=False)
+    init = np.zeros(bio_dof.DOF_COUNT)
+    init[0] = limits.upper[0] + 0.5
+    result = fit(desk_small, target, init_bio=init,
+                 config=FitConfig(iterations=1, bend_weight=0.0), limits=limits, axes=axes)
+    assert bio_dof.is_feasible(result.bio, limits)
+    loss, _ = loss_of_one(desk_small, axes, target, result.bio.values, result.beta.beta,
+                          result.global_rot, result.translation, bend_weight=0.0)
+    assert loss == result.loss_trace[0]
+
+
 def test_fit_early_stop_sets_converged(desk, axes, limits, rng):
     bio, beta, target = make_target(desk, axes, limits, rng)
     result = fit(desk, target, init_bio=bio, init_beta=beta,

@@ -14,7 +14,6 @@ import pytest
 
 from handkit import bio_dof, kinematics as kin
 from handkit.errors import InputError, ShapeError
-from handkit.hand_model import HandModel
 from handkit.rotations import rodrigues, rodrigues_with_jacobian
 
 
@@ -25,8 +24,7 @@ def _variant(model, rng, dense_weights=False):
     if dense_weights:
         weights = rng.dirichlet(np.ones(kin.ARTICULATED_COUNT), size=len(weights))
     pose_basis = rng.normal(size=(kin.POSE_BASIS_SIZE, model.vertex_count, 3))
-    return HandModel(model.rest_vertices, model.shape_basis, model.joint_regressor,
-                     weights, model.parents, model.faces, pose_basis=pose_basis)
+    return dataclasses.replace(model, skinning_weights=weights, pose_basis=pose_basis)
 
 
 def _params(rng, batch):
@@ -226,15 +224,13 @@ def test_joints_are_read_off_the_chain(desk_small):
 
 def test_model_is_read_only_and_tensors_built_once(desk_small):
     source = desk_small.rest_vertices.copy()
-    model = HandModel(source, desk_small.shape_basis, desk_small.joint_regressor,
-                      desk_small.skinning_weights, desk_small.parents,
-                      desk_small.faces)
+    model = dataclasses.replace(desk_small, rest_vertices=source)
     before = kin.fk_forward(model, np.zeros(45), want_vertices=True).vertices
     source[0] += 5.0                       # the model holds its own copy
     np.testing.assert_array_equal(
         kin.fk_forward(model, np.zeros(45), want_vertices=True).vertices, before)
     for name in ("rest_vertices", "shape_basis", "joint_regressor",
-                 "skinning_weights", "parents", "faces"):
+                 "skinning_weights", "faces"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(model, name)[0] += 1
     for shared in (model.tensors.J0, model.tensors.axes):   # shared by every caller
