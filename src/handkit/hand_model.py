@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kinematics as kin
 from .containers import read_container, write_container
-from .errors import InputError, ShapeError, as_array
+from .errors import InputError, ShapeError, as_array, as_number
 
 SHAPE_DIM = 10
 _WEIGHT_TOL = 1e-6   # rounding allowed in the stored skinning and regressor rows
@@ -344,30 +344,25 @@ def _desk_shape_basis(rest: np.ndarray) -> np.ndarray:
 
 def save_model(model: HandModel, path, text: bool = False) -> None:
     """Write the self-describing model container (binary or plain text)."""
-    header = {
-        "kind": "hand_model",
-        "units": "mm",
-        "vertex_count": int(model.vertex_count),
-        "joint_count": kin.JOINT_COUNT,
-        "articulated_count": kin.ARTICULATED_COUNT,
-        "has_pose_basis": model.pose_basis is not None,
-    }
     arrays = {
-        "rest_vertices": model.rest_vertices.astype(np.float32),
-        "shape_basis": model.shape_basis.astype(np.float32),
-        "joint_regressor": model.joint_regressor.astype(np.float32),
-        "skinning_weights": model.skinning_weights.astype(np.float32),
-        "parents": np.array(kin.PARENTS, dtype=np.int32),
-        "faces": model.faces.astype(np.int32),
+        "rest_vertices": model.rest_vertices,
+        "shape_basis": model.shape_basis,
+        "joint_regressor": model.joint_regressor,
+        "skinning_weights": model.skinning_weights,
+        "parents": np.array(kin.PARENTS),
+        "faces": model.faces,
     }
     if model.pose_basis is not None:
-        arrays["pose_basis"] = model.pose_basis.astype(np.float32)
-    write_container(path, header, arrays, text=text)
+        arrays["pose_basis"] = model.pose_basis
+    write_container(path, {"kind": "hand_model", "units": "mm"}, arrays, text=text)
 
 
 def load_model(path) -> HandModel:
-    """Read a model container; its ``parents`` must be ``kinematics.PARENTS``."""
-    _, arrays = read_container(path, kind="hand_model")
+    """Read a model container; its ``units`` must be ``"mm"`` and its
+    ``parents`` ``kinematics.PARENTS``."""
+    header, arrays = read_container(path, kind="hand_model")
+    if header.get("units") != "mm":
+        raise InputError(f"{path}: units must be 'mm', got {header.get('units')!r}")
     if not np.array_equal(arrays["parents"], kin.PARENTS):
         raise ShapeError("parents must be kinematics.PARENTS, the one tree "
                          "the kinematics poses")
@@ -420,8 +415,12 @@ def from_mano_arrays(v_template, shapedirs, j_regressor, weights, faces,
     shapedirs = as_array(shapedirs, (nverts, 3, SHAPE_DIM), "shapedirs") * scale
     j_regressor = as_array(j_regressor, (16, nverts), "j_regressor")
     weights = as_array(weights, (nverts, 16), "weights")
-    if not all(0 <= index < nverts for index in tip_vertices):
-        raise ShapeError(f"tip vertices {tip_vertices} must index {nverts} vertices")
+    tip_vertices = [as_number(index, "tip vertex", integer=True)
+                    for index in np.atleast_1d(tip_vertices)]
+    if len(tip_vertices) != len(kin.FINGERS) or not all(
+            0 <= index < nverts for index in tip_vertices):
+        raise ShapeError(f"tip vertices {tip_vertices} must be one per finger "
+                         f"and index {nverts} vertices")
 
     # source joint index (in the 16-joint MANO order) for each of our
     # articulated slots: wrist, then MCP/PIP/DIP per finger in our order

@@ -3,11 +3,13 @@ network with shape and angle heads, and from-scratch training.
 
 The input is a skeleton reduced to its 20 bones: unit directions (60 values)
 plus lengths (20 values, divided by 100 so millimeter skeletons feed the net
-in decimeter units).  No reference-bone channels are kept.  Three hidden
-blocks (linear map + per-feature batch statistics normalization + rectifier)
-feed two affine heads: 23 feasible angles and 10 shape coefficients.  The
-net trains and predicts in float32, the precision its checkpoints store;
-FK and the loss stay in float64.
+in decimeter units).  No reference-bone channels are kept.  The network
+has one architecture: three hidden blocks of ``WIDTHS`` (linear map +
+per-feature batch statistics normalization + rectifier) feed two affine
+heads, 23 feasible angles and 10 shape coefficients.  A checkpoint stores
+only the arrays; its loader builds ``MlpIk()`` and fills it.  The net trains
+and predicts in float32, the precision its checkpoints store; FK and the
+loss stay in float64.
 
 Training minimizes the sum of three L1 terms: angle error, shape error, and
 the positional error of the joints regressed from the re-posed mesh against
@@ -33,6 +35,7 @@ from .hand_model import HandModel
 
 LENGTH_SCALE = 0.01  # mm -> decimeters for input conditioning
 FEATURE_DIM = 20 * 3 + 20
+WIDTHS = (256, 256, 256)  # the hidden blocks' widths: the one architecture
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 #: the most pairs ``generate_pairs`` builds, checked before any array is:
@@ -66,7 +69,8 @@ def featurize_batch(joints: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class MlpIk:
-    """Hidden blocks (linear map + batch statistics + rectifier), two heads.
+    """``WIDTHS`` hidden blocks (linear map + batch statistics + rectifier)
+    on ``FEATURE_DIM`` inputs, two heads.
 
     ``arrays`` maps each stored array's name to its value, in checkpoint
     order: ``w{i}``, ``bn{i}_gamma``, ``bn{i}_beta``, ``bn{i}_mean`` and
@@ -77,18 +81,12 @@ class MlpIk:
     rebind them.  Arrays and activations have ``dtype`` (float64 for exact
     gradient checks)."""
 
-    def __init__(self, widths=(256, 256, 256), input_dim=FEATURE_DIM, seed=0,
-                 dtype=np.float32):
-        self.widths = tuple(as_number(w, "hidden width", 1, integer=True)
-                            for w in widths)
-        if not self.widths:
-            raise InputError("the net needs at least one hidden width")
-        self.input_dim = as_number(input_dim, "input_dim", 1, integer=True)
+    def __init__(self, seed=0, dtype=np.float32):
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(as_number(seed, "seed", 0, integer=True))
         a = self.arrays = {}
-        fan_in = self.input_dim
-        for i, w in enumerate(self.widths):  # no bias: batch norm cancels it
+        fan_in = FEATURE_DIM
+        for i, w in enumerate(WIDTHS):  # no bias: batch norm cancels it
             a[f"w{i}"] = rng.normal(scale=np.sqrt(2.0 / fan_in),
                                     size=(fan_in, w)).astype(dtype)
             a[f"bn{i}_gamma"] = np.ones(w, dtype)
@@ -118,7 +116,7 @@ class MlpIk:
         the running statistics towards them."""
         a, blocks = self.arrays, []
         h = np.asarray(x, dtype=self.dtype)
-        for i in range(len(self.widths)):
+        for i in range(len(WIDTHS)):
             z = h @ a[f"w{i}"]
             if training:
                 # z - mu once; the variance from it is bit-identical to z.var
@@ -151,7 +149,7 @@ class MlpIk:
             grads[f"head_{head}_w"] += h.T @ d
             grads[f"head_{head}_b"] += d.sum(axis=0)
         g = d_theta @ a["head_theta_w"].T + d_beta @ a["head_beta_w"].T
-        for i in reversed(range(len(blocks))):
+        for i in reversed(range(len(WIDTHS))):
             h, xhat, inv_std, mask = blocks[i]
             g = g * mask
             grads[f"bn{i}_gamma"] += (g * xhat).sum(axis=0)
@@ -183,7 +181,7 @@ def predict(net: MlpIk, feats: np.ndarray,
     rows: float64 (B, 23) angles clamped to the limits and (B, 10) shapes."""
     limits = limits or bio_dof.DofLimits.default()
     theta, beta = (out.astype(np.float64) for out in net.forward(
-        as_array(feats, (None, net.input_dim), "features"), training=False))
+        as_array(feats, (None, FEATURE_DIM), "features"), training=False))
     if not (np.isfinite(theta).all() and np.isfinite(beta).all()):
         raise NumericError("non-finite network activations")
     return np.clip(theta, limits.lower, limits.upper), beta
@@ -223,12 +221,20 @@ def batch_loss(net: MlpIk, model: HandModel, axes, feats, bio_gt, beta_gt,
 
 @dataclass
 class SynthPairSet:
-    """Self-generated (angles, shape, skeleton) triplets from a model's FK."""
+    """Self-generated (angles, shape, skeleton) triplets from a model's FK;
+    one N rows of each, all finite (``as_array``)."""
 
     bio: np.ndarray        # (N, 23)
     beta: np.ndarray       # (N, 10)
     skeletons: np.ndarray  # (N, 21, 3)
     model: HandModel
+
+    def __post_init__(self):
+        self.bio = as_array(self.bio, (None, bio_dof.DOF_COUNT), "pair angles")
+        n = len(self.bio)
+        self.beta = as_array(self.beta, (n, 10), "pair shapes")
+        self.skeletons = as_array(self.skeletons, (n, kin.JOINT_COUNT, 3),
+                                  "pair skeletons")
 
     def __len__(self):
         return len(self.bio)
@@ -321,33 +327,21 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(net: MlpIk, path) -> None:
-    header = {"kind": "ik_net_checkpoint", "input_dim": net.input_dim,
-              "widths": list(net.widths)}
-    write_container(path, header, {name: value.astype(np.float32)
-                                    for name, value in net.arrays.items()})
+    write_container(path, {"kind": "ik_net_checkpoint"}, net.arrays)
 
 
 def load_checkpoint(path) -> MlpIk:
     """The float32 net a checkpoint stores.  An older file's hidden biases
     ``b{i}`` fold into the running mean as ``bn{i}_mean - b{i}``."""
-    header, arrays = read_container(path, kind="ik_net_checkpoint")
-    widths, input_dim = header.get("widths"), header.get("input_dim")
-    if not (isinstance(widths, list) and widths and all(
-            isinstance(n, int) and n >= 1 for n in [input_dim, *widths])):
-        raise InputError(f"{path}: bad input_dim/widths in the header")
-    # a header may not make us allocate a large net the file cannot fill
-    sizes = [input_dim, *widths]
-    weights = sum(a * b for a, b in zip(sizes, widths))
-    if weights > max(sum(a.size for a in arrays.values()), 2 ** 22):
-        raise InputError(f"{path}: header widths need more values than stored")
-    net = MlpIk(widths=tuple(widths), input_dim=input_dim)
+    _, arrays = read_container(path, kind="ik_net_checkpoint")
+    net = MlpIk()
     for name, target in net.arrays.items():
         value = arrays[name]
         if value.shape != target.shape:
             raise ShapeError(f"{path}: array {name!r} has shape {value.shape}, "
                              f"expected {target.shape}")
         target[...] = value   # into the view, so training still moves it
-    for i in range(len(widths)):
+    for i in range(len(WIDTHS)):
         if f"b{i}" in arrays:
             mean = net.arrays[f"bn{i}_mean"]
             mean -= as_array(arrays[f"b{i}"], mean.shape, f"{path}: array 'b{i}'")

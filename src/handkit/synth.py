@@ -191,8 +191,7 @@ def augment_library(lib: PoseLibrary, per_pose: int = DEFAULT_VARIANTS_PER_POSE,
 
 
 def save_pose_library(lib: PoseLibrary, path) -> None:
-    write_container(path, {"kind": "pose_library", "count": len(lib)},
-                    {"poses": lib.poses.astype(np.float32)})
+    write_container(path, {"kind": "pose_library"}, {"poses": lib.poses})
 
 
 def load_pose_library(path) -> PoseLibrary:

@@ -23,7 +23,7 @@ import handkit
 from handkit import (bio_dof, errors, ik_net, ik_optim, kinematics, lixel, metrics,
                      profiler, synth)
 from handkit.cli import main, write_params_file
-from handkit.containers import write_container
+from handkit.containers import read_container, write_container
 from handkit.hand_model import (ShapeParams, Skeleton, from_mano_arrays, load_model,
                                 make_desk_hand_small, regress_joints, save_model)
 
@@ -62,8 +62,7 @@ def ws(tmp_path_factory) -> Path:
         + "\nbeta: 0.5 0 0 0 0 0 0 0 0 0\n")
     write_params_file(root / "init.txt", bio, np.zeros(10), [0, 0.1, 0], [1, 2, 3])
     bio_dof.DofLimits.default().save(root / "limits.txt")
-    ik_net.save_checkpoint(ik_net.MlpIk(widths=(16, 16, 16), seed=0),
-                           root / "net.hkc")
+    ik_net.save_checkpoint(ik_net.MlpIk(seed=0), root / "net.hkc")
     synth.save_pose_library(synth.make_pose_library(model, count=3, seed=1),
                             root / "library.hkc")
     (root / "graph.txt").write_text("conv 3 3 16 2 1\n"
@@ -84,6 +83,13 @@ def _raw_container(path: Path, header: bytes, payload: bytes = b"") -> Path:
 
 def _container(path: Path, header: dict) -> Path:
     write_container(path, header, {})
+    return path
+
+
+def _model_in(ws: Path, path: Path, units) -> Path:
+    """The workspace's model file, its header saying ``units``."""
+    header, arrays = read_container(ws / "model.hkm", kind="hand_model")
+    write_container(path, dict(header, units=units), arrays)
     return path
 
 
@@ -128,7 +134,8 @@ def _ik_train(ws, *extra):
 # name -> (expected exit code, argv builder from (workspace, scratch dir))
 TABLE = {
     "fk-model-without-arrays": (2, lambda ws, t: _fk(
-        ws, _container(t / "m.hkm", {"kind": "hand_model"}))),
+        ws, _container(t / "m.hkm", {"kind": "hand_model", "units": "mm"}))),
+    "fk-model-in-meters": (2, lambda ws, t: _fk(ws, _model_in(ws, t / "m.hkm", "m"))),
     "fk-model-bad-json-header": (2, lambda ws, t: _fk(
         ws, _raw_container(t / "m.hkm", b'{"kind": '))),
     "fk-model-dtype-f8": (2, lambda ws, t: _fk(ws, _raw_container(
@@ -242,8 +249,7 @@ TABLE = {
         "profile", "--graph", _text(t / "g.txt", "conv 3 3 32 2 1 4.0 99\n")]),
     "ik-predict-checkpoint-without-arrays": (2, lambda ws, t: [
         "ik-predict", "--target", ws / "target.json", "--out", "{out}",
-        "--ckpt", _container(t / "c.hkc", {"kind": "ik_net_checkpoint",
-                                           "input_dim": 80, "widths": [256]})]),
+        "--ckpt", _container(t / "c.hkc", {"kind": "ik_net_checkpoint"})]),
 }
 
 
@@ -460,7 +466,7 @@ def _load_reparented_model(model):
     parents[17] = 13
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.hkm"
-        write_container(path, {"kind": "hand_model"}, {
+        write_container(path, {"kind": "hand_model", "units": "mm"}, {
             "rest_vertices": model.rest_vertices, "shape_basis": model.shape_basis,
             "joint_regressor": model.joint_regressor,
             "skinning_weights": model.skinning_weights, "parents": parents,
@@ -475,15 +481,21 @@ def _with(model, name, index, value):
     return dataclasses.replace(model, **{name: array})
 
 
-def _nan_mano():
-    """Valid MANO-layout arrays (778 vertices, meters) but a NaN rest vertex."""
-    v_template = _nan(778, 3)
+def _mano(v_template=np.zeros((778, 3)), **options):
+    """``from_mano_arrays`` of valid MANO-layout arrays (778 vertices, meters)
+    but ``v_template`` and ``options``."""
     j_regressor = np.zeros((16, 778))
     j_regressor[:, 0] = 1.0
     weights = np.zeros((778, 16))
     weights[:, 0] = 1.0
     return from_mano_arrays(v_template, np.zeros((778, 3, 10)), j_regressor, weights,
-                            np.array([[0, 1, 2]]))
+                            np.array([[0, 1, 2]]), **options)
+
+
+def _pairs(model, bio=np.zeros((4, 23)), beta=np.zeros((4, 10)),
+           skeletons=np.zeros((4, 21, 3))):
+    """A four-pair ``SynthPairSet`` on ``model`` but the arrays given."""
+    return ik_net.SynthPairSet(bio, beta, skeletons, model)
 
 
 LIBRARY = {
@@ -505,7 +517,11 @@ LIBRARY = {
         m, "faces", (0, 0), m.vertex_count)),
     "HandModel-9-shape-bases": (errors.ShapeError, lambda m: dataclasses.replace(
         m, shape_basis=m.shape_basis[:9])),
-    "from_mano_arrays-nan-v_template": (errors.InputError, lambda m: _nan_mano()),
+    "from_mano_arrays-nan-v_template": (errors.InputError, lambda m: _mano(_nan(778, 3))),
+    "from_mano_arrays-fractional-tip-vertex": (errors.InputError, lambda m: _mano(
+        tip_vertices=(745.5, 333, 444, 555, 672))),
+    "from_mano_arrays-two-tip-vertices": (errors.ShapeError, lambda m: _mano(
+        tip_vertices=(745, 333))),
     "regress_joints-nan": (errors.InputError, lambda m: regress_joints(
         m, _nan(m.vertex_count, 3))),
     "BioPose-strings": (errors.InputError, lambda m: bio_dof.BioPose(["x"] * 23)),
@@ -549,17 +565,19 @@ LIBRARY = {
         np.zeros((5, 20, 3)))),
     "featurize_batch-nan": (errors.InputError, lambda m: ik_net.featurize_batch(
         _nan(21, 3) + np.arange(63.0).reshape(21, 3))),
-    "MlpIk-fractional-width": (errors.InputError, lambda m: ik_net.MlpIk(
-        widths=(2.5, 3, 4))),
-    "MlpIk-fractional-input-dim": (errors.InputError, lambda m: ik_net.MlpIk(
-        widths=(2, 2, 2), input_dim=80.0)),
-    "MlpIk-negative-seed": (errors.InputError, lambda m: ik_net.MlpIk(
-        widths=(2, 2, 2), seed=-1)),
-    "MlpIk-no-hidden-widths": (errors.InputError, lambda m: ik_net.MlpIk(widths=())),
+    "MlpIk-negative-seed": (errors.InputError, lambda m: ik_net.MlpIk(seed=-1)),
     "predict-nan-features": (errors.InputError, lambda m: ik_net.predict(
-        ik_net.MlpIk(widths=(2, 2, 2)), _nan(2, 80))),
+        ik_net.MlpIk(), _nan(2, 80))),
     "predict-79-features": (errors.ShapeError, lambda m: ik_net.predict(
-        ik_net.MlpIk(widths=(2, 2, 2)), np.zeros((2, 79)))),
+        ik_net.MlpIk(), np.zeros((2, 79)))),
+    "SynthPairSet-nan-angles": (errors.InputError, lambda m: _pairs(m, bio=_nan(4, 23))),
+    "SynthPairSet-string-shapes": (errors.InputError, lambda m: _pairs(
+        m, beta=np.zeros((4, 10)).astype(str))),
+    "SynthPairSet-2-shape-rows": (errors.ShapeError, lambda m: _pairs(
+        m, beta=np.zeros((2, 10)))),
+    "SynthPairSet-22-angles": (errors.ShapeError, lambda m: _pairs(m, bio=np.zeros((4, 22)))),
+    "SynthPairSet-20-joint-skeletons": (errors.ShapeError, lambda m: _pairs(
+        m, skeletons=np.zeros((4, 20, 3)))),
     "generate_pairs-fractional-count": (errors.InputError, lambda m: ik_net.generate_pairs(
         m, 2.5)),
     "generate_pairs-negative-seed": (errors.InputError, lambda m: ik_net.generate_pairs(

@@ -4,7 +4,7 @@ import pytest
 from handkit import bio_dof, kinematics as kin
 from handkit.errors import NumericError
 from handkit.containers import read_container, write_container
-from handkit.ik_net import (FEATURE_DIM, MlpIk, TrainConfig, batch_loss,
+from handkit.ik_net import (FEATURE_DIM, WIDTHS, MlpIk, TrainConfig, batch_loss,
                             featurize_batch, generate_pairs, load_checkpoint,
                             predict, save_checkpoint, train)
 from handkit.rotations import rodrigues
@@ -124,7 +124,7 @@ def test_predict_batch_rows_match_single_rows_float32(limits, rng):
     assert bio.dtype == beta.dtype == np.float64
     _, _, hidden = net._tape   # the heads' input from the batch forward
     hidden = np.abs(hidden)
-    slack = 4 * np.sqrt(max(net.widths)) * np.finfo(np.float32).eps
+    slack = 4 * np.sqrt(max(WIDTHS)) * np.finfo(np.float32).eps
     for i in range(5):
         one_bio, one_beta = predict(net, feats[i:i + 1], limits)
         assert np.all(np.abs(bio[i] - one_bio[0])
@@ -147,20 +147,25 @@ def test_predict_clamps_to_limits(limits, rng):
 
 
 def test_hand_traced_single_block_forward():
-    # one block, identity-like weights, crafted input: the activation path is
-    # hand-computable because batch statistics start at mean 0 / var 1
-    net = MlpIk(widths=(4,), input_dim=4, seed=0, dtype=np.float64)
-    net.arrays["w0"][:] = np.eye(4)
-    net.arrays["bn0_mean"][:] = [0.0, -1.0, 1.0, -0.5]
+    # identity weights on the first four units of every block, a crafted
+    # input: the activation path is hand-computable because batch statistics
+    # start at mean 0 / var 1
+    net = MlpIk(seed=0, dtype=np.float64)
+    for i in range(len(WIDTHS)):
+        net.arrays[f"w{i}"][:] = 0.0
+        net.arrays[f"w{i}"][:4, :4] = np.eye(4)
+    net.arrays["bn0_mean"][:4] = [0.0, -1.0, 1.0, -0.5]
     net.arrays["head_theta_w"][:] = 0.0
     net.arrays["head_theta_w"][0, 0] = 1.0
     net.arrays["head_theta_b"][:] = 0.0
     net.arrays["head_beta_w"][:] = 0.0
-    x = np.array([[2.0, -3.0, 0.25, 0.0]])
+    x = np.zeros((1, FEATURE_DIM))
+    x[0, :4] = [2.0, -3.0, 0.25, 0.0]
     theta, _ = net.forward(x, training=False)
-    # linear minus the running mean: [2, -2, -0.75, 0.5]; bn scales by
-    # 1 / sqrt(1 + eps); relu keeps [2, 0, 0, 0.5]; head picks feature 0
-    expected = 2.0 / np.sqrt(1.0 + 1e-5)
+    # first block, linear minus the running mean: [2, -2, -0.75, 0.5]; bn
+    # scales by 1 / sqrt(1 + eps); relu keeps [2, 0, 0, 0.5]; the next two
+    # blocks scale again; head picks feature 0
+    expected = 2.0 / np.sqrt(1.0 + 1e-5) ** 3
     assert theta[0, 0] == pytest.approx(expected, rel=1e-12)
     assert np.all(theta[0, 1:] == 0.0)
 
@@ -399,8 +404,8 @@ def test_flat_adam_matches_per_array_oracle(desk_small, limits):
     config = TrainConfig(epochs=2, decay_epochs=(1,), batch_size=16,
                          learning_rate=1e-3, seed=4)
     oracle, oracle_curve = _per_array_adam_train(
-        MlpIk(widths=(24, 16, 8), seed=7), data, config)
-    net, curve = train(MlpIk(widths=(24, 16, 8), seed=7), data, config)
+        MlpIk(seed=7), data, config)
+    net, curve = train(MlpIk(seed=7), data, config)
     assert curve == oracle_curve
     assert list(net.arrays) == list(oracle.arrays)
     for name, value in net.arrays.items():
@@ -408,7 +413,7 @@ def test_flat_adam_matches_per_array_oracle(desk_small, limits):
 
 
 def test_parameters_are_views_into_the_flat_vectors():
-    net = MlpIk(widths=(8, 8, 8), seed=1)
+    net = MlpIk(seed=1)
     size = 0
     for name, grad in net.grads.items():
         value = net.arrays[name]
@@ -423,7 +428,7 @@ def test_parameters_are_views_into_the_flat_vectors():
 def test_loaded_net_trains_every_array_and_zeroes_grads(desk_small, limits,
                                                         tmp_path):
     path = tmp_path / "net.hkc"
-    save_checkpoint(MlpIk(widths=(16, 16, 16), seed=8), path)
+    save_checkpoint(MlpIk(seed=8), path)
     net = load_checkpoint(path)
     before = {name: net.arrays[name].copy() for name in net.grads}
     data = generate_pairs(desk_small, 32, limits, seed=17)
@@ -438,7 +443,7 @@ def test_loaded_net_trains_every_array_and_zeroes_grads(desk_small, limits,
 
 
 def test_check_finite_names_the_poisoned_array():
-    net = MlpIk(widths=(8, 8, 8), seed=1)
+    net = MlpIk(seed=1)
     net.check_finite()
     net.arrays["bn1_gamma"][3] = np.nan
     net.arrays["head_beta_b"][0] = np.inf
@@ -449,18 +454,18 @@ def test_check_finite_names_the_poisoned_array():
 def test_checkpoint_layout(tmp_path):
     # every array a checkpoint stores, by name, shape and order
     path = tmp_path / "net.hkc"
-    save_checkpoint(MlpIk(widths=(16, 12, 8)), path)
+    save_checkpoint(MlpIk(), path)
     header, arrays = read_container(path, kind="ik_net_checkpoint")
-    assert (header["input_dim"], header["widths"]) == (FEATURE_DIM, [16, 12, 8])
+    assert header == {"kind": "ik_net_checkpoint"}
     assert [(name, value.shape) for name, value in arrays.items()] == [
-        ("w0", (80, 16)), ("bn0_gamma", (16,)), ("bn0_beta", (16,)),
-        ("bn0_mean", (16,)), ("bn0_var", (16,)),
-        ("w1", (16, 12)), ("bn1_gamma", (12,)), ("bn1_beta", (12,)),
-        ("bn1_mean", (12,)), ("bn1_var", (12,)),
-        ("w2", (12, 8)), ("bn2_gamma", (8,)), ("bn2_beta", (8,)),
-        ("bn2_mean", (8,)), ("bn2_var", (8,)),
-        ("head_theta_w", (8, 23)), ("head_theta_b", (23,)),
-        ("head_beta_w", (8, 10)), ("head_beta_b", (10,))]
+        ("w0", (80, 256)), ("bn0_gamma", (256,)), ("bn0_beta", (256,)),
+        ("bn0_mean", (256,)), ("bn0_var", (256,)),
+        ("w1", (256, 256)), ("bn1_gamma", (256,)), ("bn1_beta", (256,)),
+        ("bn1_mean", (256,)), ("bn1_var", (256,)),
+        ("w2", (256, 256)), ("bn2_gamma", (256,)), ("bn2_beta", (256,)),
+        ("bn2_mean", (256,)), ("bn2_var", (256,)),
+        ("head_theta_w", (256, 23)), ("head_theta_b", (23,)),
+        ("head_beta_w", (256, 10)), ("head_beta_b", (10,))]
     assert all(value.dtype == np.float32 for value in arrays.values())
 
 
@@ -489,11 +494,10 @@ def test_checkpoint_roundtrip(desk, limits, tmp_path, rng):
 
 def test_old_checkpoint_biases_fold_into_the_running_mean(tmp_path, rng):
     # a file from before the hidden blocks lost their biases b0-b2
-    widths, rows = (16, 12, 8), featurize_batch(
-        np.stack([random_skeleton(rng) for _ in range(6)]))
+    rows = featurize_batch(np.stack([random_skeleton(rng) for _ in range(6)]))
     arrays = {}
     fan_in = FEATURE_DIM
-    for i, w in enumerate(widths):
+    for i, w in enumerate(WIDTHS):
         arrays[f"w{i}"] = rng.normal(scale=0.3, size=(fan_in, w))
         arrays[f"b{i}"] = rng.normal(size=w)
         arrays[f"bn{i}_gamma"] = rng.uniform(0.5, 1.5, w)
@@ -507,12 +511,12 @@ def test_old_checkpoint_biases_fold_into_the_running_mean(tmp_path, rng):
     arrays = {name: a.astype(np.float32) for name, a in arrays.items()}
     path = tmp_path / "old.hkc"
     write_container(path, {"kind": "ik_net_checkpoint", "input_dim": FEATURE_DIM,
-                           "widths": list(widths)}, arrays)
+                           "widths": list(WIDTHS)}, arrays)
 
     # the old inference formula, in float64 from the stored values
     a = {name: value.astype(np.float64) for name, value in arrays.items()}
     h = rows
-    for i in range(len(widths)):
+    for i in range(len(WIDTHS)):
         z = h @ a[f"w{i}"] + a[f"b{i}"] - a[f"bn{i}_mean"]
         h = np.maximum(a[f"bn{i}_gamma"] * z / np.sqrt(a[f"bn{i}_var"] + 1e-5)
                        + a[f"bn{i}_beta"], 0.0)
