@@ -26,10 +26,12 @@ which side goes first, ``fk_forward`` (and ``fk_backward`` with gradients)
 on each checkout's desk hand for four cases: B = 1 with vertices and
 gradients (a fit), B = 32 regressed with gradients (a training step),
 B = 256 with vertices and no gradients (posing a library) and B = 1024
-joints only; and one B = 1 iteration of ``fit`` against joints and
-vertices (``batch_fit_loss`` with gradients, then ``adam_step``).  It
-prints each case's median time per call on both sides and their ratio
-(this checkout over the other).
+joints only; one B = 1 iteration of ``fit`` against joints and vertices
+(``batch_fit_loss`` with gradients, then ``adam_step``); and one whole
+B = 1 ``fit`` call of 20 iterations against joints and vertices, as the
+benchmark's ``refine`` workload runs it.  It prints each case's median
+time per call on both sides and their ratio (this checkout over the
+other).
 """
 
 import argparse
@@ -164,6 +166,15 @@ def fit_iteration(ik_optim, model, axes, x0, joints, vertices):
                        np.zeros((4, x.size)), 1, 0.05)
 
 
+def whole_fit(package, model, axes, x0, joints, vertices):
+    """One 20-iteration ``fit`` call from the (1, 39) ``x0`` on one unbatched
+    target."""
+    ik_optim = package.ik_optim
+    ik_optim.fit(model, ik_optim.FitTarget(joints=joints[0], vertices=vertices[0]),
+                 *(p[0] for p in split_params(x0)),
+                 config=ik_optim.FitConfig(iterations=20), axes=axes)
+
+
 def time_checkouts(src, parent_src, rounds):
     """Median seconds per call of each case on both checkouts."""
     rng = np.random.default_rng(0)
@@ -182,10 +193,13 @@ def time_checkouts(src, parent_src, rounds):
                                                options, grads)
                              for package, model in zip(packages, models)]))
     inputs = fit_inputs(models[0], rng, 1)
+    axes = [package.bio_dof.derive_axes(model) for package, model in zip(packages, models)]
     cases.append(("B1 fit iteration", [
-        functools.partial(fit_iteration, package.ik_optim, model,
-                          package.bio_dof.derive_axes(model), *inputs)
-        for package, model in zip(packages, models)]))
+        functools.partial(fit_iteration, package.ik_optim, model, axis, *inputs)
+        for package, model, axis in zip(packages, models, axes)]))
+    cases.append(("B1 fit (20 iterations)", [
+        functools.partial(whole_fit, package, model, axis, *inputs)
+        for package, model, axis in zip(packages, models, axes)]))
 
     # about 20 ms of calls per lap: few enough laps to alternate often
     laps = []
@@ -228,9 +242,9 @@ def main():
     if args.time is not None:
         if args.time < 1:
             parser.error("--time needs at least one round")
-        print(f"{'case':20s} {'this (ms)':>10s} {'parent (ms)':>12s} {'ratio':>7s}")
+        print(f"{'case':24s} {'this (ms)':>10s} {'parent (ms)':>12s} {'ratio':>7s}")
         for name, mine, theirs in time_checkouts(ROOT / "src", args.parent, args.time):
-            print(f"{name:20s} {mine * 1e3:10.4f} {theirs * 1e3:12.4f} {mine / theirs:7.3f}")
+            print(f"{name:24s} {mine * 1e3:10.4f} {theirs * 1e3:12.4f} {mine / theirs:7.3f}")
         return
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -193,13 +193,9 @@ def expand_batch(bio_values: np.ndarray, axes: np.ndarray) -> np.ndarray:
     return np.asarray(bio_values, dtype=float) @ axes.T
 
 
-def clamp(bio: BioPose, limits: DofLimits) -> BioPose:
-    """Project onto the feasible box (idempotent)."""
-    return BioPose(np.clip(bio.values, limits.lower, limits.upper))
-
-
 def is_feasible(bio: BioPose, limits: DofLimits) -> bool:
-    """True iff clamp leaves the pose unchanged."""
+    """True iff every angle lies within its limits, i.e. clipping to the
+    limits leaves the pose unchanged."""
     return bool(((bio.values >= limits.lower) & (bio.values <= limits.upper)).all())
 
 

@@ -151,12 +151,10 @@ def write_params_file(path, bio, beta, global_rot, translation) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_fit_report(path, loss_trace, converged: bool, bio, beta, global_rot,
-                     translation) -> None:
-    """A parameter file preceded by a '# fit report' line, 'converged yes|no',
-    'iterations <n>' and one 'loss <i> <v>' line per iteration."""
-    lines = ["# fit report", "converged " + ("yes" if converged else "no"),
-             f"iterations {len(loss_trace)}"]
+def write_fit_report(path, loss_trace, bio, beta, global_rot, translation) -> None:
+    """A parameter file preceded by a '# fit report' line, 'iterations <n>'
+    and one 'loss <i> <v>' line per iteration."""
+    lines = ["# fit report", f"iterations {len(loss_trace)}"]
     lines += [f"loss {i} {_fmt(loss)}" for i, loss in enumerate(loss_trace)]
     lines += _params_lines(bio, beta, global_rot, translation)
     Path(path).write_text("\n".join(lines) + "\n")
@@ -164,11 +162,11 @@ def write_fit_report(path, loss_trace, converged: bool, bio, beta, global_rot,
 
 def load_params_file(path):
     """Inverse of write_params_file, as (angles, beta, global_rot,
-    translation) arrays; a fit report loads too (its '#', converged,
-    iterations and loss lines are skipped).  Any other line must be a known
-    key with its field count, each value given at most once.  Values are
-    finite, and |beta| is at most ``ik_optim.MAX_INIT_BETA``, as ``fit``
-    starts from them."""
+    translation) arrays; a fit report loads too (its '#', iterations and
+    loss lines are skipped, and so are older reports' converged lines).  Any
+    other line must be a known key with its field count, each value given at
+    most once.  Values are finite, and |beta| is at most
+    ``ik_optim.MAX_INIT_BETA``, as ``fit`` starts from them."""
     values = {"bio": np.zeros(bio_dof.DOF_COUNT), "beta": np.zeros(10),
               "global_rot": np.zeros(3), "translation": np.zeros(3)}
     seen = set()
@@ -283,7 +281,7 @@ def cmd_ik_fit(args) -> int:
     for i, r in enumerate(results):
         params = r.bio.values, r.beta.beta, r.global_rot, r.translation
         write_fit_report(out / _numbered("fit_report", i, len(results)),
-                         r.loss_trace, r.converged, *params)
+                         r.loss_trace, *params)
         write_params_file(out / _numbered("fit_params", i, len(results)), *params)
     print(f"wrote {len(results)} fit report(s) to {out} (final loss "
           f"{_fmt_row(min(r.loss_trace) for r in results)})")

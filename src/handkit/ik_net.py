@@ -230,6 +230,9 @@ class SynthPairSet:
     model: HandModel
 
     def __post_init__(self):
+        if not isinstance(self.model, HandModel):
+            raise InputError(f"pair model must be a HandModel, got "
+                             f"{type(self.model).__name__}")
         self.bio = as_array(self.bio, (None, bio_dof.DOF_COUNT), "pair angles")
         n = len(self.bio)
         self.beta = as_array(self.beta, (n, 10), "pair shapes")

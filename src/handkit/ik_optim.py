@@ -12,12 +12,13 @@ of their sum; ``fit`` and ``ik_net`` (its L1 joint term) call it.  ``fit``
 solves a batch of targets with in-place Adam steps (``adam_step``, shared
 with ``ik_net``) and one cosine step-size decay, clamps the 23 feasible
 angles to their limits on entry and after every update, and returns each sample's
-best-loss iterate.  Gradients are fully analytic.
+best-loss iterate.  It always runs its full iteration budget (there is no
+early stop).  Gradients are fully analytic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,14 +77,12 @@ class FitConfig:
     step_size: float = 0.05
     bend_weight: float = 1e-2
     freeze_shape: bool = False
-    convergence_tol: float = 0.0      # early stop when |dloss| < tol; 0 = never
 
     def __post_init__(self):
         self.iterations = as_number(self.iterations, "iterations", 1, MAX_ITERATIONS,
                                     integer=True)
         self.step_size = as_number(self.step_size, "step_size", high=MAX_STEP_SIZE, above=0)
         self.bend_weight = as_number(self.bend_weight, "bend_weight", 0, MAX_BEND_WEIGHT)
-        self.convergence_tol = as_number(self.convergence_tol, "convergence_tol", 0)
 
 
 @dataclass
@@ -92,8 +91,7 @@ class FitResult:
     beta: ShapeParams
     global_rot: np.ndarray
     translation: np.ndarray
-    loss_trace: list[float] = field(default_factory=list)
-    converged: bool = False
+    loss_trace: list[float]   # one loss per iteration
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +243,8 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     one).  Initial values (None is zeros) are (n,), shared, or (B, n).  Runs
     ``config.iterations`` Adam steps from the clamped initial angles,
     clamping after every step, so every iterate is feasible, and returns
-    each sample's best-loss iterate; a sample whose loss changes by less
-    than ``convergence_tol`` stops, and the loop ends when all have.  With
-    ``freeze_shape`` the shape coefficients are never touched."""
+    each sample's best-loss iterate with its ``config.iterations`` losses.
+    With ``freeze_shape`` the shape coefficients are never touched."""
     if not isinstance(target, FitTarget):
         raise InputError(f"a FitTarget is required, got {type(target).__name__}")
     config = config or FitConfig()
@@ -276,23 +273,17 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     frozen_beta = beta.copy()
     grad, adam_state = np.zeros_like(x), np.zeros((4, x.size))   # per-row moments
     best_loss, best_x = np.full(batch, np.inf), x.copy()
-    losses, converged = [], np.zeros(batch, bool)
-    lengths = np.full(batch, config.iterations)   # of the loss traces; a stop cuts one
+    losses = []
     for t in range(config.iterations):
         loss, grads = batch_fit_loss(model, axes, bio, beta, rot, trans, *targets,
                                      config.bend_weight, "huber", want_grad=True)
-        if not np.isfinite(loss).all():   # a stopped row sits at its finite best
+        if not np.isfinite(loss).all():
             row = (int(np.argmax(~np.isfinite(loss))),) if lead else ()
             raise NumericError(f"{batch_row(row)}non-finite loss at iteration {t}")
         losses.append(loss)
-        better = ~converged & (loss < best_loss)
+        better = loss < best_loss
         best_loss[better] = loss[better]
         best_x[better] = x[better]
-        if config.convergence_tol > 0 and t > 0:
-            stop = ~converged & (np.abs(losses[-2] - loss) < config.convergence_tol)
-            lengths[stop], converged[stop] = t + 1, True
-            if converged.all():
-                break
         np.concatenate(grads, axis=1, out=grad)
         # cosine step decay keeps late iterations from orbiting the optimum
         frac = t / max(config.iterations - 1, 1)
@@ -302,12 +293,10 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
         np.clip(bio, limits.lower, limits.upper, out=bio)
         if config.freeze_shape:   # Adam is per coordinate: resetting freezes
             beta[...] = frozen_beta
-        np.copyto(x, best_x, where=converged[:, None])   # a stopped row stays put
 
-    losses = np.array(losses)
+    traces = np.array(losses).T.tolist()   # (B, T)
     results = [FitResult(bio=bio_dof.BioPose(row[:nd]),
                          beta=ShapeParams(row[nd:nd + 10]), global_rot=row[nd + 10:nd + 13],
-                         translation=row[nd + 13:], loss_trace=losses[:n, i].tolist(),
-                         converged=bool(done))
-               for i, (row, n, done) in enumerate(zip(best_x, lengths, converged))]
+                         translation=row[nd + 13:], loss_trace=trace)
+               for row, trace in zip(best_x, traces)]
     return results if lead else results[0]

@@ -156,7 +156,7 @@ def test_fit_report_loads_as_init(tmp_path, model_file):
     assert main(["ik-fit", "--model", model_file, "--target", target,
                  "--init", str(init), "--iterations", "2",
                  "--out", str(out)]) == EXIT_OK
-    # the report adds '#', converged, iterations and loss lines to the params
+    # the report adds '#', iterations and loss lines to the params
     bio_r, beta_r, rot_r, trans_r = load_params_file(out / "fit_report.txt")
     bio_p, beta_p, rot_p, trans_p = load_params_file(out / "fit_params.txt")
     np.testing.assert_array_equal(bio_r, bio_p)
@@ -171,7 +171,6 @@ def test_fit_report_loads_as_init(tmp_path, model_file):
 
 
 FIT_REPORT = """# fit report
-converged no
 iterations 2
 loss 0 1.5
 loss 1 0.25
@@ -215,10 +214,29 @@ translation 1 2.5 -30
 
 def test_fit_report_file(tmp_path):
     path = tmp_path / "report.txt"
-    write_fit_report(path, [1.5, 0.25], False, (np.arange(23) - 11) / 8,
+    write_fit_report(path, [1.5, 0.25], (np.arange(23) - 11) / 8,
                      np.arange(10) / 4 - 1, np.array([0.1, -0.2, 1 / 3]),
                      np.array([1.0, 2.5, -30.0]))
     assert path.read_bytes() == FIT_REPORT.encode()
+
+
+def test_older_fit_report_with_converged_line_loads_as_init(tmp_path, model_file):
+    # reports written before fit lost its early stop carry a 'converged' line
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    new.write_text(FIT_REPORT)
+    old.write_text(FIT_REPORT.replace("# fit report\n", "# fit report\nconverged no\n"))
+    assert old.read_text().splitlines()[1] == "converged no"
+    for got, want in zip(load_params_file(old), load_params_file(new)):
+        assert got.tobytes() == want.tobytes()
+    target, _ = target_json(tmp_path, model_file)
+    fitted = []
+    for init in (old, new):
+        out = tmp_path / init.stem
+        assert main(["ik-fit", "--model", model_file, "--target", target,
+                     "--init", str(init), "--iterations", "2",
+                     "--out", str(out)]) == EXIT_OK
+        fitted.append((out / "fit_params.txt").read_bytes())
+    assert fitted[0] == fitted[1]
 
 
 def test_ik_fit_freeze_shape_bit_identical(tmp_path, model_file):

@@ -418,16 +418,6 @@ def test_fit_target_rejects_at_construction(kwargs, error):
         FitTarget(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"convergence_tol": math.nan}, {"convergence_tol": -1e-3},
-    {"convergence_tol": math.inf},
-])
-def test_fit_config_rejects_at_construction(kwargs):
-    from handkit.ik_optim import FitConfig
-    with pytest.raises(errors.InputError):
-        FitConfig(**kwargs)
-
-
 def test_fit_rejects_misshapen_initial_parameters():
     from handkit import ik_optim
     model = make_desk_hand_small()
@@ -578,6 +568,7 @@ LIBRARY = {
     "SynthPairSet-22-angles": (errors.ShapeError, lambda m: _pairs(m, bio=np.zeros((4, 22)))),
     "SynthPairSet-20-joint-skeletons": (errors.ShapeError, lambda m: _pairs(
         m, skeletons=np.zeros((4, 20, 3)))),
+    "SynthPairSet-no-model": (errors.InputError, lambda m: _pairs(None)),
     "generate_pairs-fractional-count": (errors.InputError, lambda m: ik_net.generate_pairs(
         m, 2.5)),
     "generate_pairs-negative-seed": (errors.InputError, lambda m: ik_net.generate_pairs(

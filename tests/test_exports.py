@@ -21,13 +21,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # name -> why it stays public without a caller outside the tests
 TEST_ONLY = {
-    "clamp": "the projection onto the feasible box; fit and predict clip "
-             "their (B, 23) arrays in place instead of building a BioPose",
     "from_mano_arrays": "the converter for user-supplied MANO arrays, which "
                         "the repository does not ship",
     "fscore": "one threshold's F-score; the benchmark traces it by name, and "
               "evaluate counts all thresholds in one pass",
-    "is_feasible": "the feasibility predicate that pairs with clamp",
+    "is_feasible": "the feasibility predicate on one BioPose; fit and "
+                   "predict clip their (B, 23) arrays in place instead",
     "marginalize": "the 2D-to-1D heatmap reduction the lixel tests pin",
     "swap_fingers": "the finger swap augment_library applies row-wise",
 }
@@ -44,8 +43,6 @@ TEST_ONLY_OPTIONS = {
     "hand_model.from_mano_arrays(unit)": "MANO ships meters; arrays already "
                                          "in millimeters pass 'mm'",
     "ik_net.MlpIk(dtype)": "criterion 5 checks gradients on a float64 net",
-    "ik_optim.FitConfig.convergence_tol": "the early stop ROADMAP item 1 builds "
-                                          "its stop reasons on",
 }
 
 

@@ -47,9 +47,9 @@ def test_fk_parity_times_a_checkout_against_itself():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
-    assert [row[:20].strip() for row in rows] == [
+    assert [row[:24].strip() for row in rows] == [
         "B1 vertices grad", "B32 regressed grad", "B256 vertices", "B1024 joints",
-        "B1 fit iteration"], proc.stdout
+        "B1 fit iteration", "B1 fit (20 iterations)"], proc.stdout
     for row in rows:   # this side, the other side, their ratio
         mine, theirs, ratio = map(float, row.split()[-3:])
         assert mine > 0 and theirs > 0 and ratio > 0, row
