@@ -27,11 +27,13 @@ on each checkout's desk hand for four cases: B = 1 with vertices and
 gradients (a fit), B = 32 regressed with gradients (a training step),
 B = 256 with vertices and no gradients (posing a library) and B = 1024
 joints only; one B = 1 iteration of ``fit`` against joints and vertices
-(``batch_fit_loss`` with gradients, then ``adam_step``); and one whole
+(``batch_fit_loss`` with gradients, then ``adam_step``); one whole
 B = 1 ``fit`` call of 20 iterations against joints and vertices, as the
-benchmark's ``refine`` workload runs it.  It prints each case's median
-time per call on both sides and their ratio (this checkout over the
-other).
+benchmark's ``refine`` workload runs it; and the net part of a B = 32
+training step: ``MlpIk`` forward with batch statistics, backward and
+``adam_step`` (after ``zero_grads`` on a checkout whose backward
+accumulates into the gradients).  It prints each case's median time per
+call on both sides and their ratio (this checkout over the other).
 """
 
 import argparse
@@ -175,6 +177,15 @@ def whole_fit(package, model, axes, x0, joints, vertices):
                  config=ik_optim.FitConfig(iterations=20), axes=axes)
 
 
+def net_step(package, net, feats, d_theta, d_beta, state):
+    """The net part of one training step, as ``ik_net.train`` takes it."""
+    if hasattr(net, "zero_grads"):   # a backward that accumulates
+        net.zero_grads()
+    net.forward(feats, training=True)
+    net.backward(d_theta, d_beta)
+    package.ik_optim.adam_step(net.flat, net.flat_grad, state, 1, 1e-4)
+
+
 def time_checkouts(src, parent_src, rounds):
     """Median seconds per call of each case on both checkouts."""
     rng = np.random.default_rng(0)
@@ -200,6 +211,13 @@ def time_checkouts(src, parent_src, rounds):
     cases.append(("B1 fit (20 iterations)", [
         functools.partial(whole_fit, package, model, axis, *inputs)
         for package, model, axis in zip(packages, models, axes)]))
+    nets = [package.ik_net.MlpIk(seed=0) for package in packages]
+    step_inputs = [rng.normal(size=(32, n)).astype(np.float32)
+                   for n in (packages[0].ik_net.FEATURE_DIM, 23, 10)]
+    cases.append(("B32 net step", [
+        functools.partial(net_step, package, net, *step_inputs,
+                          np.zeros((4, net.flat.size), net.dtype))
+        for package, net in zip(packages, nets)]))
 
     # about 20 ms of calls per lap: few enough laps to alternate often
     laps = []

@@ -140,20 +140,20 @@ class MlpIk:
                 h @ a["head_beta_w"] + a["head_beta_b"])
 
     def backward(self, d_theta, d_beta):
-        """Accumulate the parameter gradients of the last ``forward`` into
-        ``grads``; returns the gradient with respect to its input."""
+        """Write the parameter gradients of the last ``forward`` into
+        ``grads``, replacing what they held."""
         a, grads = self.arrays, self.grads
         training, blocks, h = self._tape
         d_theta, d_beta = (np.asarray(d, self.dtype) for d in (d_theta, d_beta))
         for head, d in (("theta", d_theta), ("beta", d_beta)):
-            grads[f"head_{head}_w"] += h.T @ d
-            grads[f"head_{head}_b"] += d.sum(axis=0)
+            np.matmul(h.T, d, out=grads[f"head_{head}_w"])
+            d.sum(axis=0, out=grads[f"head_{head}_b"])
         g = d_theta @ a["head_theta_w"].T + d_beta @ a["head_beta_w"].T
         for i in reversed(range(len(WIDTHS))):
             h, xhat, inv_std, mask = blocks[i]
             g = g * mask
-            grads[f"bn{i}_gamma"] += (g * xhat).sum(axis=0)
-            grads[f"bn{i}_beta"] += g.sum(axis=0)
+            (g * xhat).sum(axis=0, out=grads[f"bn{i}_gamma"])
+            g.sum(axis=0, out=grads[f"bn{i}_beta"])
             g = g * a[f"bn{i}_gamma"]
             if training:   # full backward through the batch statistics
                 batch = len(h)
@@ -161,12 +161,9 @@ class MlpIk:
                                          - xhat * (g * xhat).sum(axis=0))
             else:
                 g = g * inv_std
-            grads[f"w{i}"] += h.T @ g
-            g = g @ a[f"w{i}"].T
-        return g
-
-    def zero_grads(self):
-        self.flat_grad.fill(0.0)
+            np.matmul(h.T, g, out=grads[f"w{i}"])
+            if i:   # the net's input needs no gradient
+                g = g @ a[f"w{i}"].T
 
     def check_finite(self):
         if not np.isfinite(self.flat).all():
@@ -195,9 +192,8 @@ def batch_loss(net: MlpIk, model: HandModel, axes, feats, bio_gt, beta_gt,
                skel_gt, training=False, compute_grads=False):
     """Forward the net on a feature batch and evaluate the three-term loss.
 
-    With compute_grads the parameter gradients are accumulated into the net
-    (callers should zero_grads first).  Returns (total, l_theta, l_beta,
-    l_pose) as floats.
+    With compute_grads the parameter gradients are written into the net's
+    ``grads``.  Returns (total, l_theta, l_beta, l_pose) as floats.
     """
     theta, beta = net.forward(feats, training=training)
     l_theta = np.abs(theta - bio_gt).mean()
@@ -307,7 +303,6 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
         sums = np.zeros(4)
         for b in range(batches):
             idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
-            net.zero_grads()
             losses = batch_loss(net, data.model, axes, feats_all[idx],
                                 data.bio[idx], data.beta[idx],
                                 data.skeletons[idx], training=True,

@@ -187,17 +187,18 @@ def batch_fit_loss(model: HandModel, axes: np.ndarray, bio, beta,
     loss = np.zeros(len(regressed))
     d_joints = np.zeros_like(regressed)
     d_vertices = None
+    # per-sample means as sums over (n, 3) over their size: .mean's bits without its wrapper
     if joints is not None:
         residual = regressed - joints
         pen, der = _robust(residual, loss_kind)
-        loss += pen.mean(axis=(-2, -1))
+        loss += pen.sum(axis=(-2, -1)) / residual[0].size
         d_joints += der / residual[0].size
     if vertices is not None:
         if vertices.shape != out.vertices.shape:
             raise ShapeError("target vertex count does not match the model")
         residual = out.vertices - vertices
         pen, der = _robust(residual, loss_kind)
-        loss += pen.mean(axis=(-2, -1))
+        loss += pen.sum(axis=(-2, -1)) / residual[0].size
         d_vertices = der / residual[0].size
     if bend_weight > 0:
         bend, bend_grad = bend_penalty_with_grad(regressed)
@@ -247,8 +248,13 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     With ``freeze_shape`` the shape coefficients are never touched."""
     if not isinstance(target, FitTarget):
         raise InputError(f"a FitTarget is required, got {type(target).__name__}")
-    config = config or FitConfig()
-    limits = limits or bio_dof.DofLimits.default()
+    config = FitConfig() if config is None else config
+    limits = bio_dof.DofLimits.default() if limits is None else limits
+    for value, kind, slot in ((model, HandModel, "model"), (config, FitConfig, "config"),
+                              (limits, bio_dof.DofLimits, "limits")):
+        if not isinstance(value, kind):
+            raise InputError(f"fit {slot} must be a {kind.__name__}, got "
+                             f"{type(value).__name__}")
     if axes is None:
         axes = bio_dof.derive_axes(model)
     nd = bio_dof.DOF_COUNT

@@ -109,21 +109,27 @@ _L = (np.eye(JOINT_COUNT)[list(ARTICULATED[1:])]
 # The frame each slot's local offset is rotated by: the parent's chain
 # rotation, and for the root (t_0 = R_g w, w the rest wrist) its own.
 _OFFSET_FRAME = np.concatenate([[0], _PARENT_SLOT])
-# What the chain reads of the rest joints, as one map of flat (B, 63) rows:
-# the 16 slots' local offsets (the root's is the rest wrist), the 16 slot
-# joints, and the 5 tips' offsets from their DIPs.  Each entry is one
-# coordinate or a difference of two, so the product is exact.
-_REST_MAP = np.kron(np.concatenate([
+# What the chain reads of the rest joints, as (111, 63) rows over flat
+# (B, 63) rest joints: the 16 slots' local offsets (the root's is the rest
+# wrist), the 16 slot joints, and the 5 tips' offsets from their DIPs.  Each
+# entry is one coordinate or a difference of two, so the product is exact.
+_rest_rows = np.kron(np.concatenate([
     np.eye(JOINT_COUNT)[:1], _L, np.eye(JOINT_COUNT)[list(ARTICULATED)],
     np.eye(JOINT_COUNT)[_TIPS] - np.eye(JOINT_COUNT)[_DIPS]]), np.eye(3))
+# rest @ _REST_MAP: the rows' transpose, stored C-ordered (a transposed view
+# multiplies slower)
+_REST_MAP = _rest_rows.T.copy()
 # The backward's rest-joint adjoints from (B, 2, 16, 3) chain adjoints: the
 # offsets', then minus the slot joints' own, through bone_t = t - C rest.
-_REST_FROM_CHAIN = _REST_MAP[:6 * ARTICULATED_COUNT] * np.repeat(
+_REST_FROM_CHAIN = _rest_rows[:6 * ARTICULATED_COUNT] * np.repeat(
     [1.0, -1.0], 3 * ARTICULATED_COUNT)[:, None]
-# _SUBTREE[s, d] = 1 when slot d is s or below it; parents precede children
+# _SUBTREE[d, s] = 1 when slot d is s or below it (parents precede
+# children), the right operand of the backward's subtree sums
 _SUBTREE = np.eye(ARTICULATED_COUNT)
 for _d, _p in enumerate(_PARENT_SLOT, 1):
-    _SUBTREE[:, _d] += _SUBTREE[:, _p]
+    _SUBTREE[_d] += _SUBTREE[_p]
+for _table in (_REST_MAP, _REST_FROM_CHAIN, _SUBTREE):
+    _table.flags.writeable = False
 
 
 def finger_joint(finger: int, part: int) -> int:
@@ -169,14 +175,20 @@ class ModelTensors:
     with q as (B, 21, 48) and chain_rot as (B, 3, 48) the sum is a matmul.
     The skinned template is kept as (3, V) coordinate planes, flattened:
     ``rest_planes + beta @ shape_planes (+ pose_feats @ pose_planes)``.
+    Every array is C-ordered and read-only, in the orientation its products
+    ran fastest in at B = 1, 32 and 256: ``reg_qb``, ``reg_qp``,
+    ``shape_planes`` and ``pose_planes`` as (n, ...) rows, which the forward
+    reads as they are and the backward as transposed views; ``weights_t``,
+    the skinning weights' (16, V) transpose, as it is in both blends.
     """
 
     J0: np.ndarray                   # (21, 3)
     JB: np.ndarray                   # (10, 21, 3)
     reg_c: np.ndarray                # (21, 16)
     reg_q0: np.ndarray               # (21, 16, 3)
-    reg_qb: np.ndarray               # (21, 16, 3, 10)
-    reg_qp: np.ndarray | None        # (21, 16, 3, 135), with a pose basis
+    reg_qb: np.ndarray               # (10, 21 * 16 * 3)
+    reg_qp: np.ndarray | None        # (135, 21 * 16 * 3), with a pose basis
+    weights_t: np.ndarray            # (16, V)
     rest_planes: np.ndarray          # (3 * V,)
     shape_planes: np.ndarray         # (10, 3 * V)
     pose_planes: np.ndarray | None   # (135, 3 * V), with a pose basis
@@ -188,8 +200,9 @@ class ModelTensors:
         rw = np.einsum("kv,vj->kjv", reg, model.skinning_weights)  # (21, 16, V)
         arrays = (reg @ rest, np.einsum("kv,ivc->ikc", reg, basis), rw.sum(axis=2),
                   np.einsum("kjv,vc->kjc", rw, rest),
-                  np.einsum("kjv,ivc->kjci", rw, basis),
-                  None if pose is None else np.einsum("kjv,pvc->kjcp", rw, pose),
+                  *(None if b is None else np.einsum("kjv,ivc->kjci", rw, b).reshape(
+                      -1, len(b)).T.copy() for b in (basis, pose)),
+                  model.skinning_weights.T.copy(),
                   rest.T.ravel(), *(None if b is None else b.swapaxes(1, 2).reshape(
                       len(b), -1) for b in (basis, pose)))        # (3, V) planes
         for a in arrays:
@@ -263,7 +276,7 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
     # the global rotation about the origin; a finger slot's local translation
     # is its rest offset from the parent, rotated by the parent's chain
     # rotation and added to its translation.
-    rest_parts = (rest_joints.reshape(batch, -1) @ _REST_MAP.T).reshape(batch, -1, 3)
+    rest_parts = (rest_joints.reshape(batch, -1) @ _REST_MAP).reshape(batch, -1, 3)
     local_t, slot_rest, tip_offsets = np.split(
         rest_parts, [ARTICULATED_COUNT, 2 * ARTICULATED_COUNT], axis=1)
     chain_rot = np.empty((batch, ARTICULATED_COUNT, 3, 3))
@@ -305,7 +318,7 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
                 shaped += pose_feats[rows] @ tensors.pose_planes
             shaped = shaped.reshape(-1, 3, count)                # (n, 3, V)
             blend = (by_column[rows].reshape(-1, ARTICULATED_COUNT)
-                     @ model.skinning_weights.T).reshape(-1, 4, 3, count)  # (n, 4, 3, V)
+                     @ tensors.weights_t).reshape(-1, 4, 3, count)  # (n, 4, 3, V)
             planes = blend[:, 3] + translation[rows, :, None]
             for y in range(3):
                 planes += blend[:, y] * shaped[:, y, None]
@@ -316,11 +329,10 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
     regressed = reg_q = None
     if want_regressed:
         q_shape = (batch, JOINT_COUNT, -1)
-        reg_q = (tensors.reg_q0.reshape(JOINT_COUNT, -1)
-                 + (beta @ tensors.reg_qb.reshape(-1, 10).T).reshape(q_shape))
+        reg_q = (beta @ tensors.reg_qb).reshape(q_shape)   # one (B, 21, 48) array
+        reg_q += tensors.reg_q0.reshape(JOINT_COUNT, -1)
         if has_pose_basis:
-            reg_q += (pose_feats @ tensors.reg_qp.reshape(
-                -1, POSE_BASIS_SIZE).T).reshape(q_shape)
+            reg_q += (pose_feats @ tensors.reg_qp).reshape(q_shape)
         regressed = (reg_q @ bone_rot.reshape(batch, 3, -1).swapaxes(1, 2)
                      + tensors.reg_c @ bone_t + translation[:, None])
 
@@ -343,7 +355,7 @@ def fk_backward(model, cache: FkCache, d_vertices=None, d_regressed=None) -> FkG
     """
     if cache.drots is None:
         raise InputError("fk_backward needs a cache built with need_grad=True")
-    batch = cache.joints.shape[0]
+    batch, tensors = cache.joints.shape[0], model.tensors
     rest_joints, bone_rot = cache.rest_joints, cache.bones[..., :3]
 
     bar_bones = np.zeros((batch, 3, ARTICULATED_COUNT, 4))
@@ -369,27 +381,26 @@ def fk_backward(model, cache: FkCache, d_vertices=None, d_regressed=None) -> FkG
             block[:, 3] = planes
             bar_bones[rows] += (block.reshape(-1, count) @ weights).reshape(
                 -1, 4, 3, ARTICULATED_COUNT).transpose(0, 2, 3, 1)
-            blend = (rot_columns[rows].reshape(-1, ARTICULATED_COUNT) @ weights.T).reshape(
-                -1, 3, 3, count)
+            blend = (rot_columns[rows].reshape(-1, ARTICULATED_COUNT)
+                     @ tensors.weights_t).reshape(-1, 3, 3, count)
             blend *= planes[:, None]
             np.add.reduce(blend, axis=2, out=bar_template[rows])
-        bar_beta += bar_template.reshape(batch, -1) @ model.tensors.shape_planes.T
+        bar_beta += bar_template.reshape(batch, -1) @ tensors.shape_planes.T
         if model.pose_basis is not None:
-            bar_pose_feats += bar_template.reshape(batch, -1) @ model.tensors.pose_planes.T
+            bar_pose_feats += bar_template.reshape(batch, -1) @ tensors.pose_planes.T
 
     if d_regressed is not None:
         if cache.regressed_joints is None:
             raise InputError("forward pass did not compute regressed joints")
         g = as_array(d_regressed, cache.regressed_joints.shape, "d_regressed")
         bar_trans += g.sum(axis=1)
-        tensors = model.tensors
         bar_bones[..., :3] += (g.swapaxes(1, 2) @ cache.reg_q).reshape(
             batch, 3, ARTICULATED_COUNT, 3)
         bar_bones[..., 3] += (tensors.reg_c.T @ g).swapaxes(1, 2)
         bar_q = (g @ bone_rot.reshape(batch, 3, -1)).reshape(batch, -1)  # (B, 21 * 48)
-        bar_beta += bar_q @ tensors.reg_qb.reshape(-1, 10)
+        bar_beta += bar_q @ tensors.reg_qb.T
         if model.pose_basis is not None:
-            bar_pose_feats += bar_q @ tensors.reg_qp.reshape(-1, POSE_BASIS_SIZE)
+            bar_pose_feats += bar_q @ tensors.reg_qp.T
 
     # Sum each slot's chain adjoints over its subtree in one GEMM.  Per slot,
     # [bar_bones] [bones]^T is bar_C C^T + bar_t t^T of the chain transform,
@@ -398,7 +409,7 @@ def fk_backward(model, cache: FkCache, d_vertices=None, d_regressed=None) -> FkG
     own = np.empty((batch, 3, 4, ARTICULATED_COUNT))         # [b, x, y, slot]
     own[:, :, :3] = np.einsum("bxsc,bysc->bxys", bar_bones, cache.bones)
     own[:, :, 3] = bar_bones[..., 3]
-    sums = (own.reshape(-1, ARTICULATED_COUNT) @ _SUBTREE.T).reshape(own.shape)
+    sums = (own.reshape(-1, ARTICULATED_COUNT) @ _SUBTREE).reshape(own.shape)
     T = np.ascontiguousarray(sums[:, :, 3].swapaxes(1, 2))
     M = sums[:, :, :3].transpose(0, 3, 1, 2) - np.einsum("bsx,bsy->bsxy", T, chain_t)
 
@@ -418,6 +429,6 @@ def fk_backward(model, cache: FkCache, d_vertices=None, d_regressed=None) -> FkG
     chain_bar = np.concatenate([np.einsum("bsxy,bsx->bsy", parent_rot, T),
                                 np.einsum("bsxy,bsx->bsy", chain_rot, bar_t)], axis=1)
     bar_rest = chain_bar.reshape(batch, -1) @ _REST_FROM_CHAIN
-    bar_beta += bar_rest @ model.tensors.JB.reshape(10, -1).T
+    bar_beta += bar_rest @ tensors.JB.reshape(10, -1).T
     return FkGrads(articulation=bar_omega[:, 1:].reshape(batch, 45),
                    beta=bar_beta, global_rot=bar_omega[:, 0], translation=bar_trans)

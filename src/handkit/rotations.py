@@ -52,10 +52,11 @@ def _planes(w: np.ndarray):
 
 
 def _coefficients(t2: np.ndarray, with_derivatives: bool) -> np.ndarray:
-    """Rows cos t, a, b (then a'(t)/t and b'(t)/t) from theta^2 (N,)."""
+    """Rows cos t, a, b (then a'(t)/t and b'(t)/t) from theta^2 (N,).  The
+    series rows are patched in only when some angle is below its switch."""
     theta = np.sqrt(t2)
-    small = theta < ANGLE_EPS
-    t = np.where(small, 1.0, theta)
+    near_zero = (theta < (DERIV_EPS if with_derivatives else ANGLE_EPS)).any()
+    t = np.where(theta < ANGLE_EPS, 1.0, theta) if near_zero else theta
     tt = t * t
     # from the half angle: 1 - cos t = 2 sin^2(t/2) loses no digits at small t
     half_sin, half_cos = np.sin(0.5 * theta), np.cos(0.5 * theta)
@@ -63,13 +64,17 @@ def _coefficients(t2: np.ndarray, with_derivatives: bool) -> np.ndarray:
     one_minus_cos = 2.0 * half_sin * half_sin
     out = np.empty((5 if with_derivatives else 3, len(t2)))
     out[0] = cos = 1.0 - one_minus_cos
-    out[1] = np.where(small, 1.0 - t2 / 6.0, sin / t)
-    out[2] = np.where(small, 0.5 - t2 / 24.0, one_minus_cos / tt)
+    out[1] = sin / t
+    out[2] = one_minus_cos / tt
     if with_derivatives:
-        small = theta < DERIV_EPS
-        out[3] = np.where(small, -1.0 / 3.0 + t2 / 30.0, (t * cos - sin) / (tt * t))
-        out[4] = np.where(small, -1.0 / 12.0 + t2 / 180.0,
-                          (t * sin - 2.0 * one_minus_cos) / (tt * tt))
+        out[3] = (t * cos - sin) / (tt * t)
+        out[4] = (t * sin - 2.0 * one_minus_cos) / (tt * tt)
+    if near_zero:   # the series rows, below each one's switch
+        series = (1.0 - t2 / 6.0, 0.5 - t2 / 24.0, -1.0 / 3.0 + t2 / 30.0,
+                  -1.0 / 12.0 + t2 / 180.0)
+        for row, value, eps in zip(out[1:], series,
+                                   (ANGLE_EPS, ANGLE_EPS, DERIV_EPS, DERIV_EPS)):
+            np.copyto(row, value, where=theta < eps)
     return out
 
 

@@ -187,7 +187,6 @@ def test_criterion_5_gradients(model, limits, axes):
     # float64: a central difference at h cannot resolve float32 round-off
     net = ik_net.MlpIk(seed=51, dtype=np.float64)
     net.forward(ik_net.featurize_batch(data.skeletons), training=True)
-    net.zero_grads()
     ik_net.batch_loss(net, model, axes, feats, data.bio[:8], data.beta[:8],
                       data.skeletons[:8], training=False, compute_grads=True)
     params = list(net.grads)

@@ -543,6 +543,13 @@ LIBRARY = {
         m, ik_optim.FitTarget(joints=np.zeros((21, 3))), np.zeros(23), np.zeros(11))),
     "fit-no-target": (errors.InputError, lambda m: ik_optim.fit(
         m, None, np.zeros(23), np.zeros(10))),
+    "fit-no-model": (errors.InputError, lambda m: ik_optim.fit(
+        None, ik_optim.FitTarget(joints=np.zeros((21, 3))))),
+    "fit-dict-config": (errors.InputError, lambda m: ik_optim.fit(
+        m, ik_optim.FitTarget(joints=np.zeros((21, 3))), config={"iterations": 5})),
+    "fit-tuple-limits": (errors.InputError, lambda m: ik_optim.fit(
+        m, ik_optim.FitTarget(joints=np.zeros((21, 3))),
+        limits=(-np.ones(23), np.ones(23)))),
     "fit-22-angles-per-row": (errors.ShapeError, lambda m: ik_optim.fit(
         m, ik_optim.FitTarget(joints=np.zeros((2, 21, 3))), np.zeros((2, 22)))),
     "fit-initial-batch-size": (errors.ShapeError, lambda m: ik_optim.fit(

@@ -291,7 +291,6 @@ def test_backprop_matches_finite_differences(desk, axes, limits, rng):
     feats = featurize_batch(data.skeletons[:8])
     net = MlpIk(seed=2, dtype=np.float64)
     net.forward(featurize_batch(data.skeletons), training=True)  # warm stats
-    net.zero_grads()
     batch_loss(net, desk, axes, feats, data.bio[:8], data.beta[:8],
                data.skeletons[:8], training=False, compute_grads=True)
     params = list(net.grads)
@@ -320,7 +319,6 @@ def test_batch_statistics_backprop_matches_finite_differences(desk, axes, limits
     net = MlpIk(seed=2, dtype=np.float64)
     args = (net, desk, axes, featurize_batch(data.skeletons), data.bio, data.beta,
             data.skeletons)
-    net.zero_grads()
     batch_loss(*args, training=True, compute_grads=True)
     grads = {name: grad.copy() for name, grad in net.grads.items()}
     h = 1e-6
@@ -380,7 +378,6 @@ def _per_array_adam_train(net, data, config):
         sums = np.zeros(4)
         for b in range(batches):
             idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
-            net.zero_grads()
             sums += batch_loss(net, data.model, axes, feats_all[idx],
                                data.bio[idx], data.beta[idx],
                                data.skeletons[idx], training=True,
@@ -425,8 +422,8 @@ def test_parameters_are_views_into_the_flat_vectors():
     assert all((net.arrays[name] == 2.0).all() for name in net.grads)
 
 
-def test_loaded_net_trains_every_array_and_zeroes_grads(desk_small, limits,
-                                                        tmp_path):
+def test_loaded_net_trains_every_array_and_backward_overwrites_grads(
+        desk_small, limits, tmp_path):
     path = tmp_path / "net.hkc"
     save_checkpoint(MlpIk(seed=8), path)
     net = load_checkpoint(path)
@@ -437,9 +434,13 @@ def test_loaded_net_trains_every_array_and_zeroes_grads(desk_small, limits,
     for name, grad in net.grads.items():
         assert not np.array_equal(net.arrays[name], before[name]), name
         assert np.abs(grad).max() > 0.0, name
-    net.zero_grads()
-    for name, grad in net.grads.items():
-        assert not grad.any(), name
+    # backward writes its gradients: two calls leave the gradients of one
+    theta, beta = net.forward(featurize_batch(data.skeletons[:16]), training=True)
+    cotangents = np.sign(theta - data.bio[:16]), np.sign(beta - data.beta[:16])
+    net.backward(*cotangents)
+    once = net.flat_grad.copy()
+    net.backward(*cotangents)
+    np.testing.assert_array_equal(net.flat_grad, once)
 
 
 def test_check_finite_names_the_poisoned_array():

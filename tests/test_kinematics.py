@@ -240,6 +240,17 @@ def test_model_is_read_only_and_tensors_built_once(desk_small):
         model.rest_vertices = source
     assert model.tensors is model.tensors
     assert bio_dof.derive_axes(model) is model.tensors.axes
+    # every constant operand is stored C-ordered (a transposed view multiplies
+    # slower) and read-only; the pose-basis terms too
+    tensors = _variant(model, np.random.default_rng(3)).tensors
+    assert tensors.reg_qb.shape == (10, kin.JOINT_COUNT * kin.ARTICULATED_COUNT * 3)
+    assert tensors.reg_qp.shape == (kin.POSE_BASIS_SIZE, tensors.reg_qb.shape[1])
+    assert tensors.weights_t.shape == (kin.ARTICULATED_COUNT, model.vertex_count)
+    for name, table in [(f.name, getattr(tensors, f.name))
+                        for f in dataclasses.fields(tensors)] + [
+            ("_REST_MAP", kin._REST_MAP), ("_REST_FROM_CHAIN", kin._REST_FROM_CHAIN),
+            ("_SUBTREE", kin._SUBTREE)]:
+        assert table.flags.c_contiguous and not table.flags.writeable, name
 
 
 def test_backward_rejects_caches_it_cannot_use(desk_small):
@@ -281,7 +292,7 @@ def test_depth_groups_cover_every_finger_slot_once():
     closure[kin._PARENT_SLOT, np.arange(1, kin.ARTICULATED_COUNT)] = True
     for _ in range(len(kin._DEPTHS)):
         closure = (closure.astype(int) @ closure) > 0
-    np.testing.assert_array_equal(kin._SUBTREE, closure)
+    np.testing.assert_array_equal(kin._SUBTREE.T, closure)
 
 
 @pytest.mark.parametrize("kwargs", [
