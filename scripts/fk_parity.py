@@ -32,7 +32,11 @@ B = 1 ``fit`` call of 20 iterations against joints and vertices, as the
 benchmark's ``refine`` workload runs it; and the net part of a B = 32
 training step: ``MlpIk`` forward with batch statistics, backward and
 ``adam_step`` (after ``zero_grads`` on a checkout whose backward
-accumulates into the gradients).  It prints each case's median time per
+accumulates into the gradients).  Two scoring cases follow, as the
+benchmark's ``score`` workload runs them: ``metrics.evaluate`` on a group
+of 8 seeded desk-hand poses (21 joints and 778 vertices each, predictions
+3 mm off) with F-scores at 5 and 15 mm, and one ``lixel.decode`` of
+(8, 21, 3, 64) encoded heatmaps.  It prints each case's median time per
 call on both sides and their ratio (this checkout over the other).
 """
 
@@ -218,6 +222,21 @@ def time_checkouts(src, parent_src, rounds):
         functools.partial(net_step, package, net, *step_inputs,
                           np.zeros((4, net.flat.size), net.dtype))
         for package, net in zip(packages, nets)]))
+
+    pose = (rng.normal(scale=0.4, size=(8, 45)), rng.normal(scale=0.5, size=(8, 10)),
+            rng.normal(scale=1.0, size=(8, 3)))
+    truth = packages[0].kinematics.fk_forward(models[0], *pose, want_vertices=True)
+    joints, vertices = truth.joints, truth.vertices
+    sets = [list(a) for a in (joints + rng.normal(scale=3.0, size=joints.shape), joints,
+                              vertices + rng.normal(scale=3.0, size=vertices.shape), vertices)]
+    cases.append(("score group", [
+        functools.partial(package.metrics.evaluate, *sets, thresholds=(5.0, 15.0))
+        for package in packages]))
+    heatmaps = np.array([packages[0].lixel.encode(c).values
+                         for c in rng.uniform(0, 1, 8 * 21 * 3).tolist()])
+    cases.append(("decode (8, 21, 3, 64)", [
+        functools.partial(package.lixel.decode, heatmaps.reshape(8, 21, 3, 64))
+        for package in packages]))
 
     # about 20 ms of calls per lap: few enough laps to alternate often
     laps = []

@@ -277,8 +277,9 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
     # is its rest offset from the parent, rotated by the parent's chain
     # rotation and added to its translation.
     rest_parts = (rest_joints.reshape(batch, -1) @ _REST_MAP).reshape(batch, -1, 3)
-    local_t, slot_rest, tip_offsets = np.split(
-        rest_parts, [ARTICULATED_COUNT, 2 * ARTICULATED_COUNT], axis=1)
+    local_t, slot_rest, tip_offsets = (rest_parts[:, :ARTICULATED_COUNT],
+                                       rest_parts[:, ARTICULATED_COUNT:2 * ARTICULATED_COUNT],
+                                       rest_parts[:, 2 * ARTICULATED_COUNT:])
     chain_rot = np.empty((batch, ARTICULATED_COUNT, 3, 3))
     chain_rot[:, 0] = rots[:, 0]
     for slots, parents in _DEPTH_SLICES:

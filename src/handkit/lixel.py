@@ -9,7 +9,10 @@ temperature on the log-likelihoods, so the decode is exactly invariant to
 rescaling the heatmap).  The exponent, 256, makes the decode an
 interpolating argmax; a plain normalized centroid (exponent 1) overshoots
 toward the domain center for peaks near the edges, where the Gaussian is
-truncated.
+truncated.  The power is taken only above 2**(-1100 / 256), about 0.0506:
+below it every power underflows to exactly 0 (the first nonzero one is at
+about 0.0544), and there lie about 80% of an encoded heatmap's entries,
+where ``pow`` is slow.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ DEFAULT_RESOLUTION = 64
 MAX_RESOLUTION = 10 * DEFAULT_RESOLUTION
 DEFAULT_SIGMA = 2.5
 SHARPNESS = 256.0
+#: at or below this a scaled likelihood's power is under 2**-1100: exactly 0
+_UNDERFLOW = 2.0 ** (-1100 / SHARPNESS)
 
 
 def _likelihoods(values, shape=None) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +79,9 @@ def decode(heatmaps):
     """
     values, peak = _likelihoods(
         heatmaps.values if isinstance(heatmaps, Heatmap1D) else heatmaps)
-    probs = (values / peak) ** SHARPNESS
+    scaled = values / peak
+    probs = np.zeros_like(scaled)
+    np.power(scaled, SHARPNESS, out=probs, where=scaled > _UNDERFLOW)
     probs /= probs.sum(axis=-1, keepdims=True)
     length = values.shape[-1]
     # one dot product per heatmap, as a lone (L,) heatmap gets

@@ -14,6 +14,13 @@ band of true points whose key lies within the largest threshold (the reach).
 Every nearest distance up to the reach is bit for bit the full pass's, and
 every other one reads as beyond it, so the counts are exact.  The pass holds
 two (64, M) buffers, about 0.8 MB for a 778-vertex pair.
+
+Each block's coordinate differences are GEMMs, the (rows, 2) table [p_c, 1]
+times the (2, band) table [1; -g_c], several times faster than a
+column-broadcast subtraction.  Both products are exact, so each entry is
+p_c - g_c rounded once, whatever the BLAS summation order and with or
+without FMA (only the sign of an exact zero may differ, and squaring
+removes it).  The tables take about 75 KB for a 778-vertex pair.
 """
 
 from __future__ import annotations
@@ -26,8 +33,9 @@ import numpy as np
 from .errors import NumericError, ShapeError, as_array, as_number, batch_row
 
 DEFAULT_F_THRESHOLDS = (5.0, 15.0)
-# rows of pred per distance block: a (64, M) buffer stays in cache, and 48-96
-# rows tie on 778-vertex hands at 15 mm (smaller blocks pay per-block calls)
+# rows of pred per distance block: a (64, M) buffer stays in cache, and 64-128
+# rows tie on 778-vertex hands at 15 mm (32 and 192 are ~12% slower: more
+# per-block calls, or buffers that leave the cache)
 _ROW_BLOCK = 64
 _EPS, _TINY_ROOT = np.finfo(float).eps, np.sqrt(np.finfo(float).tiny)
 
@@ -115,19 +123,23 @@ def _nearest(p: np.ndarray, g: np.ndarray, reach: float = np.inf
     # ulp outward so their own rounding never drops a key.
     widened = reach * (1.0 + 8 * _EPS) + _TINY_ROOT
     starts = np.arange(0, len(p), _ROW_BLOCK)
+    stops = np.minimum(starts + _ROW_BLOCK, len(p))
     los = keys.searchsorted(np.nextafter(p[starts, axis] - widened, -np.inf), "left")
-    his = keys.searchsorted(np.nextafter(
-        p[np.minimum(starts + _ROW_BLOCK, len(p)) - 1, axis] + widened, np.inf), "right")
+    his = keys.searchsorted(np.nextafter(p[stops - 1, axis] + widened, np.inf), "right")
+    # [p_c, 1] @ [1; -g_c] is p_c - g_c rounded once (see the module docstring)
+    lhs, rhs = np.ones((3, len(p), 2)), np.ones((3, 2, len(g)))
+    lhs[..., 0] = p.T
+    np.negative(g_planes, out=rhs[:, 1])
     buffers = np.empty((2, min(_ROW_BLOCK, len(p)) * len(g)))
     p_near, g_near = np.empty(len(p)), np.full(len(g), np.inf)
-    for start, lo, hi in zip(starts.tolist(), los.tolist(), his.tolist()):
-        block = p[start:start + _ROW_BLOCK]
+    for start, stop, lo, hi in zip(*(a.tolist() for a in (starts, stops, los, his))):
         # contiguous (rows, band) views of the flat buffers: faster than strided ones
-        d, t = (b[:len(block) * (hi - lo)].reshape(len(block), hi - lo) for b in buffers)
-        np.square(np.subtract(block[:, :1], g_planes[0, lo:hi], out=d), out=d)
+        d, t = (b[:(stop - start) * (hi - lo)].reshape(stop - start, hi - lo)
+                for b in buffers)
+        np.square(np.matmul(lhs[0, start:stop], rhs[0, :, lo:hi], out=d), out=d)
         for c in (1, 2):
-            d += np.square(np.subtract(block[:, c:c + 1], g_planes[c, lo:hi], out=t), out=t)
-        d.min(axis=1, initial=np.inf, out=p_near[start:start + len(block)])  # inf: no band
+            d += np.square(np.matmul(lhs[c, start:stop], rhs[c, :, lo:hi], out=t), out=t)
+        d.min(axis=1, initial=np.inf, out=p_near[start:stop])  # inf: no band
         np.minimum(g_near[lo:hi], d.min(axis=0), out=g_near[lo:hi])
     p_out, g_out = np.empty(len(p)), np.empty(len(g))
     p_out[p_order], g_out[g_order] = p_near, g_near

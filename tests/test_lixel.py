@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handkit.errors import InputError, ShapeError
-from handkit.lixel import (DEFAULT_RESOLUTION, Heatmap1D, decode, dump_text,
-                           encode, marginalize)
+from handkit.lixel import (_UNDERFLOW, DEFAULT_RESOLUTION, SHARPNESS, Heatmap1D, decode,
+                           dump_text, encode, marginalize)
 
 
 def marginal_oracle(grid):
@@ -123,6 +123,13 @@ def test_decode_of_one_heatmap_is_the_formula_bit_for_bit(rng):
         got = decode(values)
         assert type(got) is float and got == decode_formula(values)
         assert decode(Heatmap1D(values)) == got
+
+
+def test_powers_at_or_below_the_decode_cut_underflow_to_zero():
+    # decode skips these powers, so each must be exactly the 0 it leaves
+    sweep = np.linspace(0.0, _UNDERFLOW, 1_000_001)
+    assert sweep[-1] == _UNDERFLOW and not np.power(sweep, SHARPNESS).any()
+    assert 0.05 < _UNDERFLOW < 0.054 and np.power(0.0545, SHARPNESS) > 0.0
 
 
 def test_decode_batch_of_two_gives_two_values():

@@ -246,6 +246,42 @@ def test_nearest_equals_broadcast_norm_exactly(rng):
         assert np.array_equal(near_p, want_p) and np.array_equal(near_g, want_g)
 
 
+def assert_same_bytes(pred, gt, reach=np.inf):
+    """The banded pass's distances within reach are the full matrix's bytes."""
+    with np.errstate(over="ignore"):   # squares (and differences) that overflow
+        got, want = _nearest(pred, gt, reach), nearest_broadcast(pred, gt)
+    for g, w in zip(got, want):
+        inside = w <= reach
+        assert g[inside].tobytes() == w[inside].tobytes()
+        assert (g[~inside] > reach).all()
+
+
+def test_nearest_is_bytewise_the_broadcast_at_the_edges(rng):
+    # magnitudes from subnormal (1e-320) to 1e300, either sign: every
+    # difference is rounded once, and squares underflow or overflow
+    wide = (rng.choice([-1.0, 1.0], size=(300, 3))
+            * 10.0 ** rng.uniform(-320, 300, size=(300, 3)))
+    tiny = rng.integers(-1000, 1000, size=(70, 3)) * 5e-324   # subnormals and 0
+    huge = np.array([[1.7e308, 0.0, 0.0], [-1.7e308, 1e308, -1e308], [1.0, 2.0, 3.0]])
+    zeros = np.array(np.meshgrid(*[[-0.0, 0.0]] * 3)).reshape(3, -1).T
+    assert np.signbit(zeros).any() and not zeros.any()
+    cases = [(wide, wide[::-1]), (wide[:129], wide[129:]), (tiny, tiny[::-1] * 3),
+             (huge, -huge), (huge, huge[::-1]),   # differences overflow to inf
+             (zeros, zeros[::-1]), (zeros, np.vstack([zeros, [[0.0, -1.0, 0.0]]]))]
+    # 65 and 129 predicted points: the last block has one row (a matrix-vector product)
+    cases += [(rng.normal(scale=30, size=(n, 3)), rng.normal(scale=30, size=(m, 3)))
+              for n in (65, 129) for m in (1, 2, 778)]
+    for pred, gt in cases:
+        assert_same_bytes(pred, gt)
+    # bands of one true point: keys 1000 apart, each predicted point within 1 of one
+    gt = np.array([[1000.0 * k, 0.0, 0.0] for k in range(5)]) + rng.normal(size=(5, 3))
+    pred = np.vstack([gt[0] + rng.uniform(-0.5, 0.5, size=(64, 3)),
+                      gt[3] + rng.uniform(-0.5, 0.5, size=(1, 3))])
+    for reach in (1.0, 5.0):
+        assert_same_bytes(pred, gt, reach)
+        assert_same_bytes(gt, pred, reach)
+
+
 def assert_exact_within_reach(pred, gt, reach):
     """The banded pass's contract against the full distance matrix."""
     for got, want in zip(_nearest(pred, gt, reach), nearest_broadcast(pred, gt)):
