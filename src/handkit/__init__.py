@@ -21,7 +21,7 @@ from .metrics import EvalReport, evaluate, fscore, mpjpe, pa_mpjpe, procrustes_a
 from .profiler import (LayerSpec, NetGraph, compare_decoders, layer_macs,
                        profile)
 from .synth import (CameraPose, PoseLibrary, augment_library, project,
-                    sample_cameras, swap_fingers)
+                    sample_cameras)
 
 __version__ = "0.1.0"
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kinematics as kin
-from .errors import InputError, NumericError, as_array
+from .errors import InputError, NumericError, as_array, as_number
 from .hand_model import HandModel
 
 _FINGER_DOFS = ("mcp_flex", "mcp_abd", "pip_flex", "dip_flex")
@@ -202,4 +202,5 @@ def is_feasible(bio: BioPose, limits: DofLimits) -> bool:
 def sample_uniform(limits: DofLimits, count: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Uniform feasible draws, shape (count, 23)."""
+    count = as_number(count, "count", 1, integer=True)
     return rng.uniform(limits.lower, limits.upper, size=(count, DOF_COUNT))

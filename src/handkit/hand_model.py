@@ -36,6 +36,16 @@ _WEIGHT_TOL = 1e-6   # rounding allowed in the stored skinning and regressor row
 # model types
 # ---------------------------------------------------------------------------
 
+def _as_faces(faces, vertex_count: int) -> np.ndarray:
+    """(F, 3) triangles of whole indices into ``vertex_count`` vertices, as int64."""
+    faces = as_array(faces, (None, 3), "faces")
+    if (faces != np.round(faces)).any():
+        raise InputError("faces must hold whole vertex indices")
+    if faces.size and (faces.min() < 0 or faces.max() >= vertex_count):
+        raise ShapeError("face indices out of range")
+    return faces.astype(np.int64)
+
+
 @dataclass
 class ShapeParams:
     """10 dimensionless shape coefficients; |beta| > 5 is suspicious.
@@ -90,18 +100,12 @@ class HandModel:
         arrays = {"rest_vertices": rest}
         for name, shape in (("shape_basis", (SHAPE_DIM, v, 3)),
                             ("joint_regressor", (kin.JOINT_COUNT, v)),
-                            ("skinning_weights", (v, kin.ARTICULATED_COUNT)),
-                            ("faces", (None, 3))):
+                            ("skinning_weights", (v, kin.ARTICULATED_COUNT))):
             arrays[name] = as_array(getattr(self, name), shape, name)
         if self.pose_basis is not None:
             arrays["pose_basis"] = as_array(self.pose_basis, (kin.POSE_BASIS_SIZE, v, 3),
                                             "pose_basis")
-        faces = arrays["faces"]
-        if (faces != np.round(faces)).any():
-            raise InputError("faces must hold whole vertex indices")
-        if faces.size and (faces.min() < 0 or faces.max() >= v):
-            raise ShapeError("face indices out of range")
-        arrays["faces"] = faces.astype(np.int64)
+        arrays["faces"] = _as_faces(self.faces, v)
         for what, rows in (("skinning weight", arrays["skinning_weights"]),
                            ("joint regressor", arrays["joint_regressor"])):
             if (rows < -_WEIGHT_TOL).any():
@@ -379,6 +383,8 @@ def load_model(path) -> HandModel:
 def write_obj(vertices: np.ndarray, faces: np.ndarray, path) -> None:
     """Wavefront OBJ of (V, 3) vertices in mm and (F, 3) 0-based faces:
     1-based face indices, stable formatting."""
+    vertices = as_array(vertices, (None, 3), "vertices")
+    faces = _as_faces(faces, len(vertices))
     lines = []
     for v in vertices:
         lines.append("v {} {} {}".format(*(format(c, ".9g") for c in v)))

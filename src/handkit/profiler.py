@@ -136,6 +136,7 @@ class ProfileReport:
 
 def profile(graph: NetGraph, resolution: int = 256) -> ProfileReport:
     """Propagate shapes through the graph and sum MACs per named stage."""
+    resolution = as_number(resolution, "resolution", 1, _SIZE_LIMIT - 1, integer=True)
     if resolution % as_number(graph.input_stride, "input stride", 1, integer=True):
         raise ShapeError("resolution must be divisible by the input stride")
     c = graph.input_channels

@@ -8,10 +8,10 @@ draws per position gives 71424 samples).  The sphere point for (elevation e,
 azimuth a) is (cos e cos a, sin e, cos e sin a) with +Y up, so (0, 0) maps
 to (1, 0, 0).
 
-Finger swapping treats each finger's articulation (3 joints x 3 values = 9
-consecutive entries of the 45-vector) as an independent block, replacing
-selected blocks of one pose with another's.  The augmented library draws a
-random finger subset and donor per variant, reproducibly from the seed.
+``augment_library`` treats each finger's articulation (3 joints x 3 values
+= 9 consecutive entries of the 45-vector) as an independent block: each
+variant copies a random subset of its fingers' blocks from one donor pose,
+drawn reproducibly from the seed.
 
 Projection takes (..., 21, 3) joints through one look-at camera to
 (..., 21, 2) pixels in one broadcast; one (21, 3) skeleton is a batch of one.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,28 +55,30 @@ FINGER_SLICES = {name: slice(9 * fi, 9 * (fi + 1))
 
 @dataclass
 class CameraPose:
-    """A viewpoint on the unit sphere looking at the origin (the wrist);
-    ``position`` is a finite, unit-length (3,) vector."""
+    """A viewpoint on the unit sphere looking at the origin (the wrist),
+    fixed by its two angles."""
 
     elevation: float
     azimuth: float
-    position: np.ndarray
 
     def __post_init__(self):
         self.elevation = as_number(self.elevation, "camera elevation")
         self.azimuth = as_number(self.azimuth, "camera azimuth")
-        self.position = as_array(self.position, (3,), "camera position")
-        norm = math.hypot(*self.position.tolist())
-        if not abs(norm - 1.0) <= 1e-9:     # so NaN fails too
-            raise InputError(f"camera position must be unit length, got {norm}")
+
+    @cached_property
+    def position(self) -> np.ndarray:
+        """The read-only unit (3,) ``sphere_point`` of the angles, on first use."""
+        point = sphere_point(self.elevation, self.azimuth)
+        point.flags.writeable = False
+        return point
 
 
-def sphere_point(elevation, azimuth) -> np.ndarray:
-    """(cos e cos a, sin e, cos e sin a) for elevation e and azimuth a, which
-    broadcast against each other; returns (..., 3)."""
-    cos_e = np.cos(elevation)
-    return np.stack(np.broadcast_arrays(cos_e * np.cos(azimuth), np.sin(elevation),
-                                        cos_e * np.sin(azimuth)), axis=-1)
+def sphere_point(elevation: float, azimuth: float) -> np.ndarray:
+    """(cos e cos a, sin e, cos e sin a) for elevation e and azimuth a, as a
+    (3,) array worked out on Python floats."""
+    cos_e = math.cos(elevation)
+    return np.array([cos_e * math.cos(azimuth), math.sin(elevation),
+                     cos_e * math.sin(azimuth)])
 
 
 def sample_cameras(elev_min: float = DEFAULT_ELEV_MIN,
@@ -96,12 +99,10 @@ def sample_cameras(elev_min: float = DEFAULT_ELEV_MIN,
     if not 1 <= n_elev * n_azim <= MAX_CAMERAS:
         raise InputError(f"camera grid of {n_elev:.3g} x {n_azim:.3g} positions is "
                          f"outside 1..{MAX_CAMERAS}")
-    elevations = elev_min + np.arange(int(n_elev)) * elev_step
-    azimuths = np.arange(int(n_azim)) * azim_step
-    positions = sphere_point(elevations[:, None], azimuths)
-    return [CameraPose(elevation=elevation, azimuth=azimuth, position=row)
-            for elevation, rows in zip(elevations.tolist(), positions)
-            for azimuth, row in zip(azimuths.tolist(), rows)]
+    elevations = (elev_min + np.arange(int(n_elev)) * elev_step).tolist()
+    azimuths = (np.arange(int(n_azim)) * azim_step).tolist()
+    return [CameraPose(elevation=elevation, azimuth=azimuth)
+            for elevation in elevations for azimuth in azimuths]
 
 
 def cameras_to_text(cams: list[CameraPose]) -> str:
@@ -119,7 +120,7 @@ def cameras_to_text(cams: list[CameraPose]) -> str:
 
 @dataclass
 class PoseLibrary:
-    """Base articulations (N, 45) with the per-finger block ownership map."""
+    """Base articulations (N, 45)."""
 
     poses: np.ndarray
 
@@ -128,22 +129,6 @@ class PoseLibrary:
 
     def __len__(self):
         return len(self.poses)
-
-
-def swap_fingers(a: np.ndarray, b: np.ndarray, fingers) -> np.ndarray:
-    """Copy of ``a`` with the selected fingers' blocks replaced by ``b``'s.
-
-    Unselected blocks are untouched bit-for-bit; swapping twice with the same
-    mask restores ``a``.
-    """
-    a = as_array(a, (kin.ARTICULATION_SIZE,), "pose a")
-    b = as_array(b, (kin.ARTICULATION_SIZE,), "pose b")
-    out = a.copy()
-    for finger in fingers:
-        if finger not in FINGER_SLICES:
-            raise InputError(f"unknown finger {finger!r}")
-        out[FINGER_SLICES[finger]] = b[FINGER_SLICES[finger]]
-    return out
 
 
 def make_pose_library(model, count: int = BASE_LIBRARY_SIZE,

@@ -25,7 +25,8 @@ from handkit import (bio_dof, errors, ik_net, ik_optim, kinematics, lixel, metri
 from handkit.cli import main, write_params_file
 from handkit.containers import read_container, write_container
 from handkit.hand_model import (ShapeParams, Skeleton, from_mano_arrays, load_model,
-                                make_desk_hand_small, regress_joints, save_model)
+                                make_desk_hand_small, regress_joints, save_model,
+                                write_obj)
 
 CONTRACT = {0, 2, 3, 4}
 
@@ -247,6 +248,8 @@ TABLE = {
         "profile", "--graph", _text(t / "g.txt", "conv 2.5 3 16 2 1\n")]),
     "profile-graph-8-fields": (2, lambda ws, t: [
         "profile", "--graph", _text(t / "g.txt", "conv 3 3 32 2 1 4.0 99\n")]),
+    "profile-resolution-0": (2, lambda ws, t: [
+        "profile", "--graph", "resnet50", "--resolution", "0"]),
     "ik-predict-checkpoint-without-arrays": (2, lambda ws, t: [
         "ik-predict", "--target", ws / "target.json", "--out", "{out}",
         "--ckpt", _container(t / "c.hkc", {"kind": "ik_net_checkpoint"})]),
@@ -436,7 +439,7 @@ def _nan(*shape) -> np.ndarray:
 
 
 _RAGGED = [[1.0, 2.0], [3.0]]
-_CAM = synth.CameraPose(0.0, 0.0, synth.sphere_point(0.0, 0.0))
+_CAM = synth.CameraPose(0.0, 0.0)
 _LIB = synth.PoseLibrary(np.zeros((2, 45)))
 _SPREAD = np.arange(63.0).reshape(21, 3) ** 1.5   # 21 points, not collinear
 
@@ -507,6 +510,12 @@ LIBRARY = {
         m, "faces", (0, 0), m.vertex_count)),
     "HandModel-9-shape-bases": (errors.ShapeError, lambda m: dataclasses.replace(
         m, shape_basis=m.shape_basis[:9])),
+    "write_obj-no-vertices": (errors.InputError, lambda m: write_obj(
+        None, m.faces, os.devnull)),
+    "write_obj-face-past-the-mesh": (errors.ShapeError, lambda m: write_obj(
+        np.zeros((3, 3)), [[0, 1, 5]], os.devnull)),
+    "write_obj-fractional-face": (errors.InputError, lambda m: write_obj(
+        np.zeros((3, 3)), [[0, 1, 1.5]], os.devnull)),
     "from_mano_arrays-nan-v_template": (errors.InputError, lambda m: _mano(_nan(778, 3))),
     "from_mano_arrays-fractional-tip-vertex": (errors.InputError, lambda m: _mano(
         tip_vertices=(745.5, 333, 444, 555, 672))),
@@ -516,6 +525,12 @@ LIBRARY = {
         m, _nan(m.vertex_count, 3))),
     "BioPose-strings": (errors.InputError, lambda m: bio_dof.BioPose(["x"] * 23)),
     "BioPose-ragged": (errors.InputError, lambda m: bio_dof.BioPose(_RAGGED)),
+    "sample_uniform-negative-count": (errors.InputError, lambda m: bio_dof.sample_uniform(
+        bio_dof.DofLimits.default(), -1, np.random.default_rng(0))),
+    "sample_uniform-fractional-count": (errors.InputError, lambda m: bio_dof.sample_uniform(
+        bio_dof.DofLimits.default(), 2.5, np.random.default_rng(0))),
+    "sample_uniform-string-count": (errors.InputError, lambda m: bio_dof.sample_uniform(
+        bio_dof.DofLimits.default(), "3", np.random.default_rng(0))),
     "DofLimits-nan": (errors.InputError, lambda m: bio_dof.DofLimits(
         _nan(23), np.ones(23))),
     "DofLimits-22-values": (errors.ShapeError, lambda m: bio_dof.DofLimits(
@@ -608,14 +623,8 @@ LIBRARY = {
         np.zeros((21, 3)), _CAM, 0.0, 500.0, 500.0, 128.0, 128.0)),
     "project-nan-focal-length": (errors.InputError, lambda m: synth.project(
         np.zeros((21, 3)), _CAM, 400.0, np.nan, 500.0, 128.0, 128.0)),
-    "CameraPose-nan-position": (errors.InputError, lambda m: synth.CameraPose(
-        0.0, 0.0, [np.nan, 0.0, 0.0])),
-    "CameraPose-2-value-position": (errors.ShapeError, lambda m: synth.CameraPose(
-        0.0, 0.0, [1.0, 0.0])),
-    "CameraPose-string-position": (errors.InputError, lambda m: synth.CameraPose(
-        0.0, 0.0, ["1", "0", "0"])),
     "CameraPose-string-elevation": (errors.InputError, lambda m: synth.CameraPose(
-        "0", 0.0, [1.0, 0.0, 0.0])),
+        "0", 0.0)),
     "fk_backward-misshapen-d_vertices": (errors.ShapeError, lambda m: _backward_b2(
         m, d_vertices=np.ones((2, 5, 3)))),
     "fk_backward-1-row-d_regressed": (errors.ShapeError, lambda m: _backward_b2(
@@ -626,8 +635,6 @@ LIBRARY = {
         _nan(21, 3), _CAM, 400.0, 500.0, 500.0, 128.0, 128.0)),
     "project-20-joints": (errors.ShapeError, lambda m: synth.project(
         np.zeros((20, 3)), _CAM, 400.0, 500.0, 500.0, 128.0, 128.0)),
-    "swap_fingers-10-values": (errors.ShapeError, lambda m: synth.swap_fingers(
-        np.zeros(10), np.ones(10), ["little"])),
     "Heatmap1D-ragged": (errors.InputError, lambda m: lixel.Heatmap1D(_RAGGED)),
     "Heatmap1D-strings": (errors.InputError, lambda m: lixel.Heatmap1D(["a", "b"])),
     "encode-fractional-length": (errors.InputError, lambda m: lixel.encode(
@@ -691,6 +698,12 @@ LIBRARY = {
     "profile-fractional-input-stride": (errors.InputError, lambda m: profiler.profile(
         profiler.NetGraph("g", 3, [("s", profiler.LayerSpec("conv"))], input_stride=1.5),
         resolution=3)),
+    "profile-string-resolution": (errors.InputError, lambda m: profiler.profile(
+        profiler.resnet50(), "256")),
+    "profile-zero-resolution": (errors.InputError, lambda m: profiler.profile(
+        profiler.resnet50(), 0)),
+    "profile-fractional-resolution": (errors.InputError, lambda m: profiler.profile(
+        profiler.resnet50(), 64.0)),
 }
 
 

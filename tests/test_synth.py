@@ -1,15 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from handkit import kinematics as kin, synth
+from handkit import synth
 from handkit.errors import InputError, NumericError
 from handkit.synth import (CameraPose, PoseLibrary,
                            augment_library, camera_frame, cameras_to_text,
                            load_pose_library, make_pose_library, project,
-                           sample_cameras, save_pose_library, sphere_point,
-                           swap_fingers)
+                           sample_cameras, save_pose_library, sphere_point)
 
 
 def look_at_oracle(eye, target, up, fx, fy, cx, cy, point):
@@ -60,19 +59,34 @@ def test_default_camera_grid_counts():
 def test_camera_convention_anchor():
     np.testing.assert_allclose(sphere_point(0.0, 0.0), [1.0, 0.0, 0.0],
                                atol=1e-15)
+    np.testing.assert_allclose(sphere_point(np.pi / 2, 0.3), [0.0, 1.0, 0.0],
+                               atol=1e-15)
+    np.testing.assert_allclose(sphere_point(0.0, np.pi / 2), [0.0, 0.0, 1.0],
+                               atol=1e-15)
 
 
 def test_all_camera_positions_unit_norm():
     for cam in sample_cameras():
         assert abs(np.linalg.norm(cam.position) - 1.0) <= 1e-9
-        # the grid's one broadcast call equals the per-camera call
-        assert cam.position.tobytes() == sphere_point(cam.elevation,
-                                                      cam.azimuth).tobytes()
 
 
-def test_camera_pose_rejects_non_unit():
+def test_cameras_with_equal_angles_compare_equal():
+    cams, again = sample_cameras()[40:42], sample_cameras()[40:42]
+    cams[0].position    # a derived position takes no part in equality
+    assert cams == again
+    assert cams[0] != cams[1]
+
+
+def test_replace_moves_the_position_with_the_angles():
+    cam = sample_cameras()[40]
+    moved = dataclasses.replace(cam, elevation=0.7)
+    assert moved.position.tobytes() == sphere_point(0.7, cam.azimuth).tobytes()
+    assert cam.position.tobytes() == sphere_point(cam.elevation, cam.azimuth).tobytes()
+
+
+def test_camera_position_is_read_only():
     with pytest.raises(ValueError):
-        CameraPose(0.0, 0.0, np.array([2.0, 0.0, 0.0]))
+        sample_cameras()[40].position[0] = 2.0
 
 
 def test_cameras_text_export():
@@ -80,49 +94,6 @@ def test_cameras_text_export():
     lines = text.splitlines()
     assert lines[0] == "elevation,azimuth,x,y,z"
     assert len(lines) == 2233
-
-
-# ---------------------------------------------------------------------------
-# finger swapping
-# ---------------------------------------------------------------------------
-
-def test_swap_empty_mask_is_identity(rng):
-    a = rng.normal(size=45)
-    b = rng.normal(size=45)
-    np.testing.assert_array_equal(swap_fingers(a, b, []), a)
-
-
-def test_swap_all_fingers_copies_donor(rng):
-    a = rng.normal(size=45)
-    b = rng.normal(size=45)
-    np.testing.assert_array_equal(swap_fingers(a, b, kin.FINGERS), b)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1),
-       st.sets(st.sampled_from(kin.FINGERS)))
-def test_swap_is_involution(seed, fingers):
-    r = np.random.default_rng(seed)
-    a = r.normal(size=45)
-    b = r.normal(size=45)
-    swapped = swap_fingers(a, b, fingers)
-    restored = swap_fingers(swapped, a, fingers)
-    assert restored.tobytes() == a.tobytes()
-
-
-def test_swap_never_touches_unowned_blocks(rng):
-    a = rng.normal(size=45)
-    b = rng.normal(size=45)
-    out = swap_fingers(a, b, ["middle"])
-    untouched = np.ones(45, dtype=bool)
-    untouched[synth.FINGER_SLICES["middle"]] = False
-    assert out[untouched].tobytes() == a[untouched].tobytes()
-    assert out[~untouched].tobytes() == b[~untouched].tobytes()
-
-
-def test_swap_rejects_unknown_finger(rng):
-    with pytest.raises(ValueError):
-        swap_fingers(rng.normal(size=45), rng.normal(size=45), ["pinkie"])
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +116,31 @@ def test_augment_zero_probability_copies(desk, limits):
     lib = make_pose_library(desk, count=12, limits=limits, seed=3)
     out = augment_library(lib, per_pose=1, seed=4, swap_probability=0.0)
     np.testing.assert_array_equal(out.poses, lib.poses)
+
+
+@pytest.mark.parametrize("probability", [0.5, 1.0])
+def test_augment_swaps_whole_blocks_from_one_donor(probability):
+    """Each finger block of a variant is its base pose's block or a donor's,
+    and all its swapped blocks come from one library row; at probability 1
+    every variant is a whole library row."""
+    lib = PoseLibrary(np.random.default_rng(8).normal(size=(10, 45)))
+    per_pose = 16
+    out = augment_library(lib, per_pose=per_pose, seed=9, swap_probability=probability)
+    swapped = 0
+    for r, row in enumerate(out.poses):
+        base = lib.poses[r // per_pose]
+        donors = set()
+        for block in synth.FINGER_SLICES.values():
+            if row[block].tobytes() != base[block].tobytes():
+                rows = {j for j, pose in enumerate(lib.poses)
+                        if row[block].tobytes() == pose[block].tobytes()}
+                assert rows, f"variant {r} has a block from no library row"
+                donors |= rows
+                swapped += 1
+        assert len(donors) <= 1, f"variant {r} mixes donors {sorted(donors)}"
+        if probability == 1.0:
+            assert any(row.tobytes() == pose.tobytes() for pose in lib.poses)
+    assert swapped > 0
 
 
 def test_augment_deterministic(desk, limits):
@@ -172,7 +168,7 @@ def test_library_roundtrip(desk, limits, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_project_target_hits_principal_point():
-    cam = CameraPose(0.3, 1.1, sphere_point(0.3, 1.1))
+    cam = CameraPose(0.3, 1.1)
     joints = np.zeros((21, 3))
     uv = project(joints, cam, 400.0, 500.0, 500.0, 128.0, 128.0)
     np.testing.assert_allclose(uv, np.full((21, 2), 128.0), atol=1e-9)
@@ -182,8 +178,8 @@ def test_project_mirrored_azimuths(rng):
     joints = rng.normal(scale=30, size=(21, 3))
     joints[:, 2] = 0.0  # symmetric under z -> -z
     elevation, azimuth = 0.4, 0.9
-    cam_a = CameraPose(elevation, azimuth, sphere_point(elevation, azimuth))
-    cam_b = CameraPose(elevation, -azimuth, sphere_point(elevation, -azimuth))
+    cam_a = CameraPose(elevation, azimuth)
+    cam_b = CameraPose(elevation, -azimuth)
     ua = project(joints, cam_a, 400.0, 500.0, 500.0, 128.0, 128.0)
     ub = project(joints, cam_b, 400.0, 500.0, 500.0, 128.0, 128.0)
     np.testing.assert_allclose(ua[:, 0] + ub[:, 0], 256.0, atol=1e-9)
@@ -194,7 +190,7 @@ def test_project_matches_homogeneous_oracle(rng):
     for _ in range(10):
         elevation = rng.uniform(-1.0, 1.0)
         azimuth = rng.uniform(0, 2 * np.pi)
-        cam = CameraPose(elevation, azimuth, sphere_point(elevation, azimuth))
+        cam = CameraPose(elevation, azimuth)
         joints = rng.normal(scale=40, size=(21, 3))
         radius = 500.0
         uv = project(joints, cam, radius, 480.0, 460.0, 120.0, 130.0)
@@ -206,7 +202,7 @@ def test_project_matches_homogeneous_oracle(rng):
 
 
 def test_project_rejects_points_behind_camera():
-    cam = CameraPose(0.0, 0.0, sphere_point(0.0, 0.0))
+    cam = CameraPose(0.0, 0.0)
     joints = np.zeros((21, 3))
     joints[:, 0] = 300.0  # beyond the camera at radius 200
     with pytest.raises(NumericError):
@@ -219,13 +215,13 @@ def test_project_rejects_points_behind_camera():
     (400.0, (500.0, 500.0, np.inf, 128.0)), (400.0, (500.0, "500", 128.0, 128.0)),
 ])
 def test_project_rejects_bad_camera_geometry(radius, intrinsics):
-    cam = CameraPose(0.3, 1.1, sphere_point(0.3, 1.1))
+    cam = CameraPose(0.3, 1.1)
     with pytest.raises(InputError):
         project(np.zeros((21, 3)), cam, radius, *intrinsics)
 
 
 def test_project_pole_camera_is_defined(rng):
-    cam = CameraPose(np.pi / 2, 0.0, sphere_point(np.pi / 2, 0.0))
+    cam = CameraPose(np.pi / 2, 0.0)
     joints = rng.normal(scale=20, size=(21, 3))
     uv = project(joints, cam, 400.0, 500.0, 500.0, 128.0, 128.0)
     assert np.isfinite(uv).all()
@@ -277,7 +273,7 @@ def test_project_batch_equals_per_skeleton_calls(rng, lead):
     ((2, 3, 21, 3), (1, 2, 5), r"^batch row \(1, 2\), joint 5 is"),
 ])
 def test_project_behind_camera_error_names_row_and_joint(shape, where, message):
-    cam = CameraPose(0.0, 0.0, sphere_point(0.0, 0.0))
+    cam = CameraPose(0.0, 0.0)
     joints = np.zeros(shape)
     joints[where + (0,)] = 300.0     # beyond the camera at radius 200
     joints[where[:-1] + (-1, 0)] = 400.0   # a later joint behind it too
