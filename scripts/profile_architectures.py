@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print the MAC profile of every catalog graph and the decoder-block
-comparison at a few widths."""
+"""Print the MAC profile of every catalog graph, and of the three decoder
+blocks at a few widths with their ordering by cost."""
 
 import argparse
 
@@ -17,7 +17,13 @@ def main():
         print(report.to_text())
 
     for channels in (16, 64, 256):
-        print(profiler.compare_decoders(channels, 8).to_text())
+        print(f"decoder blocks @ {channels} channels, 8x8 input")
+        totals = {}
+        for variant in ("A", "B", "C"):
+            report = profiler.profile(profiler.decoder_block(variant, channels), 8)
+            print(report.to_text())
+            totals[variant] = report.total_macs
+        print("ordering " + " < ".join(sorted(totals, key=totals.get)) + "\n")
 
 
 if __name__ == "__main__":

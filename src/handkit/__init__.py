@@ -18,8 +18,7 @@ from .ik_optim import (FitConfig, FitResult, FitTarget, bend_penalty_with_grad,
                        fit)
 from .lixel import Heatmap1D, decode, encode, marginalize
 from .metrics import EvalReport, evaluate, fscore, mpjpe, pa_mpjpe, procrustes_align
-from .profiler import (LayerSpec, NetGraph, compare_decoders, layer_macs,
-                       profile)
+from .profiler import LayerSpec, NetGraph, decoder_block, layer_macs, profile
 from .synth import (CameraPose, PoseLibrary, augment_library, project,
                     sample_cameras)
 

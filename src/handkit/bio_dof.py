@@ -104,11 +104,6 @@ class DofLimits:
             lower[i], upper[i] = table[dof]
         return cls(lower, upper)
 
-    def save(self, path) -> None:
-        lines = [f"{name} = {format(lo, '.9g')} {format(hi, '.9g')}"
-                 for name, lo, hi in zip(DOF_NAMES, self.lower, self.upper)]
-        Path(path).write_text("\n".join(lines) + "\n")
-
     @classmethod
     def load(cls, path) -> "DofLimits":
         bounds = {}

@@ -162,18 +162,18 @@ def write_fit_report(path, loss_trace, bio, beta, global_rot, translation) -> No
 
 def load_params_file(path):
     """Inverse of write_params_file, as (angles, beta, global_rot,
-    translation) arrays; a fit report loads too (its '#', iterations and
-    loss lines are skipped, and so are older reports' converged lines).  Any
-    other line must be a known key with its field count, each value given at
-    most once.  Values are finite, and |beta| is at most
-    ``ik_optim.MAX_INIT_BETA``, as ``fit`` starts from them."""
+    translation) arrays; a fit report loads too (its iterations and loss
+    lines are skipped, and so are older reports' converged lines).  Text
+    after '#' is a comment.  Any other line must be a known key with its
+    field count, each value given at most once.  Values are finite, and
+    |beta| is at most ``ik_optim.MAX_INIT_BETA``, as ``fit`` starts from
+    them."""
     values = {"bio": np.zeros(bio_dof.DOF_COUNT), "beta": np.zeros(10),
               "global_rot": np.zeros(3), "translation": np.zeros(3)}
     seen = set()
     for raw in Path(path).read_text(errors="replace").splitlines():
-        parts = raw.split()
-        if not parts or parts[0].startswith("#") or parts[0] in (
-                "converged", "iterations", "loss"):
+        parts = raw.split("#", 1)[0].split()
+        if not parts or parts[0] in ("converged", "iterations", "loss"):
             continue
         key, *fields = parts
         try:
@@ -343,9 +343,9 @@ def cmd_eval(args) -> int:
         [r.vertices for r in pred] if have_verts else None,
         [r.vertices for r in gt] if have_verts else None,
         thresholds=args.threshold or metrics.DEFAULT_F_THRESHOLDS,
-        root_center=args.root_center)
-    report.save(args.out)
-    sys.stdout.write(report.to_text())
+        root_center=args.root_center).to_text()
+    Path(args.out).write_text(report)
+    sys.stdout.write(report)
     return EXIT_OK
 
 
@@ -358,10 +358,10 @@ def cmd_profile(args) -> int:
     else:
         raise InputError(f"unknown graph {args.graph!r} (catalog: "
                          f"{', '.join(sorted(profiler.CATALOG))}) and no such file")
-    report = profiler.profile(graph, args.resolution)
+    report = profiler.profile(graph, args.resolution).to_text()
     if args.out:
-        report.save(args.out)
-    sys.stdout.write(report.to_text())
+        Path(args.out).write_text(report)
+    sys.stdout.write(report)
     return EXIT_OK
 
 

@@ -109,11 +109,13 @@ class MlpIk:
             end += a[name].size
             a[name] = self.flat[start:end].reshape(shape)
             self.grads[name] = self.flat_grad[start:end].reshape(shape)
+        self._tape = None
 
     def forward(self, x, training=False):
-        """(theta, beta) head outputs; the activation tape is kept for
-        ``backward``.  Training normalizes by the batch statistics and moves
-        the running statistics towards them."""
+        """(theta, beta) head outputs.  Training normalizes by the batch
+        statistics, moves the running statistics towards them and keeps the
+        activation tape for ``backward``; inference uses the running
+        statistics and keeps no tape."""
         a, blocks = self.arrays, []
         h = np.asarray(x, dtype=self.dtype)
         for i in range(len(WIDTHS)):
@@ -135,15 +137,17 @@ class MlpIk:
             mask = y > 0
             blocks.append((h, xhat, inv_std, mask))
             h = y * mask
-        self._tape = training, blocks, h
+        self._tape = (blocks, h) if training else None
         return (h @ a["head_theta_w"] + a["head_theta_b"],
                 h @ a["head_beta_w"] + a["head_beta_b"])
 
     def backward(self, d_theta, d_beta):
-        """Write the parameter gradients of the last ``forward`` into
-        ``grads``, replacing what they held."""
+        """Write the parameter gradients of the last ``forward``, a training
+        one, into ``grads``, replacing what they held."""
+        if self._tape is None:
+            raise InputError("backward needs a training forward first")
         a, grads = self.arrays, self.grads
-        training, blocks, h = self._tape
+        blocks, h = self._tape
         d_theta, d_beta = (np.asarray(d, self.dtype) for d in (d_theta, d_beta))
         for head, d in (("theta", d_theta), ("beta", d_beta)):
             np.matmul(h.T, d, out=grads[f"head_{head}_w"])
@@ -155,12 +159,10 @@ class MlpIk:
             (g * xhat).sum(axis=0, out=grads[f"bn{i}_gamma"])
             g.sum(axis=0, out=grads[f"bn{i}_beta"])
             g = g * a[f"bn{i}_gamma"]
-            if training:   # full backward through the batch statistics
-                batch = len(h)
-                g = (inv_std / batch) * (batch * g - g.sum(axis=0)
-                                         - xhat * (g * xhat).sum(axis=0))
-            else:
-                g = g * inv_std
+            # full backward through the batch statistics
+            batch = len(h)
+            g = (inv_std / batch) * (batch * g - g.sum(axis=0)
+                                     - xhat * (g * xhat).sum(axis=0))
             np.matmul(h.T, g, out=grads[f"w{i}"])
             if i:   # the net's input needs no gradient
                 g = g @ a[f"w{i}"].T
@@ -189,13 +191,14 @@ def predict(net: MlpIk, feats: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def batch_loss(net: MlpIk, model: HandModel, axes, feats, bio_gt, beta_gt,
-               skel_gt, training=False, compute_grads=False):
-    """Forward the net on a feature batch and evaluate the three-term loss.
+               skel_gt, compute_grads=False):
+    """Forward the net in training mode on a feature batch and evaluate the
+    three-term loss.
 
     With compute_grads the parameter gradients are written into the net's
     ``grads``.  Returns (total, l_theta, l_beta, l_pose) as floats.
     """
-    theta, beta = net.forward(feats, training=training)
+    theta, beta = net.forward(feats, training=True)
     l_theta = np.abs(theta - bio_gt).mean()
     l_beta = np.abs(beta - beta_gt).mean()
     # L1 joint term through FK: the mean of the refinement's per-sample losses
@@ -305,8 +308,7 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
             idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
             losses = batch_loss(net, data.model, axes, feats_all[idx],
                                 data.bio[idx], data.beta[idx],
-                                data.skeletons[idx], training=True,
-                                compute_grads=True)
+                                data.skeletons[idx], compute_grads=True)
             if not np.isfinite(losses[0]):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {b}")

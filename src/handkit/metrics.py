@@ -26,7 +26,6 @@ removes it).  The tables take about 75 KB for a 778-vertex pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -183,9 +182,6 @@ class EvalReport:
             lines.append(
                 f"F@{format(threshold, 'g')} {format(self.f_at[threshold], '.9g')}")
         return "\n".join(lines) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text())
 
 
 def _samples(samples, what: str) -> np.ndarray:

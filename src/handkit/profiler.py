@@ -9,17 +9,21 @@ ops count zero MACs.  Spatial shapes propagate with same-padding semantics:
 H_out = ceil(H / stride) for convolutions and H_out = H * stride for
 transposed convolutions.
 
+A graph is its layers: its input has the first layer's ``in_channels``, and
+every layer checks the channel count it is fed.  A profile is its per-stage
+totals; the total is their sum.
+
 Built-in catalogs cover ResNet-50, EfficientNet-B0, a deconvolution decoder
-in the classic image-to-lixel arrangement, the three upsampling block
-variants (depthwise+pointwise, MBConv-style with squeeze-excitation, and
-squeeze-excitation without the pointwise), and the heatmap aggregation
-stage.  1 GMAC = 1e9 MACs.
+in the classic image-to-lixel arrangement, the full decoders built from the
+three upsampling block variants (``decoder_block``: depthwise+pointwise,
+MBConv-style with squeeze-excitation, and squeeze-excitation without the
+pointwise), and the heatmap aggregation stage.  1 GMAC = 1e9 MACs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError, ShapeError, as_number
@@ -59,23 +63,21 @@ class LayerSpec:
             raise InputError("groups must divide both channel counts")
 
     def out_shape(self, in_c: int, in_h: int, in_w: int) -> tuple[int, int, int]:
-        if self.kind in ("pool", "elementwise", "squeeze_excitation"):
-            if self.kind == "pool" and self.global_pool:
-                return in_c, 1, 1
-            if self.kind == "pool":
-                return in_c, math.ceil(in_h / self.stride), math.ceil(in_w / self.stride)
-            return in_c, in_h, in_w
         if self.in_channels != in_c:
             raise ShapeError(
                 f"{self.kind} expects {self.in_channels} channels, got {in_c}")
+        if self.kind in ("elementwise", "squeeze_excitation"):
+            return in_c, in_h, in_w
+        if self.kind == "pool" and self.global_pool:
+            return in_c, 1, 1
         if self.kind == "fully_connected":
             if in_h != 1 or in_w != 1:
                 raise ShapeError("fully_connected needs a 1x1 spatial input")
             return self.out_channels, 1, 1
         if self.kind in ("deconv", "depthwise_deconv"):
             return self.out_channels, in_h * self.stride, in_w * self.stride
-        return (self.out_channels, math.ceil(in_h / self.stride),
-                math.ceil(in_w / self.stride))
+        return (in_c if self.kind == "pool" else self.out_channels,
+                math.ceil(in_h / self.stride), math.ceil(in_w / self.stride))
 
 
 def layer_macs(layer: LayerSpec, in_h: int, in_w: int) -> int:
@@ -96,7 +98,7 @@ def layer_macs(layer: LayerSpec, in_h: int, in_w: int) -> int:
 
 @dataclass
 class NetGraph:
-    """Named layer sequence with the input tensor description.
+    """Named layer sequence; its input has the first layer's ``in_channels``.
 
     ``input_stride`` positions subgraphs (decoders, aggregators) that consume
     backbone features: their input spatial size is resolution / input_stride.
@@ -104,9 +106,12 @@ class NetGraph:
     """
 
     name: str
-    input_channels: int
     layers: list[tuple[str, LayerSpec]]
     input_stride: int = 1
+
+    def __post_init__(self):
+        self.input_stride = as_number(self.input_stride, "input stride", 1,
+                                      integer=True)
 
 
 @dataclass
@@ -114,7 +119,10 @@ class ProfileReport:
     graph: str
     resolution: int
     stage_totals: dict[str, int]
-    total_macs: int
+
+    @property
+    def total_macs(self) -> int:
+        return sum(self.stage_totals.values())
 
     @property
     def total_gmacs(self) -> float:
@@ -130,16 +138,13 @@ class ProfileReport:
                      f"  {self.total_gmacs:10.4f} GMACs")
         return "\n".join(lines) + "\n"
 
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text())
-
 
 def profile(graph: NetGraph, resolution: int = 256) -> ProfileReport:
     """Propagate shapes through the graph and sum MACs per named stage."""
     resolution = as_number(resolution, "resolution", 1, _SIZE_LIMIT - 1, integer=True)
-    if resolution % as_number(graph.input_stride, "input stride", 1, integer=True):
+    if resolution % graph.input_stride:
         raise ShapeError("resolution must be divisible by the input stride")
-    c = graph.input_channels
+    c = graph.layers[0][1].in_channels if graph.layers else 0
     h = w = resolution // graph.input_stride
     stage_totals: dict[str, int] = {}
     for stage, layer in graph.layers:
@@ -152,8 +157,7 @@ def profile(graph: NetGraph, resolution: int = 256) -> ProfileReport:
             c, h, w = layer.out_shape(c, h, w)
         stage_totals[stage] = stage_totals.get(stage, 0) + macs
     return ProfileReport(graph=graph.name, resolution=resolution,
-                         stage_totals=stage_totals,
-                         total_macs=sum(stage_totals.values()))
+                         stage_totals=stage_totals)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +193,7 @@ def resnet50() -> NetGraph:
                                      global_pool=True)))
     layers.append(("head", LayerSpec("fully_connected", in_channels=2048,
                                      out_channels=1000)))
-    return NetGraph("resnet50", 3, layers)
+    return NetGraph("resnet50", layers)
 
 
 # EfficientNet-B0 stage plan: (expand, out channels, repeats, stride, kernel).
@@ -235,7 +239,7 @@ def efficientnet_b0() -> NetGraph:
                                      out_channels=1280, global_pool=True)))
     layers.append(("head", LayerSpec("fully_connected", in_channels=1280,
                                      out_channels=1000)))
-    return NetGraph("efficientnet_b0", 3, layers)
+    return NetGraph("efficientnet_b0", layers)
 
 
 def i2l_decoder_original() -> NetGraph:
@@ -250,7 +254,7 @@ def i2l_decoder_original() -> NetGraph:
                           out_channels=256, stride=2)),
         ("out", LayerSpec("pointwise", in_channels=256, out_channels=21)),
     ]
-    return NetGraph("i2l_decoder_original", 2048, layers, input_stride=32)
+    return NetGraph("i2l_decoder_original", layers, input_stride=32)
 
 
 def heatmap_aggregator() -> NetGraph:
@@ -260,11 +264,14 @@ def heatmap_aggregator() -> NetGraph:
         ("fuse", LayerSpec("conv", kernel=3, in_channels=21 * 64 + 64,
                            out_channels=64)),
     ]
-    return NetGraph("heatmap_aggregator", 21 * 64 + 64, layers, input_stride=4)
+    return NetGraph("heatmap_aggregator", layers, input_stride=4)
 
 
-def _variant_block(variant: str, channels: int) -> list[tuple[str, LayerSpec]]:
-    """One x2 upsampling block of decoder variant A, B, or C."""
+def decoder_block(variant: str, channels: int) -> NetGraph:
+    """One x2 upsampling block of decoder variant A, B, or C: a depthwise
+    deconvolution, then squeeze-excitation (B, C) and a pointwise (A, B)."""
+    if variant not in ("A", "B", "C"):
+        raise InputError("variant must be 'A', 'B', or 'C'")
     layers = [("dw_deconv", LayerSpec("depthwise_deconv", kernel=4,
                                       in_channels=channels,
                                       out_channels=channels, stride=2))]
@@ -274,7 +281,7 @@ def _variant_block(variant: str, channels: int) -> list[tuple[str, LayerSpec]]:
     if variant in ("A", "B"):
         layers.append(("pointwise", LayerSpec("pointwise", in_channels=channels,
                                               out_channels=channels)))
-    return layers
+    return NetGraph(f"decoder_block_{variant}", layers)
 
 
 DECODER_CHANNELS = 256
@@ -285,17 +292,14 @@ BACKBONE_CHANNELS = 320   # EfficientNet-B0's last stage
 def decoder_variant(variant: str) -> NetGraph:
     """Full decoder built from variant blocks, with the channel-change
     pointwise in front (backbone width differs from the decoder width)."""
-    if variant not in ("A", "B", "C"):
-        raise InputError("variant must be 'A', 'B', or 'C'")
     layers = [("in", LayerSpec("pointwise", in_channels=BACKBONE_CHANNELS,
                                out_channels=DECODER_CHANNELS))]
     for s in range(DECODER_STAGES):
-        for name, spec in _variant_block(variant, DECODER_CHANNELS):
+        for name, spec in decoder_block(variant, DECODER_CHANNELS).layers:
             layers.append((f"up{s + 1}_{name}", spec))
     layers.append(("out", LayerSpec("pointwise", in_channels=DECODER_CHANNELS,
                                     out_channels=21)))
-    return NetGraph(f"decoder_variant_{variant}", BACKBONE_CHANNELS, layers,
-                    input_stride=32)
+    return NetGraph(f"decoder_variant_{variant}", layers, input_stride=32)
 
 
 CATALOG = {
@@ -307,38 +311,6 @@ CATALOG = {
     "decoder_variant_C": lambda: decoder_variant("C"),
     "heatmap_aggregator": heatmap_aggregator,
 }
-
-
-# ---------------------------------------------------------------------------
-# decoder comparison
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DecoderComparison:
-    channels: int
-    spatial: int
-    totals: dict[str, int]
-    breakdown: dict[str, dict[str, int]]
-    ordering: tuple[str, ...]
-
-    def to_text(self) -> str:
-        lines = [f"decoder blocks @ {self.channels} channels, "
-                 f"{self.spatial}x{self.spatial} input"]
-        for variant in ("A", "B", "C"):
-            parts = ", ".join(f"{k} {v}" for k, v in self.breakdown[variant].items())
-            lines.append(f"variant {variant}: total {self.totals[variant]} ({parts})")
-        lines.append("ordering " + " < ".join(self.ordering))
-        return "\n".join(lines) + "\n"
-
-
-def compare_decoders(channels: int, spatial: int) -> DecoderComparison:
-    """Per-sublayer MACs of one upsampling block per variant, plus ordering."""
-    breakdown = {variant: profile(NetGraph(variant, channels, _variant_block(
-        variant, channels)), spatial).stage_totals for variant in ("A", "B", "C")}
-    totals = {variant: sum(parts.values()) for variant, parts in breakdown.items()}
-    ordering = tuple(sorted(totals, key=totals.get))
-    return DecoderComparison(channels=channels, spatial=spatial, totals=totals,
-                             breakdown=breakdown, ordering=ordering)
 
 
 # ---------------------------------------------------------------------------
@@ -369,5 +341,4 @@ def load_graph_text(path, input_stride: int = 1) -> NetGraph:
         layers.append((f"layer{len(layers) + 1}", spec))
     if not layers:
         raise InputError(f"{path}: no layers")
-    return NetGraph(Path(path).stem, layers[0][1].in_channels, layers,
-                    input_stride=input_stride)
+    return NetGraph(Path(path).stem, layers, input_stride=input_stride)

@@ -76,8 +76,9 @@ def test_criterion_3_profiler():
     ok_b0 = b0 <= 0.15 * r50
     ok_order = True
     for channels in (8, 12, 16, 32, 64, 128, 256, 512):
-        cmp = profiler.compare_decoders(channels, 8)
-        ok_order &= cmp.totals["C"] < cmp.totals["A"] < cmp.totals["B"]
+        block = {v: profiler.profile(profiler.decoder_block(v, channels), 8).total_macs
+                 for v in "ABC"}
+        ok_order &= block["C"] < block["A"] < block["B"]
     full = {v: profiler.profile(profiler.decoder_variant(v), 256).total_macs
             for v in "ABC"}
     ok_order &= full["C"] < full["A"] < full["B"]
@@ -186,9 +187,9 @@ def test_criterion_5_gradients(model, limits, axes):
     feats = ik_net.featurize_batch(data.skeletons[:8])
     # float64: a central difference at h cannot resolve float32 round-off
     net = ik_net.MlpIk(seed=51, dtype=np.float64)
-    net.forward(ik_net.featurize_batch(data.skeletons), training=True)
+    # the batch statistics path, the gradient that training follows
     ik_net.batch_loss(net, model, axes, feats, data.bio[:8], data.beta[:8],
-                      data.skeletons[:8], training=False, compute_grads=True)
+                      data.skeletons[:8], compute_grads=True)
     params = list(net.grads)
     worst_net = 0.0
     for _ in range(50):

@@ -179,9 +179,15 @@ def test_limits_must_contain_zero():
         DofLimits(lower, upper)
 
 
+def _write_limits(path, limits):
+    path.write_text("".join(f"{name} = {format(lo, '.17g')} {format(hi, '.17g')}\n"
+                            for name, lo, hi in zip(bio_dof.DOF_NAMES, limits.lower,
+                                                    limits.upper)))
+
+
 def test_limits_file_roundtrip(tmp_path, limits):
     path = tmp_path / "limits.txt"
-    limits.save(path)
+    _write_limits(path, limits)
     loaded = DofLimits.load(path)
     np.testing.assert_array_equal(loaded.lower, limits.lower)
     np.testing.assert_array_equal(loaded.upper, limits.upper)
@@ -196,7 +202,7 @@ def test_limits_file_rejects_missing_entries(tmp_path):
 
 def test_limits_file_rejects_a_dof_limited_twice(tmp_path, limits):
     path = tmp_path / "limits.txt"
-    limits.save(path)
+    _write_limits(path, limits)
     path.write_text(path.read_text() + "index_mcp_flex = -0.1 0.2\n")
     with pytest.raises(InputError, match="index_mcp_flex"):
         DofLimits.load(path)

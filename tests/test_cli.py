@@ -220,6 +220,20 @@ def test_fit_report_file(tmp_path):
     assert path.read_bytes() == FIT_REPORT.encode()
 
 
+def test_params_file_strips_trailing_comments(tmp_path):
+    # as the pose, limits and graph readers do; the values keep their bytes
+    plain, noted = tmp_path / "plain.txt", tmp_path / "noted.txt"
+    plain.write_text(FIT_REPORT)
+    noted.write_text("".join(f"{line}  # note\n" for line in FIT_REPORT.splitlines()))
+    for got, want in zip(load_params_file(noted), load_params_file(plain)):
+        assert got.tobytes() == want.tobytes()
+    one = tmp_path / "one.txt"
+    one.write_text("bio index_mcp_flex 0.5  # tweak\nbeta 3 -1#x\n")
+    bio, beta, _, _ = load_params_file(one)
+    assert bio[bio_dof.DOF_NAMES.index("index_mcp_flex")] == 0.5
+    assert beta[3] == -1.0 and np.count_nonzero(bio) + np.count_nonzero(beta) == 2
+
+
 def test_older_fit_report_with_converged_line_loads_as_init(tmp_path, model_file):
     # reports written before fit lost its early stop carry a 'converged' line
     new, old = tmp_path / "new.txt", tmp_path / "old.txt"

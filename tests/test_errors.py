@@ -62,7 +62,10 @@ def ws(tmp_path_factory) -> Path:
         "global_rot: 0.1 0 0\narticulation: " + " ".join(["0.2"] * 45)
         + "\nbeta: 0.5 0 0 0 0 0 0 0 0 0\n")
     write_params_file(root / "init.txt", bio, np.zeros(10), [0, 0.1, 0], [1, 2, 3])
-    bio_dof.DofLimits.default().save(root / "limits.txt")
+    limits = bio_dof.DofLimits.default()
+    (root / "limits.txt").write_text("".join(
+        f"{name} = {format(lo, '.9g')} {format(hi, '.9g')}\n"
+        for name, lo, hi in zip(bio_dof.DOF_NAMES, limits.lower, limits.upper)))
     ik_net.save_checkpoint(ik_net.MlpIk(seed=0), root / "net.hkc")
     synth.save_pose_library(synth.make_pose_library(model, count=3, seed=1),
                             root / "library.hkc")
@@ -451,6 +454,20 @@ def _backward_b2(model, **cotangents):
     return kinematics.fk_backward(model, cache, **cotangents)
 
 
+def _fed_8_channels(kind):
+    """profile of a graph whose 16-channel ``kind`` layer is fed 8 channels."""
+    return profiler.profile(profiler.NetGraph("g", [
+        ("a", profiler.LayerSpec("conv", in_channels=3, out_channels=8)),
+        ("b", profiler.LayerSpec(kind, in_channels=16, out_channels=16))]), 8)
+
+
+def _net_backward_after_inference():
+    """MlpIk.backward after an inference forward, which keeps no tape."""
+    net = ik_net.MlpIk(seed=0)
+    net.forward(np.zeros((2, ik_net.FEATURE_DIM)), training=False)
+    net.backward(np.zeros((2, bio_dof.DOF_COUNT)), np.zeros((2, 10)))
+
+
 # name -> (family class, call on the small desk hand): one row per library
 # entry point that checks a value where it enters
 def _load_reparented_model(model):
@@ -631,6 +648,8 @@ LIBRARY = {
         m, d_regressed=np.ones((1, 21, 3)))),
     "fk_backward-nan-d_regressed": (errors.InputError, lambda m: _backward_b2(
         m, d_regressed=_nan(2, 21, 3))),
+    "MlpIk-backward-after-inference": (errors.InputError,
+                                       lambda m: _net_backward_after_inference()),
     "project-nan-joints": (errors.InputError, lambda m: synth.project(
         _nan(21, 3), _CAM, 400.0, 500.0, 500.0, 128.0, 128.0)),
     "project-20-joints": (errors.ShapeError, lambda m: synth.project(
@@ -696,8 +715,17 @@ LIBRARY = {
     "LayerSpec-infinite-se-ratio": (errors.InputError, lambda m: profiler.LayerSpec(
         "squeeze_excitation", se_ratio=math.inf)),
     "profile-fractional-input-stride": (errors.InputError, lambda m: profiler.profile(
-        profiler.NetGraph("g", 3, [("s", profiler.LayerSpec("conv"))], input_stride=1.5),
+        profiler.NetGraph("g", [("s", profiler.LayerSpec("conv"))], input_stride=1.5),
         resolution=3)),
+    "decoder_block-unknown-variant": (errors.InputError, lambda m: profiler.decoder_block(
+        "D", 16)),
+    "NetGraph-fractional-input-stride": (errors.InputError, lambda m: profiler.NetGraph(
+        "g", [("s", profiler.LayerSpec("conv"))], input_stride=1.5)),
+    "profile-pool-wrong-channels": (errors.ShapeError, lambda m: _fed_8_channels("pool")),
+    "profile-elementwise-wrong-channels": (errors.ShapeError,
+                                           lambda m: _fed_8_channels("elementwise")),
+    "profile-squeeze_excitation-wrong-channels": (
+        errors.ShapeError, lambda m: _fed_8_channels("squeeze_excitation")),
     "profile-string-resolution": (errors.InputError, lambda m: profiler.profile(
         profiler.resnet50(), "256")),
     "profile-zero-resolution": (errors.InputError, lambda m: profiler.profile(

@@ -3,7 +3,9 @@ pinned here.
 
 A public top-level function, class or constant of a ``src/handkit`` module
 that nothing in ``src/``, ``scripts/`` or ``handbench/`` uses (its own
-definition and ``__init__.py`` aside) is API that only the tests exercise.
+definition and ``__init__.py`` aside) is API that only the tests exercise;
+so is a public method or property of a public class whose name no attribute
+read there names.
 Likewise a defaulted parameter of a function or method in ``src/handkit``,
 or a defaulted dataclass field, that no call there passes is an option only
 the tests set.  The few that stay on purpose are pinned below; a new one,
@@ -54,7 +56,8 @@ def _sources():
 def _used_names() -> set[tuple[str, str]]:
     """(home module, name) pairs that some source file uses: a load of the
     name in its own module, an import of it, or an attribute read through
-    the package or its module."""
+    the package or its module; and ("attribute", name) for any attribute
+    read, which is how a method is reached."""
     used = set()
     for path, tree in _sources():
         own = path.stem if path.parent.name == "handkit" else None
@@ -77,19 +80,25 @@ def _used_names() -> set[tuple[str, str]]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own:
                 used.add((own, node.id))
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in modules):
-                used.add((modules[node.value.id], node.attr))
+            elif isinstance(node, ast.Attribute):
+                used.add(("attribute", node.attr))
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    used.add((modules[node.value.id], node.attr))
     return used
 
 
 def _public_names():
     """(module, name) of every public top-level function, class and constant
-    of ``src/handkit``."""
+    of ``src/handkit``, and (module, class.method) of every public method
+    and property of a public class."""
     for path in sorted((ROOT / "src" / "handkit").glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from ((path.stem, f"{node.name}.{f.name}") for f in node.body
+                            if isinstance(f, ast.FunctionDef)
+                            and not f.name.startswith("_"))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -104,7 +113,8 @@ def _public_names():
 def test_public_names_without_a_caller_are_pinned():
     used = _used_names()
     unused = [f"{home}.{name}" for home, name in _public_names()
-              if not {(home, name), (None, name)} & used]
+              if not ({("attribute", name.partition(".")[2])} if "." in name
+                      else {(home, name), (None, name)}) & used]
     assert sorted(unused) == sorted(TEST_ONLY)
 
 

@@ -4,7 +4,7 @@ import pytest
 from handkit import bio_dof, kinematics as kin
 from handkit.errors import NumericError
 from handkit.containers import read_container, write_container
-from handkit.ik_net import (FEATURE_DIM, WIDTHS, MlpIk, TrainConfig, batch_loss,
+from handkit.ik_net import (BN_EPS, FEATURE_DIM, WIDTHS, MlpIk, TrainConfig, batch_loss,
                             featurize_batch, generate_pairs, load_checkpoint,
                             predict, save_checkpoint, train)
 from handkit.rotations import rodrigues
@@ -122,8 +122,11 @@ def test_predict_batch_rows_match_single_rows_float32(limits, rng):
     feats = featurize_batch(np.stack([random_skeleton(rng) for _ in range(5)]))
     bio, beta = predict(net, feats, limits)
     assert bio.dtype == beta.dtype == np.float64
-    _, _, hidden = net._tape   # the heads' input from the batch forward
-    hidden = np.abs(hidden)
+    hidden, a = feats, net.arrays   # the heads' input, from the inference path
+    for i in range(len(WIDTHS)):
+        y = (a[f"bn{i}_gamma"] * (hidden @ a[f"w{i}"] - a[f"bn{i}_mean"])
+             / np.sqrt(a[f"bn{i}_var"] + BN_EPS) + a[f"bn{i}_beta"])
+        hidden = np.maximum(y, 0.0)
     slack = 4 * np.sqrt(max(WIDTHS)) * np.finfo(np.float32).eps
     for i in range(5):
         one_bio, one_beta = predict(net, feats[i:i + 1], limits)
@@ -290,9 +293,8 @@ def test_backprop_matches_finite_differences(desk, axes, limits, rng):
     data = generate_pairs(desk, 16, limits, seed=12)
     feats = featurize_batch(data.skeletons[:8])
     net = MlpIk(seed=2, dtype=np.float64)
-    net.forward(featurize_batch(data.skeletons), training=True)  # warm stats
     batch_loss(net, desk, axes, feats, data.bio[:8], data.beta[:8],
-               data.skeletons[:8], training=False, compute_grads=True)
+               data.skeletons[:8], compute_grads=True)
     params = list(net.grads)
     h = 1e-6
     for _ in range(12):
@@ -313,13 +315,13 @@ def test_backprop_matches_finite_differences(desk, axes, limits, rng):
 
 
 def test_batch_statistics_backprop_matches_finite_differences(desk, axes, limits, rng):
-    # training=True normalizes by the batch's own statistics, so each output
-    # row depends on every row of the batch; train runs this branch
+    # batch_loss normalizes by the batch's own statistics, so each output
+    # row depends on every row of the batch
     data = generate_pairs(desk, 8, limits, seed=12)
     net = MlpIk(seed=2, dtype=np.float64)
     args = (net, desk, axes, featurize_batch(data.skeletons), data.bio, data.beta,
             data.skeletons)
-    batch_loss(*args, training=True, compute_grads=True)
+    batch_loss(*args, compute_grads=True)
     grads = {name: grad.copy() for name, grad in net.grads.items()}
     h = 1e-6
     for name, arr in net.arrays.items():
@@ -328,9 +330,9 @@ def test_batch_statistics_backprop_matches_finite_differences(desk, axes, limits
         for i in rng.choice(arr.size, 3, replace=False):
             orig = arr.reshape(-1)[i]
             arr.reshape(-1)[i] = orig + h
-            lp = batch_loss(*args, training=True)[0]
+            lp = batch_loss(*args)[0]
             arr.reshape(-1)[i] = orig - h
-            lm = batch_loss(*args, training=True)[0]
+            lm = batch_loss(*args)[0]
             arr.reshape(-1)[i] = orig
             fd = (lp - lm) / (2 * h)
             assert grads[name].reshape(-1)[i] == pytest.approx(fd, rel=1e-3), (
@@ -380,8 +382,7 @@ def _per_array_adam_train(net, data, config):
             idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
             sums += batch_loss(net, data.model, axes, feats_all[idx],
                                data.bio[idx], data.beta[idx],
-                               data.skeletons[idx], training=True,
-                               compute_grads=True)
+                               data.skeletons[idx], compute_grads=True)
             step += 1
             for name, g in net.grads.items():
                 adam_m[name] = beta1 * adam_m[name] + (1 - beta1) * g

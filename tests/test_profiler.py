@@ -1,7 +1,7 @@
 import pytest
 
 from handkit.profiler import (CATALOG, LayerSpec, NetGraph,
-                              ShapeError, compare_decoders, decoder_variant,
+                              ShapeError, decoder_block, decoder_variant,
                               efficientnet_b0, heatmap_aggregator,
                               i2l_decoder_original, layer_macs,
                               load_graph_text, profile, resnet50)
@@ -66,7 +66,7 @@ def test_layerspec_validation():
 
 
 def test_shape_mismatch_detected():
-    graph = NetGraph("bad", 3, [
+    graph = NetGraph("bad", [
         ("a", LayerSpec("conv", kernel=3, in_channels=3, out_channels=8)),
         ("b", LayerSpec("conv", kernel=3, in_channels=16, out_channels=8)),
     ])
@@ -107,7 +107,27 @@ def test_catalog_graphs_propagate_at_256():
 
 
 def test_empty_graph_is_zero():
-    assert profile(NetGraph("empty", 3, []), 256).total_macs == 0
+    assert profile(NetGraph("empty", []), 256).total_macs == 0
+
+
+# exact totals: any change to the accounting or a catalog graph shows here
+CATALOG_MACS_AT_256 = {
+    "resnet50": 5_340_348_416,
+    "efficientnet_b0": 503_337_472,
+    "i2l_decoder_original": 7_538_212_864,
+    "decoder_variant_A": 401_604_608,
+    "decoder_variant_B": 401_702_912,
+    "decoder_variant_C": 49_381_376,
+    "heatmap_aggregator": 3_321_888_768,
+}
+
+
+def test_catalog_totals_are_pinned():
+    assert list(CATALOG) == list(CATALOG_MACS_AT_256)
+    for name, builder in CATALOG.items():
+        report = profile(builder(), 256)
+        assert report.total_macs == CATALOG_MACS_AT_256[name], name
+        assert report.total_macs == sum(report.stage_totals.values()), name
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +138,9 @@ def test_macs_additive_over_concatenation():
     a = [("s1", LayerSpec("conv", kernel=3, in_channels=3, out_channels=8,
                           stride=2))]
     b = [("s2", LayerSpec("conv", kernel=3, in_channels=8, out_channels=16))]
-    whole = profile(NetGraph("ab", 3, a + b), 64).total_macs
-    first = profile(NetGraph("a", 3, a), 64).total_macs
-    second = profile(NetGraph("b", 8, b), 32).total_macs
+    whole = profile(NetGraph("ab", a + b), 64).total_macs
+    first = profile(NetGraph("a", a), 64).total_macs
+    second = profile(NetGraph("b", b), 32).total_macs
     assert whole == first + second
 
 
@@ -133,14 +153,27 @@ def test_resolution_doubling_quadruples_spatial_macs():
 
 
 # ---------------------------------------------------------------------------
-# decoder comparison
+# decoder blocks
 # ---------------------------------------------------------------------------
+
+def _block_totals(channels):
+    return {v: profile(decoder_block(v, channels), 8).total_macs for v in "ABC"}
+
 
 @pytest.mark.parametrize("channels", [8, 16, 64, 256])
 def test_variant_ordering(channels):
-    cmp = compare_decoders(channels, 8)
-    assert cmp.ordering == ("C", "A", "B")
-    assert cmp.totals["C"] < cmp.totals["A"] < cmp.totals["B"]
+    totals = _block_totals(channels)
+    assert totals["C"] < totals["A"] < totals["B"]
+
+
+# exact totals on an 8x8 input
+@pytest.mark.parametrize("channels, expected", [
+    (16, {"A": 131_072, "B": 131_200, "C": 65_664}),
+    (64, {"A": 1_310_720, "B": 1_312_768, "C": 264_192}),
+    (256, {"A": 17_825_792, "B": 17_858_560, "C": 1_081_344}),
+])
+def test_decoder_block_totals_are_pinned(channels, expected):
+    assert _block_totals(channels) == expected
 
 
 def test_variant_ordering_full_decoders():
@@ -166,15 +199,15 @@ def test_pointwise_dominates_variant_a():
 
 
 def test_single_channel_pointwise_not_dominant():
-    cmp = compare_decoders(1, 8)
-    a = cmp.breakdown["A"]
+    a = profile(decoder_block("A", 1), 8).stage_totals
     assert a["pointwise"] / (a["pointwise"] + a["dw_deconv"]) < 0.5
 
 
 def test_comparison_report_text():
-    cmp = compare_decoders(32, 8)
-    text = cmp.to_text()
-    assert "variant A" in text and "ordering C < A < B" in text
+    text = profile(decoder_block("B", 32), 8).to_text()
+    assert text.startswith("graph decoder_block_B @ 8x8\n")
+    assert [line.split()[0] for line in text.splitlines()[1:]] == [
+        "dw_deconv", "se", "pointwise", "total"]
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +234,6 @@ def test_graph_text_rejects_garbage(tmp_path):
         load_graph_text(path)
 
 
-def test_profile_report_text(tmp_path):
-    report = profile(resnet50(), 256)
-    out = tmp_path / "r50.txt"
-    report.save(out)
-    text = out.read_text()
+def test_profile_report_text():
+    text = profile(resnet50(), 256).to_text()
     assert "total" in text and "GMACs" in text
