@@ -5,8 +5,10 @@ another one, or time the two side by side.
     python scripts/fk_parity.py --parent OTHER/src
     python scripts/fk_parity.py --parent OTHER/src --time [ROUNDS]
 
-Each checkout's ``handkit`` poses the same seeded set in its own subprocess:
-B = 1, 32 and 256 on the desk hand, with and without a pose basis, with
+Both checkouts are imported into this one process, the other one under
+the package name ``handkit_parent`` (``src/handkit`` uses only relative
+imports).  Each checkout's package poses the same seeded set: B = 1, 32
+and 256 on the desk hand, with and without a pose basis, with
 ``global_rot`` None or random.  Every case runs the forward pass with
 vertices and regressed joints, then ``fk_backward`` once per cotangent
 (vertices, regressed joints).  The loss layer runs at B = 1 and 8 on the
@@ -18,11 +20,10 @@ worst relative FK gradient difference (per array, max |a - b| over the
 larger of the two max |a|), and the worst relative value and gradient
 differences of the loss layer.
 
-``--time`` imports both checkouts into this one process, the other one
-under the package name ``handkit_parent`` (``src/handkit`` uses only
-relative imports), because timings taken in separate processes drift far
-more than the differences measured here.  Each round times, alternating
-which side goes first, ``fk_forward`` (and ``fk_backward`` with gradients)
+``--time`` times the two checkouts instead.  Sharing one process matters
+most there: timings taken in separate processes drift far more than the
+differences measured here.  Each round times, alternating which side goes
+first, ``fk_forward`` (and ``fk_backward`` with gradients)
 on each checkout's desk hand for four cases: B = 1 with vertices and
 gradients (a fit), B = 32 regressed with gradients (a training step),
 B = 256 with vertices and no gradients (posing a library) and B = 1024
@@ -31,8 +32,7 @@ joints only; one B = 1 iteration of ``fit`` against joints and vertices
 B = 1 ``fit`` call of 20 iterations against joints and vertices, as the
 benchmark's ``refine`` workload runs it; and the net part of a B = 32
 training step: ``MlpIk`` forward with batch statistics, backward and
-``adam_step`` (after ``zero_grads`` on a checkout whose backward
-accumulates into the gradients).  Two scoring cases follow, as the
+``adam_step``.  Two scoring cases follow, as the
 benchmark's ``score`` workload runs them: ``metrics.evaluate`` on a group
 of 8 seeded desk-hand poses (21 joints and 778 vertices each, predictions
 3 mm off) with F-scores at 5 and 15 mm, and one ``lixel.decode`` of
@@ -44,10 +44,7 @@ import argparse
 import dataclasses
 import functools
 import importlib.util
-import os
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -63,12 +60,10 @@ COTANGENTS = {"d_vertices": "vertices", "d_regressed": "regressed_joints"}
 PARAMS = ("articulation", "beta", "global_rot", "translation")
 
 
-def pose_set(path):
-    """Pose the seeded set with the importable ``handkit``; save to ``path``."""
-    from handkit import kinematics as kin
-    from handkit.hand_model import make_desk_hand
-
-    desk = make_desk_hand()
+def pose_set(package):
+    """The seeded set's arrays, posed with the imported ``package``."""
+    kin = package.kinematics
+    desk = package.hand_model.make_desk_hand()
     rng = np.random.default_rng(0)
     with_basis = dataclasses.replace(desk, pose_basis=rng.normal(scale=0.5, size=(
         kin.POSE_BASIS_SIZE, desk.vertex_count, 3)))
@@ -91,14 +86,13 @@ def pose_set(path):
                     grads = kin.fk_backward(model, out, **{name: rng.normal(size=shape)})
                     for param in PARAMS:
                         arrays[f"{case}/{name}/{param}"] = getattr(grads, param)
-    arrays.update(loss_set(desk, rng))
-    np.savez(path, **arrays)
+    arrays.update(loss_set(package, desk, rng))
+    return arrays
 
 
-def fit_inputs(desk, rng, batch):
+def fit_inputs(package, desk, rng, batch):
     """Seeded (B, 39) fit parameters and (B, 21, 3) and (B, V, 3) targets."""
-    from handkit import bio_dof, kinematics as kin
-
+    bio_dof, kin = package.bio_dof, package.kinematics
     limits, axes = bio_dof.DofLimits.default(), bio_dof.derive_axes(desk)
     bio = bio_dof.sample_uniform(limits, batch, rng)
     x = np.concatenate([bio, rng.normal(scale=0.5, size=(batch, 10)),
@@ -115,14 +109,13 @@ def split_params(x):
     return np.split(x, np.cumsum([23, 10, 3]), axis=1)
 
 
-def loss_set(desk, rng):
+def loss_set(package, desk, rng):
     """The loss layer's arrays: the bend penalty of the targets, and the fit
     loss with gradients, at each of ``LOSS_BATCHES``."""
-    from handkit import bio_dof, ik_optim
-
+    bio_dof, ik_optim = package.bio_dof, package.ik_optim
     arrays = {}
     for batch in LOSS_BATCHES:
-        x, joints, vertices = fit_inputs(desk, rng, batch)
+        x, joints, vertices = fit_inputs(package, desk, rng, batch)
         case = f"loss-B{batch}"
         arrays[f"{case}/value/bend"], arrays[f"{case}/grad/bend"] = (
             ik_optim.bend_penalty_with_grad(joints))
@@ -183,17 +176,14 @@ def whole_fit(package, model, axes, x0, joints, vertices):
 
 def net_step(package, net, feats, d_theta, d_beta, state):
     """The net part of one training step, as ``ik_net.train`` takes it."""
-    if hasattr(net, "zero_grads"):   # a backward that accumulates
-        net.zero_grads()
     net.forward(feats, training=True)
     net.backward(d_theta, d_beta)
     package.ik_optim.adam_step(net.flat, net.flat_grad, state, 1, 1e-4)
 
 
-def time_checkouts(src, parent_src, rounds):
+def time_checkouts(packages, rounds):
     """Median seconds per call of each case on both checkouts."""
     rng = np.random.default_rng(0)
-    packages = (import_as(src, "handkit"), import_as(parent_src, "handkit_parent"))
     models = [package.hand_model.make_desk_hand() for package in packages]
     cases = []   # (name, the call on each side)
     for name, batch, options, cotangents in TIME_CASES:
@@ -207,7 +197,7 @@ def time_checkouts(src, parent_src, rounds):
         cases.append((name, [functools.partial(fk_call, package.kinematics, model, params,
                                                options, grads)
                              for package, model in zip(packages, models)]))
-    inputs = fit_inputs(models[0], rng, 1)
+    inputs = fit_inputs(packages[0], models[0], rng, 1)
     axes = [package.bio_dof.derive_axes(model) for package, model in zip(packages, models)]
     cases.append(("B1 fit iteration", [
         functools.partial(fit_iteration, package.ik_optim, model, axis, *inputs)
@@ -255,38 +245,23 @@ def time_checkouts(src, parent_src, rounds):
     return [(name, *np.median(times[c], axis=1)) for c, (name, _) in enumerate(cases)]
 
 
-def run_checkout(src, path):
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    subprocess.run([sys.executable, __file__, "--dump", str(path)],
-                   env=env, check=True)
-    with np.load(path) as data:
-        return dict(data)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--parent", help="the other checkout's src/ directory")
+    parser.add_argument("--parent", required=True, help="the other checkout's src/ directory")
     parser.add_argument("--time", nargs="?", type=int, const=30, metavar="ROUNDS",
-                        help="time both checkouts in this process (default 30 rounds)")
-    parser.add_argument("--dump", help=argparse.SUPPRESS)
+                        help="time both checkouts (default 30 rounds)")
     args = parser.parse_args()
-    if args.dump:
-        pose_set(args.dump)
-        return
-    if not args.parent:
-        parser.error("--parent is required")
+    if args.time is not None and args.time < 1:
+        parser.error("--time needs at least one round")
+    packages = (import_as(ROOT / "src", "handkit"), import_as(args.parent, "handkit_parent"))
     if args.time is not None:
-        if args.time < 1:
-            parser.error("--time needs at least one round")
         print(f"{'case':24s} {'this (ms)':>10s} {'parent (ms)':>12s} {'ratio':>7s}")
-        for name, mine, theirs in time_checkouts(ROOT / "src", args.parent, args.time):
+        for name, mine, theirs in time_checkouts(packages, args.time):
             print(f"{name:24s} {mine * 1e3:10.4f} {theirs * 1e3:12.4f} {mine / theirs:7.3f}")
         return
 
-    with tempfile.TemporaryDirectory() as tmp:
-        mine = run_checkout(ROOT / "src", Path(tmp) / "src.npz")
-        theirs = run_checkout(args.parent, Path(tmp) / "parent.npz")
+    mine, theirs = (pose_set(package) for package in packages)
     if mine.keys() != theirs.keys():
         sys.exit("error: the two checkouts posed different sets")
     out_worst = out_none_worst = grad_worst = loss_value_worst = loss_grad_worst = 0.0

@@ -32,6 +32,9 @@ _SIZE_LIMIT = 2 ** 31  # layer sizes and spatial extents, as in int32
 
 KINDS = ("conv", "deconv", "depthwise_conv", "depthwise_deconv", "pointwise",
          "fully_connected", "squeeze_excitation", "pool", "elementwise")
+#: the kinds whose output has their input's channel count
+_SAME_CHANNELS = ("depthwise_conv", "depthwise_deconv", "squeeze_excitation", "pool",
+                  "elementwise")
 
 
 @dataclass
@@ -53,9 +56,10 @@ class LayerSpec:
             setattr(self, name, as_number(getattr(self, name), name, 1,
                                           _SIZE_LIMIT - 1, integer=True))
         self.se_ratio = as_number(self.se_ratio, "se_ratio (a reduction)", 1)
+        if self.kind in _SAME_CHANNELS and self.in_channels != self.out_channels:
+            raise InputError(f"{self.kind} keeps the channel count: in_channels "
+                             f"{self.in_channels}, out_channels {self.out_channels}")
         if self.kind in ("depthwise_conv", "depthwise_deconv"):
-            if self.in_channels != self.out_channels:
-                raise InputError("depthwise layers keep the channel count")
             self.groups = self.in_channels
         if self.kind == "pointwise":
             self.kernel = 1
@@ -69,15 +73,15 @@ class LayerSpec:
         if self.kind in ("elementwise", "squeeze_excitation"):
             return in_c, in_h, in_w
         if self.kind == "pool" and self.global_pool:
-            return in_c, 1, 1
+            return self.out_channels, 1, 1
         if self.kind == "fully_connected":
             if in_h != 1 or in_w != 1:
                 raise ShapeError("fully_connected needs a 1x1 spatial input")
             return self.out_channels, 1, 1
         if self.kind in ("deconv", "depthwise_deconv"):
             return self.out_channels, in_h * self.stride, in_w * self.stride
-        return (in_c if self.kind == "pool" else self.out_channels,
-                math.ceil(in_h / self.stride), math.ceil(in_w / self.stride))
+        return (self.out_channels, math.ceil(in_h / self.stride),
+                math.ceil(in_w / self.stride))
 
 
 def layer_macs(layer: LayerSpec, in_h: int, in_w: int) -> int:
@@ -336,8 +340,10 @@ def load_graph_text(path, input_stride: int = 1) -> NetGraph:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         # whole sizes as ints; LayerSpec refuses 2.5, inf or nan
         sizes = [int(n) if n.is_integer() else n for n in nums[:5]]
-        spec = LayerSpec(parts[0], *sizes,
-                         se_ratio=nums[5] if len(nums) > 5 else 4.0)
+        try:
+            spec = LayerSpec(parts[0], *sizes, se_ratio=nums[5] if len(nums) > 5 else 4.0)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
         layers.append((f"layer{len(layers) + 1}", spec))
     if not layers:
         raise InputError(f"{path}: no layers")

@@ -251,6 +251,8 @@ TABLE = {
         "profile", "--graph", _text(t / "g.txt", "conv 2.5 3 16 2 1\n")]),
     "profile-graph-8-fields": (2, lambda ws, t: [
         "profile", "--graph", _text(t / "g.txt", "conv 3 3 32 2 1 4.0 99\n")]),
+    "profile-graph-pool-changes-channels": (2, lambda ws, t: [
+        "profile", "--graph", _text(t / "g.txt", "pool 3 64 32 2 1\n")]),
     "profile-resolution-0": (2, lambda ws, t: [
         "profile", "--graph", "resnet50", "--resolution", "0"]),
     "ik-predict-checkpoint-without-arrays": (2, lambda ws, t: [
@@ -272,6 +274,8 @@ def test_documented_exit_code(name, ws, tmp_path):
         assert "must be <=" in err
     if name == "ik-fit-init-beta-above-bound":   # the reader refuses it, not fit
         assert "i.txt: |beta| must be <=" in err
+    if name == "profile-graph-pool-changes-channels":   # the line at fault, not the next
+        assert "g.txt:1: pool keeps the channel count" in err
 
 
 def test_fk_overflowing_beta_exits_4_without_output(ws, tmp_path):
@@ -714,6 +718,8 @@ LIBRARY = {
         "squeeze_excitation", se_ratio="4")),
     "LayerSpec-infinite-se-ratio": (errors.InputError, lambda m: profiler.LayerSpec(
         "squeeze_excitation", se_ratio=math.inf)),
+    "LayerSpec-pool-changes-channels": (errors.InputError, lambda m: profiler.LayerSpec(
+        "pool", in_channels=64, out_channels=32)),
     "profile-fractional-input-stride": (errors.InputError, lambda m: profiler.profile(
         profiler.NetGraph("g", [("s", profiler.LayerSpec("conv"))], input_stride=1.5),
         resolution=3)),

@@ -13,21 +13,40 @@ import handkit
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run(script, *args):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(handkit.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 @pytest.mark.parametrize("script, args, summary", [
-    ("fit_recovery.py", ["--runs", "2", "--iterations", "20"],
+    ("pipeline.py", ["recover", "--runs", "2", "--iterations", "20"],
      "improved in 2/2 runs; mean PA-MPJPE"),
-    ("train_ik_net.py", ["--pairs", "64", "--holdout", "32", "--epochs", "1"],
+    ("pipeline.py", ["train", "--pairs", "64", "--holdout", "32", "--epochs", "1"],
      "trained held-out joint error:"),
     ("profile_architectures.py", ["--resolution", "64"],
      "decoder blocks @ 256 channels, 8x8 input"),
 ])
 def test_script_runs(script, args, summary):
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(handkit.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = _run(script, *args)
     assert proc.returncode == 0, proc.stderr
     assert summary in proc.stdout, proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["recover", "--seed", "-1"],
+    ["recover", "--runs", "0"],
+    ["recover", "--iterations", "2.5"],
+    ["train", "--seed", "-1"],
+    ["train", "--seed", "1.5"],
+    ["train", "--holdout", "0"],
+], ids=" ".join)
+def test_pipeline_bad_count_or_seed_is_a_usage_error(args):
+    proc = _run("pipeline.py", *args)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "error:" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
 
 
 def test_fk_parity_of_a_checkout_with_itself_is_exact():
