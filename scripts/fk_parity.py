@@ -36,8 +36,11 @@ training step: ``MlpIk`` forward with batch statistics, backward and
 benchmark's ``score`` workload runs them: ``metrics.evaluate`` on a group
 of 8 seeded desk-hand poses (21 joints and 778 vertices each, predictions
 3 mm off) with F-scores at 5 and 15 mm, and one ``lixel.decode`` of
-(8, 21, 3, 64) encoded heatmaps.  It prints each case's median time per
-call on both sides and their ratio (this checkout over the other).
+(8, 21, 3, 64) encoded heatmaps.  Two per-call cases follow: the same
+8 x 21 x 3 = 504 heatmaps decoded one (64,) call each, as ``score`` decodes
+a group, and ``lixel.encode`` of their 504 coordinates, one call each.  It
+prints each case's median time per call on both sides and their ratio
+(this checkout over the other).
 """
 
 import argparse
@@ -181,6 +184,12 @@ def net_step(package, net, feats, d_theta, d_beta, state):
     package.ik_optim.adam_step(net.flat, net.flat_grad, state, 1, 1e-4)
 
 
+def each(call, items):
+    """``call`` on every item, one call each."""
+    for item in items:
+        call(item)
+
+
 def time_checkouts(packages, rounds):
     """Median seconds per call of each case on both checkouts."""
     rng = np.random.default_rng(0)
@@ -222,11 +231,15 @@ def time_checkouts(packages, rounds):
     cases.append(("score group", [
         functools.partial(package.metrics.evaluate, *sets, thresholds=(5.0, 15.0))
         for package in packages]))
-    heatmaps = np.array([packages[0].lixel.encode(c).values
-                         for c in rng.uniform(0, 1, 8 * 21 * 3).tolist()])
+    coords = rng.uniform(0, 1, 8 * 21 * 3).tolist()
+    heatmaps = np.array([packages[0].lixel.encode(c).values for c in coords])
     cases.append(("decode (8, 21, 3, 64)", [
         functools.partial(package.lixel.decode, heatmaps.reshape(8, 21, 3, 64))
         for package in packages]))
+    cases.append(("decode 504 x (64,)", [
+        functools.partial(each, package.lixel.decode, list(heatmaps)) for package in packages]))
+    cases.append(("encode 504 coords", [
+        functools.partial(each, package.lixel.encode, coords) for package in packages]))
 
     # about 20 ms of calls per lap: few enough laps to alternate often
     laps = []

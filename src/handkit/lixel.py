@@ -13,6 +13,15 @@ truncated.  The power is taken only above 2**(-1100 / 256), about 0.0506:
 below it every power underflows to exactly 0 (the first nonzero one is at
 about 0.0544), and there lie about 80% of an encoded heatmap's entries,
 where ``pow`` is slow.
+
+``decode`` and ``Heatmap1D`` (and so ``encode``) share one check: a lone
+float64 heatmap passes when its minimum is at least 0 (no NaN, -inf or
+negative entry) and its peak, which ``decode`` divides by anyway, lies in
+(0, inf) (no +inf, not all zero).  Any other input (a batch, a list,
+another dtype) and any heatmap that fails takes the ordered checks, which
+raise in this order: not numeric, not finite (``InputError``), a wrong
+shape or no lixel axis (``ShapeError``), empty or negative, all zero
+(``InputError``).
 """
 
 from __future__ import annotations
@@ -30,16 +39,24 @@ DEFAULT_SIGMA = 2.5
 SHARPNESS = 256.0
 #: at or below this a scaled likelihood's power is under 2**-1100: exactly 0
 _UNDERFLOW = 2.0 ** (-1100 / SHARPNESS)
+_CENTERS = np.arange(0.5, MAX_RESOLUTION)   # i + 0.5, sliced to each length
+_CENTERS.flags.writeable = False
+#: 2 sigma**2 floor: no squared distance over it overflows, and below it each entry is 1 or 0
+_MIN_SCALE = 1e-300
 
 
 def _likelihoods(values, shape=None) -> tuple[np.ndarray, np.ndarray]:
     """Finite (..., L) heatmaps, each nonnegative and not all zero, and their peaks."""
+    if type(values) is np.ndarray and values.dtype == float and values.ndim == 1 and values.size:
+        peak = np.maximum.reduce(values, -1, keepdims=True)
+        if np.minimum.reduce(values, None) >= 0 and 0 < peak.item() < np.inf:
+            return values, peak
     values = as_array(values, shape, "heatmap values")
     if not values.ndim:
         raise ShapeError("heatmap values must have a lixel axis")
-    if not values.size or values.min() < 0:
+    if not values.size or np.minimum.reduce(values, None) < 0:
         raise InputError("heatmaps must be nonempty and nonnegative")
-    peak = values.max(axis=-1, keepdims=True)
+    peak = np.maximum.reduce(values, -1, keepdims=True)
     if not peak.all():
         raise InputError("heatmap must not be all zero")
     return values, peak
@@ -64,9 +81,9 @@ def encode(coord: float, length: int = DEFAULT_RESOLUTION,
     coord = as_number(coord, "coordinate", 0, 1)
     length = as_number(length, "length", 1, MAX_RESOLUTION, integer=True)
     sigma = as_number(sigma, "sigma", above=0)
-    centers = np.arange(length) + 0.5
-    values = np.exp(-((centers - coord * length) ** 2) / (2.0 * sigma * sigma))
-    return Heatmap1D(values)
+    values = np.subtract(_CENTERS[:length], coord * length)   # d**2 / -s: -(d**2) / s exactly
+    np.divide(np.square(values, out=values), -max(2.0 * sigma * sigma, _MIN_SCALE), out=values)
+    return Heatmap1D(np.exp(values, out=values))
 
 
 def decode(heatmaps):
@@ -80,13 +97,15 @@ def decode(heatmaps):
     values, peak = _likelihoods(
         heatmaps.values if isinstance(heatmaps, Heatmap1D) else heatmaps)
     scaled = values / peak
-    probs = np.zeros_like(scaled)
+    probs = np.empty_like(scaled)   # the layout of scaled, so each row sums as before
+    probs.fill(0.0)
     np.power(scaled, SHARPNESS, out=probs, where=scaled > _UNDERFLOW)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, -1, keepdims=True)
     length = values.shape[-1]
-    # one dot product per heatmap, as a lone (L,) heatmap gets
-    coords = (probs[..., None, :] @ np.arange(0.5, length))[..., 0] / length
-    return float(coords) if coords.ndim == 0 else coords
+    centers = _CENTERS[:length] if length <= MAX_RESOLUTION else np.arange(0.5, length)
+    # one dot product per heatmap, as a lone (L,) heatmap gets; floats divide as numpy does
+    coords = (probs[..., None, :] @ centers)[..., 0]
+    return float(coords) / length if coords.ndim == 0 else coords / length
 
 
 def marginalize(grid: np.ndarray) -> tuple[Heatmap1D, Heatmap1D, Heatmap1D]:

@@ -169,7 +169,7 @@ def test_criterion_5_gradients(model, limits, axes):
         out = kin.fk_forward(model, art, beta_t[None], want_vertices=True,
                              want_regressed=True)
 
-        def loss_at(x, want_grad=False):
+        def loss_at(x, want_grad=False, out=out):
             # the fit loss (huber, bend weight 1e-2) on a batch of one
             loss, grads = ik_optim.batch_fit_loss(
                 model, axes, x[None, :23], x[None, 23:33], x[None, 33:36],
@@ -189,8 +189,22 @@ def test_criterion_5_gradients(model, limits, axes):
             xm[i] -= h
             fd = (loss_at(xp)[0] - loss_at(xm)[0]) / (2 * h)
             worst_fit = max(worst_fit, _fd_rel_err(fd, grad[i]))
-            raw_fit = max(raw_fit, _fd_rel_err(fd, grad[i], noise_floor=0.0))
+            raw = _fd_rel_err(fd, grad[i], noise_floor=0.0)
+            if raw >= raw_fit:   # the first entry sets it, so raw_case exists
+                raw_fit, raw_case = raw, (loss_at, x, i, grad[i])
     ok_fit = worst_fit < 1e-4
+
+    def fourth_order_err(step):
+        # the raw worst entry again, under a 4th-order central difference:
+        # its truncation error is O(step**4), so what is left is roundoff
+        loss_at, x, i, ana = raw_case
+        f = {}
+        for k in (-2, -1, 1, 2):
+            xk = x.copy()
+            xk[i] += k * step
+            f[k] = loss_at(xk)[0]
+        return _fd_rel_err((8 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12 * step), ana,
+                           noise_floor=0.0)
 
     data = ik_net.generate_pairs(model, 32, limits, seed=50)
     feats = ik_net.featurize_batch(data.skeletons[:8])
@@ -222,7 +236,9 @@ def test_criterion_5_gradients(model, limits, axes):
              "(fit < 1e-4 over 100 configs, net < 1e-3 over 50 weights)",
           ok_fit and ok_net,
           f"fit worst {worst_fit:.2e}, net worst {worst_net:.2e}; "
-          f"without the noise floor fit {raw_fit:.2e}, net {raw_net:.2e}")
+          f"without the noise floor fit {raw_fit:.2e}, net {raw_net:.2e}; "
+          f"the raw worst fit entry under a 4th-order difference "
+          f"{fourth_order_err(h):.2e} at h, {fourth_order_err(10 * h):.2e} at 10h")
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,9 @@ TABLE = {
     # arrays past any 64-bit address space, far above the count ceilings too
     "lixel-length-1e17": (2, lambda ws, t: [
         "lixel", "--coord", "0.5", "--length", str(10 ** 17), "--out", t / "h.txt"]),
+    # 2 sigma**2 underflows to 0: the divide must not warn before the error
+    "lixel-tiny-sigma": (2, lambda ws, t: [
+        "lixel", "--coord", "0.5", "--sigma", "1e-200", "--out", t / "h.txt"]),
     "synth-poses-per-pose-1e17": (2, lambda ws, t: [
         "synth", "poses", "--model", ws / "model.hkm", "--count", "3",
         "--per-pose", str(10 ** 17), "--out", t / "p.hkc"]),
@@ -274,6 +277,8 @@ def test_documented_exit_code(name, ws, tmp_path):
         assert "must be <=" in err
     if name == "ik-fit-init-beta-above-bound":   # the reader refuses it, not fit
         assert "i.txt: |beta| must be <=" in err
+    if name == "lixel-tiny-sigma":
+        assert err == "error: heatmap must not be all zero\n"
     if name == "profile-graph-pool-changes-channels":   # the line at fault, not the next
         assert "g.txt:1: pool keeps the channel count" in err
 
@@ -665,6 +670,11 @@ LIBRARY = {
     "encode-string-coordinate": (errors.InputError, lambda m: lixel.encode("0.5")),
     "encode-infinite-sigma": (errors.InputError, lambda m: lixel.encode(
         0.5, sigma=math.inf)),
+    # 2 sigma**2 underflows to 0, or divides a squared distance past the
+    # float range: all zero either way, and no RuntimeWarning on the way
+    "encode-tiny-sigma": (errors.InputError, lambda m: lixel.encode(0.5, 64, 1e-200)),
+    "encode-tiny-sigma-overflow": (errors.InputError, lambda m: lixel.encode(
+        0.5, 64, 1e-160)),
     "marginalize-2d-grid": (errors.ShapeError, lambda m: lixel.marginalize(
         np.ones((4, 4)))),
     "mpjpe-nan-points": (errors.InputError, lambda m: metrics.mpjpe(

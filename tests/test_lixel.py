@@ -50,6 +50,23 @@ def test_encode_argmax_matches_scan_oracle(rng):
         assert values[best_i] == values.max()
 
 
+def test_encode_is_the_formula_bit_for_bit(rng):
+    coords = [0.0, 1.0] + rng.uniform(0, 1, 30).tolist()
+    for length in (1, 8, 64, 129, 640):
+        for coord in coords:
+            for sigma in (0.5, 2.5, 40.0):
+                formula = np.exp(-((np.arange(length) + 0.5 - coord * length) ** 2)
+                                 / (2.0 * sigma * sigma))
+                assert encode(coord, length, sigma).values.tobytes() == formula.tobytes()
+
+
+def test_encode_with_a_vanishing_sigma_is_one_hot_at_an_exact_center():
+    # 2 sigma**2 is floored at 1e-300, where the entries are still exp(-0) = 1
+    # at the center and 0 elsewhere, so the divide neither overflows nor warns
+    for sigma in (1e-151, 1e-200, 5e-324):
+        assert encode(2.5 / 8, 8, sigma).values.tolist() == [0.0] * 2 + [1.0] + [0.0] * 5
+
+
 def test_encode_rejects_out_of_range():
     with pytest.raises(ValueError):
         encode(1.5)
@@ -107,6 +124,46 @@ def test_decode_rejects_bad_heatmaps():
         Heatmap1D(np.ones((2, 64)))
 
 
+_NOT_1D = "heatmap values must have shape (None,), got "
+_FINITE = (InputError, "heatmap values must be finite")
+_NONNEGATIVE = (InputError, "heatmaps must be nonempty and nonnegative")
+#: input -> the (class, message) that decode raises, then Heatmap1D's; the
+#: checks run in order: not numeric, not finite, shape, empty or negative, all zero
+HEATMAP_ERRORS = {
+    "string": ("lixel", (InputError, "heatmap values is not numeric (dtype <U5)"),
+               (InputError, "heatmap values is not numeric (dtype <U5)")),
+    # numpy's own reason follows the prefix
+    "ragged list": ([[1.0, 2.0], [3.0]], (InputError, "heatmap values is not a numeric array ("),
+                    (InputError, "heatmap values is not a numeric array (")),
+    "0-d NaN": (np.array(np.nan), _FINITE, _FINITE),
+    "0-d number": (1.0, (ShapeError, "heatmap values must have a lixel axis"),
+                   (ShapeError, _NOT_1D + "()")),
+    "empty": (np.zeros(0), _NONNEGATIVE, _NONNEGATIVE),
+    "shape (3, 0)": (np.zeros((3, 0)), _NONNEGATIVE, (ShapeError, _NOT_1D + "(3, 0)")),
+    "NaN in a batch": (np.array([[1.0, 2.0], [np.nan, 1.0]]), _FINITE, _FINITE),
+    "+inf": (np.array([1.0, np.inf]), _FINITE, _FINITE),
+    "-inf": (np.array([1.0, -np.inf]), _FINITE, _FINITE),
+    "negative entry": (np.array([1.0, -0.5]), _NONNEGATIVE, _NONNEGATIVE),
+    "all zero": (np.zeros(4), (InputError, "heatmap must not be all zero"),
+                 (InputError, "heatmap must not be all zero")),
+    "all-zero row": (np.array([[1.0, 2.0], [0.0, 0.0]]),
+                     (InputError, "heatmap must not be all zero"),
+                     (ShapeError, _NOT_1D + "(2, 2)")),
+    "2-D NaN": (np.array([[np.nan, 1.0]]), _FINITE, _FINITE),
+}
+
+
+@pytest.mark.parametrize("name", HEATMAP_ERRORS)
+def test_heatmap_errors_keep_their_class_and_message(name):
+    value, *expected = HEATMAP_ERRORS[name]
+    for call, (error, message) in zip((decode, Heatmap1D), expected):
+        with pytest.raises(error) as info:
+            call(value)
+        assert type(info.value) is error
+        got = str(info.value)
+        assert got.startswith(message) if message.endswith("(") else got == message
+
+
 def decode_formula(values):
     """The single-heatmap soft-argmax, written out."""
     probs = (values / values.max()) ** 256.0
@@ -144,11 +201,11 @@ def test_batched_decode_equals_per_row_calls(shape, rng):
     coords = rng.uniform(0, 1, shape)
     encoded = np.array([encode(float(c)).values for c in coords.ravel()])
     dense = rng.uniform(0.1, 1.0, encoded.shape)
-    for rows, tol in ((encoded, 0.0), (dense, 2.3e-16)):
+    for rows in (encoded, dense):
         got = decode(rows.reshape(shape + (64,)))
         assert got.shape == shape
         one = np.array([decode(row) for row in rows]).reshape(shape)
-        assert np.abs(got - one).max() <= tol
+        assert got.tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.5, 4.0])

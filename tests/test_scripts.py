@@ -69,7 +69,7 @@ def test_fk_parity_times_a_checkout_against_itself():
     assert [row[:24].strip() for row in rows] == [
         "B1 vertices grad", "B32 regressed grad", "B256 vertices", "B1024 joints",
         "B1 fit iteration", "B1 fit (20 iterations)", "B32 net step", "score group",
-        "decode (8, 21, 3, 64)"], proc.stdout
+        "decode (8, 21, 3, 64)", "decode 504 x (64,)", "encode 504 coords"], proc.stdout
     for row in rows:   # this side, the other side, their ratio
         mine, theirs, ratio = map(float, row.split()[-3:])
         assert mine > 0 and theirs > 0 and ratio > 0, row
