@@ -7,18 +7,22 @@ another one, or time the two side by side.
 
 Both checkouts are imported into this one process, the other one under
 the package name ``handkit_parent`` (``src/handkit`` uses only relative
-imports).  Each checkout's package poses the same seeded set: B = 1, 32
-and 256 on the desk hand, with and without a pose basis, with
-``global_rot`` None or random.  Every case runs the forward pass with
-vertices and regressed joints, then ``fk_backward`` once per cotangent
-(vertices, regressed joints).  The loss layer runs at B = 1 and 8 on the
+imports); both must take this checkout's signatures (``fk_backward(cache,
+...)`` and ``batch_fit_loss`` without an axis table).  Each checkout's
+package poses the same seeded set: B = 1, 32 and 256 on the desk hand, with
+and without a pose basis, with ``global_rot`` None or random.  Every case
+runs the forward pass with vertices and regressed joints, then
+``fk_backward`` once per cotangent (vertices, regressed joints), and the
+same forward pass once more without gradients (``need_grad=False``, the
+path the ``fk`` command, ``generate_pairs`` and the benchmark's
+``synth-mesh`` workload take).  The loss layer runs at B = 1 and 8 on the
 desk hand: ``bend_penalty_with_grad`` of posed skeletons, and
 ``batch_fit_loss`` with gradients against target joints and vertices with
-bend weight 1e-2.  The script prints the worst absolute FK output
-difference (mm), the same over the ``global_rot=None`` cases alone, the
-worst relative FK gradient difference (per array, max |a - b| over the
-larger of the two max |a|), and the worst relative value and gradient
-differences of the loss layer.
+bend weight 1e-2.  The script prints the worst absolute FK output difference (mm), the same
+over the ``global_rot=None`` cases alone, the same over the no-gradient
+forward passes, the worst relative FK gradient difference (per array,
+max |a - b| over the larger of the two max |a|), and the worst relative
+value and gradient differences of the loss layer.
 
 ``--time`` times the two checkouts instead.  Sharing one process matters
 most there: timings taken in separate processes drift far more than the
@@ -86,9 +90,13 @@ def pose_set(package):
                     arrays[f"{case}/out/{name}"] = getattr(out, name)
                 for name, output in COTANGENTS.items():
                     shape = getattr(out, output).shape
-                    grads = kin.fk_backward(model, out, **{name: rng.normal(size=shape)})
+                    grads = kin.fk_backward(out, **{name: rng.normal(size=shape)})
                     for param in PARAMS:
                         arrays[f"{case}/{name}/{param}"] = getattr(grads, param)
+                plain = kin.fk_forward(model, art, beta, global_rot, translation,
+                                       want_vertices=True, want_regressed=True)
+                for name in OUTPUTS:
+                    arrays[f"{case}/nograd/{name}"] = getattr(plain, name)
     arrays.update(loss_set(package, desk, rng))
     return arrays
 
@@ -115,16 +123,15 @@ def split_params(x):
 def loss_set(package, desk, rng):
     """The loss layer's arrays: the bend penalty of the targets, and the fit
     loss with gradients, at each of ``LOSS_BATCHES``."""
-    bio_dof, ik_optim = package.bio_dof, package.ik_optim
+    ik_optim = package.ik_optim
     arrays = {}
     for batch in LOSS_BATCHES:
         x, joints, vertices = fit_inputs(package, desk, rng, batch)
         case = f"loss-B{batch}"
         arrays[f"{case}/value/bend"], arrays[f"{case}/grad/bend"] = (
             ik_optim.bend_penalty_with_grad(joints))
-        loss, grads = ik_optim.batch_fit_loss(
-            desk, bio_dof.derive_axes(desk), *split_params(x), joints, vertices, 1e-2,
-            "huber", want_grad=True)
+        loss, grads = ik_optim.batch_fit_loss(desk, *split_params(x), joints, vertices,
+                                              1e-2, "huber", want_grad=True)
         arrays[f"{case}/value/fit"] = loss
         for name, grad in zip(FIT_GRADS, grads):
             arrays[f"{case}/grad/{name}"] = grad
@@ -155,26 +162,26 @@ def import_as(src, name):
 def fk_call(kin, model, params, options, grads):
     out = kin.fk_forward(model, *params, **options)
     if grads:
-        kin.fk_backward(model, out, **grads)
+        kin.fk_backward(out, **grads)
 
 
-def fit_iteration(ik_optim, model, axes, x0, joints, vertices):
+def fit_iteration(ik_optim, model, x0, joints, vertices):
     """One iteration of ``fit``'s loop from ``x0``: the loss with gradients,
     then the first Adam step."""
     x = x0.copy()
-    _, grads = ik_optim.batch_fit_loss(model, axes, *split_params(x), joints, vertices,
+    _, grads = ik_optim.batch_fit_loss(model, *split_params(x), joints, vertices,
                                        1e-2, "huber", want_grad=True)
     ik_optim.adam_step(x.reshape(-1), np.concatenate(grads, axis=1).reshape(-1),
                        np.zeros((4, x.size)), 1, 0.05)
 
 
-def whole_fit(package, model, axes, x0, joints, vertices):
+def whole_fit(package, model, x0, joints, vertices):
     """One 20-iteration ``fit`` call from the (1, 39) ``x0`` on one unbatched
     target."""
     ik_optim = package.ik_optim
     ik_optim.fit(model, ik_optim.FitTarget(joints=joints[0], vertices=vertices[0]),
                  *(p[0] for p in split_params(x0)),
-                 config=ik_optim.FitConfig(iterations=20), axes=axes)
+                 config=ik_optim.FitConfig(iterations=20))
 
 
 def net_step(package, net, feats, d_theta, d_beta, state):
@@ -207,13 +214,12 @@ def time_checkouts(packages, rounds):
                                                options, grads)
                              for package, model in zip(packages, models)]))
     inputs = fit_inputs(packages[0], models[0], rng, 1)
-    axes = [package.bio_dof.derive_axes(model) for package, model in zip(packages, models)]
     cases.append(("B1 fit iteration", [
-        functools.partial(fit_iteration, package.ik_optim, model, axis, *inputs)
-        for package, model, axis in zip(packages, models, axes)]))
+        functools.partial(fit_iteration, package.ik_optim, model, *inputs)
+        for package, model in zip(packages, models)]))
     cases.append(("B1 fit (20 iterations)", [
-        functools.partial(whole_fit, package, model, axis, *inputs)
-        for package, model, axis in zip(packages, models, axes)]))
+        functools.partial(whole_fit, package, model, *inputs)
+        for package, model in zip(packages, models)]))
     nets = [package.ik_net.MlpIk(seed=0) for package in packages]
     step_inputs = [rng.normal(size=(32, n)).astype(np.float32)
                    for n in (packages[0].ik_net.FEATURE_DIM, 23, 10)]
@@ -277,9 +283,13 @@ def main():
     mine, theirs = (pose_set(package) for package in packages)
     if mine.keys() != theirs.keys():
         sys.exit("error: the two checkouts posed different sets")
-    out_worst = out_none_worst = grad_worst = loss_value_worst = loss_grad_worst = 0.0
+    out_worst = out_none_worst = nograd_worst = grad_worst = 0.0
+    loss_value_worst = loss_grad_worst = 0.0
     for key, a in mine.items():
         diff = float(np.abs(a - theirs[key]).max())
+        if "/nograd/" in key:
+            nograd_worst = max(nograd_worst, diff)
+            continue
         if "/out/" in key:
             out_worst = max(out_worst, diff)
             if "-none/" in key:
@@ -295,6 +305,7 @@ def main():
     print(f"{len(BATCHES) * 4} FK cases, {len(LOSS_BATCHES)} loss cases, {len(mine)} arrays")
     print(f"worst output difference: {out_worst:.3g} mm")
     print(f"worst output difference with global_rot=None: {out_none_worst:.3g} mm")
+    print(f"worst no-grad output difference: {nograd_worst:.3g} mm")
     print(f"worst relative gradient difference: {grad_worst:.3g}")
     print(f"worst relative loss-layer value difference: {loss_value_worst:.3g}")
     print(f"worst relative loss-layer gradient difference: {loss_grad_worst:.3g}")

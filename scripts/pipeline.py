@@ -26,7 +26,7 @@ from handkit.errors import HandkitError
 from handkit.hand_model import make_desk_hand
 
 
-def recovery_runs(model, limits, axes, seeds, iterations, sigma):
+def recovery_runs(model, limits, seeds, iterations, sigma):
     """(before, after, PA) MPJPE in mm of each seeded recovery; one fit
     solves all."""
     draws = []
@@ -40,14 +40,15 @@ def recovery_runs(model, limits, axes, seeds, iterations, sigma):
     bio_t, beta_t, init = (np.array(column) for column in zip(*draws))
 
     def joints_at(bio, beta, rot=None, trans=None, want_vertices=False):
-        return kin.fk_forward(model, bio_dof.expand_batch(bio, axes), beta, rot, trans,
+        art = bio_dof.expand_batch(bio, model.tensors.axes)
+        return kin.fk_forward(model, art, beta, rot, trans,
                               want_vertices=want_vertices, want_regressed=True)
 
     out = joints_at(bio_t, beta_t, want_vertices=True)
     target = ik_optim.FitTarget(joints=out.regressed_joints, vertices=out.vertices)
     results = ik_optim.fit(model, target, init_bio=init, init_beta=beta_t,
                            config=ik_optim.FitConfig(iterations=iterations),
-                           limits=limits, axes=axes)
+                           limits=limits)
     before = joints_at(init, beta_t).regressed_joints
     final = joints_at(*(np.array(column) for column in zip(*(
         (r.bio.values, r.beta.beta, r.global_rot, r.translation) for r in results))))
@@ -55,17 +56,18 @@ def recovery_runs(model, limits, axes, seeds, iterations, sigma):
             for b, f, t in zip(before, final.regressed_joints, target.joints)]
 
 
-def held_out_error(net, model, axes, held):
+def held_out_error(net, held):
     """Mean absolute joint error (mm) of ``net``'s predictions on the pair
-    set ``held``, posed through forward kinematics."""
+    set ``held``, posed through forward kinematics of the set's model."""
+    model = held.model
     theta, beta = net.forward(ik_net.featurize_batch(held.skeletons), training=False)
-    joints = kin.fk_forward(model, bio_dof.expand_batch(theta, axes), beta,
+    joints = kin.fk_forward(model, bio_dof.expand_batch(theta, model.tensors.axes), beta,
                             want_regressed=True).regressed_joints
     return float(np.abs(joints - held.skeletons).mean())
 
 
-def recover(args, model, limits, axes):
-    runs = recovery_runs(model, limits, axes, range(args.seed, args.seed + args.runs),
+def recover(args, model, limits):
+    runs = recovery_runs(model, limits, range(args.seed, args.seed + args.runs),
                          args.iterations, args.sigma)
     for run, (before, after, pa) in enumerate(runs):
         print(f"run {run:3d}: {before:7.3f} mm -> {after:7.4f} mm (PA {pa:7.4f} mm)")
@@ -75,11 +77,11 @@ def recover(args, model, limits, axes):
           f"mean PA-MPJPE {np.mean(pa_errors):.4f} mm, max {np.max(pa_errors):.4f} mm")
 
 
-def train(args, model, limits, axes):
+def train(args, model, limits):
     data = ik_net.generate_pairs(model, args.pairs, limits, seed=args.seed)
     held = ik_net.generate_pairs(model, args.holdout, limits, seed=args.seed + 1)
     net = ik_net.MlpIk(seed=args.seed)
-    before = held_out_error(net, model, axes, held)
+    before = held_out_error(net, held)
     print(f"untrained held-out joint error: {before:.3f} mm")
 
     decay = tuple(d for d in (30, 35) if d < args.epochs)
@@ -90,7 +92,7 @@ def train(args, model, limits, axes):
         print(f"epoch {row['epoch']:3d}: total {row['total']:8.4f} "
               f"(theta {row['theta']:.4f}, beta {row['beta']:.4f}, "
               f"pose {row['pose']:8.4f})")
-    after = held_out_error(net, model, axes, held)
+    after = held_out_error(net, held)
     print(f"trained held-out joint error: {after:.3f} mm "
           f"({before / after:.1f}x lower) in {time.time() - start:.0f} s")
 
@@ -139,9 +141,8 @@ def main():
     p.set_defaults(func=train)
     args = parser.parse_args()
 
-    model = make_desk_hand()
     try:
-        args.func(args, model, bio_dof.DofLimits.default(), bio_dof.derive_axes(model))
+        args.func(args, make_desk_hand(), bio_dof.DofLimits.default())
     except (HandkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)

@@ -41,6 +41,7 @@ BN_MOMENTUM = 0.1
 #: the most pairs ``generate_pairs`` builds, checked before any array is:
 #: ten times the paper's 20k training pairs
 MAX_PAIRS = 200_000
+MAX_RATE = float(np.finfo(np.float32).max)   # the largest step rate the float32 net holds
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +191,10 @@ def predict(net: MlpIk, feats: np.ndarray,
 # losses
 # ---------------------------------------------------------------------------
 
-def batch_loss(net: MlpIk, model: HandModel, axes, feats, bio_gt, beta_gt,
-               skel_gt, compute_grads=False):
+def batch_loss(net: MlpIk, model: HandModel, feats, bio_gt, beta_gt, skel_gt,
+               compute_grads=False):
     """Forward the net in training mode on a feature batch and evaluate the
-    three-term loss.
+    three-term loss, posing the angles through ``model.tensors.axes``.
 
     With compute_grads the parameter gradients are written into the net's
     ``grads``.  Returns (total, l_theta, l_beta, l_pose) as floats.
@@ -203,7 +204,7 @@ def batch_loss(net: MlpIk, model: HandModel, axes, feats, bio_gt, beta_gt,
     l_beta = np.abs(beta - beta_gt).mean()
     # L1 joint term through FK: the mean of the refinement's per-sample losses
     l_pose, pose_grads = ik_optim.batch_fit_loss(
-        model, axes, theta, beta, None, None, skel_gt, None, bend_weight=0.0,
+        model, theta, beta, None, None, skel_gt, None, bend_weight=0.0,
         loss_kind="l1", want_grad=compute_grads)
     l_pose = l_pose.mean()
     total = float(l_theta + l_beta + l_pose)
@@ -273,7 +274,7 @@ class TrainConfig:
         if len(set(self.decay_epochs)) != len(self.decay_epochs):
             raise InputError("decay epochs must be distinct")
         self.batch_size = as_number(self.batch_size, "batch_size", 2, integer=True)
-        self.learning_rate = as_number(self.learning_rate, "learning_rate", 0)
+        self.learning_rate = as_number(self.learning_rate, "learning_rate", 0, MAX_RATE)
         self.seed = as_number(self.seed, "seed", 0, integer=True)
 
 
@@ -288,7 +289,6 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
     """
     if len(data) < config.batch_size:
         raise InputError("need at least one full batch of pairs")
-    axes = bio_dof.derive_axes(data.model)
     feats_all = featurize_batch(data.skeletons)
     rng = np.random.default_rng(config.seed)
 
@@ -306,9 +306,8 @@ def train(net: MlpIk, data: SynthPairSet, config: TrainConfig
         sums = np.zeros(4)
         for b in range(batches):
             idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
-            losses = batch_loss(net, data.model, axes, feats_all[idx],
-                                data.bio[idx], data.beta[idx],
-                                data.skeletons[idx], compute_grads=True)
+            losses = batch_loss(net, data.model, feats_all[idx], data.bio[idx],
+                                data.beta[idx], data.skeletons[idx], compute_grads=True)
             if not np.isfinite(losses[0]):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {b}")

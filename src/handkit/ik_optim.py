@@ -170,14 +170,14 @@ def bend_penalty_with_grad(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(-s, 0.0).sum(axis=-1), grad
 
 
-def batch_fit_loss(model: HandModel, axes: np.ndarray, bio, beta,
-                   global_rot, translation, joints, vertices, bend_weight: float,
-                   loss_kind: str, want_grad: bool):
+def batch_fit_loss(model: HandModel, bio, beta, global_rot, translation, joints,
+                   vertices, bend_weight: float, loss_kind: str, want_grad: bool):
     """(B,) per-sample losses of (B, 23) angles, (B, 10) shape, (B, 3)
     rotations and translations (None is zeros) against (B, 21, 3) joints and
     (B, V, 3) vertices (None drops a term), plus the bend penalty; with
     ``want_grad`` also the four (B, n) gradients of their sum, else None.
-    ``loss_kind`` is "huber" or "l1"."""
+    Angles expand through ``model.tensors.axes``; ``loss_kind`` is "huber" or "l1"."""
+    axes = model.tensors.axes
     art = bio_dof.expand_batch(bio, axes)
     out = kin.fk_forward(model, art, beta, global_rot, translation,
                          want_vertices=vertices is not None, want_regressed=True,
@@ -207,7 +207,7 @@ def batch_fit_loss(model: HandModel, axes: np.ndarray, bio, beta,
 
     if not want_grad:
         return loss, None
-    grads = kin.fk_backward(model, out, d_regressed=d_joints, d_vertices=d_vertices)
+    grads = kin.fk_backward(out, d_regressed=d_joints, d_vertices=d_vertices)
     return loss, (grads.articulation @ axes, grads.beta,
                   grads.global_rot, grads.translation)
 
@@ -245,7 +245,8 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     ``config.iterations`` Adam steps from the clamped initial angles,
     clamping after every step, so every iterate is feasible, and returns
     each sample's best-loss iterate with its ``config.iterations`` losses.
-    With ``freeze_shape`` the shape coefficients are never touched."""
+    With ``freeze_shape`` the shape coefficients are never touched.  ``axes``
+    is None or ``model.tensors.axes`` (or an equal copy), else ``InputError``."""
     if not isinstance(target, FitTarget):
         raise InputError(f"a FitTarget is required, got {type(target).__name__}")
     config = FitConfig() if config is None else config
@@ -255,8 +256,9 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
         if not isinstance(value, kind):
             raise InputError(f"fit {slot} must be a {kind.__name__}, got "
                              f"{type(value).__name__}")
-    if axes is None:
-        axes = bio_dof.derive_axes(model)
+    if not (axes is None or axes is model.tensors.axes
+            or np.array_equal(axes, model.tensors.axes)):
+        raise InputError("fit axes must be the model's own axis table")
     nd = bio_dof.DOF_COUNT
     targets = [None if a is None else a.reshape(-1, *a.shape[-2:])   # (B, n, 3)
                for a in (target.joints, target.vertices)]
@@ -281,7 +283,7 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
     best_loss, best_x = np.full(batch, np.inf), x.copy()
     losses = []
     for t in range(config.iterations):
-        loss, grads = batch_fit_loss(model, axes, bio, beta, rot, trans, *targets,
+        loss, grads = batch_fit_loss(model, bio, beta, rot, trans, *targets,
                                      config.bend_weight, "huber", want_grad=True)
         if not np.isfinite(loss).all():
             row = (int(np.argmax(~np.isfinite(loss))),) if lead else ()

@@ -139,12 +139,13 @@ def finger_joint(finger: int, part: int) -> int:
 
 @dataclass
 class FkCache:
-    """Forward pass outputs plus the intermediates the backward sweep reads."""
+    """Forward pass outputs plus what the backward sweep reads, the posed model too."""
 
     joints: np.ndarray                      # (B, 21, 3) chained skeleton
     vertices: np.ndarray | None = None      # (B, V, 3) skinned mesh
     regressed_joints: np.ndarray | None = None  # (B, 21, 3) regressor applied to mesh
     # intermediates (populated when need_grad=True)
+    model: object | None = None             # the HandModel posed
     drots: np.ndarray | None = None         # (B, 16, 3, 3, 3) global first
     rest_joints: np.ndarray | None = None   # (B, 21, 3)
     chain_rot: np.ndarray | None = None     # (B, 16, 3, 3)
@@ -338,25 +339,27 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
                      + tensors.reg_c @ bone_t + translation[:, None])
 
     return FkCache(joints, vertices, regressed, **({} if not need_grad else dict(
-        drots=drots, rest_joints=rest_joints, chain_rot=chain_rot, chain_t=chain_t,
-        bones=bones, template=template, reg_q=reg_q)))
+        model=model, drots=drots, rest_joints=rest_joints, chain_rot=chain_rot,
+        chain_t=chain_t, bones=bones, template=template, reg_q=reg_q)))
 
 
 #: poses per skinning block: their (n * 12, V) blend, 0.6 MB at V = 778, stays in L2
 BLEND_BLOCK = 8
 
 
-def fk_backward(model, cache: FkCache, d_vertices=None, d_regressed=None) -> FkGrads:
+def fk_backward(cache: FkCache, d_vertices=None, d_regressed=None) -> FkGrads:
     """Reverse sweep: cotangents at the mesh vertices and the regressed
-    joints -> parameter gradients.
+    joints -> parameter gradients, through the model the cache posed.
 
     Each ``d_*`` matches the shape of the corresponding forward output (else
     ``ShapeError``) and is finite (else ``InputError``); any may be omitted.
-    Requires a cache from ``fk_forward(..., need_grad=True)``.
+    Needs an ``FkCache`` from ``fk_forward(..., need_grad=True)``, else ``InputError``.
     """
+    if not isinstance(cache, FkCache):
+        raise InputError(f"fk_backward needs an FkCache, got {type(cache).__name__}")
     if cache.drots is None:
         raise InputError("fk_backward needs a cache built with need_grad=True")
-    batch, tensors = cache.joints.shape[0], model.tensors
+    batch, model, tensors = cache.joints.shape[0], cache.model, cache.model.tensors
     rest_joints, bone_rot = cache.rest_joints, cache.bones[..., :3]
 
     bar_bones = np.zeros((batch, 3, ARTICULATED_COUNT, 4))

@@ -172,9 +172,8 @@ def test_criterion_5_gradients(model, limits, axes):
         def loss_at(x, want_grad=False, out=out):
             # the fit loss (huber, bend weight 1e-2) on a batch of one
             loss, grads = ik_optim.batch_fit_loss(
-                model, axes, x[None, :23], x[None, 23:33], x[None, 33:36],
-                x[None, 36:], out.regressed_joints, out.vertices, 1e-2, "huber",
-                want_grad)
+                model, x[None, :23], x[None, 23:33], x[None, 33:36], x[None, 36:],
+                out.regressed_joints, out.vertices, 1e-2, "huber", want_grad)
             return loss[0], None if grads is None else np.concatenate(grads, axis=1)[0]
 
         x = np.concatenate([
@@ -211,8 +210,8 @@ def test_criterion_5_gradients(model, limits, axes):
     # float64: a central difference at h cannot resolve float32 round-off
     net = ik_net.MlpIk(seed=51, dtype=np.float64)
     # the batch statistics path, the gradient that training follows
-    ik_net.batch_loss(net, model, axes, feats, data.bio[:8], data.beta[:8],
-                      data.skeletons[:8], compute_grads=True)
+    ik_net.batch_loss(net, model, feats, data.bio[:8], data.beta[:8], data.skeletons[:8],
+                      compute_grads=True)
     params = list(net.grads)
     worst_net = raw_net = 0.0
     for _ in range(50):
@@ -222,11 +221,11 @@ def test_criterion_5_gradients(model, limits, axes):
         ana = net.grads[name].reshape(-1)[i]
         orig = arr.reshape(-1)[i]
         arr.reshape(-1)[i] = orig + h
-        lp = ik_net.batch_loss(net, model, axes, feats, data.bio[:8],
-                               data.beta[:8], data.skeletons[:8])[0]
+        lp = ik_net.batch_loss(net, model, feats, data.bio[:8], data.beta[:8],
+                               data.skeletons[:8])[0]
         arr.reshape(-1)[i] = orig - h
-        lm = ik_net.batch_loss(net, model, axes, feats, data.bio[:8],
-                               data.beta[:8], data.skeletons[:8])[0]
+        lm = ik_net.batch_loss(net, model, feats, data.bio[:8], data.beta[:8],
+                               data.skeletons[:8])[0]
         arr.reshape(-1)[i] = orig
         fd = (lp - lm) / (2 * h)
         worst_net = max(worst_net, _fd_rel_err(fd, ana))
@@ -246,12 +245,12 @@ def test_criterion_5_gradients(model, limits, axes):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_criterion_6_fit_recovery(model, limits, axes):
+def test_criterion_6_fit_recovery(model, limits):
     pa_errors = [pa for _, _, pa in pipeline.recovery_runs(
-        model, limits, axes, seeds=range(600, 603), iterations=200, sigma=0.1)]
+        model, limits, seeds=range(600, 603), iterations=200, sigma=0.1)]
     ok_long = max(pa_errors) < 1.0
     wins = sum(after < before for before, after, _ in pipeline.recovery_runs(
-        model, limits, axes, seeds=range(100), iterations=20, sigma=0.1))
+        model, limits, seeds=range(100), iterations=20, sigma=0.1))
     ok_short = wins >= 90
     check(6, "200-iteration fits reach PA-MPJPE < 1 mm; 20-iteration fits "
              "improve >= 90/100 seeded runs", ok_long and ok_short,
@@ -263,15 +262,15 @@ def test_criterion_6_fit_recovery(model, limits, axes):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_criterion_7_ik_net_training(model, limits, axes):
+def test_criterion_7_ik_net_training(model, limits):
     train_data = ik_net.generate_pairs(model, 20000, limits, seed=700)
     held = ik_net.generate_pairs(model, 1000, limits, seed=701)
     net = ik_net.MlpIk(seed=702)
-    before = pipeline.held_out_error(net, model, axes, held)
+    before = pipeline.held_out_error(net, held)
     config = ik_net.TrainConfig(epochs=40, decay_epochs=(30, 35),
                                 batch_size=32, learning_rate=1e-4, seed=703)
     net, curve = ik_net.train(net, train_data, config)
-    after = pipeline.held_out_error(net, model, axes, held)
+    after = pipeline.held_out_error(net, held)
     ok = after * 5.0 <= before and curve[-1]["total"] < curve[0]["total"]
     check(7, "40-epoch training on 20k pairs cuts held-out joint error >= 5x",
           ok, f"{before:.2f} mm -> {after:.2f} mm ({before / after:.1f}x)")

@@ -202,6 +202,11 @@ TABLE = {
         "--per-pose", str(synth.MAX_AUGMENTED_POSES // 3 + 1), "--out", t / "p.hkc"]),
     "ik-train-pairs-ceiling-plus-1": (2, lambda ws, t: _ik_train(
         ws, "--pairs", str(ik_net.MAX_PAIRS + 1))),
+    # step rates above float32's largest value, which the net trains in
+    "ik-train-rate-1e39": (2, lambda ws, t: _ik_train(
+        ws, "--pairs", "64", "--rate", "1e39")),
+    "ik-train-rate-1e308": (2, lambda ws, t: _ik_train(
+        ws, "--pairs", "64", "--rate", "1e308")),
     # a pose file states one hand pose: magnitudes of pi and more are refused
     "fk-pose-articulation-above-pi": (2, _fk_pose(
         "articulation: " + " ".join([str(math.pi + 0.01)] + ["0"] * 44) + "\n")),
@@ -275,6 +280,8 @@ def test_documented_exit_code(name, ws, tmp_path):
         assert "missing array 'w0'" in err
     if name.endswith("-ceiling-plus-1"):   # the count's own check, which runs first
         assert "must be <=" in err
+    if name.startswith("ik-train-rate-"):   # refused by the config, before any step
+        assert "learning_rate must be <=" in err
     if name == "ik-fit-init-beta-above-bound":   # the reader refuses it, not fit
         assert "i.txt: |beta| must be <=" in err
     if name == "lixel-tiny-sigma":
@@ -460,7 +467,7 @@ def _backward_b2(model, **cotangents):
     """fk_backward on a B = 2 cache that holds every output."""
     cache = kinematics.fk_forward(model, np.zeros((2, 45)), want_vertices=True,
                                   want_regressed=True, need_grad=True)
-    return kinematics.fk_backward(model, cache, **cotangents)
+    return kinematics.fk_backward(cache, **cotangents)
 
 
 def _fed_8_channels(kind):
@@ -591,6 +598,10 @@ LIBRARY = {
     "fit-tuple-limits": (errors.InputError, lambda m: ik_optim.fit(
         m, ik_optim.FitTarget(joints=np.zeros((21, 3))),
         limits=(-np.ones(23), np.ones(23)))),
+    # the angles live in the model's own pose space: another table is refused
+    "fit-another-axis-table": (errors.InputError, lambda m: ik_optim.fit(
+        m, ik_optim.FitTarget(joints=np.zeros((21, 3))),
+        axes=np.roll(m.tensors.axes, 1, axis=1))),
     "fit-22-angles-per-row": (errors.ShapeError, lambda m: ik_optim.fit(
         m, ik_optim.FitTarget(joints=np.zeros((2, 21, 3))), np.zeros((2, 22)))),
     "fit-initial-batch-size": (errors.ShapeError, lambda m: ik_optim.fit(
@@ -627,6 +638,11 @@ LIBRARY = {
         seed=1.5)),
     "TrainConfig-string-rate": (errors.InputError, lambda m: ik_net.TrainConfig(
         learning_rate="1e-4")),
+    # rates the float32 net cannot hold
+    "TrainConfig-rate-1e39": (errors.InputError, lambda m: ik_net.TrainConfig(
+        learning_rate=1e39)),
+    "TrainConfig-rate-1e308": (errors.InputError, lambda m: ik_net.TrainConfig(
+        learning_rate=1e308)),
     "sample_cameras-string-step": (errors.InputError, lambda m: synth.sample_cameras(
         azim_step="0.1")),
     "sample_cameras-string-bound": (errors.InputError, lambda m: synth.sample_cameras(
@@ -657,6 +673,7 @@ LIBRARY = {
         m, d_regressed=np.ones((1, 21, 3)))),
     "fk_backward-nan-d_regressed": (errors.InputError, lambda m: _backward_b2(
         m, d_regressed=_nan(2, 21, 3))),
+    "fk_backward-no-cache": (errors.InputError, lambda m: kinematics.fk_backward(None)),
     "MlpIk-backward-after-inference": (errors.InputError,
                                        lambda m: _net_backward_after_inference()),
     "project-nan-joints": (errors.InputError, lambda m: synth.project(
@@ -906,7 +923,6 @@ def test_fuzz_mutated_inputs(name, ops, ws):
 _odd = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e308])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on odd values
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(coord=st.one_of(_odd, st.floats(-0.5, 1.5)),
        length=st.integers(-2, 200),

@@ -187,20 +187,21 @@ class ChosenPrediction:
         return self.theta, self.beta
 
 
-def loss_of(pred, truth, model, axes):
+def loss_of(pred, truth, model):
     """batch_loss of one (angles, shape) prediction against the truth, whose
     joints are regressed from the truth's posed mesh."""
     (theta, beta), (bio_t, beta_t) = pred, truth
-    truth_joints = kin.fk_forward(model, bio_dof.expand_batch(bio_t[None], axes),
-                                  beta_t[None], want_regressed=True).regressed_joints
-    return batch_loss(ChosenPrediction(theta, beta), model, axes, None,
+    art = bio_dof.expand_batch(bio_t[None], bio_dof.derive_axes(model))
+    truth_joints = kin.fk_forward(model, art, beta_t[None],
+                                  want_regressed=True).regressed_joints
+    return batch_loss(ChosenPrediction(theta, beta), model, None,
                       bio_t[None], beta_t[None], truth_joints)
 
 
-def test_ik_loss_zero_for_equal_pairs(desk, axes, limits, rng):
+def test_ik_loss_zero_for_equal_pairs(desk, limits, rng):
     bio = bio_dof.sample_uniform(limits, 1, rng)[0]
     beta = rng.normal(scale=0.5, size=10)
-    total, lt, lb, lp = loss_of((bio, beta), (bio, beta), desk, axes)
+    total, lt, lb, lp = loss_of((bio, beta), (bio, beta), desk)
     assert total == lt == lb == lp == 0.0
 
 
@@ -210,7 +211,7 @@ def test_ik_loss_single_component_offset(desk, axes, limits, rng):
     delta = 0.23
     shifted = bio.copy()
     shifted[bio_dof.DOF_NAMES.index("ring_pip_flex")] += delta
-    total, lt, lb, lp = loss_of((shifted, beta), (bio, beta), desk, axes)
+    total, lt, lb, lp = loss_of((shifted, beta), (bio, beta), desk)
     assert lt == pytest.approx(delta / 23.0, rel=1e-12)
     assert lb == 0.0
     # joint term equals the FK-difference oracle
@@ -224,15 +225,13 @@ def test_ik_loss_single_component_offset(desk, axes, limits, rng):
     assert total == pytest.approx(lt + lb + lp, rel=1e-12)
 
 
-def test_ik_loss_l1_homogeneity(desk, axes, limits, rng):
+def test_ik_loss_l1_homogeneity(desk, limits, rng):
     bio = bio_dof.sample_uniform(limits, 1, rng)[0]
     beta = rng.normal(scale=0.5, size=10)
     d_bio = rng.normal(scale=0.05, size=23)
     d_beta = rng.normal(scale=0.05, size=10)
-    _, lt1, lb1, _ = loss_of((bio + d_bio, beta + d_beta), (bio, beta),
-                             desk, axes)
-    _, lt2, lb2, _ = loss_of((bio + 2 * d_bio, beta + 2 * d_beta), (bio, beta),
-                             desk, axes)
+    _, lt1, lb1, _ = loss_of((bio + d_bio, beta + d_beta), (bio, beta), desk)
+    _, lt2, lb2, _ = loss_of((bio + 2 * d_bio, beta + 2 * d_beta), (bio, beta), desk)
     assert lt2 == pytest.approx(2 * lt1, rel=1e-12)
     assert lb2 == pytest.approx(2 * lb1, rel=1e-12)
 
@@ -289,12 +288,12 @@ def test_train_zero_rate_keeps_parameters(desk, limits):
     assert len(curve) == 1
 
 
-def test_backprop_matches_finite_differences(desk, axes, limits, rng):
+def test_backprop_matches_finite_differences(desk, limits, rng):
     data = generate_pairs(desk, 16, limits, seed=12)
     feats = featurize_batch(data.skeletons[:8])
     net = MlpIk(seed=2, dtype=np.float64)
-    batch_loss(net, desk, axes, feats, data.bio[:8], data.beta[:8],
-               data.skeletons[:8], compute_grads=True)
+    batch_loss(net, desk, feats, data.bio[:8], data.beta[:8], data.skeletons[:8],
+               compute_grads=True)
     params = list(net.grads)
     h = 1e-6
     for _ in range(12):
@@ -304,22 +303,22 @@ def test_backprop_matches_finite_differences(desk, axes, limits, rng):
         ana = net.grads[name].reshape(-1)[i]
         orig = arr.reshape(-1)[i]
         arr.reshape(-1)[i] = orig + h
-        lp = batch_loss(net, desk, axes, feats, data.bio[:8], data.beta[:8],
+        lp = batch_loss(net, desk, feats, data.bio[:8], data.beta[:8],
                         data.skeletons[:8])[0]
         arr.reshape(-1)[i] = orig - h
-        lm = batch_loss(net, desk, axes, feats, data.bio[:8], data.beta[:8],
+        lm = batch_loss(net, desk, feats, data.bio[:8], data.beta[:8],
                         data.skeletons[:8])[0]
         arr.reshape(-1)[i] = orig
         fd = (lp - lm) / (2 * h)
         assert ana == pytest.approx(fd, rel=1e-3, abs=1e-9)
 
 
-def test_batch_statistics_backprop_matches_finite_differences(desk, axes, limits, rng):
+def test_batch_statistics_backprop_matches_finite_differences(desk, limits, rng):
     # batch_loss normalizes by the batch's own statistics, so each output
     # row depends on every row of the batch
     data = generate_pairs(desk, 8, limits, seed=12)
     net = MlpIk(seed=2, dtype=np.float64)
-    args = (net, desk, axes, featurize_batch(data.skeletons), data.bio, data.beta,
+    args = (net, desk, featurize_batch(data.skeletons), data.bio, data.beta,
             data.skeletons)
     batch_loss(*args, compute_grads=True)
     grads = {name: grad.copy() for name, grad in net.grads.items()}
@@ -362,7 +361,6 @@ def test_train_deterministic(desk, limits):
 def _per_array_adam_train(net, data, config):
     """The per-array Adam loop ``train`` ran before it held one flat vector,
     kept as the oracle for the in-place update."""
-    axes = bio_dof.derive_axes(data.model)
     feats_all = featurize_batch(data.skeletons)
     rng = np.random.default_rng(config.seed)
     adam_m = {name: np.zeros_like(net.arrays[name]) for name in net.grads}
@@ -380,9 +378,8 @@ def _per_array_adam_train(net, data, config):
         sums = np.zeros(4)
         for b in range(batches):
             idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
-            sums += batch_loss(net, data.model, axes, feats_all[idx],
-                               data.bio[idx], data.beta[idx],
-                               data.skeletons[idx], compute_grads=True)
+            sums += batch_loss(net, data.model, feats_all[idx], data.bio[idx],
+                               data.beta[idx], data.skeletons[idx], compute_grads=True)
             step += 1
             for name, g in net.grads.items():
                 adam_m[name] = beta1 * adam_m[name] + (1 - beta1) * g

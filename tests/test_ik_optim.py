@@ -255,14 +255,14 @@ def make_target(model, axes, limits, rng, with_vertices=True):
     return bio, beta, target
 
 
-def loss_of_one(model, axes, target, bio, beta, rot=None, trans=None,
+def loss_of_one(model, target, bio, beta, rot=None, trans=None,
                 bend_weight=1e-2, loss_kind="huber", want_grad=False):
     """``batch_fit_loss`` on a batch of one: the loss and, with
     ``want_grad``, the (39,) gradient (else None)."""
     params = [None if p is None else np.asarray(p, float)[None]
               for p in (bio, beta, rot, trans)]
     loss, grads = ik_optim.batch_fit_loss(
-        model, axes, *params,
+        model, *params,
         None if target.joints is None else target.joints[None],
         None if target.vertices is None else target.vertices[None],
         bend_weight, loss_kind, want_grad)
@@ -273,7 +273,7 @@ def loss_of_one(model, axes, target, bio, beta, rot=None, trans=None,
 def test_fit_loss_self_consistency(desk, axes, limits, rng):
     bio, beta, target = make_target(desk, axes, limits, rng)
     lam = 0.01
-    loss, grad = loss_of_one(desk, axes, target, bio, beta, bend_weight=lam)
+    loss, grad = loss_of_one(desk, target, bio, beta, bend_weight=lam)
     assert grad is None
     joints = posed_joints(desk, axes, bio, beta)
     assert loss == pytest.approx(lam * bend_penalty_with_grad(joints)[0], abs=1e-12)
@@ -283,7 +283,7 @@ def test_fit_loss_matches_mean_robust_distance_oracle(desk, axes, limits, rng):
     _, _, target = make_target(desk, axes, limits, rng, with_vertices=False)
     bio = bio_dof.sample_uniform(limits, 1, rng)[0]
     beta = rng.normal(scale=0.5, size=10)
-    loss, _ = loss_of_one(desk, axes, target, bio, beta, bend_weight=0.0)
+    loss, _ = loss_of_one(desk, target, bio, beta, bend_weight=0.0)
     joints = posed_joints(desk, axes, bio, beta)
     acc = 0.0
     for k in range(21):
@@ -301,11 +301,11 @@ def test_batch_fit_loss_rows_are_single_losses(desk, axes, limits, rng):
         _, _, target = make_target(desk, axes, limits, rng)
         params = (rng.uniform(limits.lower, limits.upper), rng.normal(scale=0.5, size=10),
                   rng.normal(scale=0.2, size=3), rng.normal(scale=5.0, size=3))
-        singles.append(loss_of_one(desk, axes, target, *params, bend_weight=0.5,
+        singles.append(loss_of_one(desk, target, *params, bend_weight=0.5,
                                    want_grad=True))
         rows.append((*params, target.joints, target.vertices))
     batch = [np.stack(column) for column in zip(*rows)]
-    loss, grads = ik_optim.batch_fit_loss(desk, axes, *batch, 0.5, "huber",
+    loss, grads = ik_optim.batch_fit_loss(desk, *batch, 0.5, "huber",
                                           want_grad=True)
     assert loss.shape == (2,)
     np.testing.assert_allclose(loss, [single[0] for single in singles], rtol=1e-12)
@@ -322,7 +322,7 @@ def test_batch_fit_loss_rows_are_single_losses(desk, axes, limits, rng):
 
 def test_jacobian_zero_at_data_minimum(desk, axes, limits, rng):
     bio, beta, target = make_target(desk, axes, limits, rng)
-    _, grad = loss_of_one(desk, axes, target, bio, beta, bend_weight=0.0,
+    _, grad = loss_of_one(desk, target, bio, beta, bend_weight=0.0,
                           want_grad=True)
     assert np.abs(grad).max() < 1e-8
 
@@ -335,16 +335,16 @@ def test_jacobian_matches_finite_differences(desk, axes, limits, rng):
         beta = rng.normal(scale=0.5, size=10)
         rot = rng.normal(scale=0.3, size=3)
         trans = rng.normal(scale=10.0, size=3)
-        _, grad = loss_of_one(desk, axes, target, bio, beta, rot, trans,
+        _, grad = loss_of_one(desk, target, bio, beta, rot, trans,
                               want_grad=True)
         x = np.concatenate([bio, beta, rot, trans])
         for i in rng.choice(39, size=6, replace=False):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            lp = loss_of_one(desk, axes, target, xp[:23], xp[23:33], xp[33:36],
+            lp = loss_of_one(desk, target, xp[:23], xp[23:33], xp[33:36],
                              xp[36:])[0]
-            lm = loss_of_one(desk, axes, target, xm[:23], xm[23:33], xm[33:36],
+            lm = loss_of_one(desk, target, xm[:23], xm[23:33], xm[33:36],
                              xm[36:])[0]
             fd = (lp - lm) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-10)
@@ -360,7 +360,7 @@ def test_fit_fixed_point_at_ground_truth(desk, axes, limits, rng):
     floor = 0.01 * bend_penalty_with_grad(joints)[0]
     config = FitConfig(iterations=5)
     result = fit(desk, target, init_bio=bio, init_beta=beta, config=config,
-                 limits=limits, axes=axes)
+                 limits=limits)
     assert result.loss_trace[0] == pytest.approx(floor, abs=1e-10)
     assert min(result.loss_trace) <= result.loss_trace[0] + 1e-12
     # parameters stay put within the step tolerance of a zero-gradient start
@@ -376,7 +376,7 @@ def test_fit_reduces_joint_error(desk, axes, limits):
         init = np.clip(bio + rng.normal(scale=0.1, size=23),
                        limits.lower, limits.upper)
         result = fit(desk, target, init_bio=init, init_beta=beta,
-                     config=FitConfig(iterations=20), limits=limits, axes=axes)
+                     config=FitConfig(iterations=20), limits=limits)
         before = np.linalg.norm(
             posed_joints(desk, axes, init, beta) - target.joints, axis=1).mean()
         after = np.linalg.norm(
@@ -392,7 +392,7 @@ def test_fit_convergence_long_run(desk, axes, limits):
     bio, beta, target = make_target(desk, axes, limits, rng)
     init = bio + rng.normal(scale=0.1, size=23)
     result = fit(desk, target, init_bio=init, init_beta=beta,
-                 config=FitConfig(iterations=200), limits=limits, axes=axes)
+                 config=FitConfig(iterations=200), limits=limits)
     final = posed_joints(desk, axes, result.bio.values, result.beta.beta,
                          result.global_rot, result.translation)
     assert np.linalg.norm(final - target.joints, axis=1).mean() < 0.5
@@ -403,11 +403,11 @@ def test_fit_freeze_shape_is_bit_exact(desk, axes, limits, rng):
     init_beta = rng.normal(scale=0.5, size=10)
     result = fit(desk, target, init_bio=np.zeros(23), init_beta=init_beta,
                  config=FitConfig(iterations=10, freeze_shape=True),
-                 limits=limits, axes=axes)
+                 limits=limits)
     assert result.beta.beta.tobytes() == init_beta.tobytes()
 
 
-def _allocating_adam_fit(model, target, x, config, limits, axes):
+def _allocating_adam_fit(model, target, x, config, limits):
     """The fit loop with an allocating Adam update on one parameter vector,
     as ``fit`` ran before it shared the in-place ``adam_step``."""
     nd = bio_dof.DOF_COUNT
@@ -417,7 +417,7 @@ def _allocating_adam_fit(model, target, x, config, limits, axes):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     best_loss, best_x, trace = np.inf, x.copy(), []
     for t in range(config.iterations):
-        loss, grad = loss_of_one(model, axes, target, x[:nd], x[nd:nd + 10],
+        loss, grad = loss_of_one(model, target, x[:nd], x[nd:nd + 10],
                                  x[nd + 10:nd + 13], x[nd + 13:], config.bend_weight,
                                  "huber", want_grad=True)
         trace.append(loss)
@@ -443,8 +443,8 @@ def test_fit_adam_matches_allocating_oracle(desk, axes, limits, rng):
                         rng.normal(scale=0.2, size=3), rng.normal(scale=5.0, size=3)])
     config = FitConfig(iterations=8, freeze_shape=True)
     result = fit(desk, target, x[:23], x[23:33], x[33:36], x[36:], config=config,
-                 limits=limits, axes=axes)
-    best_x, trace = _allocating_adam_fit(desk, target, x.copy(), config, limits, axes)
+                 limits=limits)
+    best_x, trace = _allocating_adam_fit(desk, target, x.copy(), config, limits)
     assert np.array(result.loss_trace).tobytes() == np.array(trace).tobytes()
     got = np.concatenate([result.bio.values, result.beta.beta, result.global_rot,
                           result.translation])
@@ -456,7 +456,7 @@ def test_fit_best_iterate_not_worse_than_initial(desk, axes, limits, rng):
     bio, beta, target = make_target(desk, axes, limits, rng)
     init = bio + rng.normal(scale=0.3, size=23)
     result = fit(desk, target, init_bio=init, init_beta=beta,
-                 config=FitConfig(iterations=15), limits=limits, axes=axes)
+                 config=FitConfig(iterations=15), limits=limits)
     assert min(result.loss_trace) <= result.loss_trace[0]
     assert len(result.loss_trace) == 15
 
@@ -465,7 +465,7 @@ def test_fit_final_pose_feasible(desk, axes, limits, rng):
     _, _, target = make_target(desk, axes, limits, rng)
     init = rng.normal(scale=2.0, size=23)  # far outside the box
     result = fit(desk, target, init_bio=init, config=FitConfig(iterations=5),
-                 limits=limits, axes=axes)
+                 limits=limits)
     assert bio_dof.is_feasible(result.bio, limits)
 
 
@@ -478,18 +478,17 @@ def test_fit_clamps_the_initial_angles_before_the_first_loss(desk_small, limits,
     init = np.zeros(bio_dof.DOF_COUNT)
     init[0] = limits.upper[0] + 0.5
     result = fit(desk_small, target, init_bio=init,
-                 config=FitConfig(iterations=1, bend_weight=0.0), limits=limits, axes=axes)
+                 config=FitConfig(iterations=1, bend_weight=0.0), limits=limits)
     assert bio_dof.is_feasible(result.bio, limits)
-    loss, _ = loss_of_one(desk_small, axes, target, result.bio.values, result.beta.beta,
+    loss, _ = loss_of_one(desk_small, target, result.bio.values, result.beta.beta,
                           result.global_rot, result.translation, bend_weight=0.0)
     assert loss == result.loss_trace[0]
 
 
-def test_fit_rejects_non_finite_init(desk, axes, limits):
+def test_fit_rejects_non_finite_init(desk, limits):
     target = FitTarget(joints=np.zeros((21, 3)))
     with pytest.raises(ValueError):
-        fit(desk, target, init_bio=np.full(23, np.nan), limits=limits,
-            axes=axes)
+        fit(desk, target, init_bio=np.full(23, np.nan), limits=limits)
 
 
 def test_fit_target_requires_data():
@@ -515,13 +514,13 @@ def test_batched_fit_rows_match_solo_runs(desk, axes, limits, rng):
     init_trans = np.array([0.02, -0.01, 0.03])                # shared by every row
     batched = fit(desk, FitTarget(joints=out.regressed_joints, vertices=out.vertices),
                   init_bio, init_beta, init_trans=init_trans, config=config,
-                  limits=limits, axes=axes)
+                  limits=limits)
     assert len(batched) == 4
     for i, result in enumerate(batched):
         solo = fit(desk, FitTarget(joints=out.regressed_joints[i],
                                    vertices=out.vertices[i]),
                    init_bio[i], init_beta[i], init_trans=init_trans, config=config,
-                   limits=limits, axes=axes)
+                   limits=limits)
         np.testing.assert_allclose(result.loss_trace, solo.loss_trace,
                                    rtol=1e-12, atol=1e-12)
         for got, want in ((result.bio.values, solo.bio.values),
@@ -538,15 +537,33 @@ def test_fit_of_one_target_is_a_batch_of_one(desk, axes, limits, rng):
     bio, beta, target = make_target(desk, axes, limits, rng)
     init = bio + rng.normal(scale=0.1, size=23)
     config = FitConfig(iterations=4)
-    one = fit(desk, target, init, beta, config=config, limits=limits, axes=axes)
+    one = fit(desk, target, init, beta, config=config, limits=limits)
     (row,) = fit(desk, FitTarget(joints=target.joints[None],
                                  vertices=target.vertices[None]),
-                 init, beta[None], config=config, limits=limits, axes=axes)
+                 init, beta[None], config=config, limits=limits)
     assert isinstance(one, ik_optim.FitResult)
     assert one.loss_trace == row.loss_trace
     for a, b in ((one.bio.values, row.bio.values), (one.beta.beta, row.beta.beta),
                  (one.global_rot, row.global_rot), (one.translation, row.translation)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_fit_with_the_models_axis_table_or_an_equal_copy_is_bit_identical(
+        desk_small, limits, rng):
+    # fit(axes=) accepts only the model's own table; either form fits in the
+    # model's pose space, bit for bit like axes=None
+    axes = desk_small.tensors.axes
+    bio, beta, target = make_target(desk_small, axes, limits, rng)
+    init = bio + rng.normal(scale=0.1, size=23)
+    config = FitConfig(iterations=4)
+    runs = [fit(desk_small, target, init, beta, config=config, limits=limits, axes=table)
+            for table in (None, axes, axes.copy())]
+    for run in runs[1:]:
+        assert run.loss_trace == runs[0].loss_trace
+        for a, b in ((run.bio.values, runs[0].bio.values), (run.beta.beta, runs[0].beta.beta),
+                     (run.global_rot, runs[0].global_rot),
+                     (run.translation, runs[0].translation)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_fit_non_finite_loss_names_the_row(desk, axes, limits, rng, monkeypatch):
@@ -561,15 +578,15 @@ def test_fit_non_finite_loss_names_the_row(desk, axes, limits, rng, monkeypatch)
     _, _, target = make_target(desk, axes, limits, rng, with_vertices=False)
     batch = FitTarget(joints=np.stack([target.joints] * 3))
     with pytest.raises(NumericError, match=r"^batch row 1, non-finite loss at iteration 0"):
-        fit(desk, batch, config=FitConfig(iterations=2), limits=limits, axes=axes)
+        fit(desk, batch, config=FitConfig(iterations=2), limits=limits)
 
 
-def test_fit_toward_a_far_target_raises_no_overflow(desk, axes, limits):
+def test_fit_toward_a_far_target_raises_no_overflow(desk, limits):
     # the Huber penalty's linear branch never squares the residual
     target = FitTarget(joints=np.full((21, 3), 1e300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = fit(desk, target, config=FitConfig(iterations=3), limits=limits, axes=axes)
+        result = fit(desk, target, config=FitConfig(iterations=3), limits=limits)
     assert np.isfinite(result.loss_trace).all()
 
 
@@ -588,5 +605,5 @@ def test_fit_at_the_initial_beta_and_bend_weight_bounds_raises_no_overflow(
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.warns(UserWarning, match="soft bound"):   # the result's |beta|
             result = fit(desk, target, opposed, init_beta, config=config,
-                         limits=limits, axes=axes)
+                         limits=limits)
     assert np.isfinite(result.loss_trace).all()

@@ -112,7 +112,7 @@ def test_fk_backward_matches_finite_differences(desk_small, global_rot):
                          need_grad=True)
     d_vertices = rng.normal(size=out.vertices.shape)
     d_regressed = rng.normal(size=out.regressed_joints.shape)
-    grads = kin.fk_backward(model, out, d_vertices, d_regressed)
+    grads = kin.fk_backward(out, d_vertices, d_regressed)
     analytic = (grads.articulation, grads.beta, grads.global_rot, grads.translation)
 
     def loss(row, values):
@@ -146,12 +146,12 @@ def test_fk_backward_across_a_blend_block_boundary(desk_small):
     out = kin.fk_forward(model, *params, **options, need_grad=True)
     d_vertices = rng.normal(size=out.vertices.shape)
     d_regressed = rng.normal(size=out.regressed_joints.shape)
-    grads = kin.fk_backward(model, out, d_vertices, d_regressed)
+    grads = kin.fk_backward(out, d_vertices, d_regressed)
     analytic = (grads.articulation, grads.beta, grads.global_rot, grads.translation)
     for b in range(batch):
         one = kin.fk_forward(model, *(p[b:b + 1] for p in params), **options,
                              need_grad=True)
-        solo = kin.fk_backward(model, one, d_vertices[b:b + 1], d_regressed[b:b + 1])
+        solo = kin.fk_backward(one, d_vertices[b:b + 1], d_regressed[b:b + 1])
         for got, want in zip(analytic, (solo.articulation, solo.beta, solo.global_rot,
                                         solo.translation)):
             assert np.abs(got[b] - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
@@ -256,13 +256,27 @@ def test_model_is_read_only_and_tensors_built_once(desk_small):
 def test_backward_rejects_caches_it_cannot_use(desk_small):
     art = np.zeros((2, 45))
     with pytest.raises(InputError, match="need_grad"):
-        kin.fk_backward(desk_small, kin.fk_forward(desk_small, art),
+        kin.fk_backward(kin.fk_forward(desk_small, art),
                         d_regressed=np.ones((2, 21, 3)))
     joints_only = kin.fk_forward(desk_small, art, need_grad=True)
     with pytest.raises(InputError, match="vertices"):
-        kin.fk_backward(desk_small, joints_only, d_vertices=np.ones((2, 5, 3)))
+        kin.fk_backward(joints_only, d_vertices=np.ones((2, 5, 3)))
     with pytest.raises(InputError, match="regressed"):
-        kin.fk_backward(desk_small, joints_only, d_regressed=np.ones((2, 21, 3)))
+        kin.fk_backward(joints_only, d_regressed=np.ones((2, 21, 3)))
+
+
+def test_backward_pulls_back_through_the_model_the_cache_posed(desk, desk_small):
+    """A gradient cache records its model, so one pose on two hands gives
+    each hand's own shape gradients."""
+    rng = np.random.default_rng(15)
+    art, beta = rng.normal(scale=0.4, size=(2, 45)), rng.normal(scale=0.5, size=(2, 10))
+    d_regressed = rng.normal(size=(2, 21, 3))
+    caches = [kin.fk_forward(model, art, beta, want_regressed=True, need_grad=True)
+              for model in (desk, desk_small)]
+    assert caches[0].model is desk and caches[1].model is desk_small
+    assert kin.fk_forward(desk, art).model is None
+    big, small = (kin.fk_backward(cache, d_regressed=d_regressed).beta for cache in caches)
+    assert np.abs(big - small).max() > 1e-6
 
 
 def test_cache_holds_only_what_backward_reads():

@@ -55,6 +55,8 @@ def test_fk_parity_of_a_checkout_with_itself_is_exact():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "worst output difference: 0 mm\n" in proc.stdout, proc.stdout
+    assert "worst output difference with global_rot=None: 0 mm\n" in proc.stdout, proc.stdout
+    assert "worst no-grad output difference: 0 mm\n" in proc.stdout, proc.stdout
     assert "worst relative gradient difference: 0\n" in proc.stdout, proc.stdout
     assert "worst relative loss-layer value difference: 0\n" in proc.stdout, proc.stdout
     assert "worst relative loss-layer gradient difference: 0\n" in proc.stdout, proc.stdout
