@@ -7,22 +7,28 @@ another one, or time the two side by side.
 
 Both checkouts are imported into this one process, the other one under
 the package name ``handkit_parent`` (``src/handkit`` uses only relative
-imports); both must take this checkout's signatures (``fk_backward(cache,
-...)`` and ``batch_fit_loss`` without an axis table).  Each checkout's
-package poses the same seeded set: B = 1, 32 and 256 on the desk hand, with
-and without a pose basis, with ``global_rot`` None or random.  Every case
-runs the forward pass with vertices and regressed joints, then
-``fk_backward`` once per cotangent (vertices, regressed joints), and the
-same forward pass once more without gradients (``need_grad=False``, the
-path the ``fk`` command, ``generate_pairs`` and the benchmark's
-``synth-mesh`` workload take).  The loss layer runs at B = 1 and 8 on the
-desk hand: ``bend_penalty_with_grad`` of posed skeletons, and
-``batch_fit_loss`` with gradients against target joints and vertices with
-bend weight 1e-2.  The script prints the worst absolute FK output difference (mm), the same
-over the ``global_rot=None`` cases alone, the same over the no-gradient
-forward passes, the worst relative FK gradient difference (per array,
-max |a - b| over the larger of the two max |a|), and the worst relative
-value and gradient differences of the loss layer.
+imports); both must take this checkout's signatures
+(``fk_backward(cache, ...)`` and ``batch_fit_loss`` without an axis
+table).  Each checkout's package poses the same seeded set: B = 1, 32 and
+256 on the desk hand, with and without a pose basis, with ``global_rot``
+None or random.  Every case runs the forward pass with vertices and
+regressed joints, then ``fk_backward`` once per cotangent (vertices,
+regressed joints), and the same forward pass once more without gradients
+(``need_grad=False``, the path the ``fk`` command, ``generate_pairs``
+and the benchmark's ``synth-mesh`` workload take).  Each case is also
+posed regressed-only, with gradients (pulled back from the same
+regressed-joint cotangent) and without: a call with vertices reads its
+regressed joints off the mesh, so only these poses take the collapsed
+route that ``ik_net.train`` takes.  The loss layer runs at B = 1 and 8 on
+the desk hand: ``bend_penalty_with_grad`` of posed skeletons, and
+``batch_fit_loss`` with gradients against target joints and vertices
+with bend weight 1e-2.  The script prints the worst absolute FK output
+difference (mm), the same over the ``global_rot=None`` cases alone, the
+same over the no-gradient forward passes, the worst regressed-only
+output difference (mm) and relative gradient difference, the worst
+relative FK gradient difference (per array, max |a - b| over the larger
+of the two max |a|), and the worst relative value and gradient
+differences of the loss layer.
 
 ``--time`` times the two checkouts instead.  Sharing one process matters
 most there: timings taken in separate processes drift far more than the
@@ -88,15 +94,26 @@ def pose_set(package):
                 case = f"B{batch}-{basis}-{rot}"
                 for name in OUTPUTS:
                     arrays[f"{case}/out/{name}"] = getattr(out, name)
-                for name, output in COTANGENTS.items():
-                    shape = getattr(out, output).shape
-                    grads = kin.fk_backward(out, **{name: rng.normal(size=shape)})
+                cotangents = {name: rng.normal(size=getattr(out, output).shape)
+                              for name, output in COTANGENTS.items()}
+                for name, cotangent in cotangents.items():
+                    grads = kin.fk_backward(out, **{name: cotangent})
                     for param in PARAMS:
                         arrays[f"{case}/{name}/{param}"] = getattr(grads, param)
                 plain = kin.fk_forward(model, art, beta, global_rot, translation,
                                        want_vertices=True, want_regressed=True)
                 for name in OUTPUTS:
                     arrays[f"{case}/nograd/{name}"] = getattr(plain, name)
+                # the collapsed route: no mesh to read the regressed joints off
+                regressed = kin.fk_forward(model, art, beta, global_rot, translation,
+                                           want_regressed=True, need_grad=True)
+                arrays[f"{case}/regressed-only/out"] = regressed.regressed_joints
+                grads = kin.fk_backward(regressed, d_regressed=cotangents["d_regressed"])
+                for param in PARAMS:
+                    arrays[f"{case}/regressed-only/grad/{param}"] = getattr(grads, param)
+                arrays[f"{case}/regressed-only/nograd"] = kin.fk_forward(
+                    model, art, beta, global_rot, translation,
+                    want_regressed=True).regressed_joints
     arrays.update(loss_set(package, desk, rng))
     return arrays
 
@@ -284,9 +301,16 @@ def main():
     if mine.keys() != theirs.keys():
         sys.exit("error: the two checkouts posed different sets")
     out_worst = out_none_worst = nograd_worst = grad_worst = 0.0
-    loss_value_worst = loss_grad_worst = 0.0
+    loss_value_worst = loss_grad_worst = regressed_out_worst = regressed_grad_worst = 0.0
     for key, a in mine.items():
         diff = float(np.abs(a - theirs[key]).max())
+        relative = diff and diff / float(max(np.abs(a).max(), np.abs(theirs[key]).max()))
+        if "/regressed-only/grad/" in key:
+            regressed_grad_worst = max(regressed_grad_worst, relative)
+            continue
+        if "/regressed-only/" in key:
+            regressed_out_worst = max(regressed_out_worst, diff)
+            continue
         if "/nograd/" in key:
             nograd_worst = max(nograd_worst, diff)
             continue
@@ -295,7 +319,6 @@ def main():
             if "-none/" in key:
                 out_none_worst = max(out_none_worst, diff)
             continue
-        relative = diff and diff / float(max(np.abs(a).max(), np.abs(theirs[key]).max()))
         if "/value/" in key:
             loss_value_worst = max(loss_value_worst, relative)
         elif key.startswith("loss-"):
@@ -306,6 +329,8 @@ def main():
     print(f"worst output difference: {out_worst:.3g} mm")
     print(f"worst output difference with global_rot=None: {out_none_worst:.3g} mm")
     print(f"worst no-grad output difference: {nograd_worst:.3g} mm")
+    print(f"worst regressed-only difference: {regressed_out_worst:.3g} mm, "
+          f"relative gradient {regressed_grad_worst:.3g}")
     print(f"worst relative gradient difference: {grad_worst:.3g}")
     print(f"worst relative loss-layer value difference: {loss_value_worst:.3g}")
     print(f"worst relative loss-layer gradient difference: {loss_grad_worst:.3g}")

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import bio_dof, ik_optim, kinematics as kin
 from .containers import read_container, write_container
-from .errors import InputError, NumericError, ShapeError, as_array, as_number
+from .errors import (InputError, NumericError, ShapeError, as_array, as_number,
+                     batch_row)
 from .hand_model import HandModel
 
 LENGTH_SCALE = 0.01  # mm -> decimeters for input conditioning
@@ -52,14 +53,16 @@ def featurize_batch(joints: np.ndarray) -> np.ndarray:
     """(B, 21, 3) skeletons -> (B, 80) feature rows; one (21, 3) skeleton
     gives one row.  A row is the 20 unit bone directions, then the 20 bone
     lengths times LENGTH_SCALE (translation invariant by construction)."""
-    joints = as_array(joints, (..., kin.JOINT_COUNT, 3), "skeletons").reshape(
-        -1, kin.JOINT_COUNT, 3)
+    skeletons = as_array(joints, (..., kin.JOINT_COUNT, 3), "skeletons")
+    joints = skeletons.reshape(-1, kin.JOINT_COUNT, 3)
     parents = np.array([p for p, _ in kin.BONES])
     children = np.array([c for _, c in kin.BONES])
     bones = joints[:, children] - joints[:, parents]          # (B, 20, 3)
     lengths = np.linalg.norm(bones, axis=2)
-    if (lengths < 1e-9).any():
-        raise NumericError("zero-length bone in skeleton")
+    short = (lengths < 1e-9).any(axis=1)
+    if short.any():
+        index = np.unravel_index(np.argmax(short), skeletons.shape[:-2])
+        raise NumericError(f"{batch_row(tuple(map(int, index)))}zero-length bone in skeleton")
     dirs = bones / lengths[:, :, None]
     return np.concatenate([dirs.reshape(len(joints), -1),
                            lengths * LENGTH_SCALE], axis=1)

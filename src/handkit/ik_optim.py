@@ -106,7 +106,8 @@ def _robust(residual: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     # outside, and no r^2 (which overflows for |r| > ~1e154) on either branch
     absr = np.abs(residual)
     m = np.minimum(absr, HUBER_DELTA_MM)
-    return m * (absr - 0.5 * m), np.clip(residual, -HUBER_DELTA_MM, HUBER_DELTA_MM)
+    clipped = np.maximum(residual, -HUBER_DELTA_MM)   # np.clip's result, without its wrapper
+    return m * (absr - 0.5 * m), np.minimum(clipped, HUBER_DELTA_MM, out=clipped)
 
 
 _BEND_FINGERS = (1, 2, 3, 4)  # index, middle, ring, little
@@ -153,21 +154,27 @@ def bend_penalty_with_grad(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     straight; the Gram-matrix (Binet-Cauchy) forms of either lose them to
     cancellation there.
     """
-    joints = as_array(joints, (..., kin.JOINT_COUNT, 3), "joints")
+    return _bend_penalty(as_array(joints, (..., kin.JOINT_COUNT, 3), "joints"))
+
+
+def _bend_penalty(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``bend_penalty_with_grad`` of a float array it would accept."""
     lead, fingers = joints.shape[:-2], len(_BEND_FINGERS)
-    bones = (_BEND_BONES @ joints).reshape(*lead, fingers, 3, 3)
+    bones = (_BEND_BONES @ joints).reshape(-1, fingers, 3, 3)
     short = ((bones * bones).sum(axis=-1) < 1e-18).any(axis=-1)   # |b| < 1e-9
     if short.any():
-        finger = kin.FINGERS[_BEND_FINGERS[np.nonzero(short)[-1][0]]]
-        raise NumericError(f"zero-length bone on {finger} finger")
-    ay, bz, az, by = np.moveaxis(bones.reshape(*lead, -1)[..., _BEND_CROSS], -4, 0)
-    uv = ay * bz - az * by                                   # (..., 4, 2, 3): u, v
-    s = (uv[..., 0, :] * uv[..., 1, :]).sum(axis=-1)         # (..., 4)
-    outer = ((uv * (s < 0.0)[..., None, None]).reshape(*lead, fingers, 6, 1)
-             * bones.reshape(*lead, fingers, 1, 9))
-    grad = _BEND_SCATTER @ (outer.reshape(*lead, fingers, 54) @ _BEND_GRAD).reshape(
-        *lead, -1, 3)
-    return np.maximum(-s, 0.0).sum(axis=-1), grad
+        row, finger = np.unravel_index(np.argmax(short), short.shape)
+        index = tuple(map(int, np.unravel_index(row, lead)))
+        raise NumericError(f"{batch_row(index)}zero-length bone on "
+                           f"{kin.FINGERS[_BEND_FINGERS[finger]]} finger")
+    ay, bz, az, by = bones.reshape(len(bones), -1)[:, _BEND_CROSS].transpose(1, 0, 2, 3, 4)
+    uv = ay * bz - az * by                                   # (n, 4, 2, 3): u, v
+    s = (uv[..., 0, :] * uv[..., 1, :]).sum(axis=-1)         # (n, 4)
+    outer = ((uv * (s < 0.0)[..., None, None]).reshape(-1, fingers, 6, 1)
+             * bones.reshape(-1, fingers, 1, 9))
+    grad = _BEND_SCATTER @ (outer.reshape(-1, fingers, 54) @ _BEND_GRAD).reshape(
+        -1, 4 * fingers, 3)
+    return np.maximum(-s, 0.0).sum(axis=-1).reshape(lead)[()], grad.reshape(joints.shape)
 
 
 def batch_fit_loss(model: HandModel, bio, beta, global_rot, translation, joints,
@@ -184,32 +191,41 @@ def batch_fit_loss(model: HandModel, bio, beta, global_rot, translation, joints,
                          need_grad=want_grad)
     regressed = out.regressed_joints
 
-    loss = np.zeros(len(regressed))
-    d_joints = np.zeros_like(regressed)
-    d_vertices = None
-    # per-sample means as sums over (n, 3) over their size: .mean's bits without its wrapper
+    # per-sample means as sums over (n, 3) over their size: .mean's bits without
+    # its wrapper; the first term starts each sum
+    loss = d_joints = d_vertices = None
     if joints is not None:
         residual = regressed - joints
         pen, der = _robust(residual, loss_kind)
-        loss += pen.sum(axis=(-2, -1)) / residual[0].size
-        d_joints += der / residual[0].size
+        loss = pen.sum(axis=(-2, -1)) / residual[0].size
+        d_joints = der / residual[0].size
     if vertices is not None:
         if vertices.shape != out.vertices.shape:
             raise ShapeError("target vertex count does not match the model")
         residual = out.vertices - vertices
         pen, der = _robust(residual, loss_kind)
-        loss += pen.sum(axis=(-2, -1)) / residual[0].size
+        loss = _plus(loss, pen.sum(axis=(-2, -1)) / residual[0].size)
         d_vertices = der / residual[0].size
     if bend_weight > 0:
-        bend, bend_grad = bend_penalty_with_grad(regressed)
-        loss += bend_weight * bend
-        d_joints += bend_weight * bend_grad
+        bend, bend_grad = _bend_penalty(regressed)
+        loss = _plus(loss, bend_weight * bend)
+        d_joints = _plus(d_joints, bend_weight * bend_grad)
+    if loss is None:
+        loss = np.zeros(len(regressed))
 
     if not want_grad:
         return loss, None
     grads = kin.fk_backward(out, d_regressed=d_joints, d_vertices=d_vertices)
     return loss, (grads.articulation @ axes, grads.beta,
                   grads.global_rot, grads.translation)
+
+
+def _plus(total, term):
+    """``total + term``, in place; a missing total is the term itself."""
+    if total is None:
+        return term
+    total += term
+    return total
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: np.ndarray,
@@ -241,10 +257,12 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
         axes: np.ndarray | None = None) -> FitResult | list[FitResult]:
     """First-order refinement of (angles, shape, global pose) toward B
     targets at once: a list of B results, or one for one target (a batch of
-    one).  Initial values (None is zeros) are (n,), shared, or (B, n).  Runs
-    ``config.iterations`` Adam steps from the clamped initial angles,
-    clamping after every step, so every iterate is feasible, and returns
-    each sample's best-loss iterate with its ``config.iterations`` losses.
+    one).  Initial values (None is zeros) are (n,), shared, or (B, n).  Scores
+    ``config.iterations`` iterates from the clamped initial angles, with an
+    Adam step and a clamp after each but the last (whose iterate nothing
+    would score), so every iterate is feasible and the last iteration
+    computes only its loss; returns each sample's best-loss iterate with its
+    ``config.iterations`` losses.
     With ``freeze_shape`` the shape coefficients are never touched.  ``axes``
     is None or ``model.tensors.axes`` (or an equal copy), else ``InputError``."""
     if not isinstance(target, FitTarget):
@@ -275,30 +293,35 @@ def fit(model: HandModel, target: FitTarget, init_bio=None, init_beta=None,
                 raise ShapeError(f"{what} must have shape {view.shape[1:]} or "
                                  f"{(*lead, view.shape[1])}, got {value.shape}")
             view[...] = value
-    np.clip(bio, limits.lower, limits.upper, out=bio)   # every iterate is feasible
+    lower, upper = limits.lower, limits.upper
+    np.minimum(np.maximum(bio, lower, out=bio), upper, out=bio)   # every iterate is feasible
     if np.abs(beta).max() > MAX_INIT_BETA:
         raise InputError(f"initial |beta| must be <= {MAX_INIT_BETA:g}")
     frozen_beta = beta.copy()
     grad, adam_state = np.zeros_like(x), np.zeros((4, x.size))   # per-row moments
     best_loss, best_x = np.full(batch, np.inf), x.copy()
     losses = []
+    last = config.iterations - 1
     for t in range(config.iterations):
+        # no step follows the last loss (nothing would score its iterate): no gradient
         loss, grads = batch_fit_loss(model, bio, beta, rot, trans, *targets,
-                                     config.bend_weight, "huber", want_grad=True)
+                                     config.bend_weight, "huber", want_grad=t < last)
         if not np.isfinite(loss).all():
             row = (int(np.argmax(~np.isfinite(loss))),) if lead else ()
             raise NumericError(f"{batch_row(row)}non-finite loss at iteration {t}")
         losses.append(loss)
         better = loss < best_loss
-        best_loss[better] = loss[better]
-        best_x[better] = x[better]
+        np.minimum(best_loss, loss, out=best_loss)
+        np.copyto(best_x, x, where=better[:, None])
+        if t == last:
+            break
         np.concatenate(grads, axis=1, out=grad)
         # cosine step decay keeps late iterations from orbiting the optimum
-        frac = t / max(config.iterations - 1, 1)
+        frac = t / max(last, 1)
         lr = config.step_size * (FINAL_STEP_SCALE + (1 - FINAL_STEP_SCALE)
                                  * 0.5 * (1 + np.cos(np.pi * frac)))
         adam_step(x.reshape(-1), grad.reshape(-1), adam_state, t + 1, lr)
-        np.clip(bio, limits.lower, limits.upper, out=bio)
+        np.minimum(np.maximum(bio, lower, out=bio), upper, out=bio)
         if config.freeze_shape:   # Adam is per coordinate: resetting freezes
             beta[...] = frozen_beta
 

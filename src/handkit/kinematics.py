@@ -23,12 +23,17 @@ not walk: one GEMM with a constant (16, 16) subtree matrix sums each slot's
 adjoints over the slots below it, and every local rotation's and offset's
 adjoint follows from those sums in closed form.  One Rodrigues call serves
 all 16 rotations, global first; only ``need_grad=True`` builds their
-derivatives.  Regressed joints skip the mesh as batched matmuls (see
-``ModelTensors``) in both directions.  Skinning is the blend-then-apply LBS
-of SMPL/MANO in bone space: per block of poses, one GEMM blends the 3x4
-bones per vertex as (3, V) planes, applied to the template's (3, V) planes,
-and the backward reads the vertex cotangent as (B, 3, V) planes the same way;
-per-model constants live in ``model.tensors``.
+derivatives.  Skinning is the blend-then-apply LBS of SMPL/MANO in bone
+space: per block of poses, one GEMM blends the 3x4 bones per vertex as
+(3, V) planes, applied to the template's (3, V) planes, and the backward
+reads the vertex cotangent as (B, 3, V) planes the same way; per-model
+constants live in ``model.tensors``.  A call that skins the mesh reads the
+regressed joints off it: the joint regressor times each block's vertex
+planes before translation, and the backward adds the regressed cotangent
+times the regressor to the vertex-plane cotangent.  A regressed-only call
+skips the mesh as batched matmuls (see ``ModelTensors``) in both
+directions, in blocks of ``REGRESS_BLOCK`` poses without gradients.
+Either way the translation is added per output, not blended or regressed.
 Joint positions are exactly the translation parts of the chained per-joint
 rigid transforms (a tip's, of its DIP's transform applied to its rest
 offset), so independent re-composition of homogeneous matrices along each
@@ -99,6 +104,8 @@ _DEPTHS = tuple((slots, _PARENT_SLOT[slots - 1]) for slots in (
 # The depth groups as (slots, parent slots) slices, so the chain reads and
 # writes views instead of gathered copies.
 _DEPTH_SLICES = tuple((_as_slice(slots), _as_slice(parents)) for slots, parents in _DEPTHS)
+# The articulated joints as an index array (a tuple index is converted per call).
+_ARTICULATED = np.array(ARTICULATED)
 # The tips, the DIPs they ride on, and the DIPs' slots (as a slice).
 _TIPS = np.array([j for j in range(JOINT_COUNT) if j not in _slot_of])
 _DIPS = _TIPS - 1
@@ -152,7 +159,7 @@ class FkCache:
     chain_t: np.ndarray | None = None       # (B, 16, 3)
     bones: np.ndarray | None = None         # (B, 3, 16, 4) [chain_rot | bone_t]
     template: np.ndarray | None = None      # (B, 3, V) shaped template planes
-    reg_q: np.ndarray | None = None         # (B, 21, 48) collapsed regression points
+    reg_q: np.ndarray | None = None         # (B, 21, 48) collapsed points, regressed-only
 
 
 @dataclass
@@ -253,12 +260,16 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
         _as_batch(x, n, batch, name) for x, n, name in (
             (beta, 10, "beta"), (global_rot, 3, "global_rot"),
             (translation, 3, "translation")))
-    if not (all(np.isfinite(x).all() for x in (articulation, global_rot, translation))
-            and (np.abs(beta) <= _MAX_SHAPE).all()):   # False for NaN too
-        raise NumericError(f"non-finite pose/shape parameters or |beta| beyond {_MAX_SHAPE:g}")
     omegas = np.concatenate([global_rot[:, None],
                              articulation.reshape(batch, 15, 3)], axis=1)  # (B, 16, 3)
-    if np.abs(omegas).max() > _MAX_ROTATION:
+    # One test per array (each False for NaN too); a failure reruns the
+    # ordered checks, which name what is wrong.
+    if not (np.abs(omegas).max() <= _MAX_ROTATION and np.abs(beta).max() <= _MAX_SHAPE
+            and np.isfinite(translation).all()):
+        if not (np.isfinite(omegas).all() and np.isfinite(translation).all()
+                and (np.abs(beta) <= _MAX_SHAPE).all()):
+            raise NumericError(
+                f"non-finite pose/shape parameters or |beta| beyond {_MAX_SHAPE:g}")
         raise NumericError(f"rotation vector component beyond {_MAX_ROTATION:g} rad")
     if need_grad:
         rots, drots = rodrigues_with_jacobian(omegas)
@@ -291,7 +302,7 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
 
     # An articulated joint is its slot's translation; a tip rides on its DIP.
     joints = np.empty((batch, JOINT_COUNT, 3))
-    joints[:, ARTICULATED] = chain_t
+    joints[:, _ARTICULATED] = chain_t
     joints[:, _TIPS] = chain_t[:, _TIP_SLOTS] + np.einsum(
         "bsxy,bsy->bsx", chain_rot[:, _TIP_SLOTS], tip_offsets)
     joints += translation[:, None]
@@ -308,11 +319,15 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
                                              slot_rest)).swapaxes(1, 2)
         bone_rot, bone_t = bones[..., :3], bones[..., 3].swapaxes(1, 2)
 
-    vertices = template = None
+    # With the mesh, the regressed joints are read off it: the regressor times
+    # each block's vertex planes before the translation is added.
+    vertices = template = regressed = reg_q = None
     if want_vertices:
         count = model.vertex_count
         vertices = np.empty((batch, count, 3))
         template = np.empty((batch, 3, count)) if need_grad else None
+        if want_regressed:
+            regressed = np.empty((batch, 3, JOINT_COUNT))
         by_column = bones.transpose(0, 3, 1, 2)   # [b, column, x, slot]; 3: shift
         for rows in (slice(i, i + BLEND_BLOCK) for i in range(0, batch, BLEND_BLOCK)):
             shaped = tensors.rest_planes + beta[rows] @ tensors.shape_planes
@@ -321,22 +336,32 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
             shaped = shaped.reshape(-1, 3, count)                # (n, 3, V)
             blend = (by_column[rows].reshape(-1, ARTICULATED_COUNT)
                      @ tensors.weights_t).reshape(-1, 4, 3, count)  # (n, 4, 3, V)
-            planes = blend[:, 3] + translation[rows, :, None]
+            shift = translation[rows, :, None]
+            planes = blend[:, 3] if want_regressed else blend[:, 3] + shift
             for y in range(3):
                 planes += blend[:, y] * shaped[:, y, None]
+            if want_regressed:
+                np.matmul(planes, model.joint_regressor.T, out=regressed[rows])
+                planes += shift
             vertices[rows] = planes.transpose(0, 2, 1)
             if need_grad:
                 template[rows] = shaped
-
-    regressed = reg_q = None
-    if want_regressed:
-        q_shape = (batch, JOINT_COUNT, -1)
-        reg_q = (beta @ tensors.reg_qb).reshape(q_shape)   # one (B, 21, 48) array
-        reg_q += tensors.reg_q0.reshape(JOINT_COUNT, -1)
-        if has_pose_basis:
-            reg_q += (pose_feats @ tensors.reg_qp).reshape(q_shape)
-        regressed = (reg_q @ bone_rot.reshape(batch, 3, -1).swapaxes(1, 2)
-                     + tensors.reg_c @ bone_t + translation[:, None])
+        if want_regressed:
+            regressed = np.add(regressed.transpose(0, 2, 1), translation[:, None], order="C")
+    elif want_regressed:
+        # The collapsed route, in row blocks without gradients: a block's
+        # (n, 21, 48) points are the call's largest array.
+        regressed = np.empty((batch, JOINT_COUNT, 3))
+        step = batch if need_grad else REGRESS_BLOCK
+        q_shape = (-1, JOINT_COUNT, 3 * ARTICULATED_COUNT)
+        for rows in (slice(i, i + step) for i in range(0, batch, step)):
+            reg_q = (beta[rows] @ tensors.reg_qb).reshape(q_shape)   # (n, 21, 48)
+            reg_q += tensors.reg_q0.reshape(JOINT_COUNT, -1)
+            if has_pose_basis:
+                reg_q += (pose_feats[rows] @ tensors.reg_qp).reshape(q_shape)
+            rot_rows = bone_rot[rows].reshape(len(reg_q), 3, -1).swapaxes(1, 2)
+            regressed[rows] = (reg_q @ rot_rows + tensors.reg_c @ bone_t[rows]
+                               + translation[rows, None])
 
     return FkCache(joints, vertices, regressed, **({} if not need_grad else dict(
         model=model, drots=drots, rest_joints=rest_joints, chain_rot=chain_rot,
@@ -345,6 +370,8 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
 
 #: poses per skinning block: their (n * 12, V) blend, 0.6 MB at V = 778, stays in L2
 BLEND_BLOCK = 8
+#: poses per block of a no-grad regressed-only call: 2 MB of collapsed points
+REGRESS_BLOCK = 256
 
 
 def fk_backward(cache: FkCache, d_vertices=None, d_regressed=None) -> FkGrads:
@@ -365,14 +392,35 @@ def fk_backward(cache: FkCache, d_vertices=None, d_regressed=None) -> FkGrads:
     bar_bones = np.zeros((batch, 3, ARTICULATED_COUNT, 4))
     bar_trans = np.zeros((batch, 3))
     bar_beta = np.zeros((batch, 10))
-    bar_pose_feats = np.zeros((batch, POSE_BASIS_SIZE))
+    has_pose_basis = model.pose_basis is not None
+    bar_pose_feats = np.zeros((batch, POSE_BASIS_SIZE)) if has_pose_basis else None
 
+    d = None   # the (B, 3, V) vertex-plane cotangent
     if d_vertices is not None:
         if cache.vertices is None:
             raise InputError("forward pass did not compute vertices")
         g = as_array(d_vertices, cache.vertices.shape, "d_vertices")
-        d = np.ascontiguousarray(g.transpose(0, 2, 1))       # (B, 3, V) planes
+        d = np.ascontiguousarray(g.transpose(0, 2, 1))
         bar_trans += d.sum(axis=2)
+
+    if d_regressed is not None:
+        if cache.regressed_joints is None:
+            raise InputError("forward pass did not compute regressed joints")
+        g = as_array(d_regressed, cache.regressed_joints.shape, "d_regressed")
+        bar_trans += g.sum(axis=1)
+        if cache.vertices is not None:   # read off the mesh: J times its planes
+            through_mesh = g.swapaxes(1, 2) @ model.joint_regressor
+            d = through_mesh if d is None else d + through_mesh
+        else:
+            bar_bones[..., :3] += (g.swapaxes(1, 2) @ cache.reg_q).reshape(
+                batch, 3, ARTICULATED_COUNT, 3)
+            bar_bones[..., 3] += (tensors.reg_c.T @ g).swapaxes(1, 2)
+            bar_q = (g @ bone_rot.reshape(batch, 3, -1)).reshape(batch, -1)  # (B, 21 * 48)
+            bar_beta += bar_q @ tensors.reg_qb.T
+            if has_pose_basis:
+                bar_pose_feats += bar_q @ tensors.reg_qp.T
+
+    if d is not None:
         weights, count = model.skinning_weights, model.vertex_count
         rot_columns = bone_rot.transpose(0, 3, 1, 2)         # [b, y, x, slot]
         bar_template = np.empty_like(cache.template)
@@ -390,21 +438,8 @@ def fk_backward(cache: FkCache, d_vertices=None, d_regressed=None) -> FkGrads:
             blend *= planes[:, None]
             np.add.reduce(blend, axis=2, out=bar_template[rows])
         bar_beta += bar_template.reshape(batch, -1) @ tensors.shape_planes.T
-        if model.pose_basis is not None:
+        if has_pose_basis:
             bar_pose_feats += bar_template.reshape(batch, -1) @ tensors.pose_planes.T
-
-    if d_regressed is not None:
-        if cache.regressed_joints is None:
-            raise InputError("forward pass did not compute regressed joints")
-        g = as_array(d_regressed, cache.regressed_joints.shape, "d_regressed")
-        bar_trans += g.sum(axis=1)
-        bar_bones[..., :3] += (g.swapaxes(1, 2) @ cache.reg_q).reshape(
-            batch, 3, ARTICULATED_COUNT, 3)
-        bar_bones[..., 3] += (tensors.reg_c.T @ g).swapaxes(1, 2)
-        bar_q = (g @ bone_rot.reshape(batch, 3, -1)).reshape(batch, -1)  # (B, 21 * 48)
-        bar_beta += bar_q @ tensors.reg_qb.T
-        if model.pose_basis is not None:
-            bar_pose_feats += bar_q @ tensors.reg_qp.T
 
     # Sum each slot's chain adjoints over its subtree in one GEMM.  Per slot,
     # [bar_bones] [bones]^T is bar_C C^T + bar_t t^T of the chain transform,
@@ -424,8 +459,9 @@ def fk_backward(cache: FkCache, d_vertices=None, d_regressed=None) -> FkGrads:
     parent_rot = chain_rot[:, _OFFSET_FRAME]
     bar_local = M @ chain_rot
     bar_local[:, 0] += T[:, 0, :, None] * rest_joints[:, 0, None]
-    bar_local[:, 1:] = (parent_rot[:, 1:].swapaxes(-1, -2) @ bar_local[:, 1:]
-                        + bar_pose_feats.reshape(batch, 15, 3, 3))
+    bar_local[:, 1:] = parent_rot[:, 1:].swapaxes(-1, -2) @ bar_local[:, 1:]
+    if has_pose_basis:
+        bar_local[:, 1:] += bar_pose_feats.reshape(batch, 15, 3, 3)
     bar_omega = np.einsum("bsixy,bsxy->bsi", cache.drots, bar_local)
 
     # the offsets' adjoints and, through bone_t, the slot joints' rest adjoints

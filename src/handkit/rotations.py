@@ -37,9 +37,16 @@ _LINEAR = np.concatenate([np.eye(3).reshape(1, 9), _E.reshape(3, 9)]).T.copy()
 _DERIV_LINEAR = np.concatenate([_E.reshape(1, 27), (
     np.einsum("kx,iy->kixy", np.eye(3), np.eye(3))
     + np.einsum("ix,ky->kixy", np.eye(3), np.eye(3))).reshape(3, 27)]).T.copy()
+# R's, dR's and their common factor's tables as one block-diagonal (45, 12)
+# table over the rows [cos, a w, a, b w, -a, a'/t w]
+_JACOBIAN_LINEAR = np.zeros((45, 12))
+for _rows, _columns, _block in ((slice(0, 9), slice(0, 4), _LINEAR),
+                                (slice(9, 36), slice(4, 8), _DERIV_LINEAR),
+                                (slice(36, 45), slice(8, 12), _LINEAR)):
+    _JACOBIAN_LINEAR[_rows, _columns] = _block
 # the 9 planes of w w^T are products of coordinate planes _ROW and _COLUMN
 _ROW, _COLUMN = np.divmod(np.arange(9), 3)
-for _table in (_E, _LINEAR, _DERIV_LINEAR):
+for _table in (_E, _LINEAR, _DERIV_LINEAR, _JACOBIAN_LINEAR):
     _table.flags.writeable = False
 
 
@@ -78,19 +85,14 @@ def _coefficients(t2: np.ndarray, with_derivatives: bool) -> np.ndarray:
     return out
 
 
-def _linear(table: np.ndarray, s: np.ndarray, c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``table @ [s, c v]``: planes linear in the scalar s and in v."""
-    stacked = np.empty((4, v.shape[1]))
-    stacked[0] = s
-    np.multiply(c, v, out=stacked[1:])
-    return table @ stacked
-
-
 def rodrigues(w: np.ndarray) -> np.ndarray:
     """Rotation matrix for axis-angle vector(s) w of shape (..., 3)."""
     v, outer, t2 = _planes(w)
     cos, a, b = _coefficients(t2, False)
-    R = _linear(_LINEAR, cos, a, v)
+    stacked = np.empty((4, v.shape[1]))   # [cos, a w]
+    stacked[0] = cos
+    np.multiply(a, v, out=stacked[1:])
+    R = _LINEAR @ stacked
     R += b * outer
     return np.ascontiguousarray(R.T).reshape(np.shape(w)[:-1] + (3, 3))
 
@@ -104,12 +106,16 @@ def rodrigues_with_jacobian(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with E_i = hat(e_i) and a', b' the derivatives of a, b in t.
     """
     v, outer, t2 = _planes(w)
-    cos, a, b, a_prime, b_prime = _coefficients(t2, True)
-    R = _linear(_LINEAR, cos, a, v)
+    coefficients = _coefficients(t2, True)
+    cos, a, b, _, b_prime = coefficients
+    stacked = np.empty((3, 4, v.shape[1]))
+    stacked[0, 0], stacked[1, 0] = cos, a
+    np.negative(a, out=stacked[2, 0])
+    np.multiply(coefficients[1:4, None], v, out=stacked[:, 1:])   # a w, b w, a'/t w
+    linear = _JACOBIAN_LINEAR @ stacked.reshape(12, -1)
+    R, dR, common = linear[:9], linear[9:36], linear[36:]
     R += b * outer
-    common = _linear(_LINEAR, -a, a_prime, v)
     common += b_prime * outer
-    dR = _linear(_DERIV_LINEAR, a, b, v)
     dR.reshape(3, 9, -1)[...] += v[:, None] * common
     lead = np.shape(w)[:-1]
     return np.ascontiguousarray(R.T).reshape(lead + (3, 3)), dR.T.reshape(lead + (3, 3, 3))

@@ -113,6 +113,13 @@ def _nan_joints() -> np.ndarray:
     return joints
 
 
+def _collapsed_in_row_2() -> np.ndarray:
+    """Three distinct skeletons; row 2's middle PIP sits on its MCP."""
+    joints = np.random.default_rng(2).normal(scale=20.0, size=(3, 21, 3))
+    joints[2, 10] = joints[2, 9]
+    return joints
+
+
 def _above(bound: float) -> float:
     """The next float above ``bound``."""
     return float(np.nextafter(bound, np.inf))
@@ -266,6 +273,11 @@ TABLE = {
     "ik-predict-checkpoint-without-arrays": (2, lambda ws, t: [
         "ik-predict", "--target", ws / "target.json", "--out", "{out}",
         "--ckpt", _container(t / "c.hkc", {"kind": "ik_net_checkpoint"})]),
+    # the message names the record (batch row) whose skeleton is degenerate
+    "ik-predict-collapsed-bone-in-record-2": (4, lambda ws, t: [
+        "ik-predict", "--ckpt", ws / "net.hkc", "--out", "{out}", "--target",
+        _text(t / "t.json", json.dumps({"unit": "mm", "records": [
+            {"joints": joints.tolist()} for joints in _collapsed_in_row_2()]}))]),
 }
 
 
@@ -288,6 +300,8 @@ def test_documented_exit_code(name, ws, tmp_path):
         assert err == "error: heatmap must not be all zero\n"
     if name == "profile-graph-pool-changes-channels":   # the line at fault, not the next
         assert "g.txt:1: pool keeps the channel count" in err
+    if name == "ik-predict-collapsed-bone-in-record-2":
+        assert "batch row 2, zero-length bone in skeleton" in err
 
 
 def test_fk_overflowing_beta_exits_4_without_output(ws, tmp_path):
@@ -773,6 +787,19 @@ def test_library_entry_points_raise_the_family(name, desk_small):
     error, call = LIBRARY[name]
     with pytest.raises(error):
         call(desk_small)
+
+
+@pytest.mark.parametrize("call, message", [
+    (ik_optim.bend_penalty_with_grad, "zero-length bone on middle finger"),
+    (ik_net.featurize_batch, "zero-length bone in skeleton")])
+def test_degenerate_bone_errors_name_the_batch_row(call, message):
+    joints = _collapsed_in_row_2()
+    with pytest.raises(errors.NumericError, match=f"^batch row 2, {message}$"):
+        call(joints)
+    with pytest.raises(errors.NumericError, match=rf"^batch row \(1, 0\), {message}$"):
+        call(joints[[0, 1, 2, 2]].reshape(2, 2, 21, 3))
+    with pytest.raises(errors.NumericError, match=f"^{message}$"):   # one skeleton: no row
+        call(joints[2])
 
 
 def test_check_helpers_keep_the_input_rule():

@@ -27,6 +27,10 @@ TEST_ONLY = {
     "bio_dof.is_feasible": "the feasibility predicate on one BioPose; fit and "
                            "predict clip their (B, 23) arrays in place instead",
     "lixel.marginalize": "the 2D-to-1D heatmap reduction the lixel tests pin",
+    "ik_optim.bend_penalty_with_grad": "the checked entry of the bend penalty; "
+                                       "batch_fit_loss scores its own FK output "
+                                       "without the re-check, and the benchmark "
+                                       "traces it by name",
     "synth.SAMPLES_PER_CAMERA": "the paper's 32 draws per camera, which "
                                 "criterion 1 checks against the grid size",
 }

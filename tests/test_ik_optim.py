@@ -452,6 +452,25 @@ def test_fit_adam_matches_allocating_oracle(desk, axes, limits, rng):
     assert got.tobytes() == best_x.tobytes()
 
 
+def test_fit_skips_the_gradient_of_its_discarded_last_step(desk, axes, limits, rng,
+                                                          monkeypatch):
+    """A T-iteration fit pulls back T - 1 gradients: the iterate that the last
+    Adam step would make is never scored, so only its loss is computed (the
+    oracle above checks that the results keep their bits)."""
+    _, _, target = make_target(desk, axes, limits, rng)
+    calls = []
+    backward = kin.fk_backward
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return backward(*args, **kwargs)
+    monkeypatch.setattr(kin, "fk_backward", counting)
+    for iterations in (1, 2, 7):
+        calls.clear()
+        result = fit(desk, target, config=FitConfig(iterations=iterations), limits=limits)
+        assert len(calls) == iterations - 1 and len(result.loss_trace) == iterations
+
+
 def test_fit_best_iterate_not_worse_than_initial(desk, axes, limits, rng):
     bio, beta, target = make_target(desk, axes, limits, rng)
     init = bio + rng.normal(scale=0.3, size=23)

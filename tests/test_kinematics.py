@@ -4,7 +4,10 @@ check of every ``fk_backward`` output at B > 1 with a pose basis (also
 across a blend-block boundary, against each row's B = 1 backward), the no-grad
 Rodrigues path (which holds nothing for backward), the grad path's single
 Rodrigues call, joints read off the chain, the depth-ordered chain layout,
-argument normalisation, and the read-only model behind ``model.tensors``."""
+argument normalisation, the read-only model behind ``model.tensors``, the
+regressed joints a vertex call reads off the mesh (against the collapsed
+route, and their backward alone), and the row blocks and peak memory of a
+no-grad regressed-only call."""
 
 import dataclasses
 import tracemalloc
@@ -326,3 +329,100 @@ def test_forward_broadcasts_rows_and_defaults_to_zeros(desk_small):
     explicit = kin.fk_forward(desk_small, art, np.tile(beta, (3, 1)), np.zeros((3, 3)),
                               np.zeros((1, 3)), want_regressed=True)
     np.testing.assert_array_equal(broadcast.regressed_joints, explicit.regressed_joints)
+
+
+def _unit_within_tolerance(model):
+    """Copy of ``model`` whose regressor rows sum to 1 only within the 1e-6
+    that ``HandModel`` allows, so translation pushed through the regressor
+    would move the joints by up to 1e-6 of it."""
+    scale = 1.0 + 9e-7 * np.where(np.arange(kin.JOINT_COUNT) % 2, 1.0, -1.0)
+    return dataclasses.replace(model, joint_regressor=model.joint_regressor * scale[:, None])
+
+
+@pytest.mark.parametrize("hand", ["desk", "desk_small", "near-unit regressor"])
+def test_vertex_calls_read_the_regressed_joints_off_the_mesh(hand, request):
+    """A call that skins the mesh regresses the joints from it; they equal
+    the collapsed route's (a regressed-only call's) with a pose basis and a
+    translation, and the translation is added per output, not regressed."""
+    model = request.getfixturevalue("desk_small" if hand != "desk" else "desk")
+    if hand == "near-unit regressor":
+        model = _unit_within_tolerance(model)
+    rng = np.random.default_rng(17)
+    model = _variant(model, rng)
+    art, beta, rot, trans = _params(rng, 3)
+    trans *= 50.0   # metres away: a regressed translation would be 1e-3 mm off
+    for need_grad in (False, True):
+        mesh = kin.fk_forward(model, art, beta, rot, trans, want_vertices=True,
+                              want_regressed=True, need_grad=need_grad)
+        collapsed = kin.fk_forward(model, art, beta, rot, trans, want_regressed=True,
+                                   need_grad=need_grad)
+        assert mesh.reg_q is None and (collapsed.reg_q is not None) == need_grad
+        scale = np.abs(collapsed.regressed_joints).max()
+        assert np.abs(mesh.regressed_joints - collapsed.regressed_joints).max() <= 1e-12 * scale
+        vertices = kin.fk_forward(model, art, beta, rot, trans, want_vertices=True).vertices
+        assert np.abs(mesh.vertices - vertices).max() <= 1e-12 * np.abs(vertices).max()
+
+
+def test_fk_backward_of_regressed_joints_alone_on_a_vertex_cache(desk_small):
+    """The mesh route's backward: ``d_regressed`` alone pulls back through
+    the skinned planes (central differences at B = 3, with a pose basis)."""
+    rng = np.random.default_rng(18)
+    model = _variant(desk_small, rng)
+    batch, h = 3, 1e-5
+    params = _params(rng, batch)
+    options = dict(want_vertices=True, want_regressed=True)
+    out = kin.fk_forward(model, *params, **options, need_grad=True)
+    d_regressed = rng.normal(size=out.regressed_joints.shape)
+    grads = kin.fk_backward(out, d_regressed=d_regressed)
+    analytic = (grads.articulation, grads.beta, grads.global_rot, grads.translation)
+
+    def loss(row, values):
+        return (kin.fk_forward(model, *values, **options).regressed_joints[row]
+                * d_regressed[row]).sum()
+
+    worst = 0.0
+    for k, param in enumerate(params):
+        for b in range(batch):
+            for i in range(param.shape[1]):
+                plus = [p.copy() for p in params]
+                minus = [p.copy() for p in params]
+                plus[k][b, i] += h
+                minus[k][b, i] -= h
+                fd = (loss(b, plus) - loss(b, minus)) / (2 * h)
+                ana = analytic[k][b, i]
+                worst = max(worst, abs(fd - ana) / max(abs(fd), abs(ana), 1.0))
+    assert worst < 1e-6, worst
+
+
+def test_no_grad_regressed_only_call_poses_row_blocks(desk):
+    """Without gradients the collapsed route runs in blocks of
+    ``REGRESS_BLOCK`` rows: each block's joints are a call of its own rows,
+    and the whole matches the unblocked gradient call."""
+    batch = 3 * kin.REGRESS_BLOCK + 232
+    params = _params(np.random.default_rng(19), batch)
+    blocked = kin.fk_forward(desk, *params, want_regressed=True).regressed_joints
+    for i in range(0, batch, kin.REGRESS_BLOCK):
+        rows = slice(i, i + kin.REGRESS_BLOCK)
+        np.testing.assert_array_equal(blocked[rows], kin.fk_forward(
+            desk, *(p[rows] for p in params), want_regressed=True).regressed_joints)
+    whole = kin.fk_forward(desk, *params, want_regressed=True, need_grad=True)
+    assert whole.reg_q.shape[0] == batch
+    assert (np.abs(blocked - whole.regressed_joints).max()
+            <= 1e-12 * np.abs(whole.regressed_joints).max())
+
+
+def test_no_grad_regressed_only_peak_memory(desk):
+    """At B = 1000 the regressed branch adds under 6 KB per pose to a
+    joints-only call's peak; the whole (B, 21, 48) collapse alone is 8 KB."""
+    batch = 1000
+    params = _params(np.random.default_rng(20), batch)
+    peaks = []
+    for options in ({}, dict(want_regressed=True)):
+        kin.fk_forward(desk, *params, **options)   # model tensors built once
+        tracemalloc.start()
+        try:
+            kin.fk_forward(desk, *params, **options)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 6e3 * batch, peaks

@@ -57,6 +57,8 @@ def test_fk_parity_of_a_checkout_with_itself_is_exact():
     assert "worst output difference: 0 mm\n" in proc.stdout, proc.stdout
     assert "worst output difference with global_rot=None: 0 mm\n" in proc.stdout, proc.stdout
     assert "worst no-grad output difference: 0 mm\n" in proc.stdout, proc.stdout
+    assert "worst regressed-only difference: 0 mm, relative gradient 0\n" in proc.stdout, (
+        proc.stdout)
     assert "worst relative gradient difference: 0\n" in proc.stdout, proc.stdout
     assert "worst relative loss-layer value difference: 0\n" in proc.stdout, proc.stdout
     assert "worst relative loss-layer gradient difference: 0\n" in proc.stdout, proc.stdout
