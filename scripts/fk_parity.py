@@ -22,13 +22,15 @@ regressed joints off the mesh, so only these poses take the collapsed
 route that ``ik_net.train`` takes.  The loss layer runs at B = 1 and 8 on
 the desk hand: ``bend_penalty_with_grad`` of posed skeletons, and
 ``batch_fit_loss`` with gradients against target joints and vertices
-with bend weight 1e-2.  The script prints the worst absolute FK output
-difference (mm), the same over the ``global_rot=None`` cases alone, the
-same over the no-gradient forward passes, the worst regressed-only
-output difference (mm) and relative gradient difference, the worst
-relative FK gradient difference (per array, max |a - b| over the larger
-of the two max |a|), and the worst relative value and gradient
-differences of the loss layer.
+with bend weight 1e-2.  Its fit parameters and targets are posed once,
+by this checkout's package, and both sides read the same arrays, so the
+loss-layer lines measure the loss layer alone.  The script prints the
+worst absolute FK output difference (mm), the same over the
+``global_rot=None`` cases alone, the same over the no-gradient forward
+passes, the worst regressed-only output difference (mm) and relative
+gradient difference, the worst relative FK gradient difference (per
+array, max |a - b| over the larger of the two max |a|), and the worst
+relative value and gradient differences of the loss layer.
 
 ``--time`` times the two checkouts instead.  Sharing one process matters
 most there: timings taken in separate processes drift far more than the
@@ -73,8 +75,10 @@ COTANGENTS = {"d_vertices": "vertices", "d_regressed": "regressed_joints"}
 PARAMS = ("articulation", "beta", "global_rot", "translation")
 
 
-def pose_set(package):
-    """The seeded set's arrays, posed with the imported ``package``."""
+def pose_set(package, loss_inputs=None):
+    """The seeded set's arrays, posed with the imported ``package``, and
+    the loss layer's fit inputs: ``loss_inputs`` when given, else posed
+    here."""
     kin = package.kinematics
     desk = package.hand_model.make_desk_hand()
     rng = np.random.default_rng(0)
@@ -114,8 +118,10 @@ def pose_set(package):
                 arrays[f"{case}/regressed-only/nograd"] = kin.fk_forward(
                     model, art, beta, global_rot, translation,
                     want_regressed=True).regressed_joints
-    arrays.update(loss_set(package, desk, rng))
-    return arrays
+    if loss_inputs is None:
+        loss_inputs = [fit_inputs(package, desk, rng, batch) for batch in LOSS_BATCHES]
+    arrays.update(loss_set(package, desk, loss_inputs))
+    return arrays, loss_inputs
 
 
 def fit_inputs(package, desk, rng, batch):
@@ -137,13 +143,12 @@ def split_params(x):
     return np.split(x, np.cumsum([23, 10, 3]), axis=1)
 
 
-def loss_set(package, desk, rng):
+def loss_set(package, desk, loss_inputs):
     """The loss layer's arrays: the bend penalty of the targets, and the fit
-    loss with gradients, at each of ``LOSS_BATCHES``."""
+    loss with gradients, for each of ``LOSS_BATCHES``' fit inputs."""
     ik_optim = package.ik_optim
     arrays = {}
-    for batch in LOSS_BATCHES:
-        x, joints, vertices = fit_inputs(package, desk, rng, batch)
+    for batch, (x, joints, vertices) in zip(LOSS_BATCHES, loss_inputs):
         case = f"loss-B{batch}"
         arrays[f"{case}/value/bend"], arrays[f"{case}/grad/bend"] = (
             ik_optim.bend_penalty_with_grad(joints))
@@ -297,7 +302,8 @@ def main():
             print(f"{name:24s} {mine * 1e3:10.4f} {theirs * 1e3:12.4f} {mine / theirs:7.3f}")
         return
 
-    mine, theirs = (pose_set(package) for package in packages)
+    mine, loss_inputs = pose_set(packages[0])
+    theirs, _ = pose_set(packages[1], loss_inputs)
     if mine.keys() != theirs.keys():
         sys.exit("error: the two checkouts posed different sets")
     out_worst = out_none_worst = nograd_worst = grad_worst = 0.0

@@ -25,19 +25,21 @@ adjoint follows from those sums in closed form.  One Rodrigues call serves
 all 16 rotations, global first; only ``need_grad=True`` builds their
 derivatives.  Skinning is the blend-then-apply LBS of SMPL/MANO in bone
 space: per block of poses, one GEMM blends the 3x4 bones per vertex as
-(3, V) planes, applied to the template's (3, V) planes, and the backward
-reads the vertex cotangent as (B, 3, V) planes the same way; per-model
-constants live in ``model.tensors``.  A call that skins the mesh reads the
-regressed joints off it: the joint regressor times each block's vertex
-planes before translation, and the backward adds the regressed cotangent
-times the regressor to the vertex-plane cotangent.  A regressed-only call
-skips the mesh as batched matmuls (see ``ModelTensors``) in both
-directions, in blocks of ``REGRESS_BLOCK`` poses without gradients.
-Either way the translation is added per output, not blended or regressed.
-Joint positions are exactly the translation parts of the chained per-joint
-rigid transforms (a tip's, of its DIP's transform applied to its rest
-offset), so independent re-composition of homogeneous matrices along each
-finger is a valid oracle for them.
+(3, V) planes, and the template's (3, V) planes are applied inside that
+output (the rotation planes scaled in place, then summed into the shift
+plane), whose planes go into the (B, V, 3) vertices one coordinate column
+at a time; the backward reads the vertex cotangent as (B, 3, V) planes the
+same way.  Per-model constants live in ``model.tensors``.  A call that
+skins the mesh reads the regressed joints off it: the joint regressor times
+each block's vertex planes before translation, and the backward adds the
+regressed cotangent times the regressor to the vertex-plane cotangent.  A
+regressed-only call skips the mesh as batched matmuls (see
+``ModelTensors``) in both directions, in blocks of ``REGRESS_BLOCK`` poses
+without gradients.  Either way the translation is added per output, not
+blended or regressed.  Joint positions are exactly the translation parts of
+the chained per-joint rigid transforms (a tip's, of its DIP's transform
+applied to its rest offset), so independent re-composition of homogeneous
+matrices along each finger is a valid oracle for them.
 """
 
 from __future__ import annotations
@@ -251,7 +253,12 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
 
     articulation: (B, 45) axis-angle values, beta: (B, 10), global_rot and
     translation: (B, 3).  Missing beta/global/translation default to zeros.
+    ``model`` is a ``HandModel``, else ``InputError``.
     """
+    # Only a HandModel holds ModelTensors (hand_model imports this module).
+    tensors = getattr(model, "tensors", None)
+    if not isinstance(tensors, ModelTensors):
+        raise InputError(f"fk_forward model must be a HandModel, got {type(model).__name__}")
     articulation = _as_batch(articulation, ARTICULATION_SIZE, None, "articulation")
     batch = articulation.shape[0]
     if not batch:
@@ -276,7 +283,6 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
     else:
         rots = rodrigues(omegas)
 
-    tensors = model.tensors
     rest_joints = tensors.J0 + (beta @ tensors.JB.reshape(10, -1)).reshape(
         batch, JOINT_COUNT, 3)
 
@@ -330,20 +336,27 @@ def fk_forward(model, articulation, beta=None, global_rot=None, translation=None
             regressed = np.empty((batch, 3, JOINT_COUNT))
         by_column = bones.transpose(0, 3, 1, 2)   # [b, column, x, slot]; 3: shift
         for rows in (slice(i, i + BLEND_BLOCK) for i in range(0, batch, BLEND_BLOCK)):
-            shaped = tensors.rest_planes + beta[rows] @ tensors.shape_planes
+            shaped = beta[rows] @ tensors.shape_planes
+            shaped += tensors.rest_planes
             if has_pose_basis:
                 shaped += pose_feats[rows] @ tensors.pose_planes
             shaped = shaped.reshape(-1, 3, count)                # (n, 3, V)
             blend = (by_column[rows].reshape(-1, ARTICULATED_COUNT)
                      @ tensors.weights_t).reshape(-1, 4, 3, count)  # (n, 4, 3, V)
-            shift = translation[rows, :, None]
-            planes = blend[:, 3] if want_regressed else blend[:, 3] + shift
+            # The template is applied inside the blend: the rotation planes
+            # are scaled in place and summed into the shift plane in x, y, z
+            # order, after the translation when no regressed joints are read.
+            planes, shift = blend[:, 3], translation[rows, :, None]
+            if not want_regressed:
+                planes += shift
+            blend[:, :3] *= shaped[:, :, None]
             for y in range(3):
-                planes += blend[:, y] * shaped[:, y, None]
+                planes += blend[:, y]
             if want_regressed:
                 np.matmul(planes, model.joint_regressor.T, out=regressed[rows])
                 planes += shift
-            vertices[rows] = planes.transpose(0, 2, 1)
+            for x in range(3):   # one strided column each beats one transposed copy
+                vertices[rows, :, x] = planes[:, x]
             if need_grad:
                 template[rows] = shaped
         if want_regressed:

@@ -728,6 +728,11 @@ LIBRARY = {
         [_SPREAD] * 2, [_SPREAD] * 2, [_SPREAD, _SPREAD[:20]], [_SPREAD, _SPREAD[:20]])),
     "evaluate-vertex-sample-count": (errors.ShapeError, lambda m: metrics.evaluate(
         [_SPREAD] * 2, [_SPREAD] * 2, [_SPREAD] * 3, [_SPREAD] * 3)),
+    # the model is checked before the parameters
+    "fk_forward-no-model": (errors.InputError, lambda m: kinematics.fk_forward(
+        None, np.zeros((0, 45)))),
+    "fk_forward-string-model": (errors.InputError, lambda m: kinematics.fk_forward(
+        "x", np.zeros(45), want_vertices=True)),
     "fk_forward-empty-batch": (errors.ShapeError, lambda m: kinematics.fk_forward(
         m, np.zeros((0, 45)))),
     "fk_forward-empty-batch-vertices": (errors.ShapeError, lambda m: kinematics.fk_forward(

@@ -6,8 +6,9 @@ Rodrigues path (which holds nothing for backward), the grad path's single
 Rodrigues call, joints read off the chain, the depth-ordered chain layout,
 argument normalisation, the read-only model behind ``model.tensors``, the
 regressed joints a vertex call reads off the mesh (against the collapsed
-route, and their backward alone), and the row blocks and peak memory of a
-no-grad regressed-only call."""
+route, and their backward alone), the row blocks and peak memory of a
+no-grad regressed-only call, and the blend's in-place template apply
+against the out-of-place sum, bit for bit."""
 
 import dataclasses
 import tracemalloc
@@ -99,6 +100,68 @@ def test_blocked_blend_peak_memory(desk):
     finally:
         tracemalloc.stop()
     assert peak < 3 * out.vertices.nbytes, (peak, out.vertices.nbytes)
+
+
+def _blend_reference(model, bones, params, want_regressed):
+    """The blocked blend with the template applied out of place, summed as
+    (((shift [+ translation]) + x-term) + y-term) + z-term per plane, the
+    translation last when regressed joints are read off the planes: vertices,
+    regressed joints and shaped template planes."""
+    art, beta, rot, trans = params
+    tensors, count, batch = model.tensors, model.vertex_count, len(art)
+    rots = rodrigues(np.concatenate([rot[:, None], art.reshape(batch, 15, 3)], axis=1))
+    pose_feats = (rots[:, 1:] - np.eye(3)).reshape(batch, kin.POSE_BASIS_SIZE)
+    vertices, regressed, template = [], [], []
+    for i in range(0, batch, kin.BLEND_BLOCK):
+        rows = slice(i, i + kin.BLEND_BLOCK)
+        shaped = tensors.rest_planes + beta[rows] @ tensors.shape_planes
+        if model.pose_basis is not None:
+            shaped += pose_feats[rows] @ tensors.pose_planes
+        shaped = shaped.reshape(-1, 3, count)
+        blend = (bones[rows].transpose(0, 3, 1, 2).reshape(-1, kin.ARTICULATED_COUNT)
+                 @ tensors.weights_t).reshape(-1, 4, 3, count)
+        shift = trans[rows, :, None]
+        planes = blend[:, 3] if want_regressed else blend[:, 3] + shift
+        for y in range(3):
+            planes = planes + blend[:, y] * shaped[:, y, None]
+        if want_regressed:
+            regressed.append(np.matmul(planes, model.joint_regressor.T))
+            planes = planes + shift
+        vertices.append(planes.transpose(0, 2, 1))
+        template.append(shaped)
+    regressed = (np.add(np.concatenate(regressed).transpose(0, 2, 1), trans[:, None])
+                 if want_regressed else None)
+    return np.concatenate(vertices), regressed, np.concatenate(template)
+
+
+@pytest.mark.parametrize("want_regressed", [False, True])
+@pytest.mark.parametrize("translation", [None, "random"])
+@pytest.mark.parametrize("basis", ["plain", "pose basis"])
+def test_in_place_apply_matches_the_out_of_place_sum(desk_small, basis, translation,
+                                                     want_regressed):
+    """Over a partial last block, the blend's in-place template apply gives
+    the out-of-place sum's bits with and without gradients; the cache keeps
+    the shaped planes unscaled, and the vertices are C-ordered (B, V, 3)."""
+    rng = np.random.default_rng(21)
+    model = _variant(desk_small, rng) if basis == "pose basis" else desk_small
+    batch = 2 * kin.BLEND_BLOCK + 3
+    art, beta, rot, trans = _params(rng, batch)
+    if translation is None:   # fk_forward's default: zeros
+        trans = np.zeros((batch, 3))
+    given = (art, beta, rot, None if translation is None else trans)
+    options = dict(want_vertices=True, want_regressed=want_regressed)
+    bones = kin.fk_forward(model, *given, **options, need_grad=True).bones
+    vertices, regressed, template = _blend_reference(model, bones, (art, beta, rot, trans),
+                                                     want_regressed)
+    for need_grad in (False, True):
+        out = kin.fk_forward(model, *given, **options, need_grad=need_grad)
+        assert out.vertices.shape == (batch, model.vertex_count, 3)
+        assert out.vertices.flags.c_contiguous
+        np.testing.assert_array_equal(out.vertices, vertices)
+        if want_regressed:
+            np.testing.assert_array_equal(out.regressed_joints, regressed)
+        if need_grad:
+            np.testing.assert_array_equal(out.template, template)
 
 
 @pytest.mark.parametrize("global_rot", ["random", None])
